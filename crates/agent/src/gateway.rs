@@ -1,14 +1,12 @@
 //! The multi-tenant agent gateway: fleet-style online serving over
 //! shared ripped UNGs.
 //!
-//! PRs 1–6 made the *offline* phase (ripping the UNG) parallel and
-//! provably deterministic; this module is the online half of the north
-//! star — many concurrent agent tasks, from many tenants, served against
-//! a handful of shared application models. The architecture deliberately
-//! mirrors the fleet ripper ([`dmi_core::parallel`]):
+//! The *offline* phase (ripping the UNG) is provably deterministic; this
+//! module is the online half — many concurrent agent tasks, from many
+//! tenants, served against a handful of shared application models:
 //!
-//! - **Shared fairness policy.** Admission runs on the same
-//!   [`FairQueue`] the rip dispatch queue uses: one lane per tenant,
+//! - **Fairness policy.** Admission runs on [`FairQueue`]
+//!   ([`dmi_core::parallel::fairness`]): one lane per tenant,
 //!   urgent-first, then greatest cost-aware weight (queued backlog ×
 //!   EWMA of the tenant's *simulated* task latency), ties round-robin.
 //!   Because the serve EWMA is fed from deterministic simulated seconds
@@ -19,7 +17,7 @@
 //!   per-app pool: an idle session is [`Session::recycle`]d back to
 //!   launch state under the new tenant's instability model, or a fresh
 //!   [`Session::fork_from_pristine`] fork is taken while the pool is
-//!   under its cap — exactly how fleet `ExploreUnit`s work. All of an
+//!   under its cap. All of an
 //!   app's sessions (donor included) share one [`CapturePool`], so
 //!   capture work amortizes across tenants; pool keys fingerprint the
 //!   instability model, so tenants can never alias each other's

@@ -1,7 +1,7 @@
 //! Test-support fixtures shared by downstream crates' test suites.
 //!
 //! Hidden from docs: these are not part of the simulation surface, just
-//! reusable scaffolding so e.g. the fleet engine's unit tests and the
+//! reusable scaffolding so e.g. the fleet's unit tests and the
 //! release-gated identity oracles exercise the same minimal apps instead
 //! of carrying divergent copies.
 
@@ -12,8 +12,7 @@ use dmi_uia::ControlType as CT;
 
 /// A minimal application with **no pristine fork** (`GuiApp::fork` stays
 /// `None`): one window, one popup menu with `items` no-op entries. Fleet
-/// entries built on it must transparently ride the sequential fallback
-/// engine.
+/// tests use it to check that nothing on the rip path needs a fork.
 pub struct UnforkableApp {
     tree: UiTree,
     items: usize,
@@ -67,22 +66,19 @@ impl GuiApp for UnforkableApp {
     }
 }
 
-/// A forkable application whose **forked instances panic** on their nth
-/// dispatched command — a worker shard dying mid-task. The original
-/// (and therefore any sequential reference rip) never panics, so fleet
-/// fail-soft tests can compare a healthy baseline against the contained
-/// failure. Structure: one window, one popup menu with `items` command
+/// An application that **panics** on its nth dispatched command — an app
+/// dying mid-click, for fault-containment tests. Resets keep the dispatch
+/// count. Structure: one window, one popup menu with `items` command
 /// entries.
 pub struct PanickyApp {
     tree: UiTree,
     items: usize,
     panic_at: u32,
-    is_fork: bool,
     dispatches: u32,
 }
 
 impl PanickyApp {
-    /// Builds the app with `items` menu entries; forks panic on dispatch
+    /// Builds the app with `items` menu entries; it panics on dispatch
     /// number `panic_at` (1-based). `panic_at` larger than the rip's
     /// click count makes the app behave like a healthy fixture.
     pub fn new(items: usize, panic_at: u32) -> PanickyApp {
@@ -103,7 +99,7 @@ impl PanickyApp {
                     .build(),
             );
         }
-        PanickyApp { tree: t, items, panic_at, is_fork: false, dispatches: 0 }
+        PanickyApp { tree: t, items, panic_at, dispatches: 0 }
     }
 }
 
@@ -119,22 +115,15 @@ impl GuiApp for PanickyApp {
     }
     fn dispatch(&mut self, _src: WidgetId, _b: &CommandBinding) -> Result<(), AppError> {
         self.dispatches += 1;
-        if self.is_fork && self.dispatches == self.panic_at {
-            panic!("injected fault: fork dispatch #{} dies mid-click", self.panic_at);
+        if self.dispatches == self.panic_at {
+            panic!("injected fault: dispatch #{} dies mid-click", self.panic_at);
         }
         Ok(())
     }
     fn reset(&mut self) {
         let dispatches = self.dispatches;
-        let is_fork = self.is_fork;
         *self = PanickyApp::new(self.items, self.panic_at);
         self.dispatches = dispatches;
-        self.is_fork = is_fork;
-    }
-    fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        let mut f = PanickyApp::new(self.items, self.panic_at);
-        f.is_fork = true;
-        Some(Box::new(f))
     }
     fn pristine_token(&self) -> Option<u64> {
         // The launch image really is restored by reset; panicking is a

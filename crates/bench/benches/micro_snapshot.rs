@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_apps::AppKind;
 use dmi_bench::report;
-use dmi_core::parallel::{rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipStatus};
+use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_core::ripper::{rip, RipConfig};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::{ControlId, Snapshot};
@@ -256,37 +256,6 @@ fn bench_rip(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel sharded rip engine vs the sequential `rip/*` baselines.
-/// `rip_par/small_word` (4 worker shards) is the canonical comparison
-/// point against `rip/small_word`; the `_wN` variants trace the scaling
-/// curve. Every variant produces a byte-identical UNG (release-gated in
-/// tests/identity.rs), so the comparison is pure engine overhead/speedup.
-/// Scaling with shard count requires physical cores: on a single-CPU
-/// container the variants measure scheduling overhead only.
-fn bench_rip_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rip_par");
-    group.sample_size(10);
-    for workers in [2usize, 4, 8] {
-        let par = ParRipConfig { workers, speculation: 2, spec_walk: 4 };
-        group.bench_function(&format!("small_word_w{workers}"), |b| {
-            b.iter(|| {
-                let mut s = Session::new(AppKind::Word.launch_small());
-                let (g, stats) = rip_parallel(&mut s, &RipConfig::office("Word"), &par);
-                black_box((g.node_count(), stats.clicks))
-            })
-        });
-    }
-    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
-    group.bench_function("small_word", |b| {
-        b.iter(|| {
-            let mut s = Session::new(AppKind::Word.launch_small());
-            let (g, stats) = rip_parallel(&mut s, &RipConfig::office("Word"), &par);
-            black_box((g.node_count(), stats.clicks))
-        })
-    });
-    group.finish();
-}
-
 /// A fresh 3-app Office fleet (Word + Excel + PowerPoint, small).
 fn office_fleet() -> Vec<FleetEntry> {
     AppKind::ALL
@@ -297,35 +266,23 @@ fn office_fleet() -> Vec<FleetEntry> {
         .collect()
 }
 
-/// Fleet ripping: all three Office apps under one worker budget
-/// (`office3_w{N}`), plus three versions of one app (`word_x3_versions`)
-/// — the multi-user/multi-version production shape. Every entry's UNG is
-/// byte-identical to its sequential rip (release-gated in
-/// tests/identity.rs), so the curve measures pure engine behavior. At
-/// `w1` each entry degrades to the sequential engine (the fallback
-/// path); like `rip_par/*`, speedups over `rip/*` need physical cores —
-/// on a single-CPU container the variants measure scheduling overhead.
+/// Fleet ripping: all three Office apps, each a sequential `rip` on its
+/// own thread (at most one per CPU). Every entry's UNG is byte-identical
+/// to its sequential rip (release-gated in tests/identity.rs), so
+/// `rip_fleet/office3` against the sum of the `rip/small_*` baselines
+/// measures how well the per-app threads overlap.
 fn bench_rip_fleet(c: &mut Criterion) {
-    // One-shot shared-capture-pool efficacy + fault/recovery report (per
-    // app, 2 workers), printed outside the timed loops — and only when
-    // this group is actually selected by the bench name filter.
-    fn report_pool_once() {
+    // One-shot per-app recovery report, printed outside the timed loop —
+    // and only when this group is actually selected by the name filter.
+    fn report_once() {
         static ONCE: OnceLock<()> = OnceLock::new();
         ONCE.get_or_init(|| {
             // Trace the reporting rip: the drained spans and tallies feed
             // one registry summary table below the per-app lines.
             dmi_obs::set_enabled(true);
-            let mut entries = office_fleet();
-            for o in
-                rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 })
-            {
-                eprintln!(
-                    "{}",
-                    report::pool_line(&o.app_id, o.stats.pool_hits, o.stats.pool_misses)
-                );
+            for o in rip_fleet(&mut office_fleet(), &ParRipConfig) {
                 let status = match &o.status {
-                    RipStatus::Parallel => "parallel",
-                    RipStatus::FellBack => "fell-back",
+                    RipStatus::Ripped => "ripped",
                     RipStatus::Degraded(_) => "degraded",
                     RipStatus::Failed(_) => "failed",
                 };
@@ -337,15 +294,6 @@ fn bench_rip_fleet(c: &mut Criterion) {
                         o.stats.restarts,
                         o.stats.esc_recoveries,
                         o.stats.poison_recoveries,
-                    )
-                );
-                eprintln!(
-                    "{}",
-                    report::spec_line(
-                        &o.app_id,
-                        o.stats.spec_published,
-                        o.stats.spec_adopted,
-                        o.stats.spec_wasted,
                     )
                 );
             }
@@ -363,55 +311,13 @@ fn bench_rip_fleet(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("rip_fleet");
     group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        let par = ParRipConfig { workers, speculation: 2, spec_walk: 4 };
-        group.bench_function(&format!("office3_w{workers}"), |b| {
-            report_pool_once();
-            b.iter(|| {
-                let mut entries = office_fleet();
-                let out = rip_fleet(&mut entries, &par);
-                black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
-            })
-        });
-    }
-    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
-    group.bench_function("word_x3_versions", |b| {
-        report_pool_once();
+    group.bench_function("office3", |b| {
+        report_once();
         b.iter(|| {
-            let mut entries: Vec<FleetEntry> = (0..3)
-                .map(|v| {
-                    FleetEntry::new(
-                        format!("Word-v{v}"),
-                        Session::new(AppKind::Word.launch_small_version(v)),
-                        RipConfig::office("Word"),
-                    )
-                })
-                .collect();
-            let out = rip_fleet(&mut entries, &par);
+            let out = rip_fleet(&mut office_fleet(), &ParRipConfig);
             black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
         })
     });
-    group.finish();
-}
-
-/// Worker-side subtree speculation on vs off, same 2-worker Office fleet.
-/// On one CPU the wall-clock delta is mostly scheduling noise; the signal
-/// is the traced `stall.reveal` total (see docs/observability.md), which
-/// adoption-at-pop removes outright — `walk0` is the PR 9 dispatch-only
-/// engine, `walk4` the default speculative one.
-fn bench_rip_spec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rip_spec");
-    group.sample_size(10);
-    for walk in [0usize, 4] {
-        let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: walk };
-        group.bench_function(&format!("office3_w2_walk{walk}"), |b| {
-            b.iter(|| {
-                let mut entries = office_fleet();
-                let out = rip_fleet(&mut entries, &par);
-                black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
-            })
-        });
-    }
     group.finish();
 }
 
@@ -422,8 +328,6 @@ criterion_group!(
     bench_record_diff,
     bench_snapshot_capture,
     bench_rip,
-    bench_rip_parallel,
-    bench_rip_fleet,
-    bench_rip_spec
+    bench_rip_fleet
 );
 criterion_main!(benches);

@@ -16,16 +16,16 @@
 //!
 //! Every per-task `RunTrace` is byte-identical to the task's sequential
 //! single-session run at every concurrency level (release-gated in
-//! tests/identity.rs), so the curve measures pure engine behavior. Like
-//! `rip_par/*` and `rip_fleet/*`, wall-clock scaling with workers needs
-//! physical cores — on a single-CPU container the curve is structural.
+//! tests/identity.rs), so the curve measures pure engine behavior.
+//! Wall-clock scaling with workers needs physical cores — on a
+//! single-CPU machine the curve is structural.
 //!
 //! The capture-pool rate reads 0% for this workload by design: suite
 //! task setups use pattern operations (`select_lines`, `set_value`),
 //! which poison the pristine-relative action trace, soundly disabling
-//! cross-session capture sharing for the rest of the task. Workloads
-//! driven purely by fingerprintable inputs (clicks, key presses) — the
-//! rip fleet — do share; `rip_fleet/*` reports those rates.
+//! cross-session capture sharing for the rest of the task. Only
+//! workloads driven purely by fingerprintable inputs (clicks, key
+//! presses) share captures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_agent::{

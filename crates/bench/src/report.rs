@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment harnesses.
 //!
-//! The per-subsystem reporter lines (`pool_line`, `fault_line`,
-//! `serve_line`, `store_line`) are views over a [`dmi_obs::Registry`]:
+//! The per-subsystem reporter lines (`fault_line`, `serve_line`,
+//! `store_line`) are views over a [`dmi_obs::Registry`]:
 //! each one loads its measurements into typed metrics first and renders
 //! with the shared [`dmi_obs::KvLine`] builder, so every line speaks the
 //! same `label subject: key=value ...` grammar and the registry remains
@@ -61,21 +61,9 @@ pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
 
-/// One capture-pool efficacy line for the fleet bench reporter: how many
-/// captures the app's shards served from the shared cross-session pool.
-pub fn pool_line(app: &str, pool_hits: u64, pool_misses: u64) -> String {
-    let mut reg = Registry::new();
-    reg.inc("capture.pool_hits", pool_hits);
-    reg.inc("capture.pool_misses", pool_misses);
-    let hits = reg.counter("capture.pool_hits");
-    let probes = hits + reg.counter("capture.pool_misses");
-    let rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
-    KvLine::new("capture-pool", app).frac("shared", hits, probes).pct("rate", rate).render()
-}
-
-/// One fault/recovery line for the fleet bench reporter: which engine the
-/// entry finished on and how much state-restoration and fail-soft work its
-/// rip spent (restarts, Esc recoveries, poisoned-lock recoveries).
+/// One fault/recovery line for the fleet bench reporter: how the entry's
+/// rip concluded and how much state-restoration and fail-soft work it
+/// spent (restarts, Esc recoveries, poisoned-lock recoveries).
 pub fn fault_line(
     app: &str,
     status: &str,
@@ -91,24 +79,6 @@ pub fn fault_line(
         .field("restarts", reg.counter("rip.restarts"))
         .field("esc_recoveries", reg.counter("rip.esc_recoveries"))
         .field("poison_recoveries", reg.counter("capture.poison_recoveries"))
-        .render()
-}
-
-/// One subtree-speculation line for the fleet bench reporter: how many
-/// worker-published speculative explorations the scheduler adopted at DFS
-/// pop versus discarded as waste (superseded, quarantined, orphaned).
-pub fn spec_line(app: &str, published: u64, adopted: u64, wasted: u64) -> String {
-    let mut reg = Registry::new();
-    reg.inc("rip.spec_published", published);
-    reg.inc("rip.spec_adopted", adopted);
-    reg.inc("rip.spec_wasted", wasted);
-    let published = reg.counter("rip.spec_published");
-    let adopted = reg.counter("rip.spec_adopted");
-    let rate = if published == 0 { 0.0 } else { adopted as f64 / published as f64 };
-    KvLine::new("speculation", app)
-        .frac("adopted", adopted, published)
-        .field("wasted", reg.counter("rip.spec_wasted"))
-        .pct("rate", rate)
         .render()
 }
 
@@ -200,12 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_line_reports_rate_and_handles_zero_probes() {
-        assert_eq!(pool_line("Word", 3, 1), "capture-pool Word: shared=3/4 rate=75.0%");
-        assert_eq!(pool_line("Idle", 0, 0), "capture-pool Idle: shared=0/0 rate=0.0%");
-    }
-
-    #[test]
     fn serve_line_reports_throughput_latency_and_pools() {
         assert_eq!(
             serve_line(64, 1.234, 38.25, 61.71, 0.75, 0.9, 12.04),
@@ -224,16 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_line_reports_adoption_rate_and_handles_zero_published() {
-        assert_eq!(spec_line("Word", 8, 6, 2), "speculation Word: adopted=6/8 wasted=2 rate=75.0%");
-        assert_eq!(spec_line("Idle", 0, 0, 0), "speculation Idle: adopted=0/0 wasted=0 rate=0.0%");
-    }
-
-    #[test]
     fn fault_line_names_engine_and_counters() {
         assert_eq!(
-            fault_line("Excel", "parallel", 4, 11, 1),
-            "fault-recovery Excel [parallel]: restarts=4 esc_recoveries=11 poison_recoveries=1"
+            fault_line("Excel", "ripped", 4, 11, 1),
+            "fault-recovery Excel [ripped]: restarts=4 esc_recoveries=11 poison_recoveries=1"
         );
     }
 }

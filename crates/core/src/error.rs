@@ -124,36 +124,20 @@ impl std::fmt::Display for DmiError {
 
 impl std::error::Error for DmiError {}
 
-/// A fault detected and contained by the fleet rip engine. Unlike a
-/// [`DmiError`] (a per-command interaction failure fed back to the
-/// caller for re-planning), a `RipError` records that an entire
-/// frontier's parallel rip could not be trusted: a worker shard died, or
-/// a determinism oracle caught the application drifting from its
-/// attested launch image. The scheduler quarantines exactly the faulty
-/// frontier — sibling lanes finish byte-identical to their sequential
-/// rips — and reports the fault inside
-/// [`crate::parallel::RipStatus::Degraded`] or
+/// A fault contained by the fleet rip engine. Unlike a [`DmiError`] (a
+/// per-command interaction failure fed back to the caller for
+/// re-planning), a `RipError` records that one fleet entry's rip died;
+/// sibling entries finish normally. It is reported inside
 /// [`crate::parallel::RipStatus::Failed`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RipError {
-    /// A worker shard panicked while exploring a candidate for this
-    /// entry. The exploration unit (fork + planner state) died with the
-    /// unwind; the panic payload is preserved verbatim.
+    /// The application panicked while this entry was being ripped. The
+    /// panic payload is preserved verbatim.
     WorkerPanic {
         /// The fleet entry's caller-chosen id.
         app_id: String,
         /// The panic payload, rendered as text.
         payload: String,
-    },
-    /// A worker-side fork produced a post-restart base that does not
-    /// match the lane's — the application's reset is not restoring the
-    /// attested pristine image, so worker outcomes can no longer be
-    /// merged soundly.
-    Divergence {
-        /// The fleet entry's caller-chosen id.
-        app_id: String,
-        /// What diverged (digests, first divergent window/control).
-        detail: String,
     },
 }
 
@@ -161,10 +145,7 @@ impl std::fmt::Display for RipError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RipError::WorkerPanic { app_id, payload } => {
-                write!(f, "worker shard panicked while serving app '{app_id}': {payload}")
-            }
-            RipError::Divergence { app_id, detail } => {
-                write!(f, "determinism divergence detected for app '{app_id}': {detail}")
+                write!(f, "rip of app '{app_id}' panicked: {payload}")
             }
         }
     }

@@ -58,11 +58,6 @@ impl ArenaOp {
 /// clean-spec identity fuzz relies on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Forked instances relabel a control once their reset count reaches
-    /// this value — the "nondeterministic relabel on restart" class. The
-    /// app honestly refuses to attest a `pristine_token`, so captures
-    /// are rebuilt and the fleet's base-digest oracle sees the drift.
-    pub relabel_on_restart: Option<u32>,
     /// Every reset leaks a counter into a widget name while *still
     /// attesting* the pristine token — the capture layer's restart
     /// stash serves stale bytes. Caught by the cached-vs-rebuild oracle.
@@ -75,14 +70,11 @@ pub struct FaultPlan {
     /// window unstamped — "Esc lands in the wrong state". Caught by the
     /// Esc-recovery-vs-full-restart oracle.
     pub esc_side_effect: bool,
-    /// Forked instances panic on their nth dispatch — a worker dying
-    /// mid-task. Contained by the fleet scheduler as
-    /// [`crate::parallel::RipStatus::Failed`].
+    /// Every instance panics on its nth dispatch — an application dying
+    /// mid-click. Contained per entry by the fleet as
+    /// [`crate::parallel::RipStatus::Failed`], and per task by the
+    /// gateway.
     pub panic_on_click: Option<u32>,
-    /// Forked instances drift (stamped relabel, persisting through
-    /// reset) after this many dispatches. No `pristine_token` is
-    /// attested; the fleet's base-digest oracle quarantines the lane.
-    pub fork_divergence_after: Option<u32>,
 }
 
 impl FaultPlan {
@@ -142,11 +134,10 @@ impl AppSpec {
     }
 }
 
-/// Builds the widget arena for a spec. `drift` renames the drift target
-/// (fork divergence / restart relabel); `leak` > 0 appends the lying
-/// reset counter to it. Both go through the unstamped relabel hook —
-/// the tree is freshly built, so stamps carry no history to preserve.
-fn build(spec: &AppSpec, drift: bool, leak: u32) -> UiTree {
+/// Builds the widget arena for a spec. `leak` > 0 appends the lying reset
+/// counter to the fault target's name, through the unstamped relabel hook
+/// — the tree is freshly built, so stamps carry no history to preserve.
+fn build(spec: &AppSpec, leak: u32) -> UiTree {
     let mut t = UiTree::new();
     let main = t.add_root(Widget::new("Fuzz", CT::Window));
     // (parent to add under, root window of that scope)
@@ -223,10 +214,8 @@ fn build(spec: &AppSpec, drift: bool, leak: u32) -> UiTree {
             }
         }
     }
-    if let Some(target) = drift_target(&t, main) {
-        if drift {
-            t.relabel_unstamped(target, DRIFT_NAME);
-        } else if leak > 0 {
+    if let Some(target) = fault_target(&t, main) {
+        if leak > 0 {
             let name = format!("{} #{leak}", t.widget(target).name);
             t.relabel_unstamped(target, name);
         }
@@ -245,13 +234,9 @@ fn add_button(t: &mut UiTree, parent: WidgetId, k: u16) {
 
 /// The widget faults mutate: the main window's first child (`None` for
 /// an empty arena, where mutation faults have nothing to bite).
-fn drift_target(t: &UiTree, main: WidgetId) -> Option<WidgetId> {
+fn fault_target(t: &UiTree, main: WidgetId) -> Option<WidgetId> {
     t.iter().find(|(_, w)| w.parent == Some(main)).map(|(id, _)| id)
 }
-
-/// What a drifted fork renames its target to (fixed, so drift is
-/// idempotent and deterministic per instance).
-const DRIFT_NAME: &str = "drifted control";
 
 /// A generated application with optional injected determinism faults —
 /// the fuzz harness's [`GuiApp`]. With an empty [`FaultPlan`] it is a
@@ -259,13 +244,7 @@ const DRIFT_NAME: &str = "drifted control";
 pub struct AdversarialApp {
     spec: AppSpec,
     tree: UiTree,
-    /// Forked instances carry the worker-side faults; the caller's
-    /// original (and any sequential reference rip) stays honest, so the
-    /// sequential graph remains the trustworthy baseline.
-    is_fork: bool,
-    resets: u32,
     dispatches: u32,
-    diverged: bool,
     leak: u32,
     mangles: u32,
 }
@@ -273,17 +252,8 @@ pub struct AdversarialApp {
 impl AdversarialApp {
     /// Builds the app in its launch state.
     pub fn new(spec: AppSpec) -> AdversarialApp {
-        let tree = build(&spec, false, 0);
-        AdversarialApp {
-            spec,
-            tree,
-            is_fork: false,
-            resets: 0,
-            dispatches: 0,
-            diverged: false,
-            leak: 0,
-            mangles: 0,
-        }
+        let tree = build(&spec, 0);
+        AdversarialApp { spec, tree, dispatches: 0, leak: 0, mangles: 0 }
     }
 
     /// Convenience: a boxed launch-state instance.
@@ -292,7 +262,7 @@ impl AdversarialApp {
     }
 
     fn target(&self) -> Option<WidgetId> {
-        drift_target(&self.tree, self.tree.main_root())
+        fault_target(&self.tree, self.tree.main_root())
     }
 }
 
@@ -311,22 +281,8 @@ impl GuiApp for AdversarialApp {
 
     fn dispatch(&mut self, _src: WidgetId, _b: &CommandBinding) -> Result<(), AppError> {
         self.dispatches += 1;
-        if self.is_fork {
-            if let Some(n) = self.spec.faults.panic_on_click {
-                if self.dispatches == n {
-                    panic!("injected fault: worker dispatch #{n} dies mid-click");
-                }
-            }
-            if let Some(n) = self.spec.faults.fork_divergence_after {
-                if self.dispatches >= n && !self.diverged {
-                    self.diverged = true;
-                    if let Some(id) = self.target() {
-                        // Stamped — the app is not hiding this mutation;
-                        // it is simply no longer the app it forked from.
-                        self.tree.widget_mut(id).name = String::from(DRIFT_NAME);
-                    }
-                }
-            }
+        if self.spec.faults.panic_on_click == Some(self.dispatches) {
+            panic!("injected fault: dispatch #{} dies mid-click", self.dispatches);
         }
         if let Some(n) = self.spec.faults.unstamped_relabel_after {
             if self.dispatches == n {
@@ -350,36 +306,18 @@ impl GuiApp for AdversarialApp {
     }
 
     fn reset(&mut self) {
-        self.resets += 1;
         if self.spec.faults.lying_reset {
             self.leak += 1;
         }
-        let drift = self.diverged
-            || (self.is_fork
-                && self.spec.faults.relabel_on_restart.is_some_and(|n| self.resets >= n));
-        self.tree = build(&self.spec, drift, self.leak);
+        self.tree = build(&self.spec, self.leak);
         self.mangles = 0;
     }
 
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        Some(Box::new(AdversarialApp {
-            spec: self.spec.clone(),
-            tree: build(&self.spec, false, 0),
-            is_fork: true,
-            resets: 0,
-            dispatches: 0,
-            diverged: false,
-            leak: 0,
-            mangles: 0,
-        }))
+        Some(Box::new(AdversarialApp::new(self.spec.clone())))
     }
 
     fn pristine_token(&self) -> Option<u64> {
-        let f = &self.spec.faults;
-        if f.relabel_on_restart.is_some() || f.fork_divergence_after.is_some() {
-            // Honest refusal: these resets do NOT restore one fixed image.
-            return None;
-        }
         // Attested even under `lying_reset` — that attestation IS the lie
         // the cached-capture oracle exists to catch.
         Some(self.spec.token())

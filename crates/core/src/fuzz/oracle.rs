@@ -1,7 +1,7 @@
 //! Differential determinism oracles.
 //!
 //! Every oracle rips the same [`AppSpec`] twice along one axis the
-//! determinism contract says must not matter — engine, recovery
+//! determinism contract says must not matter — fleet vs solo, recovery
 //! strategy, capture cache — and byte-compares the resulting UNGs
 //! (`serde_json` serialization equality, the same representation the
 //! engines themselves pin). On mismatch it walks the graphs for the
@@ -17,8 +17,6 @@ use dmi_gui::{CaptureConfig, CapturePool, Session};
 /// Which differential axis an oracle exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
-    /// Sequential rip vs single-entry fleet ([`crate::rip_fleet`]).
-    Parallel,
     /// Per-entry sequential rips vs a multi-entry fleet run.
     Fleet,
     /// Esc-based state recovery vs full restart-replay.
@@ -94,19 +92,10 @@ pub fn check_pool(spec: &AppSpec) -> Option<Divergence> {
     diff_graphs(OracleKind::Pool, &pooled, &rebuilt)
 }
 
-/// The single-entry fleet ([`rip_fleet`] with one entry) must produce the
-/// sequential rip's exact bytes. A contained engine fault —
-/// [`RipStatus::Degraded`] or [`RipStatus::Failed`] — counts as a
-/// divergence too: the engine's own oracle fired first.
-pub fn check_parallel(spec: &AppSpec) -> Option<Divergence> {
-    check_fleet(std::slice::from_ref(spec))
-        .map(|d| Divergence { oracle: OracleKind::Parallel, ..d })
-}
-
-/// Rips every spec in one fleet on a shared worker pool and compares each
-/// entry against its private sequential rip. First divergence wins.
+/// Rips every spec in one fleet and compares each entry against its
+/// private sequential rip. A contained fault ([`RipStatus::Failed`])
+/// counts as a divergence too. First divergence wins.
 pub fn check_fleet(specs: &[AppSpec]) -> Option<Divergence> {
-    let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
     let mut entries: Vec<FleetEntry> = specs
         .iter()
         .enumerate()
@@ -118,10 +107,10 @@ pub fn check_fleet(specs: &[AppSpec]) -> Option<Divergence> {
             )
         })
         .collect();
-    let outcomes = rip_fleet(&mut entries, &par);
+    let outcomes = rip_fleet(&mut entries, &ParRipConfig);
     for (spec, out) in specs.iter().zip(&outcomes) {
         match &out.status {
-            RipStatus::Parallel | RipStatus::FellBack => {
+            RipStatus::Ripped => {
                 let reference = rip_with(spec, CaptureConfig::default(), &RipConfig::default());
                 if let Some(d) = diff_graphs(OracleKind::Fleet, &out.graph, &reference) {
                     return Some(d);
@@ -143,10 +132,7 @@ pub fn check_fleet(specs: &[AppSpec]) -> Option<Divergence> {
 /// Runs every oracle against one spec; the first divergence wins. `None`
 /// is the full determinism contract holding on all axes at once.
 pub fn check_spec(spec: &AppSpec) -> Option<Divergence> {
-    check_cached_capture(spec)
-        .or_else(|| check_pool(spec))
-        .or_else(|| check_esc_recovery(spec))
-        .or_else(|| check_parallel(spec))
+    check_cached_capture(spec).or_else(|| check_pool(spec)).or_else(|| check_esc_recovery(spec))
 }
 
 /// Byte-compares two UNGs; on mismatch, walks to the first node whose

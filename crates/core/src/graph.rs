@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn merge_dedup_confirms_on_forced_key_collision() {
         // Two distinct controls deliberately filed under one fingerprint:
-        // the hash+confirm dedup the parallel merge relies on must keep
+        // the hash+confirm dedup the UNG merge relies on must keep
         // them apart (a collision costs a comparison, never a wrong
         // merge) while still deduplicating true re-insertions.
         let shared = ControlKey::of_parts("Bold", CT::Button, "W/Home/Font");

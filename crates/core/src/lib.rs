@@ -43,9 +43,7 @@ pub use incremental::{
     WindowSig,
 };
 pub use interface::{ExecutorConfig, VisitCommand};
-pub use parallel::{
-    rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipOutcome, RipStatus, ShardPlan,
-};
+pub use parallel::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome, RipStatus};
 pub use ripper::{ContextSetup, RipConfig, RipStats};
 pub use screen::{label_screen, LabeledScreen};
 pub use topology::{Forest, ForestConfig};

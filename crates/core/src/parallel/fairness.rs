@@ -1,40 +1,30 @@
-//! The deterministic multi-queue fairness policy shared by the rip and
-//! serve paths.
+//! The deterministic multi-queue fairness policy the online gateway
+//! ([`dmi_agent::gateway`] downstream) admits tenants with.
 //!
-//! The PR 5 fleet dispatch queue and the multi-tenant agent gateway
-//! ([`dmi_agent::gateway`] downstream) face the same scheduling problem:
-//! many lanes (apps being ripped, tenants being served) contend for one
-//! worker pool, and the pick must be a *pure function of queue state* so
-//! fairness can shape latency without ever shaping bytes. This module
-//! extracts that policy into a reusable [`FairQueue`]:
+//! Many lanes (tenants) contend for a fixed number of service slots, and
+//! the pick must be a *pure function of queue state* so fairness can
+//! shape latency without ever shaping bytes. [`FairQueue`] implements
+//! that policy:
 //!
-//! 1. **Urgent first.** Lanes with urgent work (a rip lane's commit loop
-//!    is blocked on the task right now; a serve lane's task was handed
-//!    back unserved) win outright, rotated round-robin among themselves.
-//! 2. **Greatest weight next.** Among speculative/backlogged lanes, the
-//!    pop serves the lane with the greatest weight. The weight is
-//!    **cost-aware**: `depth × EWMA(task latency)` — the lane's reported
-//!    remaining depth (DFS stack entries, queued tenant tasks) scaled by
-//!    an exponentially weighted moving average of its recently observed
-//!    per-task latency, i.e. an estimate of *remaining work seconds*,
-//!    not remaining task count. Until a lane has any latency
-//!    observations its EWMA reads the queue-wide mean of the *primed*
-//!    lanes' averages — an unmeasured lane is assumed as expensive as
-//!    the measured ones, instead of the old constant-1.0 fallback that
-//!    systematically biased against fresh lanes whenever observed
-//!    latencies sat far from one second. With no primed lane anywhere
-//!    the fallback is 1.0, which degrades exactly to the PR 5
-//!    depth-only policy.
+//! 1. **Urgent first.** Lanes with urgent work (a task handed back
+//!    unserved) win outright, rotated round-robin among themselves.
+//! 2. **Greatest weight next.** Among backlogged lanes, the pop serves
+//!    the lane with the greatest weight. The weight is **cost-aware**:
+//!    `depth × EWMA(task latency)` — the lane's reported remaining depth
+//!    (queued tenant tasks) scaled by an exponentially weighted moving
+//!    average of its recently observed per-task latency, i.e. an
+//!    estimate of *remaining work seconds*, not remaining task count.
+//!    Until a lane has any latency observations its EWMA reads the
+//!    queue-wide mean of the *primed* lanes' averages — an unmeasured
+//!    lane is assumed as expensive as the measured ones. With no primed
+//!    lane anywhere the fallback is 1.0, a depth-only policy.
 //! 3. **Ties round-robin.** A rotating cursor breaks exact weight ties,
 //!    so equal lanes interleave instead of starving.
 //!
-//! Latency observations arrive from the worker side (wall-clock task
-//! durations) and therefore vary run to run; that is fine by design —
-//! the policy is deterministic *given* the observations, and the engines
-//! layered on top (per-lane commit folds, per-task run traces) are
-//! byte-identical under **every** service order. The fleet byte-identity
-//! oracle and the serve trace-identity oracle in `tests/identity.rs`
-//! gate exactly that.
+//! The policy is deterministic *given* the latency observations, and the
+//! per-task run traces layered on top are byte-identical under **every**
+//! service order; the serve trace-identity oracle in `tests/identity.rs`
+//! gates exactly that.
 
 use std::collections::VecDeque;
 
@@ -89,7 +79,7 @@ struct Lane<T> {
     tasks: VecDeque<T>,
     /// Tasks at the lane front a consumer is blocked on right now.
     urgent: usize,
-    /// Lane-reported remaining depth (DFS stack entries, tenant backlog).
+    /// Lane-reported remaining depth (queued tenant tasks).
     depth: u64,
     /// Observed per-task latency average (cost model).
     ewma: Ewma,
@@ -105,7 +95,7 @@ impl<T> Lane<T> {
 }
 
 /// A deterministic multi-queue: one sub-queue per lane, popped under the
-/// shared urgent-first / greatest-weight / round-robin-ties policy.
+/// urgent-first / greatest-weight / round-robin-ties policy.
 pub struct FairQueue<T> {
     lanes: Vec<Lane<T>>,
     /// Round-robin cursor breaking weight ties deterministically.
@@ -126,16 +116,6 @@ impl<T> FairQueue<T> {
                 .collect(),
             rr: 0,
         }
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Total queued tasks across every lane.
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.tasks.len()).sum()
     }
 
     /// Queued tasks in one lane.
@@ -173,18 +153,12 @@ impl<T> FairQueue<T> {
         self.lanes[lane].ewma.observe(secs);
     }
 
-    /// The lane's current latency estimate (the queue-wide
-    /// [`FairQueue::default_cost`] until primed).
-    pub fn latency_estimate(&self, lane: usize) -> f64 {
-        self.lanes[lane].ewma.value_or(self.default_cost())
-    }
-
     /// The cold-start cost estimate for unprimed lanes: the mean of the
     /// primed lanes' EWMAs, i.e. completed tasks anywhere in the queue
     /// seed the cost model of lanes that have not finished one yet.
     /// Before *any* task completes it is 1.0, degrading to the depth-only
     /// policy.
-    pub fn default_cost(&self) -> f64 {
+    fn default_cost(&self) -> f64 {
         let (sum, n) = self
             .lanes
             .iter()
@@ -197,57 +171,7 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// The cost-aware speculation budget: how many subtree steps a worker
-    /// that just served `lane` may keep walking before returning to the
-    /// queue, given a per-walk cap of `max_steps`.
-    ///
-    /// - `0` when walks are disabled (`max_steps == 0`).
-    /// - Capped at **1** when any *other* lane holds urgent work: a
-    ///   blocked sibling outranks a deep walk, but the single step — the
-    ///   candidate this lane's scheduler will pop next — is still worth
-    ///   more than anything else this thread could do for the lane.
-    /// - The full `max_steps` when no other lane has backlog.
-    /// - Otherwise `max_steps` scaled by the lane's share of the
-    ///   queue-wide cost-aware weight (at least 1): deep expensive
-    ///   frontiers may walk deep, lanes holding a sliver of the
-    ///   remaining work hand the thread back quickly.
-    ///
-    /// Like every policy here it shapes only latency — an adopted
-    /// speculation holds the same bytes the dispatched task would have
-    /// produced.
-    pub fn spec_budget(&self, lane: usize, max_steps: usize) -> usize {
-        if max_steps == 0 || lane >= self.lanes.len() {
-            return 0;
-        }
-        if self.lanes.iter().enumerate().any(|(i, l)| i != lane && l.urgent > 0) {
-            return 1;
-        }
-        let dc = self.default_cost();
-        let mine = self.lanes[lane].weight(dc);
-        let others: f64 = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != lane)
-            .map(|(_, l)| l.weight(dc))
-            .sum();
-        if others <= 0.0 {
-            return max_steps;
-        }
-        let share = mine / (mine + others);
-        (((share * max_steps as f64).round()) as usize).clamp(1, max_steps)
-    }
-
-    /// Drops every queued task for one lane (quarantine/cancel), zeroing
-    /// its urgency and depth. Returns how many tasks were dropped.
-    pub fn purge(&mut self, lane: usize) -> usize {
-        let l = &mut self.lanes[lane];
-        l.urgent = 0;
-        l.depth = 0;
-        l.tasks.drain(..).count()
-    }
-
-    /// Pops the next task under the shared policy: urgent lanes first
+    /// Pops the next task under the policy: urgent lanes first
     /// (round-robin), then the non-empty lane with the greatest
     /// cost-aware weight, exact ties resolved by the rotating cursor.
     pub fn pop(&mut self) -> Option<T> {
@@ -284,11 +208,11 @@ mod tests {
     #[test]
     fn urgent_tasks_win_over_any_backlog() {
         let mut q: FairQueue<&str> = FairQueue::new(2);
-        q.push_back(0, "spec-a");
+        q.push_back(0, "backlog-a");
         q.set_depth(0, 100);
         q.push_front(1, "urgent-b");
         assert_eq!(q.pop(), Some("urgent-b"));
-        assert_eq!(q.pop(), Some("spec-a"));
+        assert_eq!(q.pop(), Some("backlog-a"));
         assert_eq!(q.pop(), None);
     }
 
@@ -346,18 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_empties_one_lane_only() {
-        let mut q: FairQueue<u32> = FairQueue::new(2);
-        q.push_back(0, 0);
-        q.push_back(0, 1);
-        q.push_front(0, 2);
-        q.push_back(1, 3);
-        assert_eq!(q.purge(0), 3);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn ewma_tracks_and_rejects_garbage() {
         let mut e = Ewma::new(0.5);
         assert!(!e.primed());
@@ -396,31 +308,5 @@ mod tests {
         q.observe_latency(0, 2.0);
         q.observe_latency(2, 6.0);
         assert_eq!(q.default_cost(), 4.0, "mean of the primed lanes only");
-        assert_eq!(q.latency_estimate(1), 4.0, "unprimed estimate follows");
-    }
-
-    #[test]
-    fn spec_budget_scales_with_the_lanes_share_of_remaining_work() {
-        let mut q: FairQueue<u32> = FairQueue::new(2);
-        assert_eq!(q.spec_budget(0, 0), 0, "walks disabled");
-        assert_eq!(q.spec_budget(0, 8), 8, "no other backlog: full budget");
-        q.set_depth(0, 10);
-        q.set_depth(1, 30);
-        assert_eq!(q.spec_budget(0, 8), 2, "a quarter of the remaining work: 8/4");
-        assert_eq!(q.spec_budget(1, 8), 6);
-        q.set_depth(0, 0);
-        assert_eq!(q.spec_budget(0, 8), 1, "never below one step while siblings have work");
-    }
-
-    #[test]
-    fn spec_budget_caps_at_one_step_when_a_sibling_is_blocked() {
-        let mut q: FairQueue<u32> = FairQueue::new(2);
-        q.set_depth(0, 100);
-        q.set_depth(1, 100);
-        q.push_front(1, 1);
-        assert_eq!(q.spec_budget(0, 8), 1, "a blocked sibling outranks a deep walk");
-        assert_eq!(q.spec_budget(1, 8), 4, "a lane's own urgent work does not cap its walk");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.spec_budget(0, 8), 4, "cap lifts once the urgent task is served");
     }
 }

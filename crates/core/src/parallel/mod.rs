@@ -1,355 +1,251 @@
-//! Fleet ripping: many applications, one shared worker pool, one
-//! deterministic UNG merge per application.
+//! Fleet ripping: many applications ripped at once, one UNG per entry.
 //!
-//! The paper's offline UNG construction (§4.1) is embarrassingly parallel
-//! in principle: exploring one candidate — establish its prefix state,
-//! click it, diff the pre/post captures — is a pure function of `(setup,
-//! path, candidate)` on a deterministic application, because state is
-//! always re-established from a provably launch-equivalent base (Esc
-//! recovery or restart + replay; see [`crate::ripper`]). This module
-//! exploits that at two scales: [`rip_parallel`] shards one application,
-//! [`rip_fleet`] rips N applications (or N versions of one application)
-//! concurrently under a single worker budget — the production shape for
-//! serving many users at once.
-//!
-//! # Architecture
-//!
-//! - **[`ShardPlan`]** resolves a [`ParRipConfig`] into the execution
-//!   shape: how many workers run, how deep the shared speculative
-//!   dispatch window is, and how far workers may speculatively walk
-//!   into freshly revealed subtrees.
-//! - **[`FleetEntry`] lanes**: each entry gets a private [`scheduler`]
-//!   lane — its own `Frontier` (UNG, visited set, DFS stack) plus
-//!   per-lane speculation bookkeeping — all multiplexed on the caller's
-//!   thread by a `FleetPlan`.
-//! - **App-agnostic workers** ([`worker`]): one shared pool of threads
-//!   serves every lane. A worker is not pinned to an app at spawn;
-//!   each task names its frontier and the worker checks an exploration
-//!   unit (a `Session::fork_from_pristine` fork plus suspended §4.1
-//!   planner state) out of that app's session pool for the task's
-//!   duration. Esc-recovery state travels with the pooled unit, so
-//!   recovery amortizes across tasks exactly as it does sequentially.
-//! - **Cost-aware fairness** ([`fairness`]): the dispatch queue is a
-//!   [`FairQueue`] multi-queue with one lane per app. Urgent tasks (a
-//!   lane is blocked on them) win outright; speculative backlogs are
-//!   served by greatest *estimated remaining work* — reported DFS stack
-//!   depth × a worker-fed EWMA of the app's observed per-task latency —
-//!   ties rotated round-robin. The same policy schedules tenants in the
-//!   online gateway (`dmi_agent::gateway`). Fairness shapes only
-//!   latency: per-lane commit order is fixed regardless of where or
-//!   when outcomes are computed, which the byte-identity oracles gate.
-//! - **Shard-local subtree speculation** ([`spec`]): a worker finishing
-//!   `explore(setup, path, candidate)` holds its session in exactly the
-//!   post-click state, so — within a cost-aware budget granted by the
-//!   fair queue — it keeps walking into the candidates its own fresh
-//!   capture revealed, publishing each result keyed by the full
-//!   exploration input. The scheduler adopts a publication when its
-//!   sequential DFS pop matches the key exactly (zero stall — this is
-//!   what attacks the `stall.reveal` bucket PR 9 quantified) and
-//!   discards everything else: superseded duplicates, orphans, and the
-//!   whole table of any lane the probe-digest oracle quarantines.
-//!   `RipStats::{spec_published, spec_adopted, spec_wasted}` (and the
-//!   `spec.depth`/`spec.adopt`/`spec.waste` tallies) account for every
-//!   publication.
-//! - **Shared capture pool**: all shards of one app (the lane session
-//!   included) share a `dmi_gui::CapturePool` keyed by the pristine
-//!   token and each session's pristine-relative action trace, so
-//!   redundant arena walks across the fleet collapse into `Arc` clones
-//!   behind one short-critical-section lock (locking discipline and the
-//!   cross-session soundness argument live on `CapturePool`).
-//!
-//! # One commit fold, three engines
-//!
-//! The sequential [`crate::ripper::rip`], the sharded [`rip_parallel`]
-//! (reimplemented as the 1-entry fleet), and [`rip_fleet`] all mutate the
-//! graph exclusively through `Frontier::seed`/`Frontier::commit`.
-//!
-//! # Determinism argument (per frontier)
-//!
-//! The sequential ripper's UNG is a fold over an ordered list of commit
-//! records: `seed(snapshot)` for each pass, then `commit(candidate,
-//! post, fresh)` per explored candidate, where the DFS stack and visited
-//! set — and hence *which* candidate is committed next — are themselves
-//! functions of the previous commits only. Each outcome `(post, fresh)`
-//! is a pure function of `(setup, path, candidate)` (deterministic app,
-//! state re-established from base), so it does not matter *where* or
-//! *when* it was computed — nor which of the fleet's apps ran between
-//! two of this app's tasks on the same worker, because every task
-//! re-establishes state on a session owned by the task's own app. The
-//! same purity is why adopting a *speculative* result is sound: the
-//! speculation table is keyed by the complete exploration input, so a
-//! key match means the worker's walk computed the very value the
-//! dispatched task would have — substituting it cannot change the fold
-//! (the adoption-soundness argument in `docs/determinism.md`). Each
-//! lane performs the identical fold with identical inputs in identical
-//! order; node ids (insertion order), edge lists (insertion order,
-//! deduplicated), and the `ControlKey` hash+confirm dedup decisions
-//! therefore come out byte-for-byte the same, independently for every
-//! frontier in the fleet. The release-gated oracles in
-//! `tests/identity.rs` assert this end-to-end — single-app at 4 shards
-//! and a 3-app fleet (plus an unforkable entry) via serialized-graph
-//! equality.
-//!
-//! # Merge ordering
-//!
-//! Out-of-order worker results are buffered per lane and merged strictly
-//! in stack (pop) order — *canonical node ordering* is sequential-DFS
-//! discovery order, not arrival order. Merging goes through the same
-//! `Frontier::commit` the sequential ripper uses: every fresh control is
-//! dedup-inserted via the [`dmi_uia::ControlKey`] fingerprint with
-//! full-identifier confirmation, so hash collisions cost a comparison,
-//! never a wrong merge (collision safety is unit-tested in
-//! `crate::graph`).
-//!
-//! # What is *not* identical
-//!
-//! [`RipStats`] effort counters (clicks, snapshots, restarts) include
-//! speculative work that the sequential rip never performs, and each
-//! worker restarts at least once; only the UNG — and the commit-derived
-//! counters `blocklisted` and `windows_seen` — match the sequential rip
-//! exactly. `RipConfig::max_clicks` gates on a global click counter that
-//! has no order-independent parallel equivalent, so entries using it (a
-//! debug aid) fall back to the sequential engine, as do applications
-//! that cannot fork — [`RipOutcome::status`] reports which engine ran.
-//!
-//! # Fault containment
-//!
-//! The fleet survives hostile frontiers without giving up determinism:
-//! worker exploration runs under `catch_unwind`, so an application that
-//! panics mid-click kills only the checked-out fork — the scheduler
-//! quarantines that one lane ([`RipStatus::Failed`], partial graph and
-//! panic payload preserved) while sibling lanes finish byte-identical to
-//! their sequential rips. Worker forks additionally digest their base
-//! after every restart; a digest that stops matching the lane's seed
-//! base proves the app's reset drifted from its attested pristine image,
-//! and the lane degrades to a cache-cleared sequential re-rip
-//! ([`RipStatus::Degraded`]) instead of merging untrustworthy bytes.
-//! Capture-pool lock poisoning is likewise fail-soft: pooled entries are
-//! forfeited and rebuilt (`RipStats::poison_recoveries` counts it),
-//! never served from a suspect state. The fuzz harness
-//! ([`crate::fuzz`]) drives all of this adversarially.
+//! The paper builds each application's UNG offline on its own (§4.1), so a
+//! fleet needs no shared state: [`rip_fleet`] runs the sequential
+//! [`crate::ripper::rip`] for every entry on that entry's own session,
+//! pulling entries in input order onto at most one scoped thread per
+//! available CPU. Every UNG is therefore byte-identical to the entry's
+//! sequential rip by construction, and so are its [`RipStats`]. Each rip
+//! runs under `catch_unwind`: an application that panics mid-click fails
+//! its own entry ([`RipStatus::Failed`], empty graph, payload preserved)
+//! while its siblings finish normally. [`fairness`] holds the
+//! multi-tenant admission queue the online gateway schedules with.
 //!
 //! [`RipStats`]: crate::ripper::RipStats
-//! [`RipConfig::max_clicks`]: crate::ripper::RipConfig
 
 pub mod fairness;
-mod plan;
-mod scheduler;
-mod spec;
-mod worker;
 
 pub use fairness::{Ewma, FairQueue};
-pub use plan::{ParRipConfig, ShardPlan};
-pub use scheduler::{rip_fleet, rip_parallel, FleetEntry, RipOutcome, RipStatus};
+
+use crate::error::RipError;
+use crate::graph::Ung;
+use crate::ripper::{rip, RipConfig, RipStats};
+use dmi_gui::Session;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::thread;
+
+/// Options for [`rip_fleet`]. It has none: the fleet always runs at most
+/// one rip thread per available CPU. The type stays because the
+/// benchmark (`dmibench/src/office3.rs`) passes `ParRipConfig::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ParRipConfig;
+
+/// One application in a fleet rip: a session to rip, the configuration to
+/// rip it under, and a caller-chosen id naming it in outcomes and panic
+/// reports.
+pub struct FleetEntry {
+    /// Caller-chosen identifier (e.g. `"Word"`, `"Excel-v2"`).
+    pub app_id: String,
+    /// The session whose application is ripped.
+    pub session: Session,
+    /// The rip configuration for this entry.
+    pub config: RipConfig,
+}
+
+impl FleetEntry {
+    /// Convenience constructor.
+    pub fn new(app_id: impl Into<String>, session: Session, config: RipConfig) -> FleetEntry {
+        FleetEntry { app_id: app_id.into(), session, config }
+    }
+}
+
+/// How one fleet entry's rip concluded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RipStatus {
+    /// The sequential rip ran to completion.
+    Ripped,
+    /// Never constructed by [`rip_fleet`]: every entry either rips or
+    /// fails. Kept because the benchmark (`dmibench/src/office3.rs`)
+    /// matches on it.
+    Degraded(RipError),
+    /// The application panicked during the rip. The graph is empty and
+    /// the error carries the panic payload; sibling entries are
+    /// unaffected.
+    Failed(RipError),
+}
+
+/// The result of ripping one fleet entry.
+pub struct RipOutcome {
+    /// The entry's `app_id`, echoed back.
+    pub app_id: String,
+    /// The entry's UNG, byte-identical to its sequential rip (empty for
+    /// [`RipStatus::Failed`] entries).
+    pub graph: Ung,
+    /// The sequential rip's effort counters (zero for failed entries).
+    pub stats: RipStats,
+    /// Whether the rip completed or panicked.
+    pub status: RipStatus,
+}
+
+impl RipOutcome {
+    /// The contained fault, when one was detected.
+    pub fn error(&self) -> Option<&RipError> {
+        match &self.status {
+            RipStatus::Degraded(e) | RipStatus::Failed(e) => Some(e),
+            RipStatus::Ripped => None,
+        }
+    }
+}
+
+/// Rips every entry with the sequential [`rip`], returning one outcome per
+/// entry in entry order. Entries are pulled in input order onto at most
+/// `min(entries, available_parallelism)` scoped threads.
+pub fn rip_fleet(entries: &mut [FleetEntry], _config: &ParRipConfig) -> Vec<RipOutcome> {
+    let _fleet_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.fleet", entries.len() as u64);
+    let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = cpus.min(entries.len());
+    let queue = Mutex::new(entries.iter_mut().enumerate());
+    let mut done: Vec<(usize, RipOutcome)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ripped = Vec::new();
+                    loop {
+                        // The guard drops at the end of this statement: rips
+                        // never run under the lock, so it cannot be poisoned.
+                        let next = queue.lock().expect("no rip runs under the lock").next();
+                        let Some((idx, entry)) = next else { break };
+                        ripped.push((idx, rip_entry(entry)));
+                    }
+                    ripped
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("entry rips contain their own panics"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(idx, _)| *idx);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
+/// Rips one entry, turning a panic into [`RipStatus::Failed`].
+fn rip_entry(entry: &mut FleetEntry) -> RipOutcome {
+    let app_id = entry.app_id.clone();
+    match catch_unwind(AssertUnwindSafe(|| rip(&mut entry.session, &entry.config))) {
+        Ok((graph, stats)) => RipOutcome { app_id, graph, stats, status: RipStatus::Ripped },
+        Err(p) => {
+            let payload = panic_payload(p.as_ref());
+            let err = RipError::WorkerPanic { app_id: app_id.clone(), payload };
+            RipOutcome {
+                app_id,
+                graph: Ung::new(),
+                stats: RipStats::default(),
+                status: RipStatus::Failed(err),
+            }
+        }
+    }
+}
+
+/// Renders a `catch_unwind` payload as text (panic messages are `&str`
+/// or `String`).
+fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        String::from("non-string panic payload")
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ripper::{rip, RipConfig};
+    use crate::testutil::small_rip;
     use dmi_apps::testkit::{PanickyApp, UnforkableApp};
     use dmi_apps::AppKind;
-    use dmi_gui::Session;
 
-    /// The parallel engine must produce the same UNG bytes as the
-    /// sequential reference (PowerPoint exercises the context pass too).
-    #[test]
-    fn parallel_rip_matches_sequential_for_powerpoint() {
-        let cfg = RipConfig::office("PowerPoint");
-        let mut seq = Session::new(AppKind::PowerPoint.launch_small());
-        let (g_seq, st_seq) = rip(&mut seq, &cfg);
-
-        let mut par = Session::new(AppKind::PowerPoint.launch_small());
-        let plan = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
-        let (g_par, st_par) = rip_parallel(&mut par, &cfg, &plan);
-
-        assert_eq!(
-            serde_json::to_string(&g_par).unwrap(),
-            serde_json::to_string(&g_seq).unwrap(),
-            "merged UNG must be byte-identical to the sequential rip"
-        );
-        assert_eq!(g_par.node_count(), g_seq.node_count());
-        assert_eq!(g_par.edge_count(), g_seq.edge_count());
-        assert_eq!(st_par.windows_seen, st_seq.windows_seen, "commit-derived counter");
-        assert_eq!(st_par.blocklisted, st_seq.blocklisted, "commit-derived counter");
-        assert!(st_par.clicks >= st_seq.clicks, "speculation only adds effort");
-        assert_eq!(
-            st_par.spec_published,
-            st_par.spec_adopted + st_par.spec_wasted,
-            "every published speculation is either adopted or counted as waste"
-        );
-        assert_eq!(st_seq.spec_published, 0, "the sequential engine never speculates");
+    fn bytes(g: &Ung) -> String {
+        serde_json::to_string(g).unwrap()
     }
 
-    /// Applications without a pristine fork fall back to the sequential
-    /// engine transparently.
+    /// A small-app office3 fleet returns, in input order, exactly the
+    /// sequential rips: the same UNG bytes and the same stats.
     #[test]
-    fn unforkable_apps_fall_back_to_sequential() {
-        let cfg = RipConfig::default();
-        let mut seq = Session::new(Box::new(UnforkableApp::new(2)));
-        let (g_seq, st_seq) = rip(&mut seq, &cfg);
-        let mut par = Session::new(Box::new(UnforkableApp::new(2)));
-        let (g_par, st_par) = rip_parallel(
-            &mut par,
-            &cfg,
-            &ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 },
-        );
-        assert_eq!(g_par.node_count(), g_seq.node_count());
-        assert_eq!(g_par.edge_count(), g_seq.edge_count());
-        assert_eq!(st_par, st_seq, "fallback is the sequential engine itself");
-    }
-
-    /// A mixed fleet — one forkable Office app, one unforkable app — must
-    /// produce per-app UNGs byte-identical to each app's sequential rip,
-    /// in entry order, with the fallback flagged.
-    #[test]
-    fn fleet_rip_matches_sequential_per_app() {
-        let cfg = RipConfig::office("PowerPoint");
-        let mut seq = Session::new(AppKind::PowerPoint.launch_small());
-        let (g_seq, st_seq) = rip(&mut seq, &cfg);
-        let mut tiny_seq = Session::new(Box::new(UnforkableApp::new(2)));
-        let (g_tiny, _) = rip(&mut tiny_seq, &RipConfig::default());
-
-        let mut entries = vec![
-            FleetEntry::new(
-                "PowerPoint",
-                Session::new(AppKind::PowerPoint.launch_small()),
-                cfg.clone(),
-            ),
-            FleetEntry::new(
-                "Unforkable",
-                Session::new(Box::new(UnforkableApp::new(2))),
-                RipConfig::default(),
-            ),
-        ];
-        let out =
-            rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 });
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].app_id, "PowerPoint");
-        assert!(!out[0].fell_back(), "Office apps fork");
-        assert_eq!(
-            serde_json::to_string(&out[0].graph).unwrap(),
-            serde_json::to_string(&g_seq).unwrap(),
-            "fleet UNG must be byte-identical to the sequential rip"
-        );
-        assert_eq!(out[0].stats.windows_seen, st_seq.windows_seen, "commit-derived counter");
-        assert_eq!(out[0].stats.blocklisted, st_seq.blocklisted, "commit-derived counter");
-        assert!(
-            out[0].stats.pool_hits > 0,
-            "shards of one app must share captures through the pool"
-        );
-        assert_eq!(out[1].app_id, "Unforkable");
-        assert_eq!(
-            out[1].status,
-            RipStatus::FellBack,
-            "unforkable entries ride the sequential engine"
-        );
-        assert_eq!(out[1].graph.node_count(), g_tiny.node_count());
-        assert_eq!(out[1].graph.edge_count(), g_tiny.edge_count());
-    }
-
-    /// Three versions of one application rip concurrently into three
-    /// independent, byte-identical-to-sequential UNGs.
-    #[test]
-    fn fleet_rips_multiple_versions_of_one_app() {
-        let cfg = RipConfig::default();
-        let mut entries: Vec<FleetEntry> = (0..3)
-            .map(|v| {
+    fn office3_fleet_is_byte_identical_to_sequential_rips_in_order() {
+        let mut entries: Vec<FleetEntry> = AppKind::ALL
+            .iter()
+            .map(|k| {
                 FleetEntry::new(
-                    format!("PowerPoint-v{v}"),
-                    Session::new(AppKind::PowerPoint.launch_small_version(v)),
-                    cfg.clone(),
+                    k.name(),
+                    Session::new(k.launch_small()),
+                    RipConfig::office(k.name()),
                 )
             })
             .collect();
-        let out =
-            rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 });
-        for (v, o) in out.iter().enumerate() {
-            let mut s = Session::new(AppKind::PowerPoint.launch_small_version(v));
-            let (g_seq, _) = rip(&mut s, &cfg);
-            assert_eq!(
-                serde_json::to_string(&o.graph).unwrap(),
-                serde_json::to_string(&g_seq).unwrap(),
-                "version {v}"
-            );
+        let out = rip_fleet(&mut entries, &ParRipConfig);
+        assert_eq!(out.len(), 3);
+        for (o, kind) in out.iter().zip(AppKind::ALL) {
+            let (g_seq, st_seq) = small_rip(kind);
+            assert_eq!(o.app_id, kind.name(), "outcomes come back in entry order");
+            assert_eq!(o.status, RipStatus::Ripped);
+            assert_eq!(bytes(&o.graph), bytes(g_seq), "{kind}: fleet UNG bytes");
+            assert_eq!(&o.stats, st_seq, "{kind}: a fleet entry is the sequential rip");
         }
-        // Different versions have genuinely different UIs.
-        assert_ne!(out[0].graph.node_count(), out[1].graph.node_count());
-        assert_ne!(out[1].graph.node_count(), out[2].graph.node_count());
     }
 
-    /// A worker panic mid-rip is contained per entry: the panicking
-    /// entry comes back [`RipStatus::Failed`] with the payload and app
-    /// id preserved, while the sibling entry on the same worker pool
-    /// finishes byte-identical to its sequential rip.
+    /// More entries than CPUs: threads keep pulling entries until none
+    /// is left, and every outcome lands at its entry's position.
     #[test]
-    fn worker_panic_is_contained_per_entry() {
-        crate::fuzz::silence_injected_panics();
-        let cfg = RipConfig::default();
-        let mut seq = Session::new(AppKind::PowerPoint.launch_small());
-        let (g_seq, _) = rip(&mut seq, &cfg);
+    fn fleet_wider_than_the_cpu_count_returns_every_outcome_in_order() {
+        let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+        let n = cpus + 3;
+        let mut entries: Vec<FleetEntry> = (0..n)
+            .map(|i| {
+                FleetEntry::new(
+                    format!("app-{i}"),
+                    Session::new(Box::new(UnforkableApp::new(i + 1))),
+                    RipConfig::default(),
+                )
+            })
+            .collect();
+        let out = rip_fleet(&mut entries, &ParRipConfig);
+        assert_eq!(out.len(), n);
+        for (i, o) in out.iter().enumerate() {
+            let mut s = Session::new(Box::new(UnforkableApp::new(i + 1)));
+            let (g_seq, _) = rip(&mut s, &RipConfig::default());
+            assert_eq!(o.app_id, format!("app-{i}"));
+            assert_eq!(o.status, RipStatus::Ripped);
+            assert_eq!(bytes(&o.graph), bytes(&g_seq), "entry {i}");
+        }
+        assert!(rip_fleet(&mut [], &ParRipConfig).is_empty());
+    }
 
+    /// A panicking entry fails alone: `Failed` with its payload and app
+    /// id and an empty graph, while its sibling stays byte-identical to
+    /// its sequential rip.
+    #[test]
+    fn panicking_entry_fails_alone_with_its_payload() {
+        crate::fuzz::silence_injected_panics();
         let mut entries = vec![
-            FleetEntry::new(
-                "Healthy",
-                Session::new(AppKind::PowerPoint.launch_small()),
-                cfg.clone(),
-            ),
             FleetEntry::new(
                 "Panicky",
                 Session::new(Box::new(PanickyApp::new(3, 2))),
                 RipConfig::default(),
             ),
+            FleetEntry::new(
+                "Excel",
+                Session::new(AppKind::Excel.launch_small()),
+                RipConfig::office("Excel"),
+            ),
         ];
-        let out =
-            rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 });
+        let out = rip_fleet(&mut entries, &ParRipConfig);
 
-        assert_eq!(out[0].app_id, "Healthy");
-        assert_eq!(out[0].status, RipStatus::Parallel, "healthy lane must not be dragged down");
-        assert_eq!(
-            serde_json::to_string(&out[0].graph).unwrap(),
-            serde_json::to_string(&g_seq).unwrap(),
-            "healthy entry stays byte-identical to its sequential rip"
-        );
-
-        assert_eq!(out[1].app_id, "Panicky");
-        match out[1].error().expect("the contained fault must be reported") {
-            crate::error::RipError::WorkerPanic { app_id, payload } => {
+        assert_eq!(out[0].app_id, "Panicky");
+        match &out[0].status {
+            RipStatus::Failed(RipError::WorkerPanic { app_id, payload }) => {
                 assert_eq!(app_id, "Panicky");
-                assert!(
-                    payload.contains("injected fault"),
-                    "panic payload must be preserved, got: {payload}"
-                );
+                assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
             }
-            other => panic!("expected WorkerPanic, got {other:?}"),
+            other => panic!("expected Failed(WorkerPanic), got {other:?}"),
         }
-        assert!(matches!(out[1].status, RipStatus::Failed(_)));
-    }
+        assert_eq!(out[0].graph.node_count(), Ung::new().node_count(), "failed entries are empty");
 
-    /// The single-entry caller asked for one graph; a contained worker
-    /// panic is re-raised there (with the payload preserved) instead of
-    /// silently returning a partial UNG.
-    #[test]
-    #[should_panic(expected = "worker shard panicked")]
-    fn single_entry_caller_sees_the_contained_panic() {
-        crate::fuzz::silence_injected_panics();
-        let mut s = Session::new(Box::new(PanickyApp::new(3, 2)));
-        let _ = rip_parallel(
-            &mut s,
-            &RipConfig::default(),
-            &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 },
-        );
-    }
-
-    #[test]
-    fn shard_plan_resolves_defaults() {
-        let plan = ShardPlan::resolve(&ParRipConfig::default());
-        assert!(plan.workers >= 1);
-        assert!(plan.max_in_flight >= plan.workers);
-        assert_eq!(plan.spec_walk, 4, "subtree speculation is on by default");
-        let fixed = ShardPlan::resolve(&ParRipConfig { workers: 3, speculation: 4, spec_walk: 6 });
-        assert_eq!(fixed, ShardPlan { workers: 3, max_in_flight: 12, spec_walk: 6 });
-        // Speculation never drops below one task per worker.
-        let min = ShardPlan::resolve(&ParRipConfig { workers: 2, speculation: 0, spec_walk: 4 });
-        assert_eq!(min.max_in_flight, 2);
+        assert_eq!(out[1].app_id, "Excel");
+        assert_eq!(out[1].status, RipStatus::Ripped, "the sibling is not dragged down");
+        assert_eq!(bytes(&out[1].graph), bytes(&small_rip(AppKind::Excel).0));
     }
 }

@@ -23,24 +23,22 @@
 //! byte-identical either way; the full-restart strategy stays available
 //! behind [`RipConfig::esc_recovery`] as the equivalence oracle.
 //!
-//! # Shard-reusable exploration units
+//! # Exploration units
 //!
 //! Exploring one candidate — establish its prefix state, click it,
 //! capture the pre/post pair — is a pure function of `(setup, path,
 //! candidate)` on a deterministic application: `establish` either reaches
 //! the provably launch-equivalent base (Esc recovery) or restarts and
 //! replays, so the resulting snapshots never depend on what was explored
-//! before. The machinery is therefore factored into an [`ExploreUnit`]
-//! (one session plus the recovery-planner state) and a [`Frontier`] (the
-//! UNG under construction, the visited set, and the DFS stack), connected
-//! by the pure [`diff_fresh`] differential. The sequential ripper composes
-//! them in a loop; [`crate::parallel`] runs many `ExploreUnit`s on worker
-//! threads against one `Frontier` — producing byte-identical UNGs.
+//! before. The machinery is factored into an [`ExploreUnit`] (one session
+//! plus the recovery-planner state) and a [`Frontier`] (the UNG under
+//! construction, the visited set, and the DFS stack), connected by the
+//! pure [`diff_fresh`] differential. The sequential ripper composes them
+//! in a loop; the incremental re-rip reuses both.
 
 use crate::graph::{Ung, UngNode, UngNodeId};
 use dmi_gui::Session;
 use dmi_uia::{ControlId, ControlIdSet, ControlKey, ControlType, Snapshot};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A context the explorer establishes before a dedicated exploration pass
@@ -137,48 +135,18 @@ pub struct RipStats {
     pub replay_failures: u64,
     /// New windows observed opening.
     pub windows_seen: u64,
-    /// Captures served from a shared cross-session capture pool (fleet
-    /// engines attach one per app; see `dmi_gui::CapturePool`).
+    /// Captures served from a shared cross-session capture pool (see
+    /// `dmi_gui::CapturePool`).
     pub pool_hits: u64,
     /// Pool probes that found no pooled capture.
     pub pool_misses: u64,
     /// Poisoned capture-pool locks recovered by discarding the pooled
-    /// entries and rebuilding (fail-soft: a shard that dies holding the
+    /// entries and rebuilding (fail-soft: a session that dies holding the
     /// pool lock costs cached captures, never correctness).
     pub poison_recoveries: u64,
-    /// Speculative subtree steps published by workers: each is one
-    /// `explore` of a freshly revealed candidate the worker walked into
-    /// without waiting for the scheduler to dispatch it.
-    pub spec_published: u64,
-    /// Published speculations the scheduler adopted because the
-    /// sequential DFS pop matched the speculation key exactly.
-    pub spec_adopted: u64,
-    /// Published speculations discarded without merging: superseded at
-    /// publish, orphaned at teardown, or invalidated when their lane
-    /// quarantined.
-    pub spec_wasted: u64,
 }
 
 impl RipStats {
-    /// Element-wise accumulation: the parallel engine aggregates the
-    /// scheduler's counters with every worker shard's.
-    pub fn absorb(&mut self, other: &RipStats) {
-        self.clicks += other.clicks;
-        self.snapshots += other.snapshots;
-        self.restarts += other.restarts;
-        self.esc_recoveries += other.esc_recoveries;
-        self.esc_presses += other.esc_presses;
-        self.blocklisted += other.blocklisted;
-        self.replay_failures += other.replay_failures;
-        self.windows_seen += other.windows_seen;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.poison_recoveries += other.poison_recoveries;
-        self.spec_published += other.spec_published;
-        self.spec_adopted += other.spec_adopted;
-        self.spec_wasted += other.spec_wasted;
-    }
-
     /// Folds a session's capture-pool counter delta into the rip stats
     /// (engines call this once per session at the end of a rip).
     pub(crate) fn fold_pool_delta(
@@ -192,18 +160,13 @@ impl RipStats {
     }
 }
 
-/// One candidate awaiting exploration: the control, its fingerprint, the
-/// click path that reveals it, and scheduler bookkeeping (`seq` uniquely
-/// identifies the stack entry; `dispatched` marks entries the parallel
-/// engine has already handed to a worker — the sequential ripper ignores
-/// both).
+/// One candidate awaiting exploration: the control, its fingerprint, and
+/// the click path that reveals it.
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub cid: ControlId,
     pub key: ControlKey,
     pub path: Vec<ControlId>,
-    pub seq: u64,
-    pub dispatched: bool,
 }
 
 /// The pre/post capture pair produced by exploring one candidate.
@@ -212,11 +175,10 @@ pub(crate) struct Explored {
     pub post: Arc<Snapshot>,
 }
 
-/// A shard-reusable exploration unit: one session plus the §4.1 recovery
-/// planner. [`ExploreUnit::explore`] is a pure function of `(setup, path,
+/// An exploration unit: one session plus the §4.1 recovery planner.
+/// [`ExploreUnit::explore`] is a pure function of `(setup, path,
 /// candidate)` — state is always (re-)established from a provably
-/// launch-equivalent base first — so units can run in any order, on any
-/// thread, and produce the same capture pairs the sequential DFS would.
+/// launch-equivalent base first.
 pub(crate) struct ExploreUnit<'a> {
     session: &'a mut Session,
     config: &'a RipConfig,
@@ -232,36 +194,17 @@ pub(crate) struct ExploreUnit<'a> {
     /// forward click is itself a tab (selecting a tab deselects its
     /// siblings).
     tab_dirty: bool,
-    /// The main-window tabs clicked since the last restart. Sibling-click
-    /// self-healing cannot cover re-exploring one of *these*: the tab may
-    /// still be selected, so the pre-capture would already show its
-    /// children and the differential would come back empty. In-DFS-order
-    /// task streams never re-explore a clicked tab (a tab is explored
-    /// before it ever appears in a path), but speculative subtree walks
-    /// click tabs out of order — exploring one of these afterwards forces
-    /// a full restart instead.
-    clicked_tabs: HashSet<ControlId>,
     /// Whether a tab *inside a dialog* was clicked since the last
     /// restart. Dialog-internal tab selection survives Esc-closing the
     /// dialog, and replaying a path re-opens the dialog without
     /// re-selecting its default tab — nothing heals it, so only a
     /// restart clears this.
     dialog_tab_dirty: bool,
-    /// Whether every restart should capture and digest the fresh base
-    /// (worker-pool units only — see [`UnitState::probing`]). The extra
-    /// base capture is byte-safe: late-load reveal schedules are relative
-    /// to the click-time query sequence, so an additional query between
-    /// restart and replay shifts no reveal boundary.
-    probe_base: bool,
-    /// The digest recorded by the most recent probing restart, taken by
-    /// the worker after each exploration ([`ExploreUnit::take_base_digest`]).
-    last_base_digest: Option<u64>,
 }
 
-/// Rips an application into a UNG (sequential reference implementation;
-/// see [`crate::parallel::rip_parallel`] for the sharded engine and
-/// [`crate::parallel::rip_fleet`] for multi-app fleets — both are
-/// byte-identical by construction).
+/// Rips an application into a UNG by depth-first differential capture
+/// ([`crate::parallel::rip_fleet`] runs this for many applications at
+/// once).
 pub fn rip(session: &mut Session, config: &RipConfig) -> (Ung, RipStats) {
     let _rip_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.sequential", 0);
     let cs0 = session.capture_stats();
@@ -276,81 +219,20 @@ pub fn rip(session: &mut Session, config: &RipConfig) -> (Ung, RipStats) {
     (frontier.g, stats)
 }
 
-/// The suspended, thread-portable half of an [`ExploreUnit`]: its effort
-/// counters plus the §4.1 recovery-planner state. Fleet engines park this
-/// next to a pooled worker session between task checkouts, so the planner
-/// amortizes across tasks exactly as it does when one worker owns the
-/// session for life.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct UnitState {
-    pub stats: RipStats,
-    base_epoch: u64,
-    tab_dirty: bool,
-    clicked_tabs: HashSet<ControlId>,
-    dialog_tab_dirty: bool,
-    probe_base: bool,
-}
-
-impl UnitState {
-    /// The initial state for a worker-pool unit: base-digest probing —
-    /// every restart captures the fresh base and digests it so the
-    /// scheduler can cross-check worker bases against the lane's (the
-    /// fleet divergence oracle). The recovery planner starts *poisoned*
-    /// (`dialog_tab_dirty`), forcing the unit's first establish to
-    /// restart: a fork's launch state is unattested until its first
-    /// probed restart, so every unit records at least one base digest
-    /// before any of its bytes can merge. Lane and sequential units
-    /// never probe, keeping their capture counts pinned.
-    pub fn probing() -> UnitState {
-        UnitState { probe_base: true, dialog_tab_dirty: true, ..UnitState::default() }
-    }
-}
-
 impl<'a> ExploreUnit<'a> {
     pub fn new(session: &'a mut Session, config: &'a RipConfig) -> ExploreUnit<'a> {
-        Self::resume(session, config, UnitState::default())
-    }
-
-    /// Re-attaches a unit to a session using planner state suspended by
-    /// an earlier checkout (see [`UnitState`]).
-    pub fn resume(
-        session: &'a mut Session,
-        config: &'a RipConfig,
-        state: UnitState,
-    ) -> ExploreUnit<'a> {
         ExploreUnit {
             session,
             config,
-            stats: state.stats,
-            base_epoch: state.base_epoch,
-            tab_dirty: state.tab_dirty,
-            clicked_tabs: state.clicked_tabs,
-            dialog_tab_dirty: state.dialog_tab_dirty,
-            probe_base: state.probe_base,
-            last_base_digest: None,
-        }
-    }
-
-    /// Detaches the planner state for parking next to a pooled session.
-    pub fn suspend(&self) -> UnitState {
-        UnitState {
-            stats: self.stats,
-            base_epoch: self.base_epoch,
-            tab_dirty: self.tab_dirty,
-            clicked_tabs: self.clicked_tabs.clone(),
-            dialog_tab_dirty: self.dialog_tab_dirty,
-            probe_base: self.probe_base,
+            stats: RipStats::default(),
+            base_epoch: 0,
+            tab_dirty: false,
+            dialog_tab_dirty: false,
         }
     }
 
     /// The session this unit drives.
     pub fn session(&self) -> &Session {
-        self.session
-    }
-
-    /// Mutable access to the driven session (fleet teardown detaches the
-    /// shared capture pool through this).
-    pub fn session_mut(&mut self) -> &mut Session {
         self.session
     }
 
@@ -371,38 +253,16 @@ impl<'a> ExploreUnit<'a> {
         self.session.restart();
         self.base_epoch = self.session.ui_state_epoch();
         self.tab_dirty = false;
-        self.clicked_tabs.clear();
         self.dialog_tab_dirty = false;
-        if self.probe_base {
-            let snap = self.snapshot();
-            self.last_base_digest = Some(snapshot_digest(&snap));
-        }
-    }
-
-    /// Takes the digest recorded by the most recent probing restart
-    /// (`None` when no restart ran since the last take, or the unit does
-    /// not probe). Workers attach this to each outcome so the scheduler
-    /// can compare it against the lane's own base digest.
-    pub fn take_base_digest(&mut self) -> Option<u64> {
-        self.last_base_digest.take()
-    }
-
-    /// Consumes the unit, releasing its session borrow (the fleet's
-    /// quarantine path re-rips the caller session sequentially).
-    pub fn into_session(self) -> &'a mut Session {
-        self.session
     }
 
     /// Records a successful click on a tab: main-window tabs are
-    /// self-healing (their identity is remembered — see
-    /// [`ExploreUnit::clicked_tabs`]), dialog-internal tabs poison
-    /// recovery until restart.
-    fn note_tab_click(&mut self, cid: &ControlId) {
+    /// self-healing, dialog-internal tabs poison recovery until restart.
+    fn note_tab_click(&mut self) {
         if self.session.window_depth() > 1 {
             self.dialog_tab_dirty = true;
         } else {
             self.tab_dirty = true;
-            self.clicked_tabs.insert(cid.clone());
         }
     }
 
@@ -421,7 +281,7 @@ impl<'a> ExploreUnit<'a> {
 
     /// Clicks the setup names and path controls forward from the current
     /// state. `count_failures` controls whether a miss is recorded in the
-    /// stats — a speculative fast-recovery walk retries with a clean
+    /// stats — a failed Esc fast-recovery walk retries with a clean
     /// restart instead of charging a replay failure.
     fn walk(&mut self, setup: &[String], path: &[ControlId], count_failures: bool) -> bool {
         for name in setup {
@@ -454,7 +314,7 @@ impl<'a> ExploreUnit<'a> {
                 return false;
             }
             if cid.control_type == ControlType::TabItem {
-                self.note_tab_click(cid);
+                self.note_tab_click();
             }
         }
         true
@@ -477,16 +337,6 @@ impl<'a> ExploreUnit<'a> {
             return false;
         }
         if self.tab_dirty {
-            // Re-exploring a tab this unit already clicked is the one
-            // case sibling-click self-healing cannot cover: the tab may
-            // still be selected, so the pre-capture would already show
-            // its children and the reveal diff would come back empty.
-            // Only a speculative subtree walk puts a unit in this spot —
-            // sequential-order task streams explore a tab before it ever
-            // appears in a path.
-            if cid.control_type == ControlType::TabItem && self.clicked_tabs.contains(cid) {
-                return false;
-            }
             // A path starting with a (main-window) tab deselects whatever
             // tab is stale; the first path click always happens with only
             // the main window open, so it can never be a dialog tab.
@@ -568,7 +418,7 @@ impl<'a> ExploreUnit<'a> {
             return None;
         }
         if cid.control_type == ControlType::TabItem {
-            self.note_tab_click(cid);
+            self.note_tab_click();
         }
         let post = self.snapshot();
         Some(Explored { pre, post })
@@ -584,8 +434,7 @@ impl<'a> ExploreUnit<'a> {
 ///
 /// The "present before?" test runs against the pre-snapshot's identity
 /// index: each post node's [`ControlKey`] probes the pre key-multimap and
-/// collision-confirms component-wise. Depends only on the two snapshots —
-/// the parallel engine computes it on worker threads.
+/// collision-confirms component-wise. Depends only on the two snapshots.
 pub(crate) fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
     let pre_ix = pre.index();
     let post_ix = post.index();
@@ -613,48 +462,10 @@ pub(crate) fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
     fresh
 }
 
-/// A structural FNV-1a digest of a snapshot: arena order, parentage, the
-/// window list, and every capture-visible property. Two launch-equivalent
-/// bases built by the same deterministic application digest equal; a fork
-/// whose reset drifted (nondeterministic relabel, leaked state) digests
-/// differently. The fleet scheduler compares worker-side post-restart
-/// digests against its lane's seed digest, catching divergence *before*
-/// a wrong byte can merge into the UNG.
-pub(crate) fn snapshot_digest(snap: &Snapshot) -> u64 {
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (idx, node) in snap.iter() {
-        eat(&mut h, &(idx as u64).to_le_bytes());
-        eat(&mut h, &node.parent.map_or(u64::MAX, |p| p as u64).to_le_bytes());
-        let p = &node.props;
-        let fields = format!(
-            "{:?}\x1f{}\x1f{}\x1f{}\x1f{}\x1f{:?}\x1f{}\x1f{:?}",
-            p.control_type,
-            p.name,
-            p.automation_id,
-            p.value,
-            p.enabled,
-            p.toggle,
-            p.selected,
-            p.expanded,
-        );
-        eat(&mut h, fields.as_bytes());
-    }
-    for &w in snap.windows() {
-        eat(&mut h, &(w as u64).to_le_bytes());
-    }
-    h
-}
-
 /// The UNG under construction plus the exploration frontier: the visited
 /// set and the DFS stack. All graph mutation goes through [`Frontier::seed`]
 /// and [`Frontier::commit`]; committing outcomes in the same order always
-/// produces the same graph bytes, which is what lets the parallel engine
-/// interleave *exploration* freely while keeping *commits* sequential.
+/// produces the same graph bytes.
 pub(crate) struct Frontier {
     pub g: Ung,
     /// Controls already explored (or blocklisted), keyed by
@@ -662,14 +473,12 @@ pub(crate) struct Frontier {
     /// encoding or hashing.
     visited: ControlIdSet,
     /// DFS stack of candidates (top = next to explore).
-    pub stack: Vec<Candidate>,
-    /// Sequence counter assigning stack entries unique ids.
-    next_seq: u64,
+    stack: Vec<Candidate>,
 }
 
 impl Frontier {
     pub fn new() -> Frontier {
-        Frontier { g: Ung::new(), visited: ControlIdSet::new(), stack: Vec::new(), next_seq: 0 }
+        Frontier { g: Ung::new(), visited: ControlIdSet::new(), stack: Vec::new() }
     }
 
     /// Pops the next candidate (LIFO — depth-first).
@@ -680,11 +489,6 @@ impl Frontier {
     /// Marks a candidate visited; false when it already was (skip it).
     pub fn visit(&mut self, c: &Candidate) -> bool {
         self.visited.insert(c.key, &c.cid)
-    }
-
-    /// Whether a candidate is already visited (without marking).
-    pub fn is_visited(&self, c: &Candidate) -> bool {
-        self.visited.contains(c.key, &c.cid)
     }
 
     /// Seeds the UNG from an initial snapshot: hierarchy edges for every
@@ -764,15 +568,7 @@ impl Frontier {
         if path.len() >= config.max_depth {
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.stack.push(Candidate {
-            cid: cid.clone(),
-            key,
-            path: path.to_vec(),
-            seq,
-            dispatched: false,
-        });
+        self.stack.push(Candidate { cid: cid.clone(), key, path: path.to_vec() });
     }
 
     /// Merges one exploration outcome into the UNG: every fresh control

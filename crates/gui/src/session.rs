@@ -67,9 +67,9 @@ impl std::error::Error for AppError {}
 /// The trait simulated applications implement (see `dmi-apps`).
 ///
 /// `Send` is a supertrait: simulated applications are plain data (a widget
-/// arena plus a document model), and the parallel ripping engine moves
-/// forked instances onto worker threads — mirroring real UIA, where every
-/// provider lives in its own process anyway.
+/// arena plus a document model), and the fleet ripper and the serving
+/// gateway move sessions onto worker threads — mirroring real UIA, where
+/// every provider lives in its own process anyway.
 pub trait GuiApp: Send {
     /// Application display name (window title).
     fn name(&self) -> &str;
@@ -338,9 +338,9 @@ impl Session {
     /// the same instability model and capture configuration, and fresh
     /// event log, caches, and counters. Deterministic simulations make the
     /// fork behaviorally equivalent to launching another instance of the
-    /// same build, so forks can explore independently — the parallel
-    /// ripping engine runs one per worker thread. `None` when the
-    /// application does not support forking.
+    /// same build, so forks can run independently — the serving gateway
+    /// pools them per app. `None` when the application does not support
+    /// forking.
     pub fn fork_from_pristine(&self) -> Option<Session> {
         let app = self.app.fork()?;
         let mut s = Session::with_instability(app, self.inst.clone());

@@ -51,8 +51,8 @@
 //!
 //! Between the MRU probe and a rebuild, sessions attached to a
 //! [`CapturePool`] additionally probe a **cross-session** pool: sibling
-//! sessions forked from the same pristine image (the fleet ripper's
-//! worker shards) serve each other's captures, keyed by pristine-relative
+//! sessions forked from the same pristine image (the gateway's pooled
+//! tenant sessions) serve each other's captures, keyed by pristine-relative
 //! action traces — see [`CapturePool`] for the soundness argument.
 //!
 //! The eager [`build`] stays as the uncached oracle;

@@ -9,9 +9,7 @@
 //! ids.
 //!
 //! The text summary aggregates events by `category.name`: count, total
-//! and mean duration, ordered deterministically. Scheduler stall time is
-//! totaled on its own line — the number the subtree-speculation roadmap
-//! item needs at a glance.
+//! and mean duration, ordered deterministically.
 
 use crate::recorder::{Cat, Clock, Phase, Trace};
 use std::collections::BTreeMap;
@@ -112,8 +110,8 @@ impl Trace {
     }
 
     /// Renders a plain-text hierarchical summary: per `category.name`
-    /// aggregates (count, total ms, mean µs), the scheduler-stall total,
-    /// and the dropped-event count when the rings overflowed.
+    /// aggregates (count, total ms, mean µs) and the dropped-event count
+    /// when the rings overflowed.
     pub fn text_summary(&self) -> String {
         #[derive(Default)]
         struct Agg {
@@ -142,20 +140,6 @@ impl Trace {
                 mean
             );
         }
-        let stall_us = self.total_dur_us(Some(Cat::Scheduler), "stall");
-        let explore_us = self.total_dur_us(Some(Cat::Worker), "explore");
-        let _ = writeln!(out, "  scheduler stall total: {:.3}ms", stall_us as f64 / 1e3);
-        let _ = writeln!(out, "  worker explore total:  {:.3}ms", explore_us as f64 / 1e3);
-        let spec_walk_us = self.total_dur_us(Some(Cat::Worker), "spec.explore");
-        let adopted = self.count(Some(Cat::Scheduler), "spec.adopt");
-        let wasted = self.count(Some(Cat::Scheduler), "spec.waste");
-        if spec_walk_us > 0 || adopted > 0 || wasted > 0 {
-            let _ = writeln!(
-                out,
-                "  speculation: adopted={adopted} wasted={wasted} walk total={:.3}ms",
-                spec_walk_us as f64 / 1e3
-            );
-        }
         if self.dropped > 0 {
             let _ = writeln!(out, "  ({} events dropped by ring overwrite)", self.dropped);
         }
@@ -175,14 +159,11 @@ mod tests {
     fn sample() -> Trace {
         Trace {
             events: vec![
-                ev(Phase::Complete, Cat::Worker, "explore", 10, 50, Clock::Wall),
-                ev(Phase::Complete, Cat::Scheduler, "stall.reveal", 20, 30, Clock::Wall),
+                ev(Phase::Complete, Cat::Rip, "rip.sequential", 10, 50, Clock::Wall),
+                ev(Phase::Complete, Cat::Capture, "rebuild", 20, 30, Clock::Wall),
                 ev(Phase::Instant, Cat::Capture, "pool_hit", 25, 0, Clock::Wall),
                 ev(Phase::Complete, Cat::Gateway, "task", 0, 2_000_000, Clock::Virtual),
-                ev(Phase::Complete, Cat::Worker, "spec.explore", 60, 40, Clock::Wall),
-                ev(Phase::Instant, Cat::Scheduler, "spec.adopt", 100, 0, Clock::Wall),
-                ev(Phase::Instant, Cat::Scheduler, "spec.adopt", 110, 0, Clock::Wall),
-                ev(Phase::Instant, Cat::Scheduler, "spec.waste", 120, 0, Clock::Wall),
+                ev(Phase::Complete, Cat::Capture, "rebuild", 60, 40, Clock::Wall),
             ],
             dropped: 0,
         }
@@ -193,8 +174,8 @@ mod tests {
         let json = sample().to_chrome_json();
         let v = serde_json::parse_value(&json).expect("export must be valid JSON");
         let arr = v.as_array().expect("top level is an array");
-        // 2 metadata + 8 events.
-        assert_eq!(arr.len(), 10);
+        // 2 metadata + 5 events.
+        assert_eq!(arr.len(), 7);
         for e in arr {
             let o = e.as_object().expect("every trace event is an object");
             assert!(o.get("name").is_some());
@@ -210,30 +191,22 @@ mod tests {
     }
 
     #[test]
-    fn summary_totals_stall_and_explore_time() {
+    fn summary_aggregates_by_category_and_name() {
         let s = sample().text_summary();
-        assert!(s.contains("stall.reveal"), "stall spans listed: {s}");
-        assert!(s.contains("scheduler stall total: 0.030ms"), "{s}");
-        assert!(s.contains("worker explore total:  0.050ms"), "{s}");
-    }
-
-    #[test]
-    fn summary_reports_speculation_adoption_and_waste() {
-        let s = sample().text_summary();
-        assert!(s.contains("speculation: adopted=2 wasted=1 walk total=0.040ms"), "{s}");
-        // A trace with no speculative activity omits the line entirely.
-        let quiet = Trace {
-            events: vec![ev(Phase::Complete, Cat::Worker, "explore", 10, 50, Clock::Wall)],
-            dropped: 0,
-        };
-        assert!(!quiet.text_summary().contains("speculation:"));
+        assert!(s.contains("  capture\n"), "categories head their groups: {s}");
+        assert!(
+            s.contains("rebuild                  count=2        total=0.070ms mean=35us"),
+            "{s}"
+        );
+        assert!(s.contains("rip.sequential"), "{s}");
+        assert!(!s.contains("dropped"), "no drop line without overflow: {s}");
     }
 
     #[test]
     fn prefix_totals_filter_by_category() {
         let t = sample();
-        assert_eq!(t.total_dur_us(Some(Cat::Scheduler), "stall"), 30);
-        assert_eq!(t.total_dur_us(Some(Cat::Worker), "stall"), 0);
+        assert_eq!(t.total_dur_us(Some(Cat::Capture), "rebuild"), 30 + 40);
+        assert_eq!(t.total_dur_us(Some(Cat::Rip), "rebuild"), 0);
         assert_eq!(t.total_dur_us(None, ""), 50 + 30 + 2_000_000 + 40);
         assert_eq!(t.count(Some(Cat::Capture), "pool"), 1);
     }

@@ -1,8 +1,8 @@
 //! `dmi-obs`: determinism-preserving structured tracing and metrics.
 //!
-//! Every layer of the engine — rip scheduler, worker shards, capture
-//! cache, serving gateway, LLM batcher, persistent store — is threaded
-//! with hooks from this crate. The contract that makes that safe:
+//! Every layer of the engine — ripper, fleet, capture cache, serving
+//! gateway, LLM batcher, persistent store — is threaded with hooks from
+//! this crate. The contract that makes that safe:
 //!
 //! 1. **Observation only.** Hooks write to side-band buffers; nothing
 //!    recorded is ever read back by the engine. Byte-identity oracles
@@ -14,8 +14,8 @@
 //!    spans ([`vt_span`]) ride the serve path's deterministic virtual
 //!    clock and are identical run to run.
 //!
-//! See `docs/observability.md` for the recorder design, the determinism
-//! argument, and how to read a stall timeline.
+//! See `docs/observability.md` for the recorder design and the
+//! determinism argument.
 
 mod export;
 mod metrics;

@@ -49,9 +49,10 @@ pub const RING_CAPACITY: usize = 1 << 16;
 pub enum Cat {
     /// Sequential rip driver.
     Rip,
-    /// Fleet scheduler commit lanes (stall attribution lives here).
+    /// No engine emits this category any more; kept because the
+    /// benchmark's per-layer fold (`dmibench/src/metrics.rs`) names it.
     Scheduler,
-    /// Worker-shard exploration.
+    /// No engine emits this category any more (see [`Cat::Scheduler`]).
     Worker,
     /// Capture cache / cross-session capture pool.
     Capture,
@@ -280,7 +281,7 @@ pub fn span(cat: Cat, name: &'static str, lane: u64) -> SpanGuard {
 }
 
 /// Records a wall-clock span from explicit endpoints (for intervals whose
-/// start and end live in different stack frames, e.g. scheduler stalls).
+/// start and end live in different stack frames, e.g. gateway rounds).
 pub fn complete_span(cat: Cat, name: &'static str, lane: u64, start_us: u64, end_us: u64) {
     if !enabled() {
         return;
@@ -401,7 +402,7 @@ mod tests {
             let _s = span(Cat::Rip, "should-not-appear", 0);
             instant(Cat::Capture, "nor-this", 1);
             vt_span(Cat::Gateway, "nor-this-either", 0, 0.0, 1.0);
-            complete_span(Cat::Scheduler, "silent", 0, 0, 10);
+            complete_span(Cat::Rip, "silent", 0, 0, 10);
             tally("off.counter", 5);
         }
         let t = drain();
@@ -416,8 +417,8 @@ mod tests {
         set_enabled(true);
         clear();
         {
-            let _outer = span(Cat::Worker, "outer", 7);
-            let _inner = span(Cat::Worker, "inner", 7);
+            let _outer = span(Cat::Rip, "outer", 7);
+            let _inner = span(Cat::Rip, "inner", 7);
             instant(Cat::Capture, "tick", 3);
             tally("unit.count", 2);
             tally("unit.count", 1);

@@ -138,9 +138,6 @@ pub fn enc_rip_stats(e: &mut Enc, s: &RipStats) {
         s.pool_hits,
         s.pool_misses,
         s.poison_recoveries,
-        s.spec_published,
-        s.spec_adopted,
-        s.spec_wasted,
     ] {
         e.u64(v);
     }
@@ -159,9 +156,6 @@ pub fn dec_rip_stats(d: &mut Dec) -> StoreResult<RipStats> {
         pool_hits: d.u64()?,
         pool_misses: d.u64()?,
         poison_recoveries: d.u64()?,
-        spec_published: d.u64()?,
-        spec_adopted: d.u64()?,
-        spec_wasted: d.u64()?,
     })
 }
 

@@ -30,7 +30,7 @@ use std::fmt;
 /// Current on-disk format version. Bump on any layout change; readers
 /// refuse other versions with [`StoreError::UnsupportedVersion`] (see
 /// `docs/persistence.md` for the compatibility rules).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"DMISTORE";

@@ -1,16 +1,12 @@
-//! Traced fleet rip walkthrough: rip the three Office small apps on a
-//! shared 2-worker pool with the `dmi-obs` recorder enabled, export the
-//! span timeline as Chrome trace-event JSON (load it in Perfetto or
-//! `chrome://tracing`), and print the text summary plus the metrics
-//! registry — after proving tracing never changed a merged byte.
+//! Traced fleet rip walkthrough: rip the three Office small apps as a
+//! fleet with the `dmi-obs` recorder enabled, export the span timeline
+//! as Chrome trace-event JSON (load it in Perfetto or `chrome://tracing`),
+//! and print the text summary plus the metrics registry — after proving
+//! tracing never changed a UNG byte.
 //!
 //! ```text
-//! cargo run --example trace_rip --release [out.json] [spec_walk]
+//! cargo run --example trace_rip --release [out.json]
 //! ```
-//!
-//! The optional second argument caps the speculative subtree walk
-//! (default 4); pass 0 to trace the dispatch-only scheduler and compare
-//! the `stall.reveal` totals against a speculating run.
 
 use dmi_apps::AppKind;
 use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig};
@@ -28,11 +24,10 @@ fn entries() -> Vec<FleetEntry> {
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "target/trace_rip.json".into());
-    let spec_walk = std::env::args().nth(2).map_or(4, |s| s.parse().expect("spec_walk: usize"));
-    let par = ParRipConfig { workers: 2, speculation: 2, spec_walk };
+    let par = ParRipConfig;
 
     // The untraced reference: tracing is observational, so the traced
-    // fleet below must merge byte-identical UNGs.
+    // fleet below must produce byte-identical UNGs.
     let mut plain = entries();
     let reference: Vec<String> = rip_fleet(&mut plain, &par)
         .iter()
@@ -63,15 +58,9 @@ fn main() {
         );
     }
 
-    let stalls = trace.count(Some(dmi_obs::Cat::Scheduler), "stall");
-    let explores = trace.count(Some(dmi_obs::Cat::Worker), "explore");
-    assert!(stalls > 0 && explores > 0, "stall and explore spans both recorded");
-    println!(
-        "\n{} events ({} stall spans, {} explore spans)",
-        trace.events.len(),
-        stalls,
-        explores
-    );
+    let rips = trace.count(Some(dmi_obs::Cat::Rip), "rip.sequential");
+    assert_eq!(rips, out.len(), "one sequential rip span per app");
+    println!("\n{} events ({rips} per-app rip.sequential spans)", trace.events.len());
 
     let json = trace.to_chrome_json();
     std::fs::write(&out_path, &json).expect("write chrome trace");

@@ -5,20 +5,18 @@
 //! things: the designated differential oracle *flags* the fault, and
 //! delta-debugging the generating op sequence converges on a minimal
 //! reproducer (≤ 12 actions). A fleet-level test injects a panicking
-//! and a diverging app next to healthy ones and checks per-entry fault
-//! containment. Clean (fault-free) specs must pass every oracle — the
-//! determinism contract itself (`docs/determinism.md`) — checked over a
-//! seeded corpus: a small smoke here, hundreds of seeds in the
-//! release-gated `#[ignore]` runs.
+//! app next to healthy ones and checks per-entry fault containment.
+//! Clean (fault-free) specs must pass every oracle — the determinism
+//! contract itself (`docs/determinism.md`) — checked over a seeded
+//! corpus: a small smoke here, hundreds of seeds in the release-gated
+//! `#[ignore]` runs.
 
 use dmi_core::fuzz::{
-    check_cached_capture, check_esc_recovery, check_parallel, check_spec, shrink_ops,
+    check_cached_capture, check_esc_recovery, check_fleet, check_spec, shrink_ops,
     silence_injected_panics, AdversarialApp, AppSpec, ArenaOp, FaultPlan,
 };
 use dmi_core::ripper::rip;
-use dmi_core::{
-    rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung,
-};
+use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung};
 use dmi_gui::Session;
 use proptest::prelude::*;
 
@@ -31,14 +29,6 @@ fn bytes(g: &Ung) -> String {
 fn rip_seq(spec: &AppSpec) -> Ung {
     let mut s = Session::new(AdversarialApp::launch(spec.clone()));
     rip(&mut s, &RipConfig::default()).0
-}
-
-/// How many ops dispatch a command when clicked (buttons and list
-/// items). Worker-fork fault classes whose *detection* needs a repeat
-/// visit are only deterministic once three of these exist (pigeonhole
-/// over two worker forks), so their shrink predicates keep that floor.
-fn dispatching_ops(ops: &[ArenaOp]) -> usize {
-    ops.iter().filter(|o| matches!(o, ArenaOp::Button(_) | ArenaOp::Item(_))).count()
 }
 
 /// Shrinks a flagged spec and asserts the reproducer is minimal enough
@@ -76,18 +66,6 @@ fn noisy(seed: u64, trigger: &[ArenaOp]) -> Vec<ArenaOp> {
 // ---------------------------------------------------------------------
 // Per-fault-class: the oracle flags it, the reproducer shrinks.
 // ---------------------------------------------------------------------
-
-/// Forked workers relabel a control on every restart; the app honestly
-/// stops attesting its pristine token, so every worker base capture is
-/// rebuilt and the fleet's base-digest oracle quarantines the lane on
-/// the first probed restart (every unit's first task restarts).
-#[test]
-fn fault_relabel_on_restart_flagged_and_shrunk() {
-    let faults = FaultPlan { relabel_on_restart: Some(1), ..FaultPlan::default() };
-    let base = AppSpec { ops: noisy(11, &[ArenaOp::Button(7)]), faults };
-    let min = assert_shrinks(&base, |s| check_parallel(s).is_some(), |_| true);
-    assert_eq!(min.len(), 1, "one explorable control suffices to catch reset drift");
-}
 
 /// Every reset leaks state while the app keeps attesting its pristine
 /// token: the capture layer's restart stash serves stale bytes, caught
@@ -133,177 +111,24 @@ fn fault_esc_side_effect_flagged_and_shrunk() {
     assert_shrinks(&base, |s| check_esc_recovery(s).is_some(), |_| true);
 }
 
-/// Forked workers panic mid-dispatch; the fleet engine contains the
-/// panic as a per-entry failure, which the parallel oracle reports.
+/// The app panics mid-dispatch; the fleet contains the panic as a
+/// per-entry failure, which the fleet oracle reports.
 #[test]
 fn fault_worker_panic_flagged_and_shrunk() {
     silence_injected_panics();
     let faults = FaultPlan { panic_on_click: Some(1), ..FaultPlan::default() };
     let base = AppSpec { ops: noisy(55, &[ArenaOp::Button(7)]), faults };
-    let min = assert_shrinks(&base, |s| check_parallel(s).is_some(), |_| true);
+    let min = assert_shrinks(&base, |s| check_fleet(std::slice::from_ref(s)).is_some(), |_| true);
     assert_eq!(min.len(), 1, "one dispatching control suffices to trigger the panic");
-}
-
-/// Forked workers drift after their first dispatch (and stay drifted
-/// through resets); a repeat visit to the poisoned fork trips the
-/// base-digest oracle. Detection needs a fork to serve twice, which is
-/// only guaranteed with three dispatching ops (two worker forks), so
-/// the shrink predicate keeps that floor.
-#[test]
-fn fault_fork_divergence_flagged_and_shrunk() {
-    let faults = FaultPlan { fork_divergence_after: Some(1), ..FaultPlan::default() };
-    let trigger = [ArenaOp::Button(0), ArenaOp::Button(1), ArenaOp::Button(2)];
-    let base = AppSpec { ops: noisy(66, &trigger), faults };
-    assert_shrinks(&base, |s| check_parallel(s).is_some(), |ops| dispatching_ops(ops) >= 3);
-}
-
-// ---------------------------------------------------------------------
-// Deep speculation under injected faults: wrong speculations die.
-// ---------------------------------------------------------------------
-
-/// The parallel oracle with deep worker-side subtree walks armed
-/// (`spec_walk: 8`): every fault now has to survive speculative
-/// publication *and* scheduler adoption to go unflagged.
-fn check_parallel_speculative(spec: &AppSpec) -> bool {
-    let mut entries = vec![FleetEntry::new(
-        "spec-fuzz",
-        Session::new(AdversarialApp::launch(spec.clone())),
-        RipConfig::default(),
-    )];
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 8 });
-    let o = &out[0];
-    o.error().is_some() || bytes(&o.graph) != bytes(&rip_seq(spec))
-}
-
-/// Fork divergence armed on deeply speculating workers: the probe-digest
-/// oracle still quarantines the lane (a drifted fork's publications die
-/// with it, before any byte merges), and the reproducer still shrinks.
-#[test]
-fn fault_fork_divergence_flagged_and_shrunk_under_deep_speculation() {
-    let faults = FaultPlan { fork_divergence_after: Some(1), ..FaultPlan::default() };
-    let trigger = [ArenaOp::Button(0), ArenaOp::Button(1), ArenaOp::Button(2)];
-    let base = AppSpec { ops: noisy(77, &trigger), faults };
-    assert_shrinks(&base, check_parallel_speculative, |ops| dispatching_ops(ops) >= 3);
-}
-
-/// Second-dispatch panics armed on deeply speculating workers: the
-/// fork's counter survives Esc-based restoration between served tasks
-/// (flat arenas never force a counter-resetting restart), so the second
-/// click — a follow-up task or a speculative walk step — dies mid-walk
-/// and the lane fails in place. Detection needs one of the two forks to
-/// serve twice, only guaranteed with three dispatching ops
-/// (pigeonhole), so the shrink predicate keeps that floor.
-#[test]
-fn fault_worker_panic_flagged_and_shrunk_under_deep_speculation() {
-    silence_injected_panics();
-    let faults = FaultPlan { panic_on_click: Some(2), ..FaultPlan::default() };
-    let base = AppSpec { ops: (0..16).map(ArenaOp::Button).collect(), faults };
-    assert_shrinks(&base, check_parallel_speculative, |ops| dispatching_ops(ops) >= 3);
-}
-
-/// All three fault classes armed next to a healthy entry on one deeply
-/// speculating 4-worker pool: the diverging lane quarantines before any
-/// speculative byte merges (its graph is the sequential reference and
-/// its ledger balances — every discarded publication counted), the
-/// panicking lane fails with its payload, the Esc-side-effect fault
-/// stays detectable by its differential oracle, and the healthy lane is
-/// byte-identical with a balanced ledger.
-#[test]
-fn fault_armed_speculating_fleet_discards_wrong_speculations() {
-    silence_injected_panics();
-    let healthy = AppSpec::generate(515, 14);
-    let panicky = AppSpec {
-        ops: noisy(616, &[ArenaOp::Button(0)]),
-        faults: FaultPlan { panic_on_click: Some(1), ..FaultPlan::default() },
-    };
-    let diverging = AppSpec {
-        ops: noisy(717, &(0..6).map(ArenaOp::Button).collect::<Vec<_>>()),
-        faults: FaultPlan { fork_divergence_after: Some(1), ..FaultPlan::default() },
-    };
-    let esc_effect = AppSpec {
-        ops: {
-            let mut ops = vec![ArenaOp::Button(9), ArenaOp::Dialog(0), ArenaOp::Button(1)];
-            ops.extend((10..24).map(ArenaOp::Button));
-            ops
-        },
-        faults: FaultPlan { esc_side_effect: true, ..FaultPlan::default() },
-    };
-    assert!(
-        check_esc_recovery(&esc_effect).is_some(),
-        "the Esc-side-effect differential oracle must keep flagging the fault"
-    );
-
-    let mut entries = vec![
-        FleetEntry::new(
-            "healthy",
-            Session::new(AdversarialApp::launch(healthy.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "panicky",
-            Session::new(AdversarialApp::launch(panicky.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "diverging",
-            Session::new(AdversarialApp::launch(diverging.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "esc-effect",
-            Session::new(AdversarialApp::launch(esc_effect.clone())),
-            RipConfig::default(),
-        ),
-    ];
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 });
-    assert_eq!(out.len(), 4);
-
-    assert_eq!(out[0].status, RipStatus::Parallel);
-    assert_eq!(
-        bytes(&out[0].graph),
-        bytes(&rip_seq(&healthy)),
-        "the healthy lane must stay byte-identical next to faulty speculating siblings"
-    );
-    assert_eq!(
-        out[0].stats.spec_published,
-        out[0].stats.spec_adopted + out[0].stats.spec_wasted,
-        "healthy lane: every published speculation is adopted or counted as waste"
-    );
-
-    match out[1].error().expect("the worker panic must be reported") {
-        RipError::WorkerPanic { app_id, payload } => {
-            assert_eq!(app_id, "panicky");
-            assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
-        }
-        other => panic!("expected WorkerPanic, got {other:?}"),
-    }
-    assert!(matches!(out[1].status, RipStatus::Failed(_)));
-
-    match out[2].error().expect("the fork divergence must be reported") {
-        RipError::Divergence { app_id, .. } => assert_eq!(app_id, "diverging"),
-        other => panic!("expected Divergence, got {other:?}"),
-    }
-    assert!(matches!(out[2].status, RipStatus::Degraded(_)));
-    assert_eq!(
-        bytes(&out[2].graph),
-        bytes(&rip_seq(&diverging)),
-        "quarantine must discard the drifted fork's speculations before any byte merges"
-    );
-    assert_eq!(
-        out[2].stats.spec_published,
-        out[2].stats.spec_adopted + out[2].stats.spec_wasted,
-        "diverging lane: quarantined publications are counted, never merged"
-    );
 }
 
 // ---------------------------------------------------------------------
 // Fleet fault containment: faulty entries fail alone.
 // ---------------------------------------------------------------------
 
-/// One panicking app + one diverging app + two healthy apps on a shared
-/// 4-worker pool: per-entry outcomes, healthy UNGs byte-identical to
-/// their sequential rips, faulty entries failed/degraded in place, no
-/// process abort, no wrong bytes anywhere.
+/// One panicking app between two healthy apps: per-entry outcomes,
+/// healthy UNGs byte-identical to their sequential rips, the faulty
+/// entry failed in place, no process abort, no wrong bytes anywhere.
 #[test]
 fn fault_injected_fleet_is_contained_per_entry() {
     silence_injected_panics();
@@ -313,44 +138,26 @@ fn fault_injected_fleet_is_contained_per_entry() {
         ops: noisy(303, &[ArenaOp::Button(0)]),
         faults: FaultPlan { panic_on_click: Some(1), ..FaultPlan::default() },
     };
-    // With 4 workers (4 forks per app), detection needs a poisoned fork
-    // to serve a second task — guaranteed once dispatching candidates
-    // outnumber the forks (pigeonhole), hence six buttons.
-    let diverging = AppSpec {
-        ops: noisy(404, &(0..6).map(ArenaOp::Button).collect::<Vec<_>>()),
-        faults: FaultPlan { fork_divergence_after: Some(1), ..FaultPlan::default() },
-    };
 
-    let mut entries = vec![
-        FleetEntry::new(
-            "healthy-a",
-            Session::new(AdversarialApp::launch(healthy_a.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "panicky",
-            Session::new(AdversarialApp::launch(panicky.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "healthy-b",
-            Session::new(AdversarialApp::launch(healthy_b.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "diverging",
-            Session::new(AdversarialApp::launch(diverging.clone())),
-            RipConfig::default(),
-        ),
-    ];
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 });
-    assert_eq!(out.len(), 4);
+    let mut entries: Vec<FleetEntry> =
+        [("healthy-a", &healthy_a), ("panicky", &panicky), ("healthy-b", &healthy_b)]
+            .into_iter()
+            .map(|(id, spec)| {
+                FleetEntry::new(
+                    id,
+                    Session::new(AdversarialApp::launch(spec.clone())),
+                    RipConfig::default(),
+                )
+            })
+            .collect();
+    let out = rip_fleet(&mut entries, &ParRipConfig);
+    assert_eq!(out.len(), 3);
 
     for (spec, idx) in [(&healthy_a, 0usize), (&healthy_b, 2)] {
         assert_eq!(
             out[idx].status,
-            RipStatus::Parallel,
-            "healthy entry '{}' must not be dragged down by faulty siblings",
+            RipStatus::Ripped,
+            "healthy entry '{}' must not be dragged down by a faulty sibling",
             out[idx].app_id
         );
         assert_eq!(
@@ -361,25 +168,14 @@ fn fault_injected_fleet_is_contained_per_entry() {
         );
     }
 
-    match out[1].error().expect("the worker panic must be reported") {
+    match out[1].error().expect("the panic must be reported") {
         RipError::WorkerPanic { app_id, payload } => {
             assert_eq!(app_id, "panicky");
             assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
         }
-        other => panic!("expected WorkerPanic, got {other:?}"),
     }
     assert!(matches!(out[1].status, RipStatus::Failed(_)));
-
-    match out[3].error().expect("the fork divergence must be reported") {
-        RipError::Divergence { app_id, .. } => assert_eq!(app_id, "diverging"),
-        other => panic!("expected Divergence, got {other:?}"),
-    }
-    assert!(matches!(out[3].status, RipStatus::Degraded(_)));
-    assert_eq!(
-        bytes(&out[3].graph),
-        bytes(&rip_seq(&diverging)),
-        "a degraded entry re-rips sequentially into the reference bytes"
-    );
+    assert_eq!(bytes(&out[1].graph), bytes(&Ung::new()), "a failed entry has an empty graph");
 }
 
 /// Gateway fault containment: an executor-visit task against a
@@ -398,8 +194,8 @@ fn fault_drifting_tenant_is_contained_in_the_gateway() {
 
     silence_injected_panics();
 
-    // Forked tenant sessions of this app panic on their first command
-    // dispatch — the executor's visit click detonates it mid-task.
+    // Every session of this app panics on its first command dispatch —
+    // the executor's visit click detonates it mid-task.
     let spec = AppSpec {
         ops: (0..6).map(ArenaOp::Button).collect(),
         faults: FaultPlan { panic_on_click: Some(1), ..FaultPlan::default() },
@@ -512,18 +308,11 @@ fn fault_drifting_tenant_is_contained_in_the_gateway() {
 // Clean specs: the determinism contract holds on every axis.
 // ---------------------------------------------------------------------
 
-/// Byte-identity across sequential, parallel, and fleet engines for a
-/// range of seeded random clean apps. Fleet runs batch four specs per
-/// pool to exercise cross-app sharing.
+/// Byte-identity between solo and fleet rips for a range of seeded
+/// random clean apps. Fleet runs batch four specs per fleet.
 fn assert_identity_for_seeds(seeds: std::ops::Range<u64>) {
     let specs: Vec<AppSpec> = seeds.map(|s| AppSpec::generate(s, 20)).collect();
     let reference: Vec<String> = specs.iter().map(|s| bytes(&rip_seq(s))).collect();
-    let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
-    for (spec, expect) in specs.iter().zip(&reference) {
-        let mut s = Session::new(AdversarialApp::launch(spec.clone()));
-        let (g, _) = rip_parallel(&mut s, &RipConfig::default(), &par);
-        assert_eq!(&bytes(&g), expect, "parallel rip diverged for spec {spec:?}");
-    }
     for (chunk, expectations) in specs.chunks(4).zip(reference.chunks(4)) {
         let mut entries: Vec<FleetEntry> = chunk
             .iter()
@@ -536,7 +325,7 @@ fn assert_identity_for_seeds(seeds: std::ops::Range<u64>) {
                 )
             })
             .collect();
-        let out = rip_fleet(&mut entries, &par);
+        let out = rip_fleet(&mut entries, &ParRipConfig);
         for ((o, expect), spec) in out.iter().zip(expectations).zip(chunk) {
             assert_eq!(o.error(), None, "no oracle may fire on a clean spec {spec:?}");
             assert_eq!(&bytes(&o.graph), expect, "fleet rip diverged for spec {spec:?}");

@@ -2,7 +2,7 @@
 //! equivalence with the old linear scan, and pinned rip capture counts.
 
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, rip_parallel, FleetEntry, ParRipConfig};
+use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig};
 use dmi_core::ripper::{rip, RipConfig};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::{ControlId, ControlKey, Snapshot};
@@ -193,214 +193,38 @@ fn cached_capture_ung_is_byte_identical_to_full_rebuild_oracle() {
     }
 }
 
-/// Parallel-engine equivalence oracle: the sharded rip (worker sessions
-/// forked from the shared pristine image, speculative exploration,
-/// deterministic in-order merge) must produce a UNG **byte-identical** —
-/// as serialized bytes, node ids, names, types, and ordered edge lists —
-/// to the sequential ripper for every app, at 4 worker shards. The
-/// commit-derived counters must also match; pure effort counters may only
-/// grow (speculation explores candidates the sequential DFS skips).
-#[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn parallel_rip_ung_is_byte_identical_to_sequential() {
-    for kind in AppKind::ALL {
-        let cfg = RipConfig::office(kind.name());
-        let mut s = Session::new(kind.launch_small());
-        let (g_seq, st_seq) = rip(&mut s, &cfg);
-
-        let mut s2 = Session::new(kind.launch_small());
-        let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
-        let (g_par, st_par) = rip_parallel(&mut s2, &cfg, &par);
-
-        assert_eq!(
-            serde_json::to_string(&g_par).unwrap(),
-            serde_json::to_string(&g_seq).unwrap(),
-            "{kind}: merged UNG must serialize byte-identically"
-        );
-        assert_eq!(g_par.node_count(), g_seq.node_count(), "{kind}: node count");
-        assert_eq!(g_par.edge_count(), g_seq.edge_count(), "{kind}: edge count");
-        assert_eq!(st_par.windows_seen, st_seq.windows_seen, "{kind}: windows seen");
-        assert_eq!(st_par.blocklisted, st_seq.blocklisted, "{kind}: blocklist hits");
-        assert!(
-            st_par.clicks >= st_seq.clicks,
-            "{kind}: speculation only adds effort ({} vs {})",
-            st_par.clicks,
-            st_seq.clicks
-        );
-    }
-}
-
-/// Fleet-engine equivalence oracle: ripping all three Office apps
-/// concurrently on one shared 4-worker pool — with an unforkable entry
-/// mixed into the fleet to exercise the sequential-fallback path — must
-/// produce, for **every** entry, a UNG byte-identical (as serialized
-/// bytes) to that entry's sequential rip, with matching commit-derived
-/// counters and nonzero shared-capture-pool hits across each Office
-/// app's shards.
+/// Fleet equivalence oracle: ripping the full Word, Excel and
+/// PowerPoint as one fleet — with an unforkable entry mixed in, since
+/// nothing on the rip path may need a fork — must return, in entry
+/// order, each entry's sequential rip: the same UNG bytes and the same
+/// stats.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn fleet_rip_ungs_are_byte_identical_to_sequential() {
     use dmi_apps::testkit::UnforkableApp;
 
-    // Sequential references, one per entry.
-    let mut seq: Vec<(String, String, u64, u64)> = Vec::new();
-    for kind in AppKind::ALL {
-        let cfg = RipConfig::office(kind.name());
-        let mut s = Session::new(kind.launch_small());
-        let (g, st) = rip(&mut s, &cfg);
-        seq.push((
-            kind.name().to_string(),
-            serde_json::to_string(&g).unwrap(),
-            st.windows_seen,
-            st.blocklisted,
-        ));
-    }
-    {
-        let mut s = Session::new(Box::new(UnforkableApp::new(3)));
-        let (g, st) = rip(&mut s, &RipConfig::default());
-        seq.push((
-            "Unforkable".to_string(),
-            serde_json::to_string(&g).unwrap(),
-            st.windows_seen,
-            st.blocklisted,
-        ));
-    }
+    let launch = |app: &str| -> Session {
+        match AppKind::ALL.iter().find(|k| k.name() == app) {
+            Some(k) => Session::new(k.launch()),
+            None => Session::new(Box::new(UnforkableApp::new(3))),
+        }
+    };
+    let apps = ["Word", "Excel", "PowerPoint", "Unforkable"];
+    let mut entries: Vec<FleetEntry> =
+        apps.iter().map(|&a| FleetEntry::new(a, launch(a), RipConfig::office(a))).collect();
+    let out = rip_fleet(&mut entries, &ParRipConfig);
 
-    let mut entries: Vec<FleetEntry> = AppKind::ALL
-        .iter()
-        .map(|k| {
-            FleetEntry::new(k.name(), Session::new(k.launch_small()), RipConfig::office(k.name()))
-        })
-        .collect();
-    entries.push(FleetEntry::new(
-        "Unforkable",
-        Session::new(Box::new(UnforkableApp::new(3))),
-        RipConfig::default(),
-    ));
-
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 });
-    assert_eq!(out.len(), seq.len(), "one outcome per entry, in entry order");
-    for (o, (app, g_seq, windows_seen, blocklisted)) in out.iter().zip(&seq) {
-        assert_eq!(&o.app_id, app);
+    assert_eq!(out.len(), apps.len(), "one outcome per entry");
+    for (o, app) in out.iter().zip(apps) {
+        let (g_seq, st_seq) = rip(&mut launch(app), &RipConfig::office(app));
+        assert_eq!(o.app_id, app, "outcomes come back in entry order");
+        assert_eq!(o.error(), None, "{app}: a healthy entry rips");
         assert_eq!(
-            &serde_json::to_string(&o.graph).unwrap(),
-            g_seq,
+            serde_json::to_string(&o.graph).unwrap(),
+            serde_json::to_string(&g_seq).unwrap(),
             "{app}: fleet UNG must serialize byte-identically to the sequential rip"
         );
-        assert_eq!(o.stats.windows_seen, *windows_seen, "{app}: windows seen");
-        assert_eq!(o.stats.blocklisted, *blocklisted, "{app}: blocklist hits");
-        if app == "Unforkable" {
-            assert!(o.fell_back(), "{app}: must ride the sequential fallback");
-        } else {
-            assert!(!o.fell_back(), "{app}: Office apps fork");
-            assert!(
-                o.stats.pool_hits > 0,
-                "{app}: shards must serve shared captures from the pool"
-            );
-        }
-    }
-}
-
-/// Subtree-speculation equivalence oracle (the release gate for the
-/// scheduler-adoption engine): with deep worker-side walks enabled
-/// (`spec_walk: 8`), every merged UNG must stay byte-identical to the
-/// sequential rip — adoption substitutes results keyed by the complete
-/// exploration input `(setup, path, candidate)`, so a key match can never
-/// change a committed byte — while the engine demonstrably *uses* the
-/// table (nonzero adoptions per Office app) and the accounting invariant
-/// `published == adopted + wasted` holds on every healthy lane.
-#[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn speculative_rip_ung_is_byte_identical_to_sequential() {
-    for kind in AppKind::ALL {
-        let cfg = RipConfig::office(kind.name());
-        let mut s = Session::new(kind.launch_small());
-        let (g_seq, st_seq) = rip(&mut s, &cfg);
-        assert_eq!(st_seq.spec_published, 0, "{kind}: sequential rips never speculate");
-
-        let mut s2 = Session::new(kind.launch_small());
-        let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 };
-        let (g_par, st_par) = rip_parallel(&mut s2, &cfg, &par);
-
-        assert_eq!(
-            serde_json::to_string(&g_par).unwrap(),
-            serde_json::to_string(&g_seq).unwrap(),
-            "{kind}: speculative UNG must serialize byte-identically to sequential"
-        );
-        assert!(
-            st_par.spec_adopted > 0,
-            "{kind}: deep walks must yield scheduler adoptions (published={})",
-            st_par.spec_published
-        );
-        assert_eq!(
-            st_par.spec_published,
-            st_par.spec_adopted + st_par.spec_wasted,
-            "{kind}: every published speculation is adopted or counted as waste"
-        );
-        assert_eq!(st_par.windows_seen, st_seq.windows_seen, "{kind}: windows seen");
-        assert_eq!(st_par.blocklisted, st_seq.blocklisted, "{kind}: blocklist hits");
-    }
-}
-
-/// Fleet-mode speculation oracle: deep walks across a mixed fleet (three
-/// Office apps + an unforkable entry on the sequential fallback) keep
-/// every UNG byte-identical to its sequential rip, adopt speculations on
-/// every Office lane, balance the waste ledger per entry, and leave the
-/// fallback entry's speculation counters at zero.
-#[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn speculative_fleet_ungs_are_byte_identical_to_sequential() {
-    use dmi_apps::testkit::UnforkableApp;
-
-    let mut seq: Vec<(String, String)> = Vec::new();
-    for kind in AppKind::ALL {
-        let cfg = RipConfig::office(kind.name());
-        let mut s = Session::new(kind.launch_small());
-        let (g, _) = rip(&mut s, &cfg);
-        seq.push((kind.name().to_string(), serde_json::to_string(&g).unwrap()));
-    }
-    {
-        let mut s = Session::new(Box::new(UnforkableApp::new(3)));
-        let (g, _) = rip(&mut s, &RipConfig::default());
-        seq.push(("Unforkable".to_string(), serde_json::to_string(&g).unwrap()));
-    }
-
-    let mut entries: Vec<FleetEntry> = AppKind::ALL
-        .iter()
-        .map(|k| {
-            FleetEntry::new(k.name(), Session::new(k.launch_small()), RipConfig::office(k.name()))
-        })
-        .collect();
-    entries.push(FleetEntry::new(
-        "Unforkable",
-        Session::new(Box::new(UnforkableApp::new(3))),
-        RipConfig::default(),
-    ));
-
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 });
-    assert_eq!(out.len(), seq.len());
-    for (o, (app, g_seq)) in out.iter().zip(&seq) {
-        assert_eq!(&o.app_id, app);
-        assert_eq!(
-            &serde_json::to_string(&o.graph).unwrap(),
-            g_seq,
-            "{app}: speculative fleet UNG must serialize byte-identically"
-        );
-        assert_eq!(
-            o.stats.spec_published,
-            o.stats.spec_adopted + o.stats.spec_wasted,
-            "{app}: speculation ledger balances"
-        );
-        if app == "Unforkable" {
-            assert!(o.fell_back(), "{app}: rides the sequential fallback");
-            assert_eq!(o.stats.spec_published, 0, "{app}: the fallback never speculates");
-        } else {
-            assert!(
-                o.stats.spec_adopted > 0,
-                "{app}: fleet lanes must adopt speculations (published={})",
-                o.stats.spec_published
-            );
-        }
+        assert_eq!(o.stats, st_seq, "{app}: a fleet entry is the sequential rip");
     }
 }
 
@@ -530,9 +354,9 @@ fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
 /// The observability non-interference oracle for the rip path: a fleet
 /// rip with tracing enabled must produce UNGs byte-identical to the
 /// untraced fleet — recording is strictly observational, so timestamps
-/// can differ but never a merged byte — while the captured trace itself
-/// is substantive: stall spans attributed apart from explore spans, and
-/// the stall total on its own summary line.
+/// can differ but never a UNG byte — while the captured trace itself is
+/// substantive: one `rip.sequential` span per entry, inside the fleet's
+/// `rip.fleet` span.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn traced_fleet_rip_is_byte_identical_to_untraced() {
@@ -549,18 +373,15 @@ fn traced_fleet_rip_is_byte_identical_to_untraced() {
             })
             .collect()
     };
-    let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
 
-    let mut plain = entries();
-    let untraced: Vec<String> = rip_fleet(&mut plain, &par)
+    let untraced: Vec<String> = rip_fleet(&mut entries(), &ParRipConfig)
         .iter()
         .map(|o| serde_json::to_string(&o.graph).unwrap())
         .collect();
 
     dmi_obs::clear();
     dmi_obs::set_enabled(true);
-    let mut observed = entries();
-    let out = rip_fleet(&mut observed, &par);
+    let out = rip_fleet(&mut entries(), &ParRipConfig);
     dmi_obs::set_enabled(false);
     let trace = dmi_obs::drain();
     dmi_obs::clear();
@@ -569,14 +390,22 @@ fn traced_fleet_rip_is_byte_identical_to_untraced() {
         assert_eq!(
             &serde_json::to_string(&o.graph).unwrap(),
             want,
-            "{}: tracing must never change a merged byte",
+            "{}: tracing must never change a UNG byte",
             o.app_id
         );
     }
-    assert!(!trace.is_empty(), "the traced run recorded events");
-    assert!(trace.count(Some(dmi_obs::Cat::Scheduler), "stall") > 0, "stalls attributed");
-    assert!(trace.count(Some(dmi_obs::Cat::Worker), "explore") > 0, "explores recorded");
-    assert!(trace.text_summary().contains("scheduler stall total:"));
+    let fleet = trace.events.iter().find(|e| e.name == "rip.fleet").expect("fleet span");
+    let rips: Vec<_> = trace.events.iter().filter(|e| e.name == "rip.sequential").collect();
+    assert_eq!(rips.len(), out.len(), "one sequential rip span per entry");
+    for r in rips {
+        assert_eq!(r.cat, dmi_obs::Cat::Rip);
+        assert!(r.dur_us > 0, "rip spans carry their wall time");
+        assert!(
+            r.ts_us >= fleet.ts_us && r.ts_us + r.dur_us <= fleet.ts_us + fleet.dur_us,
+            "every entry's rip runs inside the fleet span"
+        );
+    }
+    assert!(trace.text_summary().contains("rip.sequential"));
 }
 
 /// The observability non-interference oracle for the serve path: the

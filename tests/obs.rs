@@ -29,8 +29,8 @@ fn office_entries() -> Vec<FleetEntry> {
         .collect()
 }
 
-/// One traced 3-app / 2-worker fleet rip, shared by every test that only
-/// inspects the resulting trace (the rip is the expensive part).
+/// One traced 3-app fleet rip, shared by every test that only inspects
+/// the resulting trace (the rip is the expensive part).
 struct FleetObs {
     trace: Trace,
     tallies: BTreeMap<&'static str, u64>,
@@ -43,11 +43,10 @@ fn fleet_obs() -> &'static FleetObs {
         dmi_obs::clear();
         dmi_obs::set_enabled(true);
         let mut entries = office_entries();
-        let out =
-            rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 });
+        let out = rip_fleet(&mut entries, &ParRipConfig);
         dmi_obs::set_enabled(false);
         assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|o| !o.fell_back()), "Office apps fork");
+        assert!(out.iter().all(|o| o.error().is_none()), "every Office app rips");
         let trace = dmi_obs::drain();
         let tallies = dmi_obs::tallies();
         dmi_obs::clear();
@@ -72,20 +71,17 @@ fn off_path_records_nothing_through_a_real_rip() {
 }
 
 #[test]
-fn traced_fleet_distinguishes_stalls_from_explores_and_exports_valid_chrome_json() {
+fn traced_fleet_records_per_app_rips_and_exports_valid_chrome_json() {
     let _g = guard();
     let obs = fleet_obs();
 
-    // Stall attribution: scheduler stall spans and worker explore spans
-    // are distinct, both present, and the summary totals them apart.
-    let stalls = obs.trace.count(Some(Cat::Scheduler), "stall");
-    let explores = obs.trace.count(Some(Cat::Worker), "explore");
-    assert!(stalls > 0, "commit lanes blocked at least once");
-    assert!(explores > 0, "workers explored candidates");
-    assert!(obs.trace.total_dur_us(Some(Cat::Worker), "explore") > 0);
+    // One sequential rip span per app, each with its capture rebuilds,
+    // all listed by the summary.
+    assert_eq!(obs.trace.count(Some(Cat::Rip), "rip.sequential"), 3, "one rip per app");
+    assert!(obs.trace.total_dur_us(Some(Cat::Rip), "rip.sequential") > 0);
+    assert!(obs.trace.count(Some(Cat::Capture), "rebuild") > 0, "captures were rebuilt");
     let summary = obs.trace.text_summary();
-    assert!(summary.contains("scheduler stall total:"), "{summary}");
-    assert!(summary.contains("worker explore total:"), "{summary}");
+    assert!(summary.contains("rip.sequential"), "{summary}");
 
     // The Chrome export round-trips through the JSON parser as a valid
     // trace-event array.
@@ -112,9 +108,10 @@ fn traced_fleet_distinguishes_stalls_from_explores_and_exports_valid_chrome_json
 }
 
 /// Wall-clock events of one thread come out of one ring, so RAII spans
-/// recorded on a thread must nest: every `scheduler.park` interval lies
-/// inside the enclosing `rip.fleet` span, and one worker thread's
-/// `explore` spans never overlap each other.
+/// recorded on a thread must nest: every `rip.sequential` interval lies
+/// inside the enclosing `rip.fleet` span, one fleet thread's rips never
+/// overlap each other, and each capture `rebuild` nests inside the rip
+/// on its thread.
 #[test]
 fn raii_spans_balance_per_thread() {
     let _g = guard();
@@ -126,23 +123,28 @@ fn raii_spans_balance_per_thread() {
         .find(|e| e.name == "rip.fleet")
         .expect("the fleet rip records its top-level span");
     let fleet_end = fleet.ts_us + fleet.dur_us;
-    for e in obs.trace.events.iter().filter(|e| e.name == "scheduler.park") {
-        assert_eq!(e.tid, fleet.tid, "parks happen on the scheduler thread");
-        assert!(e.ts_us >= fleet.ts_us && e.ts_us + e.dur_us <= fleet_end, "park nests in fleet");
-    }
     let mut by_tid: BTreeMap<u64, Vec<&Event>> = BTreeMap::new();
-    for e in obs.trace.events.iter().filter(|e| e.name == "explore") {
+    for e in obs.trace.events.iter().filter(|e| e.name == "rip.sequential") {
+        assert!(e.ts_us >= fleet.ts_us && e.ts_us + e.dur_us <= fleet_end, "rip nests in fleet");
         by_tid.entry(e.tid).or_default().push(e);
     }
     assert!(!by_tid.is_empty());
-    for (tid, spans) in by_tid {
+    for (tid, rips) in &by_tid {
         // Drained order is (ts, tid)-sorted already.
-        for w in spans.windows(2) {
+        for w in rips.windows(2) {
             assert!(
                 w[0].ts_us + w[0].dur_us <= w[1].ts_us,
-                "thread {tid}: explore spans are sequential, not overlapping"
+                "thread {tid}: rips are sequential, not overlapping"
             );
         }
+    }
+    for e in obs.trace.events.iter().filter(|e| e.name == "rebuild") {
+        let rips = by_tid.get(&e.tid).expect("rebuilds happen on rip threads");
+        assert!(
+            rips.iter().any(|r| e.ts_us >= r.ts_us && e.ts_us + e.dur_us <= r.ts_us + r.dur_us),
+            "thread {}: a rebuild nests in its rip",
+            e.tid
+        );
     }
 }
 
@@ -273,34 +275,24 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(cs.pool_misses, t("capture.pool_misses"), "pool misses");
 }
 
-/// The fleet-side drift cross-check: lane commit counters and pooled
-/// worker-unit harvests must add up to exactly the per-event tallies —
-/// a unit harvested twice (or a shard session skipped) breaks it.
+/// The fleet-side drift cross-check: the per-entry stats, summed over the
+/// fleet, must add up to exactly the per-event tallies recorded on every
+/// rip thread — an entry counted twice (or a thread's events lost)
+/// breaks it.
 #[test]
 fn fleet_stats_match_obs_tallies() {
     let _g = guard();
     let obs = fleet_obs();
     let t = |k: &str| obs.tallies.get(k).copied().unwrap_or(0);
     let sum = |f: fn(&RipStats) -> u64| obs.stats.iter().map(f).sum::<u64>();
-    assert_eq!(sum(|s| s.windows_seen), t("rip.windows_seen"), "windows seen (commit-derived)");
-    assert_eq!(sum(|s| s.clicks), t("rip.clicks"), "clicks (worker effort)");
-    assert_eq!(sum(|s| s.snapshots), t("rip.snapshots"), "snapshots (worker effort)");
+    assert_eq!(sum(|s| s.windows_seen), t("rip.windows_seen"), "windows seen");
+    assert_eq!(sum(|s| s.clicks), t("rip.clicks"), "clicks");
+    assert_eq!(sum(|s| s.snapshots), t("rip.snapshots"), "snapshots");
+    assert_eq!(sum(|s| s.restarts), t("rip.restarts"), "restarts");
+    assert_eq!(sum(|s| s.esc_recoveries), t("rip.esc_recoveries"), "esc recoveries");
     assert_eq!(sum(|s| s.blocklisted), t("rip.blocklisted"), "blocklist hits");
     assert_eq!(sum(|s| s.pool_hits), t("capture.pool_hits"), "capture-pool hits");
     assert_eq!(sum(|s| s.pool_misses), t("capture.pool_misses"), "capture-pool misses");
-    assert!(t("capture.pool_hits") > 0, "shards served shared captures");
-    // Speculation ledger: worker-side publications tally as `spec.depth`
-    // at the same site as the stat, scheduler-side adoptions and waste at
-    // theirs — and on an all-healthy fleet every publication is resolved
-    // one way or the other.
-    assert_eq!(sum(|s| s.spec_published), t("spec.depth"), "speculations published");
-    assert_eq!(sum(|s| s.spec_adopted), t("spec.adopt"), "speculations adopted");
-    assert_eq!(sum(|s| s.spec_wasted), t("spec.waste"), "speculations wasted");
-    assert_eq!(
-        t("spec.depth"),
-        t("spec.adopt") + t("spec.waste"),
-        "every published speculation is adopted or counted as waste"
-    );
 }
 
 /// The serve-side drift cross-check: gateway counters harvested from

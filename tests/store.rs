@@ -99,13 +99,18 @@ fn corrupt_truncated_and_wrong_version_artifacts_fail_typed() {
     bad[0] ^= 0xFF;
     assert!(matches!(dmi_store::decode_rip(&bad), Err(StoreError::BadMagic)));
 
-    // Wrong format version (header bytes 8..12, little-endian).
-    let mut bad = bytes.clone();
-    bad[8..12].copy_from_slice(&999u32.to_le_bytes());
-    assert!(matches!(
-        dmi_store::decode_rip(&bad),
-        Err(StoreError::UnsupportedVersion { found: 999 })
-    ));
+    // Wrong format version (header bytes 8..12, little-endian): an
+    // unknown future version, and version 2, whose stats section still
+    // carried the speculation counters.
+    for version in [999u32, 2] {
+        let mut bad = bytes.clone();
+        bad[8..12].copy_from_slice(&version.to_le_bytes());
+        let err = dmi_store::decode_rip(&bad).expect_err("a foreign version must be refused");
+        assert!(
+            matches!(err, StoreError::UnsupportedVersion { found } if found == version),
+            "version {version}: unexpected error {err}"
+        );
+    }
 
     // Kind confusion: a capture artifact is not a rip artifact (and
     // vice versa).
