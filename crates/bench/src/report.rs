@@ -113,16 +113,14 @@ pub fn serve_line(
 }
 
 /// One persistence line for the store bench reporter: artifact size
-/// against the JSON baseline, disk round-trip cost, and the two warm-path
-/// efficacy rates (journal edge confirmation, pool warm hits).
-#[allow(clippy::too_many_arguments)]
+/// against the JSON baseline, disk round-trip cost, and the warm-pool
+/// hit rate of a re-rip booted from the stored capture export.
 pub fn store_line(
     app: &str,
     binary_bytes: u64,
     json_bytes: u64,
     save_ms: f64,
     load_ms: f64,
-    edge_confirm_rate: f64,
     warm_hit_rate: f64,
 ) -> String {
     let mut reg = Registry::new();
@@ -130,7 +128,6 @@ pub fn store_line(
     reg.inc("store.json_bytes", json_bytes);
     reg.set_gauge("store.save_ms", save_ms);
     reg.set_gauge("store.load_ms", load_ms);
-    reg.set_gauge("store.edge_confirm_rate", edge_confirm_rate);
     reg.set_gauge("store.warm_hit_rate", warm_hit_rate);
     let binary = reg.counter("store.binary_bytes");
     let json = reg.counter("store.json_bytes");
@@ -141,7 +138,6 @@ pub fn store_line(
         .pct("ratio", ratio)
         .ms("save", reg.gauge("store.save_ms"))
         .ms("load", reg.gauge("store.load_ms"))
-        .pct("edges_confirmed", reg.gauge("store.edge_confirm_rate"))
         .pct("warm_hits", reg.gauge("store.warm_hit_rate"))
         .render()
 }
@@ -181,9 +177,9 @@ mod tests {
     #[test]
     fn store_line_reports_size_ratio_times_and_rates() {
         assert_eq!(
-            store_line("Word", 48_213, 130_552, 1.2345, 0.876, 0.821, 0.4),
+            store_line("Word", 48_213, 130_552, 1.2345, 0.876, 0.4),
             "store Word: binary=48213B json=130552B ratio=36.9% save=1.23ms load=0.88ms \
-             edges_confirmed=82.1% warm_hits=40.0%"
+             warm_hits=40.0%"
         );
     }
 

@@ -217,7 +217,7 @@ impl Ung {
                 pred.len()
             ));
         }
-        if root >= n.max(1) {
+        if root >= n {
             return Err(format!("root {root} out of range for {n} nodes"));
         }
         let mut edges = 0usize;
@@ -415,6 +415,20 @@ mod tests {
             1
         );
         assert_eq!(g2.node_count(), n, "re-add must dedup, not grow");
+    }
+
+    #[test]
+    fn from_raw_parts_round_trips_and_rejects_an_empty_graph() {
+        let g = ung_from_parts(&[("A", CT::Button), ("B", CT::Button)], &[(0, 1)]);
+        let (nodes, succ, pred, root, edges) = g.raw_parts();
+        let back =
+            Ung::from_raw_parts(nodes.to_vec(), succ.to_vec(), pred.to_vec(), root, edges).unwrap();
+        assert_eq!(back.node_count(), g.node_count());
+        assert_eq!(back.edge_count(), g.edge_count());
+        // Every graph holds at least its virtual root; zero nodes with
+        // root 0 would index out of bounds downstream.
+        let err = Ung::from_raw_parts(Vec::new(), Vec::new(), Vec::new(), 0, 0).unwrap_err();
+        assert!(err.contains("root 0 out of range for 0 nodes"), "{err}");
     }
 
     #[test]

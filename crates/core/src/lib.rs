@@ -26,9 +26,9 @@ pub mod dmi;
 pub mod error;
 pub mod fuzz;
 pub mod graph;
-pub mod incremental;
 pub mod interface;
 pub mod parallel;
+mod pristine;
 pub mod ripper;
 pub mod screen;
 pub mod tokens;
@@ -38,13 +38,10 @@ pub use describe::DescribeConfig;
 pub use dmi::{Dmi, DmiBuildConfig, DmiBuildStats, VisitOutcome};
 pub use error::{DmiError, DmiResult, RipError};
 pub use graph::{Ung, UngNode};
-pub use incremental::{
-    pristine_signature, rip_incremental, rip_journaled, IncrementalStats, JournalEntry, RipJournal,
-    WindowSig,
-};
 pub use interface::{ExecutorConfig, VisitCommand};
 pub use parallel::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome, RipStatus};
-pub use ripper::{ContextSetup, RipConfig, RipStats};
+pub use pristine::{pristine_signature, WindowSig};
+pub use ripper::{ContextSetup, RipConfig, RipJournal, RipStats};
 pub use screen::{label_screen, LabeledScreen};
 pub use topology::{Forest, ForestConfig};
 

@@ -34,7 +34,7 @@
 //! plus the recovery-planner state) and a [`Frontier`] (the UNG under
 //! construction, the visited set, and the DFS stack), connected by the
 //! pure [`diff_fresh`] differential. The sequential ripper composes them
-//! in a loop; the incremental re-rip reuses both.
+//! in a loop.
 
 use crate::graph::{Ung, UngNode, UngNodeId};
 use dmi_gui::Session;
@@ -148,42 +148,52 @@ pub struct RipStats {
 
 impl RipStats {
     /// Folds a session's capture-pool counter delta into the rip stats
-    /// (engines call this once per session at the end of a rip).
-    pub(crate) fn fold_pool_delta(
-        &mut self,
-        before: dmi_gui::CaptureStats,
-        after: dmi_gui::CaptureStats,
-    ) {
+    /// (called once at the end of a rip).
+    fn fold_pool_delta(&mut self, before: dmi_gui::CaptureStats, after: dmi_gui::CaptureStats) {
         self.pool_hits += after.pool_hits - before.pool_hits;
         self.pool_misses += after.pool_misses - before.pool_misses;
         self.poison_recoveries += after.poison_recoveries - before.poison_recoveries;
     }
 }
 
+/// An empty placeholder for the retired exploration journal. It records
+/// nothing and the store does not persist it; it remains only because
+/// the frozen benchmark (`dmibench/src/legacy.rs`) constructs it, and
+/// goes with that benchmark's next change.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct RipJournal;
+
+impl RipJournal {
+    /// The (always empty) journal.
+    pub fn new() -> RipJournal {
+        RipJournal
+    }
+}
+
 /// One candidate awaiting exploration: the control, its fingerprint, and
 /// the click path that reveals it.
 #[derive(Debug, Clone)]
-pub(crate) struct Candidate {
-    pub cid: ControlId,
-    pub key: ControlKey,
-    pub path: Vec<ControlId>,
+struct Candidate {
+    cid: ControlId,
+    key: ControlKey,
+    path: Vec<ControlId>,
 }
 
 /// The pre/post capture pair produced by exploring one candidate.
-pub(crate) struct Explored {
-    pub pre: Arc<Snapshot>,
-    pub post: Arc<Snapshot>,
+struct Explored {
+    pre: Arc<Snapshot>,
+    post: Arc<Snapshot>,
 }
 
 /// An exploration unit: one session plus the §4.1 recovery planner.
 /// [`ExploreUnit::explore`] is a pure function of `(setup, path,
 /// candidate)` — state is always (re-)established from a provably
 /// launch-equivalent base first.
-pub(crate) struct ExploreUnit<'a> {
+struct ExploreUnit<'a> {
     session: &'a mut Session,
     config: &'a RipConfig,
     /// Effort counters accumulated by this unit.
-    pub stats: RipStats,
+    stats: RipStats,
     /// The tree's persistent-mutation epoch recorded at the last restart.
     /// While it holds, the only state accumulated since the restart is
     /// transient (windows, popups) or tab selection — exactly what Esc
@@ -215,12 +225,12 @@ pub fn rip(session: &mut Session, config: &RipConfig) -> (Ung, RipStats) {
     }
     let Explorer { unit, frontier } = ex;
     let mut stats = unit.stats;
-    stats.fold_pool_delta(cs0, unit.session().capture_stats());
+    stats.fold_pool_delta(cs0, unit.session.capture_stats());
     (frontier.g, stats)
 }
 
 impl<'a> ExploreUnit<'a> {
-    pub fn new(session: &'a mut Session, config: &'a RipConfig) -> ExploreUnit<'a> {
+    fn new(session: &'a mut Session, config: &'a RipConfig) -> ExploreUnit<'a> {
         ExploreUnit {
             session,
             config,
@@ -231,23 +241,13 @@ impl<'a> ExploreUnit<'a> {
         }
     }
 
-    /// The session this unit drives.
-    pub fn session(&self) -> &Session {
-        self.session
-    }
-
-    /// The rip configuration this unit explores under.
-    pub fn config(&self) -> &'a RipConfig {
-        self.config
-    }
-
-    pub fn snapshot(&mut self) -> Arc<Snapshot> {
+    fn snapshot(&mut self) -> Arc<Snapshot> {
         self.stats.snapshots += 1;
         dmi_obs::tally("rip.snapshots", 1);
         self.session.snapshot()
     }
 
-    pub fn restart(&mut self) {
+    fn restart(&mut self) {
         self.stats.restarts += 1;
         dmi_obs::tally("rip.restarts", 1);
         self.session.restart();
@@ -274,7 +274,7 @@ impl<'a> ExploreUnit<'a> {
     }
 
     /// Replays a click path from a fresh start; returns false on failure.
-    pub fn replay(&mut self, setup: &[String], path: &[ControlId]) -> bool {
+    fn replay(&mut self, setup: &[String], path: &[ControlId]) -> bool {
         self.restart();
         self.walk(setup, path, true)
     }
@@ -374,7 +374,7 @@ impl<'a> ExploreUnit<'a> {
     /// pre/post snapshot pair. `None` when the state could not be
     /// established or the click failed (counted as a replay failure,
     /// exactly like the sequential DFS).
-    pub fn explore(
+    fn explore(
         &mut self,
         setup: &[String],
         cid: &ControlId,
@@ -435,7 +435,7 @@ impl<'a> ExploreUnit<'a> {
 /// The "present before?" test runs against the pre-snapshot's identity
 /// index: each post node's [`ControlKey`] probes the pre key-multimap and
 /// collision-confirms component-wise. Depends only on the two snapshots.
-pub(crate) fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
+fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
     let pre_ix = pre.index();
     let post_ix = post.index();
     // One probe per post node follows: amortize the multimap.
@@ -466,8 +466,8 @@ pub(crate) fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
 /// set and the DFS stack. All graph mutation goes through [`Frontier::seed`]
 /// and [`Frontier::commit`]; committing outcomes in the same order always
 /// produces the same graph bytes.
-pub(crate) struct Frontier {
-    pub g: Ung,
+struct Frontier {
+    g: Ung,
     /// Controls already explored (or blocklisted), keyed by
     /// [`ControlKey`] with full-id confirmation — no per-probe string
     /// encoding or hashing.
@@ -477,24 +477,24 @@ pub(crate) struct Frontier {
 }
 
 impl Frontier {
-    pub fn new() -> Frontier {
+    fn new() -> Frontier {
         Frontier { g: Ung::new(), visited: ControlIdSet::new(), stack: Vec::new() }
     }
 
     /// Pops the next candidate (LIFO — depth-first).
-    pub fn pop(&mut self) -> Option<Candidate> {
+    fn pop(&mut self) -> Option<Candidate> {
         self.stack.pop()
     }
 
     /// Marks a candidate visited; false when it already was (skip it).
-    pub fn visit(&mut self, c: &Candidate) -> bool {
+    fn visit(&mut self, c: &Candidate) -> bool {
         self.visited.insert(c.key, &c.cid)
     }
 
     /// Seeds the UNG from an initial snapshot: hierarchy edges for every
     /// visible control, window roots under the virtual root; newly seen
     /// candidates are pushed onto the stack.
-    pub fn seed(
+    fn seed(
         &mut self,
         snap: &Snapshot,
         path: &[ControlId],
@@ -575,7 +575,7 @@ impl Frontier {
     /// (see [`diff_fresh`]) is dedup-inserted through the [`ControlKey`]
     /// hash+confirm index, gains an edge from its revealer, and — when
     /// genuinely new — is enqueued for its own exploration.
-    pub fn commit(
+    fn commit(
         &mut self,
         clicked: &ControlId,
         post: &Snapshot,

@@ -130,22 +130,18 @@ pub struct CaptureConfig {
     /// is an eager full rebuild — the equivalence oracle: both settings
     /// are observably identical (byte-identical snapshots and UNGs).
     pub cached: bool,
-    /// How many recent captures the MRU cache retains. The rip loop keeps
-    /// alternating between a base state and a handful of transient states,
-    /// so a short history converts most captures into O(1) hits.
-    pub depth: usize,
 }
 
 impl Default for CaptureConfig {
     fn default() -> Self {
-        CaptureConfig { cached: true, depth: 4 }
+        CaptureConfig { cached: true }
     }
 }
 
 impl CaptureConfig {
     /// Forces an eager full rebuild on every capture (the oracle setting).
     pub fn full_rebuild() -> Self {
-        CaptureConfig { cached: false, ..CaptureConfig::default() }
+        CaptureConfig { cached: false }
     }
 }
 
@@ -524,13 +520,7 @@ impl Session {
                     // Re-key the stash against the current tree so the
                     // next (post-click) capture can copy clean windows
                     // from it instead of re-walking everything.
-                    snapshot::adopt(
-                        &mut self.cache,
-                        self.app.tree(),
-                        &snap,
-                        self.query_seq,
-                        self.capture_cfg.depth,
-                    );
+                    snapshot::adopt(&mut self.cache, self.app.tree(), &snap, self.query_seq);
                     return Capture { snap, query_seq: self.query_seq, cache_hit: true };
                 }
             }
@@ -560,13 +550,7 @@ impl Session {
                 dmi_obs::instant(dmi_obs::Cat::Capture, "pool_hit", 0);
                 // Adopt as a donor so the next partial rebuild can copy
                 // clean windows (re-keyed against this session's stamps).
-                snapshot::adopt(
-                    &mut self.cache,
-                    self.app.tree(),
-                    &snap,
-                    self.query_seq,
-                    self.capture_cfg.depth,
-                );
+                snapshot::adopt(&mut self.cache, self.app.tree(), &snap, self.query_seq);
                 if let Some(token) = pristine_token {
                     self.pristine_snap = Some((token, Arc::clone(&snap)));
                 }
@@ -582,7 +566,6 @@ impl Session {
             self.app.tree(),
             &self.inst,
             self.query_seq,
-            self.capture_cfg.depth,
             keys,
             &mut self.cache,
             &mut self.capture_stats,

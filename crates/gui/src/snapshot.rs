@@ -156,6 +156,12 @@ impl CachedCapture {
     }
 }
 
+/// How many recent captures the MRU cache retains. The rip loop keeps
+/// alternating between a base state and a handful of transient states,
+/// so a short history converts most captures into O(1) hits (a depth of
+/// 1 measured about 3x slower on full-app rips).
+const MRU_DEPTH: usize = 4;
+
 /// MRU cache of recent captures plus the shared per-window layout cache.
 /// Owned by `Session`; cleared on restart (an application `reset` may
 /// swap the tree wholesale, which would break stamp lineage).
@@ -246,7 +252,6 @@ pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
     query_seq: u64,
-    depth: usize,
     keys: Vec<WindowKey>,
     cache: &mut CaptureCache,
     stats: &mut CaptureStats,
@@ -314,7 +319,7 @@ pub(crate) fn rebuild(
     cache
         .entries
         .insert(0, CachedCapture { snap: Arc::clone(&snap), context_epoch, windows: metas });
-    cache.entries.truncate(depth.max(1));
+    cache.entries.truncate(MRU_DEPTH);
     snap
 }
 
@@ -393,7 +398,7 @@ impl PoolEntry {
 /// deliberately absent: it attests an in-process allocation and does not
 /// survive serialization — importers re-key entries to the live session's
 /// token after attesting the pristine image structurally (see
-/// `dmi_core::incremental::pristine_signature`).
+/// `dmi_core::pristine_signature`).
 #[derive(Debug, Clone)]
 pub struct PooledCapture {
     /// Instability-model fingerprint the entry was built under.
@@ -611,13 +616,7 @@ impl CapturePool {
 /// (each open window's DFS emits one contiguous block starting at its
 /// root); adoption is skipped when the shapes cannot be aligned (a hidden
 /// window root contributed no block).
-pub(crate) fn adopt(
-    cache: &mut CaptureCache,
-    tree: &UiTree,
-    snap: &Arc<Snapshot>,
-    query_seq: u64,
-    depth: usize,
-) {
+pub(crate) fn adopt(cache: &mut CaptureCache, tree: &UiTree, snap: &Arc<Snapshot>, query_seq: u64) {
     let open = tree.open_windows();
     if snap.windows().len() != open.len() {
         return;
@@ -648,7 +647,7 @@ pub(crate) fn adopt(
             windows: metas,
         },
     );
-    cache.entries.truncate(depth.max(1));
+    cache.entries.truncate(MRU_DEPTH);
 }
 
 /// Maps a snapshot runtime id back to the widget it was built from.

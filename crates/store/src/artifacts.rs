@@ -1,5 +1,5 @@
 //! Value codecs for the domain types the store persists: UNGs, rip
-//! journals, window signatures, snapshots, and pooled captures.
+//! stats, window signatures, snapshots, and pooled captures.
 //!
 //! Reconstruction invariants the byte-identity oracles rest on:
 //!
@@ -16,7 +16,7 @@
 //!   reordering is a format break and must bump [`crate::codec::FORMAT_VERSION`].
 
 use crate::codec::{corrupt, Dec, Enc, Interner, StoreResult};
-use dmi_core::{JournalEntry, RipStats, Ung, UngNode, WindowSig};
+use dmi_core::{RipStats, Ung, UngNode, WindowSig};
 use dmi_gui::PooledCapture;
 use dmi_uia::{
     ControlId, ControlProps, ControlType, PatternKind, PatternSet, Rect, RuntimeId, Snapshot,
@@ -157,108 +157,6 @@ pub fn dec_rip_stats(d: &mut Dec) -> StoreResult<RipStats> {
         pool_misses: d.u64()?,
         poison_recoveries: d.u64()?,
     })
-}
-
-/// The journal's window-signature table: a rip's entries repeat a small
-/// set of distinct [`WindowSig`]s across thousands of pre/post lists
-/// (most explorations share the same surrounding windows), so the
-/// JOURNAL section interns sigs and encodes the lists as id sequences —
-/// the dominant size win of the binary format over JSON.
-#[derive(Default)]
-struct SigTable {
-    sigs: Vec<WindowSig>,
-    ids: std::collections::HashMap<(u64, u64, bool, String), u32>,
-}
-
-impl SigTable {
-    fn id(&mut self, s: &WindowSig) -> u32 {
-        let key = (s.digest[0], s.digest[1], s.modal, s.root_name.clone());
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
-        }
-        let id = self.sigs.len() as u32;
-        self.sigs.push(s.clone());
-        self.ids.insert(key, id);
-        id
-    }
-}
-
-pub fn enc_journal_entries(e: &mut Enc, it: &mut Interner, entries: &[JournalEntry]) {
-    // First pass: intern every sig so the table can be emitted up front.
-    let mut table = SigTable::default();
-    let ids: Vec<(Vec<u32>, Vec<u32>)> = entries
-        .iter()
-        .map(|entry| {
-            (
-                entry.pre.iter().map(|s| table.id(s)).collect(),
-                entry.post.iter().map(|s| table.id(s)).collect(),
-            )
-        })
-        .collect();
-    enc_sigs(e, it, &table.sigs);
-    e.len(entries.len());
-    for (entry, (pre_ids, post_ids)) in entries.iter().zip(&ids) {
-        e.len(entry.setup.len());
-        for s in &entry.setup {
-            e.str(it, s);
-        }
-        enc_control_id(e, it, &entry.cid);
-        e.len(entry.path.len());
-        for p in &entry.path {
-            enc_control_id(e, it, p);
-        }
-        for list in [pre_ids, post_ids] {
-            e.len(list.len());
-            for &id in list {
-                e.u32(id);
-            }
-        }
-        e.len(entry.fresh.len());
-        for &(w, off) in &entry.fresh {
-            e.u32(w);
-            e.u32(off);
-        }
-    }
-}
-
-pub fn dec_journal_entries(d: &mut Dec, strings: &[String]) -> StoreResult<Vec<JournalEntry>> {
-    let table = dec_sigs(d, strings)?;
-    let dec_sig_list = |d: &mut Dec| -> StoreResult<Vec<WindowSig>> {
-        let n = d.len(4)?;
-        let mut sigs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = d.u32()? as usize;
-            let sig = table.get(id).ok_or_else(|| {
-                corrupt(format!("sig id {id} out of table range {}", table.len()))
-            })?;
-            sigs.push(sig.clone());
-        }
-        Ok(sigs)
-    };
-    let n = d.len(25)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let n_setup = d.len(4)?;
-        let mut setup = Vec::with_capacity(n_setup);
-        for _ in 0..n_setup {
-            setup.push(d.str(strings)?.to_string());
-        }
-        let cid = dec_control_id(d, strings)?;
-        let n_path = d.len(9)?;
-        let mut path = Vec::with_capacity(n_path);
-        for _ in 0..n_path {
-            path.push(dec_control_id(d, strings)?);
-        }
-        let pre = dec_sig_list(d)?;
-        let post = dec_sig_list(d)?;
-        let n_fresh = d.len(8)?;
-        let mut fresh = Vec::with_capacity(n_fresh);
-        for _ in 0..n_fresh {
-            fresh.push((d.u32()?, d.u32()?));
-        }
-        entries.push(JournalEntry { setup, cid, path, pre, post, fresh });
-    }
-    Ok(entries)
 }
 
 /// Node flag byte: bits 0–3 hold the four booleans, bits 4–5 the

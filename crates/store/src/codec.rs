@@ -18,8 +18,8 @@
 //! Strings are interned: every section stores `u32` ids into a shared
 //! string table carried in its own section (tag [`sec::STRINGS`]), which
 //! is always decoded first. Office UNGs repeat a few hundred names across
-//! thousands of nodes, journal paths, and snapshots — interning is most
-//! of the codec's size win over the JSON path.
+//! thousands of nodes and snapshots — interning is most of the codec's
+//! size win over the JSON path.
 //!
 //! Every read is bounds- and checksum-guarded: truncated, corrupt, or
 //! wrong-version input surfaces a typed [`StoreError`], never a panic.
@@ -30,14 +30,14 @@ use std::fmt;
 /// Current on-disk format version. Bump on any layout change; readers
 /// refuse other versions with [`StoreError::UnsupportedVersion`] (see
 /// `docs/persistence.md` for the compatibility rules).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"DMISTORE";
 
 /// Artifact kinds (the `kind` header byte).
 pub mod kind {
-    /// A stored rip: UNG + journal + pristine signature.
+    /// A stored rip: UNG + rip stats + pristine signature.
     pub const RIP: u8 = 1;
     /// A stored capture-pool export.
     pub const CAPTURES: u8 = 2;
@@ -51,8 +51,6 @@ pub mod sec {
     pub const META: u8 = 2;
     /// The UNG graph.
     pub const UNG: u8 = 3;
-    /// The exploration journal.
-    pub const JOURNAL: u8 = 4;
     /// Pooled capture entries.
     pub const ENTRIES: u8 = 5;
 }
@@ -94,8 +92,7 @@ pub enum StoreError {
     },
     /// A warm-boot attestation failed: the stored pristine signature
     /// does not match the live application's, so serving the stored
-    /// captures or journal would be unsound (e.g. a different app
-    /// version).
+    /// UNG or captures would be unsound (e.g. a different app version).
     PristineMismatch {
         /// The store key the attestation was performed for.
         app: String,

@@ -1,13 +1,11 @@
 //! Persistent storage for ripped UNGs and capture pools.
 //!
 //! This crate adds the third leg of the DMI lifecycle: after a UNG has
-//! been ripped (`dmi-core`) and served (`dmi-agent`), it can now be
-//! **saved** — together with its exploration journal and the session's
-//! capture pool — and a later process can **load** it to warm-boot a
-//! gateway or to run an *incremental re-rip* against a new build of the
-//! application ([`rip_incremental`]).
+//! been ripped (`dmi-core`) and served (`dmi-agent`), it can be
+//! **saved** — together with its rip stats and the session's capture
+//! pool — and a later process can **load** it to warm-boot a gateway.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`codec`]: the length-prefixed, checksummed, versioned binary
 //!   container ([`FORMAT_VERSION`], `b"DMISTORE"` magic). Corrupt,
@@ -21,10 +19,6 @@
 //!   ([`StoreError::PristineMismatch`]). The in-process
 //!   `pristine_token` cannot serve here — it is an `Arc` address and
 //!   therefore process-local.
-//! - [`rip_incremental`] / [`record_rip`]: journal-driven re-rips that
-//!   skip unchanged explorations while staying byte-identical to a cold
-//!   rip of the new build (release-gated oracles in
-//!   `tests/store.rs`).
 //!
 //! See `docs/persistence.md` for the format layout and compatibility
 //! rules.
@@ -35,7 +29,7 @@ mod codec;
 pub use codec::{StoreError, StoreResult, FORMAT_VERSION};
 
 use codec::{kind, sec, ArtifactReader, ArtifactWriter, Dec, Enc};
-use dmi_core::{IncrementalStats, RipConfig, RipJournal, RipStats, Ung, WindowSig};
+use dmi_core::{RipConfig, RipJournal, RipStats, Ung, WindowSig};
 use dmi_gui::{PooledCapture, Session};
 use std::path::{Path, PathBuf};
 
@@ -57,9 +51,8 @@ pub fn recording_pool() -> std::sync::Arc<dmi_gui::CapturePool> {
     std::sync::Arc::new(dmi_gui::CapturePool::new(8192))
 }
 
-/// A persisted rip: the UNG, its exploration journal (fuel for
-/// [`rip_incremental`]), the rip stats, and the structural identity of
-/// the application it was ripped from.
+/// A persisted rip: the UNG, the rip stats, and the structural identity
+/// of the application it was ripped from.
 #[derive(Debug)]
 pub struct StoredRip {
     /// Application key (also the file stem).
@@ -70,7 +63,9 @@ pub struct StoredRip {
     pub ung: Ung,
     /// Stats of the recording rip.
     pub stats: RipStats,
-    /// Per-exploration journal for incremental confirmation.
+    /// Always empty and never persisted. It remains only because the
+    /// frozen benchmark (`dmibench/src/legacy.rs`) sets it; the
+    /// benchmark's next change deletes it.
     pub journal: RipJournal,
 }
 
@@ -95,11 +90,8 @@ pub fn encode_rip(rip: &StoredRip) -> Vec<u8> {
     artifacts::enc_rip_stats(&mut meta, &rip.stats);
     let mut ung = Enc::default();
     artifacts::enc_ung(&mut ung, &mut w.interner, &rip.ung);
-    let mut journal = Enc::default();
-    artifacts::enc_journal_entries(&mut journal, &mut w.interner, rip.journal.entries());
     w.section(sec::META, meta);
     w.section(sec::UNG, ung);
-    w.section(sec::JOURNAL, journal);
     w.finish()
 }
 
@@ -117,10 +109,7 @@ pub fn decode_rip(bytes: &[u8]) -> StoreResult<StoredRip> {
     let mut ung = Dec::new(r.section(sec::UNG)?, "ung");
     let graph = artifacts::dec_ung(&mut ung, &r.strings)?;
     ung.finish()?;
-    let mut journal = Dec::new(r.section(sec::JOURNAL)?, "journal");
-    let entries = artifacts::dec_journal_entries(&mut journal, &r.strings)?;
-    journal.finish()?;
-    Ok(StoredRip { app, pristine, ung: graph, stats, journal: RipJournal::from_entries(entries) })
+    Ok(StoredRip { app, pristine, ung: graph, stats, journal: RipJournal::new() })
 }
 
 /// Serializes a [`StoredCaptures`] to the binary format.
@@ -237,13 +226,13 @@ impl Store {
     }
 }
 
-/// Rips `session` while recording a journal and packages the result for
-/// persistence. The pristine signature is taken *after* the rip (the
-/// session restarts either way, so the graph is unaffected).
+/// Rips `session` and packages the result for persistence. The pristine
+/// signature is taken *after* the rip (the session restarts either way,
+/// so the graph is unaffected).
 pub fn record_rip(app: &str, session: &mut Session, config: &RipConfig) -> StoredRip {
-    let (ung, stats, journal) = dmi_core::rip_journaled(session, config);
+    let (ung, stats) = dmi_core::ripper::rip(session, config);
     let pristine = dmi_core::pristine_signature(session);
-    StoredRip { app: app.to_string(), pristine, ung, stats, journal }
+    StoredRip { app: app.to_string(), pristine, ung, stats, journal: RipJournal::new() }
 }
 
 /// Packages the session's current capture-pool contents for persistence.
@@ -275,22 +264,6 @@ pub fn warm_session(store: &Store, app: &str, session: &mut Session) -> StoreRes
     Ok(session.import_pool_captures(entries))
 }
 
-/// Incrementally re-rips `session` against a stored prior rip: journaled
-/// explorations whose window signatures still match are confirmed from
-/// the journal instead of re-diffed, while the full exploration sequence
-/// (and therefore the resulting UNG) stays byte-identical to a cold rip.
-///
-/// Unlike [`warm_session`], this deliberately does **not** require a
-/// pristine-signature match — re-ripping a *changed* build is the whole
-/// point; confirmation is decided per-exploration.
-pub fn rip_incremental(
-    session: &mut Session,
-    config: &RipConfig,
-    prior: &StoredRip,
-) -> (Ung, RipStats, IncrementalStats) {
-    dmi_core::rip_incremental(session, config, &prior.journal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,8 +290,33 @@ mod tests {
             serde_json::to_string(&stored.ung).unwrap(),
             "UNG must round-trip byte-identically"
         );
-        assert_eq!(loaded.journal.entries(), stored.journal.entries());
-        assert_eq!(loaded.stats.clicks, stored.stats.clicks);
+        assert_eq!(loaded.stats, stored.stats);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn an_empty_stored_ung_is_a_typed_error() {
+        let mut w = ArtifactWriter::new(kind::RIP);
+        let mut meta = Enc::default();
+        meta.str(&mut w.interner, "Word");
+        artifacts::enc_sigs(&mut meta, &mut w.interner, &[]);
+        artifacts::enc_rip_stats(&mut meta, &RipStats::default());
+        let mut ung = Enc::default();
+        ung.len(0); // no nodes, hence no adjacency rows
+        ung.u32(0); // root
+        ung.u64(0); // edge count
+        w.section(sec::META, meta);
+        w.section(sec::UNG, ung);
+        let bytes = w.finish();
+        let store = temp_store("empty-ung");
+        std::fs::write(store.path("Word", "rip"), &bytes).unwrap();
+        for result in [decode_rip(&bytes), store.load_rip("Word")] {
+            match result {
+                Err(StoreError::Corrupt { .. }) => {}
+                Err(e) => panic!("expected Corrupt, got {e}"),
+                Ok(_) => panic!("a UNG without its root node must not decode"),
+            }
+        }
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -328,8 +326,9 @@ mod tests {
         let stored = record_rip("Word", &mut s, &RipConfig::office("Word"));
         let binary = encode_rip(&stored).len();
         let json = serde_json::to_string(&stored.ung).unwrap().len();
-        // The binary artifact additionally carries the journal and stats,
-        // yet interning keeps it below the UNG's JSON alone.
+        // The binary artifact additionally carries the stats and the
+        // pristine signature, yet interning keeps it below the UNG's JSON
+        // alone.
         assert!(binary < json, "binary {binary} bytes should beat UNG JSON {json} bytes");
     }
 
