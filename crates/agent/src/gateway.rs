@@ -17,13 +17,10 @@
 //!   per-app pool: an idle session is [`Session::recycle`]d back to
 //!   launch state under the new tenant's instability model, or a fresh
 //!   [`Session::fork_from_pristine`] fork is taken while the pool is
-//!   under its cap. All of an
-//!   app's sessions (donor included) share one [`CapturePool`], so
-//!   capture work amortizes across tenants; pool keys fingerprint the
-//!   instability model, so tenants can never alias each other's
-//!   captures. An app that cannot fork serves at capacity one on its
-//!   donor; a session that cannot attest a pristine reset is forfeited,
-//!   never reused.
+//!   under its cap. Every session keeps its own capture caches; none
+//!   are shared across tenants. An app that cannot fork serves at
+//!   capacity one on its donor; a session that cannot attest a pristine
+//!   reset is forfeited, never reused.
 //! - **Suspension at LLM-call boundaries.** Tasks run as resumable
 //!   [`TaskState`] machines. Each scheduling round steps every in-flight
 //!   task exactly once (on the worker pool when `workers > 1`, inline
@@ -46,19 +43,19 @@
 //! *where* the session comes from (pool instead of launch) and *when*
 //! steps run (interleaved instead of back to back), but neither input:
 //! recycling restores launch state under the tenant's own instability
-//! model, capture sharing is capture-transparent, and suspension points
-//! hold no RNG. Hence each task's [`RunTrace`] is byte-identical to its
-//! single-session sequential run at every concurrency level — the
-//! release-gated serve oracle in `tests/identity.rs` asserts exactly
-//! this, and the fuzz harness drives a drifting tenant through the same
-//! pools to prove failure stays contained.
+//! model, and suspension points hold no RNG. Hence each task's
+//! [`RunTrace`] is byte-identical to its single-session sequential run
+//! at every concurrency level — the release-gated serve oracle in
+//! `tests/identity.rs` asserts exactly this, and the fuzz harness drives
+//! a drifting tenant through the same pools to prove failure stays
+//! contained.
 
 use crate::runner::{RunConfig, StepStatus, TaskState};
 use crate::task::AgentTask;
 use crate::trace::RunTrace;
 use dmi_core::parallel::FairQueue;
 use dmi_core::{Dmi, DmiBuildConfig};
-use dmi_gui::{CapturePool, Session};
+use dmi_gui::Session;
 use dmi_llm::LlmBatch;
 use dmi_store::{Store, StoreError};
 use std::collections::BTreeMap;
@@ -85,14 +82,14 @@ impl ServeApp {
     }
 
     /// Warm-boots a servable app from a persistent [`Store`]: the DMI is
-    /// rebuilt from the stored UNG (no rip), and the donor's capture pool
-    /// is seeded from the stored capture export when one is present.
+    /// rebuilt from the stored UNG (no rip).
     ///
     /// The stored rip's pristine signature must structurally match the
     /// live donor ([`StoreError::PristineMismatch`] otherwise): serving a
     /// model ripped from a different build would silently desynchronize
-    /// traces from a rip-booted gateway. Capture warming is best-effort —
-    /// a store without a capture artifact still boots, just cold.
+    /// traces from a rip-booted gateway. A missing or unreadable rip is
+    /// the load's typed error ([`StoreError::Io`], `Truncated`,
+    /// `Corrupt`, ...), never a panic.
     pub fn from_store(
         id: impl Into<String>,
         store: &Store,
@@ -105,12 +102,6 @@ impl ServeApp {
             return Err(StoreError::PristineMismatch { app: id });
         }
         let (dmi, _) = Dmi::from_ung(stored.ung, config);
-        donor.set_capture_pool(Some(CapturePool::shared()));
-        match dmi_store::warm_session(store, &id, &mut donor) {
-            // A missing capture artifact is a cold (but valid) boot.
-            Ok(_) | Err(StoreError::Io(_)) => {}
-            Err(e) => return Err(e),
-        }
         Ok(ServeApp { id, donor, dmi: Some(Arc::new(dmi)) })
     }
 }
@@ -192,9 +183,11 @@ pub struct ServeStats {
     pub session_forks: usize,
     /// Sessions served from the pool via recycle.
     pub session_reuses: usize,
-    /// Cross-session capture-pool hits across all tenant sessions.
+    /// Always 0. It remains only because the frozen benchmark
+    /// (`dmibench/src/serve.rs`) reads it, and goes with that benchmark's
+    /// next change.
     pub capture_pool_hits: u64,
-    /// Cross-session capture-pool misses across all tenant sessions.
+    /// Always 0, like [`ServeStats::capture_pool_hits`].
     pub capture_pool_misses: u64,
     /// Scheduling rounds executed.
     pub rounds: usize,
@@ -221,16 +214,6 @@ impl ServeStats {
         let total = self.session_forks + self.session_reuses;
         if total > 0 {
             self.session_reuses as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Capture-pool hit rate across tenant sessions.
-    pub fn capture_hit_rate(&self) -> f64 {
-        let total = self.capture_pool_hits + self.capture_pool_misses;
-        if total > 0 {
-            self.capture_pool_hits as f64 / total as f64
         } else {
             0.0
         }
@@ -273,19 +256,10 @@ struct AppPool {
     cap: usize,
     forks: usize,
     reuses: usize,
-    pool_hits: u64,
-    pool_misses: u64,
 }
 
 impl AppPool {
-    fn new(mut app: ServeApp, cap: usize) -> AppPool {
-        // All of the app's tenant sessions share one capture pool; forks
-        // inherit it from the donor. A donor that already carries a pool
-        // (store warm boot) keeps it — replacing it would drop the
-        // imported captures.
-        if app.donor.capture_pool().is_none() {
-            app.donor.set_capture_pool(Some(CapturePool::shared()));
-        }
+    fn new(app: ServeApp, cap: usize) -> AppPool {
         AppPool {
             dmi: app.dmi,
             donor: Some(app.donor),
@@ -294,8 +268,6 @@ impl AppPool {
             cap: cap.max(1),
             forks: 0,
             reuses: 0,
-            pool_hits: 0,
-            pool_misses: 0,
         }
     }
 
@@ -339,16 +311,9 @@ impl AppPool {
         None
     }
 
-    /// Returns a finished session to the pool, harvesting (and zeroing)
-    /// its capture counters. Taking — not just reading — the counters is
-    /// what makes each capture event count exactly once: the end-of-serve
-    /// idle sweep used to re-read counters already harvested here,
-    /// double-counting every session that finished a task.
-    fn checkin(&mut self, mut session: Session) {
+    /// Returns a finished session to the pool.
+    fn checkin(&mut self, session: Session) {
         self.live -= 1;
-        let cs = session.take_capture_stats();
-        self.pool_hits += cs.pool_hits;
-        self.pool_misses += cs.pool_misses;
         self.idle.push(session);
     }
 
@@ -699,18 +664,6 @@ impl Gateway {
             stats.session_reuses += pool.reuses;
             pool.forks = 0;
             pool.reuses = 0;
-            // Sweep counters parked in idle sessions that never went
-            // through `checkin` this serve (taken, so a later sweep or
-            // checkin can never see them again).
-            for s in &mut pool.idle {
-                let cs = s.take_capture_stats();
-                pool.pool_hits += cs.pool_hits;
-                pool.pool_misses += cs.pool_misses;
-            }
-            stats.capture_pool_hits += pool.pool_hits;
-            stats.capture_pool_misses += pool.pool_misses;
-            pool.pool_hits = 0;
-            pool.pool_misses = 0;
         }
         stats.wall_secs = wall_start.elapsed().as_secs_f64();
 

@@ -288,13 +288,7 @@ fn bench_rip_fleet(c: &mut Criterion) {
                 };
                 eprintln!(
                     "{}",
-                    report::fault_line(
-                        &o.app_id,
-                        status,
-                        o.stats.restarts,
-                        o.stats.esc_recoveries,
-                        o.stats.poison_recoveries,
-                    )
+                    report::fault_line(&o.app_id, status, o.stats.restarts, o.stats.esc_recoveries)
                 );
             }
             dmi_obs::set_enabled(false);

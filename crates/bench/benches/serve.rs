@@ -10,22 +10,15 @@
 //! - the one-shot `serve c=N:` lines (printed outside the timed loops)
 //!   report the *virtual-time* serving metrics — tasks/sec against the
 //!   deterministic simulated-latency makespan, p50/p99 per-task latency,
-//!   session-pool and capture-pool hit rates, and the latency-overlap
-//!   factor (serialized ÷ overlapped LLM seconds) that cross-tenant
-//!   batching buys.
+//!   the session-pool reuse rate, and the latency-overlap factor
+//!   (serialized ÷ overlapped LLM seconds) that cross-tenant batching
+//!   buys.
 //!
 //! Every per-task `RunTrace` is byte-identical to the task's sequential
 //! single-session run at every concurrency level (release-gated in
 //! tests/identity.rs), so the curve measures pure engine behavior.
 //! Wall-clock scaling with workers needs physical cores — on a
 //! single-CPU machine the curve is structural.
-//!
-//! The capture-pool rate reads 0% for this workload by design: suite
-//! task setups use pattern operations (`select_lines`, `set_value`),
-//! which poison the pristine-relative action trace, soundly disabling
-//! cross-session capture sharing for the rest of the task. Only
-//! workloads driven purely by fingerprintable inputs (clicks, key
-//! presses) share captures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_agent::{
@@ -119,7 +112,6 @@ fn bench_serve(c: &mut Criterion) {
                         rep.latency_percentile(50.0),
                         rep.latency_percentile(99.0),
                         rep.stats.session_reuse_rate(),
-                        rep.stats.capture_hit_rate(),
                         overlap,
                     )
                 );

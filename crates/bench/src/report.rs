@@ -62,37 +62,27 @@ pub fn banner(title: &str) -> String {
 }
 
 /// One fault/recovery line for the fleet bench reporter: how the entry's
-/// rip concluded and how much state-restoration and fail-soft work it
-/// spent (restarts, Esc recoveries, poisoned-lock recoveries).
-pub fn fault_line(
-    app: &str,
-    status: &str,
-    restarts: u64,
-    esc_recoveries: u64,
-    poison_recoveries: u64,
-) -> String {
+/// rip concluded and how much state-restoration work it spent (restarts,
+/// Esc recoveries).
+pub fn fault_line(app: &str, status: &str, restarts: u64, esc_recoveries: u64) -> String {
     let mut reg = Registry::new();
     reg.inc("rip.restarts", restarts);
     reg.inc("rip.esc_recoveries", esc_recoveries);
-    reg.inc("capture.poison_recoveries", poison_recoveries);
     KvLine::new("fault-recovery", format_args!("{app} [{status}]"))
         .field("restarts", reg.counter("rip.restarts"))
         .field("esc_recoveries", reg.counter("rip.esc_recoveries"))
-        .field("poison_recoveries", reg.counter("capture.poison_recoveries"))
         .render()
 }
 
 /// One gateway serving line for the serve bench reporter: throughput and
-/// latency at a given concurrency, with the two pool hit rates that make
-/// the throughput possible (session reuse, shared captures).
-#[allow(clippy::too_many_arguments)]
+/// latency at a given concurrency, with the session-pool reuse rate that
+/// makes the throughput possible.
 pub fn serve_line(
     concurrency: usize,
     tasks_per_sec: f64,
     p50_secs: f64,
     p99_secs: f64,
     session_reuse_rate: f64,
-    capture_hit_rate: f64,
     overlap_factor: f64,
 ) -> String {
     let mut reg = Registry::new();
@@ -100,35 +90,30 @@ pub fn serve_line(
     reg.set_gauge("gateway.p50_secs", p50_secs);
     reg.set_gauge("gateway.p99_secs", p99_secs);
     reg.set_gauge("gateway.session_reuse_rate", session_reuse_rate);
-    reg.set_gauge("gateway.capture_hit_rate", capture_hit_rate);
     reg.set_gauge("gateway.overlap_factor", overlap_factor);
     KvLine::new("serve", format_args!("c={concurrency}"))
         .field("tasks_per_sec", format_args!("{:.3}", reg.gauge("gateway.tasks_per_sec")))
         .secs("p50", reg.gauge("gateway.p50_secs"))
         .secs("p99", reg.gauge("gateway.p99_secs"))
         .pct("session_reuse", reg.gauge("gateway.session_reuse_rate"))
-        .pct("capture_hits", reg.gauge("gateway.capture_hit_rate"))
         .field("overlap", format_args!("{:.1}x", reg.gauge("gateway.overlap_factor")))
         .render()
 }
 
 /// One persistence line for the store bench reporter: artifact size
-/// against the JSON baseline, disk round-trip cost, and the warm-pool
-/// hit rate of a re-rip booted from the stored capture export.
+/// against the JSON baseline and disk round-trip cost.
 pub fn store_line(
     app: &str,
     binary_bytes: u64,
     json_bytes: u64,
     save_ms: f64,
     load_ms: f64,
-    warm_hit_rate: f64,
 ) -> String {
     let mut reg = Registry::new();
     reg.inc("store.binary_bytes", binary_bytes);
     reg.inc("store.json_bytes", json_bytes);
     reg.set_gauge("store.save_ms", save_ms);
     reg.set_gauge("store.load_ms", load_ms);
-    reg.set_gauge("store.warm_hit_rate", warm_hit_rate);
     let binary = reg.counter("store.binary_bytes");
     let json = reg.counter("store.json_bytes");
     let ratio = if json == 0 { 0.0 } else { binary as f64 / json as f64 };
@@ -138,7 +123,6 @@ pub fn store_line(
         .pct("ratio", ratio)
         .ms("save", reg.gauge("store.save_ms"))
         .ms("load", reg.gauge("store.load_ms"))
-        .pct("warm_hits", reg.gauge("store.warm_hit_rate"))
         .render()
 }
 
@@ -168,26 +152,25 @@ mod tests {
     #[test]
     fn serve_line_reports_throughput_latency_and_pools() {
         assert_eq!(
-            serve_line(64, 1.234, 38.25, 61.71, 0.75, 0.9, 12.04),
+            serve_line(64, 1.234, 38.25, 61.71, 0.75, 12.04),
             "serve c=64: tasks_per_sec=1.234 p50=38.2s p99=61.7s session_reuse=75.0% \
-             capture_hits=90.0% overlap=12.0x"
+             overlap=12.0x"
         );
     }
 
     #[test]
     fn store_line_reports_size_ratio_times_and_rates() {
         assert_eq!(
-            store_line("Word", 48_213, 130_552, 1.2345, 0.876, 0.4),
-            "store Word: binary=48213B json=130552B ratio=36.9% save=1.23ms load=0.88ms \
-             warm_hits=40.0%"
+            store_line("Word", 48_213, 130_552, 1.2345, 0.876),
+            "store Word: binary=48213B json=130552B ratio=36.9% save=1.23ms load=0.88ms"
         );
     }
 
     #[test]
     fn fault_line_names_engine_and_counters() {
         assert_eq!(
-            fault_line("Excel", "ripped", 4, 11, 1),
-            "fault-recovery Excel [ripped]: restarts=4 esc_recoveries=11 poison_recoveries=1"
+            fault_line("Excel", "ripped", 4, 11),
+            "fault-recovery Excel [ripped]: restarts=4 esc_recoveries=11"
         );
     }
 }

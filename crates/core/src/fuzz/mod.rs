@@ -5,9 +5,9 @@
 //! `docs/determinism.md`): a deterministic application plus a fixed
 //! action trace yields byte-identical snapshots, and therefore
 //! byte-identical UNGs, no matter which recovery strategy — Esc or
-//! restart — or which cache — MRU, pristine stash, shared pool — served
-//! the captures, and whether the rip ran alone or in a fleet. This
-//! module attacks that contract from the application side:
+//! restart — or which cache — MRU or pristine stash — served the
+//! captures, and whether the rip ran alone or in a fleet. This module
+//! attacks that contract from the application side:
 //!
 //! - [`gen`] grows random widget arenas ([`AppSpec`] — menus, dialogs,
 //!   tab strips, nested popups) and wraps them in an [`AdversarialApp`]
@@ -16,10 +16,10 @@
 //!   stamps the capture caches trust, run Esc-time side effects, or
 //!   panic mid-dispatch.
 //! - [`oracle`] runs the differential oracles — fleet vs solo UNG bytes,
-//!   Esc recovery vs full restart, cached vs full-rebuild captures,
-//!   pooled vs private captures — and reports the first [`Divergence`],
-//!   naming the window and control where the bytes first disagree (or
-//!   the contained [`crate::error::RipError`] of a failed fleet entry).
+//!   Esc recovery vs full restart, cached vs full-rebuild captures — and
+//!   reports the first [`Divergence`], naming the window and control
+//!   where the bytes first disagree (or the contained
+//!   [`crate::error::RipError`] of a failed fleet entry).
 //! - [`shrink`] delta-debugs a failing spec's op list down to a minimal
 //!   reproducer while the oracle keeps failing.
 //!
@@ -60,7 +60,6 @@ pub fn silence_injected_panics() {
 
 pub use gen::{AdversarialApp, AppSpec, ArenaOp, FaultPlan};
 pub use oracle::{
-    check_cached_capture, check_esc_recovery, check_fleet, check_pool, check_spec, Divergence,
-    OracleKind,
+    check_cached_capture, check_esc_recovery, check_fleet, check_spec, Divergence, OracleKind,
 };
 pub use shrink::shrink_ops;

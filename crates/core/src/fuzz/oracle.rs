@@ -12,7 +12,7 @@ use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
 use crate::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use crate::ripper::{rip, RipConfig};
-use dmi_gui::{CaptureConfig, CapturePool, Session};
+use dmi_gui::{CaptureConfig, Session};
 
 /// Which differential axis an oracle exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +23,6 @@ pub enum OracleKind {
     EscRecovery,
     /// Cached captures (MRU + pristine stash) vs full rebuilds.
     CachedCapture,
-    /// Shared [`CapturePool`] captures vs full rebuilds.
-    Pool,
 }
 
 /// A determinism violation: which oracle fired and where the two graphs
@@ -82,16 +80,6 @@ pub fn check_esc_recovery(spec: &AppSpec) -> Option<Divergence> {
     diff_graphs(OracleKind::EscRecovery, &fast, &slow)
 }
 
-/// Captures served through a shared [`CapturePool`] must match full
-/// rebuilds.
-pub fn check_pool(spec: &AppSpec) -> Option<Divergence> {
-    let mut s = Session::new(AdversarialApp::launch(spec.clone()));
-    s.set_capture_pool(Some(CapturePool::shared()));
-    let pooled = rip(&mut s, &RipConfig::default()).0;
-    let rebuilt = rip_with(spec, CaptureConfig::full_rebuild(), &RipConfig::default());
-    diff_graphs(OracleKind::Pool, &pooled, &rebuilt)
-}
-
 /// Rips every spec in one fleet and compares each entry against its
 /// private sequential rip. A contained fault ([`RipStatus::Failed`])
 /// counts as a divergence too. First divergence wins.
@@ -132,7 +120,7 @@ pub fn check_fleet(specs: &[AppSpec]) -> Option<Divergence> {
 /// Runs every oracle against one spec; the first divergence wins. `None`
 /// is the full determinism contract holding on all axes at once.
 pub fn check_spec(spec: &AppSpec) -> Option<Divergence> {
-    check_cached_capture(spec).or_else(|| check_pool(spec)).or_else(|| check_esc_recovery(spec))
+    check_cached_capture(spec).or_else(|| check_esc_recovery(spec))
 }
 
 /// Byte-compares two UNGs; on mismatch, walks to the first node whose

@@ -198,10 +198,12 @@ impl Ung {
     }
 
     /// Reassembles a graph from [`Ung::raw_parts`]-shaped data, validating
-    /// structural invariants (parallel lengths, in-range ids, `succ`/`pred`
-    /// symmetry, edge count) and rebuilding the dedup index. Returns a
-    /// description of the violated invariant on malformed input so codec
-    /// callers can surface a typed error instead of panicking later.
+    /// that it is adjacency [`Ung::add_edge`] could have produced
+    /// (parallel lengths, in-range ids, no self-loops, no duplicate edges,
+    /// `succ`/`pred` holding exactly the same edges, edge count) and
+    /// rebuilding the dedup index. Returns a description of the violated
+    /// invariant on malformed input so codec callers can surface a typed
+    /// error instead of panicking later.
     pub fn from_raw_parts(
         nodes: Vec<UngNode>,
         succ: Vec<Vec<UngNodeId>>,
@@ -220,20 +222,42 @@ impl Ung {
         if root >= n {
             return Err(format!("root {root} out of range for {n} nodes"));
         }
+        // `last[x]` remembers the list that most recently held `x`, so a
+        // repeat within one list is a duplicate edge.
+        let mut last = vec![usize::MAX; n];
+        for (v, ins) in pred.iter().enumerate() {
+            for &u in ins {
+                if u >= n {
+                    return Err(format!("pred[{v}] holds {u}, out of range for {n} nodes"));
+                }
+                if last[u] == v {
+                    return Err(format!("duplicate edge {u}->{v}"));
+                }
+                last[u] = v;
+                if !succ[u].contains(&v) {
+                    return Err(format!("edge {u}->{v} in pred[{v}] missing from succ[{u}]"));
+                }
+            }
+        }
+        last.fill(usize::MAX);
         let mut edges = 0usize;
         for (u, outs) in succ.iter().enumerate() {
             for &v in outs {
                 if v >= n {
                     return Err(format!("edge {u}->{v} out of range for {n} nodes"));
                 }
+                if v == u {
+                    return Err(format!("self-loop on {u}"));
+                }
+                if last[v] == u {
+                    return Err(format!("duplicate edge {u}->{v}"));
+                }
+                last[v] = u;
                 if !pred[v].contains(&u) {
                     return Err(format!("edge {u}->{v} missing from pred[{v}]"));
                 }
                 edges += 1;
             }
-        }
-        if pred.iter().map(Vec::len).sum::<usize>() != edges {
-            return Err("pred holds edges absent from succ".into());
         }
         if edges != edge_count {
             return Err(format!("edge count {edge_count} disagrees with adjacency ({edges})"));
@@ -429,6 +453,57 @@ mod tests {
         // root 0 would index out of bounds downstream.
         let err = Ung::from_raw_parts(Vec::new(), Vec::new(), Vec::new(), 0, 0).unwrap_err();
         assert!(err.contains("root 0 out of range for 0 nodes"), "{err}");
+    }
+
+    /// Raw parts of root -> A -> B with `edit` applied to the adjacency,
+    /// reassembled; the edge count follows `succ`.
+    fn reassemble(edit: impl FnOnce(&mut [Vec<usize>], &mut [Vec<usize>])) -> Result<Ung, String> {
+        let g = ung_from_parts(&[("A", CT::Button), ("B", CT::Button)], &[(0, 1)]);
+        let (nodes, succ, pred, root, _) = g.raw_parts();
+        let (mut succ, mut pred) = (succ.to_vec(), pred.to_vec());
+        edit(&mut succ, &mut pred);
+        let edges = succ.iter().map(Vec::len).sum();
+        Ung::from_raw_parts(nodes.to_vec(), succ, pred, root, edges)
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_a_self_loop() {
+        let err = reassemble(|succ, pred| {
+            succ[1].push(1);
+            pred[1].push(1);
+        })
+        .unwrap_err();
+        assert!(err.contains("self-loop on 1"), "{err}");
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_a_duplicate_successor() {
+        let err = reassemble(|succ, pred| {
+            succ[1].push(2);
+            pred[2].push(1);
+        })
+        .unwrap_err();
+        assert!(err.contains("duplicate edge 1->2"), "{err}");
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_an_out_of_range_predecessor() {
+        let err = reassemble(|succ, pred| {
+            succ[1].push(2);
+            pred[2].push(999);
+        })
+        .unwrap_err();
+        assert!(err.contains("pred[2] holds 999, out of range"), "{err}");
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_a_predecessor_without_its_successor_edge() {
+        let err = reassemble(|succ, pred| {
+            succ[1].push(2);
+            pred[2].push(0);
+        })
+        .unwrap_err();
+        assert!(err.contains("edge 0->2 in pred[2] missing from succ[0]"), "{err}");
     }
 
     #[test]

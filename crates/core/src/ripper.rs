@@ -135,25 +135,6 @@ pub struct RipStats {
     pub replay_failures: u64,
     /// New windows observed opening.
     pub windows_seen: u64,
-    /// Captures served from a shared cross-session capture pool (see
-    /// `dmi_gui::CapturePool`).
-    pub pool_hits: u64,
-    /// Pool probes that found no pooled capture.
-    pub pool_misses: u64,
-    /// Poisoned capture-pool locks recovered by discarding the pooled
-    /// entries and rebuilding (fail-soft: a session that dies holding the
-    /// pool lock costs cached captures, never correctness).
-    pub poison_recoveries: u64,
-}
-
-impl RipStats {
-    /// Folds a session's capture-pool counter delta into the rip stats
-    /// (called once at the end of a rip).
-    fn fold_pool_delta(&mut self, before: dmi_gui::CaptureStats, after: dmi_gui::CaptureStats) {
-        self.pool_hits += after.pool_hits - before.pool_hits;
-        self.pool_misses += after.pool_misses - before.pool_misses;
-        self.poison_recoveries += after.poison_recoveries - before.poison_recoveries;
-    }
 }
 
 /// An empty placeholder for the retired exploration journal. It records
@@ -217,16 +198,12 @@ struct ExploreUnit<'a> {
 /// once).
 pub fn rip(session: &mut Session, config: &RipConfig) -> (Ung, RipStats) {
     let _rip_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.sequential", 0);
-    let cs0 = session.capture_stats();
     let mut ex = Explorer { unit: ExploreUnit::new(session, config), frontier: Frontier::new() };
     ex.base_pass();
     for ctx in &config.contexts {
         ex.context_pass(ctx);
     }
-    let Explorer { unit, frontier } = ex;
-    let mut stats = unit.stats;
-    stats.fold_pool_delta(cs0, unit.session.capture_stats());
-    (frontier.g, stats)
+    (ex.frontier.g, ex.unit.stats)
 }
 
 impl<'a> ExploreUnit<'a> {

@@ -17,8 +17,7 @@
 
 use crate::widget::WidgetId;
 
-/// The SplitMix64 finalizer: the crate's standard 64-bit mixer (also used
-/// by the capture-pool action-trace fingerprints in [`crate::session`]).
+/// The SplitMix64 finalizer: the crate's standard 64-bit mixer.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -29,6 +29,6 @@ pub mod widget;
 pub use behavior::{Behavior, CommandBinding, CommitKind, ShortcutAction};
 pub use instability::InstabilityModel;
 pub use session::{AppError, Capture, CaptureConfig, GuiApp, Session};
-pub use snapshot::{CapturePool, CaptureStats, PooledCapture};
+pub use snapshot::{CapturePool, CaptureStats};
 pub use tree::{OpenWindow, UiTree};
 pub use widget::{Widget, WidgetBuilder, WidgetId};

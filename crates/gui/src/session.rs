@@ -9,7 +9,7 @@
 //! directly — the foundation DMI's state/observation declarations build on.
 
 use crate::behavior::{Behavior, CommandBinding, CommitKind, ShortcutAction};
-use crate::instability::{splitmix64 as mix64, InstabilityModel};
+use crate::instability::InstabilityModel;
 use crate::layout;
 use crate::snapshot::{self, CaptureCache, CapturePool, CaptureStats};
 use crate::tree::UiTree;
@@ -217,75 +217,6 @@ pub struct Session {
     /// Proof obligations recorded at the last restart under which the
     /// current UI state still equals the pristine launch image.
     pristine_mark: Option<PristineMark>,
-    /// Optional cross-session capture pool shared with sibling sessions
-    /// forked from the same pristine image (see [`CapturePool`]).
-    pool: Option<Arc<CapturePool>>,
-    /// The pristine-relative action trace keying pool captures.
-    trace: ActionTrace,
-    /// Tree counters recorded at the last restart: while they (and the
-    /// window/popup structure) read back unchanged, the tree provably
-    /// equals the pristine image again and the trace re-floors to empty.
-    trace_floor: Option<TraceFloor>,
-}
-
-/// The pristine-relative input trace: fingerprints of every input action
-/// executed since the session state last provably equaled the pristine
-/// launch image. On a deterministic application the widget tree is a pure
-/// function of `(pristine image, trace)`, which is what makes the trace a
-/// sound cross-session capture key (see [`CapturePool`]).
-///
-/// Only actions with a precise fingerprint (widget clicks, key presses)
-/// keep the trace valid; any other input — and any direct application
-/// access via [`Session::app_mut`] — *poisons* it until the next restart,
-/// so an unfingerprinted mutation can never alias a pooled capture.
-#[derive(Debug, Clone, Default)]
-struct ActionTrace {
-    valid: bool,
-    fps: Vec<u64>,
-    hash: u64,
-}
-
-const TRACE_HASH_BASE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl ActionTrace {
-    /// Starts a fresh trace at a restart; valid only when the application
-    /// attests a pristine token (otherwise there is no image to be
-    /// relative to).
-    fn rebase(&mut self, valid: bool) {
-        self.valid = valid;
-        self.fps.clear();
-        self.hash = TRACE_HASH_BASE;
-    }
-
-    /// The state provably returned to the pristine image: the trace keys
-    /// it as empty again.
-    fn refloor(&mut self) {
-        self.fps.clear();
-        self.hash = TRACE_HASH_BASE;
-    }
-
-    /// Invalidates the trace until the next restart.
-    fn poison(&mut self) {
-        self.valid = false;
-        self.fps.clear();
-    }
-
-    /// Appends one action fingerprint.
-    fn record(&mut self, fp: u64) {
-        if self.valid {
-            self.fps.push(fp);
-            self.hash = mix64(self.hash ^ fp);
-        }
-    }
-}
-
-/// The tree counters a valid trace compares against to detect a provable
-/// return to the pristine image (all O(1) reads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TraceFloor {
-    state_epoch: u64,
-    context_epoch: u64,
-    main_stamp: u64,
 }
 
 /// Everything that must still hold for the session state to equal the
@@ -323,9 +254,6 @@ impl Session {
             trapped: false,
             pristine_snap: None,
             pristine_mark: None,
-            pool: None,
-            trace: ActionTrace::default(),
-            trace_floor: None,
         }
     }
 
@@ -341,10 +269,6 @@ impl Session {
         let app = self.app.fork()?;
         let mut s = Session::with_instability(app, self.inst.clone());
         s.capture_cfg = self.capture_cfg;
-        // Forks share the parent's capture pool: they attest the same
-        // pristine token, so their pristine-relative traces are mutually
-        // comparable — the whole point of the pool.
-        s.pool = self.pool.clone();
         Some(s)
     }
 
@@ -355,10 +279,7 @@ impl Session {
     /// keys off (action, query, external-jump clocks) is zeroed, the
     /// event log and all cached captures — the pristine stash included,
     /// since it was captured under the *previous* tenant's instability —
-    /// are dropped, and the application resets to its launch image. The
-    /// attached [`CapturePool`] is deliberately kept: pool serving is
-    /// capture-transparent and its keys fingerprint the instability
-    /// model, so captures shared across tenants can never alias.
+    /// are dropped, and the application resets to its launch image.
     ///
     /// Returns whether the application attested a pristine launch image
     /// for the reset ([`GuiApp::pristine_token`]); a caller pooling
@@ -395,17 +316,16 @@ impl Session {
         self.inst = inst;
     }
 
-    /// Attaches (or detaches) a cross-session [`CapturePool`]. Sessions
-    /// sharing one pool serve each other's captures whenever their state
-    /// provably matches — see the pool's docs for the soundness argument.
-    /// Forks created after attachment inherit the pool.
-    pub fn set_capture_pool(&mut self, pool: Option<Arc<CapturePool>>) {
-        self.pool = pool;
-    }
+    /// Ignores its argument: [`CapturePool`] is an empty placeholder. It
+    /// remains only because the frozen benchmark
+    /// (`dmibench/src/legacy.rs`) calls it, and goes with that
+    /// benchmark's next change.
+    pub fn set_capture_pool(&mut self, _pool: Option<Arc<CapturePool>>) {}
 
-    /// The attached cross-session capture pool, if any.
+    /// Always `None` (see [`Session::set_capture_pool`]); goes with the
+    /// benchmark's next change.
     pub fn capture_pool(&self) -> Option<&Arc<CapturePool>> {
-        self.pool.as_ref()
+        None
     }
 
     /// Replaces the capture configuration (drops any cached captures,
@@ -427,24 +347,13 @@ impl Session {
         self.capture_stats
     }
 
-    /// Capture statistics since the last recycle or take, zeroing the
-    /// session's accumulator. Harvest points (e.g. gateway check-in) use
-    /// this so each capture event is counted exactly once no matter how
-    /// often the same idle session is swept.
-    pub fn take_capture_stats(&mut self) -> CaptureStats {
-        std::mem::take(&mut self.capture_stats)
-    }
-
     /// The application.
     pub fn app(&self) -> &dyn GuiApp {
         self.app.as_ref()
     }
 
-    /// Mutable application access. Poisons the pristine-relative action
-    /// trace until the next restart: direct application mutations are
-    /// invisible to the trace, so pooled captures must never alias them.
+    /// Mutable application access.
     pub fn app_mut(&mut self) -> &mut dyn GuiApp {
-        self.trace.poison();
         self.app.as_mut()
     }
 
@@ -494,8 +403,8 @@ impl Session {
     /// handle (query sequence, cache-hit flag).
     ///
     /// Serving order: restart-surviving pristine stash, per-session MRU
-    /// cache, cross-session [`CapturePool`] (when attached), then a
-    /// partial rebuild — every path produces the same bytes.
+    /// cache, then a partial rebuild — every path produces the same
+    /// bytes.
     pub fn capture(&mut self) -> Capture {
         self.query_seq += 1;
         self.capture_stats.captures += 1;
@@ -525,7 +434,7 @@ impl Session {
                 }
             }
         }
-        // Per-session MRU cache: O(1) full hits, no locking.
+        // Per-session MRU cache: O(1) full hits.
         let keys = match snapshot::probe(self.app.tree(), self.query_seq, &mut self.cache) {
             Ok(snap) => {
                 self.capture_stats.full_hits += 1;
@@ -537,28 +446,6 @@ impl Session {
             }
             Err(keys) => keys,
         };
-        // Cross-session pool: a sibling session may have built this exact
-        // state already (keyed by the pristine-relative action trace).
-        let pool_key = self.pool_key();
-        if let Some((token, model)) = pool_key {
-            let pool = Arc::clone(self.pool.as_ref().expect("pool_key requires an attached pool"));
-            if let Some(snap) =
-                pool.lookup(token, model, self.trace.hash, &self.trace.fps, &mut self.capture_stats)
-            {
-                self.capture_stats.pool_hits += 1;
-                dmi_obs::tally("capture.pool_hits", 1);
-                dmi_obs::instant(dmi_obs::Cat::Capture, "pool_hit", 0);
-                // Adopt as a donor so the next partial rebuild can copy
-                // clean windows (re-keyed against this session's stamps).
-                snapshot::adopt(&mut self.cache, self.app.tree(), &snap, self.query_seq);
-                if let Some(token) = pristine_token {
-                    self.pristine_snap = Some((token, Arc::clone(&snap)));
-                }
-                return Capture { snap, query_seq: self.query_seq, cache_hit: true };
-            }
-            self.capture_stats.pool_misses += 1;
-            dmi_obs::tally("capture.pool_misses", 1);
-        }
         // Partial rebuild: clean windows copied from donors, dirty
         // windows re-walked.
         let rebuild_span = dmi_obs::span(dmi_obs::Cat::Capture, "rebuild", 0);
@@ -571,122 +458,10 @@ impl Session {
             &mut self.capture_stats,
         );
         drop(rebuild_span);
-        if let Some((token, model)) = pool_key {
-            let pool = Arc::clone(self.pool.as_ref().expect("pool_key requires an attached pool"));
-            pool.insert(
-                token,
-                model,
-                self.trace.hash,
-                &self.trace.fps,
-                &snap,
-                &mut self.capture_stats,
-            );
-        }
         if let Some(token) = pristine_token {
             self.pristine_snap = Some((token, Arc::clone(&snap)));
         }
         Capture { snap, query_seq: self.query_seq, cache_hit: false }
-    }
-
-    /// The cross-session pool key for the current state, when pooling is
-    /// sound right now: a pool is attached, the trace is valid (pristine
-    /// token attested at the last restart, every action since fingerprint-
-    /// able), late-load instability is off (its reveals are keyed on
-    /// session-local clocks the trace cannot see), and no subtree is
-    /// pending reveal. Name variation stays poolable — it is a pure
-    /// function of `(seed, widget)`, fingerprinted into the model key.
-    fn pool_key(&self) -> Option<(u64, u64)> {
-        self.pool.as_ref()?;
-        if !self.trace.valid || self.inst.late_load_prob > 0.0 {
-            return None;
-        }
-        let tree = self.app.tree();
-        if tree
-            .open_windows()
-            .iter()
-            .any(|w| tree.next_reveal_under(w.root, self.query_seq) != u64::MAX)
-        {
-            return None;
-        }
-        let token = self.app.pristine_token()?;
-        let model = mix64(self.inst.seed ^ self.inst.name_variation_prob.to_bits());
-        Some((token, model))
-    }
-
-    /// The session's capture-pool identity — `(pristine token, instability
-    /// model fingerprint)` — independent of the current trace state.
-    /// Persistence layers use it to export this session's pool entries
-    /// and to re-key imported ones; `None` when the app does not attest a
-    /// pristine image or late-load instability is configured (such
-    /// sessions never pool, so there is nothing to export or import).
-    pub fn pool_identity(&self) -> Option<(u64, u64)> {
-        if self.inst.late_load_prob > 0.0 {
-            return None;
-        }
-        let token = self.app.pristine_token()?;
-        let model = mix64(self.inst.seed ^ self.inst.name_variation_prob.to_bits());
-        Some((token, model))
-    }
-
-    /// Exports this session's shareable capture-pool entries (those keyed
-    /// to its pristine token) for persistence. Empty when the session has
-    /// no pool attached or cannot pool at all.
-    pub fn export_pool_captures(&self) -> Vec<crate::snapshot::PooledCapture> {
-        match (self.pool_identity(), &self.pool) {
-            (Some((token, _)), Some(pool)) => pool.export(token),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Imports persisted captures into this session's shared pool,
-    /// re-keyed to the live pristine token and marked warm. Eviction and
-    /// warm-hit accounting land in this session's [`CaptureStats`]. The
-    /// caller must have attested that the entries were captured against a
-    /// structurally identical pristine image (`dmi_store::warm_session`
-    /// refuses otherwise) — importing foreign captures would serve wrong
-    /// bytes. Returns the number of entries added.
-    pub fn import_pool_captures(&mut self, captures: Vec<crate::snapshot::PooledCapture>) -> usize {
-        let (Some((token, _)), Some(pool)) = (self.pool_identity(), self.pool.clone()) else {
-            return 0;
-        };
-        pool.import(token, captures, &mut self.capture_stats)
-    }
-
-    /// Post-action trace maintenance: if the state provably returned to
-    /// the pristine image (floor counters and window/popup structure
-    /// unchanged since the last restart), the trace re-floors to empty —
-    /// re-keying this state as pristine, exactly the launch-equivalence
-    /// argument Esc-based recovery rests on. Tree-invisible document
-    /// state is deliberately outside the check: snapshots (the only thing
-    /// pooled) observe the tree alone.
-    fn trace_refloor(&mut self) {
-        if !self.trace.valid {
-            return;
-        }
-        let Some(floor) = self.trace_floor else { return };
-        let t = self.app.tree();
-        if t.open_windows().len() == 1
-            && t.open_popups().is_empty()
-            && t.state_epoch() == floor.state_epoch
-            && t.context_epoch() == floor.context_epoch
-            && t.window_stamp(t.main_root()) == floor.main_stamp
-        {
-            self.trace.refloor();
-        }
-    }
-
-    /// Fingerprint of a widget click.
-    fn fp_click(id: WidgetId) -> u64 {
-        mix64(0xC11C ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Fingerprint of a key press.
-    fn fp_press(keys: &str) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64 ^ 0x9E55;
-        for b in keys.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        mix64(h)
     }
 
     /// Whether the UI state still equals the pristine image captured at
@@ -747,15 +522,6 @@ impl Session {
                 main_stamp: t.window_stamp(t.main_root()),
             }
         });
-        // The state equals the attested pristine image again: rebase the
-        // pool trace (and record the counters a later provable return to
-        // this image will read back unchanged).
-        self.trace.rebase(self.pristine_mark.is_some());
-        self.trace_floor = self.pristine_mark.as_ref().map(|m| TraceFloor {
-            state_epoch: m.state_epoch,
-            context_epoch: m.context_epoch,
-            main_stamp: m.main_stamp,
-        });
     }
 
     // ------------------------------------------------------------------
@@ -808,13 +574,6 @@ impl Session {
 
     /// Clicks a widget (the primary interaction).
     pub fn click(&mut self, id: WidgetId) -> Result<(), AppError> {
-        self.trace.record(Self::fp_click(id));
-        let r = self.click_inner(id);
-        self.trace_refloor();
-        r
-    }
-
-    fn click_inner(&mut self, id: WidgetId) -> Result<(), AppError> {
         self.action_seq += 1;
         self.check_interactable(id)?;
         self.app.tree_mut().close_popups_not_containing(id);
@@ -839,7 +598,6 @@ impl Session {
     /// selection on document surfaces).
     pub fn drag(&mut self, from: (i32, i32), to: (i32, i32)) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         if self.trapped {
             return Err(AppError::NotInteractable { reason: "UI trapped".into() });
         }
@@ -898,7 +656,6 @@ impl Session {
     /// Scrolls the wheel over a point.
     pub fn wheel(&mut self, x: i32, y: i32, delta_percent: f64) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         let lay = self.layout();
         let Some(mut cur) = self.hit_test(&lay, x, y) else {
             return Err(AppError::NotInteractable { reason: "nothing under wheel".into() });
@@ -928,7 +685,6 @@ impl Session {
     /// Types text into the focused edit control.
     pub fn type_text(&mut self, text: &str) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         if self.trapped {
             return Err(AppError::NotInteractable { reason: "UI trapped".into() });
         }
@@ -957,13 +713,6 @@ impl Session {
     /// Presses a key or key combination (e.g. `"Enter"`, `"Esc"`,
     /// `"Ctrl+B"`).
     pub fn press(&mut self, keys: &str) -> Result<(), AppError> {
-        self.trace.record(Self::fp_press(keys));
-        let r = self.press_inner(keys);
-        self.trace_refloor();
-        r
-    }
-
-    fn press_inner(&mut self, keys: &str) -> Result<(), AppError> {
         self.action_seq += 1;
         if self.trapped && keys != "Esc" {
             return Err(AppError::NotInteractable { reason: "UI trapped".into() });
@@ -1025,7 +774,6 @@ impl Session {
     /// container driven by a scrollbar).
     pub fn scroll_to(&mut self, id: WidgetId, percent: f64) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         if !(0.0..=100.0).contains(&percent) {
             return Err(AppError::InvalidArgument {
                 message: format!("scroll percent {percent} outside 0..=100"),
@@ -1049,7 +797,6 @@ impl Session {
     /// `TogglePattern.Toggle` to a specific state.
     pub fn set_toggle(&mut self, id: WidgetId, on: bool) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         self.check_interactable(id)?;
         let w = self.app.tree().widget(id);
         if !w.patterns.supports(PatternKind::Toggle) {
@@ -1073,7 +820,6 @@ impl Session {
     /// `SelectionItemPattern.Select` / `AddToSelection`.
     pub fn select(&mut self, id: WidgetId, additive: bool) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         self.check_interactable(id)?;
         let w = self.app.tree().widget(id);
         if !w.patterns.supports(PatternKind::SelectionItem) {
@@ -1093,7 +839,6 @@ impl Session {
     /// `ValuePattern.SetValue`.
     pub fn set_value(&mut self, id: WidgetId, value: &str) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         self.check_interactable(id)?;
         let w = self.app.tree().widget(id);
         if !w.patterns.supports(PatternKind::Value) {
@@ -1109,7 +854,6 @@ impl Session {
     /// `ExpandCollapsePattern.Expand` / `Collapse`.
     pub fn set_expanded(&mut self, id: WidgetId, expanded: bool) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         self.check_interactable(id)?;
         let w = self.app.tree().widget(id);
         if !w.popup && !w.patterns.supports(PatternKind::ExpandCollapse) {
@@ -1131,7 +875,6 @@ impl Session {
     /// `select_lines` state declaration bottoms out here).
     pub fn select_lines(&mut self, id: WidgetId, start: usize, end: usize) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         self.check_interactable(id)?;
         let w = self.app.tree().widget(id);
         if !w.text_surface {
@@ -1157,7 +900,6 @@ impl Session {
         end: usize,
     ) -> Result<(), AppError> {
         self.action_seq += 1;
-        self.trace.poison();
         self.check_interactable(id)?;
         let w = self.app.tree().widget(id);
         if !w.text_surface {
@@ -2052,112 +1794,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Cross-session capture pool + index carry-forward
+    // Index carry-forward
     // ------------------------------------------------------------------
-
-    #[test]
-    fn capture_pool_shares_snapshots_across_forked_sessions() {
-        let (app, ids) = image_app();
-        let mut a = Session::new(Box::new(app));
-        let pool = CapturePool::shared();
-        a.set_capture_pool(Some(Arc::clone(&pool)));
-        let mut b = a.fork_from_pristine().expect("image app forks");
-        assert!(b.capture_pool().is_some(), "forks inherit the pool");
-        a.restart();
-        b.restart();
-        let base_a = a.capture();
-        assert!(!base_a.is_cache_hit(), "first capture anywhere is a build");
-        assert_eq!(a.capture_stats().pool_misses, 1, "probed and offered to the pool");
-        let base_b = b.capture();
-        assert!(base_b.is_cache_hit(), "sibling state served from the pool");
-        assert!(Arc::ptr_eq(base_a.snap(), base_b.snap()), "one shared snapshot across sessions");
-        assert_eq!(b.capture_stats().pool_hits, 1);
-        // The same click path from pristine shares again — on both sides.
-        a.click(ids.menu).unwrap();
-        b.click(ids.menu).unwrap();
-        let m_a = a.capture();
-        let m_b = b.capture();
-        assert!(!m_a.is_cache_hit());
-        assert!(m_b.is_cache_hit());
-        assert!(Arc::ptr_eq(m_a.snap(), m_b.snap()));
-        // Byte-identity against an eager rebuild of the same state.
-        let (oracle_app, oracle_ids) = image_app();
-        let mut oracle = Session::new(Box::new(oracle_app));
-        oracle.set_capture_config(CaptureConfig::full_rebuild());
-        oracle.restart();
-        assert_eq!(oracle_ids.menu, ids.menu);
-        oracle.click(oracle_ids.menu).unwrap();
-        assert_eq!(*m_b.snap().as_ref(), *oracle.snapshot());
-    }
-
-    #[test]
-    fn capture_pool_keys_on_the_divergence_and_refloors_at_base() {
-        let (app, ids) = image_app();
-        let mut a = Session::new(Box::new(app));
-        a.set_capture_pool(Some(CapturePool::shared()));
-        let mut b = a.fork_from_pristine().unwrap();
-        a.restart();
-        b.restart();
-        let base_a = a.capture();
-        // Divergent traces never alias: A opens the menu, B clicks the
-        // (tree-invisible) bump command — B's state re-floors to pristine.
-        a.click(ids.menu).unwrap();
-        b.click(ids.bump).unwrap();
-        let menu_a = a.capture();
-        let base_b = b.capture();
-        assert!(base_b.is_cache_hit(), "B provably returned to pristine: base is shared");
-        assert!(Arc::ptr_eq(base_a.snap(), base_b.snap()));
-        assert!(!Arc::ptr_eq(menu_a.snap(), base_b.snap()));
-        // Esc re-floors A too: its next base capture rides the pool entry.
-        a.press("Esc").unwrap();
-        let back_a = a.capture();
-        assert!(Arc::ptr_eq(back_a.snap(), base_a.snap()));
-    }
-
-    #[test]
-    fn unfingerprinted_input_poisons_the_pool_trace_until_restart() {
-        let (app, ids) = image_app();
-        let mut s = Session::new(Box::new(app));
-        let pool = CapturePool::shared();
-        s.set_capture_pool(Some(Arc::clone(&pool)));
-        s.restart();
-        let _ = s.capture();
-        assert_eq!(pool.len(), 1, "pristine base pooled");
-        // A pattern operation has no trace fingerprint: captures stop
-        // touching the pool (no hits, no inserts) until the next restart.
-        s.scroll_to(ids.label, 0.0).unwrap_err(); // label is not scrollable, but the attempt poisons
-        s.click(ids.menu).unwrap();
-        let before = s.capture_stats();
-        let _ = s.capture();
-        assert_eq!(pool.len(), 1, "poisoned session must not insert");
-        assert_eq!(s.capture_stats().pool_misses, before.pool_misses, "nor probe");
-        // app_mut poisons too.
-        s.restart();
-        s.app_mut();
-        let before = s.capture_stats();
-        let _ = s.capture();
-        assert_eq!(s.capture_stats().pool_misses, before.pool_misses);
-        // A restart re-arms the trace: the next non-pristine state is
-        // pooled again (the pristine state itself rides the stash, which
-        // outranks the pool inside one session).
-        s.restart();
-        s.click(ids.menu).unwrap();
-        let _ = s.capture();
-        assert_eq!(pool.len(), 2, "re-armed trace offers new states to the pool");
-        assert!(s.capture_stats().pool_misses > 0);
-    }
-
-    #[test]
-    fn late_load_instability_disables_pooling() {
-        let (app, _) = image_app();
-        let mut s = Session::with_instability(Box::new(app), InstabilityModel::new(5, 1.0, 0.0));
-        let pool = CapturePool::shared();
-        s.set_capture_pool(Some(Arc::clone(&pool)));
-        s.restart();
-        let _ = s.capture();
-        assert!(pool.is_empty(), "late-load models are keyed on session clocks: never pooled");
-        assert_eq!(s.capture_stats().pool_misses, 0, "the pool is not even probed");
-    }
 
     #[test]
     fn partial_rebuild_splices_donor_index_for_clean_windows() {

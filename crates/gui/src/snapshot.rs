@@ -49,12 +49,6 @@
 //! donor's shared path `Arc`s and key columns, so only dirty windows pay
 //! index construction.
 //!
-//! Between the MRU probe and a rebuild, sessions attached to a
-//! [`CapturePool`] additionally probe a **cross-session** pool: sibling
-//! sessions forked from the same pristine image (the gateway's pooled
-//! tenant sessions) serve each other's captures, keyed by pristine-relative
-//! action traces — see [`CapturePool`] for the soundness argument.
-//!
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
 //! capture through it, and the release-gated equivalence tests assert
@@ -65,7 +59,7 @@ use crate::layout::{self, LayoutCache, WindowLayout};
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, RuntimeId, Snapshot};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Builds a snapshot of every open window (eager, uncached).
 ///
@@ -186,24 +180,6 @@ pub struct CaptureStats {
     pub windows_reused: u64,
     /// Windows re-walked from the widget tree.
     pub windows_rebuilt: u64,
-    /// Captures served from a shared cross-session [`CapturePool`] (a
-    /// sibling session built the identical snapshot first).
-    pub pool_hits: u64,
-    /// Pool probes that found no matching entry (the capture then built
-    /// locally and was offered to the pool).
-    pub pool_misses: u64,
-    /// Times a poisoned [`CapturePool`] lock was recovered: the pooled
-    /// entries are discarded (a sibling session died while holding the
-    /// lock) and the capture falls back to a fresh rebuild instead of
-    /// propagating the panic into this session's checkout path.
-    pub poison_recoveries: u64,
-    /// Subset of `pool_hits` served from *warm* entries — captures
-    /// imported from a persistent store rather than built by a live
-    /// sibling session this process.
-    pub pool_warm_hits: u64,
-    /// Entries evicted from the shared pool under the frequency × cost
-    /// retention policy while this session inserted.
-    pub pool_evictions: u64,
 }
 
 impl CaptureCache {
@@ -323,285 +299,23 @@ pub(crate) fn rebuild(
     snap
 }
 
-/// A shared, read-mostly pool of captures keyed by pristine-relative
-/// action traces, serving snapshot hits **across sessions** forked from
-/// one pristine launch image (see `Session::set_capture_pool`).
-///
-/// # Why sharing across sessions is sound
-///
-/// Per-session capture keys (window mutation stamps, state epochs) are
-/// monotonic counters whose absolute values depend on each session's
-/// history, so they are meaningless across sessions. What *is* comparable
-/// is the action trace: on a deterministic application, the widget tree —
-/// and hence the snapshot bytes — is a pure function of `(pristine image,
-/// input actions since the state provably equaled that image)`. Sessions
-/// attest the image via `GuiApp::pristine_token` and track the trace as a
-/// fingerprint sequence (reset whenever the state provably returns to
-/// pristine, poisoned by any input the trace cannot fingerprint), so two
-/// sessions with the same `(token, trace)` hold byte-identical trees and
-/// may share one snapshot `Arc` — identity index included.
-///
-/// Entries additionally key on an instability-model fingerprint (name
-/// variation is a pure function of `(seed, widget)`, so equal models
-/// perturb forks identically), and sessions skip the pool entirely while
-/// late-load instability is configured — the one perturbation keyed on
-/// session-local clocks rather than tree state.
-///
-/// # Locking discipline
-///
-/// One flat `Mutex` around a small MRU vector. Every operation is a short
-/// critical section — a key scan plus an `Arc` clone or a bounded insert;
-/// no snapshot is ever *built* under the lock, so contention costs a few
-/// compares while a hit saves a full O(arena) walk and index build.
+/// An empty placeholder for the retired cross-session capture pool. It
+/// holds no captures and no session reads it; it remains only because
+/// the frozen benchmark (`dmibench/src/legacy.rs`) names it through
+/// `dmi_store::recording_pool` and `Session::capture_pool`, and goes
+/// with that benchmark's next change.
 #[derive(Debug, Default)]
-pub struct CapturePool {
-    capacity: usize,
-    entries: Mutex<Vec<PoolEntry>>,
-}
-
-#[derive(Debug)]
-struct PoolEntry {
-    /// `GuiApp::pristine_token` of the image the trace is relative to.
-    token: u64,
-    /// Instability-model fingerprint (seed + name-variation setting).
-    model: u64,
-    /// Chained hash of the action trace (fast reject).
-    hash: u64,
-    /// The full fingerprint trace, compared element-wise on a hash match
-    /// — this guards against chained-hash collisions for free. The
-    /// per-action fingerprints themselves are unconfirmed 64-bit digests
-    /// (two *different* actions colliding on every fingerprint would
-    /// alias), which is weaker than the ControlKey hash+confirm
-    /// discipline but over ~a dozen independent 64-bit draws per trace,
-    /// not a practical concern.
-    trace: Vec<u64>,
-    snap: Arc<Snapshot>,
-    /// Times this entry served a lookup (the frequency half of the
-    /// retention score).
-    hits: u64,
-    /// Whether the entry was imported from a persistent store (a *warm*
-    /// entry) rather than built by a live session this process.
-    warm: bool,
-}
-
-impl PoolEntry {
-    /// Retention score under the frequency × cost policy: how many
-    /// node-walks the entry has saved, weighted by how many it would
-    /// cost to rebuild. `hits + 1` counts the build itself, so a large
-    /// never-hit capture still outranks a tiny never-hit one.
-    fn retention_score(&self) -> u128 {
-        (self.hits as u128 + 1) * self.snap.len().max(1) as u128
-    }
-}
-
-/// One exported pool entry, ready for persistence. The pristine token is
-/// deliberately absent: it attests an in-process allocation and does not
-/// survive serialization — importers re-key entries to the live session's
-/// token after attesting the pristine image structurally (see
-/// `dmi_core::pristine_signature`).
-#[derive(Debug, Clone)]
-pub struct PooledCapture {
-    /// Instability-model fingerprint the entry was built under.
-    pub model: u64,
-    /// Chained action-trace hash (fast reject key).
-    pub hash: u64,
-    /// The full fingerprint trace (hash-collision confirm key).
-    pub trace: Vec<u64>,
-    /// The pooled snapshot.
-    pub snap: Arc<Snapshot>,
-    /// Lookup count carried across processes so the retention policy
-    /// keeps historically hot entries.
-    pub hits: u64,
-}
+pub struct CapturePool;
 
 impl CapturePool {
-    /// A pool retaining up to `capacity` captures (frequency × cost
-    /// retention, see [`PoolEntry::retention_score`]).
-    pub fn new(capacity: usize) -> CapturePool {
-        CapturePool { capacity: capacity.max(1), entries: Mutex::new(Vec::new()) }
-    }
-
-    /// A pool with the default capacity, ready to share across sessions.
-    pub fn shared() -> Arc<CapturePool> {
-        Arc::new(CapturePool::new(64))
-    }
-
-    /// Number of pooled captures.
+    /// Always 0: the shell holds no captures.
     pub fn len(&self) -> usize {
-        match self.entries.lock() {
-            Ok(g) => g.len(),
-            Err(p) => p.into_inner().len(),
-        }
+        0
     }
 
-    /// Whether the pool holds no captures.
+    /// Always true (see [`CapturePool::len`]).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Locks the entry list, recovering from poisoning: a sibling session
-    /// that panicked while holding the lock forfeits every pooled entry
-    /// (sharing degrades to fresh rebuilds, counted in
-    /// `CaptureStats::poison_recoveries`), but never takes the surviving
-    /// sessions down with it.
-    fn entries_recovered(
-        &self,
-        stats: &mut CaptureStats,
-    ) -> std::sync::MutexGuard<'_, Vec<PoolEntry>> {
-        match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                let mut g = poisoned.into_inner();
-                g.clear();
-                self.entries.clear_poison();
-                stats.poison_recoveries += 1;
-                dmi_obs::tally("capture.poison_recoveries", 1);
-                g
-            }
-        }
-    }
-
-    /// Serves the capture for `(token, model, trace)` if a sibling session
-    /// already built it (hash fast-path, full-trace confirm).
-    pub(crate) fn lookup(
-        &self,
-        token: u64,
-        model: u64,
-        hash: u64,
-        trace: &[u64],
-        stats: &mut CaptureStats,
-    ) -> Option<Arc<Snapshot>> {
-        let mut entries = self.entries_recovered(stats);
-        let pos = entries.iter().position(|e| {
-            e.token == token && e.model == model && e.hash == hash && e.trace == trace
-        })?;
-        let mut entry = entries.remove(pos);
-        entry.hits += 1;
-        if entry.warm {
-            stats.pool_warm_hits += 1;
-            dmi_obs::tally("capture.pool_warm_hits", 1);
-        }
-        let snap = Arc::clone(&entry.snap);
-        entries.insert(0, entry);
-        Some(snap)
-    }
-
-    /// Offers a freshly built capture to the pool. If a racing sibling
-    /// already inserted the same key, the existing entry wins (both are
-    /// byte-identical; keeping one maximizes sharing).
-    pub(crate) fn insert(
-        &self,
-        token: u64,
-        model: u64,
-        hash: u64,
-        trace: &[u64],
-        snap: &Arc<Snapshot>,
-        stats: &mut CaptureStats,
-    ) {
-        let mut entries = self.entries_recovered(stats);
-        if let Some(pos) = entries.iter().position(|e| {
-            e.token == token && e.model == model && e.hash == hash && e.trace == trace
-        }) {
-            let entry = entries.remove(pos);
-            entries.insert(0, entry);
-            return;
-        }
-        entries.insert(
-            0,
-            PoolEntry {
-                token,
-                model,
-                hash,
-                trace: trace.to_vec(),
-                snap: Arc::clone(snap),
-                hits: 0,
-                warm: false,
-            },
-        );
-        Self::evict_over_capacity(&mut entries, self.capacity, stats);
-    }
-
-    /// Frequency × cost eviction: while over capacity, drop the entry
-    /// with the lowest [`PoolEntry::retention_score`], breaking ties
-    /// toward the least recently used (largest MRU index). Replaces the
-    /// original pure-MRU truncate: a rarely-hit pool (Word's ~1% rate)
-    /// used to cycle expensive captures out in insertion order, while
-    /// hot pools (Excel/PowerPoint ~20%) never got to weigh a cheap
-    /// popup snapshot against a full dialog one.
-    fn evict_over_capacity(
-        entries: &mut Vec<PoolEntry>,
-        capacity: usize,
-        stats: &mut CaptureStats,
-    ) {
-        while entries.len() > capacity {
-            let victim = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, e)| (e.retention_score(), std::cmp::Reverse(*i)))
-                .map(|(i, _)| i)
-                .expect("over-capacity pool is non-empty");
-            entries.remove(victim);
-            stats.pool_evictions += 1;
-            dmi_obs::tally("capture.pool_evictions", 1);
-        }
-    }
-
-    /// Exports every entry keyed to `token` for persistence, MRU order
-    /// preserved. Snapshots travel as shared `Arc`s — exporting copies
-    /// nothing.
-    pub fn export(&self, token: u64) -> Vec<PooledCapture> {
-        let mut scratch = CaptureStats::default();
-        let entries = self.entries_recovered(&mut scratch);
-        entries
-            .iter()
-            .filter(|e| e.token == token)
-            .map(|e| PooledCapture {
-                model: e.model,
-                hash: e.hash,
-                trace: e.trace.clone(),
-                snap: Arc::clone(&e.snap),
-                hits: e.hits,
-            })
-            .collect()
-    }
-
-    /// Imports persisted captures, re-keyed to the live session's
-    /// `token`, marked *warm* (hits on them are reported separately in
-    /// [`CaptureStats::pool_warm_hits`]). The caller is responsible for
-    /// pristine attestation: entries must come from a store whose
-    /// pristine signature matches the live app (see
-    /// `dmi_store::warm_session`). Existing live entries win duplicate
-    /// keys; the retention policy applies immediately, so importing more
-    /// than the capacity keeps the highest-scoring captures. Returns the
-    /// number of entries actually added.
-    pub fn import(
-        &self,
-        token: u64,
-        captures: Vec<PooledCapture>,
-        stats: &mut CaptureStats,
-    ) -> usize {
-        let mut entries = self.entries_recovered(stats);
-        let mut added = 0usize;
-        for c in captures {
-            let dup = entries.iter().any(|e| {
-                e.token == token && e.model == c.model && e.hash == c.hash && e.trace == c.trace
-            });
-            if dup {
-                continue;
-            }
-            entries.push(PoolEntry {
-                token,
-                model: c.model,
-                hash: c.hash,
-                trace: c.trace,
-                snap: c.snap,
-                hits: c.hits,
-                warm: true,
-            });
-            added += 1;
-        }
-        Self::evict_over_capacity(&mut entries, self.capacity, stats);
-        added
+        true
     }
 }
 
@@ -761,34 +475,6 @@ mod tests {
         assert!(s4.find_by_name("Blue").is_none());
         let s5 = build(&t, &InstabilityModel::off(), 5);
         assert!(s5.find_by_name("Blue").is_some());
-    }
-
-    #[test]
-    fn poisoned_pool_lock_degrades_to_a_rebuild() {
-        let pool = std::sync::Arc::new(CapturePool::new(4));
-        let (t, ..) = tree();
-        let snap = std::sync::Arc::new(build(&t, &InstabilityModel::off(), 0));
-        let mut stats = CaptureStats::default();
-        pool.insert(7, 1, 99, &[1, 2], &snap, &mut stats);
-        assert_eq!(pool.len(), 1);
-        assert_eq!(stats.poison_recoveries, 0);
-
-        // A sibling session dies while holding the entry lock.
-        let p2 = std::sync::Arc::clone(&pool);
-        let _ = std::thread::spawn(move || {
-            let _guard = p2.entries.lock().unwrap();
-            panic!("injected fault: die holding the pool lock");
-        })
-        .join();
-
-        // Every path recovers: the poisoned entries are forfeited, the
-        // recovery is counted, and the pool keeps working afterwards.
-        assert!(pool.lookup(7, 1, 99, &[1, 2], &mut stats).is_none(), "entries forfeited");
-        assert_eq!(stats.poison_recoveries, 1);
-        pool.insert(7, 1, 99, &[1, 2], &snap, &mut stats);
-        assert_eq!(stats.poison_recoveries, 1, "the lock heals after one recovery");
-        assert!(pool.lookup(7, 1, 99, &[1, 2], &mut stats).is_some());
-        assert_eq!(pool.len(), 1);
     }
 
     #[test]

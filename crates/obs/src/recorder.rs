@@ -54,7 +54,7 @@ pub enum Cat {
     Scheduler,
     /// No engine emits this category any more (see [`Cat::Scheduler`]).
     Worker,
-    /// Capture cache / cross-session capture pool.
+    /// Capture cache.
     Capture,
     /// Multi-tenant serving gateway.
     Gateway,

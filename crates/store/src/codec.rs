@@ -6,7 +6,7 @@
 //! ```text
 //! magic      8  b"DMISTORE"
 //! version    4  FORMAT_VERSION
-//! kind       1  artifact kind (rip = 1, captures = 2)
+//! kind       1  artifact kind (rip = 1)
 //! sections   4  section count
 //! per section:
 //!   tag      1
@@ -18,8 +18,8 @@
 //! Strings are interned: every section stores `u32` ids into a shared
 //! string table carried in its own section (tag [`sec::STRINGS`]), which
 //! is always decoded first. Office UNGs repeat a few hundred names across
-//! thousands of nodes and snapshots — interning is most of the codec's
-//! size win over the JSON path.
+//! thousands of nodes — interning is most of the codec's size win over
+//! the JSON path.
 //!
 //! Every read is bounds- and checksum-guarded: truncated, corrupt, or
 //! wrong-version input surfaces a typed [`StoreError`], never a panic.
@@ -30,7 +30,7 @@ use std::fmt;
 /// Current on-disk format version. Bump on any layout change; readers
 /// refuse other versions with [`StoreError::UnsupportedVersion`] (see
 /// `docs/persistence.md` for the compatibility rules).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"DMISTORE";
@@ -39,8 +39,6 @@ pub const MAGIC: [u8; 8] = *b"DMISTORE";
 pub mod kind {
     /// A stored rip: UNG + rip stats + pristine signature.
     pub const RIP: u8 = 1;
-    /// A stored capture-pool export.
-    pub const CAPTURES: u8 = 2;
 }
 
 /// Section tags.
@@ -51,8 +49,6 @@ pub mod sec {
     pub const META: u8 = 2;
     /// The UNG graph.
     pub const UNG: u8 = 3;
-    /// Pooled capture entries.
-    pub const ENTRIES: u8 = 5;
 }
 
 /// Typed codec/store errors. The decoder's contract is total: any byte
@@ -92,7 +88,7 @@ pub enum StoreError {
     },
     /// A warm-boot attestation failed: the stored pristine signature
     /// does not match the live application's, so serving the stored
-    /// UNG or captures would be unsound (e.g. a different app version).
+    /// UNG would be unsound (e.g. a different app version).
     PristineMismatch {
         /// The store key the attestation was performed for.
         app: String,
@@ -190,10 +186,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// A length-prefixed list header.
     pub fn len(&mut self, n: usize) {
         self.u32(n as u32);
@@ -246,10 +238,6 @@ impl<'a> Dec<'a> {
 
     pub fn u64(&mut self) -> StoreResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn i32(&mut self) -> StoreResult<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
     /// A list length, sanity-bounded by what the remaining payload could
@@ -444,10 +432,11 @@ mod tests {
             Err(StoreError::UnsupportedVersion { found: 99 })
         ));
 
-        let bytes = round_trip_artifact();
+        let mut bytes = round_trip_artifact();
+        bytes[12] = 2; // kind byte: the retired capture artifact
         assert!(matches!(
-            ArtifactReader::new(&bytes, kind::CAPTURES),
-            Err(StoreError::WrongKind { expected: kind::CAPTURES, found: kind::RIP })
+            ArtifactReader::new(&bytes, kind::RIP),
+            Err(StoreError::WrongKind { expected: kind::RIP, found: 2 })
         ));
     }
 

@@ -1,9 +1,9 @@
-//! Persistent storage for ripped UNGs and capture pools.
+//! Persistent storage for ripped UNGs.
 //!
 //! This crate adds the third leg of the DMI lifecycle: after a UNG has
 //! been ripped (`dmi-core`) and served (`dmi-agent`), it can be
-//! **saved** — together with its rip stats and the session's capture
-//! pool — and a later process can **load** it to warm-boot a gateway.
+//! **saved** — together with its rip stats — and a later process can
+//! **load** it to warm-boot a gateway.
 //!
 //! Two layers:
 //!
@@ -30,25 +30,15 @@ pub use codec::{StoreError, StoreResult, FORMAT_VERSION};
 
 use codec::{kind, sec, ArtifactReader, ArtifactWriter, Dec, Enc};
 use dmi_core::{RipConfig, RipJournal, RipStats, Ung, WindowSig};
-use dmi_gui::{PooledCapture, Session};
+use dmi_gui::{CapturePool, Session};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Maximum pooled captures persisted per app. On save, lower-value
-/// entries (by the same frequency × node-count retention score the
-/// in-memory pool uses) are dropped first.
-pub const STORE_CAPACITY: usize = 64;
-
-/// A capture pool sized for recording: one rip generates thousands of
-/// distinct action traces, so the serving-sized `CapturePool::shared()`
-/// (64 entries) churns every capture out before the rip finishes and the
-/// post-rip export would be an arbitrary tail. A recording pool holds
-/// the whole rip, letting hit counts accumulate so the
-/// [`STORE_CAPACITY`] cap applied at save keeps the genuinely hottest
-/// entries. Attach it to the donor before [`record_rip`] /
-/// [`export_captures`], and to the warmed session before
-/// [`warm_session`].
-pub fn recording_pool() -> std::sync::Arc<dmi_gui::CapturePool> {
-    std::sync::Arc::new(dmi_gui::CapturePool::new(8192))
+/// An empty [`CapturePool`] placeholder. It remains only because the
+/// frozen benchmark (`dmibench/src/legacy.rs`) calls it, and goes with
+/// that benchmark's next change.
+pub fn recording_pool() -> Arc<CapturePool> {
+    Arc::new(CapturePool)
 }
 
 /// A persisted rip: the UNG, the rip stats, and the structural identity
@@ -69,16 +59,12 @@ pub struct StoredRip {
     pub journal: RipJournal,
 }
 
-/// A persisted capture-pool export.
-#[derive(Debug)]
-pub struct StoredCaptures {
-    /// Application key (also the file stem).
-    pub app: String,
-    /// Pristine-state window signature of the donor build.
-    pub pristine: Vec<WindowSig>,
-    /// Pooled captures, most-recently-used first (the pool's MRU order).
-    pub entries: Vec<PooledCapture>,
-}
+/// An empty placeholder for the retired capture artifact, returned by
+/// [`export_captures`] and accepted by [`Store::save_captures`]. It
+/// remains only because the frozen benchmark (`dmibench/src/legacy.rs`)
+/// passes it between them, and goes with that benchmark's next change.
+#[derive(Debug, Default)]
+pub struct StoredCaptures;
 
 /// Serializes a [`StoredRip`] to the binary format.
 pub fn encode_rip(rip: &StoredRip) -> Vec<u8> {
@@ -112,61 +98,8 @@ pub fn decode_rip(bytes: &[u8]) -> StoreResult<StoredRip> {
     Ok(StoredRip { app, pristine, ung: graph, stats, journal: RipJournal::new() })
 }
 
-/// Serializes a [`StoredCaptures`] to the binary format.
-pub fn encode_captures(caps: &StoredCaptures) -> Vec<u8> {
-    let _span = dmi_obs::span(dmi_obs::Cat::Store, "encode_captures", 0);
-    let mut w = ArtifactWriter::new(kind::CAPTURES);
-    let mut meta = Enc::default();
-    meta.str(&mut w.interner, &caps.app);
-    artifacts::enc_sigs(&mut meta, &mut w.interner, &caps.pristine);
-    let mut entries = Enc::default();
-    artifacts::enc_captures(&mut entries, &mut w.interner, &caps.entries);
-    w.section(sec::META, meta);
-    w.section(sec::ENTRIES, entries);
-    w.finish()
-}
-
-/// Deserializes a [`StoredCaptures`].
-pub fn decode_captures(bytes: &[u8]) -> StoreResult<StoredCaptures> {
-    let _span = dmi_obs::span(dmi_obs::Cat::Store, "decode_captures", 0);
-    dmi_obs::tally("store.decoded_bytes", bytes.len() as u64);
-    let r = ArtifactReader::new(bytes, kind::CAPTURES)?;
-    let mut meta = Dec::new(r.section(sec::META)?, "captures meta");
-    let app = meta.str(&r.strings)?.to_string();
-    let pristine = artifacts::dec_sigs(&mut meta, &r.strings)?;
-    meta.finish()?;
-    let mut d = Dec::new(r.section(sec::ENTRIES)?, "capture entries");
-    let entries = artifacts::dec_captures(&mut d, &r.strings)?;
-    d.finish()?;
-    Ok(StoredCaptures { app, pristine, entries })
-}
-
-/// Applies the persistence retention cap: keeps the [`STORE_CAPACITY`]
-/// highest retention-score entries (the in-memory pool's frequency ×
-/// node-count score), ties toward the more recent — exports are MRU
-/// first. Returns the number evicted.
-fn apply_store_capacity(entries: &mut Vec<PooledCapture>) -> usize {
-    if entries.len() <= STORE_CAPACITY {
-        return 0;
-    }
-    let evicted = entries.len() - STORE_CAPACITY;
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by_key(|&i| {
-        let c = &entries[i];
-        (std::cmp::Reverse((c.hits + 1) as u128 * c.snap.len().max(1) as u128), i)
-    });
-    let keep: std::collections::HashSet<usize> = order[..STORE_CAPACITY].iter().copied().collect();
-    let mut i = 0;
-    entries.retain(|_| {
-        let kept = keep.contains(&i);
-        i += 1;
-        kept
-    });
-    evicted
-}
-
 /// An on-disk artifact store: one directory, one file per artifact,
-/// keyed by application name (`{app}.rip.dmi`, `{app}.caps.dmi`).
+/// keyed by application name (`{app}.rip.dmi`).
 pub struct Store {
     root: PathBuf,
 }
@@ -184,17 +117,17 @@ impl Store {
         &self.root
     }
 
-    fn path(&self, app: &str, suffix: &str) -> PathBuf {
+    fn rip_path(&self, app: &str) -> PathBuf {
         let stem: String =
             app.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-        self.root.join(format!("{stem}.{suffix}.dmi"))
+        self.root.join(format!("{stem}.rip.dmi"))
     }
 
     /// Persists a rip; returns the serialized size in bytes.
     pub fn save_rip(&self, rip: &StoredRip) -> StoreResult<u64> {
         let _span = dmi_obs::span(dmi_obs::Cat::Store, "save_rip", 0);
         let bytes = encode_rip(rip);
-        std::fs::write(self.path(&rip.app, "rip"), &bytes)?;
+        std::fs::write(self.rip_path(&rip.app), &bytes)?;
         dmi_obs::tally("store.saved_bytes", bytes.len() as u64);
         Ok(bytes.len() as u64)
     }
@@ -202,27 +135,15 @@ impl Store {
     /// Loads the rip stored for `app`.
     pub fn load_rip(&self, app: &str) -> StoreResult<StoredRip> {
         let _span = dmi_obs::span(dmi_obs::Cat::Store, "load_rip", 0);
-        decode_rip(&std::fs::read(self.path(app, "rip"))?)
+        decode_rip(&std::fs::read(self.rip_path(app))?)
     }
 
-    /// Persists a capture-pool export, applying the [`STORE_CAPACITY`]
-    /// retention cap; returns the serialized size in bytes.
-    pub fn save_captures(&self, caps: &StoredCaptures) -> StoreResult<u64> {
-        let _span = dmi_obs::span(dmi_obs::Cat::Store, "save_captures", 0);
-        let mut entries: Vec<PooledCapture> = caps.entries.clone();
-        apply_store_capacity(&mut entries);
-        let capped =
-            StoredCaptures { app: caps.app.clone(), pristine: caps.pristine.clone(), entries };
-        let bytes = encode_captures(&capped);
-        std::fs::write(self.path(&caps.app, "caps"), &bytes)?;
-        dmi_obs::tally("store.saved_bytes", bytes.len() as u64);
-        Ok(bytes.len() as u64)
-    }
-
-    /// Loads the captures stored for `app`.
-    pub fn load_captures(&self, app: &str) -> StoreResult<StoredCaptures> {
-        let _span = dmi_obs::span(dmi_obs::Cat::Store, "load_captures", 0);
-        decode_captures(&std::fs::read(self.path(app, "caps"))?)
+    /// Writes nothing and returns `Ok(0)`: [`StoredCaptures`] carries no
+    /// captures. It remains only because the frozen benchmark
+    /// (`dmibench/src/legacy.rs`) calls it, and goes with that
+    /// benchmark's next change.
+    pub fn save_captures(&self, _caps: &StoredCaptures) -> StoreResult<u64> {
+        Ok(0)
     }
 }
 
@@ -235,33 +156,11 @@ pub fn record_rip(app: &str, session: &mut Session, config: &RipConfig) -> Store
     StoredRip { app: app.to_string(), pristine, ung, stats, journal: RipJournal::new() }
 }
 
-/// Packages the session's current capture-pool contents for persistence.
-pub fn export_captures(app: &str, session: &mut Session) -> StoredCaptures {
-    let entries = session.export_pool_captures();
-    let pristine = dmi_core::pristine_signature(session);
-    StoredCaptures { app: app.to_string(), pristine, entries }
-}
-
-/// Warm-boots `session`'s capture pool from the store.
-///
-/// The stored pristine signature must match the live application's
-/// ([`StoreError::PristineMismatch`] otherwise) — a new build invalidates
-/// pooled captures, since replayed traces may now produce different
-/// trees. Entries recorded under a different capture model (seed or
-/// instability profile) are skipped. Returns the number of captures
-/// imported.
-pub fn warm_session(store: &Store, app: &str, session: &mut Session) -> StoreResult<usize> {
-    let stored = store.load_captures(app)?;
-    let Some((_, model)) = session.pool_identity() else {
-        return Ok(0);
-    };
-    let live = dmi_core::pristine_signature(session);
-    if live != stored.pristine {
-        return Err(StoreError::PristineMismatch { app: app.to_string() });
-    }
-    let entries: Vec<PooledCapture> =
-        stored.entries.into_iter().filter(|c| c.model == model).collect();
-    Ok(session.import_pool_captures(entries))
+/// Returns the empty [`StoredCaptures`] placeholder. It remains only
+/// because the frozen benchmark (`dmibench/src/legacy.rs`) calls it, and
+/// goes with that benchmark's next change.
+pub fn export_captures(_app: &str, _session: &mut Session) -> StoredCaptures {
+    StoredCaptures
 }
 
 #[cfg(test)]
@@ -309,7 +208,7 @@ mod tests {
         w.section(sec::UNG, ung);
         let bytes = w.finish();
         let store = temp_store("empty-ung");
-        std::fs::write(store.path("Word", "rip"), &bytes).unwrap();
+        std::fs::write(store.rip_path("Word"), &bytes).unwrap();
         for result in [decode_rip(&bytes), store.load_rip("Word")] {
             match result {
                 Err(StoreError::Corrupt { .. }) => {}
@@ -330,54 +229,5 @@ mod tests {
         // pristine signature, yet interning keeps it below the UNG's JSON
         // alone.
         assert!(binary < json, "binary {binary} bytes should beat UNG JSON {json} bytes");
-    }
-
-    #[test]
-    fn captures_round_trip_and_warm_boot_is_attested() {
-        let mut s = Session::new(AppKind::Word.launch_small());
-        s.set_capture_pool(Some(recording_pool()));
-        let _ = dmi_core::ripper::rip(&mut s, &RipConfig::office("Word"));
-        let caps = export_captures("Word", &mut s);
-        assert!(!caps.entries.is_empty(), "a rip must leave pooled captures");
-        let store = temp_store("caps");
-        store.save_captures(&caps).unwrap();
-
-        // Same build: captures import and dedup against an empty pool.
-        let mut warm = Session::new(AppKind::Word.launch_small());
-        warm.set_capture_pool(Some(recording_pool()));
-        let imported = warm_session(&store, "Word", &mut warm).unwrap();
-        assert!(imported > 0);
-
-        // Different build: structurally refused.
-        let mut other = Session::new(AppKind::Word.launch_small_version(1));
-        other.set_capture_pool(Some(recording_pool()));
-        match warm_session(&store, "Word", &mut other) {
-            Err(StoreError::PristineMismatch { app }) => assert_eq!(app, "Word"),
-            Err(e) => panic!("expected PristineMismatch, got {e}"),
-            Ok(n) => panic!("expected PristineMismatch, imported {n}"),
-        }
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn store_capacity_evicts_lowest_value_entries_first() {
-        let mut donor = Session::new(AppKind::Word.launch_small());
-        donor.set_capture_pool(Some(recording_pool()));
-        let _ = dmi_core::ripper::rip(&mut donor, &RipConfig::office("Word"));
-        let seed = donor.export_pool_captures();
-        assert!(!seed.is_empty());
-        // Synthesize > STORE_CAPACITY entries with distinct hashes; give
-        // index 0 a huge hit count so it must survive.
-        let mut entries = Vec::new();
-        for i in 0..(STORE_CAPACITY + 8) {
-            let mut c = seed[i % seed.len()].clone();
-            c.hash = c.hash.wrapping_add(i as u64);
-            c.hits = if i == 0 { 1_000_000 } else { 0 };
-            entries.push(c);
-        }
-        let evicted = apply_store_capacity(&mut entries);
-        assert_eq!(evicted, 8);
-        assert_eq!(entries.len(), STORE_CAPACITY);
-        assert!(entries.iter().any(|c| c.hits == 1_000_000), "hot entry must be retained");
     }
 }

@@ -344,70 +344,6 @@ fn esc_recovery_ung_is_byte_identical_to_full_restart_oracle() {
     }
 }
 
-/// Tests that toggle the process-global tracing flag serialize here so
-/// concurrent ignored runs cannot observe each other's windows.
-fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The observability non-interference oracle for the rip path: a fleet
-/// rip with tracing enabled must produce UNGs byte-identical to the
-/// untraced fleet — recording is strictly observational, so timestamps
-/// can differ but never a UNG byte — while the captured trace itself is
-/// substantive: one `rip.sequential` span per entry, inside the fleet's
-/// `rip.fleet` span.
-#[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn traced_fleet_rip_is_byte_identical_to_untraced() {
-    let _g = obs_guard();
-    let entries = || -> Vec<FleetEntry> {
-        AppKind::ALL
-            .iter()
-            .map(|k| {
-                FleetEntry::new(
-                    k.name(),
-                    Session::new(k.launch_small()),
-                    RipConfig::office(k.name()),
-                )
-            })
-            .collect()
-    };
-
-    let untraced: Vec<String> = rip_fleet(&mut entries(), &ParRipConfig)
-        .iter()
-        .map(|o| serde_json::to_string(&o.graph).unwrap())
-        .collect();
-
-    dmi_obs::clear();
-    dmi_obs::set_enabled(true);
-    let out = rip_fleet(&mut entries(), &ParRipConfig);
-    dmi_obs::set_enabled(false);
-    let trace = dmi_obs::drain();
-    dmi_obs::clear();
-
-    for (o, want) in out.iter().zip(&untraced) {
-        assert_eq!(
-            &serde_json::to_string(&o.graph).unwrap(),
-            want,
-            "{}: tracing must never change a UNG byte",
-            o.app_id
-        );
-    }
-    let fleet = trace.events.iter().find(|e| e.name == "rip.fleet").expect("fleet span");
-    let rips: Vec<_> = trace.events.iter().filter(|e| e.name == "rip.sequential").collect();
-    assert_eq!(rips.len(), out.len(), "one sequential rip span per entry");
-    for r in rips {
-        assert_eq!(r.cat, dmi_obs::Cat::Rip);
-        assert!(r.dur_us > 0, "rip spans carry their wall time");
-        assert!(
-            r.ts_us >= fleet.ts_us && r.ts_us + r.dur_us <= fleet.ts_us + fleet.dur_us,
-            "every entry's rip runs inside the fleet span"
-        );
-    }
-    assert!(trace.text_summary().contains("rip.sequential"));
-}
-
 /// The observability non-interference oracle for the serve path: the
 /// c=64 gateway mix served with tracing enabled must yield per-request
 /// run traces byte-identical to the untraced serve.
@@ -418,7 +354,6 @@ fn traced_gateway_serve_is_byte_identical_to_untraced() {
     use dmi_integration_tests::dmi_models;
     use std::sync::Arc;
 
-    let _g = obs_guard();
     // Models are ripped outside the observation window: fixture setup is
     // not part of the serve being traced.
     let models = dmi_models();

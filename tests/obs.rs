@@ -1,6 +1,7 @@
 //! Observability integration tests: OFF-path silence through real rips,
-//! Chrome-trace export validity, span nesting, virtual-time determinism,
-//! and the stats-vs-tallies drift cross-checks.
+//! traced-vs-untraced UNG byte identity, Chrome-trace export validity,
+//! span nesting, virtual-time determinism, and the stats-vs-tallies
+//! drift cross-checks.
 //!
 //! The recorder's enable flag is process-global, so every test that
 //! opens an observation window serializes on one lock — tests can never
@@ -8,7 +9,7 @@
 //! and inspected by every trace-shape test.
 
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig};
+use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome};
 use dmi_core::ripper::{rip, RipConfig, RipStats};
 use dmi_gui::Session;
 use dmi_obs::{Cat, Clock, Event, Trace};
@@ -30,11 +31,17 @@ fn office_entries() -> Vec<FleetEntry> {
 }
 
 /// One traced 3-app fleet rip, shared by every test that only inspects
-/// the resulting trace (the rip is the expensive part).
+/// its results (the rip is the expensive part).
 struct FleetObs {
     trace: Trace,
     tallies: BTreeMap<&'static str, u64>,
     stats: Vec<RipStats>,
+    /// Per-app UNG bytes (`serde_json`), in entry order.
+    ungs: Vec<String>,
+}
+
+fn ung_bytes(outcomes: &[RipOutcome]) -> Vec<String> {
+    outcomes.iter().map(|o| serde_json::to_string(&o.graph).expect("UNGs serialize")).collect()
 }
 
 fn fleet_obs() -> &'static FleetObs {
@@ -50,7 +57,12 @@ fn fleet_obs() -> &'static FleetObs {
         let trace = dmi_obs::drain();
         let tallies = dmi_obs::tallies();
         dmi_obs::clear();
-        FleetObs { trace, tallies, stats: out.iter().map(|o| o.stats).collect() }
+        FleetObs {
+            trace,
+            tallies,
+            stats: out.iter().map(|o| o.stats).collect(),
+            ungs: ung_bytes(&out),
+        }
     })
 }
 
@@ -68,6 +80,20 @@ fn off_path_records_nothing_through_a_real_rip() {
     assert!(t.events.is_empty(), "a disabled recorder buffers nothing through a full rip");
     assert_eq!(t.dropped, 0);
     assert!(dmi_obs::tallies().is_empty(), "a disabled recorder tallies nothing");
+}
+
+/// The observability non-interference oracle for the rip path: the
+/// traced fleet's UNGs are byte-identical to an untraced fleet rip of
+/// the same apps.
+#[test]
+fn traced_fleet_ungs_are_byte_identical_to_untraced() {
+    let _g = guard();
+    let obs = fleet_obs();
+    let untraced = ung_bytes(&rip_fleet(&mut office_entries(), &ParRipConfig));
+    assert_eq!(obs.ungs.len(), untraced.len());
+    for (kind, (traced, plain)) in AppKind::ALL.iter().zip(obs.ungs.iter().zip(&untraced)) {
+        assert!(traced == plain, "{}: tracing must never change a UNG byte", kind.name());
+    }
 }
 
 #[test]
@@ -271,8 +297,6 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(cs.pristine_hits, t("capture.pristine_hits"), "pristine hits");
     assert_eq!(cs.windows_reused, t("capture.windows_reused"), "windows reused");
     assert_eq!(cs.windows_rebuilt, t("capture.windows_rebuilt"), "windows rebuilt");
-    assert_eq!(cs.pool_hits, t("capture.pool_hits"), "pool hits");
-    assert_eq!(cs.pool_misses, t("capture.pool_misses"), "pool misses");
 }
 
 /// The fleet-side drift cross-check: the per-entry stats, summed over the
@@ -291,14 +315,10 @@ fn fleet_stats_match_obs_tallies() {
     assert_eq!(sum(|s| s.restarts), t("rip.restarts"), "restarts");
     assert_eq!(sum(|s| s.esc_recoveries), t("rip.esc_recoveries"), "esc recoveries");
     assert_eq!(sum(|s| s.blocklisted), t("rip.blocklisted"), "blocklist hits");
-    assert_eq!(sum(|s| s.pool_hits), t("capture.pool_hits"), "capture-pool hits");
-    assert_eq!(sum(|s| s.pool_misses), t("capture.pool_misses"), "capture-pool misses");
 }
 
-/// The serve-side drift cross-check: gateway counters harvested from
-/// pooled sessions must equal the per-event tallies. This is the pin for
-/// the checkin double-count fix — re-reading counters already harvested
-/// at checkin made `capture_pool_*` drift high by exactly the re-read.
+/// The serve-side drift cross-check: the gateway's outcome counters and
+/// virtual clock must equal the per-event tallies.
 #[test]
 fn serve_stats_match_obs_tallies() {
     let _g = guard();
@@ -307,8 +327,6 @@ fn serve_stats_match_obs_tallies() {
     assert_eq!(report.stats.completed as u64, t("gateway.completed"), "completed");
     assert_eq!(report.stats.faulted as u64, t("gateway.faulted"), "faulted");
     assert_eq!(report.stats.completed as u64, t("gateway.admitted"), "all admissions completed");
-    assert_eq!(report.stats.capture_pool_hits, t("capture.pool_hits"), "capture pool hits");
-    assert_eq!(report.stats.capture_pool_misses, t("capture.pool_misses"), "capture pool misses");
     // Virtual seconds vs the settled-batch tally: equal up to the µs
     // rounding applied once per settled round.
     let vt_us = (report.stats.virtual_secs * 1e6).round() as i64;

@@ -1,23 +1,23 @@
 //! Persistence integration tests: the binary store round trip at the
-//! workspace level, its failure modes, and the warm paths it powers
-//! (gateway warm boot, capture-pool warm re-rips).
+//! workspace level, its failure modes, and the gateway warm boot it
+//! powers.
 //!
 //! Tier-1 tests exercise the codec over fuzz-generated adversarial apps
 //! (round trips must be lossless *and* re-encode byte-identically),
 //! check that every corruption class surfaces a typed [`StoreError`]
-//! rather than a panic, and prove a store-booted gateway serves traces
-//! byte-identical to a conventionally rip-booted one.
+//! rather than a panic — on the codec and through
+//! [`dmi_agent::ServeApp::from_store`] — and prove a store-booted
+//! gateway serves traces byte-identical to a conventionally rip-booted
+//! one.
 //!
-//! The `#[ignore]`d oracles are the release-gated acceptance bar:
-//! `load(save(rip))` byte-identity for all three Office apps, and a
-//! same-build warm re-rip that reproduces the stored UNG while hitting
-//! the stored capture export (`pool_warm_hits > 0`).
+//! The `#[ignore]`d oracle is the release-gated acceptance bar:
+//! `load(save(rip))` byte-identity for all three Office apps.
 
 use dmi_apps::AppKind;
 use dmi_core::fuzz::{AdversarialApp, AppSpec};
 use dmi_core::RipConfig;
 use dmi_gui::Session;
-use dmi_store::{Store, StoreError, StoredCaptures, StoredRip};
+use dmi_store::{Store, StoreError, StoredRip};
 
 /// Canonical UNG bytes — the representation the oracles pin.
 fn ung_bytes(g: &dmi_core::Ung) -> String {
@@ -31,15 +31,11 @@ fn temp_store(tag: &str) -> Store {
     Store::open(dir).expect("temp store opens")
 }
 
-/// Records a fuzz app's rip and capture export under a rip-sized pool.
-fn record_fuzz(seed: u64, max_ops: usize) -> (StoredRip, StoredCaptures) {
+/// Records a fuzz app's rip.
+fn record_fuzz(seed: u64, max_ops: usize) -> StoredRip {
     let spec = AppSpec::generate(seed, max_ops);
     let mut s = Session::new(AdversarialApp::launch(spec));
-    s.set_capture_pool(Some(dmi_store::recording_pool()));
-    let app = format!("fuzz-{seed}");
-    let rip = dmi_store::record_rip(&app, &mut s, &RipConfig::default());
-    let caps = dmi_store::export_captures(&app, &mut s);
-    (rip, caps)
+    dmi_store::record_rip(&format!("fuzz-{seed}"), &mut s, &RipConfig::default())
 }
 
 /// Codec round trips over fuzz-generated apps: decoding must be
@@ -49,7 +45,7 @@ fn record_fuzz(seed: u64, max_ops: usize) -> (StoredRip, StoredCaptures) {
 #[test]
 fn fuzz_app_artifacts_round_trip_losslessly_and_canonically() {
     for seed in [7u64, 91, 1234] {
-        let (rip, caps) = record_fuzz(seed, 20);
+        let rip = record_fuzz(seed, 20);
 
         let bytes = dmi_store::encode_rip(&rip);
         let back = dmi_store::decode_rip(&bytes).expect("rip artifact decodes");
@@ -58,19 +54,6 @@ fn fuzz_app_artifacts_round_trip_losslessly_and_canonically() {
         assert_eq!(back.stats, rip.stats, "seed {seed}: rip stats");
         assert_eq!(ung_bytes(&back.ung), ung_bytes(&rip.ung), "seed {seed}: UNG bytes");
         assert_eq!(dmi_store::encode_rip(&back), bytes, "seed {seed}: canonical re-encode");
-
-        let cbytes = dmi_store::encode_captures(&caps);
-        let cback = dmi_store::decode_captures(&cbytes).expect("capture artifact decodes");
-        assert_eq!(cback.app, caps.app, "seed {seed}: capture app key");
-        assert_eq!(cback.pristine, caps.pristine, "seed {seed}: capture pristine");
-        assert_eq!(cback.entries.len(), caps.entries.len(), "seed {seed}: entry count");
-        for (a, b) in cback.entries.iter().zip(&caps.entries) {
-            assert_eq!(a.model, b.model, "seed {seed}: capture model");
-            assert_eq!(a.hash, b.hash, "seed {seed}: capture hash");
-            assert_eq!(a.trace, b.trace, "seed {seed}: capture trace");
-            assert_eq!(a.hits, b.hits, "seed {seed}: capture hits");
-        }
-        assert_eq!(dmi_store::encode_captures(&cback), cbytes, "seed {seed}: canonical caps");
     }
 }
 
@@ -78,7 +61,7 @@ fn fuzz_app_artifacts_round_trip_losslessly_and_canonically() {
 /// panic, never a silently wrong artifact.
 #[test]
 fn corrupt_truncated_and_wrong_version_artifacts_fail_typed() {
-    let (rip, caps) = record_fuzz(5, 12);
+    let rip = record_fuzz(5, 12);
     let bytes = dmi_store::encode_rip(&rip);
 
     // Truncation at structural boundaries: empty, mid-magic, end of
@@ -98,9 +81,10 @@ fn corrupt_truncated_and_wrong_version_artifacts_fail_typed() {
 
     // Wrong format version (header bytes 8..12, little-endian): an
     // unknown future version, version 2, whose stats section still
-    // carried the speculation counters, and version 3, which still
-    // carried the exploration journal section.
-    for version in [999u32, 2, 3] {
+    // carried the speculation counters, version 3, which still carried
+    // the exploration journal section, and version 4, whose stats still
+    // carried the capture-pool counters.
+    for version in [999u32, 2, 3, 4] {
         let mut bad = bytes.clone();
         bad[8..12].copy_from_slice(&version.to_le_bytes());
         let err = dmi_store::decode_rip(&bad).expect_err("a foreign version must be refused");
@@ -110,11 +94,11 @@ fn corrupt_truncated_and_wrong_version_artifacts_fail_typed() {
         );
     }
 
-    // Kind confusion: a capture artifact is not a rip artifact (and
-    // vice versa).
-    let cbytes = dmi_store::encode_captures(&caps);
-    assert!(matches!(dmi_store::decode_rip(&cbytes), Err(StoreError::WrongKind { .. })));
-    assert!(matches!(dmi_store::decode_captures(&bytes), Err(StoreError::WrongKind { .. })));
+    // Kind confusion: header byte 12 names the artifact kind, and only
+    // rips (kind 1) exist.
+    let mut bad = bytes.clone();
+    bad[12] = 2;
+    assert!(matches!(dmi_store::decode_rip(&bad), Err(StoreError::WrongKind { .. })));
 
     // A flipped payload byte fails the section checksum.
     let mut bad = bytes.clone();
@@ -123,11 +107,48 @@ fn corrupt_truncated_and_wrong_version_artifacts_fail_typed() {
     assert!(matches!(dmi_store::decode_rip(&bad), Err(StoreError::Corrupt { .. })));
 }
 
+/// Booting a servable app from a store without a readable rip is a
+/// typed error, never a panic: an app with no stored rip is
+/// [`StoreError::Io`], and a rip file cut short is `Truncated` or
+/// `Corrupt`.
+#[test]
+fn store_boot_without_a_readable_rip_fails_typed() {
+    use dmi_agent::ServeApp;
+    use dmi_core::DmiBuildConfig;
+
+    let spec = AppSpec::generate(5, 12);
+    let donor = || Session::new(AdversarialApp::launch(spec.clone()));
+    let cfg = DmiBuildConfig::office("fuzz-5");
+    let store = temp_store("boot-errors");
+
+    match ServeApp::from_store("fuzz-5", &store, donor(), &cfg) {
+        Err(StoreError::Io(_)) => {}
+        Err(e) => panic!("expected Io for a missing rip, got {e}"),
+        Ok(_) => panic!("an app with no stored rip must not boot"),
+    }
+
+    store.save_rip(&record_fuzz(5, 12)).expect("save rip");
+    let files: Vec<_> = std::fs::read_dir(store.root())
+        .expect("store dir lists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(files.len(), 1, "one rip artifact on disk");
+    let bytes = std::fs::read(&files[0]).expect("read rip");
+    for cut in [bytes.len() / 2, bytes.len() - 1] {
+        std::fs::write(&files[0], &bytes[..cut]).expect("write cut rip");
+        match ServeApp::from_store("fuzz-5", &store, donor(), &cfg) {
+            Err(StoreError::Truncated { .. } | StoreError::Corrupt { .. }) => {}
+            Err(e) => panic!("cut at {cut}: expected Truncated or Corrupt, got {e}"),
+            Ok(_) => panic!("cut at {cut}: a cut rip must not boot"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
 /// A gateway booted from the store ([`ServeApp::from_store`]) must
 /// serve traces byte-identical to one booted the conventional way
 /// (live rip via [`Dmi::build`]) — the stored UNG yields the same
-/// model, and the warm capture pool never changes a trace byte. A
-/// donor from a different build must be refused at boot.
+/// model. A donor from a different build must be refused at boot.
 #[test]
 fn store_booted_gateway_serves_byte_identical_traces() {
     use dmi_agent::{Gateway, GatewayConfig, InterfaceMode, RunConfig, ServeApp, ServeRequest};
@@ -137,13 +158,10 @@ fn store_booted_gateway_serves_byte_identical_traces() {
     let store = temp_store("gateway");
     let cfg = DmiBuildConfig::office("Word");
 
-    // Record the persistent artifacts from one session...
+    // Record the persistent artifact from one session...
     let mut rec = Session::new(AppKind::Word.launch_small());
-    rec.set_capture_pool(Some(dmi_store::recording_pool()));
     let rip = dmi_store::record_rip("Word", &mut rec, &cfg.rip);
-    let caps = dmi_store::export_captures("Word", &mut rec);
     store.save_rip(&rip).expect("save rip");
-    store.save_captures(&caps).expect("save captures");
 
     // ...and build the conventional baseline from another.
     let mut live = Session::new(AppKind::Word.launch_small());
@@ -208,19 +226,15 @@ fn store_booted_gateway_serves_byte_identical_traces() {
 }
 
 /// §persistence acceptance: `load(save(rip))` is byte-identical for
-/// every Office app, and the capped capture export survives its own
-/// round trip.
+/// every Office app.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn stored_rips_round_trip_byte_identically_for_every_office_app() {
     let store = temp_store("office");
     for kind in AppKind::ALL {
         let mut s = Session::new(kind.launch_small());
-        s.set_capture_pool(Some(dmi_store::recording_pool()));
         let rip = dmi_store::record_rip(kind.name(), &mut s, &RipConfig::office(kind.name()));
-        let caps = dmi_store::export_captures(kind.name(), &mut s);
         store.save_rip(&rip).expect("save rip");
-        store.save_captures(&caps).expect("save captures");
 
         let loaded = store.load_rip(kind.name()).expect("load rip");
         assert_eq!(
@@ -231,58 +245,6 @@ fn stored_rips_round_trip_byte_identically_for_every_office_app() {
         );
         assert_eq!(loaded.stats, rip.stats, "{}: rip stats", kind.name());
         assert_eq!(loaded.pristine, rip.pristine, "{}: pristine signature", kind.name());
-
-        let lcaps = store.load_captures(kind.name()).expect("load captures");
-        assert!(!lcaps.entries.is_empty(), "{}: capture export persists", kind.name());
-        assert!(
-            lcaps.entries.len() <= dmi_store::STORE_CAPACITY,
-            "{}: stored captures respect the retention cap",
-            kind.name()
-        );
-    }
-    let _ = std::fs::remove_dir_all(store.root());
-}
-
-/// §persistence acceptance: a same-build warm re-rip booted from the
-/// stored capture export reproduces the stored UNG byte-for-byte and
-/// serves pooled captures (`pool_warm_hits > 0`); a changed build is
-/// refused the warm path entirely.
-#[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn warm_rerip_hits_stored_captures_and_refuses_changed_builds() {
-    let cfg = RipConfig::office("Word");
-    let store = temp_store("warm");
-
-    let mut v0 = Session::new(AppKind::Word.launch_small_version(0));
-    v0.set_capture_pool(Some(dmi_store::recording_pool()));
-    let rip0 = dmi_store::record_rip("Word", &mut v0, &cfg);
-    let caps0 = dmi_store::export_captures("Word", &mut v0);
-    store.save_rip(&rip0).expect("save rip");
-    store.save_captures(&caps0).expect("save captures");
-    let prior = store.load_rip("Word").expect("load rip");
-
-    let mut warm = Session::new(AppKind::Word.launch_small_version(0));
-    warm.set_capture_pool(Some(dmi_store::recording_pool()));
-    let imported = dmi_store::warm_session(&store, "Word", &mut warm).expect("same build warms");
-    assert!(imported > 0, "the stored export seeds the pool");
-
-    let (g, _) = dmi_core::ripper::rip(&mut warm, &cfg);
-    assert_eq!(
-        ung_bytes(&g),
-        ung_bytes(&prior.ung),
-        "same-build warm re-rip reproduces the stored UNG byte-for-byte"
-    );
-    assert!(
-        warm.capture_stats().pool_warm_hits > 0,
-        "warm re-rip must serve stored captures from the pool"
-    );
-
-    let mut v1 = Session::new(AppKind::Word.launch_small_version(1));
-    v1.set_capture_pool(Some(dmi_store::recording_pool()));
-    match dmi_store::warm_session(&store, "Word", &mut v1) {
-        Err(StoreError::PristineMismatch { app }) => assert_eq!(app, "Word"),
-        Err(e) => panic!("expected PristineMismatch, got {e}"),
-        Ok(n) => panic!("a changed build must not import stored captures (imported {n})"),
     }
     let _ = std::fs::remove_dir_all(store.root());
 }
