@@ -1,17 +1,17 @@
-//! The multi-tenant agent gateway: fleet-style online serving over
-//! shared ripped UNGs.
+//! The multi-tenant agent gateway: online serving over shared ripped
+//! UNGs.
 //!
 //! The *offline* phase (ripping the UNG) is provably deterministic; this
 //! module is the online half — many concurrent agent tasks, from many
-//! tenants, served against a handful of shared application models:
+//! tenants, served against a handful of shared application models. One
+//! inline loop on the caller thread does all of it:
 //!
-//! - **Fairness policy.** Admission runs on [`FairQueue`]
-//!   ([`dmi_core::parallel::fairness`]): one lane per tenant,
-//!   urgent-first, then greatest cost-aware weight (queued backlog ×
-//!   EWMA of the tenant's *simulated* task latency), ties round-robin.
-//!   Because the serve EWMA is fed from deterministic simulated seconds
-//!   (not wall clocks), the entire admission schedule is a pure function
-//!   of the request list — reproducible run to run.
+//! - **Admission in request order.** Requests wait in one queue in the
+//!   order they were submitted. While the in-flight cap has room, the
+//!   loop admits from the front; a request whose app has no free session
+//!   is passed over and keeps its place at the front for the next round.
+//!   A GUI+DMI request to an app served without a DMI model is rejected
+//!   here, before any session is checked out.
 //! - **Pooled sessions.** Each app brings one *donor* session holding
 //!   its pristine launch image. Tenant sessions are checked out of a
 //!   per-app pool: an idle session is [`Session::recycle`]d back to
@@ -22,19 +22,16 @@
 //!   capacity one on its donor; a session that cannot attest a pristine
 //!   reset is forfeited, never reused.
 //! - **Suspension at LLM-call boundaries.** Tasks run as resumable
-//!   [`TaskState`] machines. Each scheduling round steps every in-flight
-//!   task exactly once (on the worker pool when `workers > 1`, inline
-//!   otherwise) and suspends it at the next LLM-call boundary. The
-//!   round's calls form one [`LlmBatch`]: simulated model latency
-//!   overlaps across tenants — the round costs its slowest call, not the
-//!   sum — which is what turns N sequential task-times into a served
-//!   throughput curve.
+//!   [`TaskState`] machines. Each round steps every in-flight task once,
+//!   in place and under `catch_unwind`, and suspends it at the next
+//!   LLM-call boundary. The round's calls share one simulated provider
+//!   round: model latency overlaps across tenants, so the round costs
+//!   its slowest call, not the sum. That is what turns N sequential
+//!   task-times into a served throughput curve.
 //! - **Deterministic virtual timeline.** Throughput and latency are
-//!   accounted on a virtual clock advanced by `max` per round. Real
-//!   thread completion order never feeds the clock, the fairness state,
-//!   or any trace: the reported tasks/sec, p50/p99, and every per-task
-//!   [`RunTrace`] are identical at every worker count and every
-//!   concurrency level.
+//!   accounted on a virtual clock that the loop advances by the round's
+//!   slowest step. The clock, the admission order and every per-task
+//!   [`RunTrace`] are pure functions of the request list.
 //!
 //! # Trace-identity determinism argument
 //!
@@ -53,14 +50,13 @@
 use crate::runner::{RunConfig, StepStatus, TaskState};
 use crate::task::AgentTask;
 use crate::trace::RunTrace;
-use dmi_core::parallel::FairQueue;
+use dmi_core::parallel::panic_payload;
 use dmi_core::{Dmi, DmiBuildConfig};
 use dmi_gui::Session;
-use dmi_llm::LlmBatch;
 use dmi_store::{Store, StoreError};
-use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One served application: its identifier, the donor session holding the
@@ -109,7 +105,8 @@ impl ServeApp {
 /// One tenant request: run `task` against `app` under `cfg`.
 #[derive(Clone)]
 pub struct ServeRequest {
-    /// Tenant identifier (the fairness lane).
+    /// Tenant identifier, echoed back in the outcome. Admission does not
+    /// read it: requests are served in submission order.
     pub tenant: String,
     /// Which [`ServeApp`] to run against.
     pub app: String,
@@ -123,31 +120,15 @@ pub struct ServeRequest {
 /// Gateway sizing.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Worker threads stepping suspended tasks. `0` or `1` steps inline
-    /// on the caller thread (byte-identical results either way).
+    /// Ignored: every round is stepped inline on the caller thread. It
+    /// remains only because the frozen benchmark (`dmibench/src/serve.rs`)
+    /// sets it, and goes with that benchmark's next change.
     pub workers: usize,
     /// Session-pool cap per app: the most tenant sessions one app keeps
     /// live at once.
     pub sessions_per_app: usize,
-    /// Admission cap: the most tasks in flight at once (defaults to
-    /// `4 × workers` when zero).
+    /// Admission cap: the most tasks in flight at once (at least 1).
     pub max_in_flight: usize,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> GatewayConfig {
-        GatewayConfig { workers: 2, sessions_per_app: 4, max_in_flight: 0 }
-    }
-}
-
-impl GatewayConfig {
-    fn in_flight_cap(&self) -> usize {
-        if self.max_in_flight > 0 {
-            self.max_in_flight
-        } else {
-            self.workers.max(1) * 4
-        }
-    }
 }
 
 /// One request's result.
@@ -159,7 +140,7 @@ pub struct ServeOutcome {
     /// The run trace — byte-identical to the task's sequential run.
     /// `None` when the task could not produce one (panic, no session).
     pub trace: Option<RunTrace>,
-    /// The contained fault when the task died without a trace: a worker
+    /// The contained fault when the task died without a trace: a step's
     /// panic payload or an admission error.
     pub fault: Option<String>,
     /// Virtual-clock admission time (requests all arrive at 0; the gap
@@ -317,7 +298,7 @@ impl AppPool {
         self.idle.push(session);
     }
 
-    /// A checked-out session died with its task (worker panic).
+    /// A checked-out session died with its task (a step panicked).
     fn forfeit(&mut self) {
         self.live -= 1;
     }
@@ -328,68 +309,29 @@ impl AppPool {
     }
 }
 
-/// One queued request (its outcome slot rides along).
-struct Pending {
-    slot: usize,
-    lane: usize,
-    req: ServeRequest,
-}
-
-/// One in-flight task.
+/// One in-flight task: its request, its outcome slot and its suspended
+/// state.
 struct Flight {
     slot: usize,
-    lane: usize,
-    tenant: String,
-    app: String,
-    task: Arc<AgentTask>,
-    state: Option<TaskState>,
-    admit_vt: f64,
-    sim_before: f64,
-}
-
-/// A step job shipped to a worker thread.
-struct StepJob {
-    pos: usize,
+    req: ServeRequest,
     state: TaskState,
-    task: Arc<AgentTask>,
-    dmi: Option<Arc<Dmi>>,
+    admit_vt: f64,
 }
 
-type StepReply = (usize, Result<(TaskState, StepStatus), String>);
-
-fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        String::from("non-string panic payload")
+/// The outcome of a request that died without a trace.
+fn fault_outcome(req: ServeRequest, fault: String, admit_vt: f64, finish_vt: f64) -> ServeOutcome {
+    ServeOutcome {
+        tenant: req.tenant,
+        app: req.app,
+        trace: None,
+        fault: Some(fault),
+        admit_vt,
+        finish_vt,
     }
 }
 
-fn run_step(job: StepJob) -> StepReply {
-    let StepJob { pos, mut state, task, dmi } = job;
-    let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let status = state.step(&task, dmi.as_deref());
-        (state, status)
-    }));
-    match stepped {
-        Ok(ok) => (pos, Ok(ok)),
-        Err(payload) => (pos, Err(panic_payload(payload.as_ref()))),
-    }
-}
-
-fn worker_loop(jobs: Arc<Mutex<Receiver<StepJob>>>, replies: Sender<StepReply>) {
-    loop {
-        let job = match jobs.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        if replies.send(run_step(job)).is_err() {
-            return;
-        }
-    }
+fn no_sessions_left(app: &str) -> String {
+    format!("app `{app}` has no serviceable sessions left")
 }
 
 /// The multi-tenant gateway: holds the per-app session pools and serves
@@ -409,186 +351,93 @@ impl Gateway {
 
     /// Serves a batch of concurrent requests to completion, returning
     /// per-request outcomes (request order) and aggregate stats. All
-    /// requests are considered to arrive at virtual time zero; admission
-    /// control and fairness decide who waits.
+    /// requests are considered to arrive at virtual time zero; they are
+    /// admitted in request order as in-flight slots and sessions free up.
     pub fn serve(&mut self, requests: Vec<ServeRequest>) -> ServeReport {
         let wall_start = Instant::now();
         let n = requests.len();
         let _serve_span = dmi_obs::span(dmi_obs::Cat::Gateway, "serve", n as u64);
 
-        // Tenant lanes in first-appearance order (deterministic).
-        let mut lane_of: BTreeMap<String, usize> = BTreeMap::new();
-        let mut lanes = 0usize;
-        let lane_ids: Vec<usize> = requests
-            .iter()
-            .map(|r| {
-                *lane_of.entry(r.tenant.clone()).or_insert_with(|| {
-                    lanes += 1;
-                    lanes - 1
-                })
-            })
-            .collect();
-        let mut queue: FairQueue<Pending> = FairQueue::new(lanes);
-        for (slot, (req, lane)) in requests.into_iter().zip(lane_ids).enumerate() {
-            queue.push_back(lane, Pending { slot, lane, req });
-            queue.set_depth(lane, queue.lane_len(lane) as u64);
-        }
-
+        let mut queue: VecDeque<(usize, ServeRequest)> = requests.into_iter().enumerate().collect();
         let mut outcomes: Vec<Option<ServeOutcome>> = (0..n).map(|_| None).collect();
         let mut stats = ServeStats { tasks: n, ..ServeStats::default() };
         let mut in_flight: Vec<Flight> = Vec::new();
-        let mut batch = LlmBatch::new();
         let mut vt = 0.0f64;
+        let cap = self.config.max_in_flight.max(1);
 
-        // Worker pool (inline when 0/1 — identical results, see module
-        // docs).
-        let threaded = self.config.workers > 1;
-        let (job_tx, reply_rx, worker_handles) = if threaded {
-            let (jtx, jrx) = channel::<StepJob>();
-            let (rtx, rrx) = channel::<StepReply>();
-            let jrx = Arc::new(Mutex::new(jrx));
-            let handles: Vec<_> = (0..self.config.workers)
-                .map(|_| {
-                    let jrx = Arc::clone(&jrx);
-                    let rtx = rtx.clone();
-                    std::thread::spawn(move || worker_loop(jrx, rtx))
-                })
-                .collect();
-            (Some(jtx), Some(rrx), handles)
-        } else {
-            (None, None, Vec::new())
-        };
-
-        let cap = self.config.in_flight_cap();
         loop {
-            // Admission: pop under the fairness policy while slots are
-            // free; requests whose app is saturated go back to their
-            // lane front (urgent — they were next in line).
-            let mut blocked: Vec<Pending> = Vec::new();
+            // Admission in request order while slots are free. A request
+            // whose app is saturated is passed over and keeps its place
+            // at the front of the queue.
+            let mut blocked: Vec<(usize, ServeRequest)> = Vec::new();
             while in_flight.len() < cap {
-                let Some(p) = queue.pop() else { break };
-                queue.set_depth(p.lane, queue.lane_len(p.lane) as u64);
-                let Some(pool) = self.pools.get_mut(&p.req.app) else {
-                    outcomes[p.slot] = Some(ServeOutcome {
-                        tenant: p.req.tenant.clone(),
-                        app: p.req.app.clone(),
-                        trace: None,
-                        fault: Some(format!("unknown app `{}`", p.req.app)),
-                        admit_vt: vt,
-                        finish_vt: vt,
-                    });
-                    stats.faulted += 1;
-                    continue;
+                let Some((slot, req)) = queue.pop_front() else { break };
+                let fault = match self.pools.get_mut(&req.app) {
+                    None => format!("unknown app `{}`", req.app),
+                    Some(pool) if req.cfg.mode.has_dmi() && pool.dmi.is_none() => {
+                        format!("app `{}` has no DMI model for a GUI+DMI request", req.app)
+                    }
+                    Some(pool) => match pool.checkout(&req.cfg) {
+                        Some(session) => {
+                            dmi_obs::tally("gateway.admitted", 1);
+                            let state = TaskState::with_session(&req.task, session, &req.cfg);
+                            in_flight.push(Flight { slot, req, state, admit_vt: vt });
+                            continue;
+                        }
+                        None if pool.exhausted() => no_sessions_left(&req.app),
+                        None => {
+                            blocked.push((slot, req));
+                            continue;
+                        }
+                    },
                 };
-                match pool.checkout(&p.req.cfg) {
-                    Some(session) => {
-                        dmi_obs::tally("gateway.admitted", 1);
-                        let state = TaskState::with_session(&p.req.task, session, &p.req.cfg);
-                        let sim_before = state.sim_secs();
-                        in_flight.push(Flight {
-                            slot: p.slot,
-                            lane: p.lane,
-                            tenant: p.req.tenant.clone(),
-                            app: p.req.app.clone(),
-                            task: Arc::clone(&p.req.task),
-                            state: Some(state),
-                            admit_vt: vt,
-                            sim_before,
-                        });
-                    }
-                    None if pool.exhausted() => {
-                        outcomes[p.slot] = Some(ServeOutcome {
-                            tenant: p.req.tenant.clone(),
-                            app: p.req.app.clone(),
-                            trace: None,
-                            fault: Some(format!(
-                                "app `{}` has no serviceable sessions left",
-                                p.req.app
-                            )),
-                            admit_vt: vt,
-                            finish_vt: vt,
-                        });
-                        stats.faulted += 1;
-                    }
-                    None => blocked.push(p),
-                }
+                outcomes[slot] = Some(fault_outcome(req, fault, vt, vt));
+                stats.faulted += 1;
             }
             for p in blocked.into_iter().rev() {
-                let lane = p.lane;
-                queue.push_front(lane, p);
-                queue.set_depth(lane, queue.lane_len(lane) as u64);
+                queue.push_front(p);
             }
 
             if in_flight.is_empty() {
-                if queue.is_empty() {
-                    break;
-                }
-                // Backlog remains but nothing is in flight and nothing
-                // could be admitted: every remaining app is wedged.
-                while let Some(p) = queue.pop() {
-                    outcomes[p.slot] = Some(ServeOutcome {
-                        tenant: p.req.tenant.clone(),
-                        app: p.req.app.clone(),
-                        trace: None,
-                        fault: Some(format!(
-                            "app `{}` has no serviceable sessions left",
-                            p.req.app
-                        )),
-                        admit_vt: vt,
-                        finish_vt: vt,
-                    });
+                // Backlog may remain with nothing in flight and nothing
+                // admitted: every remaining app is wedged.
+                for (slot, req) in queue.drain(..) {
+                    let fault = no_sessions_left(&req.app);
+                    outcomes[slot] = Some(fault_outcome(req, fault, vt, vt));
                     stats.faulted += 1;
                 }
                 break;
             }
 
-            // One scheduling round: step every in-flight task once,
-            // suspending each at its next LLM-call boundary. The round's
-            // calls batch — virtual time advances by the slowest.
+            // One round: step every in-flight task once, suspending each
+            // at its next LLM-call boundary. The round's calls overlap, so
+            // virtual time advances by the slowest step.
             stats.rounds += 1;
             let round_start = dmi_obs::now_us();
-            let mut replies: Vec<StepReply> = Vec::with_capacity(in_flight.len());
-            if threaded {
-                let tx = job_tx.as_ref().expect("job channel");
-                let rx = reply_rx.as_ref().expect("reply channel");
-                let mut sent = 0usize;
-                for (pos, f) in in_flight.iter_mut().enumerate() {
-                    let state = f.state.take().expect("state present between rounds");
-                    f.sim_before = state.sim_secs();
-                    let dmi = self.pools.get(&f.app).and_then(|p| p.dmi.clone());
-                    tx.send(StepJob { pos, state, task: Arc::clone(&f.task), dmi })
-                        .expect("workers alive");
-                    sent += 1;
-                }
-                for _ in 0..sent {
-                    replies.push(rx.recv().expect("worker reply"));
-                }
-            } else {
-                for (pos, f) in in_flight.iter_mut().enumerate() {
-                    let state = f.state.take().expect("state present between rounds");
-                    f.sim_before = state.sim_secs();
-                    let dmi = self.pools.get(&f.app).and_then(|p| p.dmi.clone());
-                    replies.push(run_step(StepJob { pos, state, task: Arc::clone(&f.task), dmi }));
-                }
-            }
-            // Deterministic settlement order regardless of worker timing.
-            replies.sort_by_key(|(pos, _)| *pos);
-
-            let mut finished: Vec<(usize, Result<TaskState, String>)> = Vec::new();
-            for (pos, reply) in replies {
-                match reply {
-                    Ok((state, status)) => {
-                        batch.push(state.sim_secs() - in_flight[pos].sim_before);
+            let (mut calls, mut overlapped, mut serialized) = (0u64, 0.0f64, 0.0f64);
+            let mut landed: Vec<(usize, Option<String>)> = Vec::new();
+            for (pos, f) in in_flight.iter_mut().enumerate() {
+                let dmi = self.pools[&f.req.app].dmi.as_deref();
+                let before = f.state.sim_secs();
+                match catch_unwind(AssertUnwindSafe(|| f.state.step(&f.req.task, dmi))) {
+                    Ok(status) => {
+                        let secs = f.state.sim_secs() - before;
+                        calls += 1;
+                        overlapped = overlapped.max(secs);
+                        serialized += secs;
                         if status == StepStatus::Finished {
-                            finished.push((pos, Ok(state)));
-                        } else {
-                            in_flight[pos].state = Some(state);
+                            landed.push((pos, None));
                         }
                     }
-                    Err(payload) => finished.push((pos, Err(payload))),
+                    Err(payload) => landed.push((pos, Some(panic_payload(payload.as_ref())))),
                 }
             }
-            let (overlapped, serialized) = batch.settle();
+            if calls > 0 {
+                dmi_obs::tally("llm.calls", calls);
+                dmi_obs::tally("llm.overlapped_us", (overlapped * 1e6).round() as u64);
+                dmi_obs::tally("llm.serialized_us", (serialized * 1e6).round() as u64);
+                dmi_obs::instant(dmi_obs::Cat::Llm, "batch.settle", calls);
+            }
             let vt_before = vt;
             vt += overlapped;
             stats.virtual_secs += overlapped;
@@ -604,59 +453,36 @@ impl Gateway {
 
             // Land finished flights (descending position keeps
             // swap_remove indices valid).
-            finished.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
-            for (pos, result) in finished {
-                let f = in_flight.swap_remove(pos);
-                match result {
-                    Ok(state) => {
-                        let (trace, session) = state.finish(&f.task);
-                        let pool = self.pools.get_mut(&f.app).expect("pool exists");
+            for (pos, fault) in landed.into_iter().rev() {
+                let Flight { slot, req, state, admit_vt } = in_flight.swap_remove(pos);
+                let pool = self.pools.get_mut(&req.app).expect("pool exists");
+                match fault {
+                    None => {
+                        let (trace, session) = state.finish(&req.task);
                         pool.checkin(session);
-                        // Feed the tenant's cost model from deterministic
-                        // simulated latency.
-                        queue.observe_latency(f.lane, trace.sim_secs);
                         stats.completed += 1;
                         dmi_obs::tally("gateway.completed", 1);
-                        dmi_obs::vt_span(
-                            dmi_obs::Cat::Gateway,
-                            "task",
-                            f.lane as u64,
-                            f.admit_vt,
-                            vt,
-                        );
-                        outcomes[f.slot] = Some(ServeOutcome {
-                            tenant: f.tenant.clone(),
-                            app: f.app.clone(),
+                        dmi_obs::vt_span(dmi_obs::Cat::Gateway, "task", slot as u64, admit_vt, vt);
+                        outcomes[slot] = Some(ServeOutcome {
+                            tenant: req.tenant,
+                            app: req.app,
                             trace: Some(trace),
                             fault: None,
-                            admit_vt: f.admit_vt,
+                            admit_vt,
                             finish_vt: vt,
                         });
                     }
-                    Err(payload) => {
+                    Some(payload) => {
                         // The session died mid-unwind with its task; the
                         // pool shrinks, sibling tenants are untouched.
-                        let pool = self.pools.get_mut(&f.app).expect("pool exists");
                         pool.forfeit();
                         stats.faulted += 1;
                         dmi_obs::tally("gateway.faulted", 1);
-                        dmi_obs::instant(dmi_obs::Cat::Gateway, "task.fault", f.lane as u64);
-                        outcomes[f.slot] = Some(ServeOutcome {
-                            tenant: f.tenant.clone(),
-                            app: f.app.clone(),
-                            trace: None,
-                            fault: Some(payload),
-                            admit_vt: f.admit_vt,
-                            finish_vt: vt,
-                        });
+                        dmi_obs::instant(dmi_obs::Cat::Gateway, "task.fault", slot as u64);
+                        outcomes[slot] = Some(fault_outcome(req, payload, admit_vt, vt));
                     }
                 }
             }
-        }
-
-        drop(job_tx);
-        for h in worker_handles {
-            let _ = h.join();
         }
 
         for pool in self.pools.values_mut() {

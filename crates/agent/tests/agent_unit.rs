@@ -89,6 +89,8 @@ fn trace_records_mode_profile_and_tokens() {
     assert!(!trace.fallback_used);
 }
 
+/// `GatewayConfig::workers` is ignored, so one serve covers every worker
+/// count.
 #[test]
 fn gateway_traces_match_sequential_runs_at_any_worker_count() {
     let task = Arc::new(bold_italic_task());
@@ -113,25 +115,23 @@ fn gateway_traces_match_sequential_runs_at_any_worker_count() {
     let sequential: Vec<String> =
         requests.iter().map(|r| run_task(&r.task, Some(&dmi), &r.cfg).identity_bytes()).collect();
 
-    for workers in [1usize, 4] {
-        let donor = dmi_gui::Session::new(AppKind::Word.launch_small());
-        let mut gw = Gateway::new(
-            vec![ServeApp::new("word", donor, Some(Arc::clone(&dmi)))],
-            GatewayConfig { workers, sessions_per_app: 2, max_in_flight: 0 },
-        );
-        let report = gw.serve(requests.clone());
-        assert_eq!(report.stats.completed, 6);
-        assert_eq!(report.stats.faulted, 0);
-        assert!(report.stats.session_reuses > 0, "pool cap 2 forces recycling for 6 tasks");
-        for (outcome, expect) in report.outcomes.iter().zip(&sequential) {
-            let got = outcome.trace.as_ref().expect("trace present").identity_bytes();
-            assert_eq!(&got, expect, "workers={workers} tenant={}", outcome.tenant);
-        }
-        // Batching overlaps latency: the virtual makespan undercuts the
-        // serialized baseline whenever two tasks ever share a round.
-        assert!(report.stats.virtual_secs < report.stats.serialized_secs);
-        assert!(report.latency_percentile(99.0) >= report.latency_percentile(50.0));
+    let donor = dmi_gui::Session::new(AppKind::Word.launch_small());
+    let mut gw = Gateway::new(
+        vec![ServeApp::new("word", donor, Some(Arc::clone(&dmi)))],
+        GatewayConfig { workers: 1, sessions_per_app: 2, max_in_flight: 4 },
+    );
+    let report = gw.serve(requests);
+    assert_eq!(report.stats.completed, 6);
+    assert_eq!(report.stats.faulted, 0);
+    assert!(report.stats.session_reuses > 0, "pool cap 2 forces recycling for 6 tasks");
+    for (outcome, expect) in report.outcomes.iter().zip(&sequential) {
+        let got = outcome.trace.as_ref().expect("trace present").identity_bytes();
+        assert_eq!(&got, expect, "tenant={}", outcome.tenant);
     }
+    // Overlapping rounds: the virtual makespan undercuts the serialized
+    // baseline whenever two tasks ever share a round.
+    assert!(report.stats.virtual_secs < report.stats.serialized_secs);
+    assert!(report.latency_percentile(99.0) >= report.latency_percentile(50.0));
 }
 
 /// Forwards everything to the wrapped app except `fork` (always `None`),
@@ -195,7 +195,7 @@ fn gateway_serves_unforkable_apps_on_the_lent_donor() {
     let donor = dmi_gui::Session::new(Box::new(Unforkable(AppKind::Word.launch_small())));
     let mut gw = Gateway::new(
         vec![ServeApp::new("word", donor, None)],
-        GatewayConfig { workers: 1, sessions_per_app: 4, max_in_flight: 0 },
+        GatewayConfig { workers: 1, sessions_per_app: 4, max_in_flight: 4 },
     );
     let report = gw.serve(requests);
     assert_eq!(report.stats.completed, 3);
@@ -203,6 +203,42 @@ fn gateway_serves_unforkable_apps_on_the_lent_donor() {
     for (outcome, expect) in report.outcomes.iter().zip(&sequential) {
         assert_eq!(&outcome.trace.as_ref().expect("trace").identity_bytes(), expect);
     }
+}
+
+/// A GUI+DMI request to an app served without a DMI model is refused at
+/// admission with a fault naming the app: no session is checked out for
+/// it, and its GUI-only siblings share the one forked session.
+#[test]
+fn gateway_rejects_gui_plus_dmi_requests_to_an_app_without_a_model() {
+    let task = Arc::new(bold_italic_task());
+    let requests: Vec<ServeRequest> = (0..3u64)
+        .map(|i| ServeRequest {
+            tenant: format!("tenant-{i}"),
+            app: "word".into(),
+            task: Arc::clone(&task),
+            cfg: RunConfig::test(
+                perfect(),
+                if i == 0 { InterfaceMode::GuiPlusDmi } else { InterfaceMode::GuiOnly },
+                i,
+            ),
+        })
+        .collect();
+    let donor = dmi_gui::Session::new(AppKind::Word.launch_small());
+    let mut gw = Gateway::new(
+        vec![ServeApp::new("word", donor, None)],
+        GatewayConfig { workers: 1, sessions_per_app: 1, max_in_flight: 4 },
+    );
+    let report = gw.serve(requests);
+    assert_eq!(report.stats.completed, 2);
+    assert_eq!(report.stats.faulted, 1);
+    assert_eq!(report.stats.session_forks, 1, "no session is spent on the refused request");
+    let refused = &report.outcomes[0];
+    assert!(refused.trace.is_none());
+    assert_eq!(
+        refused.fault.as_deref(),
+        Some("app `word` has no DMI model for a GUI+DMI request"),
+        "the fault names the app"
+    );
 }
 
 #[test]

@@ -11,14 +11,12 @@
 //!   report the *virtual-time* serving metrics — tasks/sec against the
 //!   deterministic simulated-latency makespan, p50/p99 per-task latency,
 //!   the session-pool reuse rate, and the latency-overlap factor
-//!   (serialized ÷ overlapped LLM seconds) that cross-tenant batching
-//!   buys.
+//!   (serialized ÷ overlapped LLM seconds) that overlapping each
+//!   round's calls buys.
 //!
 //! Every per-task `RunTrace` is byte-identical to the task's sequential
 //! single-session run at every concurrency level (release-gated in
 //! tests/identity.rs), so the curve measures pure engine behavior.
-//! Wall-clock scaling with workers needs physical cores — on a
-//! single-CPU machine the curve is structural.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_agent::{
@@ -87,7 +85,7 @@ fn office_gateway(concurrency: usize) -> Gateway {
         2..=64 => (8, 24),
         _ => (16, 48),
     };
-    Gateway::new(apps, GatewayConfig { workers: 2, sessions_per_app, max_in_flight })
+    Gateway::new(apps, GatewayConfig { workers: 1, sessions_per_app, max_in_flight })
 }
 
 fn bench_serve(c: &mut Criterion) {

@@ -8,14 +8,9 @@
 //! sequential rip by construction, and so are its [`RipStats`]. Each rip
 //! runs under `catch_unwind`: an application that panics mid-click fails
 //! its own entry ([`RipStatus::Failed`], empty graph, payload preserved)
-//! while its siblings finish normally. [`fairness`] holds the
-//! multi-tenant admission queue the online gateway schedules with.
+//! while its siblings finish normally.
 //!
 //! [`RipStats`]: crate::ripper::RipStats
-
-pub mod fairness;
-
-pub use fairness::{Ewma, FairQueue};
 
 use crate::error::RipError;
 use crate::graph::Ung;
@@ -141,7 +136,7 @@ fn rip_entry(entry: &mut FleetEntry) -> RipOutcome {
 
 /// Renders a `catch_unwind` payload as text (panic messages are `&str`
 /// or `String`).
-fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         s.to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

@@ -15,14 +15,12 @@
 //! - [`sim::SimLlm`]: the per-run simulator with its token/latency ledger;
 //! - [`failure::FailureCause`]: Figure 6's policy/mechanism taxonomy.
 
-pub mod batch;
 pub mod failure;
 pub mod latency;
 pub mod plan;
 pub mod profile;
 pub mod sim;
 
-pub use batch::LlmBatch;
 pub use failure::{FailureCause, FailureLevel};
 pub use latency::{LatencyModel, ReasoningEffort};
 pub use plan::{GuiStep, PlanMutation, PlanStep, TargetQuery, TaskPlan, VisitTarget};

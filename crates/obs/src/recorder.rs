@@ -100,7 +100,7 @@ pub enum Phase {
 
 /// One recorded event. Fixed-size and allocation-free: names are
 /// `&'static str`, the one payload slot is an integer (`lane` — a fleet
-/// lane, tenant lane, round index, or byte count, by convention of the
+/// size, request index, round index, or byte count, by convention of the
 /// emitting site).
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
@@ -114,7 +114,7 @@ pub struct Event {
     pub ts_us: u64,
     /// Duration in microseconds (`Phase::Complete` only, else 0).
     pub dur_us: u64,
-    /// Integer payload (lane / tenant / round / bytes).
+    /// Integer payload (fleet size / request / round / bytes).
     pub lane: u64,
     /// Stable small id of the recording thread.
     pub tid: u64,

@@ -281,7 +281,7 @@ fn fault_drifting_tenant_is_contained_in_the_gateway() {
             ),
             ServeApp::new("adversarial", Session::new(AdversarialApp::launch(spec)), None),
         ],
-        GatewayConfig { workers: 2, sessions_per_app: 2, max_in_flight: 4 },
+        GatewayConfig { workers: 1, sessions_per_app: 2, max_in_flight: 4 },
     );
     let report = gw.serve(requests);
 

@@ -162,7 +162,6 @@ fn word_small_rip_legacy_full_restart_counts_unchanged() {
 /// eager full rebuild on every capture — for every app — with identical
 /// rip statistics, while serving a substantial share of captures in O(1).
 #[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn cached_capture_ung_is_byte_identical_to_full_rebuild_oracle() {
     for kind in AppKind::ALL {
         let cfg = RipConfig::office(kind.name());
@@ -287,7 +286,7 @@ fn gateway_traces_are_byte_identical_to_sequential_at_all_concurrencies() {
             .collect();
         let mut gw = Gateway::new(
             apps,
-            GatewayConfig { workers: 4, sessions_per_app: 8, max_in_flight: 32 },
+            GatewayConfig { workers: 1, sessions_per_app: 8, max_in_flight: 32 },
         );
         let report = gw.serve(requests);
         assert_eq!(report.stats.completed, concurrency, "every request produces a trace");
@@ -313,7 +312,6 @@ fn gateway_traces_are_byte_identical_to_sequential_at_all_concurrencies() {
 /// the legacy full-restart path, for every app — while restarting far
 /// less often.
 #[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn esc_recovery_ung_is_byte_identical_to_full_restart_oracle() {
     for kind in AppKind::ALL {
         let fast_cfg = RipConfig::office(kind.name());
@@ -387,7 +385,7 @@ fn traced_gateway_serve_is_byte_identical_to_untraced() {
                 )
             })
             .collect();
-        Gateway::new(apps, GatewayConfig { workers: 4, sessions_per_app: 8, max_in_flight: 32 })
+        Gateway::new(apps, GatewayConfig { workers: 1, sessions_per_app: 8, max_in_flight: 32 })
     };
 
     let untraced = gateway().serve(mix());

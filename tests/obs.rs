@@ -209,7 +209,7 @@ fn serve_traced(n: usize) -> (dmi_agent::ServeReport, Trace, BTreeMap<&'static s
         .map(|&k| ServeApp::new(k.name(), Session::new(k.launch_small()), None))
         .collect();
     let mut gw =
-        Gateway::new(apps, GatewayConfig { workers: 2, sessions_per_app: 2, max_in_flight: 8 });
+        Gateway::new(apps, GatewayConfig { workers: 1, sessions_per_app: 2, max_in_flight: 8 });
 
     dmi_obs::clear();
     dmi_obs::set_enabled(true);

@@ -188,7 +188,7 @@ fn store_booted_gateway_serves_byte_identical_traces() {
             })
             .collect()
     };
-    let gw_cfg = || GatewayConfig { workers: 2, sessions_per_app: 4, max_in_flight: 8 };
+    let gw_cfg = || GatewayConfig { workers: 1, sessions_per_app: 4, max_in_flight: 8 };
 
     let mut cold = Gateway::new(
         vec![ServeApp::new("Word", Session::new(AppKind::Word.launch_small()), Some(model))],
