@@ -8,8 +8,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_apps::AppKind;
-use dmi_bench::report;
-use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_core::ripper::{rip, RipConfig};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::{ControlId, Snapshot};
@@ -256,72 +254,12 @@ fn bench_rip(c: &mut Criterion) {
     group.finish();
 }
 
-/// A fresh 3-app Office fleet (Word + Excel + PowerPoint, small).
-fn office_fleet() -> Vec<FleetEntry> {
-    AppKind::ALL
-        .iter()
-        .map(|k| {
-            FleetEntry::new(k.name(), Session::new(k.launch_small()), RipConfig::office(k.name()))
-        })
-        .collect()
-}
-
-/// Fleet ripping: all three Office apps, each a sequential `rip` on its
-/// own thread (at most one per CPU). Every entry's UNG is byte-identical
-/// to its sequential rip (release-gated in tests/identity.rs), so
-/// `rip_fleet/office3` against the sum of the `rip/small_*` baselines
-/// measures how well the per-app threads overlap.
-fn bench_rip_fleet(c: &mut Criterion) {
-    // One-shot per-app recovery report, printed outside the timed loop —
-    // and only when this group is actually selected by the name filter.
-    fn report_once() {
-        static ONCE: OnceLock<()> = OnceLock::new();
-        ONCE.get_or_init(|| {
-            // Trace the reporting rip: the drained spans and tallies feed
-            // one registry summary table below the per-app lines.
-            dmi_obs::set_enabled(true);
-            for o in rip_fleet(&mut office_fleet(), &ParRipConfig) {
-                let status = match &o.status {
-                    RipStatus::Ripped => "ripped",
-                    RipStatus::Degraded(_) => "degraded",
-                    RipStatus::Failed(_) => "failed",
-                };
-                eprintln!(
-                    "{}",
-                    report::fault_line(&o.app_id, status, o.stats.restarts, o.stats.esc_recoveries)
-                );
-            }
-            dmi_obs::set_enabled(false);
-            let trace = dmi_obs::drain();
-            let mut reg = dmi_obs::Registry::from_trace(&trace);
-            for (name, v) in dmi_obs::tallies() {
-                reg.inc(name, v);
-            }
-            dmi_obs::clear();
-            eprint!("{}", reg.summary_table());
-            eprintln!("{}", trace.text_summary());
-        });
-    }
-
-    let mut group = c.benchmark_group("rip_fleet");
-    group.sample_size(10);
-    group.bench_function("office3", |b| {
-        report_once();
-        b.iter(|| {
-            let out = rip_fleet(&mut office_fleet(), &ParRipConfig);
-            black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_resolve,
     bench_index_build,
     bench_record_diff,
     bench_snapshot_capture,
-    bench_rip,
-    bench_rip_fleet
+    bench_rip
 );
 criterion_main!(benches);

@@ -8,8 +8,10 @@
 //! timeline (serve path). Thread ids are the recorder's stable per-thread
 //! ids.
 //!
-//! The text summary aggregates events by `category.name`: count, total
-//! and mean duration, ordered deterministically.
+//! The text summary aggregates events by `category.name` and clock:
+//! count, total and mean duration, ordered deterministically. Virtual-clock
+//! rows are tagged `[vt]`, so a virtual span never sums into (or reads as)
+//! a same-named wall-clock span.
 
 use crate::recorder::{Cat, Clock, Phase, Trace};
 use std::collections::BTreeMap;
@@ -109,32 +111,35 @@ impl Trace {
         out
     }
 
-    /// Renders a plain-text hierarchical summary: per `category.name`
-    /// aggregates (count, total ms, mean µs) and the dropped-event count
-    /// when the rings overflowed.
+    /// Renders a plain-text hierarchical summary: per `category.name` and
+    /// clock aggregates (count, total ms, mean µs), virtual-clock rows
+    /// tagged `[vt]`, and the dropped-event count when the rings
+    /// overflowed.
     pub fn text_summary(&self) -> String {
         #[derive(Default)]
         struct Agg {
             count: u64,
             total_us: u64,
         }
-        let mut by_key: BTreeMap<(&'static str, &'static str), Agg> = BTreeMap::new();
+        // Keyed by clock too: wall rows sort before virtual ones.
+        let mut by_key: BTreeMap<(&'static str, &'static str, bool), Agg> = BTreeMap::new();
         for e in &self.events {
-            let a = by_key.entry((e.cat.as_str(), e.name)).or_default();
+            let a = by_key.entry((e.cat.as_str(), e.name, e.clock == Clock::Virtual)).or_default();
             a.count += 1;
             a.total_us += e.dur_us;
         }
         let mut out = String::from("trace summary\n");
         let mut last_cat = "";
-        for ((cat, name), a) in &by_key {
+        for ((cat, name, virtual_clock), a) in &by_key {
             if *cat != last_cat {
                 let _ = writeln!(out, "  {cat}");
                 last_cat = cat;
             }
             let mean = a.total_us.checked_div(a.count).unwrap_or(0);
+            let label = if *virtual_clock { format!("{name} [vt]") } else { name.to_string() };
             let _ = writeln!(
                 out,
-                "    {name:<24} count={:<8} total={:.3}ms mean={}us",
+                "    {label:<24} count={:<8} total={:.3}ms mean={}us",
                 a.count,
                 a.total_us as f64 / 1e3,
                 mean
@@ -200,6 +205,28 @@ mod tests {
         );
         assert!(s.contains("rip.sequential"), "{s}");
         assert!(!s.contains("dropped"), "no drop line without overflow: {s}");
+    }
+
+    #[test]
+    fn summary_keeps_wall_and_virtual_clocks_apart() {
+        let t = Trace {
+            events: vec![
+                ev(Phase::Complete, Cat::Gateway, "round", 10, 300, Clock::Wall),
+                ev(Phase::Complete, Cat::Gateway, "round", 0, 5_000_000, Clock::Virtual),
+            ],
+            dropped: 0,
+        };
+        let s = t.text_summary();
+        let rows: Vec<&str> = s.lines().filter(|l| l.trim_start().starts_with("round")).collect();
+        assert_eq!(rows.len(), 2, "one row per clock: {s}");
+        assert_eq!(
+            rows[0], "    round                    count=1        total=0.300ms mean=300us",
+            "{s}"
+        );
+        assert_eq!(
+            rows[1], "    round [vt]               count=1        total=5000.000ms mean=5000000us",
+            "{s}"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `dmi-obs`: determinism-preserving structured tracing and metrics.
+//! `dmi-obs`: determinism-preserving structured tracing and tallies.
 //!
 //! Every layer of the engine — ripper, fleet, capture cache, serving
 //! gateway, LLM batcher, persistent store — is threaded with hooks from
@@ -18,10 +18,8 @@
 //! determinism argument.
 
 mod export;
-mod metrics;
 mod recorder;
 
-pub use metrics::{Histogram, KvLine, Metric, Registry, LATENCY_BOUNDS_SECS};
 pub use recorder::{
     clear, complete_span, drain, enabled, instant, now_us, set_enabled, span, tallies, tally,
     vt_span, Cat, Clock, Event, Phase, SpanGuard, Trace, RING_CAPACITY,

@@ -1,7 +1,7 @@
 //! Traced fleet rip walkthrough: rip the three Office small apps as a
 //! fleet with the `dmi-obs` recorder enabled, export the span timeline
 //! as Chrome trace-event JSON (load it in Perfetto or `chrome://tracing`),
-//! and print the text summary plus the metrics registry — after proving
+//! and print the counter tallies plus the span summary — after proving
 //! tracing never changed a UNG byte.
 //!
 //! ```text
@@ -66,10 +66,9 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write chrome trace");
     println!("chrome trace written to {out_path} ({} bytes)\n", json.len());
 
-    let mut reg = dmi_obs::Registry::from_trace(&trace);
+    println!("tallies");
     for (name, v) in &tallies {
-        reg.inc(name, *v);
+        println!("  {name:<28} {v}");
     }
-    print!("{}", reg.summary_table());
     println!("{}", trace.text_summary());
 }
