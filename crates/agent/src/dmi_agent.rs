@@ -134,8 +134,9 @@ fn prompt_tokens(session: &mut Session, dmi: &Dmi) -> usize {
 /// step (a `visit` batch or one state/observation declaration) and
 /// returns at the LLM-call boundary — the suspension point the gateway
 /// uses to overlap simulated model latency across tenants. The
-/// sequential [`run`] drives the same state machine to completion, so
-/// both paths execute byte-identical traces by construction.
+/// sequential [`crate::run_task`] drives the same state machine to
+/// completion, so both paths execute byte-identical traces by
+/// construction.
 pub struct DmiState {
     plan: Vec<PlanStep>,
     idx: usize,
@@ -250,22 +251,6 @@ impl DmiState {
         }
         self.idx += 1;
         None
-    }
-}
-
-/// Runs the declarative plan through the AppAgent loop to completion.
-pub fn run(
-    task: &AgentTask,
-    session: &mut Session,
-    llm: &mut SimLlm,
-    dmi: &Dmi,
-    step_cap: usize,
-) -> DmiRunResult {
-    let mut state = DmiState::plan(task, llm);
-    loop {
-        if let Some(result) = state.step(task, session, llm, dmi, step_cap) {
-            return result;
-        }
     }
 }
 

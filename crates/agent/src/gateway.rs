@@ -10,8 +10,9 @@
 //!   order they were submitted. While the in-flight cap has room, the
 //!   loop admits from the front; a request whose app has no free session
 //!   is passed over and keeps its place at the front for the next round.
-//!   A GUI+DMI request to an app served without a DMI model is rejected
-//!   here, before any session is checked out.
+//!   A request whose task targets a different Office app than the pool's
+//!   donor, or a GUI+DMI request to an app served without a DMI model, is
+//!   rejected here, before any session is checked out.
 //! - **Pooled sessions.** Each app brings one *donor* session holding
 //!   its pristine launch image. Tenant sessions are checked out of a
 //!   per-app pool: an idle session is [`Session::recycle`]d back to
@@ -24,10 +25,12 @@
 //! - **Suspension at LLM-call boundaries.** Tasks run as resumable
 //!   [`TaskState`] machines. Each round steps every in-flight task once,
 //!   in place and under `catch_unwind`, and suspends it at the next
-//!   LLM-call boundary. The round's calls share one simulated provider
-//!   round: model latency overlaps across tenants, so the round costs
-//!   its slowest call, not the sum. That is what turns N sequential
-//!   task-times into a served throughput curve.
+//!   LLM-call boundary. A task's setup and its closing verification run
+//!   under `catch_unwind` too, so no task's panic reaches its siblings.
+//!   The round's calls share one simulated provider round: model
+//!   latency overlaps across tenants, so the round costs its slowest
+//!   call, not the sum. That is what turns N sequential task-times into
+//!   a served throughput curve.
 //! - **Deterministic virtual timeline.** Throughput and latency are
 //!   accounted on a virtual clock that the loop advances by the round's
 //!   slowest step. The clock, the admission order and every per-task
@@ -50,6 +53,7 @@
 use crate::runner::{RunConfig, StepStatus, TaskState};
 use crate::task::AgentTask;
 use crate::trace::RunTrace;
+use dmi_apps::AppKind;
 use dmi_core::parallel::panic_payload;
 use dmi_core::{Dmi, DmiBuildConfig};
 use dmi_gui::Session;
@@ -228,6 +232,9 @@ impl ServeReport {
 /// The per-app session pool behind the gateway (see module docs).
 struct AppPool {
     dmi: Option<Arc<Dmi>>,
+    /// The Office app the donor runs; `None` for any other app, whose
+    /// requests are not checked against the task's target.
+    kind: Option<AppKind>,
     /// The fork source. `None` once lent to an unforkable checkout.
     donor: Option<Session>,
     /// Parked sessions awaiting recycle.
@@ -243,6 +250,7 @@ impl AppPool {
     fn new(app: ServeApp, cap: usize) -> AppPool {
         AppPool {
             dmi: app.dmi,
+            kind: AppKind::of(app.donor.app()),
             donor: Some(app.donor),
             idle: Vec::new(),
             live: 0,
@@ -374,15 +382,30 @@ impl Gateway {
                 let Some((slot, req)) = queue.pop_front() else { break };
                 let fault = match self.pools.get_mut(&req.app) {
                     None => format!("unknown app `{}`", req.app),
+                    Some(AppPool { kind: Some(kind), .. }) if *kind != req.task.app => format!(
+                        "app `{}` runs {kind}, but task `{}` targets {}",
+                        req.app, req.task.id, req.task.app
+                    ),
                     Some(pool) if req.cfg.mode.has_dmi() && pool.dmi.is_none() => {
                         format!("app `{}` has no DMI model for a GUI+DMI request", req.app)
                     }
                     Some(pool) => match pool.checkout(&req.cfg) {
                         Some(session) => {
-                            dmi_obs::tally("gateway.admitted", 1);
-                            let state = TaskState::with_session(&req.task, session, &req.cfg);
-                            in_flight.push(Flight { slot, req, state, admit_vt: vt });
-                            continue;
+                            let setup = catch_unwind(AssertUnwindSafe(|| {
+                                TaskState::with_session(&req.task, session, &req.cfg)
+                            }));
+                            match setup {
+                                Ok(state) => {
+                                    dmi_obs::tally("gateway.admitted", 1);
+                                    in_flight.push(Flight { slot, req, state, admit_vt: vt });
+                                    continue;
+                                }
+                                // The session died with the task's setup.
+                                Err(payload) => {
+                                    pool.forfeit();
+                                    panic_payload(payload.as_ref())
+                                }
+                            }
                         }
                         None if pool.exhausted() => no_sessions_left(&req.app),
                         None => {
@@ -452,13 +475,18 @@ impl Gateway {
             dmi_obs::vt_span(dmi_obs::Cat::Gateway, "round.vt", stats.rounds as u64, vt_before, vt);
 
             // Land finished flights (descending position keeps
-            // swap_remove indices valid).
+            // swap_remove indices valid). Verification runs the task's own
+            // verifier, so it is contained like a step.
             for (pos, fault) in landed.into_iter().rev() {
                 let Flight { slot, req, state, admit_vt } = in_flight.swap_remove(pos);
                 let pool = self.pools.get_mut(&req.app).expect("pool exists");
-                match fault {
-                    None => {
-                        let (trace, session) = state.finish(&req.task);
+                let finished = match fault {
+                    None => catch_unwind(AssertUnwindSafe(|| state.finish(&req.task)))
+                        .map_err(|payload| panic_payload(payload.as_ref())),
+                    Some(payload) => Err(payload),
+                };
+                match finished {
+                    Ok((trace, session)) => {
                         pool.checkin(session);
                         stats.completed += 1;
                         dmi_obs::tally("gateway.completed", 1);
@@ -472,7 +500,7 @@ impl Gateway {
                             finish_vt: vt,
                         });
                     }
-                    Some(payload) => {
+                    Err(payload) => {
                         // The session died mid-unwind with its task; the
                         // pool shrinks, sibling tenants are untouched.
                         pool.forfeit();

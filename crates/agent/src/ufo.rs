@@ -44,8 +44,9 @@ fn observe(session: &mut Session) -> (std::sync::Arc<Snapshot>, LabeledScreen) {
 /// trip (plus any recovery round trip inside it) and returns to the
 /// caller at the LLM-call boundary — the suspension point the gateway
 /// uses to overlap simulated model latency across tenants. The
-/// sequential [`run`] drives the same state machine to completion, so
-/// both paths execute byte-identical traces by construction.
+/// sequential [`crate::run_task`] drives the same state machine to
+/// completion, so both paths execute byte-identical traces by
+/// construction.
 pub struct GuiState {
     plan: Vec<GuiStep>,
     cursor: usize,
@@ -154,25 +155,6 @@ impl GuiState {
             }
         }
         None
-    }
-}
-
-/// Runs the imperative plan through the AppAgent loop to completion.
-///
-/// `forest_tokens` is non-zero in the ablation (§5.5): the navigation
-/// forest is prompt knowledge but no declarative interface exists.
-pub fn run(
-    task: &AgentTask,
-    session: &mut Session,
-    llm: &mut SimLlm,
-    forest_tokens: usize,
-    step_cap: usize,
-) -> GuiRunResult {
-    let mut state = GuiState::plan(task, llm, forest_tokens);
-    loop {
-        if let Some(result) = state.turn(session, llm, step_cap) {
-            return result;
-        }
     }
 }
 

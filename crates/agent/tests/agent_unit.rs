@@ -4,8 +4,9 @@
 use dmi_agent::{
     run_task, AgentTask, Gateway, GatewayConfig, InterfaceMode, RunConfig, ServeApp, ServeRequest,
 };
-use dmi_apps::AppKind;
+use dmi_apps::{AppKind, WordApp, WordConfig};
 use dmi_llm::{CapabilityProfile, GuiStep, PlanStep, TargetQuery, TaskPlan, VisitTarget};
+use std::any::Any;
 use std::sync::Arc;
 
 fn perfect() -> CapabilityProfile {
@@ -31,7 +32,12 @@ fn bold_italic_task() -> AgentTask {
             s.select_lines(surf, 0, 0).unwrap();
         }),
         verify: |s| {
-            let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+            // Sessions over the `Unforkable` wrapper downcast through it.
+            let app = s.app() as &dyn Any;
+            let w = app
+                .downcast_ref::<WordApp>()
+                .or_else(|| app.downcast_ref::<Unforkable>().map(|u| &u.0))
+                .unwrap();
             w.doc.paragraphs[0].format.bold && w.doc.paragraphs[0].format.italic
         },
         plan: TaskPlan {
@@ -134,15 +140,12 @@ fn gateway_traces_match_sequential_runs_at_any_worker_count() {
     assert!(report.latency_percentile(99.0) >= report.latency_percentile(50.0));
 }
 
-/// Forwards everything to the wrapped app except `fork` (always `None`),
-/// exercising the gateway's donor-lending path. `as_any` passes through
-/// so task verifiers still downcast to the concrete app.
-struct Unforkable(Box<dyn dmi_gui::GuiApp>);
+/// Forwards everything to the wrapped Word app except `fork` (always
+/// `None`), exercising the gateway's donor-lending path. Task verifiers
+/// reach the Word model through the wrapper's field.
+struct Unforkable(WordApp);
 
 impl dmi_gui::GuiApp for Unforkable {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
     fn tree(&self) -> &dmi_gui::UiTree {
         self.0.tree()
     }
@@ -169,12 +172,6 @@ impl dmi_gui::GuiApp for Unforkable {
     fn pristine_token(&self) -> Option<u64> {
         self.0.pristine_token()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self.0.as_any()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self.0.as_any_mut()
-    }
 }
 
 #[test]
@@ -192,7 +189,8 @@ fn gateway_serves_unforkable_apps_on_the_lent_donor() {
         requests.iter().map(|r| run_task(&r.task, None, &r.cfg).identity_bytes()).collect();
 
     // An unforkable donor: capacity one, every task recycles the donor.
-    let donor = dmi_gui::Session::new(Box::new(Unforkable(AppKind::Word.launch_small())));
+    let word = WordApp::with_config(WordConfig { paragraphs: 12, viewport_rows: 6 });
+    let donor = dmi_gui::Session::new(Box::new(Unforkable(word)));
     let mut gw = Gateway::new(
         vec![ServeApp::new("word", donor, None)],
         GatewayConfig { workers: 1, sessions_per_app: 4, max_in_flight: 4 },
@@ -239,6 +237,43 @@ fn gateway_rejects_gui_plus_dmi_requests_to_an_app_without_a_model() {
         Some("app `word` has no DMI model for a GUI+DMI request"),
         "the fault names the app"
     );
+}
+
+/// A task whose verifier or setup panics faults only its own request:
+/// both run under the same containment as steps, and the siblings'
+/// traces still match their sequential runs.
+#[test]
+fn gateway_contains_panicking_verifiers_and_setups() {
+    let good = Arc::new(bold_italic_task());
+    let mut bad_verify = bold_italic_task();
+    bad_verify.verify = |_| panic!("injected fault: verifier dies");
+    let mut bad_setup = bold_italic_task();
+    bad_setup.setup = Some(|_| panic!("injected fault: setup dies"));
+    let tasks = [Arc::clone(&good), Arc::new(bad_verify), Arc::clone(&good), Arc::new(bad_setup)];
+    let requests: Vec<ServeRequest> = tasks
+        .iter()
+        .enumerate()
+        .map(|(i, task)| ServeRequest {
+            tenant: format!("tenant-{i}"),
+            app: "word".into(),
+            task: Arc::clone(task),
+            cfg: RunConfig::test(perfect(), InterfaceMode::GuiOnly, i as u64),
+        })
+        .collect();
+    let donor = dmi_gui::Session::new(AppKind::Word.launch_small());
+    let mut gw = Gateway::new(
+        vec![ServeApp::new("word", donor, None)],
+        GatewayConfig { workers: 1, sessions_per_app: 2, max_in_flight: 4 },
+    );
+    let report = gw.serve(requests.clone());
+    assert_eq!((report.stats.completed, report.stats.faulted), (2, 2));
+    assert_eq!(report.outcomes[1].fault.as_deref(), Some("injected fault: verifier dies"));
+    assert_eq!(report.outcomes[3].fault.as_deref(), Some("injected fault: setup dies"));
+    for i in [0, 2] {
+        let want = run_task(&requests[i].task, None, &requests[i].cfg).identity_bytes();
+        let got = report.outcomes[i].trace.as_ref().expect("sibling trace").identity_bytes();
+        assert_eq!(got, want, "request {i}");
+    }
 }
 
 #[test]

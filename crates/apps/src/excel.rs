@@ -622,14 +622,6 @@ fn build_ui(tree: &mut UiTree, chrome: &Chrome, config: &ExcelConfig, sheet: &Sh
 }
 
 impl GuiApp for ExcelApp {
-    fn name(&self) -> &str {
-        "Excel"
-    }
-
-    fn process_id(&self) -> u32 {
-        2002
-    }
-
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -857,20 +849,13 @@ impl GuiApp for ExcelApp {
         // of its forks, which share the `Arc`).
         Some(Arc::as_ptr(&self.pristine) as u64)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dmi_gui::Session;
+    use std::any::Any;
 
     fn session() -> Session {
         Session::new(Box::new(ExcelApp::with_config(ExcelConfig {
@@ -881,7 +866,7 @@ mod tests {
     }
 
     fn excel(s: &Session) -> &ExcelApp {
-        s.app().as_any().downcast_ref::<ExcelApp>().unwrap()
+        (s.app() as &dyn Any).downcast_ref::<ExcelApp>().unwrap()
     }
 
     fn click_by_name(s: &mut Session, name: &str) {
@@ -1047,6 +1032,7 @@ mod tests {
 mod extra_tests {
     use super::*;
     use dmi_gui::Session;
+    use std::any::Any;
 
     fn session() -> Session {
         Session::new(Box::new(ExcelApp::with_config(ExcelConfig {
@@ -1057,7 +1043,7 @@ mod extra_tests {
     }
 
     fn excel(s: &Session) -> &ExcelApp {
-        s.app().as_any().downcast_ref::<ExcelApp>().unwrap()
+        (s.app() as &dyn Any).downcast_ref::<ExcelApp>().unwrap()
     }
 
     fn click_visible(s: &mut Session, name: &str) {

@@ -45,6 +45,21 @@ impl AppKind {
         }
     }
 
+    /// The Office app a launched instance is, or `None` for any other
+    /// [`dmi_gui::GuiApp`] (test fixtures, generated apps, wrappers).
+    pub fn of(app: &dyn dmi_gui::GuiApp) -> Option<AppKind> {
+        let app = app as &dyn std::any::Any;
+        if app.is::<WordApp>() {
+            Some(AppKind::Word)
+        } else if app.is::<ExcelApp>() {
+            Some(AppKind::Excel)
+        } else if app.is::<PowerPointApp>() {
+            Some(AppKind::PowerPoint)
+        } else {
+            None
+        }
+    }
+
     /// Instantiates the app with default configuration.
     pub fn launch(self) -> Box<dyn dmi_gui::GuiApp> {
         match self {

@@ -538,14 +538,6 @@ fn build_ui(tree: &mut UiTree, chrome: &Chrome, config: &PowerPointConfig, deck:
 }
 
 impl GuiApp for PowerPointApp {
-    fn name(&self) -> &str {
-        "PowerPoint"
-    }
-
-    fn process_id(&self) -> u32 {
-        2003
-    }
-
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -801,20 +793,13 @@ impl GuiApp for PowerPointApp {
         // of its forks, which share the `Arc`).
         Some(Arc::as_ptr(&self.pristine) as u64)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dmi_gui::Session;
+    use std::any::Any;
 
     fn session() -> Session {
         Session::new(Box::new(PowerPointApp::with_config(PowerPointConfig {
@@ -824,7 +809,7 @@ mod tests {
     }
 
     fn ppt(s: &Session) -> &PowerPointApp {
-        s.app().as_any().downcast_ref::<PowerPointApp>().unwrap()
+        (s.app() as &dyn Any).downcast_ref::<PowerPointApp>().unwrap()
     }
 
     fn click_by_name(s: &mut Session, name: &str) {

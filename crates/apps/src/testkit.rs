@@ -43,9 +43,6 @@ impl UnforkableApp {
 }
 
 impl GuiApp for UnforkableApp {
-    fn name(&self) -> &str {
-        "Unforkable"
-    }
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -57,12 +54,6 @@ impl GuiApp for UnforkableApp {
     }
     fn reset(&mut self) {
         *self = UnforkableApp::new(self.items);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -104,9 +95,6 @@ impl PanickyApp {
 }
 
 impl GuiApp for PanickyApp {
-    fn name(&self) -> &str {
-        "Panicky"
-    }
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -129,11 +117,5 @@ impl GuiApp for PanickyApp {
         // The launch image really is restored by reset; panicking is a
         // crash fault, not a pristineness lie.
         Some(0x9a71_c355_0f2d_4b01 ^ self.items as u64 ^ ((self.panic_at as u64) << 32))
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

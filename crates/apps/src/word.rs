@@ -651,14 +651,6 @@ fn build_ui(
 }
 
 impl GuiApp for WordApp {
-    fn name(&self) -> &str {
-        "Word"
-    }
-
-    fn process_id(&self) -> u32 {
-        2001
-    }
-
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -889,20 +881,13 @@ impl GuiApp for WordApp {
         // of its forks, which share the `Arc`).
         Some(Arc::as_ptr(&self.pristine) as u64)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dmi_gui::Session;
+    use std::any::Any;
 
     fn session() -> Session {
         Session::new(Box::new(WordApp::with_config(WordConfig {
@@ -912,7 +897,7 @@ mod tests {
     }
 
     fn word(s: &Session) -> &WordApp {
-        s.app().as_any().downcast_ref::<WordApp>().unwrap()
+        (s.app() as &dyn Any).downcast_ref::<WordApp>().unwrap()
     }
 
     fn click_by_name(s: &mut Session, name: &str) {
@@ -1091,13 +1076,14 @@ mod tests {
 mod extra_tests {
     use super::*;
     use dmi_gui::Session;
+    use std::any::Any;
 
     fn session() -> Session {
         Session::new(Box::new(WordApp::with_config(WordConfig { paragraphs: 8, viewport_rows: 4 })))
     }
 
     fn word(s: &Session) -> &WordApp {
-        s.app().as_any().downcast_ref::<WordApp>().unwrap()
+        (s.app() as &dyn Any).downcast_ref::<WordApp>().unwrap()
     }
 
     fn click_visible(s: &mut Session, name: &str) {

@@ -247,6 +247,7 @@ impl Dmi {
 mod tests {
     use super::*;
     use dmi_apps::AppKind;
+    use std::any::Any;
 
     fn build_word() -> (Session, Dmi, DmiBuildStats) {
         static STATS: std::sync::OnceLock<()> = std::sync::OnceLock::new();
@@ -287,7 +288,7 @@ mod tests {
             .id;
         let out = dmi.visit_json(&mut s, &format!(r#"[{{"id": {bold}}}]"#));
         assert!(out.ok(), "{:?}", out.error);
-        let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+        let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         assert!(w.doc.paragraphs[0].format.bold);
     }
 
@@ -309,7 +310,7 @@ mod tests {
         assert!(out.ok());
         assert_eq!(out.filtered.len(), 1);
         assert_eq!(out.executed.len(), 1);
-        let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+        let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         assert!(w.doc.paragraphs[0].format.italic);
     }
 
@@ -363,7 +364,7 @@ mod tests {
         let json = format!(r#"[{{"id": {blue}{entry_blue}}}, {{"id": {apply}{entry_apply}}}]"#);
         let out = dmi.visit_json(&mut s, &json);
         assert!(out.ok(), "{:?}", out.error);
-        let ppt = s.app().as_any().downcast_ref::<dmi_apps::PowerPointApp>().unwrap();
+        let ppt = (s.app() as &dyn Any).downcast_ref::<dmi_apps::PowerPointApp>().unwrap();
         assert!(ppt.deck.slides.iter().all(|sl| sl.background.as_deref() == Some("Blue")));
     }
 

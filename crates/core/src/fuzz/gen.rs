@@ -267,10 +267,6 @@ impl AdversarialApp {
 }
 
 impl GuiApp for AdversarialApp {
-    fn name(&self) -> &str {
-        "Fuzz"
-    }
-
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -321,14 +317,6 @@ impl GuiApp for AdversarialApp {
         // Attested even under `lying_reset` — that attestation IS the lie
         // the cached-capture oracle exists to catch.
         Some(self.spec.token())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

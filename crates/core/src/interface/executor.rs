@@ -146,22 +146,19 @@ pub fn access(
     // and re-establishes state). Each element is retried with a fresh
     // snapshot to tolerate late-loading controls (§3.4). Retries are
     // capture-aware: a retry capture served from the cache as the *same*
-    // snapshot that just failed to resolve is provably identical — the
-    // fuzzy re-resolve is skipped, while the capture itself still runs so
-    // the query clock advances toward any pending late-load reveal
-    // (reveals always invalidate the cache, so they are never skipped).
+    // `Arc` that just failed to resolve is provably identical — the fuzzy
+    // re-resolve is skipped, while the capture itself still runs so the
+    // query clock advances toward any pending late-load reveal (reveals
+    // always invalidate the cache, so they are never skipped).
     for (step, &node_id) in clickables.iter().enumerate().skip(start) {
         let is_target = step == clickables.len() - 1;
         let mut clicked = false;
         let mut last_miss: Option<std::sync::Arc<Snapshot>> = None;
         for _attempt in 0..=config.retries {
-            let cap = session.capture();
-            if cap.is_cache_hit()
-                && last_miss.as_ref().is_some_and(|prev| std::sync::Arc::ptr_eq(prev, cap.snap()))
-            {
+            let snap = session.snapshot();
+            if last_miss.as_ref().is_some_and(|prev| std::sync::Arc::ptr_eq(prev, &snap)) {
                 continue; // Identical bytes: the resolve would fail again.
             }
-            let snap = cap.into_snap();
             let Some(idx) = resolve_in(&snap, forest, config, node_id) else {
                 last_miss = Some(snap);
                 continue;
@@ -251,6 +248,7 @@ mod tests {
     use super::*;
     use crate::testutil::small_forest;
     use dmi_apps::AppKind;
+    use std::any::Any;
 
     fn build(kind: AppKind) -> (Session, Forest) {
         let s = Session::new(kind.launch_small());
@@ -300,7 +298,7 @@ mod tests {
             .expect("Blue under Font Color")
             .id as u64;
         access(&mut s, &forest, &ExecutorConfig::default(), blue, &[], None).unwrap();
-        let word = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+        let word = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         assert_eq!(word.doc.paragraphs[0].format.color, "Blue");
     }
 
@@ -310,10 +308,10 @@ mod tests {
         let name_box = find_leaf(&forest, "Name Box");
         access(&mut s, &forest, &ExecutorConfig::default(), name_box, &[], Some("B2:C3")).unwrap();
         // Text input alone does not commit (the paper's Name Box lesson).
-        let excel = s.app().as_any().downcast_ref::<dmi_apps::ExcelApp>().unwrap();
+        let excel = (s.app() as &dyn Any).downcast_ref::<dmi_apps::ExcelApp>().unwrap();
         assert!(excel.sheet.selection.is_none());
         s.press("Enter").unwrap();
-        let excel = s.app().as_any().downcast_ref::<dmi_apps::ExcelApp>().unwrap();
+        let excel = (s.app() as &dyn Any).downcast_ref::<dmi_apps::ExcelApp>().unwrap();
         assert!(excel.sheet.selection.is_some());
     }
 

@@ -138,6 +138,7 @@ mod tests {
     use crate::screen::label_screen;
     use dmi_apps::AppKind;
     use dmi_gui::GuiApp;
+    use std::any::Any;
 
     #[test]
     fn passive_scan_coalesces_empties() {
@@ -155,7 +156,7 @@ mod tests {
     fn passive_truncates_long_values() {
         let mut s = Session::new(AppKind::Excel.launch_small());
         {
-            let app = s.app_mut().as_any_mut().downcast_mut::<dmi_apps::ExcelApp>().unwrap();
+            let app = (s.app_mut() as &mut dyn Any).downcast_mut::<dmi_apps::ExcelApp>().unwrap();
             let addr = dmi_apps::model::sheet::Addr::parse("A5").unwrap();
             app.sheet.set_value(addr, "a very long cell value that exceeds the cap");
             let wid = app.cell_widget(addr).unwrap();
@@ -173,7 +174,7 @@ mod tests {
     fn active_mode_returns_full_content() {
         let mut s = Session::new(AppKind::Excel.launch_small());
         {
-            let app = s.app_mut().as_any_mut().downcast_mut::<dmi_apps::ExcelApp>().unwrap();
+            let app = (s.app_mut() as &mut dyn Any).downcast_mut::<dmi_apps::ExcelApp>().unwrap();
             let addr = dmi_apps::model::sheet::Addr::parse("A5").unwrap();
             let wid = app.cell_widget(addr).unwrap();
             app.tree_mut().widget_mut(wid).value = "full untruncated content here".into();

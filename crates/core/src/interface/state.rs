@@ -168,6 +168,7 @@ mod tests {
     use super::*;
     use crate::screen::label_screen;
     use dmi_apps::AppKind;
+    use std::any::Any;
 
     fn word_session() -> Session {
         Session::new(AppKind::Word.launch_small())
@@ -203,7 +204,7 @@ mod tests {
         let screen = label_screen(&snap);
         let doc = screen.find_by_name("Document").unwrap().label.clone();
         select_lines(&mut s, &screen, &doc, 3, 5).unwrap();
-        let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+        let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         let sel = w.doc.selection.unwrap();
         assert_eq!((sel.start, sel.end), (3, 5));
     }
@@ -235,7 +236,7 @@ mod tests {
         let bold = screen.find_by_name("Bold").unwrap().label.clone();
         set_toggle_state(&mut s, &screen, &bold, true).unwrap();
         set_toggle_state(&mut s, &screen, &bold, true).unwrap();
-        let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+        let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         assert!(w.doc.paragraphs[0].format.bold, "double-set stays on");
     }
 
@@ -255,7 +256,7 @@ mod tests {
         let screen = label_screen(&snap);
         let nb = screen.find_by_name("Name Box").unwrap().label.clone();
         set_texts(&mut s, &screen, &nb, "D4").unwrap();
-        let excel = s.app().as_any().downcast_ref::<dmi_apps::ExcelApp>().unwrap();
+        let excel = (s.app() as &dyn Any).downcast_ref::<dmi_apps::ExcelApp>().unwrap();
         let nb_id = excel.name_box();
         assert_eq!(s.app().tree().widget(nb_id).value, "D4");
     }

@@ -30,10 +30,10 @@
 //! candidate)` on a deterministic application: `establish` either reaches
 //! the provably launch-equivalent base (Esc recovery) or restarts and
 //! replays, so the resulting snapshots never depend on what was explored
-//! before. The machinery is factored into an [`ExploreUnit`] (one session
-//! plus the recovery-planner state) and a [`Frontier`] (the UNG under
+//! before. The machinery is factored into an `ExploreUnit` (one session
+//! plus the recovery-planner state) and a `Frontier` (the UNG under
 //! construction, the visited set, and the DFS stack), connected by the
-//! pure [`diff_fresh`] differential. The sequential ripper composes them
+//! pure `diff_fresh` differential. The sequential ripper composes them
 //! in a loop.
 
 use crate::graph::{Ung, UngNode, UngNodeId};
@@ -814,9 +814,6 @@ mod tests {
     }
 
     impl dmi_gui::GuiApp for MiniApp {
-        fn name(&self) -> &str {
-            "Mini"
-        }
         fn tree(&self) -> &dmi_gui::UiTree {
             &self.tree
         }
@@ -835,12 +832,6 @@ mod tests {
         }
         fn reset(&mut self) {
             *self = MiniApp::new(self.shape);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -137,18 +137,6 @@ impl Behavior {
     }
 }
 
-/// Action bound to a keyboard shortcut at the tree level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ShortcutAction {
-    /// Commit the focused edit control (dispatches its command with the
-    /// current value) — the paper's Name Box example.
-    CommitFocusedEdit,
-    /// Close the topmost popup, else the topmost non-main window.
-    Escape,
-    /// Run an application command.
-    Command(CommandBinding),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

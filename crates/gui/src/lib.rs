@@ -14,7 +14,7 @@
 //!   open a dialog, run an application command, ...),
 //! - [`GuiApp`]: the trait applications implement (see `dmi-apps`),
 //! - [`Session`]: the event loop — input in, epoch-cached shared snapshots
-//!   ([`Capture`], `Arc<Snapshot>`) and UIA events out,
+//!   (`Arc<Snapshot>`) out,
 //! - [`InstabilityModel`]: injectable UI instability (late-loading controls,
 //!   name variation) exercising DMI's robustness mechanisms (§3.4).
 
@@ -26,9 +26,9 @@ pub mod snapshot;
 pub mod tree;
 pub mod widget;
 
-pub use behavior::{Behavior, CommandBinding, CommitKind, ShortcutAction};
+pub use behavior::{Behavior, CommandBinding, CommitKind};
 pub use instability::InstabilityModel;
-pub use session::{AppError, Capture, CaptureConfig, GuiApp, Session};
+pub use session::{AppError, CaptureConfig, GuiApp, Session};
 pub use snapshot::{CapturePool, CaptureStats};
 pub use tree::{OpenWindow, UiTree};
 pub use widget::{Widget, WidgetBuilder, WidgetId};

@@ -1,4 +1,4 @@
-//! The interactive session: input events in, snapshots and events out.
+//! The interactive session: input events in, snapshots out.
 //!
 //! [`Session`] owns a boxed [`GuiApp`] and executes input the way an OS
 //! input stack would: coordinate clicks resolve by hit testing, widget
@@ -8,14 +8,13 @@
 //! `set_toggle`, `scroll_to`, ...) that real accessibility clients can call
 //! directly — the foundation DMI's state/observation declarations build on.
 
-use crate::behavior::{Behavior, CommandBinding, CommitKind, ShortcutAction};
+use crate::behavior::{Behavior, CommandBinding, CommitKind};
 use crate::instability::InstabilityModel;
 use crate::layout;
 use crate::snapshot::{self, CaptureCache, CapturePool, CaptureStats};
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
-use dmi_uia::event::EventLog;
-use dmi_uia::{ControlType, PatternKind, Snapshot, ToggleState, UiaEvent};
+use dmi_uia::{ControlType, PatternKind, Snapshot, ToggleState};
 use std::sync::Arc;
 
 /// Errors surfaced by application command dispatch or input handling.
@@ -69,16 +68,10 @@ impl std::error::Error for AppError {}
 /// `Send` is a supertrait: simulated applications are plain data (a widget
 /// arena plus a document model), and the fleet ripper and the serving
 /// gateway move sessions onto worker threads — mirroring real UIA, where
-/// every provider lives in its own process anyway.
-pub trait GuiApp: Send {
-    /// Application display name (window title).
-    fn name(&self) -> &str;
-
-    /// Owning process id (used for new-window attribution).
-    fn process_id(&self) -> u32 {
-        1000
-    }
-
+/// every provider lives in its own process anyway. `Any` is a supertrait
+/// so task verifiers can inspect concrete app models by upcasting:
+/// `(s.app() as &dyn Any).downcast_ref::<WordApp>()`.
+pub trait GuiApp: std::any::Any + Send {
     /// The provider-side control tree.
     fn tree(&self) -> &UiTree;
 
@@ -115,15 +108,9 @@ pub trait GuiApp: Send {
     fn pristine_token(&self) -> Option<u64> {
         None
     }
-
-    /// Downcast support (task verifiers inspect concrete app models).
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
-/// How [`Session::capture`] builds snapshots.
+/// How [`Session::snapshot`] builds snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaptureConfig {
     /// Serve epoch-keyed cached captures (the default). Off, every capture
@@ -145,51 +132,10 @@ impl CaptureConfig {
     }
 }
 
-/// A lightweight handle to one capture: the shared snapshot plus the
-/// query sequence it was taken at and whether the cache served it.
-#[derive(Debug, Clone)]
-pub struct Capture {
-    snap: Arc<Snapshot>,
-    query_seq: u64,
-    cache_hit: bool,
-}
-
-impl Capture {
-    /// The shared snapshot.
-    pub fn snap(&self) -> &Arc<Snapshot> {
-        &self.snap
-    }
-
-    /// Consumes the handle, returning the shared snapshot.
-    pub fn into_snap(self) -> Arc<Snapshot> {
-        self.snap
-    }
-
-    /// The query sequence number this capture was taken at.
-    pub fn query_seq(&self) -> u64 {
-        self.query_seq
-    }
-
-    /// Whether the capture was served in O(1) from the cache (same `Arc`,
-    /// same already-built identity index).
-    pub fn is_cache_hit(&self) -> bool {
-        self.cache_hit
-    }
-}
-
-impl std::ops::Deref for Capture {
-    type Target = Snapshot;
-
-    fn deref(&self) -> &Snapshot {
-        &self.snap
-    }
-}
-
 /// An interactive session over one application.
 pub struct Session {
     app: Box<dyn GuiApp>,
     inst: InstabilityModel,
-    events: EventLog,
     /// Capture pipeline configuration.
     capture_cfg: CaptureConfig,
     /// Recent captures + per-window layout rows (see [`CaptureCache`]).
@@ -243,7 +189,6 @@ impl Session {
         Session {
             app,
             inst,
-            events: EventLog::new(),
             capture_cfg: CaptureConfig::default(),
             cache: CaptureCache::default(),
             capture_stats: CaptureStats::default(),
@@ -260,10 +205,10 @@ impl Session {
     /// Forks a fresh worker session off the application's shared pristine
     /// launch image (see [`GuiApp::fork`]): a launch-state app instance,
     /// the same instability model and capture configuration, and fresh
-    /// event log, caches, and counters. Deterministic simulations make the
-    /// fork behaviorally equivalent to launching another instance of the
-    /// same build, so forks can run independently — the serving gateway
-    /// pools them per app. `None` when the application does not support
+    /// caches and counters. Deterministic simulations make the fork
+    /// behaviorally equivalent to launching another instance of the same
+    /// build, so forks can run independently — the serving gateway pools
+    /// them per app. `None` when the application does not support
     /// forking.
     pub fn fork_from_pristine(&self) -> Option<Session> {
         let app = self.app.fork()?;
@@ -276,10 +221,10 @@ impl Session {
     /// instability model, so a pooled session can serve its next tenant
     /// indistinguishably from a fresh launch. This is what makes online
     /// session reuse trace-sound: every counter the instability model
-    /// keys off (action, query, external-jump clocks) is zeroed, the
-    /// event log and all cached captures — the pristine stash included,
-    /// since it was captured under the *previous* tenant's instability —
-    /// are dropped, and the application resets to its launch image.
+    /// keys off (action, query, external-jump clocks) is zeroed, all
+    /// cached captures — the pristine stash included, since it was
+    /// captured under the *previous* tenant's instability — are dropped,
+    /// and the application resets to its launch image.
     ///
     /// Returns whether the application attested a pristine launch image
     /// for the reset ([`GuiApp::pristine_token`]); a caller pooling
@@ -287,7 +232,6 @@ impl Session {
     /// nothing then proves the next tenant starts from launch state.
     pub fn recycle(&mut self, inst: InstabilityModel) -> bool {
         self.inst = inst;
-        self.events = EventLog::new();
         self.capture_stats = CaptureStats::default();
         self.query_seq = 0;
         self.external_jumps = 0;
@@ -357,11 +301,6 @@ impl Session {
         self.app.as_mut()
     }
 
-    /// The UIA event log.
-    pub fn events(&self) -> &EventLog {
-        &self.events
-    }
-
     /// Number of input actions executed so far.
     pub fn action_count(&self) -> u64 {
         self.action_seq
@@ -392,26 +331,19 @@ impl Session {
     /// The snapshot is shared: while the UI is unchanged since a recent
     /// capture — same per-window mutation stamps, popup chain, window
     /// stack, contexts, and no late-load reveal crossing — the same
-    /// [`Arc`] is returned in O(1), identity index included. See
-    /// [`Session::capture`] for the handle carrying cache metadata and
-    /// [`CaptureConfig::full_rebuild`] for the eager oracle path.
-    pub fn snapshot(&mut self) -> Arc<Snapshot> {
-        self.capture().into_snap()
-    }
-
-    /// Takes an accessibility snapshot, returning the full [`Capture`]
-    /// handle (query sequence, cache-hit flag).
+    /// [`Arc`] is returned in O(1), identity index included (counted in
+    /// [`CaptureStats::full_hits`]). See [`CaptureConfig::full_rebuild`]
+    /// for the eager oracle path.
     ///
     /// Serving order: restart-surviving pristine stash, per-session MRU
     /// cache, then a partial rebuild — every path produces the same
     /// bytes.
-    pub fn capture(&mut self) -> Capture {
+    pub fn snapshot(&mut self) -> Arc<Snapshot> {
         self.query_seq += 1;
         self.capture_stats.captures += 1;
         dmi_obs::tally("capture.captures", 1);
         if !self.capture_cfg.cached {
-            let snap = Arc::new(snapshot::build(self.app.tree(), &self.inst, self.query_seq));
-            return Capture { snap, query_seq: self.query_seq, cache_hit: false };
+            return Arc::new(snapshot::build(self.app.tree(), &self.inst, self.query_seq));
         }
         // Restart-surviving fast path: while the pristine mark holds, the
         // state is byte-for-byte the launch image, so the stashed snapshot
@@ -430,7 +362,7 @@ impl Session {
                     // next (post-click) capture can copy clean windows
                     // from it instead of re-walking everything.
                     snapshot::adopt(&mut self.cache, self.app.tree(), &snap, self.query_seq);
-                    return Capture { snap, query_seq: self.query_seq, cache_hit: true };
+                    return snap;
                 }
             }
         }
@@ -442,7 +374,7 @@ impl Session {
                 if let Some(token) = pristine_token {
                     self.pristine_snap = Some((token, Arc::clone(&snap)));
                 }
-                return Capture { snap, query_seq: self.query_seq, cache_hit: true };
+                return snap;
             }
             Err(keys) => keys,
         };
@@ -461,7 +393,7 @@ impl Session {
         if let Some(token) = pristine_token {
             self.pristine_snap = Some((token, Arc::clone(&snap)));
         }
-        Capture { snap, query_seq: self.query_seq, cache_hit: false }
+        snap
     }
 
     /// Whether the UI state still equals the pristine image captured at
@@ -697,21 +629,19 @@ impl Session {
             return Err(AppError::PatternUnsupported { name, pattern: PatternKind::Value });
         }
         if w.value == text {
-            // Typing the text already present changes nothing: no value
-            // write, no event — the logs the robustness and late-load
-            // clocks compare against must not record phantom changes.
+            // Typing the text already present changes nothing: skipping
+            // the tree write keeps the window stamp and the state epoch
+            // unmoved, so cached captures and Esc recovery stay valid.
             return Ok(());
         }
         self.app.tree_mut().widget_mut(f).value = text.to_string();
-        self.events.push(UiaEvent::PropertyChanged {
-            control: snapshot::runtime_of(f),
-            property: "Value.Value".into(),
-        });
         Ok(())
     }
 
-    /// Presses a key or key combination (e.g. `"Enter"`, `"Esc"`,
-    /// `"Ctrl+B"`).
+    /// Presses a key or key combination. `"Esc"` collapses the outermost
+    /// popup or closes the top window, `"Enter"` commits the focused
+    /// edit; any other key (e.g. `"Ctrl+B"`) is unbound and fails with
+    /// [`AppError::NotInteractable`], still counted as an input action.
     pub fn press(&mut self, keys: &str) -> Result<(), AppError> {
         self.action_seq += 1;
         if self.trapped && keys != "Esc" {
@@ -730,28 +660,14 @@ impl Session {
                     return Ok(());
                 }
                 if let Some(root) = t.close_top_window() {
-                    let title = self.app.tree().widget(root).name.clone();
                     let _ = self.app.on_window_close(root, CommitKind::Cancel);
-                    self.events
-                        .push(UiaEvent::WindowClosed { window: snapshot::runtime_of(root), title });
                 }
                 Ok(())
             }
             "Enter" => self.commit_focused_edit(),
-            other => {
-                let action = self.app.tree().shortcut(other).cloned();
-                match action {
-                    Some(ShortcutAction::CommitFocusedEdit) => self.commit_focused_edit(),
-                    Some(ShortcutAction::Escape) => self.press("Esc"),
-                    Some(ShortcutAction::Command(b)) => {
-                        let src = self.app.tree().main_root();
-                        self.app.dispatch(src, &b)
-                    }
-                    None => Err(AppError::NotInteractable {
-                        reason: format!("no binding for shortcut '{other}'"),
-                    }),
-                }
-            }
+            other => Err(AppError::NotInteractable {
+                reason: format!("no binding for shortcut '{other}'"),
+            }),
         }
     }
 
@@ -976,46 +892,27 @@ impl Session {
             Behavior::OpenMenu => {
                 self.app.tree_mut().open_popup(id);
                 self.maybe_delay_children(id);
-                self.events.push(UiaEvent::StructureChanged { subtree: snapshot::runtime_of(id) });
                 Ok(())
             }
             Behavior::SwitchTab => {
                 self.app.tree_mut().select_tab(id);
-                self.events.push(UiaEvent::StructureChanged { subtree: snapshot::runtime_of(id) });
                 Ok(())
             }
             Behavior::OpenDialog(root) => {
                 self.app.tree_mut().close_all_popups();
                 self.app.tree_mut().open_window(root, true);
                 self.maybe_delay_children(root);
-                let title = self.app.tree().widget(root).name.clone();
-                self.events.push(UiaEvent::WindowOpened {
-                    window: snapshot::runtime_of(root),
-                    title,
-                    process_id: self.app.process_id(),
-                    modal: true,
-                });
                 Ok(())
             }
             Behavior::OpenWindow(root) => {
                 self.app.tree_mut().open_window(root, false);
                 self.maybe_delay_children(root);
-                let title = self.app.tree().widget(root).name.clone();
-                self.events.push(UiaEvent::WindowOpened {
-                    window: snapshot::runtime_of(root),
-                    title,
-                    process_id: self.app.process_id(),
-                    modal: false,
-                });
                 Ok(())
             }
             Behavior::CloseWindow(commit) => {
                 let t = self.app.tree_mut();
                 if let Some(root) = t.close_top_window() {
-                    let title = self.app.tree().widget(root).name.clone();
                     self.app.on_window_close(root, commit)?;
-                    self.events
-                        .push(UiaEvent::WindowClosed { window: snapshot::runtime_of(root), title });
                 }
                 Ok(())
             }
@@ -1048,7 +945,6 @@ impl Session {
             }
             Behavior::FocusEdit => {
                 self.app.tree_mut().set_focus(Some(id));
-                self.events.push(UiaEvent::FocusChanged { control: snapshot::runtime_of(id) });
                 Ok(())
             }
             Behavior::OpenExternal => {
@@ -1106,6 +1002,7 @@ mod tests {
     use super::*;
     use crate::widget::{Widget, WidgetBuilder};
     use dmi_uia::ControlType as CT;
+    use std::any::Any;
 
     /// A minimal test application: a counter bumped by a ribbon button,
     /// a dialog with an edit, and a color picker merge-node structure.
@@ -1222,9 +1119,6 @@ mod tests {
     }
 
     impl GuiApp for TestApp {
-        fn name(&self) -> &str {
-            "TestApp"
-        }
         fn tree(&self) -> &UiTree {
             &self.tree
         }
@@ -1265,12 +1159,14 @@ mod tests {
             self.committed = None;
             self.last_color = None;
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
+    }
+
+    /// Takes a snapshot and reports whether the cache served it (the
+    /// `full_hits` counter advanced).
+    fn capture(s: &mut Session) -> (Arc<Snapshot>, bool) {
+        let hits = s.capture_stats().full_hits;
+        let snap = s.snapshot();
+        (snap, s.capture_stats().full_hits > hits)
     }
 
     fn session() -> (Session, TestIds) {
@@ -1279,7 +1175,7 @@ mod tests {
     }
 
     fn counter(s: &Session) -> u32 {
-        s.app().as_any().downcast_ref::<TestApp>().unwrap().counter
+        (s.app() as &dyn Any).downcast_ref::<TestApp>().unwrap().counter
     }
 
     #[test]
@@ -1302,7 +1198,7 @@ mod tests {
         let (mut s, ids) = session();
         s.click(ids.font_menu).unwrap();
         s.click(ids.blue_font).unwrap();
-        let app = s.app().as_any().downcast_ref::<TestApp>().unwrap();
+        let app = (s.app() as &dyn Any).downcast_ref::<TestApp>().unwrap();
         assert_eq!(app.last_color, Some(("font".into(), "Blue".into())));
         // CommandAndDismiss closed the popup chain.
         assert!(s.app().tree().open_popups().is_empty());
@@ -1313,7 +1209,7 @@ mod tests {
         let (mut s, ids) = session();
         s.click(ids.outline_menu).unwrap();
         s.click(ids.blue_outline).unwrap();
-        let app = s.app().as_any().downcast_ref::<TestApp>().unwrap();
+        let app = (s.app() as &dyn Any).downcast_ref::<TestApp>().unwrap();
         assert_eq!(app.last_color, Some(("outline".into(), "Blue".into())));
     }
 
@@ -1336,7 +1232,7 @@ mod tests {
         s.click(ids.dlg_edit).unwrap();
         s.type_text("Quarterly Report").unwrap();
         s.press("Enter").unwrap();
-        let app = s.app().as_any().downcast_ref::<TestApp>().unwrap();
+        let app = (s.app() as &dyn Any).downcast_ref::<TestApp>().unwrap();
         assert_eq!(app.committed.as_deref(), Some("Quarterly Report"));
     }
 
@@ -1426,15 +1322,24 @@ mod tests {
         s.click(ids.dlg_open).unwrap();
         s.click(ids.dlg_edit).unwrap();
         s.type_text("Report").unwrap();
-        let events_after_first = s.events().all().len();
+        let epoch = s.ui_state_epoch();
         s.type_text("Report").unwrap();
-        assert_eq!(
-            s.events().all().len(),
-            events_after_first,
-            "unchanged text must not log an event"
-        );
+        assert_eq!(s.ui_state_epoch(), epoch, "unchanged text must not write the tree");
         s.type_text("Report 2").unwrap();
-        assert_eq!(s.events().all().len(), events_after_first + 1, "a real change still logs");
+        assert!(s.ui_state_epoch() > epoch, "a real change still writes");
+    }
+
+    #[test]
+    fn unbound_shortcut_is_not_interactable() {
+        let (mut s, _) = session();
+        let before = s.action_count();
+        match s.press("Ctrl+B") {
+            Err(AppError::NotInteractable { reason }) => {
+                assert!(reason.contains("Ctrl+B"), "reason names the key: {reason}")
+            }
+            other => panic!("expected NotInteractable, got {other:?}"),
+        }
+        assert_eq!(s.action_count(), before + 1, "a failed press is still an input action");
     }
 
     #[test]
@@ -1469,14 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn events_record_window_lifecycle() {
-        let (mut s, ids) = session();
-        let c = s.events().cursor();
-        s.click(ids.dlg_open).unwrap();
-        assert!(s.events().window_opened_since(c).is_some());
-    }
-
-    #[test]
     fn late_loading_children_need_retry() {
         let (app, ids) = build();
         let mut s = Session::with_instability(Box::new(app), InstabilityModel::new(5, 1.0, 0.0));
@@ -1494,47 +1391,47 @@ mod tests {
     #[test]
     fn transient_popup_open_close_returns_to_a_cache_hit() {
         let (mut s, ids) = session();
-        let base = s.capture();
-        assert!(!base.is_cache_hit(), "first capture is a cold build");
+        let (base, base_hit) = capture(&mut s);
+        assert!(!base_hit, "first capture is a cold build");
         s.click(ids.font_menu).unwrap();
-        let open = s.capture();
-        assert!(!open.is_cache_hit(), "popup open changes the visible tree");
+        let (open, open_hit) = capture(&mut s);
+        assert!(!open_hit, "popup open changes the visible tree");
         assert!(open.find_by_name("Blue").is_some());
         s.press("Esc").unwrap();
-        let back = s.capture();
-        assert!(back.is_cache_hit(), "popup close returns to the cached base");
-        assert!(Arc::ptr_eq(base.snap(), back.snap()), "same shared snapshot, index included");
+        let (back, back_hit) = capture(&mut s);
+        assert!(back_hit, "popup close returns to the cached base");
+        assert!(Arc::ptr_eq(&base, &back), "same shared snapshot, index included");
     }
 
     #[test]
     fn transient_dialog_open_close_returns_to_a_cache_hit() {
         let (mut s, ids) = session();
-        let base = s.capture();
+        let base = s.snapshot();
         s.click(ids.dlg_open).unwrap();
-        let dlg = s.capture();
-        assert!(!dlg.is_cache_hit());
+        let (dlg, dlg_hit) = capture(&mut s);
+        assert!(!dlg_hit);
         assert_eq!(dlg.windows().len(), 2);
         s.press("Esc").unwrap();
-        let back = s.capture();
-        assert!(back.is_cache_hit(), "dialog close restores the cached base");
-        assert!(Arc::ptr_eq(base.snap(), back.snap()));
+        let (back, back_hit) = capture(&mut s);
+        assert!(back_hit, "dialog close restores the cached base");
+        assert!(Arc::ptr_eq(&base, &back));
         // Reopening also hits: the open-dialog state is still in the MRU.
         s.click(ids.dlg_open).unwrap();
-        let again = s.capture();
-        assert!(again.is_cache_hit(), "reopened dialog state is still cached");
-        assert!(Arc::ptr_eq(dlg.snap(), again.snap()));
+        let (again, again_hit) = capture(&mut s);
+        assert!(again_hit, "reopened dialog state is still cached");
+        assert!(Arc::ptr_eq(&dlg, &again));
     }
 
     #[test]
     fn widget_write_invalidates_exactly_the_owning_window() {
         let (mut s, ids) = session();
         s.click(ids.dlg_open).unwrap();
-        let _warm = s.capture();
+        let _warm = s.snapshot();
         let before = s.capture_stats();
         // Write inside the dialog window only.
         s.set_value(ids.dlg_edit, "Quarterly").unwrap();
-        let snap = s.capture();
-        assert!(!snap.is_cache_hit());
+        let (snap, snap_hit) = capture(&mut s);
+        assert!(!snap_hit);
         let after = s.capture_stats();
         assert_eq!(after.windows_reused - before.windows_reused, 1, "main window copied");
         assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 1, "dialog re-walked");
@@ -1544,7 +1441,7 @@ mod tests {
         let before = s.capture_stats();
         s.press("Esc").unwrap(); // back to main only
         s.scroll_to(ids.doc, 40.0).unwrap();
-        let _snap = s.capture();
+        let _snap = s.snapshot();
         let after = s.capture_stats();
         assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 1, "main re-walked");
     }
@@ -1563,17 +1460,17 @@ mod tests {
         // The lagging capture misses the children; a repeat before the
         // reveal is a cache hit with the children still hidden; the reveal
         // query itself must rebuild and match the eager oracle.
-        let lag = s.capture();
-        assert!(!lag.is_cache_hit());
+        let (lag, lag_hit) = capture(&mut s);
+        assert!(!lag_hit);
         assert!(lag.find_by_name("Blue").is_none());
-        assert_eq!(*lag.snap().as_ref(), *oracle.snapshot(), "lagging capture matches oracle");
-        let revealed = s.capture();
-        assert!(!revealed.is_cache_hit(), "the reveal query must not be served from cache");
+        assert_eq!(*lag, *oracle.snapshot(), "lagging capture matches oracle");
+        let (revealed, revealed_hit) = capture(&mut s);
+        assert!(!revealed_hit, "the reveal query must not be served from cache");
         assert!(revealed.find_by_name("Blue").is_some());
-        assert_eq!(*revealed.snap().as_ref(), *oracle.snapshot(), "reveal matches oracle");
-        let warm = s.capture();
-        assert!(warm.is_cache_hit(), "post-reveal state is stable and cacheable");
-        assert_eq!(*warm.snap().as_ref(), *oracle.snapshot());
+        assert_eq!(*revealed, *oracle.snapshot(), "reveal matches oracle");
+        let (warm, warm_hit) = capture(&mut s);
+        assert!(warm_hit, "post-reveal state is stable and cacheable");
+        assert_eq!(*warm, *oracle.snapshot());
     }
 
     #[test]
@@ -1612,12 +1509,12 @@ mod tests {
     #[test]
     fn restart_drops_cached_captures() {
         let (mut s, ids) = session();
-        let base = s.capture();
+        let base = s.snapshot();
         s.click(ids.bump).unwrap();
         s.restart();
-        let fresh = s.capture();
-        assert!(!fresh.is_cache_hit(), "restart must invalidate the cache");
-        assert!(!Arc::ptr_eq(base.snap(), fresh.snap()));
+        let (fresh, fresh_hit) = capture(&mut s);
+        assert!(!fresh_hit, "restart must invalidate the cache");
+        assert!(!Arc::ptr_eq(&base, &fresh));
     }
 
     // ------------------------------------------------------------------
@@ -1662,9 +1559,6 @@ mod tests {
     }
 
     impl GuiApp for ImageApp {
-        fn name(&self) -> &str {
-            "Image"
-        }
         fn tree(&self) -> &UiTree {
             &self.tree
         }
@@ -1689,12 +1583,6 @@ mod tests {
         fn pristine_token(&self) -> Option<u64> {
             Some(Arc::as_ptr(&self.pristine) as u64)
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -1702,19 +1590,19 @@ mod tests {
         let (app, ids) = image_app();
         let mut s = Session::new(Box::new(app));
         s.restart();
-        let first = s.capture();
-        assert!(!first.is_cache_hit(), "first post-restart capture builds and stashes");
+        let (first, first_hit) = capture(&mut s);
+        assert!(!first_hit, "first post-restart capture builds and stashes");
         s.click(ids.bump).unwrap();
         s.restart();
-        let again = s.capture();
-        assert!(again.is_cache_hit(), "restart back to the pristine image is O(1)");
-        assert!(Arc::ptr_eq(first.snap(), again.snap()), "same stashed snapshot");
+        let (again, again_hit) = capture(&mut s);
+        assert!(again_hit, "restart back to the pristine image is O(1)");
+        assert!(Arc::ptr_eq(&first, &again), "same stashed snapshot");
         assert!(s.capture_stats().pristine_hits >= 1);
         // The stash matches an eager rebuild byte-for-byte.
         let mut oracle = Session::new(Box::new(image_app().0));
         oracle.set_capture_config(CaptureConfig::full_rebuild());
         oracle.restart();
-        assert_eq!(*again.snap().as_ref(), *oracle.snapshot());
+        assert_eq!(*again, *oracle.snapshot());
     }
 
     #[test]
@@ -1722,21 +1610,21 @@ mod tests {
         let (app, ids) = image_app();
         let mut s = Session::new(Box::new(app));
         s.restart();
-        let _stash = s.capture();
+        let _stash = s.snapshot();
         s.restart();
-        let hit = s.capture();
-        assert!(hit.is_cache_hit());
+        let (hit, was_hit) = capture(&mut s);
+        assert!(was_hit);
         // The adopted stash acts as a donor: opening a popup dirties only
         // the main window, but the snapshot after closing it again is the
         // stash itself (structural popup keying).
         s.click(ids.menu).unwrap();
-        let open = s.capture();
-        assert!(!open.is_cache_hit());
+        let (open, open_hit) = capture(&mut s);
+        assert!(!open_hit);
         assert!(open.find_by_name("Item").is_some());
         s.press("Esc").unwrap();
-        let back = s.capture();
-        assert!(back.is_cache_hit(), "collapse returns to the adopted stash");
-        assert!(Arc::ptr_eq(hit.snap(), back.snap()));
+        let (back, back_hit) = capture(&mut s);
+        assert!(back_hit, "collapse returns to the adopted stash");
+        assert!(Arc::ptr_eq(&hit, &back));
     }
 
     #[test]
@@ -1744,23 +1632,23 @@ mod tests {
         let (app, ids) = image_app();
         let mut s = Session::new(Box::new(app));
         s.restart();
-        let _stash = s.capture();
+        let _stash = s.snapshot();
         // Input action after restart: no pristine hit.
         s.restart();
         s.click(ids.bump).unwrap();
-        assert!(!s.capture().is_cache_hit());
+        assert!(!capture(&mut s).1);
         // Direct tree mutation (no input action): the main-window stamp
         // moves, so the mark cannot hold.
         s.restart();
         s.app_mut().tree_mut().widget_mut(ids.label).name.push('!');
-        let diverged = s.capture();
-        assert!(!diverged.is_cache_hit());
+        let (diverged, diverged_hit) = capture(&mut s);
+        assert!(!diverged_hit);
         assert_eq!(diverged.find_by_name("Label!").map(|_| ()), Some(()));
         // The oracle configuration never serves the stash.
         s.set_capture_config(CaptureConfig::full_rebuild());
         s.restart();
         s.restart();
-        assert!(!s.capture().is_cache_hit());
+        assert!(!capture(&mut s).1);
     }
 
     #[test]
@@ -1771,7 +1659,7 @@ mod tests {
         s.click(ids.menu).unwrap();
         let mut fork = s.fork_from_pristine().expect("image app forks");
         // The fork is at launch state, unaffected by the parent's drift.
-        assert_eq!(fork.app().as_any().downcast_ref::<ImageApp>().unwrap().counter, 0);
+        assert_eq!((fork.app() as &dyn Any).downcast_ref::<ImageApp>().unwrap().counter, 0);
         assert_eq!(fork.popup_depth(), 0);
         assert_eq!(fork.action_count(), 0);
         // Same pristine token: fork restarts share the parent's identity.
@@ -1779,8 +1667,8 @@ mod tests {
         // Mutating the fork leaves the parent untouched (and vice versa).
         fork.click(ids.bump).unwrap();
         fork.click(ids.bump).unwrap();
-        assert_eq!(fork.app().as_any().downcast_ref::<ImageApp>().unwrap().counter, 2);
-        assert_eq!(s.app().as_any().downcast_ref::<ImageApp>().unwrap().counter, 1);
+        assert_eq!((fork.app() as &dyn Any).downcast_ref::<ImageApp>().unwrap().counter, 2);
+        assert_eq!((s.app() as &dyn Any).downcast_ref::<ImageApp>().unwrap().counter, 1);
         assert_eq!(s.popup_depth(), 1, "parent popup state untouched by the fork");
         // Forks produce byte-identical snapshots to a fresh launch.
         fork.restart();
@@ -1801,14 +1689,14 @@ mod tests {
     fn partial_rebuild_splices_donor_index_for_clean_windows() {
         let (mut s, ids) = session();
         s.click(ids.dlg_open).unwrap();
-        let first = s.capture();
+        let first = s.snapshot();
         first.index().key_multimap(); // materialize the donor's index
-        let donor_ix = first.snap().index_if_built().expect("materialized");
+        let donor_ix = first.index_if_built().expect("materialized");
         // Dirty only the dialog window: the main window's node block is
         // copied forward and its index columns spliced.
         s.set_value(ids.dlg_edit, "Quarterly").unwrap();
-        let second = s.capture();
-        assert!(!second.is_cache_hit());
+        let (second, second_hit) = capture(&mut s);
+        assert!(!second_hit);
         let spliced = second.index();
         let main_end = second.windows()[1];
         for i in 0..main_end {
@@ -1818,7 +1706,7 @@ mod tests {
             );
         }
         // The spliced index is indistinguishable from a from-scratch build.
-        let fresh = dmi_uia::SnapIndex::build(second.snap());
+        let fresh = dmi_uia::SnapIndex::build(&second);
         for (i, n) in second.iter() {
             assert_eq!(spliced.path(i), fresh.path(i), "node {i}");
             assert_eq!(spliced.key(i), fresh.key(i), "node {i}");
@@ -1837,11 +1725,11 @@ mod tests {
         assert_eq!(s.app().pristine_token(), None);
         assert!(s.fork_from_pristine().is_none());
         s.restart();
-        let a = s.capture();
+        let a = s.snapshot();
         s.restart();
-        let b = s.capture();
-        assert!(!b.is_cache_hit());
-        assert!(!Arc::ptr_eq(a.snap(), b.snap()));
+        let (b, b_hit) = capture(&mut s);
+        assert!(!b_hit);
+        assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(s.capture_stats().pristine_hits, 0);
     }
 }

@@ -3,12 +3,11 @@
 //! A [`UiTree`] is an arena of widgets plus the runtime UI state the
 //! toolkit manages: the open-window stack (main window, dialogs, child
 //! windows), the open-popup chain (menus, dropdowns), keyboard focus,
-//! active UI contexts (e.g. "image-selected"), and shortcut bindings.
+//! and active UI contexts (e.g. "image-selected").
 //!
 //! Widgets are never removed from the arena — hidden instead — so
 //! [`WidgetId`]s are stable for the lifetime of the application instance.
 
-use crate::behavior::{CommandBinding, ShortcutAction};
 use crate::widget::{Widget, WidgetId};
 use dmi_uia::ControlType;
 use serde::{Deserialize, Serialize};
@@ -37,8 +36,6 @@ pub struct UiTree {
     focus: Option<WidgetId>,
     /// Active UI contexts gating `visible_when` widgets.
     contexts: BTreeSet<String>,
-    /// Tree-level keyboard shortcuts.
-    shortcuts: BTreeMap<String, ShortcutAction>,
     /// Widgets whose children are still "loading": hidden from snapshots
     /// until the given query sequence number (instability injection).
     pending_children: BTreeMap<WidgetId, u64>,
@@ -86,7 +83,6 @@ impl Clone for UiTree {
             open_popups: self.open_popups.clone(),
             focus: self.focus,
             contexts: self.contexts.clone(),
-            shortcuts: self.shortcuts.clone(),
             pending_children: self.pending_children.clone(),
             state_epoch: self.state_epoch,
             view_clock: self.view_clock,
@@ -116,7 +112,6 @@ impl Clone for UiTree {
             open_popups,
             focus,
             contexts,
-            shortcuts,
             pending_children,
             state_epoch,
             view_clock,
@@ -130,13 +125,10 @@ impl Clone for UiTree {
         self.open_popups.clone_from(open_popups);
         self.focus = *focus;
         // Equality pre-checks: these maps are almost always identical to
-        // the pristine image (shortcuts never change at runtime), and the
-        // compare is allocation-free where a blind clone is not.
+        // the pristine image, and the compare is allocation-free where a
+        // blind clone is not.
         if self.contexts != *contexts {
             self.contexts = contexts.clone();
-        }
-        if self.shortcuts != *shortcuts {
-            self.shortcuts = shortcuts.clone();
         }
         if self.pending_children != *pending_children {
             self.pending_children = pending_children.clone();
@@ -314,16 +306,6 @@ impl UiTree {
         self.focus = id;
     }
 
-    /// Registers a tree-level keyboard shortcut (e.g. `"Ctrl+B"`).
-    pub fn bind_shortcut(&mut self, keys: impl Into<String>, action: ShortcutAction) {
-        self.shortcuts.insert(keys.into(), action);
-    }
-
-    /// Looks up a shortcut.
-    pub fn shortcut(&self, keys: &str) -> Option<&ShortcutAction> {
-        self.shortcuts.get(keys)
-    }
-
     /// Activates or deactivates a UI context (e.g. `"image-selected"`).
     pub fn set_context(&mut self, ctx: &str, on: bool) {
         let changed =
@@ -337,11 +319,6 @@ impl UiTree {
     /// Whether a context is active.
     pub fn context_active(&self, ctx: &str) -> bool {
         self.contexts.contains(ctx)
-    }
-
-    /// Active contexts in sorted order.
-    pub fn active_contexts(&self) -> impl Iterator<Item = &str> {
-        self.contexts.iter().map(|s| s.as_str())
     }
 
     /// Whether the window rooted at `root` is open.
@@ -546,16 +523,6 @@ impl UiTree {
     /// Finds the first widget with the given automation id.
     pub fn find_by_automation_id(&self, auto: &str) -> Option<WidgetId> {
         self.iter().find(|(_, w)| w.automation_id == auto).map(|(i, _)| i)
-    }
-
-    /// The semantic command binding attached to a widget through its
-    /// click behavior, if any.
-    pub fn command_of(&self, id: WidgetId) -> Option<&CommandBinding> {
-        use crate::behavior::Behavior;
-        match &self.widgets[id.0].on_click {
-            Behavior::Command(b) | Behavior::CommandAndDismiss(b) => Some(b),
-            _ => None,
-        }
     }
 
     /// Restores the runtime UI state to "freshly launched": only the main

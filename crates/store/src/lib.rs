@@ -7,7 +7,7 @@
 //!
 //! Two layers:
 //!
-//! - [`codec`]: the length-prefixed, checksummed, versioned binary
+//! - `codec`: the length-prefixed, checksummed, versioned binary
 //!   container ([`FORMAT_VERSION`], `b"DMISTORE"` magic). Corrupt,
 //!   truncated, or wrong-version input surfaces a typed [`StoreError`],
 //!   never a panic.

@@ -2,20 +2,21 @@
 
 use dmi_apps::{ExcelApp, PowerPointApp, WordApp};
 use dmi_gui::Session;
+use std::any::Any;
 
 /// The Word model behind a session (panics on the wrong app).
 pub fn word(s: &Session) -> &WordApp {
-    s.app().as_any().downcast_ref::<WordApp>().expect("session is not Word")
+    (s.app() as &dyn Any).downcast_ref::<WordApp>().expect("session is not Word")
 }
 
 /// The Excel model behind a session.
 pub fn excel(s: &Session) -> &ExcelApp {
-    s.app().as_any().downcast_ref::<ExcelApp>().expect("session is not Excel")
+    (s.app() as &dyn Any).downcast_ref::<ExcelApp>().expect("session is not Excel")
 }
 
 /// The PowerPoint model behind a session.
 pub fn ppt(s: &Session) -> &PowerPointApp {
-    s.app().as_any().downcast_ref::<PowerPointApp>().expect("session is not PowerPoint")
+    (s.app() as &dyn Any).downcast_ref::<PowerPointApp>().expect("session is not PowerPoint")
 }
 
 #[cfg(test)]

@@ -174,23 +174,6 @@ impl ControlType {
                 | ControlType::SplitButton
         )
     }
-
-    /// Whether controls of this type usually act as navigation containers
-    /// (non-leaf nodes in the navigation topology).
-    pub fn is_typically_navigational(self) -> bool {
-        matches!(
-            self,
-            ControlType::Menu
-                | ControlType::MenuBar
-                | ControlType::Tab
-                | ControlType::TabItem
-                | ControlType::ToolBar
-                | ControlType::Pane
-                | ControlType::Group
-                | ControlType::Window
-                | ControlType::TitleBar
-        )
-    }
 }
 
 impl std::fmt::Display for ControlType {

@@ -195,11 +195,6 @@ impl ControlId {
     pub fn matches_exact(&self, snap: &Snapshot, idx: usize) -> bool {
         snap.index().matches(snap, idx, self)
     }
-
-    /// The last component of the ancestor path (immediate parent name).
-    pub fn parent_name(&self) -> Option<&str> {
-        self.ancestor_path.rsplit('/').next().filter(|s| !s.is_empty())
-    }
 }
 
 impl std::fmt::Display for ControlId {

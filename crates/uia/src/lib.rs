@@ -10,8 +10,7 @@
 //! - XPath-like control identifiers ([`ControlId`]) with fuzzy matching,
 //!   resolved in O(1) through a per-snapshot identity index
 //!   ([`SnapIndex`], [`ControlKey`] — see the [`index`] module for the
-//!   hash+confirm design),
-//! - structure-change events ([`UiaEvent`]).
+//!   hash+confirm design).
 //!
 //! Applications (see `dmi-gui` / `dmi-apps`) produce snapshots; the DMI
 //! layer (`dmi-core`) consumes them. Nothing in this crate mutates UI state;
@@ -29,7 +28,6 @@
 
 pub mod control_type;
 pub mod error;
-pub mod event;
 pub mod ident;
 pub mod index;
 pub mod pattern;
@@ -38,9 +36,8 @@ pub mod tree;
 
 pub use control_type::ControlType;
 pub use error::{UiaError, UiaResult};
-pub use event::UiaEvent;
 pub use ident::{ControlId, ControlIdSet, ControlKey, FuzzyMatcher, KeyMap, MatchScore};
 pub use index::SnapIndex;
 pub use pattern::{PatternKind, PatternSet};
 pub use props::{ControlProps, Rect, RuntimeId, ToggleState};
-pub use tree::{Node, NodeRef, Snapshot};
+pub use tree::{Node, Snapshot};

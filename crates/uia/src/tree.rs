@@ -7,7 +7,7 @@
 //! real accessibility clients are decoupled from the provider process.
 
 use crate::index::{IndexSeed, SnapIndex};
-use crate::{ControlId, ControlKey, ControlProps, ControlType, PatternKind, Rect, RuntimeId};
+use crate::{ControlId, ControlKey, ControlProps, ControlType, RuntimeId};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -332,106 +332,16 @@ impl Snapshot {
         self.iter().find(|(_, n)| n.props.name == name).map(|(i, _)| i)
     }
 
-    /// Finds the first node with the given name under a specific window root.
-    pub fn find_by_name_in_window(&self, window_root: usize, name: &str) -> Option<usize> {
-        self.descendants(window_root).into_iter().find(|&i| self.nodes[i].props.name == name)
-    }
-
     /// All nodes of a control type.
     pub fn find_by_type(&self, ct: ControlType) -> Vec<usize> {
         self.find_all(|n| n.props.control_type == ct)
-    }
-
-    /// All actionable (enabled, on-screen) nodes supporting a pattern.
-    pub fn actionable_with_pattern(&self, p: PatternKind) -> Vec<usize> {
-        self.find_all(|n| n.props.is_actionable() && n.props.patterns.supports(p))
-    }
-
-    /// The deepest node whose rectangle contains the point, searching the
-    /// topmost window first (hit testing for simulated pointer input).
-    ///
-    /// A single O(n) DFS per window: depth rides on the traversal stack
-    /// instead of being recomputed by an ancestor walk per contained node.
-    pub fn hit_test(&self, x: i32, y: i32) -> Option<usize> {
-        for &w in self.windows.iter().rev() {
-            let mut best: Option<(usize, usize)> = None; // (idx, depth)
-            let mut stack: Vec<(usize, usize)> = vec![(w, 0)]; // (idx, depth)
-            while let Some((i, d)) = stack.pop() {
-                let n = &self.nodes[i];
-                if !n.props.offscreen
-                    && n.props.rect.contains(x, y)
-                    && best.is_none_or(|(_, bd)| d >= bd)
-                {
-                    best = Some((i, d));
-                }
-                // Push children reversed so traversal is document-order,
-                // matching `descendants` (ties prefer later document order
-                // at equal depth).
-                for &c in n.children.iter().rev() {
-                    stack.push((c, d + 1));
-                }
-            }
-            if let Some((i, _)) = best {
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Convenience view over one node.
-    pub fn node_ref(&self, idx: usize) -> NodeRef<'_> {
-        NodeRef { snap: self, idx }
-    }
-
-    /// The visible bounding rect of the snapshot's topmost window.
-    pub fn top_window_rect(&self) -> Option<Rect> {
-        self.top_window().map(|w| self.nodes[w].props.rect)
-    }
-}
-
-/// A borrowed view of one node plus its snapshot, for ergonomic navigation.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeRef<'a> {
-    snap: &'a Snapshot,
-    idx: usize,
-}
-
-impl<'a> NodeRef<'a> {
-    /// The arena index.
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-
-    /// The underlying node.
-    pub fn node(&self) -> &'a Node {
-        self.snap.node(self.idx)
-    }
-
-    /// The property bag.
-    pub fn props(&self) -> &'a ControlProps {
-        &self.snap.node(self.idx).props
-    }
-
-    /// Parent view, if any.
-    pub fn parent(&self) -> Option<NodeRef<'a>> {
-        self.node().parent.map(|p| NodeRef { snap: self.snap, idx: p })
-    }
-
-    /// Child views.
-    pub fn children(&self) -> impl Iterator<Item = NodeRef<'a>> + '_ {
-        self.node().children.iter().map(move |&c| NodeRef { snap: self.snap, idx: c })
-    }
-
-    /// Whether this node has no children in the snapshot.
-    pub fn is_leaf(&self) -> bool {
-        self.node().children.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ControlProps;
+    use crate::{ControlProps, Rect};
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new();
@@ -478,27 +388,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.find_by_name("Bold"), Some(3));
         assert_eq!(s.find_by_type(ControlType::Group), vec![2]);
-    }
-
-    #[test]
-    fn hit_test_finds_deepest() {
-        let mut s = sample();
-        // Give ancestors enclosing rects.
-        for i in 0..3 {
-            s.nodes[i].props.rect = Rect::new(0, 0, 100, 100);
-        }
-        assert_eq!(s.hit_test(15, 15), Some(3));
-        assert_eq!(s.hit_test(90, 90), Some(2));
-        assert_eq!(s.hit_test(500, 500), None);
-    }
-
-    #[test]
-    fn node_ref_navigation() {
-        let s = sample();
-        let r = s.node_ref(3);
-        assert!(r.is_leaf());
-        assert_eq!(r.parent().unwrap().props().name, "Font");
-        assert_eq!(s.node_ref(0).children().count(), 1);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use dmi_core::{Dmi, DmiBuildConfig};
 use dmi_gui::Session;
+use std::any::Any;
 
 fn main() {
     // 1. Launch the simulated Word and run DMI's offline phase:
@@ -39,7 +40,7 @@ fn main() {
     let outcome = dmi.visit_json(&mut session, &json);
     println!("executed: {:?}  error: {:?}", outcome.executed, outcome.error);
 
-    let word = session.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+    let word = (session.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
     println!("margins now: {:?}", word.doc.page.margins);
     assert_eq!(word.doc.page.margins, (0.5, 0.5, 0.5, 0.5));
     println!("\nquickstart OK");

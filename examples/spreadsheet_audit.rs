@@ -9,6 +9,7 @@
 use dmi_core::interface::observe::{get_texts_active, get_texts_passive, PassiveConfig};
 use dmi_core::{label_screen, Dmi, DmiBuildConfig};
 use dmi_gui::Session;
+use std::any::Any;
 
 fn main() {
     let mut s = Session::new(dmi_apps::AppKind::Excel.launch_small());
@@ -73,7 +74,7 @@ fn main() {
     );
     let out = dmi.visit_json(&mut s, &json);
     println!("\nvisit outcome: executed={} error={:?}", out.executed.len(), out.error);
-    let excel = s.app().as_any().downcast_ref::<dmi_apps::ExcelApp>().unwrap();
+    let excel = (s.app() as &dyn Any).downcast_ref::<dmi_apps::ExcelApp>().unwrap();
     println!("conditional rules applied: {}", excel.sheet.cond_rules.len());
     assert_eq!(excel.sheet.cond_rules.len(), 1);
     println!("spreadsheet audit OK");

@@ -1,9 +1,15 @@
 //! Agent-behavior integration: error injection, failure causes, step
 //! caps, one-shot completion, and mode asymmetries.
 
-use dmi_agent::{aggregate, run_task, FailureLevel, InterfaceMode, RunConfig, RunTrace};
+use dmi_agent::{
+    aggregate, run_task, FailureLevel, Gateway, GatewayConfig, InterfaceMode, RunConfig, RunTrace,
+    ServeApp, ServeRequest,
+};
+use dmi_apps::AppKind;
+use dmi_gui::Session;
 use dmi_integration_tests::{dmi_models, perfect_profile};
 use dmi_llm::CapabilityProfile;
+use std::sync::Arc;
 
 fn run_suite(profile: CapabilityProfile, mode: InterfaceMode, seeds: &[u64]) -> Vec<RunTrace> {
     let models = dmi_models();
@@ -125,4 +131,42 @@ fn ablation_differs_from_baseline_only_in_prompt_and_policy() {
     assert!(a_abl.avg_tokens > a_base.avg_tokens);
     // And does not *hurt* the small model's success rate.
     assert!(a_abl.sr >= a_base.sr - 0.1, "{} vs {}", a_abl.sr, a_base.sr);
+}
+
+/// A request whose task targets another Office app than the pool's donor
+/// (here the Word task `word-scroll-end` sent to an Excel pool) is refused
+/// at admission with a fault naming both apps. No session is checked out
+/// for it, and its siblings' traces match their sequential runs.
+#[test]
+fn gateway_refuses_a_task_for_another_app() {
+    let cfg = |seed| RunConfig::test(perfect_profile(), InterfaceMode::GuiOnly, seed);
+    let requests: Vec<ServeRequest> = ["excel-set-b2", "word-scroll-end", "excel-fill-yellow"]
+        .iter()
+        .enumerate()
+        .map(|(i, id)| ServeRequest {
+            tenant: format!("tenant-{i}"),
+            app: "excel".into(),
+            task: Arc::new(dmi_tasks::task_by_id(id).expect("task exists")),
+            cfg: cfg(1 + i as u64),
+        })
+        .collect();
+    let donor = Session::new(AppKind::Excel.launch_small());
+    let mut gw = Gateway::new(
+        vec![ServeApp::new("excel", donor, None)],
+        GatewayConfig { workers: 1, sessions_per_app: 1, max_in_flight: 4 },
+    );
+    let report = gw.serve(requests.clone());
+    assert_eq!((report.stats.completed, report.stats.faulted), (2, 1));
+    assert_eq!(report.stats.session_forks, 1, "no session is spent on the refused request");
+    let refused = &report.outcomes[1];
+    assert!(refused.trace.is_none());
+    assert_eq!(
+        refused.fault.as_deref(),
+        Some("app `excel` runs Excel, but task `word-scroll-end` targets Word")
+    );
+    for i in [0, 2] {
+        let want = run_task(&requests[i].task, None, &requests[i].cfg).identity_bytes();
+        let got = report.outcomes[i].trace.as_ref().expect("sibling trace").identity_bytes();
+        assert_eq!(got, want, "request {i}");
+    }
 }

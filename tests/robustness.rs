@@ -3,6 +3,7 @@
 
 use dmi_core::{label_screen, Dmi, DmiBuildConfig};
 use dmi_gui::{InstabilityModel, Session};
+use std::any::Any;
 
 /// Builds the Word DMI model on a *stable* session, then executes against
 /// an *unstable* one — the §3.4 robustness scenario.
@@ -32,7 +33,7 @@ fn visit_survives_late_loading_menus() {
         .id;
     let out = dmi.visit_json(&mut s, &format!(r#"[{{"id": {narrow}}}]"#));
     assert!(out.ok(), "{:?}", out.error);
-    let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+    let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
     assert_eq!(w.doc.page.margins, (0.5, 0.5, 0.5, 0.5));
 }
 
@@ -52,7 +53,7 @@ fn visit_survives_mild_name_variation() {
             .id;
         attempts += 1;
         let out = dmi.visit_json(&mut s, &format!(r#"[{{"id": {narrow}}}]"#));
-        let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
+        let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         if out.ok() && w.doc.page.margins == (0.5, 0.5, 0.5, 0.5) {
             successes += 1;
         }
