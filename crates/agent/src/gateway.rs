@@ -54,7 +54,7 @@ use crate::runner::{RunConfig, StepStatus, TaskState};
 use crate::task::AgentTask;
 use crate::trace::RunTrace;
 use dmi_apps::AppKind;
-use dmi_core::parallel::panic_payload;
+use dmi_core::panic_payload;
 use dmi_core::{Dmi, DmiBuildConfig};
 use dmi_gui::Session;
 use dmi_store::{Store, StoreError};
@@ -182,27 +182,6 @@ pub struct ServeStats {
     pub serialized_secs: f64,
     /// Real wall-clock seconds spent serving.
     pub wall_secs: f64,
-}
-
-impl ServeStats {
-    /// Tasks per simulated second at the virtual makespan.
-    pub fn tasks_per_sec(&self) -> f64 {
-        if self.virtual_secs > 0.0 {
-            self.completed as f64 / self.virtual_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Session-pool hit rate: reuses over all checkouts.
-    pub fn session_reuse_rate(&self) -> f64 {
-        let total = self.session_forks + self.session_reuses;
-        if total > 0 {
-            self.session_reuses as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The result of one [`Gateway::serve`] call: per-request outcomes in

@@ -198,11 +198,6 @@ impl Sheet {
         }
     }
 
-    /// All non-empty cells.
-    pub fn non_empty(&self) -> impl Iterator<Item = (&Addr, &Cell)> {
-        self.cells.iter().filter(|(_, c)| !c.value.is_empty() || c.fill.is_some())
-    }
-
     /// Sorts rows `1..rows` by the given column (row 0 is the header).
     pub fn sort_by_column(&mut self, col: usize, ascending: bool) {
         let mut data_rows: Vec<Vec<Cell>> = Vec::new();

@@ -108,13 +108,6 @@ impl WordApp {
         self.chrome
     }
 
-    /// Looks up a widget by automation id (panics if missing — test aid).
-    pub fn widget_by_auto(&self, auto: &str) -> WidgetId {
-        self.tree
-            .find_by_automation_id(auto)
-            .unwrap_or_else(|| panic!("no widget with automation id {auto}"))
-    }
-
     fn apply_color(&mut self, target: &str, color: &str) -> Result<(), AppError> {
         match target {
             "font" => {

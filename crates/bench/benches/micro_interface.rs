@@ -7,7 +7,7 @@ use dmi_core::ripper::{rip, RipConfig};
 use dmi_core::topology::{build_forest, decycle, Forest, ForestConfig};
 use dmi_core::{label_screen, DescribeConfig, Dmi};
 use dmi_gui::Session;
-use dmi_uia::FuzzyMatcher;
+use dmi_uia::{ControlKey, FuzzyMatcher};
 use std::sync::OnceLock;
 
 fn word_forest() -> &'static Forest {
@@ -44,7 +44,11 @@ fn bench_fuzzy(c: &mut Criterion) {
     let bold = &f.nodes.iter().find(|n| n.name == "Bold").unwrap().control;
     let m = FuzzyMatcher::default();
     c.bench_function("fuzzy_best_match", |b| {
-        b.iter(|| std::hint::black_box(m.best_match(&snap, bold).map(|r| r.index)))
+        b.iter(|| {
+            std::hint::black_box(
+                m.best_match(&snap, ControlKey::of_id(bold), bold, None, false).map(|r| r.index),
+            )
+        })
     });
 }
 

@@ -128,7 +128,7 @@ impl std::error::Error for DmiError {}
 /// per-command interaction failure fed back to the caller for
 /// re-planning), a `RipError` records that one fleet entry's rip died;
 /// sibling entries finish normally. It is reported inside
-/// [`crate::parallel::RipStatus::Failed`].
+/// [`crate::RipStatus::Failed`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RipError {
     /// The application panicked while this entry was being ripped. The

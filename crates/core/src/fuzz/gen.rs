@@ -72,7 +72,7 @@ pub struct FaultPlan {
     pub esc_side_effect: bool,
     /// Every instance panics on its nth dispatch — an application dying
     /// mid-click. Contained per entry by the fleet as
-    /// [`crate::parallel::RipStatus::Failed`], and per task by the
+    /// [`crate::RipStatus::Failed`], and per task by the
     /// gateway.
     pub panic_on_click: Option<u32>,
 }

@@ -28,7 +28,7 @@
 //! trips the cached-vs-rebuild capture oracle, unstamped relabels trip
 //! the same oracle through the MRU cache, Esc side effects trip the
 //! Esc-vs-restart oracle, and mid-click panics surface as
-//! [`crate::parallel::RipStatus::Failed`] with the payload preserved —
+//! [`crate::RipStatus::Failed`] with the payload preserved —
 //! never as a process abort.
 
 pub mod gen;

@@ -10,8 +10,8 @@
 
 use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
-use crate::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use crate::ripper::{rip, RipConfig};
+use crate::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_gui::{CaptureConfig, Session};
 
 /// Which differential axis an oracle exercised.

@@ -206,7 +206,7 @@ fn deepest_visible(
     let top = snap.top_window()?;
     for (k, &node_id) in clickables.iter().enumerate().rev() {
         let n = &forest.nodes[node_id];
-        if config.matcher.best_match_prekeyed(snap, n.key, &n.control, Some(top), true).is_some() {
+        if config.matcher.best_match(snap, n.key, &n.control, Some(top), true).is_some() {
             return Some(k);
         }
     }
@@ -221,7 +221,7 @@ fn resolve_in(
 ) -> Option<usize> {
     let top = snap.top_window()?;
     let n = &forest.nodes[node_id];
-    config.matcher.best_match_prekeyed(snap, n.key, &n.control, Some(top), true).map(|m| m.index)
+    config.matcher.best_match(snap, n.key, &n.control, Some(top), true).map(|m| m.index)
 }
 
 /// Closes the topmost window with the OK > Close > Cancel priority,

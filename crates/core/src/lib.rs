@@ -27,7 +27,6 @@ pub mod error;
 pub mod fuzz;
 pub mod graph;
 pub mod interface;
-pub mod parallel;
 mod pristine;
 pub mod ripper;
 pub mod screen;
@@ -39,9 +38,11 @@ pub use dmi::{Dmi, DmiBuildConfig, DmiBuildStats, VisitOutcome};
 pub use error::{DmiError, DmiResult, RipError};
 pub use graph::{Ung, UngNode};
 pub use interface::{ExecutorConfig, VisitCommand};
-pub use parallel::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome, RipStatus};
 pub use pristine::{pristine_signature, WindowSig};
-pub use ripper::{ContextSetup, RipConfig, RipJournal, RipStats};
+pub use ripper::{
+    panic_payload, rip_fleet, ContextSetup, FleetEntry, ParRipConfig, RipConfig, RipJournal,
+    RipOutcome, RipStats, RipStatus,
+};
 pub use screen::{label_screen, LabeledScreen};
 pub use topology::{Forest, ForestConfig};
 

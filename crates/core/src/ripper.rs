@@ -9,7 +9,7 @@
 //! selected") to reach context-conditional controls.
 //!
 //! State restoration between branches prefers the paper's §4.1 fast
-//! recovery: the explorer tracks how the current UI state was reached —
+//! recovery: the ripper tracks how the current UI state was reached —
 //! the tree's persistent-mutation epoch, the open-popup chain and window
 //! stack depth, and whether any tab was switched — and presses Esc to
 //! collapse transient windows and popups back to a launch-equivalent base
@@ -23,25 +23,24 @@
 //! byte-identical either way; the full-restart strategy stays available
 //! behind [`RipConfig::esc_recovery`] as the equivalence oracle.
 //!
-//! # Exploration units
+//! # Sequential depth-first search
 //!
-//! Exploring one candidate — establish its prefix state, click it,
-//! capture the pre/post pair — is a pure function of `(setup, path,
-//! candidate)` on a deterministic application: `establish` either reaches
-//! the provably launch-equivalent base (Esc recovery) or restarts and
-//! replays, so the resulting snapshots never depend on what was explored
-//! before. The machinery is factored into an `ExploreUnit` (one session
-//! plus the recovery-planner state) and a `Frontier` (the UNG under
-//! construction, the visited set, and the DFS stack), connected by the
-//! pure `diff_fresh` differential. The sequential ripper composes them
-//! in a loop.
+//! One private `Ripper` owns the session, the recovery-planner state, and
+//! the UNG under construction with its visited set and DFS stack. It pops
+//! a candidate, establishes the candidate's prefix state, clicks it, diffs
+//! the pre/post capture pair and attaches the revealed controls, in one
+//! deterministic order. [`rip_fleet`] runs that sequential rip for many
+//! applications at once, one entry per thread.
 
+use crate::error::RipError;
 use crate::graph::{Ung, UngNode, UngNodeId};
 use dmi_gui::Session;
-use dmi_uia::{ControlId, ControlIdSet, ControlKey, ControlType, Snapshot};
-use std::sync::Arc;
+use dmi_uia::{ControlId, ControlIdSet, ControlKey, ControlProps, ControlType, Snapshot};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::thread;
 
-/// A context the explorer establishes before a dedicated exploration pass
+/// A context the ripper establishes before a dedicated exploration pass
 /// (§4.1 "Context-aware exploration"). The clicks encode app-specific
 /// prior knowledge (e.g. select slide 2, then its image).
 #[derive(Debug, Clone)]
@@ -160,20 +159,12 @@ struct Candidate {
     path: Vec<ControlId>,
 }
 
-/// The pre/post capture pair produced by exploring one candidate.
-struct Explored {
-    pre: Arc<Snapshot>,
-    post: Arc<Snapshot>,
-}
-
-/// An exploration unit: one session plus the §4.1 recovery planner.
-/// [`ExploreUnit::explore`] is a pure function of `(setup, path,
-/// candidate)` — state is always (re-)established from a provably
-/// launch-equivalent base first.
-struct ExploreUnit<'a> {
+/// The depth-first ripper: one session, the §4.1 recovery planner, and
+/// the UNG under construction. All graph mutation goes through
+/// [`Ripper::attach`].
+struct Ripper<'a> {
     session: &'a mut Session,
     config: &'a RipConfig,
-    /// Effort counters accumulated by this unit.
     stats: RipStats,
     /// The tree's persistent-mutation epoch recorded at the last restart.
     /// While it holds, the only state accumulated since the restart is
@@ -191,33 +182,47 @@ struct ExploreUnit<'a> {
     /// re-selecting its default tab — nothing heals it, so only a
     /// restart clears this.
     dialog_tab_dirty: bool,
+    g: Ung,
+    /// Controls already explored (or blocklisted), keyed by
+    /// [`ControlKey`] with full-id confirmation — no per-probe string
+    /// encoding or hashing.
+    visited: ControlIdSet,
+    /// DFS stack of candidates (top = next to explore).
+    stack: Vec<Candidate>,
 }
 
 /// Rips an application into a UNG by depth-first differential capture
-/// ([`crate::parallel::rip_fleet`] runs this for many applications at
-/// once).
+/// ([`rip_fleet`] runs this for many applications at once).
 pub fn rip(session: &mut Session, config: &RipConfig) -> (Ung, RipStats) {
     let _rip_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.sequential", 0);
-    let mut ex = Explorer { unit: ExploreUnit::new(session, config), frontier: Frontier::new() };
-    ex.base_pass();
-    for ctx in &config.contexts {
-        ex.context_pass(ctx);
-    }
-    (ex.frontier.g, ex.unit.stats)
-}
-
-impl<'a> ExploreUnit<'a> {
-    fn new(session: &'a mut Session, config: &'a RipConfig) -> ExploreUnit<'a> {
-        ExploreUnit {
-            session,
-            config,
-            stats: RipStats::default(),
-            base_epoch: 0,
-            tab_dirty: false,
-            dialog_tab_dirty: false,
+    let mut r = Ripper {
+        session,
+        config,
+        stats: RipStats::default(),
+        base_epoch: 0,
+        tab_dirty: false,
+        dialog_tab_dirty: false,
+        g: Ung::new(),
+        visited: ControlIdSet::new(),
+        stack: Vec::new(),
+    };
+    // The base pass starts from launch state, each context pass from its
+    // setup clicks. Controls a pass starts with attach under the virtual
+    // root: they appeared because of the launch or the context, not a
+    // modeled click.
+    let no_setup: &[String] = &[];
+    for setup in std::iter::once(no_setup).chain(config.contexts.iter().map(|c| &c.clicks[..])) {
+        if r.replay(setup, &[]) {
+            let snap = r.snapshot();
+            let root = r.g.root();
+            r.attach(&snap, 0..snap.len(), &[], root, true);
+            r.drain(setup);
         }
     }
+    (r.g, r.stats)
+}
 
+impl Ripper<'_> {
     fn snapshot(&mut self) -> Arc<Snapshot> {
         self.stats.snapshots += 1;
         dmi_obs::tally("rip.snapshots", 1);
@@ -233,21 +238,44 @@ impl<'a> ExploreUnit<'a> {
         self.dialog_tab_dirty = false;
     }
 
-    /// Records a successful click on a tab: main-window tabs are
-    /// self-healing, dialog-internal tabs poison recovery until restart.
-    fn note_tab_click(&mut self) {
-        if self.session.window_depth() > 1 {
-            self.dialog_tab_dirty = true;
-        } else {
-            self.tab_dirty = true;
-        }
+    /// Clicks the control at `idx` in `snap`; false when the click fails.
+    fn click(&mut self, snap: &Snapshot, idx: usize) -> bool {
+        let wid = self.session.widget_of(snap.node(idx).runtime_id);
+        self.session.click(wid).is_ok()
     }
 
-    /// Resolves a modeled control id in a snapshot by exact match — O(1)
-    /// through the snapshot identity index (arena-order tie-break, exactly
-    /// like the linear scan it replaces).
-    fn resolve(snap: &Snapshot, cid: &ControlId) -> Option<usize> {
-        snap.resolve(cid)
+    /// Clicks the modeled control `cid`, found at `idx` in `snap`, as a
+    /// counted candidate click. A miss (`idx` is `None`) or a failed click
+    /// is charged as a replay failure when `charge` is set. A successful
+    /// tab click is recorded: main-window tabs are self-healing,
+    /// dialog-internal tabs poison recovery until restart.
+    fn click_modeled(
+        &mut self,
+        snap: &Snapshot,
+        cid: &ControlId,
+        idx: Option<usize>,
+        charge: bool,
+    ) -> bool {
+        let clicked = idx.is_some_and(|idx| {
+            self.stats.clicks += 1;
+            dmi_obs::tally("rip.clicks", 1);
+            self.click(snap, idx)
+        });
+        if !clicked {
+            if charge {
+                self.stats.replay_failures += 1;
+                dmi_obs::tally("rip.replay_failures", 1);
+            }
+            return false;
+        }
+        if cid.control_type == ControlType::TabItem {
+            if self.session.window_depth() > 1 {
+                self.dialog_tab_dirty = true;
+            } else {
+                self.tab_dirty = true;
+            }
+        }
+        true
     }
 
     /// Replays a click path from a fresh start; returns false on failure.
@@ -263,35 +291,15 @@ impl<'a> ExploreUnit<'a> {
     fn walk(&mut self, setup: &[String], path: &[ControlId], count_failures: bool) -> bool {
         for name in setup {
             let snap = self.snapshot();
-            let Some(idx) = snap.find_by_name(name) else {
-                return false;
-            };
-            let wid = self.session.widget_of(snap.node(idx).runtime_id);
-            if self.session.click(wid).is_err() {
-                return false;
+            match snap.find_by_name(name) {
+                Some(idx) if self.click(&snap, idx) => {}
+                _ => return false,
             }
         }
         for cid in path {
             let snap = self.snapshot();
-            let Some(idx) = Self::resolve(&snap, cid) else {
-                if count_failures {
-                    self.stats.replay_failures += 1;
-                    dmi_obs::tally("rip.replay_failures", 1);
-                }
+            if !self.click_modeled(&snap, cid, snap.resolve(cid), count_failures) {
                 return false;
-            };
-            let wid = self.session.widget_of(snap.node(idx).runtime_id);
-            self.stats.clicks += 1;
-            dmi_obs::tally("rip.clicks", 1);
-            if self.session.click(wid).is_err() {
-                if count_failures {
-                    self.stats.replay_failures += 1;
-                    dmi_obs::tally("rip.replay_failures", 1);
-                }
-                return false;
-            }
-            if cid.control_type == ControlType::TabItem {
-                self.note_tab_click();
             }
         }
         true
@@ -306,7 +314,7 @@ impl<'a> ExploreUnit<'a> {
     /// can observe), no surviving dialog-internal tab selection, and
     /// either untouched main-window tabs or a path that re-selects one
     /// first.
-    fn can_recover(&self, setup: &[String], cid: &ControlId, path: &[ControlId]) -> bool {
+    fn can_recover(&self, setup: &[String], c: &Candidate) -> bool {
         if !self.config.esc_recovery || !setup.is_empty() || self.session.is_trapped() {
             return false;
         }
@@ -317,18 +325,18 @@ impl<'a> ExploreUnit<'a> {
             // A path starting with a (main-window) tab deselects whatever
             // tab is stale; the first path click always happens with only
             // the main window open, so it can never be a dialog tab.
-            let first = path.first().map_or(cid.control_type, |c| c.control_type);
+            let first = c.path.first().unwrap_or(&c.cid).control_type;
             return first == ControlType::TabItem;
         }
         true
     }
 
     /// Establishes the candidate's prefix state: launch state plus the
-    /// clicks in `path`. Prefers Esc-based fast restoration; falls back to
+    /// clicks in its path. Prefers Esc-based fast restoration; falls back to
     /// a full restart + replay when the planner refuses or the fast walk
     /// diverges from the modeled path.
-    fn establish(&mut self, setup: &[String], cid: &ControlId, path: &[ControlId]) -> bool {
-        if self.can_recover(setup, cid, path) {
+    fn establish(&mut self, setup: &[String], c: &Candidate) -> bool {
+        if self.can_recover(setup, c) {
             let (at_base, presses) = self.session.escape_to_base();
             self.stats.esc_presses += presses;
             dmi_obs::tally("rip.esc_presses", presses);
@@ -336,28 +344,26 @@ impl<'a> ExploreUnit<'a> {
             // the epoch before trusting the collapsed state as base.
             if at_base
                 && self.session.ui_state_epoch() == self.base_epoch
-                && self.walk(setup, path, false)
+                && self.walk(setup, &c.path, false)
             {
                 self.stats.esc_recoveries += 1;
                 dmi_obs::tally("rip.esc_recoveries", 1);
                 return true;
             }
         }
-        self.replay(setup, path)
+        self.replay(setup, &c.path)
     }
 
     /// Explores one candidate: establishes its prefix state, clicks it
-    /// (recovering from stray modal windows with Esc), and captures the
+    /// (recovering from stray modal windows with Esc), and returns the
     /// pre/post snapshot pair. `None` when the state could not be
-    /// established or the click failed (counted as a replay failure,
-    /// exactly like the sequential DFS).
+    /// established or the click failed (counted as a replay failure).
     fn explore(
         &mut self,
         setup: &[String],
-        cid: &ControlId,
-        path: &[ControlId],
-    ) -> Option<Explored> {
-        if !self.establish(setup, cid, path) {
+        c: &Candidate,
+    ) -> Option<(Arc<Snapshot>, Arc<Snapshot>)> {
+        if !self.establish(setup, c) {
             return None;
         }
         // A replayed path can leave a stray modal window above the
@@ -365,40 +371,120 @@ impl<'a> ExploreUnit<'a> {
         // revealed the candidate). Recover with Esc, like the paper's
         // standard-command state restoration.
         let mut pre = self.snapshot();
-        let mut clicked_ok = false;
+        let mut target = None;
         for _attempt in 0..3 {
-            let Some(idx) = Self::resolve(&pre, cid) else {
+            let Some(idx) = pre.resolve(&c.cid).filter(|&i| pre.node(i).props.enabled) else {
                 break;
             };
-            let node = pre.node(idx);
-            if !node.props.enabled {
+            if pre.is_available(idx) {
+                target = Some(idx);
                 break;
             }
-            if !pre.is_available(idx) {
-                if self.session.press("Esc").is_err() {
-                    break;
-                }
-                self.stats.esc_presses += 1;
-                dmi_obs::tally("rip.esc_presses", 1);
-                pre = self.snapshot();
-                continue;
+            if self.session.press("Esc").is_err() {
+                break;
             }
-            let wid = self.session.widget_of(node.runtime_id);
-            self.stats.clicks += 1;
-            dmi_obs::tally("rip.clicks", 1);
-            clicked_ok = self.session.click(wid).is_ok();
-            break;
+            self.stats.esc_presses += 1;
+            dmi_obs::tally("rip.esc_presses", 1);
+            pre = self.snapshot();
         }
-        if !clicked_ok {
-            self.stats.replay_failures += 1;
-            dmi_obs::tally("rip.replay_failures", 1);
+        if !self.click_modeled(&pre, &c.cid, target, true) {
             return None;
         }
-        if cid.control_type == ControlType::TabItem {
-            self.note_tab_click();
-        }
         let post = self.snapshot();
-        Some(Explored { pre, post })
+        Some((pre, post))
+    }
+
+    /// Explores candidates until the stack is empty (or the click cap is
+    /// reached), attaching what each click reveals under the clicked
+    /// control.
+    fn drain(&mut self, setup: &[String]) {
+        while let Some(c) = self.stack.pop() {
+            if !self.visited.insert(c.key, &c.cid) {
+                continue;
+            }
+            if self.config.max_clicks.is_some_and(|cap| self.stats.clicks >= cap as u64) {
+                return;
+            }
+            let Some((pre, post)) = self.explore(setup, &c) else {
+                continue;
+            };
+            if post.windows().len() > pre.windows().len() {
+                self.stats.windows_seen += 1;
+                dmi_obs::tally("rip.windows_seen", 1);
+            }
+            let fresh = diff_fresh(&pre, &post);
+            let clicked = self.g.find(&c.cid).expect("clicked control must already be a UNG node");
+            let path = [&c.path[..], std::slice::from_ref(&c.cid)].concat();
+            self.attach(&post, fresh, &path, clicked, false);
+        }
+    }
+
+    /// Adds the controls at `nodes` (arena indices of `snap`, parents
+    /// before children) to the UNG, each dedup-inserted through the
+    /// [`ControlKey`] hash+confirm index. Each gains an edge from its
+    /// snapshot parent when that parent was added too (deep hierarchy),
+    /// else from `anchor`. Each is offered for exploration under the
+    /// click path `path` — on a `seeding` pass always, otherwise only
+    /// when the UNG did not hold it yet.
+    fn attach(
+        &mut self,
+        snap: &Snapshot,
+        nodes: impl IntoIterator<Item = usize>,
+        path: &[ControlId],
+        anchor: UngNodeId,
+        seeding: bool,
+    ) {
+        let index = snap.index();
+        let mut gids: Vec<Option<UngNodeId>> = vec![None; snap.len()];
+        for idx in nodes {
+            let node = snap.node(idx);
+            let key = index.key(idx);
+            let cid = index.control_id(snap, idx);
+            if seeding || self.g.find_with_key(&cid, key).is_none() {
+                self.enqueue(&cid, key, &node.props, path);
+            }
+            // `cid` is consumed by the UNG node — no per-node clone.
+            let gid = self.g.add_node_with_key(
+                UngNode {
+                    control: cid,
+                    name: node.props.name.clone(),
+                    control_type: node.props.control_type,
+                    help_text: node.props.help_text.clone(),
+                },
+                key,
+            );
+            gids[idx] = Some(gid);
+            let src = node.parent.and_then(|p| gids[p]).unwrap_or(anchor);
+            self.g.add_edge(src, gid);
+        }
+    }
+
+    /// Pushes a candidate-typed, unvisited control onto the DFS stack
+    /// unless the blocklist names it (then it is marked visited) or its
+    /// path is already at the depth limit.
+    fn enqueue(
+        &mut self,
+        cid: &ControlId,
+        key: ControlKey,
+        props: &ControlProps,
+        path: &[ControlId],
+    ) {
+        if !self.config.candidate_types.contains(&props.control_type)
+            || self.visited.contains(key, cid)
+        {
+            return;
+        }
+        let auto = &props.automation_id;
+        if self.config.blocklist.iter().any(|b| *b == props.name || (!auto.is_empty() && b == auto))
+        {
+            self.visited.insert(key, cid);
+            self.stats.blocklisted += 1;
+            dmi_obs::tally("rip.blocklisted", 1);
+            return;
+        }
+        if path.len() < self.config.max_depth {
+            self.stack.push(Candidate { cid: cid.clone(), key, path: path.to_vec() });
+        }
     }
 }
 
@@ -412,7 +498,7 @@ impl<'a> ExploreUnit<'a> {
 /// The "present before?" test runs against the pre-snapshot's identity
 /// index: each post node's [`ControlKey`] probes the pre key-multimap and
 /// collision-confirms component-wise. Depends only on the two snapshots.
-fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
+fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<usize> {
     let pre_ix = pre.index();
     let post_ix = post.index();
     // One probe per post node follows: amortize the multimap.
@@ -433,231 +519,130 @@ fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<u32> {
                 && pre_ix.path(i) == post_ix.path(idx)
         });
         if !existed_before {
-            fresh.push(idx as u32);
+            fresh.push(idx);
         }
     }
     fresh
 }
 
-/// The UNG under construction plus the exploration frontier: the visited
-/// set and the DFS stack. All graph mutation goes through [`Frontier::seed`]
-/// and [`Frontier::commit`]; committing outcomes in the same order always
-/// produces the same graph bytes.
-struct Frontier {
-    g: Ung,
-    /// Controls already explored (or blocklisted), keyed by
-    /// [`ControlKey`] with full-id confirmation — no per-probe string
-    /// encoding or hashing.
-    visited: ControlIdSet,
-    /// DFS stack of candidates (top = next to explore).
-    stack: Vec<Candidate>,
+/// Options for [`rip_fleet`]. It has none: the fleet always runs at most
+/// one rip thread per available CPU. The type stays because the
+/// benchmark (`dmibench/src/office3.rs`) passes `ParRipConfig::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ParRipConfig;
+
+/// One application in a fleet rip: a session to rip, the configuration to
+/// rip it under, and a caller-chosen id naming it in outcomes and panic
+/// reports.
+pub struct FleetEntry {
+    /// Caller-chosen identifier (e.g. `"Word"`, `"Excel-v2"`).
+    pub app_id: String,
+    /// The session whose application is ripped.
+    pub session: Session,
+    /// The rip configuration for this entry.
+    pub config: RipConfig,
 }
 
-impl Frontier {
-    fn new() -> Frontier {
-        Frontier { g: Ung::new(), visited: ControlIdSet::new(), stack: Vec::new() }
+impl FleetEntry {
+    /// Convenience constructor.
+    pub fn new(app_id: impl Into<String>, session: Session, config: RipConfig) -> FleetEntry {
+        FleetEntry { app_id: app_id.into(), session, config }
     }
+}
 
-    /// Pops the next candidate (LIFO — depth-first).
-    fn pop(&mut self) -> Option<Candidate> {
-        self.stack.pop()
-    }
+/// How one fleet entry's rip concluded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RipStatus {
+    /// The sequential rip ran to completion.
+    Ripped,
+    /// Never constructed by [`rip_fleet`]: every entry either rips or
+    /// fails. Kept because the benchmark (`dmibench/src/office3.rs`)
+    /// matches on it.
+    Degraded(RipError),
+    /// The application panicked during the rip. The graph is empty and
+    /// the error carries the panic payload; sibling entries are
+    /// unaffected.
+    Failed(RipError),
+}
 
-    /// Marks a candidate visited; false when it already was (skip it).
-    fn visit(&mut self, c: &Candidate) -> bool {
-        self.visited.insert(c.key, &c.cid)
-    }
+/// The result of ripping one fleet entry.
+pub struct RipOutcome {
+    /// The entry's `app_id`, echoed back.
+    pub app_id: String,
+    /// The entry's UNG, byte-identical to its sequential rip (empty for
+    /// [`RipStatus::Failed`] entries).
+    pub graph: Ung,
+    /// The sequential rip's effort counters (zero for failed entries).
+    pub stats: RipStats,
+    /// Whether the rip completed or panicked.
+    pub status: RipStatus,
+}
 
-    /// Seeds the UNG from an initial snapshot: hierarchy edges for every
-    /// visible control, window roots under the virtual root; newly seen
-    /// candidates are pushed onto the stack.
-    fn seed(
-        &mut self,
-        snap: &Snapshot,
-        path: &[ControlId],
-        config: &RipConfig,
-        stats: &mut RipStats,
-    ) {
-        let root = self.g.root();
-        let index = snap.index();
-        let mut ids: Vec<Option<UngNodeId>> = vec![None; snap.len()];
-        for (idx, node) in snap.iter() {
-            let cid = index.control_id(snap, idx);
-            let key = index.key(idx);
-            self.maybe_enqueue(
-                &cid,
-                key,
-                node.props.control_type,
-                &node.props.name,
-                &node.props.automation_id,
-                path,
-                config,
-                stats,
-            );
-            // `cid` is consumed by the UNG node — no per-node clone.
-            let gid = self.g.add_node_with_key(
-                UngNode {
-                    control: cid,
-                    name: node.props.name.clone(),
-                    control_type: node.props.control_type,
-                    help_text: node.props.help_text.clone(),
-                },
-                key,
-            );
-            ids[idx] = Some(gid);
-            match node.parent {
-                Some(p) => {
-                    if let Some(pg) = ids[p] {
-                        self.g.add_edge(pg, gid);
-                    }
-                }
-                None => {
-                    self.g.add_edge(root, gid);
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_enqueue(
-        &mut self,
-        cid: &ControlId,
-        key: ControlKey,
-        ct: ControlType,
-        name: &str,
-        auto: &str,
-        path: &[ControlId],
-        config: &RipConfig,
-        stats: &mut RipStats,
-    ) {
-        if !config.candidate_types.contains(&ct) {
-            return;
-        }
-        if self.visited.contains(key, cid) {
-            return;
-        }
-        if config.blocklist.iter().any(|b| b == name || (!auto.is_empty() && b == auto)) {
-            self.visited.insert(key, cid);
-            stats.blocklisted += 1;
-            dmi_obs::tally("rip.blocklisted", 1);
-            return;
-        }
-        if path.len() >= config.max_depth {
-            return;
-        }
-        self.stack.push(Candidate { cid: cid.clone(), key, path: path.to_vec() });
-    }
-
-    /// Merges one exploration outcome into the UNG: every fresh control
-    /// (see [`diff_fresh`]) is dedup-inserted through the [`ControlKey`]
-    /// hash+confirm index, gains an edge from its revealer, and — when
-    /// genuinely new — is enqueued for its own exploration.
-    fn commit(
-        &mut self,
-        clicked: &ControlId,
-        post: &Snapshot,
-        fresh: &[u32],
-        path: &[ControlId],
-        config: &RipConfig,
-        stats: &mut RipStats,
-    ) {
-        let post_ix = post.index();
-        let clicked_gid = self.g.find(clicked).expect("clicked control must already be a UNG node");
-        let mut new_gid: Vec<Option<UngNodeId>> = vec![None; post.len()];
-        let child_path: Vec<ControlId> = {
-            let mut p = path.to_vec();
-            p.push(clicked.clone());
-            p
-        };
-        for &idx in fresh {
-            let idx = idx as usize;
-            let node = post.node(idx);
-            let key = post_ix.key(idx);
-            let cid = post_ix.control_id(post, idx);
-            let existed = self.g.find_with_key(&cid, key).is_some();
-            if !existed {
-                self.maybe_enqueue(
-                    &cid,
-                    key,
-                    node.props.control_type,
-                    &node.props.name,
-                    &node.props.automation_id,
-                    &child_path,
-                    config,
-                    stats,
-                );
-            }
-            let gid = self.g.add_node_with_key(
-                UngNode {
-                    control: cid,
-                    name: node.props.name.clone(),
-                    control_type: node.props.control_type,
-                    help_text: node.props.help_text.clone(),
-                },
-                key,
-            );
-            new_gid[idx] = Some(gid);
-            // Edge source: the snapshot parent when it is also new (deep
-            // hierarchy), else the clicked control.
-            let src = node.parent.and_then(|p| new_gid[p]).unwrap_or(clicked_gid);
-            self.g.add_edge(src, gid);
+impl RipOutcome {
+    /// The contained fault, when one was detected.
+    pub fn error(&self) -> Option<&RipError> {
+        match &self.status {
+            RipStatus::Degraded(e) | RipStatus::Failed(e) => Some(e),
+            RipStatus::Ripped => None,
         }
     }
 }
 
-/// The sequential explorer: one [`ExploreUnit`] driving one [`Frontier`].
-struct Explorer<'a> {
-    unit: ExploreUnit<'a>,
-    frontier: Frontier,
+/// Rips every entry with the sequential [`rip`], returning one outcome per
+/// entry in entry order. The paper builds each application's UNG on its
+/// own (§4.1), so entries share nothing: they are pulled in input order
+/// onto at most `min(entries, available_parallelism)` scoped threads, and
+/// every outcome is byte-identical to the entry's sequential rip. Each rip
+/// runs under `catch_unwind`: an application that panics mid-click fails
+/// its own entry ([`RipStatus::Failed`], empty graph, payload preserved)
+/// while its siblings finish normally.
+pub fn rip_fleet(entries: &mut [FleetEntry], _config: &ParRipConfig) -> Vec<RipOutcome> {
+    let _fleet_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.fleet", entries.len() as u64);
+    let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = cpus.min(entries.len());
+    let mut outcomes: Vec<Option<RipOutcome>> = entries.iter().map(|_| None).collect();
+    let queue = Mutex::new(entries.iter_mut().zip(outcomes.iter_mut()));
+    thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                // The guard drops at the end of this statement: rips never
+                // run under the lock, so it cannot be poisoned.
+                let next = queue.lock().expect("no rip runs under the lock").next();
+                let Some((entry, slot)) = next else { break };
+                *slot = Some(rip_entry(entry));
+            });
+        }
+    });
+    outcomes.into_iter().map(|o| o.expect("every entry was ripped")).collect()
 }
 
-impl Explorer<'_> {
-    fn base_pass(&mut self) {
-        self.unit.restart();
-        let snap = self.unit.snapshot();
-        self.frontier.seed(&snap, &[], self.unit.config, &mut self.unit.stats);
-        self.drain(&[]);
-    }
-
-    fn context_pass(&mut self, ctx: &ContextSetup) {
-        if !self.unit.replay(&ctx.clicks, &[]) {
-            return;
+/// Rips one entry, turning a panic into [`RipStatus::Failed`].
+fn rip_entry(entry: &mut FleetEntry) -> RipOutcome {
+    let app_id = entry.app_id.clone();
+    match catch_unwind(AssertUnwindSafe(|| rip(&mut entry.session, &entry.config))) {
+        Ok((graph, stats)) => RipOutcome { app_id, graph, stats, status: RipStatus::Ripped },
+        Err(p) => {
+            let payload = panic_payload(p.as_ref());
+            let err = RipError::WorkerPanic { app_id: app_id.clone(), payload };
+            RipOutcome {
+                app_id,
+                graph: Ung::new(),
+                stats: RipStats::default(),
+                status: RipStatus::Failed(err),
+            }
         }
-        let snap = self.unit.snapshot();
-        // Attach context-revealed controls under the virtual root (they
-        // appeared because of the context, not a modeled click), then
-        // explore within the context.
-        self.frontier.seed(&snap, &[], self.unit.config, &mut self.unit.stats);
-        self.drain(&ctx.clicks);
     }
+}
 
-    fn drain(&mut self, setup: &[String]) {
-        while let Some(c) = self.frontier.pop() {
-            if !self.frontier.visit(&c) {
-                continue;
-            }
-            if let Some(cap) = self.unit.config.max_clicks {
-                if self.unit.stats.clicks >= cap as u64 {
-                    return;
-                }
-            }
-            let Some(ex) = self.unit.explore(setup, &c.cid, &c.path) else {
-                continue;
-            };
-            if ex.post.windows().len() > ex.pre.windows().len() {
-                self.unit.stats.windows_seen += 1;
-                dmi_obs::tally("rip.windows_seen", 1);
-            }
-            let fresh = diff_fresh(&ex.pre, &ex.post);
-            self.frontier.commit(
-                &c.cid,
-                &ex.post,
-                &fresh,
-                &c.path,
-                self.unit.config,
-                &mut self.unit.stats,
-            );
-        }
+/// Renders a `catch_unwind` payload as text (panic messages are `&str`
+/// or `String`).
+pub fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        String::from("non-string panic payload")
     }
 }
 
@@ -665,6 +650,7 @@ impl Explorer<'_> {
 mod tests {
     use super::*;
     use crate::testutil::small_rip;
+    use dmi_apps::testkit::{PanickyApp, UnforkableApp};
     use dmi_apps::AppKind;
 
     fn rip_small(kind: AppKind) -> (Ung, RipStats) {
@@ -881,6 +867,68 @@ mod tests {
         assert!(fast.restarts < slow.restarts, "menu/dialog siblings still recover via Esc");
     }
 
+    /// Regression pin for the three small Office rips: the FNV-1a digest
+    /// of each serialized UNG and every [`RipStats`] field. A drift in any
+    /// of them means the rip clicked, captured or committed differently.
+    #[test]
+    fn small_office_rips_are_pinned() {
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let pins = [
+            (
+                AppKind::Word,
+                0xe227_a529_29a0_cff1,
+                RipStats {
+                    clicks: 6558,
+                    snapshots: 8870,
+                    restarts: 10,
+                    esc_recoveries: 2302,
+                    esc_presses: 360,
+                    blocklisted: 2,
+                    replay_failures: 1,
+                    windows_seen: 15,
+                },
+            ),
+            (
+                AppKind::Excel,
+                0x9a76_2abf_7506_56dd,
+                RipStats {
+                    clicks: 2725,
+                    snapshots: 3802,
+                    restarts: 38,
+                    esc_recoveries: 1039,
+                    esc_presses: 106,
+                    blocklisted: 3,
+                    replay_failures: 1,
+                    windows_seen: 11,
+                },
+            ),
+            (
+                AppKind::PowerPoint,
+                0x7c58_cea0_66a3_7700,
+                RipStats {
+                    clicks: 4959,
+                    snapshots: 6961,
+                    restarts: 130,
+                    esc_recoveries: 1688,
+                    esc_presses: 167,
+                    blocklisted: 4,
+                    replay_failures: 52,
+                    windows_seen: 9,
+                },
+            ),
+        ];
+        for (kind, digest, stats) in pins {
+            let (g, st) = small_rip(kind);
+            let bytes = serde_json::to_string(g).unwrap();
+            assert_eq!(fnv(bytes.as_bytes()), digest, "{kind}: serialized UNG digest");
+            assert_eq!(*st, stats, "{kind}: rip stats");
+        }
+    }
+
     #[test]
     fn rip_is_deterministic() {
         let (g1, s1) = rip_small(AppKind::PowerPoint);
@@ -889,5 +937,96 @@ mod tests {
         assert_eq!(g1.node_count(), g2.node_count());
         assert_eq!(g1.edge_count(), g2.edge_count());
         assert_eq!(s1, s2);
+    }
+
+    fn bytes(g: &Ung) -> String {
+        serde_json::to_string(g).unwrap()
+    }
+
+    /// A small-app office3 fleet returns, in input order, exactly the
+    /// sequential rips: the same UNG bytes and the same stats.
+    #[test]
+    fn office3_fleet_is_byte_identical_to_sequential_rips_in_order() {
+        let mut entries: Vec<FleetEntry> = AppKind::ALL
+            .iter()
+            .map(|k| {
+                FleetEntry::new(
+                    k.name(),
+                    Session::new(k.launch_small()),
+                    RipConfig::office(k.name()),
+                )
+            })
+            .collect();
+        let out = rip_fleet(&mut entries, &ParRipConfig);
+        assert_eq!(out.len(), 3);
+        for (o, kind) in out.iter().zip(AppKind::ALL) {
+            let (g_seq, st_seq) = small_rip(kind);
+            assert_eq!(o.app_id, kind.name(), "outcomes come back in entry order");
+            assert_eq!(o.status, RipStatus::Ripped);
+            assert_eq!(bytes(&o.graph), bytes(g_seq), "{kind}: fleet UNG bytes");
+            assert_eq!(&o.stats, st_seq, "{kind}: a fleet entry is the sequential rip");
+        }
+    }
+
+    /// More entries than CPUs: threads keep pulling entries until none
+    /// is left, and every outcome lands at its entry's position.
+    #[test]
+    fn fleet_wider_than_the_cpu_count_returns_every_outcome_in_order() {
+        let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+        let n = cpus + 3;
+        let mut entries: Vec<FleetEntry> = (0..n)
+            .map(|i| {
+                FleetEntry::new(
+                    format!("app-{i}"),
+                    Session::new(Box::new(UnforkableApp::new(i + 1))),
+                    RipConfig::default(),
+                )
+            })
+            .collect();
+        let out = rip_fleet(&mut entries, &ParRipConfig);
+        assert_eq!(out.len(), n);
+        for (i, o) in out.iter().enumerate() {
+            let mut s = Session::new(Box::new(UnforkableApp::new(i + 1)));
+            let (g_seq, _) = rip(&mut s, &RipConfig::default());
+            assert_eq!(o.app_id, format!("app-{i}"));
+            assert_eq!(o.status, RipStatus::Ripped);
+            assert_eq!(bytes(&o.graph), bytes(&g_seq), "entry {i}");
+        }
+        assert!(rip_fleet(&mut [], &ParRipConfig).is_empty());
+    }
+
+    /// A panicking entry fails alone: `Failed` with its payload and app
+    /// id and an empty graph, while its sibling stays byte-identical to
+    /// its sequential rip.
+    #[test]
+    fn panicking_entry_fails_alone_with_its_payload() {
+        crate::fuzz::silence_injected_panics();
+        let mut entries = vec![
+            FleetEntry::new(
+                "Panicky",
+                Session::new(Box::new(PanickyApp::new(3, 2))),
+                RipConfig::default(),
+            ),
+            FleetEntry::new(
+                "Excel",
+                Session::new(AppKind::Excel.launch_small()),
+                RipConfig::office("Excel"),
+            ),
+        ];
+        let out = rip_fleet(&mut entries, &ParRipConfig);
+
+        assert_eq!(out[0].app_id, "Panicky");
+        match &out[0].status {
+            RipStatus::Failed(RipError::WorkerPanic { app_id, payload }) => {
+                assert_eq!(app_id, "Panicky");
+                assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
+            }
+            other => panic!("expected Failed(WorkerPanic), got {other:?}"),
+        }
+        assert_eq!(out[0].graph.node_count(), Ung::new().node_count(), "failed entries are empty");
+
+        assert_eq!(out[1].app_id, "Excel");
+        assert_eq!(out[1].status, RipStatus::Ripped, "the sibling is not dragged down");
+        assert_eq!(bytes(&out[1].graph), bytes(&small_rip(AppKind::Excel).0));
     }
 }

@@ -93,6 +93,14 @@ pub enum StoreError {
         /// The store key the attestation was performed for.
         app: String,
     },
+    /// The artifact under a store key records a different application
+    /// than the key names.
+    AppMismatch {
+        /// The key the caller asked to load.
+        requested: String,
+        /// The application recorded in the artifact.
+        found: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -115,6 +123,9 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { message } => write!(f, "corrupt artifact: {message}"),
             StoreError::PristineMismatch { app } => {
                 write!(f, "pristine signature mismatch for `{app}`: stored artifacts were captured against a different launch image")
+            }
+            StoreError::AppMismatch { requested, found } => {
+                write!(f, "store key `{requested}` holds an artifact recorded for `{found}`")
             }
         }
     }

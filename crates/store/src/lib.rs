@@ -117,9 +117,18 @@ impl Store {
         &self.root
     }
 
+    /// The file holding `app`'s rip. The stem keeps ASCII alphanumerics
+    /// and escapes every other byte as `_` plus two hex digits, so
+    /// distinct keys never share a file.
     fn rip_path(&self, app: &str) -> PathBuf {
-        let stem: String =
-            app.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
+        let mut stem = String::with_capacity(app.len());
+        for b in app.bytes() {
+            if b.is_ascii_alphanumeric() {
+                stem.push(b as char);
+            } else {
+                stem.push_str(&format!("_{b:02x}"));
+            }
+        }
         self.root.join(format!("{stem}.rip.dmi"))
     }
 
@@ -132,10 +141,15 @@ impl Store {
         Ok(bytes.len() as u64)
     }
 
-    /// Loads the rip stored for `app`.
+    /// Loads the rip stored for `app`, refusing an artifact that records
+    /// a different application ([`StoreError::AppMismatch`]).
     pub fn load_rip(&self, app: &str) -> StoreResult<StoredRip> {
         let _span = dmi_obs::span(dmi_obs::Cat::Store, "load_rip", 0);
-        decode_rip(&std::fs::read(self.rip_path(app))?)
+        let rip = decode_rip(&std::fs::read(self.rip_path(app))?)?;
+        if rip.app != app {
+            return Err(StoreError::AppMismatch { requested: app.to_string(), found: rip.app });
+        }
+        Ok(rip)
     }
 
     /// Writes nothing and returns `Ok(0)`: [`StoredCaptures`] carries no
@@ -190,6 +204,39 @@ mod tests {
             "UNG must round-trip byte-identically"
         );
         assert_eq!(loaded.stats, stored.stats);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Keys that differ only in punctuation get their own files: each
+    /// loads back as itself, and an artifact filed under the wrong key is
+    /// refused rather than served.
+    #[test]
+    fn keys_differing_in_punctuation_do_not_share_a_file() {
+        let store = temp_store("keys");
+        let keys = ["Excel-v2", "Excel_v2", "Excel v2"];
+        let stored = |app: &str| StoredRip {
+            app: app.to_string(),
+            pristine: Vec::new(),
+            ung: Ung::new(),
+            stats: RipStats::default(),
+            journal: RipJournal::new(),
+        };
+        for app in keys {
+            store.save_rip(&stored(app)).unwrap();
+        }
+        for app in keys {
+            assert_eq!(store.load_rip(app).unwrap().app, app, "{app} loads back as itself");
+        }
+        assert_eq!(store.rip_path("Word"), store.root().join("Word.rip.dmi"));
+
+        std::fs::copy(store.rip_path("Excel-v2"), store.rip_path("Word")).unwrap();
+        match store.load_rip("Word") {
+            Err(StoreError::AppMismatch { requested, found }) => {
+                assert_eq!((requested.as_str(), found.as_str()), ("Word", "Excel-v2"));
+            }
+            Err(e) => panic!("expected AppMismatch, got {e}"),
+            Ok(_) => panic!("an artifact recorded for another app must not load"),
+        }
         let _ = std::fs::remove_dir_all(store.root());
     }
 

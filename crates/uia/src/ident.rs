@@ -233,42 +233,15 @@ impl Default for FuzzyMatcher {
 }
 
 impl FuzzyMatcher {
-    /// Finds the best node for `target` in the snapshot, exact first and
-    /// fuzzy as fallback. Returns `None` if nothing reaches the threshold.
-    pub fn best_match(&self, snap: &Snapshot, target: &ControlId) -> Option<MatchScore> {
-        self.best_match_within(snap, target, None)
-    }
-
-    /// Like [`FuzzyMatcher::best_match`] but restricted to descendants of
-    /// `scope` when given.
-    pub fn best_match_within(
-        &self,
-        snap: &Snapshot,
-        target: &ControlId,
-        scope: Option<usize>,
-    ) -> Option<MatchScore> {
-        self.best_match_filtered(snap, target, scope, false)
-    }
-
-    /// Like [`FuzzyMatcher::best_match_within`], optionally skipping
-    /// off-screen candidates (an executor looking for something *visible*
-    /// must not match scrolled-out content).
-    pub fn best_match_filtered(
-        &self,
-        snap: &Snapshot,
-        target: &ControlId,
-        scope: Option<usize>,
-        skip_offscreen: bool,
-    ) -> Option<MatchScore> {
-        self.best_match_prekeyed(snap, ControlKey::of_id(target), target, scope, skip_offscreen)
-    }
-
-    /// Like [`FuzzyMatcher::best_match_filtered`] with the target's
-    /// fingerprint already in hand. Callers that resolve the same modeled
-    /// controls repeatedly (the `visit` executor walking a forest path)
-    /// precompute the key once at model-build time instead of re-hashing
-    /// the identifier on every resolve.
-    pub fn best_match_prekeyed(
+    /// Finds the best node for `target` (whose fingerprint is `key`) in
+    /// the snapshot, exact first and fuzzy as fallback, restricted to
+    /// descendants of `scope` when given and optionally skipping off-screen
+    /// candidates (an executor looking for something *visible* must not
+    /// match scrolled-out content). Returns `None` if nothing reaches the
+    /// threshold. Callers that resolve the same modeled controls repeatedly
+    /// (the `visit` executor walking a forest path) precompute the key once
+    /// at model-build time instead of re-hashing the identifier.
+    pub fn best_match(
         &self,
         snap: &Snapshot,
         key: ControlKey,
@@ -316,13 +289,9 @@ impl FuzzyMatcher {
         best
     }
 
-    /// Scores one candidate node against a target identifier.
-    pub fn score(&self, snap: &Snapshot, idx: usize, target: &ControlId) -> f64 {
-        self.score_bounded(snap, idx, target, 0.0)
-    }
-
-    /// Like [`FuzzyMatcher::score`], but may return early with an
-    /// underestimate once the candidate provably cannot reach `floor`
+    /// Scores one candidate node against a target identifier. May return
+    /// early with an underestimate once the candidate provably cannot reach
+    /// `floor`
     /// (cheap components are computed first; the name similarity is then
     /// bounded before any edit-distance work).
     fn score_bounded(&self, snap: &Snapshot, idx: usize, target: &ControlId, floor: f64) -> f64 {
@@ -545,7 +514,9 @@ mod tests {
             ("Bold", "", ControlType::Button),
         ]);
         let id = ControlId::of(&s, 2);
-        let m = FuzzyMatcher::default().best_match(&s, &id).unwrap();
+        let m = FuzzyMatcher::default()
+            .best_match(&s, ControlKey::of_id(&id), &id, None, false)
+            .unwrap();
         assert_eq!(m.index, 2);
         assert_eq!(m.score, 1.0);
     }
@@ -564,7 +535,9 @@ mod tests {
             control_type: ControlType::Button,
             ancestor_path: "Main/Find and Replace".into(),
         };
-        let m = FuzzyMatcher::default().best_match(&s, &id).expect("prefix variation matches");
+        let m = FuzzyMatcher::default()
+            .best_match(&s, ControlKey::of_id(&id), &id, None, false)
+            .expect("prefix variation matches");
         assert_eq!(m.index, 2);
         assert!(m.score < 1.0);
     }
@@ -581,7 +554,9 @@ mod tests {
             control_type: ControlType::MenuItem,
             ancestor_path: "Book1/Home/Styles".into(),
         };
-        assert!(FuzzyMatcher::default().best_match(&s, &id).is_none());
+        assert!(FuzzyMatcher::default()
+            .best_match(&s, ControlKey::of_id(&id), &id, None, false)
+            .is_none());
     }
 
     #[test]
@@ -612,11 +587,15 @@ mod tests {
             control_type: ControlType::Button,
             ancestor_path: "W2".into(),
         };
-        let m = FuzzyMatcher::default().best_match_within(&s, &id, Some(w2)).unwrap();
+        let m = FuzzyMatcher::default()
+            .best_match(&s, ControlKey::of_id(&id), &id, Some(w2), false)
+            .unwrap();
         assert_eq!(m.index, b2);
         // Within w1's scope only the w1 button is a candidate and its path
         // differs; it may still fuzzily match, but must not be b2.
-        if let Some(m1) = FuzzyMatcher::default().best_match_within(&s, &id, Some(w1)) {
+        if let Some(m1) =
+            FuzzyMatcher::default().best_match(&s, ControlKey::of_id(&id), &id, Some(w1), false)
+        {
             assert_eq!(m1.index, b1);
         }
     }
@@ -673,10 +652,14 @@ mod tests {
         let id = ControlId::of(&s, on);
         // Unfiltered: the earlier (offscreen) duplicate wins, as the old
         // arena-order scan did.
-        let m = FuzzyMatcher::default().best_match(&s, &id).unwrap();
+        let m = FuzzyMatcher::default()
+            .best_match(&s, ControlKey::of_id(&id), &id, None, false)
+            .unwrap();
         assert_eq!((m.index, m.score), (off, 1.0));
         // Visible-only: the exact pass must skip the offscreen duplicate.
-        let m = FuzzyMatcher::default().best_match_filtered(&s, &id, None, true).unwrap();
+        let m = FuzzyMatcher::default()
+            .best_match(&s, ControlKey::of_id(&id), &id, None, true)
+            .unwrap();
         assert_eq!((m.index, m.score), (on, 1.0));
     }
 }

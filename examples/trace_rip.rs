@@ -9,8 +9,8 @@
 //! ```
 
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig};
 use dmi_core::ripper::RipConfig;
+use dmi_core::{rip_fleet, FleetEntry, ParRipConfig};
 use dmi_gui::Session;
 
 fn entries() -> Vec<FleetEntry> {

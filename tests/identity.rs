@@ -2,8 +2,8 @@
 //! equivalence with the old linear scan, and pinned rip capture counts.
 
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig};
 use dmi_core::ripper::{rip, RipConfig};
+use dmi_core::{rip_fleet, FleetEntry, ParRipConfig};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::{ControlId, ControlKey, Snapshot};
 

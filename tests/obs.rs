@@ -9,8 +9,8 @@
 //! and inspected by every trace-shape test.
 
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome};
 use dmi_core::ripper::{rip, RipConfig, RipStats};
+use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome};
 use dmi_gui::Session;
 use dmi_obs::{Cat, Clock, Event, Trace};
 use std::collections::BTreeMap;
