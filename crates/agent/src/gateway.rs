@@ -256,10 +256,7 @@ impl AppPool {
             return None;
         }
         if let Some(donor) = &self.donor {
-            if let Some(mut fork) = donor.fork_from_pristine() {
-                // The fork inherited the donor's instability model;
-                // retarget the still-undriven session to the tenant's.
-                fork.set_instability(cfg.instability_model());
+            if let Some(fork) = donor.fork_from_pristine(cfg.instability_model()) {
                 self.forks += 1;
                 self.live += 1;
                 return Some(fork);

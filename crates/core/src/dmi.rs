@@ -150,15 +150,18 @@ impl Dmi {
             .expect("model serializes")
     }
 
-    /// Restores a model saved with [`Dmi::to_json`].
+    /// Restores a model saved with [`Dmi::to_json`]. The forest is
+    /// validated ([`Forest::validate`]) before it is described, so a
+    /// malformed file is a [`DmiError::Malformed`], never a panic.
     pub fn from_json(json: &str) -> Result<Dmi, DmiError> {
         #[derive(serde::Deserialize)]
         struct Saved {
             forest: Forest,
             describe: DescribeConfig,
         }
-        let s: Saved = serde_json::from_str(json)
-            .map_err(|e| DmiError::Malformed { message: format!("bad saved model: {e}") })?;
+        let bad = |e: String| DmiError::Malformed { message: format!("bad saved model: {e}") };
+        let s: Saved = serde_json::from_str(json).map_err(|e| bad(e.to_string()))?;
+        s.forest.validate().map_err(bad)?;
         Ok(Dmi::from_forest(s.forest, s.describe))
     }
 
@@ -329,6 +332,48 @@ mod tests {
         let (mut s, dmi, _) = build_word();
         let out = dmi.visit_json(&mut s, "[{]");
         assert!(matches!(out.error, Some(DmiError::Malformed { .. })));
+    }
+
+    #[test]
+    fn malformed_saved_models_are_typed_errors() {
+        #[derive(serde::Serialize)]
+        struct Saved<'a> {
+            forest: &'a Forest,
+            describe: &'a DescribeConfig,
+        }
+        let (_, dmi, _) = build_word();
+        let saved = |forest: &Forest| {
+            serde_json::to_string(&Saved { forest, describe: &dmi.describe }).unwrap()
+        };
+        assert!(Dmi::from_json(&saved(&dmi.forest)).is_ok(), "the valid model restores");
+        let n = dmi.forest.len();
+        let mut child_out_of_range = dmi.forest.clone();
+        child_out_of_range.nodes[dmi.forest.main_root].children.push(n);
+        let mut root_out_of_range = dmi.forest.clone();
+        root_out_of_range.main_root = n;
+        let mut own_child = dmi.forest.clone();
+        let leaf = (0..n).find(|&i| own_child.is_functional_leaf(i)).expect("a leaf");
+        own_child.nodes[leaf].children.push(leaf);
+        for (what, forest) in [
+            ("child out of range", child_out_of_range),
+            ("main root out of range", root_out_of_range),
+            ("node listing itself as a child", own_child),
+        ] {
+            let json = saved(&forest);
+            assert!(
+                matches!(Dmi::from_json(&json), Err(DmiError::Malformed { .. })),
+                "{what}: expected a typed error"
+            );
+            let path = std::env::temp_dir().join(format!(
+                "dmi-malformed-{}-{}.json",
+                std::process::id(),
+                what.len()
+            ));
+            std::fs::write(&path, json).unwrap();
+            let Err(err) = Dmi::load(&path) else { panic!("{what}: load accepted the model") };
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
     }
 
     #[test]

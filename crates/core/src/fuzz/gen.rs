@@ -59,8 +59,10 @@ impl ArenaOp {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Every reset leaks a counter into a widget name while *still
-    /// attesting* the pristine token — the capture layer's restart
-    /// stash serves stale bytes. Caught by the cached-vs-rebuild oracle.
+    /// attesting* the pristine token — the restart adopts the stashed
+    /// launch capture into the MRU cache, re-keyed against the leaked
+    /// tree, and the next probe serves its stale bytes. Caught by the
+    /// cached-vs-rebuild oracle.
     pub lying_reset: bool,
     /// After this many dispatches, a widget is relabeled WITHOUT bumping
     /// epoch or window stamps — the MRU cache keeps serving the old

@@ -5,8 +5,9 @@
 //! `docs/determinism.md`): a deterministic application plus a fixed
 //! action trace yields byte-identical snapshots, and therefore
 //! byte-identical UNGs, no matter which recovery strategy — Esc or
-//! restart — or which cache — MRU or pristine stash — served the
-//! captures, and whether the rip ran alone or in a fleet. This module
+//! restart — or which captures the MRU cache served (the pristine stash
+//! included, which a restart adopts into it), and whether the rip ran
+//! alone or in a fleet. This module
 //! attacks that contract from the application side:
 //!
 //! - [`gen`] grows random widget arenas ([`AppSpec`] — menus, dialogs,
@@ -25,8 +26,9 @@
 //!
 //! The fault classes are chosen so each one is caught by exactly the
 //! layer that trusts the violated promise: a lying `pristine_token`
-//! trips the cached-vs-rebuild capture oracle, unstamped relabels trip
-//! the same oracle through the MRU cache, Esc side effects trip the
+//! makes a restart adopt the stale stash into the MRU cache, which trips
+//! the cached-vs-rebuild capture oracle; unstamped relabels trip the
+//! same oracle through ordinary MRU hits; Esc side effects trip the
 //! Esc-vs-restart oracle, and mid-click panics surface as
 //! [`crate::RipStatus::Failed`] with the payload preserved —
 //! never as a process abort.

@@ -55,13 +55,15 @@ pub(crate) mod testutil {
     use crate::ripper::{rip, RipConfig, RipStats};
     use crate::topology::{build_forest, decycle, Forest, ForestConfig};
     use dmi_apps::AppKind;
+    use dmi_gui::CaptureStats;
     use std::sync::OnceLock;
 
-    /// The ripped (raw) UNG and stats for a small app instance.
-    pub fn small_rip(kind: AppKind) -> &'static (Ung, RipStats) {
-        static WORD: OnceLock<(Ung, RipStats)> = OnceLock::new();
-        static EXCEL: OnceLock<(Ung, RipStats)> = OnceLock::new();
-        static PPT: OnceLock<(Ung, RipStats)> = OnceLock::new();
+    /// The ripped (raw) UNG, rip stats and capture work for a small app
+    /// instance.
+    pub fn small_rip(kind: AppKind) -> &'static (Ung, RipStats, CaptureStats) {
+        static WORD: OnceLock<(Ung, RipStats, CaptureStats)> = OnceLock::new();
+        static EXCEL: OnceLock<(Ung, RipStats, CaptureStats)> = OnceLock::new();
+        static PPT: OnceLock<(Ung, RipStats, CaptureStats)> = OnceLock::new();
         let cell = match kind {
             AppKind::Word => &WORD,
             AppKind::Excel => &EXCEL,
@@ -69,7 +71,8 @@ pub(crate) mod testutil {
         };
         cell.get_or_init(|| {
             let mut s = dmi_gui::Session::new(kind.launch_small());
-            rip(&mut s, &RipConfig::office(kind.name()))
+            let (g, stats) = rip(&mut s, &RipConfig::office(kind.name()));
+            (g, stats, s.capture_stats())
         })
     }
 

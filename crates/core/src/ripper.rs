@@ -654,7 +654,7 @@ mod tests {
     use dmi_apps::AppKind;
 
     fn rip_small(kind: AppKind) -> (Ung, RipStats) {
-        let (g, stats) = small_rip(kind);
+        let (g, stats, _) = small_rip(kind);
         let mut g = g.clone();
         g.rebuild_index();
         (g, *stats)
@@ -868,8 +868,10 @@ mod tests {
     }
 
     /// Regression pin for the three small Office rips: the FNV-1a digest
-    /// of each serialized UNG and every [`RipStats`] field. A drift in any
-    /// of them means the rip clicked, captured or committed differently.
+    /// of each serialized UNG, every [`RipStats`] field and the capture
+    /// work (`Session::capture_stats`). A drift in any of them means the
+    /// rip clicked, captured or committed differently, or the capture
+    /// layer served, copied or re-walked a different set of windows.
     #[test]
     fn small_office_rips_are_pinned() {
         let fnv = |bytes: &[u8]| {
@@ -891,6 +893,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 15,
                 },
+                [8870, 5756, 98, 3075],
             ),
             (
                 AppKind::Excel,
@@ -905,6 +908,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 11,
                 },
+                [3802, 3070, 111, 711],
             ),
             (
                 AppKind::PowerPoint,
@@ -919,13 +923,16 @@ mod tests {
                     replay_failures: 52,
                     windows_seen: 9,
                 },
+                [6961, 4406, 376, 2447],
             ),
         ];
-        for (kind, digest, stats) in pins {
-            let (g, st) = small_rip(kind);
+        for (kind, digest, stats, work) in pins {
+            let (g, st, cs) = small_rip(kind);
             let bytes = serde_json::to_string(g).unwrap();
             assert_eq!(fnv(bytes.as_bytes()), digest, "{kind}: serialized UNG digest");
             assert_eq!(*st, stats, "{kind}: rip stats");
+            let got = [cs.captures, cs.full_hits, cs.windows_reused, cs.windows_rebuilt];
+            assert_eq!(got, work, "{kind}: captures, full hits, windows reused, windows rebuilt");
         }
     }
 
@@ -960,7 +967,7 @@ mod tests {
         let out = rip_fleet(&mut entries, &ParRipConfig);
         assert_eq!(out.len(), 3);
         for (o, kind) in out.iter().zip(AppKind::ALL) {
-            let (g_seq, st_seq) = small_rip(kind);
+            let (g_seq, st_seq, _) = small_rip(kind);
             assert_eq!(o.app_id, kind.name(), "outcomes come back in entry order");
             assert_eq!(o.status, RipStatus::Ripped);
             assert_eq!(bytes(&o.graph), bytes(g_seq), "{kind}: fleet UNG bytes");

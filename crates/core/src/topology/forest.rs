@@ -178,17 +178,69 @@ impl Forest {
     }
 
     /// Verifies the path-uniqueness invariant: every node has exactly one
-    /// parent link and is reachable from exactly one root.
+    /// parent link and is reachable from exactly one root (see
+    /// [`Forest::validate`]).
     pub fn verify_unique_paths(&self) -> bool {
-        let mut seen = vec![0u32; self.nodes.len()];
-        let mut roots = vec![self.main_root];
-        roots.extend(&self.shared_roots);
-        for r in roots {
-            for d in self.descendants(r) {
-                seen[d] += 1;
+        self.validate().is_ok()
+    }
+
+    /// Checks the structural invariants every reader of a forest relies
+    /// on, so a forest read from outside the process cannot make them
+    /// index out of bounds or loop: `nodes[i].id == i`; every id (children,
+    /// parents, main and shared roots, entry map, reference targets) is in
+    /// range; every child's `parent` names the node that lists it; roots
+    /// have no parent; and every node is reached exactly once from the main
+    /// root plus the shared roots. Returns the first violation found.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.nodes.len();
+        let in_range = |what: &str, id: usize| {
+            if id < n {
+                Ok(())
+            } else {
+                Err(format!("{what} {id} is out of range ({n} nodes)"))
+            }
+        };
+        in_range("main root", self.main_root)?;
+        for &r in &self.shared_roots {
+            in_range("shared root", r)?;
+        }
+        for (&r, &root) in &self.entry_map {
+            in_range("entry-map reference", r)?;
+            in_range("entry-map subtree root", root)?;
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.id != i {
+                return Err(format!("node at index {i} has id {}", node.id));
+            }
+            if let Some(p) = node.parent {
+                in_range("parent", p)?;
+            }
+            if let TopoKind::Reference { subtree_root } = node.kind {
+                in_range("reference subtree root", subtree_root)?;
+            }
+            for &c in &node.children {
+                in_range("child", c)?;
+                if self.nodes[c].parent != Some(i) {
+                    return Err(format!("child {c} of node {i} does not name it as parent"));
+                }
             }
         }
-        seen.iter().all(|&c| c == 1)
+        let mut stack: Vec<usize> =
+            std::iter::once(self.main_root).chain(self.shared_roots.iter().copied()).collect();
+        if let Some(&r) = stack.iter().find(|&&r| self.nodes[r].parent.is_some()) {
+            return Err(format!("root {r} has a parent"));
+        }
+        let mut seen = vec![false; n];
+        while let Some(u) = stack.pop() {
+            if std::mem::replace(&mut seen[u], true) {
+                return Err(format!("node {u} is reached more than once"));
+            }
+            stack.extend(&self.nodes[u].children);
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(u) => Err(format!("node {u} is unreachable")),
+            None => Ok(()),
+        }
     }
 }
 

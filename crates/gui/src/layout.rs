@@ -12,18 +12,16 @@
 //! viewport window determined by `scroll_pos`; the rest are marked
 //! off-screen (they stay in the accessibility tree, like real UIA).
 //!
-//! Rows are computed *per window* ([`compute_window`]) and shared through
-//! [`Arc`]s: a [`LayoutCache`] keyed by the window's capture key (root,
-//! stack position, [`UiTree::window_stamp`], popup chain, context epoch)
-//! hands the same row set back until something inside the window actually
-//! moves, so consecutive hit tests and snapshot rebuilds stop paying
-//! O(arena) per query (see `crate::snapshot` for the capture pipeline).
+//! Rows are computed *per window* ([`compute_window`]) and never cached:
+//! the capture pipeline (`crate::snapshot`) lays out only the windows it
+//! re-walks, whose nodes it visits anyway, and the input paths (hit
+//! testing, drags, wheel) lay out every open window with [`compute`],
+//! since hit testing walks every descendant regardless.
 
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::Rect;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Virtual screen size.
 pub const SCREEN_W: i32 = 1280;
@@ -37,12 +35,9 @@ pub const DIALOG_W: i32 = 640;
 pub const DIALOG_H: i32 = 480;
 
 /// The rows of one open window: rectangle and off-screen flag per shown
-/// widget under that window's root (root included).
-///
-/// A window's rows depend only on its stack position (the window rect
-/// cascade) and its own subtree — never on other windows — so they are
-/// shared via [`Arc`] between a [`Layout`] and the [`LayoutCache`], and
-/// reused wholesale while the window's capture key is unchanged.
+/// widget under that window's root (root included). A window's rows
+/// depend only on its stack position (the window rect cascade) and its
+/// own subtree — never on other windows.
 #[derive(Debug, Clone, Default)]
 pub struct WindowLayout {
     entries: HashMap<WidgetId, (Rect, bool)>,
@@ -58,16 +53,6 @@ impl WindowLayout {
     pub fn offscreen(&self, id: WidgetId) -> bool {
         self.entries.get(&id).map(|(_, o)| *o).unwrap_or(false)
     }
-
-    /// Number of laid-out widgets in this window.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the window laid out nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Layout result: one [`WindowLayout`] per open window, bottom to top.
@@ -77,7 +62,7 @@ impl WindowLayout {
 /// most a handful of open windows).
 #[derive(Debug, Clone, Default)]
 pub struct Layout {
-    windows: Vec<Arc<WindowLayout>>,
+    windows: Vec<WindowLayout>,
 }
 
 impl Layout {
@@ -89,21 +74,6 @@ impl Layout {
     /// Whether the widget was laid out but is off-screen.
     pub fn offscreen(&self, id: WidgetId) -> bool {
         self.windows.iter().any(|w| w.offscreen(id))
-    }
-
-    /// Number of laid-out widgets.
-    pub fn len(&self) -> usize {
-        self.windows.iter().map(|w| w.len()).sum()
-    }
-
-    /// Whether nothing was laid out.
-    pub fn is_empty(&self) -> bool {
-        self.windows.iter().all(|w| w.is_empty())
-    }
-
-    /// The per-window layouts, bottom to top.
-    pub fn windows(&self) -> &[Arc<WindowLayout>] {
-        &self.windows
     }
 }
 
@@ -140,68 +110,8 @@ pub fn compute(tree: &UiTree) -> Layout {
             .open_windows()
             .iter()
             .enumerate()
-            .map(|(wi, win)| Arc::new(compute_window(tree, win.root, wi)))
+            .map(|(wi, win)| compute_window(tree, win.root, wi))
             .collect(),
-    }
-}
-
-/// Reuses per-window rows across consecutive layouts while a window's
-/// capture key — root, stack position, [`UiTree::window_stamp`], the popup
-/// chain under the root, and the context epoch — is unchanged. One cache
-/// serves both the input paths (hit testing, drags, wheel) and the
-/// snapshot builder's dirty-window rebuilds.
-#[derive(Debug, Default)]
-pub struct LayoutCache {
-    slots: Vec<Option<LayoutSlot>>,
-    context_epoch: u64,
-}
-
-#[derive(Debug)]
-struct LayoutSlot {
-    root: WidgetId,
-    stamp: u64,
-    popups: Vec<WidgetId>,
-    rows: Arc<WindowLayout>,
-}
-
-impl LayoutCache {
-    /// Drops every cached row set (restart, lineage change).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    /// The rows of the window rooted at `root` at stack position `wi`,
-    /// reused from the cache when the window's key is unchanged.
-    pub fn window(&mut self, tree: &UiTree, root: WidgetId, wi: usize) -> Arc<WindowLayout> {
-        if self.context_epoch != tree.context_epoch() {
-            self.slots.clear();
-            self.context_epoch = tree.context_epoch();
-        }
-        let stamp = tree.window_stamp(root);
-        let popups = tree.popups_under(root);
-        if let Some(Some(slot)) = self.slots.get(wi) {
-            if slot.root == root && slot.stamp == stamp && slot.popups == popups {
-                return Arc::clone(&slot.rows);
-            }
-        }
-        let rows = Arc::new(compute_window(tree, root, wi));
-        if self.slots.len() <= wi {
-            self.slots.resize_with(wi + 1, || None);
-        }
-        self.slots[wi] = Some(LayoutSlot { root, stamp, popups, rows: Arc::clone(&rows) });
-        rows
-    }
-
-    /// Computes the full layout, reusing unchanged windows.
-    pub fn compute(&mut self, tree: &UiTree) -> Layout {
-        let windows = tree
-            .open_windows()
-            .iter()
-            .enumerate()
-            .map(|(wi, win)| self.window(tree, win.root, wi))
-            .collect();
-        self.slots.truncate(tree.open_windows().len());
-        Layout { windows }
     }
 }
 

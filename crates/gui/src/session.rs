@@ -138,7 +138,7 @@ pub struct Session {
     inst: InstabilityModel,
     /// Capture pipeline configuration.
     capture_cfg: CaptureConfig,
-    /// Recent captures + per-window layout rows (see [`CaptureCache`]).
+    /// Recent captures + the pristine restart stash (see [`CaptureCache`]).
     cache: CaptureCache,
     /// Cache-effectiveness counters.
     capture_stats: CaptureStats,
@@ -154,28 +154,6 @@ pub struct Session {
     external_jumps: u64,
     /// Whether the UI entered an un-exitable state.
     trapped: bool,
-    /// Restart-surviving capture stash: the snapshot of the pristine
-    /// launch state, keyed by [`GuiApp::pristine_token`]. Unlike the MRU
-    /// cache (whose stamp lineage a reset breaks), this survives
-    /// [`Session::restart`]: a restart back to an unchanged pristine image
-    /// is an O(1) snapshot hit instead of a cold rebuild.
-    pristine_snap: Option<(u64, Arc<Snapshot>)>,
-    /// Proof obligations recorded at the last restart under which the
-    /// current UI state still equals the pristine launch image.
-    pristine_mark: Option<PristineMark>,
-}
-
-/// Everything that must still hold for the session state to equal the
-/// pristine image captured at the last restart. All components are O(1)
-/// reads: any input action, snapshot-visible main-window mutation, context
-/// change, or transient window/popup invalidates the mark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PristineMark {
-    token: u64,
-    action_seq: u64,
-    state_epoch: u64,
-    context_epoch: u64,
-    main_stamp: u64,
 }
 
 impl Session {
@@ -197,22 +175,19 @@ impl Session {
             restart_seq: 0,
             external_jumps: 0,
             trapped: false,
-            pristine_snap: None,
-            pristine_mark: None,
         }
     }
 
     /// Forks a fresh worker session off the application's shared pristine
-    /// launch image (see [`GuiApp::fork`]): a launch-state app instance,
-    /// the same instability model and capture configuration, and fresh
-    /// caches and counters. Deterministic simulations make the fork
-    /// behaviorally equivalent to launching another instance of the same
-    /// build, so forks can run independently — the serving gateway pools
-    /// them per app. `None` when the application does not support
-    /// forking.
-    pub fn fork_from_pristine(&self) -> Option<Session> {
-        let app = self.app.fork()?;
-        let mut s = Session::with_instability(app, self.inst.clone());
+    /// launch image (see [`GuiApp::fork`]): a launch-state app instance
+    /// under `inst`, the same capture configuration, and fresh caches and
+    /// counters. Deterministic simulations make the fork behaviorally
+    /// equivalent to a [`Session::with_instability`] launch of the same
+    /// build under `inst`, so forks can run independently — the serving
+    /// gateway pools them per app, each under its tenant's model. `None`
+    /// when the application does not support forking.
+    pub fn fork_from_pristine(&self, inst: InstabilityModel) -> Option<Session> {
+        let mut s = Session::with_instability(self.app.fork()?, inst);
         s.capture_cfg = self.capture_cfg;
         Some(s)
     }
@@ -221,9 +196,9 @@ impl Session {
     /// instability model, so a pooled session can serve its next tenant
     /// indistinguishably from a fresh launch. This is what makes online
     /// session reuse trace-sound: every counter the instability model
-    /// keys off (action, query, external-jump clocks) is zeroed, all
-    /// cached captures — the pristine stash included, since it was
-    /// captured under the *previous* tenant's instability — are dropped,
+    /// keys off (action, query, external-jump clocks) is zeroed, every
+    /// cached capture — the pristine stash included, since it was
+    /// captured under the *previous* tenant's instability — is dropped,
     /// and the application resets to its launch image.
     ///
     /// Returns whether the application attested a pristine launch image
@@ -234,30 +209,12 @@ impl Session {
         self.inst = inst;
         self.capture_stats = CaptureStats::default();
         self.query_seq = 0;
-        self.external_jumps = 0;
-        self.pristine_snap = None;
-        // Zeroed *before* `restart` so the pristine mark records the
-        // same action clock a fresh launch would.
         self.action_seq = 0;
+        self.external_jumps = 0;
+        self.cache.clear();
         self.restart();
         self.restart_seq = 0;
-        self.pristine_mark.is_some()
-    }
-
-    /// Replaces the instability model on a session that has not yet been
-    /// driven (all perturbation clocks at zero and no cached captures) —
-    /// the gateway retargets a just-forked session to its tenant's model
-    /// this way, making the fork bitwise-equivalent to a fresh
-    /// [`Session::with_instability`] launch under that model. On a
-    /// session that *has* been driven, use [`Session::recycle`] instead:
-    /// swapping models mid-flight would desynchronize the perturbation
-    /// clocks from the captures already taken under the old model.
-    pub fn set_instability(&mut self, inst: InstabilityModel) {
-        debug_assert!(
-            self.query_seq == 0 && self.action_seq == 0 && self.pristine_snap.is_none(),
-            "set_instability is only sound on an undriven session"
-        );
-        self.inst = inst;
+        self.app.pristine_token().is_some()
     }
 
     /// Ignores its argument: [`CapturePool`] is an empty placeholder. It
@@ -277,8 +234,6 @@ impl Session {
     pub fn set_capture_config(&mut self, cfg: CaptureConfig) {
         self.capture_cfg = cfg;
         self.cache.clear();
-        self.pristine_snap = None;
-        self.pristine_mark = None;
     }
 
     /// The capture configuration in effect.
@@ -332,12 +287,12 @@ impl Session {
     /// capture — same per-window mutation stamps, popup chain, window
     /// stack, contexts, and no late-load reveal crossing — the same
     /// [`Arc`] is returned in O(1), identity index included (counted in
-    /// [`CaptureStats::full_hits`]). See [`CaptureConfig::full_rebuild`]
-    /// for the eager oracle path.
-    ///
-    /// Serving order: restart-surviving pristine stash, per-session MRU
-    /// cache, then a partial rebuild — every path produces the same
-    /// bytes.
+    /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt,
+    /// copying clean windows from a recent capture and re-walking dirty
+    /// ones. A pristine launch image captured before a [`Session::restart`]
+    /// is served through the same probe (see [`Session::restart`]). See
+    /// [`CaptureConfig::full_rebuild`] for the eager oracle path; every
+    /// path produces the same bytes.
     pub fn snapshot(&mut self) -> Arc<Snapshot> {
         self.query_seq += 1;
         self.capture_stats.captures += 1;
@@ -345,84 +300,23 @@ impl Session {
         if !self.capture_cfg.cached {
             return Arc::new(snapshot::build(self.app.tree(), &self.inst, self.query_seq));
         }
-        // Restart-surviving fast path: while the pristine mark holds, the
-        // state is byte-for-byte the launch image, so the stashed snapshot
-        // of a *previous* restart is exact — the MRU cache cannot help
-        // here because a reset re-floors every window stamp.
-        let pristine_token = self.pristine_mark_holds();
-        if let Some(token) = pristine_token {
-            if let Some((t, snap)) = &self.pristine_snap {
-                if *t == token {
-                    let snap = Arc::clone(snap);
-                    self.capture_stats.full_hits += 1;
-                    self.capture_stats.pristine_hits += 1;
-                    dmi_obs::tally("capture.full_hits", 1);
-                    dmi_obs::tally("capture.pristine_hits", 1);
-                    // Re-key the stash against the current tree so the
-                    // next (post-click) capture can copy clean windows
-                    // from it instead of re-walking everything.
-                    snapshot::adopt(&mut self.cache, self.app.tree(), &snap, self.query_seq);
-                    return snap;
-                }
-            }
-        }
-        // Per-session MRU cache: O(1) full hits.
         let keys = match snapshot::probe(self.app.tree(), self.query_seq, &mut self.cache) {
             Ok(snap) => {
                 self.capture_stats.full_hits += 1;
                 dmi_obs::tally("capture.full_hits", 1);
-                if let Some(token) = pristine_token {
-                    self.pristine_snap = Some((token, Arc::clone(&snap)));
-                }
                 return snap;
             }
             Err(keys) => keys,
         };
-        // Partial rebuild: clean windows copied from donors, dirty
-        // windows re-walked.
-        let rebuild_span = dmi_obs::span(dmi_obs::Cat::Capture, "rebuild", 0);
-        let snap = snapshot::rebuild(
+        let _rebuild_span = dmi_obs::span(dmi_obs::Cat::Capture, "rebuild", 0);
+        snapshot::rebuild(
             self.app.tree(),
             &self.inst,
             self.query_seq,
             keys,
             &mut self.cache,
             &mut self.capture_stats,
-        );
-        drop(rebuild_span);
-        if let Some(token) = pristine_token {
-            self.pristine_snap = Some((token, Arc::clone(&snap)));
-        }
-        snap
-    }
-
-    /// Whether the UI state still equals the pristine image captured at
-    /// the last restart; returns the image token when it does. Sound
-    /// because every snapshot-visible divergence trips a component: input
-    /// actions bump `action_seq` (even failed ones), main-window widget
-    /// mutations move its stamp, contexts move the context epoch, and
-    /// extra windows or popups fail the structural checks.
-    fn pristine_mark_holds(&self) -> Option<u64> {
-        let m = self.pristine_mark?;
-        let t = self.app.tree();
-        (self.app.pristine_token() == Some(m.token)
-            && self.action_seq == m.action_seq
-            && t.open_windows().len() == 1
-            && t.open_popups().is_empty()
-            && t.state_epoch() == m.state_epoch
-            && t.context_epoch() == m.context_epoch
-            && t.window_stamp(t.main_root()) == m.main_stamp)
-            .then_some(m.token)
-    }
-
-    /// The current layout, served from the per-window layout cache when
-    /// enabled (input paths: hit testing, drags, wheel).
-    fn layout(&mut self) -> layout::Layout {
-        if self.capture_cfg.cached {
-            self.cache.layout(self.app.tree())
-        } else {
-            layout::compute(self.app.tree())
-        }
+        )
     }
 
     /// Maps a snapshot runtime id to the provider widget.
@@ -433,27 +327,21 @@ impl Session {
     /// Resets the application and session UI state (like a restart), as
     /// the ripper does between exploration branches when recovery fails.
     /// Counted as a restart, not an input action.
+    ///
+    /// An application `reset` may swap its tree wholesale (breaking stamp
+    /// lineage), so every recent capture is dropped. When the app attests
+    /// its launch image ([`GuiApp::pristine_token`]) and a capture of that
+    /// image is stashed, the stash is re-keyed against the fresh tree and
+    /// adopted as the only recent capture: the next [`Session::snapshot`]
+    /// serves it in O(1) if the launch state still holds, or copies its
+    /// clean windows. With no stash for the token, the first capture after
+    /// the restart becomes the stash if nothing visible changed in between.
     pub fn restart(&mut self) {
         self.app.reset();
         self.app.tree_mut().reset_ui_state();
         self.trapped = false;
         self.restart_seq += 1;
-        // An application `reset` may swap its tree wholesale (breaking
-        // stamp lineage), so cached captures cannot be trusted across it.
-        // The pristine stash survives instead: when the app attests (via
-        // `pristine_token`) that resets restore one fixed launch image,
-        // the post-restart capture is served from the stash in O(1).
-        self.cache.clear();
-        self.pristine_mark = self.app.pristine_token().map(|token| {
-            let t = self.app.tree();
-            PristineMark {
-                token,
-                action_seq: self.action_seq,
-                state_epoch: t.state_epoch(),
-                context_epoch: t.context_epoch(),
-                main_stamp: t.window_stamp(t.main_root()),
-            }
-        });
+        self.cache.restart(self.app.tree(), self.app.pristine_token(), self.query_seq);
     }
 
     // ------------------------------------------------------------------
@@ -515,8 +403,7 @@ impl Session {
 
     /// Clicks at screen coordinates (hit-tests the current layout).
     pub fn click_at(&mut self, x: i32, y: i32) -> Result<(), AppError> {
-        let lay = self.layout();
-        let target = self.hit_test(&lay, x, y);
+        let target = self.hit_test(&layout::compute(self.app.tree()), x, y);
         match target {
             Some(id) => self.click(id),
             None => {
@@ -533,7 +420,7 @@ impl Session {
         if self.trapped {
             return Err(AppError::NotInteractable { reason: "UI trapped".into() });
         }
-        let lay = self.layout();
+        let lay = layout::compute(self.app.tree());
         let Some(hit) = self.hit_test(&lay, from.0, from.1) else {
             return Err(AppError::NotInteractable { reason: "drag source empty".into() });
         };
@@ -588,8 +475,7 @@ impl Session {
     /// Scrolls the wheel over a point.
     pub fn wheel(&mut self, x: i32, y: i32, delta_percent: f64) -> Result<(), AppError> {
         self.action_seq += 1;
-        let lay = self.layout();
-        let Some(mut cur) = self.hit_test(&lay, x, y) else {
+        let Some(mut cur) = self.hit_test(&layout::compute(self.app.tree()), x, y) else {
             return Err(AppError::NotInteractable { reason: "nothing under wheel".into() });
         };
         // Walk up to the nearest scrollable container.
@@ -1585,65 +1471,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn restart_to_unchanged_pristine_image_is_a_snapshot_hit() {
+    /// An image-app session paired with a full-rebuild oracle session
+    /// over an identical app (same widget ids).
+    fn image_pair() -> (Session, Session, ImageIds) {
         let (app, ids) = image_app();
-        let mut s = Session::new(Box::new(app));
-        s.restart();
-        let (first, first_hit) = capture(&mut s);
-        assert!(!first_hit, "first post-restart capture builds and stashes");
-        s.click(ids.bump).unwrap();
-        s.restart();
-        let (again, again_hit) = capture(&mut s);
-        assert!(again_hit, "restart back to the pristine image is O(1)");
-        assert!(Arc::ptr_eq(&first, &again), "same stashed snapshot");
-        assert!(s.capture_stats().pristine_hits >= 1);
-        // The stash matches an eager rebuild byte-for-byte.
         let mut oracle = Session::new(Box::new(image_app().0));
         oracle.set_capture_config(CaptureConfig::full_rebuild());
+        (Session::new(Box::new(app)), oracle, ids)
+    }
+
+    /// Captures on both sessions, asserts identical bytes, and reports
+    /// whether the cached side was a hit.
+    fn capture_checked(s: &mut Session, oracle: &mut Session) -> (Arc<Snapshot>, bool) {
+        let (snap, hit) = capture(s);
+        assert_eq!(*snap, *oracle.snapshot(), "cached capture matches the full rebuild");
+        (snap, hit)
+    }
+
+    #[test]
+    fn restart_to_unchanged_pristine_image_is_a_snapshot_hit() {
+        let (mut s, mut oracle, ids) = image_pair();
+        s.restart();
         oracle.restart();
-        assert_eq!(*again, *oracle.snapshot());
+        let (first, first_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(!first_hit, "first post-restart capture builds and stashes");
+        s.click(ids.menu).unwrap();
+        oracle.click(ids.menu).unwrap();
+        assert!(!capture_checked(&mut s, &mut oracle).1);
+        s.restart();
+        oracle.restart();
+        let (again, again_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(again_hit, "restart back to the pristine image is O(1)");
+        assert!(Arc::ptr_eq(&first, &again), "same stashed snapshot");
     }
 
     #[test]
     fn pristine_stash_seeds_partial_rebuilds_after_a_click() {
-        let (app, ids) = image_app();
-        let mut s = Session::new(Box::new(app));
+        let (mut s, mut oracle, ids) = image_pair();
         s.restart();
-        let _stash = s.snapshot();
-        s.restart();
-        let (hit, was_hit) = capture(&mut s);
-        assert!(was_hit);
-        // The adopted stash acts as a donor: opening a popup dirties only
-        // the main window, but the snapshot after closing it again is the
-        // stash itself (structural popup keying).
-        s.click(ids.menu).unwrap();
-        let (open, open_hit) = capture(&mut s);
+        oracle.restart();
+        let (stash, _) = capture_checked(&mut s, &mut oracle);
+        // The restart adopts the stash before any capture, so a click
+        // straight after it still finds the stash in the MRU: opening the
+        // popup misses, and collapsing it again returns to the stash
+        // (structural popup keying).
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.click(ids.menu).unwrap();
+        }
+        let (open, open_hit) = capture_checked(&mut s, &mut oracle);
         assert!(!open_hit);
         assert!(open.find_by_name("Item").is_some());
         s.press("Esc").unwrap();
-        let (back, back_hit) = capture(&mut s);
+        oracle.press("Esc").unwrap();
+        let (back, back_hit) = capture_checked(&mut s, &mut oracle);
         assert!(back_hit, "collapse returns to the adopted stash");
-        assert!(Arc::ptr_eq(&hit, &back));
+        assert!(Arc::ptr_eq(&stash, &back));
     }
 
     #[test]
-    fn pristine_mark_invalidates_on_any_divergence() {
-        let (app, ids) = image_app();
-        let mut s = Session::new(Box::new(app));
+    fn diverged_first_capture_is_never_stashed() {
+        let (mut s, mut oracle, ids) = image_pair();
+        // The first capture after this restart sees an open popup, not
+        // the launch keys, so it must not become the stash.
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.click(ids.menu).unwrap();
+        }
+        assert!(!capture_checked(&mut s, &mut oracle).1);
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+        }
+        let (launch, launch_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(!launch_hit, "nothing was stashed, so the launch state rebuilds");
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+        }
+        let (again, again_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(again_hit, "the undiverged launch capture became the stash");
+        assert!(Arc::ptr_eq(&launch, &again));
+    }
+
+    #[test]
+    fn adopted_stash_misses_on_any_divergence() {
+        let (mut s, mut oracle, ids) = image_pair();
         s.restart();
-        let _stash = s.snapshot();
-        // Input action after restart: no pristine hit.
-        s.restart();
-        s.click(ids.bump).unwrap();
-        assert!(!capture(&mut s).1);
+        oracle.restart();
+        let _stash = capture_checked(&mut s, &mut oracle);
+        // An input action with no visible effect keeps every key: the
+        // adopted stash is still exact.
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.click(ids.bump).unwrap();
+        }
+        assert!(capture_checked(&mut s, &mut oracle).1);
         // Direct tree mutation (no input action): the main-window stamp
-        // moves, so the mark cannot hold.
-        s.restart();
-        s.app_mut().tree_mut().widget_mut(ids.label).name.push('!');
-        let (diverged, diverged_hit) = capture(&mut s);
+        // moves, so the adopted stash no longer matches.
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.app_mut().tree_mut().widget_mut(ids.label).name.push('!');
+        }
+        let (diverged, diverged_hit) = capture_checked(&mut s, &mut oracle);
         assert!(!diverged_hit);
-        assert_eq!(diverged.find_by_name("Label!").map(|_| ()), Some(()));
+        assert!(diverged.find_by_name("Label!").is_some());
         // The oracle configuration never serves the stash.
         s.set_capture_config(CaptureConfig::full_rebuild());
         s.restart();
@@ -1657,7 +1587,7 @@ mod tests {
         let mut s = Session::new(Box::new(app));
         s.click(ids.bump).unwrap();
         s.click(ids.menu).unwrap();
-        let mut fork = s.fork_from_pristine().expect("image app forks");
+        let mut fork = s.fork_from_pristine(InstabilityModel::off()).expect("image app forks");
         // The fork is at launch state, unaffected by the parent's drift.
         assert_eq!((fork.app() as &dyn Any).downcast_ref::<ImageApp>().unwrap().counter, 0);
         assert_eq!(fork.popup_depth(), 0);
@@ -1679,6 +1609,21 @@ mod tests {
         // threads.
         fn assert_send<T: Send>(_: &T) {}
         assert_send(&fork);
+    }
+
+    #[test]
+    fn fork_from_pristine_runs_under_the_given_instability() {
+        let (app, ids) = image_app();
+        let donor = Session::new(Box::new(app));
+        let inst = InstabilityModel::new(5, 1.0, 0.0);
+        let mut fork = donor.fork_from_pristine(inst.clone()).expect("image app forks");
+        let mut fresh = Session::with_instability(Box::new(image_app().0), inst);
+        fork.click(ids.menu).unwrap();
+        fresh.click(ids.menu).unwrap();
+        let lag = fork.snapshot();
+        assert!(lag.find_by_name("Item").is_none(), "the fork's menu loads late");
+        assert_eq!(*lag, *fresh.snapshot());
+        assert_eq!(*fork.snapshot(), *fresh.snapshot());
     }
 
     // ------------------------------------------------------------------
@@ -1722,14 +1667,17 @@ mod tests {
         // TestApp's reset is partial (tree values persist), so it
         // correctly attests no pristine token and restarts always rebuild.
         let (mut s, _) = session();
+        let mut oracle = Session::new(Box::new(build().0));
+        oracle.set_capture_config(CaptureConfig::full_rebuild());
         assert_eq!(s.app().pristine_token(), None);
-        assert!(s.fork_from_pristine().is_none());
+        assert!(s.fork_from_pristine(InstabilityModel::off()).is_none());
         s.restart();
-        let a = s.snapshot();
+        oracle.restart();
+        let (a, _) = capture_checked(&mut s, &mut oracle);
         s.restart();
-        let (b, b_hit) = capture(&mut s);
+        oracle.restart();
+        let (b, b_hit) = capture_checked(&mut s, &mut oracle);
         assert!(!b_hit);
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(s.capture_stats().pristine_hits, 0);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! # Why a cache
 //!
-//! With restart-replay gone (PR 2), snapshot construction dominates rip
+//! With restart-replay gone, snapshot construction dominates rip
 //! cost: ~8.9k captures on the small Word app, each re-walking the full
 //! arena, recomputing layout, and discarding the previous snapshot's
 //! lazily built `SnapIndex`. Most of those captures see a UI that is
@@ -18,15 +18,15 @@
 //!
 //! # How validity is decided
 //!
-//! A capture is fully determined by per-window keys plus two global
-//! components:
+//! One rule decides whether a capture can be reused: its per-window keys
+//! plus two global components.
 //!
-//! - **per window**: the arena root, its modality and stack position, the
-//!   root's [`UiTree::window_stamp`] (bumped by every snapshot-visible
-//!   mutation under that root), and the open-popup chain under the root
-//!   (popup expansion is keyed *structurally* instead of stamped, so a
-//!   transient open+close compares equal again — the same reasoning as
-//!   PR 2's Esc recovery);
+//! - **per window** (`WindowKey`): the arena root, its modality and
+//!   stack position, the root's [`UiTree::window_stamp`] (bumped by every
+//!   snapshot-visible mutation under that root), and the open-popup chain
+//!   under the root (popup expansion is keyed *structurally* instead of
+//!   stamped, so a transient open+close compares equal again — the same
+//!   reasoning as Esc recovery);
 //! - **globally**: [`UiTree::context_epoch`] (contexts gate `visible_when`
 //!   widgets in any window) and the query clock's position relative to
 //!   each window's *next reveal* — the earliest pending-children schedule
@@ -42,12 +42,26 @@
 //! eager path rebuilt per query. On a miss, each clean window's node
 //! block is copied wholesale from the best donor capture
 //! ([`Snapshot::append_window_from`]) and only dirty windows are
-//! re-walked, with their layout rows served by the shared
-//! [`layout::LayoutCache`]. Copied blocks also carry the donor's
-//! identity-index columns forward ([`Snapshot::seed_index_window`]): when
-//! the new snapshot's `SnapIndex` materializes, clean windows splice the
-//! donor's shared path `Arc`s and key columns, so only dirty windows pay
-//! index construction.
+//! re-walked, their rows laid out by [`layout::compute_window`]. Copied
+//! blocks also carry the donor's identity-index columns forward
+//! ([`Snapshot::seed_index_window`]): when the new snapshot's `SnapIndex`
+//! materializes, clean windows splice the donor's shared path `Arc`s and
+//! key columns, so only dirty windows pay index construction.
+//!
+//! # Restarts
+//!
+//! An application `reset` may swap its tree wholesale, which breaks stamp
+//! lineage, so a restart empties the MRU list. One capture survives it:
+//! the capture of the pristine launch image, stashed under the app's
+//! [`crate::GuiApp::pristine_token`]. A restart whose app attests the
+//! stashed token re-keys the stash against the fresh tree and adopts it
+//! as the only MRU entry; from then on ordinary probes serve it (while the
+//! launch state holds) or copy clean windows from it (after the first
+//! click). A restart with no stash for its token records the launch keys
+//! instead, and the first capture after it — always a rebuild, since the
+//! MRU is empty — becomes the stash if it was built under exactly those
+//! keys. The stash is thus only ever served through the same key rule as
+//! every other capture.
 //!
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
@@ -55,7 +69,7 @@
 //! byte-identical UNGs either way.
 
 use crate::instability::InstabilityModel;
-use crate::layout::{self, LayoutCache, WindowLayout};
+use crate::layout::{self, WindowLayout};
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, RuntimeId, Snapshot};
@@ -105,10 +119,17 @@ pub(crate) struct WindowKey {
     popups: Vec<WidgetId>,
 }
 
-impl WindowKey {
-    fn of(tree: &UiTree, root: WidgetId, modal: bool) -> WindowKey {
-        WindowKey { root, modal, stamp: tree.window_stamp(root), popups: tree.popups_under(root) }
-    }
+/// The keys of every open window, bottom to top.
+fn window_keys(tree: &UiTree) -> Vec<WindowKey> {
+    tree.open_windows()
+        .iter()
+        .map(|win| WindowKey {
+            root: win.root,
+            modal: win.modal,
+            stamp: tree.window_stamp(win.root),
+            popups: tree.popups_under(win.root),
+        })
+        .collect()
 }
 
 /// Per-window record of a cached capture.
@@ -156,13 +177,17 @@ impl CachedCapture {
 /// 1 measured about 3x slower on full-app rips).
 const MRU_DEPTH: usize = 4;
 
-/// MRU cache of recent captures plus the shared per-window layout cache.
-/// Owned by `Session`; cleared on restart (an application `reset` may
-/// swap the tree wholesale, which would break stamp lineage).
+/// MRU cache of recent captures plus the restart-surviving capture of the
+/// pristine launch image (see the module docs). Owned by `Session`.
 #[derive(Debug, Default)]
 pub struct CaptureCache {
     entries: Vec<CachedCapture>,
-    layout: LayoutCache,
+    /// The pristine launch image's capture, under its pristine token.
+    stash: Option<(u64, CachedCapture)>,
+    /// Left by a restart that found no stash for its pristine token: the
+    /// token, the context epoch and the window keys at launch. The next
+    /// rebuild consumes it.
+    launch: Option<(u64, u64, Vec<WindowKey>)>,
 }
 
 /// Counters for capture-cache effectiveness (see `Session::capture_stats`).
@@ -172,9 +197,6 @@ pub struct CaptureStats {
     pub captures: u64,
     /// Captures served in O(1) as a shared `Arc` to a previous build.
     pub full_hits: u64,
-    /// Subset of `full_hits` served from the restart-surviving pristine
-    /// stash (post-restart captures of an unchanged launch image).
-    pub pristine_hits: u64,
     /// Windows whose node block was copied from a donor capture during a
     /// partial rebuild.
     pub windows_reused: u64,
@@ -183,16 +205,44 @@ pub struct CaptureStats {
 }
 
 impl CaptureCache {
-    /// Drops every cached capture and layout row set.
+    /// Drops every cached capture, the pristine stash included.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.layout.clear();
+        *self = CaptureCache::default();
     }
 
-    /// The shared layout for the current tree state, reusing unchanged
-    /// windows (used by the session's input paths).
-    pub fn layout(&mut self, tree: &UiTree) -> layout::Layout {
-        self.layout.compute(tree)
+    /// Empties the MRU list after an application restart to the launch
+    /// image attested by `token` ([`crate::GuiApp::pristine_token`]), then
+    /// adopts the stash re-keyed against the fresh tree when it holds that
+    /// image, or records the launch keys for the next rebuild to stash.
+    pub(crate) fn restart(&mut self, tree: &UiTree, token: Option<u64>, query_seq: u64) {
+        self.entries.clear();
+        self.launch = None;
+        let Some(token) = token else { return };
+        let (keys, context_epoch) = (window_keys(tree), tree.context_epoch());
+        let Some((_, stash)) = self.stash.as_ref().filter(|(t, _)| *t == token) else {
+            self.launch = Some((token, context_epoch, keys));
+            return;
+        };
+        let same_windows = stash.windows.len() == keys.len()
+            && stash
+                .windows
+                .iter()
+                .zip(&keys)
+                .all(|(m, k)| (m.key.root, m.key.modal) == (k.root, k.modal));
+        if !same_windows {
+            return;
+        }
+        let windows = stash
+            .windows
+            .iter()
+            .zip(keys)
+            .map(|(m, key)| WindowMeta {
+                next_reveal: tree.next_reveal_under(key.root, query_seq),
+                key,
+                ..m.clone()
+            })
+            .collect();
+        self.entries.push(CachedCapture { snap: Arc::clone(&stash.snap), context_epoch, windows });
     }
 }
 
@@ -205,8 +255,7 @@ pub(crate) fn probe(
     cache: &mut CaptureCache,
 ) -> Result<Arc<Snapshot>, Vec<WindowKey>> {
     let context_epoch = tree.context_epoch();
-    let keys: Vec<WindowKey> =
-        tree.open_windows().iter().map(|win| WindowKey::of(tree, win.root, win.modal)).collect();
+    let keys = window_keys(tree);
 
     // O(1) path: any recent capture whose every key component matches is
     // byte-identical to what an eager rebuild would produce.
@@ -223,7 +272,9 @@ pub(crate) fn probe(
 /// Builds the capture for the current tree state after [`probe`] missed:
 /// clean windows are copied from the best donor capture (their identity-
 /// index columns seeded for carry-forward when the donor's index is
-/// already materialized), dirty windows are re-walked.
+/// already materialized), dirty windows are re-walked. Consumes the launch
+/// record of the preceding restart, stashing the capture when it was
+/// built under exactly the launch keys.
 pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -273,7 +324,7 @@ pub(crate) fn rebuild(
                 }
             }
             None => {
-                let lay = cache.layout.window(tree, key.root, wi);
+                let lay = layout::compute_window(tree, key.root, wi);
                 let start = snap.len();
                 push_window(tree, inst, query_seq, key.root, key.modal, wi, &lay, &mut snap);
                 let end = snap.len();
@@ -291,10 +342,14 @@ pub(crate) fn rebuild(
         metas.push(meta);
     }
 
-    let snap = Arc::new(snap);
-    cache
-        .entries
-        .insert(0, CachedCapture { snap: Arc::clone(&snap), context_epoch, windows: metas });
+    let entry = CachedCapture { snap: Arc::new(snap), context_epoch, windows: metas };
+    if let Some((token, epoch, launch_keys)) = cache.launch.take() {
+        if epoch == context_epoch && launch_keys == keys {
+            cache.stash = Some((token, entry.clone()));
+        }
+    }
+    let snap = Arc::clone(&entry.snap);
+    cache.entries.insert(0, entry);
     cache.entries.truncate(MRU_DEPTH);
     snap
 }
@@ -317,51 +372,6 @@ impl CapturePool {
     pub fn is_empty(&self) -> bool {
         true
     }
-}
-
-/// Re-keys a restart-surviving pristine capture against the *current*
-/// tree (whose stamps a reset re-floored) and inserts it at the MRU head,
-/// so the next (post-click) partial rebuild can copy clean windows from
-/// it as a donor. The caller guarantees the snapshot is byte-identical to
-/// what an eager build of the current tree would produce (the pristine
-/// mark held when it was served).
-///
-/// Window blocks are recovered from the snapshot's window-root indices
-/// (each open window's DFS emits one contiguous block starting at its
-/// root); adoption is skipped when the shapes cannot be aligned (a hidden
-/// window root contributed no block).
-pub(crate) fn adopt(cache: &mut CaptureCache, tree: &UiTree, snap: &Arc<Snapshot>, query_seq: u64) {
-    let open = tree.open_windows();
-    if snap.windows().len() != open.len() {
-        return;
-    }
-    // Drop a stale entry for the same snapshot (its keys pre-date the
-    // reset and can never validate again) before re-inserting fresh.
-    cache.entries.retain(|e| !Arc::ptr_eq(&e.snap, snap));
-    let mut metas = Vec::with_capacity(open.len());
-    for (wi, win) in open.iter().enumerate() {
-        let start = snap.windows()[wi];
-        let end = snap.windows().get(wi + 1).copied().unwrap_or(snap.len());
-        if start > end {
-            return;
-        }
-        metas.push(WindowMeta {
-            key: WindowKey::of(tree, win.root, win.modal),
-            start,
-            end,
-            rooted: true,
-            next_reveal: tree.next_reveal_under(win.root, query_seq),
-        });
-    }
-    cache.entries.insert(
-        0,
-        CachedCapture {
-            snap: Arc::clone(snap),
-            context_epoch: tree.context_epoch(),
-            windows: metas,
-        },
-    );
-    cache.entries.truncate(MRU_DEPTH);
 }
 
 /// Maps a snapshot runtime id back to the widget it was built from.

@@ -68,8 +68,8 @@ fn noisy(seed: u64, trigger: &[ArenaOp]) -> Vec<ArenaOp> {
 // ---------------------------------------------------------------------
 
 /// Every reset leaks state while the app keeps attesting its pristine
-/// token: the capture layer's restart stash serves stale bytes, caught
-/// against full rebuilds.
+/// token: each restart adopts the stashed launch capture into the MRU
+/// cache, which then serves stale bytes, caught against full rebuilds.
 #[test]
 fn fault_lying_reset_flagged_and_shrunk() {
     let faults = FaultPlan { lying_reset: true, ..FaultPlan::default() };
@@ -263,8 +263,9 @@ fn fault_drifting_tenant_is_contained_in_the_gateway() {
     // resumable machine on a fresh adversarial fork: it panics.
     let solo_drift = {
         let donor = Session::new(AdversarialApp::launch(spec.clone()));
-        let fork = donor.fork_from_pristine().expect("adversarial apps fork");
         let cfg = RunConfig::test(perfect.clone(), InterfaceMode::GuiOnly, 1);
+        let fork =
+            donor.fork_from_pristine(cfg.instability_model()).expect("adversarial apps fork");
         let mut state = TaskState::with_session(&adversarial_task, fork, &cfg);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             while state.step(&adversarial_task, None) == dmi_agent::StepStatus::Running {}

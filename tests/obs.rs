@@ -294,7 +294,6 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(stats.windows_seen, t("rip.windows_seen"), "windows seen");
     assert_eq!(cs.captures, t("capture.captures"), "captures");
     assert_eq!(cs.full_hits, t("capture.full_hits"), "full hits");
-    assert_eq!(cs.pristine_hits, t("capture.pristine_hits"), "pristine hits");
     assert_eq!(cs.windows_reused, t("capture.windows_reused"), "windows reused");
     assert_eq!(cs.windows_rebuilt, t("capture.windows_rebuilt"), "windows rebuilt");
 }
