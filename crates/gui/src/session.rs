@@ -1158,7 +1158,7 @@ mod tests {
     fn wheel_scrolls_document() {
         let (mut s, ids) = session();
         let snap = s.snapshot();
-        let doc_idx = snap.index_of_runtime(snapshot::runtime_of(ids.doc)).unwrap();
+        let doc_idx = snap.find_all(|n| n.runtime_id == snapshot::runtime_of(ids.doc))[0];
         let (cx, cy) = snap.node(doc_idx).props.rect.center();
         s.wheel(cx, cy, 30.0).unwrap();
         assert!((s.app().tree().widget(ids.doc).scroll_pos - 30.0).abs() < 1e-9);
@@ -1168,7 +1168,7 @@ mod tests {
     fn click_at_coordinates_resolves() {
         let (mut s, ids) = session();
         let snap = s.snapshot();
-        let idx = snap.index_of_runtime(snapshot::runtime_of(ids.bump)).unwrap();
+        let idx = snap.find_all(|n| n.runtime_id == snapshot::runtime_of(ids.bump))[0];
         let (x, y) = snap.node(idx).props.rect.center();
         s.click_at(x, y).unwrap();
         assert_eq!(counter(&s), 1);
@@ -1627,38 +1627,32 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Index carry-forward
+    // Copied windows
     // ------------------------------------------------------------------
 
+    /// A partial rebuild copies the clean main window's node block from
+    /// the donor capture; every copied node keeps its identity, and the
+    /// new snapshot's own index resolves it.
     #[test]
-    fn partial_rebuild_splices_donor_index_for_clean_windows() {
+    fn partial_rebuild_keeps_clean_window_identities() {
         let (mut s, ids) = session();
         s.click(ids.dlg_open).unwrap();
         let first = s.snapshot();
-        first.index().key_multimap(); // materialize the donor's index
-        let donor_ix = first.index_if_built().expect("materialized");
-        // Dirty only the dialog window: the main window's node block is
-        // copied forward and its index columns spliced.
+        // Dirty only the dialog window.
+        let before = s.capture_stats();
         s.set_value(ids.dlg_edit, "Quarterly").unwrap();
         let (second, second_hit) = capture(&mut s);
         assert!(!second_hit);
-        let spliced = second.index();
+        assert_eq!(s.capture_stats().windows_reused - before.windows_reused, 1);
         let main_end = second.windows()[1];
+        assert_eq!(main_end, first.windows()[1]);
         for i in 0..main_end {
-            assert!(
-                std::ptr::eq(spliced.path(i).as_ptr(), donor_ix.path(i).as_ptr()),
-                "node {i}: spliced path must alias the donor allocation"
-            );
-        }
-        // The spliced index is indistinguishable from a from-scratch build.
-        let fresh = dmi_uia::SnapIndex::build(&second);
-        for (i, n) in second.iter() {
-            assert_eq!(spliced.path(i), fresh.path(i), "node {i}");
-            assert_eq!(spliced.key(i), fresh.key(i), "node {i}");
-            assert_eq!(spliced.depth(i), fresh.depth(i), "node {i}");
-            assert_eq!(spliced.index_of_runtime(n.runtime_id), Some(i));
-            let cid = spliced.control_id(&second, i);
-            assert_eq!(spliced.resolve(&second, &cid), fresh.resolve(&second, &cid), "node {i}");
+            let cid = first.control_id(i);
+            assert_eq!(second.control_id(i), cid, "node {i}");
+            assert_eq!(second.control_key(i), first.control_key(i), "node {i}");
+            assert_eq!(second.node(i).runtime_id, first.node(i).runtime_id, "node {i}");
+            let hit = second.resolve(&cid).expect("copied node resolves");
+            assert_eq!(Some(hit), first.resolve(&cid), "node {i}");
         }
     }
 

@@ -38,15 +38,13 @@
 //! [`CaptureCache`] keeps a short MRU list of past captures. A capture
 //! whose every component matches is returned in O(1) as the same
 //! [`Arc<Snapshot>`] — including its already-materialized `SnapIndex`
-//! (cached ancestor paths, key multimap, runtime-id table), which the
-//! eager path rebuilt per query. On a miss, each clean window's node
-//! block is copied wholesale from the best donor capture
+//! (cached ancestor paths and key multimap), which the eager path rebuilt
+//! per query. On a miss, each clean window's node block is copied
+//! wholesale from the best donor capture
 //! ([`Snapshot::append_window_from`]) and only dirty windows are
-//! re-walked, their rows laid out by [`layout::compute_window`]. Copied
-//! blocks also carry the donor's identity-index columns forward
-//! ([`Snapshot::seed_index_window`]): when the new snapshot's `SnapIndex`
-//! materializes, clean windows splice the donor's shared path `Arc`s and
-//! key columns, so only dirty windows pay index construction.
+//! re-walked, their rows laid out by [`layout::compute_window`]. The new
+//! snapshot builds its own `SnapIndex` from its own nodes on first use,
+//! like any other capture.
 //!
 //! # Restarts
 //!
@@ -270,11 +268,9 @@ pub(crate) fn probe(
 }
 
 /// Builds the capture for the current tree state after [`probe`] missed:
-/// clean windows are copied from the best donor capture (their identity-
-/// index columns seeded for carry-forward when the donor's index is
-/// already materialized), dirty windows are re-walked. Consumes the launch
-/// record of the preceding restart, stashing the capture when it was
-/// built under exactly the launch keys.
+/// clean windows are copied from the best donor capture, dirty windows
+/// are re-walked. Consumes the launch record of the preceding restart,
+/// stashing the capture when it was built under exactly the launch keys.
 pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -292,11 +288,11 @@ pub(crate) fn rebuild(
                 return None;
             }
             let m = e.windows.get(wi)?;
-            m.valid_for(key, query_seq).then(|| (Arc::clone(&e.snap), m.clone()))
+            m.valid_for(key, query_seq).then_some((&e.snap, m))
         });
         let meta = match donor {
             Some((donor_snap, m)) => {
-                let start = snap.append_window_from(&donor_snap, m.start, m.end, wi);
+                let start = snap.append_window_from(donor_snap, m.start, m.end, wi);
                 let end = snap.len();
                 if m.rooted {
                     if key.modal {
@@ -304,14 +300,6 @@ pub(crate) fn rebuild(
                     } else {
                         snap.push_window_root(start);
                     }
-                }
-                // Subtree carry-forward: the copied block is byte-
-                // identical to the donor range, so the donor's per-node
-                // index columns (shared path `Arc`s, keys, depths) can be
-                // spliced instead of rebuilt — but only when the donor
-                // index already exists; splicing must never force one.
-                if let Some(donor_ix) = donor_snap.index_if_built() {
-                    snap.seed_index_window(start, end, donor_ix, m.start);
                 }
                 stats.windows_reused += 1;
                 dmi_obs::tally("capture.windows_reused", 1);
@@ -418,8 +406,7 @@ fn add_subtree(
 
     let idx = snap.push(props, parent, window);
     // Snapshot runtime ids must track the widget arena, not insertion order.
-    debug_assert!(idx < snap.len());
-    override_runtime_id(snap, idx, id);
+    snap.set_runtime_id(idx, runtime_of(id));
 
     if !tree.children_pending(id, query_seq) {
         for &c in &tree.widget(id).children {
@@ -427,14 +414,6 @@ fn add_subtree(
         }
     }
     Some(idx)
-}
-
-/// Replaces the sequential runtime id assigned by `Snapshot::push` with the
-/// widget-derived one.
-fn override_runtime_id(snap: &mut Snapshot, idx: usize, id: WidgetId) {
-    // Snapshot nodes are immutable through the public API; we rebuild the
-    // runtime id through a dedicated setter to keep the arena consistent.
-    snap.set_runtime_id(idx, runtime_of(id));
 }
 
 #[cfg(test)]

@@ -180,21 +180,6 @@ impl ControlId {
     pub fn encode(&self) -> String {
         format!("{}|{}|{}", self.primary, self.control_type.as_str(), self.ancestor_path)
     }
-
-    /// Parses the canonical form produced by [`ControlId::encode`].
-    pub fn decode(s: &str) -> Option<ControlId> {
-        let mut parts = s.splitn(3, '|');
-        let primary = parts.next()?.to_string();
-        let ct = ControlType::parse(parts.next()?)?;
-        let ancestor_path = parts.next()?.to_string();
-        Some(ControlId { primary, control_type: ct, ancestor_path })
-    }
-
-    /// Whether a node matches this identifier exactly (component-wise,
-    /// against the snapshot's cached paths — no allocation).
-    pub fn matches_exact(&self, snap: &Snapshot, idx: usize) -> bool {
-        snap.index().matches(snap, idx, self)
-    }
 }
 
 impl std::fmt::Display for ControlId {
@@ -475,21 +460,14 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
+    fn encode_is_primary_type_path() {
         let id = ControlId {
             primary: "FontColor".into(),
             control_type: ControlType::SplitButton,
             ancestor_path: "Word/Home/Font".into(),
         };
-        let enc = id.encode();
-        assert_eq!(enc, "FontColor|SplitButton|Word/Home/Font");
-        assert_eq!(ControlId::decode(&enc), Some(id));
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        assert_eq!(ControlId::decode("no-separators"), None);
-        assert_eq!(ControlId::decode("a|NotAType|b"), None);
+        assert_eq!(id.encode(), "FontColor|SplitButton|Word/Home/Font");
+        assert_eq!(id.to_string(), id.encode());
     }
 
     #[test]
@@ -502,8 +480,8 @@ mod tests {
         let id = ControlId::of(&s, 2);
         assert_eq!(id.primary, "Bold");
         assert_eq!(id.ancestor_path, "Main/Home");
-        assert!(id.matches_exact(&s, 2));
-        assert!(!id.matches_exact(&s, 1));
+        assert!(s.index().matches(&s, 2, &id));
+        assert!(!s.index().matches(&s, 1, &id));
     }
 
     #[test]

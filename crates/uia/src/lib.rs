@@ -8,9 +8,10 @@
 //!   real UIA (`automation_id` is *not* guaranteed unique and may be empty),
 //! - immutable accessibility-tree snapshots ([`Snapshot`], [`Node`]),
 //! - XPath-like control identifiers ([`ControlId`]) with fuzzy matching,
-//!   resolved in O(1) through a per-snapshot identity index
-//!   ([`SnapIndex`], [`ControlKey`] — see the [`index`] module for the
-//!   hash+confirm design).
+//!   resolved through a per-snapshot identity index ([`SnapIndex`],
+//!   [`ControlKey`]) that one O(n) pass builds from the snapshot's own
+//!   nodes, plus one lazily built key table — see the [`index`] module
+//!   for the hash+confirm design.
 //!
 //! Applications (see `dmi-gui` / `dmi-apps`) produce snapshots; the DMI
 //! layer (`dmi-core`) consumes them. Nothing in this crate mutates UI state;

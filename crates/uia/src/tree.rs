@@ -6,10 +6,10 @@
 //! the GUI ripper both operate exclusively on snapshots, which mirrors how
 //! real accessibility clients are decoupled from the provider process.
 
-use crate::index::{IndexSeed, SnapIndex};
-use crate::{ControlId, ControlKey, ControlProps, ControlType, RuntimeId};
+use crate::index::SnapIndex;
+use crate::{ControlId, ControlKey, ControlProps, RuntimeId};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// One control in a snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,7 +31,7 @@ pub struct Node {
 /// Node index 0.. are arena indices; `windows` lists the arena index of each
 /// top-level window root in z-order (last = topmost), mirroring UIA's
 /// desktop children.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Snapshot {
     nodes: Vec<Node>,
     windows: Vec<usize>,
@@ -41,26 +41,7 @@ pub struct Snapshot {
     /// Lazily built identity index (see [`SnapIndex`]); invalidated by any
     /// mutation, never serialized or compared.
     #[serde(skip)]
-    index: OnceLock<Arc<SnapIndex>>,
-    /// Carry-forward seeds for ranges copied verbatim from donor
-    /// snapshots (see [`Snapshot::seed_index_window`]); drained — and the
-    /// donor indexes they pin released — when the identity index
-    /// materializes. Never serialized or compared. (A `Mutex` only so the
-    /// shared-`&self` index build can take them; never contended.)
-    #[serde(skip)]
-    index_seeds: Mutex<Vec<IndexSeed>>,
-}
-
-impl Clone for Snapshot {
-    fn clone(&self) -> Snapshot {
-        Snapshot {
-            nodes: self.nodes.clone(),
-            windows: self.windows.clone(),
-            modal: self.modal.clone(),
-            index: self.index.clone(),
-            index_seeds: Mutex::new(self.index_seeds.lock().unwrap().clone()),
-        }
-    }
+    index: OnceLock<SnapIndex>,
 }
 
 // Equality ignores the derived identity cache.
@@ -164,65 +145,13 @@ impl Snapshot {
     /// ids from their own widget identity use this after `push`).
     pub fn set_runtime_id(&mut self, idx: usize, rt: RuntimeId) {
         self.index.take();
-        // A rewritten runtime id falsifies any seed covering the node.
-        self.index_seeds.get_mut().unwrap().retain(|s| !(s.start..s.end).contains(&idx));
         self.nodes[idx].runtime_id = rt;
     }
 
-    /// Registers a carry-forward seed for the identity index: the arena
-    /// range `start..end` of *this* snapshot is a verbatim copy (as made
-    /// by [`Snapshot::append_window_from`]) of the donor range starting at
-    /// `donor_start` in the snapshot whose materialized index is `donor`.
-    /// When this snapshot's index is built, the seeded range's path
-    /// `Arc`s and key/depth/runtime columns are spliced from the donor
-    /// instead of recomputed, so only unseeded (dirty) ranges pay
-    /// construction cost.
-    ///
-    /// Ranges must be registered in ascending, non-overlapping order —
-    /// the natural order of incremental window-by-window assembly. A
-    /// range that is not a self-contained verbatim copy would corrupt the
-    /// index; `append_window_from` ranges satisfy this by construction.
-    pub fn seed_index_window(
-        &mut self,
-        start: usize,
-        end: usize,
-        donor: Arc<SnapIndex>,
-        donor_start: usize,
-    ) {
-        debug_assert!(start <= end && end <= self.nodes.len());
-        let seeds = self.index_seeds.get_mut().unwrap();
-        debug_assert!(seeds.last().is_none_or(|s| s.end <= start), "seeds in order");
-        if start < end {
-            seeds.push(IndexSeed { start, end, donor, donor_start });
-        }
-    }
-
-    /// The snapshot's identity index, built on first use (O(n) — or less
-    /// when carry-forward seeds splice donor columns for unchanged
-    /// windows) and O(1) to query thereafter. See [`SnapIndex`] for the
-    /// design.
+    /// The snapshot's identity index, built on first use (O(n)) and O(1)
+    /// to query thereafter. See [`SnapIndex`] for the design.
     pub fn index(&self) -> &SnapIndex {
-        self.index.get_or_init(|| {
-            // Drain the seeds: once the index exists they are useless,
-            // and holding them would pin the donor indexes in memory for
-            // this snapshot's lifetime.
-            let seeds = std::mem::take(&mut *self.index_seeds.lock().unwrap());
-            Arc::new(SnapIndex::build_with_seeds(self, &seeds))
-        })
-    }
-
-    /// The identity index, only if it has already materialized — donors
-    /// hand their index to [`Snapshot::seed_index_window`] through this
-    /// (splicing must never *force* a donor build it would otherwise
-    /// skip).
-    pub fn index_if_built(&self) -> Option<Arc<SnapIndex>> {
-        self.index.get().cloned()
-    }
-
-    /// Finds the arena index of the node carrying the given runtime id
-    /// (O(1) via the identity index).
-    pub fn index_of_runtime(&self, rt: RuntimeId) -> Option<usize> {
-        self.index().index_of_runtime(rt)
+        self.index.get_or_init(|| SnapIndex::build(self))
     }
 
     /// Synthesizes the control identifier of a node from cached parts.
@@ -297,17 +226,6 @@ impl Snapshot {
         out
     }
 
-    /// The chain of ancestor indices from `idx` (exclusive) up to the root.
-    pub fn ancestors(&self, idx: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut cur = self.nodes[idx].parent;
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.nodes[p].parent;
-        }
-        out
-    }
-
     /// Slash-delimited ancestor path of names, root-first (§4.1).
     ///
     /// Served from the identity index cache; use
@@ -315,11 +233,6 @@ impl Snapshot {
     /// string without this method's allocation.
     pub fn ancestor_path(&self, idx: usize) -> String {
         self.index().path(idx).to_string()
-    }
-
-    /// The depth of a node (root = 0).
-    pub fn depth(&self, idx: usize) -> usize {
-        self.ancestors(idx).len()
     }
 
     /// Finds all nodes matching a predicate.
@@ -331,17 +244,12 @@ impl Snapshot {
     pub fn find_by_name(&self, name: &str) -> Option<usize> {
         self.iter().find(|(_, n)| n.props.name == name).map(|(i, _)| i)
     }
-
-    /// All nodes of a control type.
-    pub fn find_by_type(&self, ct: ControlType) -> Vec<usize> {
-        self.find_all(|n| n.props.control_type == ct)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ControlProps, Rect};
+    use crate::{ControlProps, ControlType, Rect};
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new();
@@ -377,17 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn depth_counts_ancestors() {
-        let s = sample();
-        assert_eq!(s.depth(0), 0);
-        assert_eq!(s.depth(3), 3);
-    }
-
-    #[test]
     fn find_by_name_and_type() {
         let s = sample();
         assert_eq!(s.find_by_name("Bold"), Some(3));
-        assert_eq!(s.find_by_type(ControlType::Group), vec![2]);
+        assert_eq!(s.find_all(|n| n.props.control_type == ControlType::Group), vec![2]);
     }
 
     #[test]

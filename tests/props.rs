@@ -99,20 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn control_id_round_trips(
-        primary in "[a-zA-Z0-9 ]{1,20}",
-        path in "[a-zA-Z0-9 /]{0,40}",
-        type_idx in 0usize..41,
-    ) {
-        let id = ControlId {
-            primary,
-            control_type: ControlType::ALL[type_idx],
-            ancestor_path: path,
-        };
-        prop_assert_eq!(ControlId::decode(&id.encode()), Some(id));
-    }
-
-    #[test]
     fn addr_round_trips(row in 0usize..5000, col in 0usize..700) {
         let a = Addr { row, col };
         prop_assert_eq!(Addr::parse(&a.to_a1()), Some(a));
