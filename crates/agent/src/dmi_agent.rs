@@ -91,7 +91,6 @@ pub fn resolve_target(forest: &Forest, q: &TargetQuery) -> Option<(u64, Vec<u64>
 }
 
 fn visit_json(
-    forest: &Forest,
     targets: &[(u64, Vec<u64>, &VisitTarget)],
     with_nav_noise: Option<u64>,
     omit_entries: bool,
@@ -115,7 +114,6 @@ fn visit_json(
             cmds.push(json!({ "shortcut_key": k }));
         }
     }
-    let _ = forest;
     serde_json::to_string(&cmds).expect("visit commands serialize")
 }
 
@@ -162,7 +160,6 @@ impl DmiState {
     /// step cap).
     pub fn step(
         &mut self,
-        task: &AgentTask,
         session: &mut Session,
         llm: &mut SimLlm,
         dmi: &Dmi,
@@ -183,15 +180,9 @@ impl DmiState {
             });
         }
         let outcome = match &self.plan[self.idx] {
-            PlanStep::Visit(targets) => run_visit(
-                task,
-                session,
-                llm,
-                dmi,
-                targets,
-                &mut self.queried,
-                &mut self.fallback_used,
-            ),
+            PlanStep::Visit(targets) => {
+                run_visit(session, llm, dmi, targets, &mut self.queried, &mut self.fallback_used)
+            }
             PlanStep::StateScrollbar { surface, percent } => {
                 run_state(session, llm, dmi, |s, screen| {
                     let e = screen
@@ -269,9 +260,7 @@ fn run_state(
 }
 
 /// One (or more, after chunking/noise) `visit` turns.
-#[allow(clippy::too_many_arguments)]
 fn run_visit(
-    task: &AgentTask,
     session: &mut Session,
     llm: &mut SimLlm,
     dmi: &Dmi,
@@ -321,27 +310,26 @@ fn run_visit(
         } else {
             (None, false)
         };
-        let json = visit_json(&dmi.forest, chunk, nav_noise, omit_entries);
+        let json = visit_json(chunk, nav_noise, omit_entries);
         llm.record_call(prompt, tokens::count(&json));
         let mut outcome = dmi.visit_json(session, &json);
         if let Some(dmi_core::DmiError::AmbiguousEntry { .. }) = outcome.error {
             // Structured feedback consumed: reissue with entries.
             let prompt = prompt_tokens(session, dmi);
-            let json = visit_json(&dmi.forest, chunk, None, false);
+            let json = visit_json(chunk, None, false);
             llm.record_call(prompt, tokens::count(&json));
             outcome = dmi.visit_json(session, &json);
         }
-        if let Some(err) = outcome.error {
+        if outcome.error.is_some() {
             // One retry turn on transient UI errors, then the GUI
             // fallback for the failing chunk (§6 fast-path/slow-path).
             let prompt = prompt_tokens(session, dmi);
-            let json = visit_json(&dmi.forest, chunk, None, false);
+            let json = visit_json(chunk, None, false);
             llm.record_call(prompt, tokens::count(&json));
             let retry = dmi.visit_json(session, &json);
             if retry.error.is_some() {
-                let _ = err;
                 *fallback_used = true;
-                gui_fallback_chunk(task, session, llm, chunk)?;
+                gui_fallback_chunk(session, llm, chunk)?;
             }
         }
     }
@@ -378,12 +366,10 @@ fn run_visit(
 /// Imperative fallback for one failed chunk: navigate by clicking the
 /// modeled path elements that are visible, like the baseline would.
 fn gui_fallback_chunk(
-    task: &AgentTask,
     session: &mut Session,
     llm: &mut SimLlm,
     chunk: &[(u64, Vec<u64>, &VisitTarget)],
 ) -> Result<(), FailureCause> {
-    let _ = task;
     let prompt = DMI_BASE_PROMPT_TOKENS;
     llm.record_call(prompt, 30);
     for (_, _, t) in chunk {

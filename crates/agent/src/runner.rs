@@ -178,7 +178,7 @@ impl TaskState {
             }
             Phase::Dmi(state) => {
                 let d = dmi.expect("GUI+DMI requires the offline DMI model");
-                match state.step(task, &mut self.session, &mut self.llm, d, self.cfg.step_cap) {
+                match state.step(&mut self.session, &mut self.llm, d, self.cfg.step_cap) {
                     None => StepStatus::Running,
                     Some(r) => {
                         self.outcome = (r.failure, r.completed, r.fallback_used);

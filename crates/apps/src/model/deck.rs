@@ -1,9 +1,7 @@
 //! The PowerPoint-like presentation model.
 
-use serde::{Deserialize, Serialize};
-
 /// A shape placed on a slide.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Shape {
     /// `"textbox"`, `"image"`, `"title"`, `"rectangle"`, ...
     pub kind: String,
@@ -29,7 +27,7 @@ impl Shape {
 }
 
 /// One slide.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Slide {
     pub background: Option<String>,
     pub shapes: Vec<Shape>,
@@ -52,7 +50,7 @@ impl Slide {
 }
 
 /// The presentation deck.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deck {
     pub slides: Vec<Slide>,
     /// Index of the slide open in the editor.

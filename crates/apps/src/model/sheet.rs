@@ -1,10 +1,9 @@
 //! The Excel-like workbook model.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A cell address: 0-based row and column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr {
     pub row: usize,
     pub col: usize,
@@ -46,19 +45,8 @@ impl Addr {
     }
 }
 
-// Addresses key the serialized sparse cell map.
-impl serde::SerKey for Addr {
-    fn to_key(&self) -> String {
-        self.to_a1()
-    }
-
-    fn from_key(s: &str) -> Result<Self, serde::Error> {
-        Addr::parse(s).ok_or_else(|| serde::Error::msg(format!("bad cell address `{s}`")))
-    }
-}
-
 /// A rectangular cell range, inclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Range {
     pub from: Addr,
     pub to: Addr,
@@ -94,7 +82,7 @@ impl Range {
 }
 
 /// One cell's content and formatting.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Cell {
     pub value: String,
     pub fill: Option<String>,
@@ -103,7 +91,7 @@ pub struct Cell {
 }
 
 /// A conditional formatting rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CondRule {
     /// `"greater_than"`, `"less_than"`, or `"equal"`.
     pub kind: String,
@@ -116,7 +104,7 @@ pub struct CondRule {
 }
 
 /// The workbook: a single sheet grid with formatting state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sheet {
     pub name: String,
     pub rows: usize,

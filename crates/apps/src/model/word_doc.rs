@@ -1,9 +1,7 @@
 //! The Word-like document model.
 
-use serde::{Deserialize, Serialize};
-
 /// Paragraph alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Alignment {
     Left,
     Center,
@@ -12,7 +10,7 @@ pub enum Alignment {
 }
 
 /// Character/paragraph formatting state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParaFormat {
     pub font: String,
     pub size: f64,
@@ -48,7 +46,7 @@ impl Default for ParaFormat {
 }
 
 /// One paragraph of document text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Paragraph {
     pub text: String,
     pub format: ParaFormat,
@@ -62,7 +60,7 @@ impl Paragraph {
 }
 
 /// Page setup state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageSettings {
     /// Margins in inches: top, bottom, left, right.
     pub margins: (f64, f64, f64, f64),
@@ -83,7 +81,7 @@ impl Default for PageSettings {
 
 /// Current selection: a contiguous paragraph range (the line granularity
 /// maps 1:1 to paragraphs in this model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
     pub start: usize,
     /// Inclusive end.
@@ -91,7 +89,7 @@ pub struct Selection {
 }
 
 /// The document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WordDoc {
     pub paragraphs: Vec<Paragraph>,
     pub page: PageSettings,

@@ -6,7 +6,7 @@
 //! increasing UI instability, isolating each mechanism's contribution.
 
 use dmi_agent::{aggregate, run_task, InterfaceMode, RunConfig};
-use dmi_bench::{models, report, AppModel, EvalConfig};
+use dmi_bench::{models, report, EvalConfig};
 use dmi_core::{Dmi, ExecutorConfig};
 use dmi_llm::CapabilityProfile;
 use dmi_uia::FuzzyMatcher;
@@ -19,11 +19,7 @@ fn with_executor(dmi: &Dmi, exec: ExecutorConfig) -> Dmi {
     d
 }
 
-fn run_suite(
-    models: &BTreeMap<&'static str, AppModel>,
-    execs: &BTreeMap<&'static str, Arc<Dmi>>,
-    instability: (f64, f64),
-) -> f64 {
+fn run_suite(execs: &BTreeMap<&'static str, Arc<Dmi>>, instability: (f64, f64)) -> f64 {
     let profile = CapabilityProfile::gpt5_medium();
     let cfg = EvalConfig::default();
     let mut traces = Vec::new();
@@ -40,7 +36,6 @@ fn run_suite(
             traces.push(run_task(task, execs.get(task.app.name()), &run_cfg));
         }
     }
-    let _ = models;
     aggregate(&traces).sr
 }
 
@@ -82,7 +77,7 @@ fn main() {
             .collect();
         let mut row = vec![cname.to_string()];
         for (_, inst) in &levels {
-            row.push(report::pct(run_suite(models, &execs, *inst)));
+            row.push(report::pct(run_suite(&execs, *inst)));
         }
         rows.push(row);
     }

@@ -14,11 +14,11 @@
 //! or fetches the complete forest on demand.
 
 use crate::topology::{Forest, TopoKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
 /// Options for description generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DescribeConfig {
     /// Maximum characters kept from a control's description.
     pub max_description_chars: usize,
@@ -357,11 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn descriptions_attach_to_key_types_with_help() {
+    fn empty_help_text_yields_no_truncated_description() {
         let mut g = ung_from_parts(&[("Menu", CT::SplitButton), ("Leaf", CT::Text)], &[(0, 1)]);
-        // Attach help text manually.
-        let ids: Vec<usize> = g.ids().collect();
-        let _ = ids;
         decycle(&mut g);
         let (f, _) = build_forest(&g, &ForestConfig::default());
         let d = full_description(&f, &DescribeConfig::default());

@@ -138,8 +138,9 @@ impl Dmi {
     }
 
     /// Serializes the offline model (forest + description options) to
-    /// JSON. The model is version-specific but reusable across machines
-    /// for the same application build (§5.2).
+    /// JSON. JSON is an output format only: a model comes back in through
+    /// the `dmi-store` crate, which stores the rip checksummed and keyed by
+    /// the application build (§5.2), then [`Dmi::from_ung`].
     pub fn to_json(&self) -> String {
         #[derive(serde::Serialize)]
         struct Saved<'a> {
@@ -148,33 +149,6 @@ impl Dmi {
         }
         serde_json::to_string(&Saved { forest: &self.forest, describe: &self.describe })
             .expect("model serializes")
-    }
-
-    /// Restores a model saved with [`Dmi::to_json`]. The forest is
-    /// validated ([`Forest::validate`]) before it is described, so a
-    /// malformed file is a [`DmiError::Malformed`], never a panic.
-    pub fn from_json(json: &str) -> Result<Dmi, DmiError> {
-        #[derive(serde::Deserialize)]
-        struct Saved {
-            forest: Forest,
-            describe: DescribeConfig,
-        }
-        let bad = |e: String| DmiError::Malformed { message: format!("bad saved model: {e}") };
-        let s: Saved = serde_json::from_str(json).map_err(|e| bad(e.to_string()))?;
-        s.forest.validate().map_err(bad)?;
-        Ok(Dmi::from_forest(s.forest, s.describe))
-    }
-
-    /// Saves the offline model to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Loads an offline model saved with [`Dmi::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<Dmi> {
-        let json = std::fs::read_to_string(path)?;
-        Dmi::from_json(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// The core topology text included in every prompt (§3.3).
@@ -332,48 +306,6 @@ mod tests {
         let (mut s, dmi, _) = build_word();
         let out = dmi.visit_json(&mut s, "[{]");
         assert!(matches!(out.error, Some(DmiError::Malformed { .. })));
-    }
-
-    #[test]
-    fn malformed_saved_models_are_typed_errors() {
-        #[derive(serde::Serialize)]
-        struct Saved<'a> {
-            forest: &'a Forest,
-            describe: &'a DescribeConfig,
-        }
-        let (_, dmi, _) = build_word();
-        let saved = |forest: &Forest| {
-            serde_json::to_string(&Saved { forest, describe: &dmi.describe }).unwrap()
-        };
-        assert!(Dmi::from_json(&saved(&dmi.forest)).is_ok(), "the valid model restores");
-        let n = dmi.forest.len();
-        let mut child_out_of_range = dmi.forest.clone();
-        child_out_of_range.nodes[dmi.forest.main_root].children.push(n);
-        let mut root_out_of_range = dmi.forest.clone();
-        root_out_of_range.main_root = n;
-        let mut own_child = dmi.forest.clone();
-        let leaf = (0..n).find(|&i| own_child.is_functional_leaf(i)).expect("a leaf");
-        own_child.nodes[leaf].children.push(leaf);
-        for (what, forest) in [
-            ("child out of range", child_out_of_range),
-            ("main root out of range", root_out_of_range),
-            ("node listing itself as a child", own_child),
-        ] {
-            let json = saved(&forest);
-            assert!(
-                matches!(Dmi::from_json(&json), Err(DmiError::Malformed { .. })),
-                "{what}: expected a typed error"
-            );
-            let path = std::env::temp_dir().join(format!(
-                "dmi-malformed-{}-{}.json",
-                std::process::id(),
-                what.len()
-            ));
-            std::fs::write(&path, json).unwrap();
-            let Err(err) = Dmi::load(&path) else { panic!("{what}: load accepted the model") };
-            std::fs::remove_file(&path).unwrap();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
-        }
     }
 
     #[test]

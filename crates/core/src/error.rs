@@ -4,13 +4,11 @@
 //! so the caller (an LLM) can re-plan — e.g. "control located but disabled"
 //! rather than a bare failure.
 
-use serde::{Deserialize, Serialize};
-
 /// Result alias for DMI operations.
 pub type DmiResult<T> = Result<T, DmiError>;
 
 /// Errors surfaced by the DMI interfaces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DmiError {
     /// The numeric topology id does not exist.
     UnknownId {
@@ -129,7 +127,7 @@ impl std::error::Error for DmiError {}
 /// re-planning), a `RipError` records that one fleet entry's rip died;
 /// sibling entries finish normally. It is reported inside
 /// [`crate::RipStatus::Failed`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RipError {
     /// The application panicked while this entry was being ripped. The
     /// panic payload is preserved verbatim.

@@ -6,13 +6,13 @@
 //! effects are achievable via equivalent clicks).
 
 use dmi_uia::{ControlId, ControlKey, ControlType, KeyMap};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a node in the UNG.
 pub type UngNodeId = usize;
 
 /// One control in the navigation graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UngNode {
     /// Synthesized control identifier (§4.1).
     pub control: ControlId,
@@ -30,7 +30,7 @@ pub type UngRawParts<'a> =
     (&'a [UngNode], &'a [Vec<UngNodeId>], &'a [Vec<UngNodeId>], UngNodeId, usize);
 
 /// The UI Navigation Graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Ung {
     nodes: Vec<UngNode>,
     /// Adjacency: out-edges per node, insertion-ordered, deduplicated.
@@ -42,7 +42,7 @@ pub struct Ung {
     /// Dedup index: [`ControlKey`] fingerprint -> nodes with that key.
     /// Buckets are confirmed against the full [`ControlId`] on lookup
     /// (hash+confirm, §4.1), so collisions cost a comparison, never a
-    /// wrong dedup. Rebuilt after deserialization.
+    /// wrong dedup. Not serialized; [`Ung::from_raw_parts`] rebuilds it.
     #[serde(skip)]
     index: KeyMap<ControlKey, Vec<UngNodeId>>,
     edge_count: usize,
@@ -179,8 +179,8 @@ impl Ung {
         self.reachable().into_iter().filter(|&v| self.pred[v].len() > 1).collect()
     }
 
-    /// Rebuilds the dedup index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
+    /// Rebuilds the dedup index from the node list.
+    fn rebuild_index(&mut self) {
         self.index = KeyMap::default();
         self.index.reserve(self.nodes.len());
         for (i, n) in self.nodes.iter().enumerate() {
@@ -393,62 +393,32 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_with_index_rebuild() {
-        let g = ung_from_parts(&[("A", CT::Button), ("B", CT::MenuItem)], &[(0, 1)]);
-        let json = serde_json::to_string(&g).unwrap();
-        let mut g2: Ung = serde_json::from_str(&json).unwrap();
-        g2.rebuild_index();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.find(&g.node(1).control), Some(1));
-    }
-
-    #[test]
-    fn serde_round_trip_restores_adjacency_and_dedup_exactly() {
-        // A graph with a merge node (two predecessors) and a cycle, so
-        // both adjacency directions carry real structure.
+    fn from_raw_parts_round_trips_and_rejects_an_empty_graph() {
+        // A merge node (two predecessors) and a cycle, so both adjacency
+        // directions carry real structure.
         let mut g = ung_from_parts(
             &[("A", CT::Button), ("B", CT::Button), ("C", CT::Button)],
             &[(0, 2), (1, 2), (2, 0)],
         );
         let r = g.root();
         g.add_edge(r, 2);
-        let json = serde_json::to_string(&g).unwrap();
-        let mut g2: Ung = serde_json::from_str(&json).unwrap();
-        g2.rebuild_index();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        for id in g.ids() {
-            assert_eq!(g2.node(id), g.node(id), "node {id}");
-            assert_eq!(g2.successors(id), g.successors(id), "succ of {id}");
-            assert_eq!(g2.predecessors(id), g.predecessors(id), "pred of {id}");
-            // The rebuilt dedup index resolves every stored control.
-            assert_eq!(g2.find(&g.node(id).control), Some(id), "find {id}");
-        }
-        assert_eq!(g2.merge_nodes(), g.merge_nodes());
-        // Dedup still works against rebuilt state: re-adding an existing
-        // control returns its id, a new control gets a fresh one.
-        let existing = g.node(1).control.clone();
-        let n = g2.node_count();
-        assert_eq!(
-            g2.add_node(UngNode {
-                control: existing,
-                name: "A".into(),
-                control_type: CT::Button,
-                help_text: String::new(),
-            }),
-            1
-        );
-        assert_eq!(g2.node_count(), n, "re-add must dedup, not grow");
-    }
-
-    #[test]
-    fn from_raw_parts_round_trips_and_rejects_an_empty_graph() {
-        let g = ung_from_parts(&[("A", CT::Button), ("B", CT::Button)], &[(0, 1)]);
         let (nodes, succ, pred, root, edges) = g.raw_parts();
-        let back =
+        let mut back =
             Ung::from_raw_parts(nodes.to_vec(), succ.to_vec(), pred.to_vec(), root, edges).unwrap();
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(back.edge_count(), g.edge_count());
+        for id in g.ids() {
+            assert_eq!(back.node(id), g.node(id), "node {id}");
+            assert_eq!(back.successors(id), g.successors(id), "succ of {id}");
+            assert_eq!(back.predecessors(id), g.predecessors(id), "pred of {id}");
+            // The rebuilt dedup index resolves every control.
+            assert_eq!(back.find(&g.node(id).control), Some(id), "find {id}");
+        }
+        assert_eq!(back.merge_nodes(), g.merge_nodes());
+        // Re-adding an existing control dedups against the rebuilt index.
+        let n = back.node_count();
+        assert_eq!(back.add_node(g.node(1).clone()), 1);
+        assert_eq!(back.node_count(), n, "re-add must dedup, not grow");
         // Every graph holds at least its virtual root; zero nodes with
         // root 0 would index out of bounds downstream.
         let err = Ung::from_raw_parts(Vec::new(), Vec::new(), Vec::new(), 0, 0).unwrap_err();

@@ -61,7 +61,7 @@ fn as_i64(v: &Value) -> Option<i64> {
 /// Accepts ids as numbers or numeric strings (imperfect instruction
 /// following); enforces `further_query` exclusivity.
 pub fn parse_commands(json: &str) -> DmiResult<Vec<VisitCommand>> {
-    let v: Value = serde_json::from_str(json)
+    let v = serde_json::parse_value(json)
         .map_err(|e| DmiError::Malformed { message: format!("invalid JSON: {e}") })?;
     let arr = v
         .as_array()

@@ -88,7 +88,6 @@ pub(crate) mod testutil {
         };
         cell.get_or_init(|| {
             let mut g = small_rip(kind).0.clone();
-            g.rebuild_index();
             decycle(&mut g);
             build_forest(&g, &ForestConfig::default()).0
         })

@@ -655,9 +655,7 @@ mod tests {
 
     fn rip_small(kind: AppKind) -> (Ung, RipStats) {
         let (g, stats, _) = small_rip(kind);
-        let mut g = g.clone();
-        g.rebuild_index();
-        (g, *stats)
+        (g.clone(), *stats)
     }
 
     #[test]
@@ -682,11 +680,8 @@ mod tests {
 
     #[test]
     fn blocklist_is_respected() {
-        let (g, stats) = rip_small(AppKind::Word);
+        let (_, stats) = rip_small(AppKind::Word);
         assert!(stats.blocklisted >= 1, "Account/Feedback should be blocked");
-        // The Account button may be seeded as a node (it is visible), but
-        // it must never be clicked; the session would count the jump.
-        let _ = g;
     }
 
     #[test]
@@ -868,10 +863,13 @@ mod tests {
     }
 
     /// Regression pin for the three small Office rips: the FNV-1a digest
-    /// of each serialized UNG, every [`RipStats`] field and the capture
-    /// work (`Session::capture_stats`). A drift in any of them means the
-    /// rip clicked, captured or committed differently, or the capture
-    /// layer served, copied or re-walked a different set of windows.
+    /// of each serialized UNG and of the offline model built from it
+    /// ([`crate::Dmi::to_json`]: forest plus description options), every
+    /// [`RipStats`] field and the capture work (`Session::capture_stats`).
+    /// A drift in any of them means the rip clicked, captured or committed
+    /// differently, the capture layer served, copied or re-walked a
+    /// different set of windows, or decycling and externalization built a
+    /// different forest.
     #[test]
     fn small_office_rips_are_pinned() {
         let fnv = |bytes: &[u8]| {
@@ -883,6 +881,7 @@ mod tests {
             (
                 AppKind::Word,
                 0xe227_a529_29a0_cff1,
+                0x3e09_415e_78db_9829,
                 RipStats {
                     clicks: 6558,
                     snapshots: 8870,
@@ -898,6 +897,7 @@ mod tests {
             (
                 AppKind::Excel,
                 0x9a76_2abf_7506_56dd,
+                0xf86d_7b58_e5b6_1059,
                 RipStats {
                     clicks: 2725,
                     snapshots: 3802,
@@ -913,6 +913,7 @@ mod tests {
             (
                 AppKind::PowerPoint,
                 0x7c58_cea0_66a3_7700,
+                0x6194_0546_96fd_09f6,
                 RipStats {
                     clicks: 4959,
                     snapshots: 6961,
@@ -926,10 +927,13 @@ mod tests {
                 [6961, 4406, 376, 2447],
             ),
         ];
-        for (kind, digest, stats, work) in pins {
+        for (kind, digest, model_digest, stats, work) in pins {
             let (g, st, cs) = small_rip(kind);
             let bytes = serde_json::to_string(g).unwrap();
             assert_eq!(fnv(bytes.as_bytes()), digest, "{kind}: serialized UNG digest");
+            let cfg = crate::DmiBuildConfig::office(kind.name());
+            let model = crate::Dmi::from_ung(g.clone(), &cfg).0.to_json();
+            assert_eq!(fnv(model.as_bytes()), model_digest, "{kind}: offline model digest");
             assert_eq!(*st, stats, "{kind}: rip stats");
             let got = [cs.captures, cs.full_hits, cs.windows_reused, cs.windows_rebuilt];
             assert_eq!(got, work, "{kind}: captures, full hits, windows reused, windows rebuilt");

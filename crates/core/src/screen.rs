@@ -75,7 +75,7 @@ pub fn full_tree_prompt_text(snap: &Snapshot) -> String {
 /// Labels every on-screen (not off-screen) control in the snapshot.
 pub fn label_screen(snap: &Snapshot) -> LabeledScreen {
     let mut entries = Vec::new();
-    for (idx, node) in snap.iter() {
+    for (_, node) in snap.iter() {
         if node.props.offscreen {
             continue;
         }
@@ -90,7 +90,6 @@ pub fn label_screen(snap: &Snapshot) -> LabeledScreen {
             enabled: node.props.enabled,
             rect: node.props.rect,
         });
-        let _ = idx;
     }
     LabeledScreen { entries }
 }

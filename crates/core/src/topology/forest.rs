@@ -14,11 +14,11 @@
 use crate::graph::{Ung, UngNodeId};
 use crate::topology::decycle::reverse_topo;
 use dmi_uia::{ControlId, ControlKey, ControlType};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Configuration for the externalization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
     /// Externalize a merge node when `(indegree - 1) * subtree_size`
     /// exceeds this. `usize::MAX` forces full cloning (pure tree, the
@@ -33,7 +33,7 @@ impl Default for ForestConfig {
 }
 
 /// Node role in the forest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TopoKind {
     /// The virtual root of the main tree.
     Root,
@@ -47,7 +47,7 @@ pub enum TopoKind {
 }
 
 /// One node of the forest (main tree or a shared subtree).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TopoNode {
     /// Consecutive numeric id (the LLM-facing identifier, §4.2).
     pub id: usize,
@@ -76,7 +76,7 @@ pub struct TopoNode {
 /// The path-unambiguous navigation topology: one main tree plus shared
 /// subtrees, connected through reference nodes (the shared subtree entry
 /// map of §3.3).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Forest {
     /// All nodes; index == `TopoNode::id`.
     pub nodes: Vec<TopoNode>,
@@ -185,12 +185,14 @@ impl Forest {
     }
 
     /// Checks the structural invariants every reader of a forest relies
-    /// on, so a forest read from outside the process cannot make them
-    /// index out of bounds or loop: `nodes[i].id == i`; every id (children,
-    /// parents, main and shared roots, entry map, reference targets) is in
-    /// range; every child's `parent` names the node that lists it; roots
-    /// have no parent; and every node is reached exactly once from the main
-    /// root plus the shared roots. Returns the first violation found.
+    /// on: `nodes[i].id == i`; every id (children, parents, main and
+    /// shared roots, entry map, reference targets) is in range; every
+    /// child's `parent` names the node that lists it; roots have no
+    /// parent; and every node is reached exactly once from the main root
+    /// plus the shared roots. Returns the first violation found. Forests
+    /// are only built in-process by [`build_forest`] (a saved model comes
+    /// back in as a UNG through the store), so this is a test oracle, not
+    /// an input check.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.nodes.len();
         let in_range = |what: &str, id: usize| {
@@ -313,7 +315,6 @@ pub fn build_forest(g: &Ung, config: &ForestConfig) -> (Forest, ForestStats) {
     // Emit shared subtrees in reverse topological order so that any
     // references *between* shared subtrees point to already-emitted roots
     // ... except references can point forward; fix them up afterwards.
-    #[allow(clippy::too_many_arguments)]
     fn emit(
         g: &Ung,
         u: UngNodeId,
@@ -322,7 +323,6 @@ pub fn build_forest(g: &Ung, config: &ForestConfig) -> (Forest, ForestStats) {
         reach: &std::collections::HashSet<UngNodeId>,
         forest: &mut Forest,
         pending_refs: &mut Vec<(usize, UngNodeId)>,
-        as_root: bool,
     ) -> usize {
         let n = g.node(u);
         let id = forest.nodes.len();
@@ -341,14 +341,13 @@ pub fn build_forest(g: &Ung, config: &ForestConfig) -> (Forest, ForestStats) {
         if let Some(p) = parent {
             forest.nodes[p].children.push(id);
         }
-        let _ = as_root;
         for &v in g.successors(u) {
             if !reach.contains(&v) {
                 continue;
             }
             match repr[&v] {
                 Repr::Inline => {
-                    emit(g, v, Some(id), repr, reach, forest, pending_refs, false);
+                    emit(g, v, Some(id), repr, reach, forest, pending_refs);
                 }
                 Repr::Shared => {
                     // Emit a reference node; target resolved in fix-up.
@@ -374,7 +373,7 @@ pub fn build_forest(g: &Ung, config: &ForestConfig) -> (Forest, ForestStats) {
     }
 
     // Main tree.
-    forest.main_root = emit(g, g.root(), None, &repr, &reach, &mut forest, &mut pending_refs, true);
+    forest.main_root = emit(g, g.root(), None, &repr, &reach, &mut forest, &mut pending_refs);
 
     // Shared subtrees: every node marked Shared gets one body.
     let shared_nodes: Vec<UngNodeId> = order
@@ -384,7 +383,7 @@ pub fn build_forest(g: &Ung, config: &ForestConfig) -> (Forest, ForestStats) {
         .filter(|u| matches!(repr[u], Repr::Shared))
         .collect();
     for u in shared_nodes {
-        let root_id = emit(g, u, None, &repr, &reach, &mut forest, &mut pending_refs, true);
+        let root_id = emit(g, u, None, &repr, &reach, &mut forest, &mut pending_refs);
         forest.shared_roots.push(root_id);
         shared_root_of.insert(u, root_id);
     }
@@ -460,6 +459,26 @@ mod tests {
         let root = forest.shared_roots[0];
         assert_eq!(forest.references_to(root).len(), 2);
         assert!(forest.verify_unique_paths());
+    }
+
+    #[test]
+    fn broken_links_fail_validation() {
+        let (forest, _) = build_forest(&diamond(30), &ForestConfig::default());
+        let n = forest.len();
+        let mut child_out_of_range = forest.clone();
+        child_out_of_range.nodes[forest.main_root].children.push(n);
+        let mut root_out_of_range = forest.clone();
+        root_out_of_range.main_root = n;
+        let mut own_child = forest.clone();
+        let leaf = (0..n).find(|&i| own_child.is_functional_leaf(i)).expect("a leaf");
+        own_child.nodes[leaf].children.push(leaf);
+        for (what, broken) in [
+            ("child out of range", child_out_of_range),
+            ("main root out of range", root_out_of_range),
+            ("node listing itself as a child", own_child),
+        ] {
+            assert!(broken.validate().is_err(), "{what}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Click behaviors and command bindings.
 
 use crate::widget::WidgetId;
-use serde::{Deserialize, Serialize};
 
 /// A binding from a UI control to an application-semantic command.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// command's effect depends on application state that earlier navigation
 /// established — e.g. a shared color grid whose target property was chosen
 /// by the menu it was opened from.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CommandBinding {
     /// Application command identifier.
     pub command: String,
@@ -45,7 +44,7 @@ impl CommandBinding {
 }
 
 /// How a window-closing control commits pending changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitKind {
     /// OK: apply pending edits, then close.
     Ok,
@@ -56,7 +55,7 @@ pub enum CommitKind {
 }
 
 /// What happens when a widget is clicked.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub enum Behavior {
     /// Inert control (labels, separators).
     None,

@@ -10,11 +10,10 @@
 
 use crate::widget::{Widget, WidgetId};
 use dmi_uia::ControlType;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An entry in the open-window stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenWindow {
     /// Arena root of the window.
     pub root: WidgetId,
@@ -23,7 +22,7 @@ pub struct OpenWindow {
 }
 
 /// The provider-side control tree and its runtime UI state.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct UiTree {
     widgets: Vec<Widget>,
     /// Arena root of the main application window.
@@ -47,12 +46,10 @@ pub struct UiTree {
     /// siblings). The ripper's recovery planner compares epochs to decide
     /// whether pressing Esc can reach a launch-equivalent state or a full
     /// restart is required (§4.1 state restoration).
-    #[serde(skip)]
     state_epoch: u64,
     /// Monotonic clock issuing per-window mutation stamps (see
     /// [`UiTree::window_stamp`]). Shared across roots so stamps are
     /// totally ordered within one tree lineage.
-    #[serde(skip)]
     view_clock: u64,
     /// Stamp of the last *snapshot-visible* mutation per arena root:
     /// widget property writes, arena growth, tab/item selection, and
@@ -60,17 +57,14 @@ pub struct UiTree {
     /// the window stack are deliberately NOT stamped — they are keyed
     /// structurally (open-popup chain, open-window stack) by the capture
     /// cache, so transient open+close sequences return to a cache hit.
-    #[serde(skip)]
     window_stamps: BTreeMap<WidgetId, u64>,
     /// Floor value reported for roots with no stamp on record. Advanced
     /// past every issued stamp on `clone_from` (a wholesale restore), so
     /// capture keys recorded before a reset can never validate after it.
-    #[serde(skip)]
     stamp_floor: u64,
     /// Bumped whenever the active-context set changes. Contexts gate
     /// `visible_when` widgets in *any* window, so this is a global key
     /// component rather than a per-root stamp.
-    #[serde(skip)]
     context_epoch: u64,
 }
 
@@ -366,10 +360,7 @@ impl UiTree {
     /// Closes one popup (and any popups opened after it).
     pub fn collapse_popup(&mut self, id: WidgetId) {
         if let Some(pos) = self.open_popups.iter().position(|&p| p == id) {
-            for &p in &self.open_popups[pos..] {
-                // Collapse later popups too; they are nested under this one.
-                let _ = p;
-            }
+            // Later popups are nested under this one and close with it.
             let closing: Vec<WidgetId> = self.open_popups.drain(pos..).collect();
             for p in closing {
                 self.widgets[p.0].expanded = false;

@@ -2,14 +2,13 @@
 
 use crate::behavior::Behavior;
 use dmi_uia::{ControlType, PatternSet, ToggleState};
-use serde::{Deserialize, Serialize};
 
 /// Index of a widget in a [`crate::UiTree`] arena.
 ///
 /// Stable for the lifetime of the application instance (widgets are never
 /// removed from the arena, only hidden), so it doubles as the basis of the
 /// snapshot [`dmi_uia::RuntimeId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WidgetId(pub usize);
 
 impl std::fmt::Display for WidgetId {
@@ -18,19 +17,8 @@ impl std::fmt::Display for WidgetId {
     }
 }
 
-// Widget ids key serialized maps (e.g. pending-children schedules).
-impl serde::SerKey for WidgetId {
-    fn to_key(&self) -> String {
-        self.0.to_string()
-    }
-
-    fn from_key(s: &str) -> Result<Self, serde::Error> {
-        s.parse().map(WidgetId).map_err(|_| serde::Error::msg(format!("bad widget id `{s}`")))
-    }
-}
-
 /// One control in the provider tree.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Widget {
     /// UIA name.
     pub name: String,

@@ -6,10 +6,8 @@
 //! these causes with per-profile rates and reports the same distribution
 //! the paper's Figure 6 shows.
 
-use serde::{Deserialize, Serialize};
-
 /// Policy vs mechanism classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureLevel {
     /// Semantic planning (the LLM's job under DMI).
     Policy,
@@ -18,7 +16,7 @@ pub enum FailureLevel {
 }
 
 /// A failure cause, following §5.6's categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FailureCause {
     /// Ambiguous task description misread (42.9% of GUI+DMI failures).
     AmbiguousTask,

@@ -5,10 +5,8 @@
 //! §2.1 motivates this: LLM round-trips cost 10–120+ seconds, which is
 //! what makes high-frequency observe–act loops prohibitive.
 
-use serde::{Deserialize, Serialize};
-
 /// Reasoning effort levels of the simulated API (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReasoningEffort {
     Minimal,
     Low,
@@ -30,7 +28,7 @@ impl ReasoningEffort {
 
 /// Linear latency model: `base + prompt_tokens/1000 * per_1k_prompt +
 /// output_tokens * per_output_token`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Fixed seconds per call (dominated by reasoning).
     pub base_secs: f64,

@@ -7,11 +7,9 @@
 //! what the simulated LLM "knows"; error injection corrupts them through
 //! [`PlanMutation`]s, producing the verifiable wrong behaviours of §5.6.
 
-use serde::{Deserialize, Serialize};
-
 /// How the LLM names an intended control (resolved against the topology
 /// under DMI or against the screen under GUI).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetQuery {
     /// Control name as the LLM would write it.
     pub name: String,
@@ -32,7 +30,7 @@ impl TargetQuery {
 }
 
 /// One `visit` target with optional text input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisitTarget {
     /// The control.
     pub query: TargetQuery,
@@ -60,7 +58,7 @@ impl VisitTarget {
 }
 
 /// One DMI-mode LLM turn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanStep {
     /// One `visit([...])` call (multiple commands bundled).
     Visit(Vec<VisitTarget>),
@@ -100,7 +98,7 @@ pub enum PlanStep {
 }
 
 /// One imperative GUI action (the baseline's vocabulary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GuiStep {
     /// Click a control located visually.
     Click(TargetQuery),
@@ -140,7 +138,7 @@ impl GuiStep {
 }
 
 /// The two lowerings of a task's oracle plan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaskPlan {
     /// Declarative steps (one LLM turn each).
     pub dmi: Vec<PlanStep>,
@@ -163,7 +161,7 @@ impl TaskPlan {
 
 /// A plausible-but-wrong plan edit, used to inject policy failures the
 /// verifier can catch (§5.6 failure analysis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanMutation {
     /// Replace every target named `from` with `to` (a real control with
     /// the wrong semantics, e.g. the Find & Replace subscript).

@@ -8,10 +8,9 @@
 //! see `EXPERIMENTS.md` for calibration notes.
 
 use crate::latency::{LatencyModel, ReasoningEffort};
-use serde::{Deserialize, Serialize};
 
 /// A simulated LLM capability profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapabilityProfile {
     /// Display name ("GPT-5", "GPT-5-mini").
     pub model: String,

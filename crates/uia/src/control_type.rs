@@ -5,14 +5,14 @@
 //! interaction-abstraction problem. The set below mirrors the official
 //! `UIA_*ControlTypeId` list.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A UIA control type.
 ///
 /// Every UI control exposed through the accessibility tree carries exactly
 /// one control type. The variant order follows the UIA control type id
 /// order; [`ControlType::ALL`] enumerates all 41.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ControlType {
     AppBar,
     Button,

@@ -1,12 +1,10 @@
 //! Error types for accessibility operations.
 
-use serde::{Deserialize, Serialize};
-
 /// Result alias for accessibility operations.
 pub type UiaResult<T> = Result<T, UiaError>;
 
 /// Errors surfaced by the simulated accessibility layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UiaError {
     /// No control matched the requested identifier.
     ControlNotFound {

@@ -17,7 +17,7 @@
 //! control type, ancestor hierarchy, and name similarity.
 
 use crate::{ControlType, Node, Snapshot};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -71,24 +71,11 @@ impl ControlKey {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// Reconstructs a key from its raw digest (deserialization support;
-    /// keys are pure functions of the identifier, so a stored digest stays
-    /// valid as long as the identifier it was computed from is stored too).
-    pub fn from_raw(raw: u64) -> ControlKey {
-        ControlKey(raw)
-    }
 }
 
 impl Serialize for ControlKey {
     fn to_value(&self) -> serde::Value {
         self.0.to_value()
-    }
-}
-
-impl Deserialize for ControlKey {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ControlKey::from_raw(u64::from_value(v)?))
     }
 }
 
@@ -157,7 +144,7 @@ impl ControlIdSet {
 }
 
 /// Synthesized control identifier: `primary_id|control_type|ancestor_path`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct ControlId {
     /// `automation_id`, or `name`, or `"[Unnamed]"`.
     pub primary: String,

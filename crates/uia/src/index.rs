@@ -42,8 +42,7 @@
 //! are byte-identical to the string-keyed implementation.
 //!
 //! The index is built lazily on first use (snapshots are immutable once
-//! built; any later mutation through `&mut` accessors invalidates it) and
-//! is never serialized.
+//! built; any later mutation through `&mut` accessors invalidates it).
 
 use crate::ident::{ControlKey, KeyMap};
 use crate::{ControlId, Snapshot};

@@ -4,12 +4,10 @@
 //! control patterns (§2.2 Insight #3 of the paper). DMI's state and
 //! observation declarations are built on top of these patterns (Table 2).
 
-use serde::{Deserialize, Serialize};
-
 /// A UIA control pattern kind.
 ///
 /// Mirrors the official `UIA_*PatternId` list (34 patterns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PatternKind {
     Annotation,
     CustomNavigation,
@@ -157,7 +155,7 @@ impl std::fmt::Display for PatternKind {
 /// assert!(!set.supports(PatternKind::Toggle));
 /// assert_eq!(set.iter().count(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PatternSet(u64);
 
 impl PatternSet {

@@ -1,10 +1,9 @@
 //! Control property bags and geometry.
 
 use crate::{ControlType, PatternSet};
-use serde::{Deserialize, Serialize};
 
 /// A rectangle in virtual screen coordinates (pixels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     pub x: i32,
     pub y: i32,
@@ -51,7 +50,7 @@ impl Rect {
 ///
 /// Like UIA runtime ids, these are unique within a snapshot but *not*
 /// stable across application restarts or even across UI rebuilds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuntimeId(pub u64);
 
 impl std::fmt::Display for RuntimeId {
@@ -61,7 +60,7 @@ impl std::fmt::Display for RuntimeId {
 }
 
 /// Toggle state for `TogglePattern` controls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ToggleState {
     Off,
     On,
@@ -75,7 +74,7 @@ pub enum ToggleState {
 /// robustness tests): `automation_id` may be empty and is not guaranteed
 /// globally unique; `name` may vary between snapshots (localization, state
 /// suffixes); `help_text` is frequently missing.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ControlProps {
     /// UIA `AutomationId`; possibly empty, not guaranteed unique.
     pub automation_id: String,

@@ -8,11 +8,10 @@
 
 use crate::index::SnapIndex;
 use crate::{ControlId, ControlKey, ControlProps, RuntimeId};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// One control in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Snapshot-unique runtime id.
     pub runtime_id: RuntimeId,
@@ -31,16 +30,14 @@ pub struct Node {
 /// Node index 0.. are arena indices; `windows` lists the arena index of each
 /// top-level window root in z-order (last = topmost), mirroring UIA's
 /// desktop children.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Snapshot {
     nodes: Vec<Node>,
     windows: Vec<usize>,
     /// Modality flag per entry of `windows`.
-    #[serde(default)]
     modal: Vec<bool>,
     /// Lazily built identity index (see [`SnapIndex`]); invalidated by any
-    /// mutation, never serialized or compared.
-    #[serde(skip)]
+    /// mutation, never compared.
     index: OnceLock<SnapIndex>,
 }
 

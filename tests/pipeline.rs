@@ -107,37 +107,6 @@ fn ambiguous_blue_cells_exist_and_disambiguate_by_path() {
 }
 
 #[test]
-fn offline_model_round_trips_through_json() {
-    // §5.2: the model is version-specific but reusable across machines.
-    let dmi = &dmi_models()["Word"];
-    let json = dmi.to_json();
-    let restored = dmi_core::Dmi::from_json(&json).expect("restores");
-    assert_eq!(restored.forest.len(), dmi.forest.len());
-    assert_eq!(restored.core_text(), dmi.core_text());
-    // The restored model drives a fresh session end to end.
-    let mut s = dmi_gui::Session::new(dmi_apps::AppKind::Word.launch_small());
-    let narrow = restored
-        .forest
-        .nodes
-        .iter()
-        .find(|n| n.name == "Narrow" && restored.forest.is_functional_leaf(n.id))
-        .unwrap()
-        .id;
-    let out = restored.visit_json(&mut s, &format!(r#"[{{"id": {narrow}}}]"#));
-    assert!(out.ok(), "{:?}", out.error);
-}
-
-#[test]
-fn offline_model_saves_and_loads_from_disk() {
-    let dmi = &dmi_models()["PowerPoint"];
-    let path = std::env::temp_dir().join("dmi-ppt-model.json");
-    dmi.save(&path).expect("save");
-    let loaded = dmi_core::Dmi::load(&path).expect("load");
-    assert_eq!(loaded.forest.len(), dmi.forest.len());
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn forest_keys_are_interned_fingerprints() {
     // ROADMAP "Forest-side key interning": every forest node carries the
     // fingerprint of its control id, computed once at build time, so the

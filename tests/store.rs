@@ -148,7 +148,8 @@ fn store_boot_without_a_readable_rip_fails_typed() {
 /// A gateway booted from the store ([`ServeApp::from_store`]) must
 /// serve traces byte-identical to one booted the conventional way
 /// (live rip via [`Dmi::build`]) — the stored UNG yields the same
-/// model. A donor from a different build must be refused at boot.
+/// model, byte for byte. A donor from a different build must be refused
+/// at boot.
 #[test]
 fn store_booted_gateway_serves_byte_identical_traces() {
     use dmi_agent::{Gateway, GatewayConfig, InterfaceMode, RunConfig, ServeApp, ServeRequest};
@@ -191,7 +192,11 @@ fn store_booted_gateway_serves_byte_identical_traces() {
     let gw_cfg = || GatewayConfig { workers: 1, sessions_per_app: 4, max_in_flight: 8 };
 
     let mut cold = Gateway::new(
-        vec![ServeApp::new("Word", Session::new(AppKind::Word.launch_small()), Some(model))],
+        vec![ServeApp::new(
+            "Word",
+            Session::new(AppKind::Word.launch_small()),
+            Some(Arc::clone(&model)),
+        )],
         gw_cfg(),
     );
     let cold_report = cold.serve(mix());
@@ -199,6 +204,11 @@ fn store_booted_gateway_serves_byte_identical_traces() {
     let warm_app =
         ServeApp::from_store("Word", &store, Session::new(AppKind::Word.launch_small()), &cfg)
             .expect("same-build donor boots from the store");
+    // The store is the one way a model comes back in: the warm-booted
+    // model is the live-built one, forest and description bytes included.
+    let warm_model = warm_app.dmi.as_ref().expect("the warm app carries a model");
+    assert_eq!(warm_model.to_json(), model.to_json(), "store-booted model bytes");
+    assert_eq!(warm_model.core_text(), model.core_text(), "store-booted core topology");
     let mut warm = Gateway::new(vec![warm_app], gw_cfg());
     let warm_report = warm.serve(mix());
 
