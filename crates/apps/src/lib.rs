@@ -24,6 +24,11 @@ pub use excel::{ExcelApp, ExcelConfig};
 pub use powerpoint::{PowerPointApp, PowerPointConfig};
 pub use word::{WordApp, WordConfig};
 
+use std::sync::OnceLock;
+
+/// A constructed app that may serve as a process-wide launch image.
+type Image = Box<dyn dmi_gui::GuiApp + Sync>;
+
 /// The three case-study applications (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppKind {
@@ -60,18 +65,37 @@ impl AppKind {
         }
     }
 
-    /// Instantiates the app with default configuration.
+    /// Instantiates the app with default configuration: a fork of this
+    /// process's launch image of the app (see [`AppKind::launch_small`]).
     pub fn launch(self) -> Box<dyn dmi_gui::GuiApp> {
-        match self {
+        static IMAGES: [OnceLock<Image>; 3] = [const { OnceLock::new() }; 3];
+        self.fork_image(&IMAGES, || match self {
             AppKind::Word => Box::new(WordApp::new()),
             AppKind::Excel => Box::new(ExcelApp::new()),
             AppKind::PowerPoint => Box::new(PowerPointApp::new()),
-        }
+        })
     }
 
     /// Instantiates the app with a small configuration (fast tests).
+    ///
+    /// Like [`AppKind::launch`], this forks one launch image per app and
+    /// size, constructed on first use and kept for the life of the
+    /// process. A fork shares the image's widget arena copy-on-write, so a
+    /// launch costs the document model's clone instead of a widget-tree
+    /// construction, and every launch of one image reports the same
+    /// [`dmi_gui::GuiApp::pristine_token`].
     pub fn launch_small(self) -> Box<dyn dmi_gui::GuiApp> {
-        self.launch_small_version(0)
+        static IMAGES: [OnceLock<Image>; 3] = [const { OnceLock::new() }; 3];
+        self.fork_image(&IMAGES, || self.construct_small(0))
+    }
+
+    /// Forks this app's entry of `images`, constructing it on first use.
+    fn fork_image(
+        self,
+        images: &[OnceLock<Image>; 3],
+        construct: impl FnOnce() -> Image,
+    ) -> Box<dyn dmi_gui::GuiApp> {
+        images[self as usize].get_or_init(construct).fork().expect("Office apps fork")
     }
 
     /// Instantiates "version `v`" of the app with a small configuration:
@@ -80,6 +104,13 @@ impl AppKind {
     /// application concurrently (their UNGs genuinely differ, so each
     /// version needs its own rip). Version 0 is [`AppKind::launch_small`].
     pub fn launch_small_version(self, v: usize) -> Box<dyn dmi_gui::GuiApp> {
+        if v == 0 {
+            return self.launch_small();
+        }
+        self.construct_small(v)
+    }
+
+    fn construct_small(self, v: usize) -> Image {
         match self {
             AppKind::Word => Box::new(WordApp::with_config(WordConfig {
                 paragraphs: 12 + 3 * v,

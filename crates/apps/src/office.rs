@@ -22,12 +22,11 @@ use std::sync::Arc;
 
 /// A prebuilt launch-state image of an application: the fully constructed
 /// widget arena plus the document model. `GuiApp::reset` restores from
-/// this with `clone_from` instead of re-running widget-tree construction —
-/// rebuilding a Word-size arena runs thousands of `format!`s and builder
-/// calls, while the restore recycles the live arena's `String`/`Vec`
-/// buffers widget-by-widget (`UiTree`'s manual `clone_from`), so a reset
-/// allocates nothing for unchanged widgets. Held behind an [`Arc`] so the
-/// immutable image is shared, never rebuilt, for the lifetime of the app.
+/// this with `clone_from` and `GuiApp::fork` clones it, instead of
+/// re-running widget-tree construction. Both share the image's arena
+/// chunks copy-on-write (see [`UiTree`]), so they cost the chunks the live
+/// tree had copied plus the document model. Held behind an [`Arc`] so the
+/// immutable image is shared, never rebuilt, by the app and all its forks.
 #[derive(Debug)]
 pub struct Pristine<D: Clone> {
     tree: UiTree,
@@ -40,10 +39,10 @@ impl<D: Clone> Pristine<D> {
         Arc::new(Pristine { tree: tree.clone(), doc: doc.clone() })
     }
 
-    /// The captured widget arena. Restore with `clone_from`: the manual
-    /// impl recycles the destination's buffers and advances the tree's
-    /// capture epochs past both lineages, so stale cached captures can
-    /// never validate against the restored state.
+    /// The captured widget arena. Restore with `clone_from`: it shares the
+    /// image's chunks and advances the tree's capture epochs past both
+    /// lineages, so stale cached captures can never validate against the
+    /// restored state.
     pub fn tree(&self) -> &UiTree {
         &self.tree
     }

@@ -789,8 +789,9 @@ impl GuiApp for PowerPointApp {
 
     fn pristine_token(&self) -> Option<u64> {
         // `reset` restores exactly this image, so its address identifies
-        // the post-restart state for the lifetime of the app (and of all
-        // of its forks, which share the `Arc`).
+        // the post-restart state for the lifetime of the app and of all
+        // of its forks, which share the `Arc` (every `AppKind::launch` of
+        // one launch image among them).
         Some(Arc::as_ptr(&self.pristine) as u64)
     }
 }

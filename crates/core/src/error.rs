@@ -52,6 +52,12 @@ pub enum DmiError {
         /// What was wrong.
         message: String,
     },
+    /// The target's modeled path holds no clickable control, so no click
+    /// sequence reaches it (e.g. a status-bar text label).
+    NotClickable {
+        /// Target id.
+        id: u64,
+    },
     /// `further_query` mixed with other commands (it is exclusive).
     QueryNotExclusive,
     /// Screen-label resolution failed for an interaction interface.
@@ -103,6 +109,9 @@ impl std::fmt::Display for DmiError {
                 write!(f, "control '{name}' at '{path}' is present but disabled")
             }
             DmiError::Malformed { message } => write!(f, "malformed command: {message}"),
+            DmiError::NotClickable { id } => {
+                write!(f, "target {id} resolves to no clickable path")
+            }
             DmiError::QueryNotExclusive => {
                 write!(f, "further_query cannot be mixed with other commands")
             }

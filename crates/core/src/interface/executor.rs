@@ -119,9 +119,7 @@ pub fn access(
     let clickables: Vec<usize> =
         chain.iter().copied().filter(|&id| is_clickable(forest.nodes[id].control_type)).collect();
     if clickables.is_empty() {
-        return Err(DmiError::Malformed {
-            message: format!("target {target} resolves to no clickable path"),
-        });
+        return Err(DmiError::NotClickable { id: target });
     }
 
     // Realign: close foreign windows until the topmost window contains part
@@ -278,6 +276,14 @@ mod tests {
     fn unknown_target_errors() {
         let (_s, forest) = build(AppKind::Word);
         assert!(matches!(control_path(&forest, 10_000_000, &[]), Err(DmiError::UnknownId { .. })));
+    }
+
+    #[test]
+    fn unclickable_target_is_a_typed_error() {
+        let (mut s, forest) = build(AppKind::Word);
+        let status = forest.nodes.iter().find(|n| n.name == "Page 1 of 1").unwrap().id as u64;
+        let err = access(&mut s, &forest, &ExecutorConfig::default(), status, &[], None);
+        assert_eq!(err, Err(DmiError::NotClickable { id: status }));
     }
 
     #[test]

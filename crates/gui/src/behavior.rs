@@ -10,25 +10,12 @@ use crate::widget::WidgetId;
 /// command's effect depends on application state that earlier navigation
 /// established — e.g. a shared color grid whose target property was chosen
 /// by the menu it was opened from.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandBinding {
     /// Application command identifier.
     pub command: String,
     /// Optional static argument.
     pub arg: Option<String>,
-}
-
-impl Clone for CommandBinding {
-    fn clone(&self) -> Self {
-        CommandBinding { command: self.command.clone(), arg: self.arg.clone() }
-    }
-
-    // Recycles the destination's string buffers (pristine resets restore
-    // thousands of bindings; see the manual `Widget` clone).
-    fn clone_from(&mut self, src: &Self) {
-        self.command.clone_from(&src.command);
-        self.arg.clone_from(&src.arg);
-    }
 }
 
 impl CommandBinding {
@@ -55,7 +42,7 @@ pub enum CommitKind {
 }
 
 /// What happens when a widget is clicked.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Behavior {
     /// Inert control (labels, separators).
     None,
@@ -85,37 +72,6 @@ pub enum Behavior {
     /// Enter a state that cannot be exited with Esc/Close (blocklist
     /// candidate).
     Trap,
-}
-
-impl Clone for Behavior {
-    fn clone(&self) -> Self {
-        match self {
-            Behavior::None => Behavior::None,
-            Behavior::OpenMenu => Behavior::OpenMenu,
-            Behavior::SwitchTab => Behavior::SwitchTab,
-            Behavior::OpenDialog(id) => Behavior::OpenDialog(*id),
-            Behavior::OpenWindow(id) => Behavior::OpenWindow(*id),
-            Behavior::CloseWindow(k) => Behavior::CloseWindow(*k),
-            Behavior::Command(b) => Behavior::Command(b.clone()),
-            Behavior::CommandAndDismiss(b) => Behavior::CommandAndDismiss(b.clone()),
-            Behavior::Select => Behavior::Select,
-            Behavior::Toggle => Behavior::Toggle,
-            Behavior::FocusEdit => Behavior::FocusEdit,
-            Behavior::OpenExternal => Behavior::OpenExternal,
-            Behavior::Trap => Behavior::Trap,
-        }
-    }
-
-    // Same-variant restores recycle the embedded binding's string buffers
-    // (the dominant case: a pristine reset restores each widget onto its
-    // own former self).
-    fn clone_from(&mut self, src: &Self) {
-        match (self, src) {
-            (Behavior::Command(a), Behavior::Command(b))
-            | (Behavior::CommandAndDismiss(a), Behavior::CommandAndDismiss(b)) => a.clone_from(b),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
 }
 
 impl Behavior {

@@ -99,7 +99,9 @@ pub fn compute_window(tree: &UiTree, root: WidgetId, wi: usize) -> WindowLayout 
     let wrect = window_rect(wi);
     wl.entries.insert(root, (wrect, false));
     let mut row = 1i32; // row 0 is the window chrome
-    place_children(tree, root, wrect, &mut row, 1, &mut wl, false);
+    if tree.is_shown(root) {
+        place_children(tree, root, wrect, &mut row, 1, &mut wl, false);
+    }
     wl
 }
 
@@ -115,7 +117,7 @@ pub fn compute(tree: &UiTree) -> Layout {
     }
 }
 
-/// Recursively places the shown children of `parent`.
+/// Recursively places the shown children of `parent`, which is shown.
 #[allow(clippy::too_many_arguments)]
 fn place_children(
     tree: &UiTree,
@@ -127,7 +129,8 @@ fn place_children(
     forced_off: bool,
 ) {
     let pw = tree.widget(parent);
-    let kids: Vec<WidgetId> = pw.children.iter().copied().filter(|&c| tree.is_shown(c)).collect();
+    let kids: Vec<WidgetId> =
+        pw.children.iter().copied().filter(|&c| tree.is_shown_if_parent_is(c)).collect();
 
     // Viewport window for scrollable containers.
     let viewport: Option<(usize, usize)> = if pw.scrollable && !kids.is_empty() {

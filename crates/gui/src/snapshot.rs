@@ -387,7 +387,8 @@ fn add_subtree(
     lay: &WindowLayout,
     snap: &mut Snapshot,
 ) -> Option<usize> {
-    if !tree.is_shown(id) {
+    // Only the window root and children of added (shown) widgets get here.
+    if !tree.is_shown_if_parent_is(id) {
         return None;
     }
     let w = tree.widget(id);

@@ -7,10 +7,20 @@
 //!
 //! Widgets are never removed from the arena — hidden instead — so
 //! [`WidgetId`]s are stable for the lifetime of the application instance.
+//!
+//! The arena is copy-on-write: widgets live in fixed-size chunks behind
+//! [`Arc`]s, a clone shares every chunk, and the first write to a shared
+//! chunk copies only that chunk. Forking a launch image, restoring one,
+//! and dropping a tree therefore cost the chunks touched, not the arena.
 
 use crate::widget::{Widget, WidgetId};
 use dmi_uia::ControlType;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// Widgets per arena chunk (a power of two, so indexing is a shift and a
+/// mask).
+const CHUNK: usize = 64;
 
 /// An entry in the open-window stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +34,9 @@ pub struct OpenWindow {
 /// The provider-side control tree and its runtime UI state.
 #[derive(Debug, Default)]
 pub struct UiTree {
-    widgets: Vec<Widget>,
+    /// The widget arena: `CHUNK`-sized chunks, every one full but the
+    /// last, shared copy-on-write between clones.
+    widgets: Vec<Arc<Vec<Widget>>>,
     /// Arena root of the main application window.
     main_root: Option<WidgetId>,
     /// Open windows, bottom to top; index 0 is the main window.
@@ -69,27 +81,22 @@ pub struct UiTree {
 }
 
 impl Clone for UiTree {
+    /// Shares every arena chunk; the remaining fields are copied.
     fn clone(&self) -> UiTree {
         UiTree {
             widgets: self.widgets.clone(),
-            main_root: self.main_root,
             open_windows: self.open_windows.clone(),
             open_popups: self.open_popups.clone(),
-            focus: self.focus,
             contexts: self.contexts.clone(),
             pending_children: self.pending_children.clone(),
-            state_epoch: self.state_epoch,
-            view_clock: self.view_clock,
             window_stamps: self.window_stamps.clone(),
-            stamp_floor: self.stamp_floor,
-            context_epoch: self.context_epoch,
+            ..*self
         }
     }
 
-    /// Allocation-recycling restore: reuses the destination arena's
-    /// `String`/`Vec` buffers widget-by-widget (see [`Widget`]'s manual
-    /// `clone_from`), so an `office::Pristine` reset is O(live mutations)
-    /// in allocations instead of re-allocating every widget name.
+    /// Wholesale restore: shares the source's arena chunks, so an
+    /// `office::Pristine` reset costs the chunks this tree had copied,
+    /// not the arena size.
     ///
     /// The epochs are NOT copied from the source: a wholesale restore is
     /// one big mutation, so every counter advances monotonically past both
@@ -150,15 +157,51 @@ impl UiTree {
         self.window_stamps.insert(root, self.view_clock);
     }
 
+    /// Copy-on-write access to one arena slot: the slot's chunk is copied
+    /// first if another tree shares it. Every widget write goes through
+    /// here.
+    fn slot_mut(&mut self, id: WidgetId) -> &mut Widget {
+        &mut Arc::make_mut(&mut self.widgets[id.0 / CHUNK])[id.0 % CHUNK]
+    }
+
+    /// Writes a widget's `selected` flag, copying nothing when the flag
+    /// already holds `on`.
+    fn set_selected(&mut self, id: WidgetId, on: bool) {
+        if self.widget(id).selected != on {
+            self.slot_mut(id).selected = on;
+        }
+    }
+
+    /// Writes a widget's `expanded` flag, copying nothing when the flag
+    /// already holds `on`.
+    fn set_expanded(&mut self, id: WidgetId, on: bool) {
+        if self.widget(id).expanded != on {
+            self.slot_mut(id).expanded = on;
+        }
+    }
+
+    /// Appends a widget to the arena.
+    fn push(&mut self, w: Widget) -> WidgetId {
+        let id = WidgetId(self.len());
+        match self.widgets.last_mut() {
+            Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(w),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(w);
+                self.widgets.push(Arc::new(chunk));
+            }
+        }
+        id
+    }
+
     /// Adds a root widget (no parent). The first root added becomes the
     /// main window and is opened immediately; later roots are dialog or
     /// child-window roots, closed until opened.
     pub fn add_root(&mut self, w: Widget) -> WidgetId {
-        let id = WidgetId(self.widgets.len());
         let mut w = w;
         w.parent = None;
         self.state_epoch += 1;
-        self.widgets.push(w);
+        let id = self.push(w);
         self.stamp(id);
         if self.main_root.is_none() {
             self.main_root = Some(id);
@@ -169,19 +212,18 @@ impl UiTree {
 
     /// Adds a child widget under `parent` and returns its id.
     pub fn add(&mut self, parent: WidgetId, w: Widget) -> WidgetId {
-        let id = WidgetId(self.widgets.len());
         let mut w = w;
         w.parent = Some(parent);
         self.state_epoch += 1;
-        self.widgets.push(w);
-        self.widgets[parent.0].children.push(id);
+        let id = self.push(w);
+        self.slot_mut(parent).children.push(id);
         self.stamp(parent);
         id
     }
 
     /// Number of widgets in the arena.
     pub fn len(&self) -> usize {
-        self.widgets.len()
+        self.widgets.last().map_or(0, |last| (self.widgets.len() - 1) * CHUNK + last.len())
     }
 
     /// Whether the arena is empty.
@@ -191,7 +233,7 @@ impl UiTree {
 
     /// Borrows a widget.
     pub fn widget(&self, id: WidgetId) -> &Widget {
-        &self.widgets[id.0]
+        &self.widgets[id.0 / CHUNK][id.0 % CHUNK]
     }
 
     /// Mutably borrows a widget. Counts as a persistent state mutation
@@ -200,7 +242,7 @@ impl UiTree {
     pub fn widget_mut(&mut self, id: WidgetId) -> &mut Widget {
         self.state_epoch += 1;
         self.stamp(id);
-        &mut self.widgets[id.0]
+        self.slot_mut(id)
     }
 
     /// Renames a widget WITHOUT bumping the state epoch or the window
@@ -211,7 +253,7 @@ impl UiTree {
     /// production code; every capture layer is entitled to trust stamps.
     #[doc(hidden)]
     pub fn relabel_unstamped(&mut self, id: WidgetId, name: impl Into<String>) {
-        self.widgets[id.0].name = name.into();
+        self.slot_mut(id).name = name.into();
     }
 
     /// The persistent-mutation epoch. Two equal readings bracket a span in
@@ -264,7 +306,11 @@ impl UiTree {
 
     /// Iterates over all widgets with ids.
     pub fn iter(&self) -> impl Iterator<Item = (WidgetId, &Widget)> {
-        self.widgets.iter().enumerate().map(|(i, w)| (WidgetId(i), w))
+        self.widgets
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .enumerate()
+            .map(|(i, w)| (WidgetId(i), w))
     }
 
     /// The main window root.
@@ -352,7 +398,7 @@ impl UiTree {
     /// Opens a popup container (marks expanded, appends to the chain).
     pub fn open_popup(&mut self, id: WidgetId) {
         if !self.open_popups.contains(&id) {
-            self.widgets[id.0].expanded = true;
+            self.set_expanded(id, true);
             self.open_popups.push(id);
         }
     }
@@ -363,7 +409,7 @@ impl UiTree {
             // Later popups are nested under this one and close with it.
             let closing: Vec<WidgetId> = self.open_popups.drain(pos..).collect();
             for p in closing {
-                self.widgets[p.0].expanded = false;
+                self.set_expanded(p, false);
             }
         }
     }
@@ -372,7 +418,7 @@ impl UiTree {
     pub fn close_all_popups(&mut self) {
         let all: Vec<WidgetId> = self.open_popups.drain(..).collect();
         for p in all {
-            self.widgets[p.0].expanded = false;
+            self.set_expanded(p, false);
         }
     }
 
@@ -398,7 +444,7 @@ impl UiTree {
             if c == anc {
                 return true;
             }
-            cur = self.widgets[c.0].parent;
+            cur = self.widget(c).parent;
         }
         false
     }
@@ -406,7 +452,7 @@ impl UiTree {
     /// The arena root above `id`.
     pub fn root_of(&self, id: WidgetId) -> WidgetId {
         let mut cur = id;
-        while let Some(p) = self.widgets[cur.0].parent {
+        while let Some(p) = self.widget(cur).parent {
             cur = p;
         }
         cur
@@ -422,7 +468,22 @@ impl UiTree {
     /// popup ancestor expanded, every tab ancestor selected, context
     /// conditions met, and static visibility on).
     pub fn is_shown(&self, id: WidgetId) -> bool {
-        let w = &self.widgets[id.0];
+        let mut cur = Some(id);
+        while let Some(c) = cur {
+            if !self.is_shown_if_parent_is(c) {
+                return false;
+            }
+            cur = self.widget(c).parent;
+        }
+        true
+    }
+
+    /// [`UiTree::is_shown`] for a widget whose parent is known to be
+    /// shown (a root's answer is exact): the widget's own conditions and
+    /// its parent's popup and tab gating, without the walk up to the
+    /// root. Tree walks that descend only into shown widgets use it.
+    pub(crate) fn is_shown_if_parent_is(&self, id: WidgetId) -> bool {
+        let w = self.widget(id);
         if !w.visible {
             return false;
         }
@@ -434,14 +495,9 @@ impl UiTree {
         match w.parent {
             None => self.is_window_open(id),
             Some(p) => {
-                let pw = &self.widgets[p.0];
-                if pw.popup && !pw.expanded {
-                    return false;
-                }
-                if pw.control_type == ControlType::TabItem && !pw.selected {
-                    return false;
-                }
-                self.is_shown(p)
+                let pw = self.widget(p);
+                (!pw.popup || pw.expanded)
+                    && (pw.control_type != ControlType::TabItem || pw.selected)
             }
         }
     }
@@ -449,19 +505,20 @@ impl UiTree {
     /// Selects a tab item, deselecting its sibling tab items.
     pub fn select_tab(&mut self, id: WidgetId) {
         self.stamp(id);
-        let parent = self.widgets[id.0].parent;
+        let parent = self.widget(id).parent;
         if let Some(p) = parent {
-            let siblings: Vec<WidgetId> = self.widgets[p.0]
+            let siblings: Vec<WidgetId> = self
+                .widget(p)
                 .children
                 .iter()
                 .copied()
-                .filter(|&c| self.widgets[c.0].control_type == ControlType::TabItem)
+                .filter(|&c| self.widget(c).control_type == ControlType::TabItem)
                 .collect();
             for s in siblings {
-                self.widgets[s.0].selected = s == id;
+                self.set_selected(s, s == id);
             }
         } else {
-            self.widgets[id.0].selected = true;
+            self.set_selected(id, true);
         }
     }
 
@@ -470,14 +527,14 @@ impl UiTree {
         self.state_epoch += 1;
         self.stamp(id);
         if !additive {
-            if let Some(p) = self.widgets[id.0].parent {
-                let siblings = self.widgets[p.0].children.clone();
+            if let Some(p) = self.widget(id).parent {
+                let siblings = self.widget(p).children.clone();
                 for s in siblings {
-                    self.widgets[s.0].selected = false;
+                    self.set_selected(s, false);
                 }
             }
         }
-        self.widgets[id.0].selected = true;
+        self.set_selected(id, true);
     }
 
     /// Marks a container's children as still loading until `ready_query`.
@@ -499,7 +556,7 @@ impl UiTree {
         let mut stack = vec![root];
         while let Some(i) = stack.pop() {
             out.push(i);
-            for &c in self.widgets[i.0].children.iter().rev() {
+            for &c in self.widget(i).children.iter().rev() {
                 stack.push(c);
             }
         }
@@ -735,28 +792,62 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_recycles_buffers_and_advances_epochs() {
+    fn clone_from_shares_chunks_and_advances_epochs() {
         let (mut t, main, ..) = tree();
         let label = t.add(main, Widget::new("A label with a long name", CT::Text));
         let pristine = t.clone();
         // Mutate, then restore.
         t.widget_mut(label).name.push_str(" (edited)");
         t.widget_mut(label).enabled = false;
-        let ptr_before = t.widget(label).name.as_ptr();
+        assert_eq!(pristine.widget(label).name, "A label with a long name", "clone is isolated");
         let (e0, s0, c0) = (t.state_epoch(), t.window_stamp(main), t.context_epoch());
         t.clone_from(&pristine);
         assert_eq!(t.widget(label).name, "A label with a long name");
         assert!(t.widget(label).enabled);
-        assert_eq!(
-            t.widget(label).name.as_ptr(),
-            ptr_before,
-            "restore must reuse the existing string buffer"
-        );
+        // Copy-on-write both ways: a write through either tree after the
+        // restore stays invisible to the other.
+        t.widget_mut(label).value.push_str("restored side");
+        assert_eq!(pristine.widget(label).value, "");
+        let mut image = pristine.clone();
+        image.widget_mut(label).value.push_str("image side");
+        assert_eq!(t.widget(label).value, "restored side");
+        assert_eq!(pristine.widget(label).value, "");
         // Every epoch advanced past both trees: no capture key recorded
         // before the restore can validate after it.
         assert!(t.state_epoch() > e0.max(pristine.state_epoch()));
         assert!(t.window_stamp(main) > s0);
         assert!(t.context_epoch() > c0.max(pristine.context_epoch()));
+    }
+
+    #[test]
+    fn arena_spans_chunks_and_unchanged_flags_copy_nothing() {
+        let (mut t, main, tabs, home, insert) = tree();
+        let list = t.add(main, Widget::new("List", CT::List));
+        let items: Vec<WidgetId> = (0..3 * CHUNK)
+            .map(|i| t.add(list, Widget::new(format!("Item {i}"), CT::ListItem)))
+            .collect();
+        assert_eq!(t.len(), 3 * CHUNK + 5);
+        assert_eq!(t.iter().count(), t.len());
+        assert_eq!(t.widget(items[2 * CHUNK]).name, format!("Item {}", 2 * CHUNK));
+        assert_eq!(t.root_of(items[3 * CHUNK - 1]), main);
+        assert_eq!(t.widget(list).children.len(), 3 * CHUNK);
+        let image = t.clone();
+        let shared = |t: &UiTree| {
+            t.widgets.iter().zip(&image.widgets).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        };
+        assert_eq!(shared(&t), t.widgets.len(), "a clone shares every chunk");
+        // Re-selecting the selected tab writes no value, so it copies no
+        // chunk; selecting an item copies only the chunk it lands in.
+        t.select_tab(home);
+        assert_eq!(shared(&t), t.widgets.len(), "deselecting unselected siblings copies nothing");
+        t.select_item(items[0], true);
+        t.select_item(items[0], true);
+        assert_eq!(shared(&t), t.widgets.len() - 1, "only the first item's chunk was copied");
+        t.select_tab(insert);
+        assert!(t.widget(insert).selected && !t.widget(home).selected);
+        assert!(!image.widget(insert).selected && image.widget(home).selected);
+        assert_eq!(t.root_of(tabs), main);
+        assert_eq!(shared(&t), t.widgets.len() - 1, "the tabs share the first item's chunk");
     }
 
     #[test]

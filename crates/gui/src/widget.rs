@@ -18,7 +18,7 @@ impl std::fmt::Display for WidgetId {
 }
 
 /// One control in the provider tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Widget {
     /// UIA name.
     pub name: String,
@@ -74,94 +74,6 @@ pub struct Widget {
     pub binding: Option<crate::behavior::CommandBinding>,
     /// For scrollbars: the scrollable container this scrollbar drives.
     pub scroll_target: Option<WidgetId>,
-}
-
-impl Clone for Widget {
-    fn clone(&self) -> Widget {
-        Widget {
-            name: self.name.clone(),
-            automation_id: self.automation_id.clone(),
-            control_type: self.control_type,
-            class_name: self.class_name.clone(),
-            help_text: self.help_text.clone(),
-            patterns: self.patterns,
-            on_click: self.on_click.clone(),
-            parent: self.parent,
-            children: self.children.clone(),
-            enabled: self.enabled,
-            visible: self.visible,
-            visible_when: self.visible_when.clone(),
-            popup: self.popup,
-            expanded: self.expanded,
-            selected: self.selected,
-            toggle: self.toggle,
-            value: self.value.clone(),
-            scroll_pos: self.scroll_pos,
-            scrollable: self.scrollable,
-            viewport_rows: self.viewport_rows,
-            text_surface: self.text_surface,
-            binding: self.binding.clone(),
-            scroll_target: self.scroll_target,
-        }
-    }
-
-    // Field-wise restore that recycles the destination's `String`/`Vec`
-    // buffers (`String::clone_from` keeps capacity; `Option::clone_from`
-    // reuses the inner value when both sides are `Some`). A pristine
-    // reset restores each widget onto its own former self, so every
-    // buffer fits and the reset allocates nothing for unchanged widgets.
-    // The source is destructured exhaustively so adding a field without
-    // restoring it is a compile error, not silent state leakage.
-    fn clone_from(&mut self, src: &Widget) {
-        let Widget {
-            name,
-            automation_id,
-            control_type,
-            class_name,
-            help_text,
-            patterns,
-            on_click,
-            parent,
-            children,
-            enabled,
-            visible,
-            visible_when,
-            popup,
-            expanded,
-            selected,
-            toggle,
-            value,
-            scroll_pos,
-            scrollable,
-            viewport_rows,
-            text_surface,
-            binding,
-            scroll_target,
-        } = src;
-        self.name.clone_from(name);
-        self.automation_id.clone_from(automation_id);
-        self.control_type = *control_type;
-        self.class_name.clone_from(class_name);
-        self.help_text.clone_from(help_text);
-        self.patterns = *patterns;
-        self.on_click.clone_from(on_click);
-        self.parent = *parent;
-        self.children.clone_from(children);
-        self.enabled = *enabled;
-        self.visible = *visible;
-        self.visible_when.clone_from(visible_when);
-        self.popup = *popup;
-        self.expanded = *expanded;
-        self.selected = *selected;
-        self.toggle = *toggle;
-        self.value.clone_from(value);
-        self.scroll_pos = *scroll_pos;
-        self.scrollable = *scrollable;
-        self.viewport_rows = *viewport_rows;
-        self.text_surface = *text_surface;
-        self.binding.clone_from(binding);
-        self.scroll_target = *scroll_target;
-    }
 }
 
 impl Widget {
@@ -373,30 +285,5 @@ mod tests {
     fn primary_id_fallback() {
         let w = Widget::new("", ControlType::Pane);
         assert_eq!(w.primary_id(), "[Unnamed]");
-    }
-
-    #[test]
-    fn clone_from_recycles_string_buffers() {
-        let src = WidgetBuilder::new("Conditional Formatting", ControlType::SplitButton)
-            .automation_id("CondFormat")
-            .help("Highlight interesting cells.")
-            .on_click(Behavior::Command(crate::behavior::CommandBinding::with_arg("open", "menu")))
-            .build();
-        let mut dst = src.clone();
-        dst.value.push_str("dirty");
-        let ptrs = (dst.name.as_ptr(), dst.help_text.as_ptr(), dst.automation_id.as_ptr());
-        dst.clone_from(&src);
-        assert_eq!(dst.name, src.name);
-        assert_eq!(dst.value, "");
-        assert_eq!(
-            (dst.name.as_ptr(), dst.help_text.as_ptr(), dst.automation_id.as_ptr()),
-            ptrs,
-            "restoring a widget onto its former self must reuse its buffers"
-        );
-        // Same-variant behaviors recycle the binding's buffers too.
-        match (&dst.on_click, &src.on_click) {
-            (Behavior::Command(a), Behavior::Command(b)) => assert_eq!(a, b),
-            other => panic!("behavior variant changed: {other:?}"),
-        }
     }
 }

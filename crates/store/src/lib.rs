@@ -18,7 +18,9 @@
 //!   whose signature does not match the live app
 //!   ([`StoreError::PristineMismatch`]). The in-process
 //!   `pristine_token` cannot serve here — it is an `Arc` address and
-//!   therefore process-local.
+//!   therefore process-local. Within one process it is shared by every
+//!   launch of one launch image (`AppKind::launch` forks a per-process
+//!   image), so it names a build and size there, not an instance.
 //!
 //! See `docs/persistence.md` for the format layout and compatibility
 //! rules.

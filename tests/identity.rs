@@ -1,11 +1,17 @@
 //! The control-identity layer: `ControlKey` stability, indexed resolution
-//! equivalence with the old linear scan, and pinned rip capture counts.
+//! equivalence with the old linear scan, pinned rip capture counts, and
+//! launch-image forks equal to freshly constructed apps.
 
-use dmi_apps::AppKind;
+use dmi_agent::RunConfig;
+use dmi_apps::{
+    AppKind, ExcelApp, ExcelConfig, PowerPointApp, PowerPointConfig, WordApp, WordConfig,
+};
 use dmi_core::ripper::{rip, RipConfig};
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig};
-use dmi_gui::{CaptureConfig, Session};
-use dmi_uia::{ControlId, ControlKey, Snapshot};
+use dmi_gui::{Behavior, CaptureConfig, GuiApp, InstabilityModel, Session, Widget, WidgetId};
+use dmi_llm::{CapabilityProfile, InterfaceMode};
+use dmi_uia::{ControlId, ControlKey, ControlType, PatternKind, Snapshot};
+use std::any::Any;
 
 /// The ancestor path computed the pre-index way: walk parents, join names.
 fn walked_path(snap: &Snapshot, idx: usize) -> String {
@@ -409,4 +415,141 @@ fn traced_gateway_serve_is_byte_identical_to_untraced() {
         );
     }
     assert!(trace.count(Some(dmi_obs::Cat::Gateway), "round") > 0, "rounds recorded");
+}
+
+/// A freshly constructed app, bypassing the launch images: the default
+/// configuration, or the small one [`AppKind::launch_small`] forks.
+fn construct(kind: AppKind, small: bool) -> Box<dyn GuiApp> {
+    match (kind, small) {
+        (AppKind::Word, false) => Box::new(WordApp::new()),
+        (AppKind::Excel, false) => Box::new(ExcelApp::new()),
+        (AppKind::PowerPoint, false) => Box::new(PowerPointApp::new()),
+        (AppKind::Word, true) => {
+            Box::new(WordApp::with_config(WordConfig { paragraphs: 12, viewport_rows: 6 }))
+        }
+        (AppKind::Excel, true) => {
+            Box::new(ExcelApp::with_config(ExcelConfig { rows: 12, cols: 8, viewport_rows: 6 }))
+        }
+        (AppKind::PowerPoint, true) => {
+            Box::new(PowerPointApp::with_config(PowerPointConfig { slides: 5, viewport_rows: 5 }))
+        }
+    }
+}
+
+fn launch(kind: AppKind, small: bool) -> Box<dyn GuiApp> {
+    if small {
+        kind.launch_small()
+    } else {
+        kind.launch()
+    }
+}
+
+/// The app's document model, rendered for comparison.
+fn document(s: &Session) -> String {
+    let app = s.app() as &dyn Any;
+    if let Some(word) = app.downcast_ref::<WordApp>() {
+        format!("{:?}", word.doc)
+    } else if let Some(excel) = app.downcast_ref::<ExcelApp>() {
+        format!("{:?}", excel.sheet)
+    } else {
+        format!("{:?}", app.downcast_ref::<PowerPointApp>().expect("an Office app").deck)
+    }
+}
+
+/// The first shown widget in arena order that satisfies `pred`.
+fn first_shown(s: &Session, what: &str, pred: impl Fn(&Widget) -> bool) -> WidgetId {
+    let tree = s.app().tree();
+    let found = tree.iter().find(|&(i, w)| pred(w) && tree.is_shown(i));
+    found.unwrap_or_else(|| panic!("no shown {what}")).0
+}
+
+/// Drives a session through a ribbon-tab click, a menu open, typing into
+/// an edit (opening its window first when it is closed) and a `SetValue`
+/// in the top window. Targets are picked in arena order, so two
+/// launch-identical apps get the same script.
+fn drive(s: &mut Session) {
+    let tab =
+        first_shown(s, "unselected tab", |w| w.control_type == ControlType::TabItem && !w.selected);
+    s.click(tab).unwrap();
+    let menu = first_shown(s, "closed menu", |w| w.popup && w.enabled && !w.expanded);
+    s.click(menu).unwrap();
+    let tree = s.app().tree();
+    let opener = |root: WidgetId| {
+        let opens = |w: &Widget| matches!(w.on_click, Behavior::OpenDialog(r) | Behavior::OpenWindow(r) if r == root);
+        tree.iter().find(|&(i, w)| opens(w) && tree.is_shown(i)).map(|(i, _)| i)
+    };
+    let (edit, open) = tree
+        .iter()
+        .filter(|(_, w)| w.on_click == Behavior::FocusEdit && w.enabled)
+        .find_map(|(i, _)| {
+            if tree.is_shown(i) {
+                Some((i, None))
+            } else {
+                opener(tree.root_of(i)).map(|o| (i, Some(o)))
+            }
+        })
+        .expect("an edit the script can reach");
+    if let Some(o) = open {
+        s.click(o).unwrap();
+    }
+    s.click(edit).unwrap();
+    s.type_text("Quarterly Report").unwrap();
+    let tree = s.app().tree();
+    let top = tree.top_window().root;
+    let field = tree
+        .iter()
+        .find(|&(i, w)| {
+            w.patterns.supports(PatternKind::Value)
+                && w.enabled
+                && tree.is_shown(i)
+                && tree.root_of(i) == top
+        })
+        .expect("a value control in the top window")
+        .0;
+    s.set_value(field, "42").unwrap();
+}
+
+/// Asserts two sessions snapshot the same bytes and carry the same
+/// document.
+fn assert_same(a: &mut Session, b: &mut Session, what: &str) {
+    assert!(*a.snapshot() == *b.snapshot(), "{what}: snapshots differ");
+    assert_eq!(document(a), document(b), "{what}: documents differ");
+}
+
+/// Launch equals construction: `AppKind::launch`/`launch_small` fork one
+/// process-wide image per app and size, which both sides of the served vs
+/// sequential oracle share. This oracle keeps it independent: a launch
+/// must be indistinguishable from a freshly built app, right after launch
+/// and after the same scripted inputs, under no instability and under the
+/// evaluation model, and a driven launch's edits must never reach the
+/// image.
+#[test]
+fn launch_equals_construction() {
+    let evaluation =
+        RunConfig::evaluation(CapabilityProfile::gpt5_medium(), InterfaceMode::GuiPlusDmi, 1)
+            .instability_model();
+    for small in [true, false] {
+        for kind in AppKind::ALL {
+            for inst in [InstabilityModel::off(), evaluation.clone()] {
+                let what = format!("{kind} (small: {small}, instability: {})", inst.is_active());
+                let mut driven = Session::with_instability(launch(kind, small), inst.clone());
+                drive(&mut driven);
+                let mut launched = Session::with_instability(launch(kind, small), inst.clone());
+                let mut built = Session::with_instability(construct(kind, small), inst.clone());
+                assert_eq!(
+                    launched.app().pristine_token(),
+                    driven.app().pristine_token(),
+                    "{what}: launches of one image share its pristine token"
+                );
+                assert!(
+                    *driven.snapshot() != *launched.snapshot(),
+                    "{what}: the script must change the UI"
+                );
+                assert_same(&mut launched, &mut built, &format!("{what}, at launch"));
+                drive(&mut launched);
+                drive(&mut built);
+                assert_same(&mut launched, &mut built, &format!("{what}, after the script"));
+            }
+        }
+    }
 }
