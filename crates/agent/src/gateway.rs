@@ -8,20 +8,20 @@
 //!
 //! - **Admission in request order.** Requests wait in one queue in the
 //!   order they were submitted. While the in-flight cap has room, the
-//!   loop admits from the front; a request whose app has no free session
-//!   is passed over and keeps its place at the front for the next round.
-//!   A request whose task targets a different Office app than the pool's
-//!   donor, or a GUI+DMI request to an app served without a DMI model, is
-//!   rejected here, before any session is checked out.
-//! - **Pooled sessions.** Each app brings one *donor* session holding
-//!   its pristine launch image. Tenant sessions are checked out of a
-//!   per-app pool: an idle session is [`Session::recycle`]d back to
-//!   launch state under the new tenant's instability model, or a fresh
-//!   [`Session::fork_from_pristine`] fork is taken while the pool is
-//!   under its cap. Every session keeps its own capture caches; none
-//!   are shared across tenants. An app that cannot fork serves at
-//!   capacity one on its donor; a session that cannot attest a pristine
-//!   reset is forfeited, never reused.
+//!   loop admits from the front; a request whose app is at its session
+//!   cap is passed over and keeps its place at the front for the next
+//!   round. A request whose task targets a different Office app than the
+//!   app's donor, a GUI+DMI request to an app served without a DMI
+//!   model, or a request to an app whose donor cannot fork is rejected
+//!   here with a fault naming the app.
+//! - **One fresh fork per task.** Each app brings one *donor* session
+//!   holding its pristine launch image. Every admitted task gets a new
+//!   [`Session::fork_from_pristine`] fork under its own instability
+//!   model, while the app has fewer than
+//!   [`GatewayConfig::sessions_per_app`] sessions live. The fork shares
+//!   the image's widget chunks copy-on-write, so it costs about as much
+//!   as a reset. The session is dropped when its task lands or panics;
+//!   no session, and no capture cache, ever serves a second tenant.
 //! - **Suspension at LLM-call boundaries.** Tasks run as resumable
 //!   [`TaskState`] machines. Each round steps every in-flight task once,
 //!   in place and under `catch_unwind`, and suspends it at the next
@@ -40,15 +40,15 @@
 //!
 //! A task's trace is a fold over its own LLM stream (seeded from the
 //! task id and run seed alone) and its own session. The gateway changes
-//! *where* the session comes from (pool instead of launch) and *when*
-//! steps run (interleaved instead of back to back), but neither input:
-//! recycling restores launch state under the tenant's own instability
-//! model, and suspension points hold no RNG. Hence each task's
-//! [`RunTrace`] is byte-identical to its single-session sequential run
-//! at every concurrency level — the release-gated serve oracle in
-//! `tests/identity.rs` asserts exactly this, and the fuzz harness drives
-//! a drifting tenant through the same pools to prove failure stays
-//! contained.
+//! *where* the session comes from (a fork of the donor instead of a
+//! launch) and *when* steps run (interleaved instead of back to back),
+//! but neither input: a fork is a launch-state instance under the
+//! tenant's own instability model, and suspension points hold no RNG.
+//! Hence each task's [`RunTrace`] is byte-identical to its
+//! single-session sequential run at every concurrency level — the
+//! release-gated serve oracle in `tests/identity.rs` asserts exactly
+//! this, and the fuzz harness drives a drifting tenant through the same
+//! gateway to prove failure stays contained.
 
 use crate::runner::{RunConfig, StepStatus, TaskState};
 use crate::task::AgentTask;
@@ -128,8 +128,8 @@ pub struct GatewayConfig {
     /// remains only because the frozen benchmark (`dmibench/src/serve.rs`)
     /// sets it, and goes with that benchmark's next change.
     pub workers: usize,
-    /// Session-pool cap per app: the most tenant sessions one app keeps
-    /// live at once.
+    /// Session cap per app: the most tenant sessions one app has live at
+    /// once.
     pub sessions_per_app: usize,
     /// Admission cap: the most tasks in flight at once (at least 1).
     pub max_in_flight: usize,
@@ -166,7 +166,9 @@ pub struct ServeStats {
     pub faulted: usize,
     /// Sessions forked fresh from a donor's pristine image.
     pub session_forks: usize,
-    /// Sessions served from the pool via recycle.
+    /// Always 0: every session is a fresh fork. It remains only because
+    /// the frozen benchmark (`dmibench/src/serve.rs`) reads it, and goes
+    /// with that benchmark's next change.
     pub session_reuses: usize,
     /// Always 0. It remains only because the frozen benchmark
     /// (`dmibench/src/serve.rs`) reads it, and goes with that benchmark's
@@ -208,21 +210,19 @@ impl ServeReport {
     }
 }
 
-/// The per-app session pool behind the gateway (see module docs).
+/// One served app behind the gateway: its donor, its model and its live
+/// session count (see module docs).
 struct AppPool {
     dmi: Option<Arc<Dmi>>,
     /// The Office app the donor runs; `None` for any other app, whose
     /// requests are not checked against the task's target.
     kind: Option<AppKind>,
-    /// The fork source. `None` once lent to an unforkable checkout.
-    donor: Option<Session>,
-    /// Parked sessions awaiting recycle.
-    idle: Vec<Session>,
+    /// The fork source: every tenant session is a fresh fork of it.
+    donor: Session,
     /// Sessions currently checked out.
     live: usize,
     cap: usize,
     forks: usize,
-    reuses: usize,
 }
 
 impl AppPool {
@@ -230,66 +230,26 @@ impl AppPool {
         AppPool {
             dmi: app.dmi,
             kind: AppKind::of(app.donor.app()),
-            donor: Some(app.donor),
-            idle: Vec::new(),
+            donor: app.donor,
             live: 0,
             cap: cap.max(1),
             forks: 0,
-            reuses: 0,
         }
     }
 
-    /// Checks a session out for a tenant, preferring recycle over fork.
-    /// `None` when the app is at capacity (try again when a flight
-    /// lands).
+    /// Forks a fresh launch-state session for a tenant, under the
+    /// tenant's instability model. `None` when the donor cannot fork.
     fn checkout(&mut self, cfg: &RunConfig) -> Option<Session> {
-        while let Some(mut s) = self.idle.pop() {
-            if s.recycle(cfg.instability_model()) {
-                self.reuses += 1;
-                self.live += 1;
-                return Some(s);
-            }
-            // No pristine attestation: nothing proves the next tenant
-            // would start from launch state. Forfeit the session.
-        }
-        if self.live >= self.cap {
-            return None;
-        }
-        if let Some(donor) = &self.donor {
-            if let Some(fork) = donor.fork_from_pristine(cfg.instability_model()) {
-                self.forks += 1;
-                self.live += 1;
-                return Some(fork);
-            }
-        }
-        // Unforkable app: lend the donor itself — capacity one, returned
-        // through the idle pool and recycled like any other session. The
-        // lend recycles too (the donor carries whatever model it was
-        // built with); a donor that cannot attest pristine is forfeited
-        // like any pooled session.
-        if let Some(mut donor) = self.donor.take() {
-            if donor.recycle(cfg.instability_model()) {
-                self.live += 1;
-                return Some(donor);
-            }
-        }
-        None
+        let fork = self.donor.fork_from_pristine(cfg.instability_model())?;
+        self.forks += 1;
+        self.live += 1;
+        Some(fork)
     }
 
-    /// Returns a finished session to the pool.
-    fn checkin(&mut self, session: Session) {
+    /// A checked-out session was dropped with its landed or panicked
+    /// task.
+    fn release(&mut self) {
         self.live -= 1;
-        self.idle.push(session);
-    }
-
-    /// A checked-out session died with its task (a step panicked).
-    fn forfeit(&mut self) {
-        self.live -= 1;
-    }
-
-    /// Whether a checkout could *ever* succeed again.
-    fn exhausted(&self) -> bool {
-        self.live == 0 && self.idle.is_empty() && self.donor.is_none()
     }
 }
 
@@ -314,12 +274,8 @@ fn fault_outcome(req: ServeRequest, fault: String, admit_vt: f64, finish_vt: f64
     }
 }
 
-fn no_sessions_left(app: &str) -> String {
-    format!("app `{app}` has no serviceable sessions left")
-}
-
-/// The multi-tenant gateway: holds the per-app session pools and serves
-/// request batches against them.
+/// The multi-tenant gateway: holds the served apps and serves request
+/// batches against them.
 pub struct Gateway {
     pools: BTreeMap<String, AppPool>,
     config: GatewayConfig,
@@ -351,8 +307,8 @@ impl Gateway {
 
         loop {
             // Admission in request order while slots are free. A request
-            // whose app is saturated is passed over and keeps its place
-            // at the front of the queue.
+            // whose app is at its session cap is passed over and keeps its
+            // place at the front of the queue.
             let mut blocked: Vec<(usize, ServeRequest)> = Vec::new();
             while in_flight.len() < cap {
                 let Some((slot, req)) = queue.pop_front() else { break };
@@ -365,7 +321,12 @@ impl Gateway {
                     Some(pool) if req.cfg.mode.has_dmi() && pool.dmi.is_none() => {
                         format!("app `{}` has no DMI model for a GUI+DMI request", req.app)
                     }
+                    Some(pool) if pool.live >= pool.cap => {
+                        blocked.push((slot, req));
+                        continue;
+                    }
                     Some(pool) => match pool.checkout(&req.cfg) {
+                        None => format!("app `{}` cannot fork sessions", req.app),
                         Some(session) => {
                             let setup = catch_unwind(AssertUnwindSafe(|| {
                                 TaskState::with_session(&req.task, session, &req.cfg)
@@ -378,15 +339,10 @@ impl Gateway {
                                 }
                                 // The session died with the task's setup.
                                 Err(payload) => {
-                                    pool.forfeit();
+                                    pool.release();
                                     panic_payload(payload.as_ref())
                                 }
                             }
-                        }
-                        None if pool.exhausted() => no_sessions_left(&req.app),
-                        None => {
-                            blocked.push((slot, req));
-                            continue;
                         }
                     },
                 };
@@ -398,13 +354,9 @@ impl Gateway {
             }
 
             if in_flight.is_empty() {
-                // Backlog may remain with nothing in flight and nothing
-                // admitted: every remaining app is wedged.
-                for (slot, req) in queue.drain(..) {
-                    let fault = no_sessions_left(&req.app);
-                    outcomes[slot] = Some(fault_outcome(req, fault, vt, vt));
-                    stats.faulted += 1;
-                }
+                // Nothing in flight means every pool is empty, so no
+                // request was blocked: admission drained the queue.
+                debug_assert!(queue.is_empty(), "a request was blocked by an empty pool");
                 break;
             }
 
@@ -452,18 +404,18 @@ impl Gateway {
 
             // Land finished flights (descending position keeps
             // swap_remove indices valid). Verification runs the task's own
-            // verifier, so it is contained like a step.
+            // verifier, so it is contained like a step. The session is
+            // dropped with its flight, landed or panicked.
             for (pos, fault) in landed.into_iter().rev() {
                 let Flight { slot, req, state, admit_vt } = in_flight.swap_remove(pos);
-                let pool = self.pools.get_mut(&req.app).expect("pool exists");
+                self.pools.get_mut(&req.app).expect("pool exists").release();
                 let finished = match fault {
                     None => catch_unwind(AssertUnwindSafe(|| state.finish(&req.task)))
                         .map_err(|payload| panic_payload(payload.as_ref())),
                     Some(payload) => Err(payload),
                 };
                 match finished {
-                    Ok((trace, session)) => {
-                        pool.checkin(session);
+                    Ok((trace, _session)) => {
                         stats.completed += 1;
                         dmi_obs::tally("gateway.completed", 1);
                         dmi_obs::vt_span(dmi_obs::Cat::Gateway, "task", slot as u64, admit_vt, vt);
@@ -477,9 +429,8 @@ impl Gateway {
                         });
                     }
                     Err(payload) => {
-                        // The session died mid-unwind with its task; the
-                        // pool shrinks, sibling tenants are untouched.
-                        pool.forfeit();
+                        // The session died mid-unwind with its task;
+                        // sibling tenants are untouched.
                         stats.faulted += 1;
                         dmi_obs::tally("gateway.faulted", 1);
                         dmi_obs::instant(dmi_obs::Cat::Gateway, "task.fault", slot as u64);
@@ -491,9 +442,7 @@ impl Gateway {
 
         for pool in self.pools.values_mut() {
             stats.session_forks += pool.forks;
-            stats.session_reuses += pool.reuses;
             pool.forks = 0;
-            pool.reuses = 0;
         }
         stats.wall_secs = wall_start.elapsed().as_secs_f64();
 

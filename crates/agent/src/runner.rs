@@ -59,7 +59,7 @@ impl RunConfig {
 
     /// The instability model a run under this configuration applies to
     /// its session — the single definition shared by the sequential
-    /// runner and the gateway's pooled-session recycling, so both paths
+    /// runner's launch and the gateway's per-task fork, so both paths
     /// perturb the UI identically.
     pub fn instability_model(&self) -> InstabilityModel {
         InstabilityModel::new(self.seed.wrapping_add(17), self.instability.0, self.instability.1)
@@ -114,11 +114,12 @@ impl TaskState {
         TaskState::with_session(task, session, cfg)
     }
 
-    /// Builds a task on a caller-provided session — the gateway's pooled
-    /// checkout. The session must be indistinguishable from a fresh
-    /// launch of the task's app with [`RunConfig::instability_model`]
-    /// applied (`Session::recycle` establishes exactly that); the serve
-    /// trace-identity oracle gates the equivalence end to end.
+    /// Builds a task on a caller-provided session — the gateway's fresh
+    /// fork of the app's donor. The session must be indistinguishable
+    /// from a fresh launch of the task's app with
+    /// [`RunConfig::instability_model`] applied
+    /// (`Session::fork_from_pristine` establishes exactly that); the
+    /// serve trace-identity oracle gates the equivalence end to end.
     pub fn with_session(task: &AgentTask, mut session: Session, cfg: &RunConfig) -> TaskState {
         let llm = SimLlm::new(cfg.profile.clone(), cfg.mode, &task.id, cfg.seed);
         if let Some(setup) = task.setup {
@@ -205,8 +206,10 @@ impl TaskState {
     }
 
     /// Verifies the task outcome, attributes the root cause, and builds
-    /// the [`RunTrace`]. Returns the session too so a pooled caller can
-    /// recycle it.
+    /// the [`RunTrace`]. Also returns the session, which the gateway
+    /// drops; the pair remains only because the frozen benchmark
+    /// (`dmibench/src/agent.rs`) destructures it, and goes with that
+    /// benchmark's next change.
     pub fn finish(self, task: &AgentTask) -> (RunTrace, Session) {
         let (failure, completed, fallback_used) = self.outcome;
         let verified = completed && failure.is_none() && (task.verify)(&self.session);

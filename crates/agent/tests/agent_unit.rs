@@ -4,7 +4,7 @@
 use dmi_agent::{
     run_task, AgentTask, Gateway, GatewayConfig, InterfaceMode, RunConfig, ServeApp, ServeRequest,
 };
-use dmi_apps::{AppKind, WordApp, WordConfig};
+use dmi_apps::{AppKind, WordApp};
 use dmi_llm::{CapabilityProfile, GuiStep, PlanStep, TargetQuery, TaskPlan, VisitTarget};
 use std::any::Any;
 use std::sync::Arc;
@@ -32,12 +32,7 @@ fn bold_italic_task() -> AgentTask {
             s.select_lines(surf, 0, 0).unwrap();
         }),
         verify: |s| {
-            // Sessions over the `Unforkable` wrapper downcast through it.
-            let app = s.app() as &dyn Any;
-            let w = app
-                .downcast_ref::<WordApp>()
-                .or_else(|| app.downcast_ref::<Unforkable>().map(|u| &u.0))
-                .unwrap();
+            let w = (s.app() as &dyn Any).downcast_ref::<WordApp>().unwrap();
             w.doc.paragraphs[0].format.bold && w.doc.paragraphs[0].format.italic
         },
         plan: TaskPlan {
@@ -129,7 +124,10 @@ fn gateway_traces_match_sequential_runs_at_any_worker_count() {
     let report = gw.serve(requests);
     assert_eq!(report.stats.completed, 6);
     assert_eq!(report.stats.faulted, 0);
-    assert!(report.stats.session_reuses > 0, "pool cap 2 forces recycling for 6 tasks");
+    assert_eq!(
+        report.stats.session_forks, report.stats.completed,
+        "every task runs on its own fresh fork"
+    );
     for (outcome, expect) in report.outcomes.iter().zip(&sequential) {
         let got = outcome.trace.as_ref().expect("trace present").identity_bytes();
         assert_eq!(&got, expect, "tenant={}", outcome.tenant);
@@ -140,72 +138,38 @@ fn gateway_traces_match_sequential_runs_at_any_worker_count() {
     assert!(report.latency_percentile(99.0) >= report.latency_percentile(50.0));
 }
 
-/// Forwards everything to the wrapped Word app except `fork` (always
-/// `None`), exercising the gateway's donor-lending path. Task verifiers
-/// reach the Word model through the wrapper's field.
-struct Unforkable(WordApp);
-
-impl dmi_gui::GuiApp for Unforkable {
-    fn tree(&self) -> &dmi_gui::UiTree {
-        self.0.tree()
-    }
-    fn tree_mut(&mut self) -> &mut dmi_gui::UiTree {
-        self.0.tree_mut()
-    }
-    fn dispatch(
-        &mut self,
-        source: dmi_gui::WidgetId,
-        binding: &dmi_gui::CommandBinding,
-    ) -> Result<(), dmi_gui::AppError> {
-        self.0.dispatch(source, binding)
-    }
-    fn on_window_close(
-        &mut self,
-        root: dmi_gui::WidgetId,
-        commit: dmi_gui::CommitKind,
-    ) -> Result<(), dmi_gui::AppError> {
-        self.0.on_window_close(root, commit)
-    }
-    fn reset(&mut self) {
-        self.0.reset()
-    }
-    fn pristine_token(&self) -> Option<u64> {
-        self.0.pristine_token()
-    }
-}
-
+/// A request to an app whose donor cannot fork is refused at admission
+/// with a fault naming the app: no session is ever checked out, and the
+/// serve terminates.
 #[test]
-fn gateway_serves_unforkable_apps_on_the_lent_donor() {
+fn gateway_refuses_requests_to_an_unforkable_app() {
     let task = Arc::new(bold_italic_task());
     let requests: Vec<ServeRequest> = (0..3u64)
         .map(|i| ServeRequest {
-            tenant: "solo".into(),
-            app: "word".into(),
+            tenant: format!("tenant-{i}"),
+            app: "menu".into(),
             task: Arc::clone(&task),
             cfg: RunConfig::test(perfect(), InterfaceMode::GuiOnly, i),
         })
         .collect();
-    let sequential: Vec<String> =
-        requests.iter().map(|r| run_task(&r.task, None, &r.cfg).identity_bytes()).collect();
-
-    // An unforkable donor: capacity one, every task recycles the donor.
-    let word = WordApp::with_config(WordConfig { paragraphs: 12, viewport_rows: 6 });
-    let donor = dmi_gui::Session::new(Box::new(Unforkable(word)));
+    let donor = dmi_gui::Session::new(Box::new(dmi_apps::testkit::UnforkableApp::new(3)));
     let mut gw = Gateway::new(
-        vec![ServeApp::new("word", donor, None)],
-        GatewayConfig { workers: 1, sessions_per_app: 4, max_in_flight: 4 },
+        vec![ServeApp::new("menu", donor, None)],
+        GatewayConfig { workers: 1, sessions_per_app: 1, max_in_flight: 4 },
     );
     let report = gw.serve(requests);
-    assert_eq!(report.stats.completed, 3);
+    assert_eq!((report.stats.completed, report.stats.faulted), (0, 3));
     assert_eq!(report.stats.session_forks, 0, "nothing forked off an unforkable app");
-    for (outcome, expect) in report.outcomes.iter().zip(&sequential) {
-        assert_eq!(&outcome.trace.as_ref().expect("trace").identity_bytes(), expect);
+    for outcome in &report.outcomes {
+        assert!(outcome.trace.is_none());
+        assert_eq!(outcome.fault.as_deref(), Some("app `menu` cannot fork sessions"));
     }
 }
 
 /// A GUI+DMI request to an app served without a DMI model is refused at
 /// admission with a fault naming the app: no session is checked out for
-/// it, and its GUI-only siblings share the one forked session.
+/// it, and its GUI-only siblings each run on their own fork, one at a
+/// time under the cap of one session.
 #[test]
 fn gateway_rejects_gui_plus_dmi_requests_to_an_app_without_a_model() {
     let task = Arc::new(bold_italic_task());
@@ -229,7 +193,11 @@ fn gateway_rejects_gui_plus_dmi_requests_to_an_app_without_a_model() {
     let report = gw.serve(requests);
     assert_eq!(report.stats.completed, 2);
     assert_eq!(report.stats.faulted, 1);
-    assert_eq!(report.stats.session_forks, 1, "no session is spent on the refused request");
+    assert_eq!(
+        report.stats.session_forks, report.stats.completed,
+        "no session is spent on the refused request"
+    );
+    assert!(report.outcomes[2].admit_vt > 0.0, "the cap holds the second sibling back");
     let refused = &report.outcomes[0];
     assert!(refused.trace.is_none());
     assert_eq!(

@@ -92,9 +92,10 @@ pub trait GuiApp: std::any::Any + Send {
     /// Forks a fresh launch-state instance of this application, sharing
     /// the immutable pristine launch image (no widget-tree
     /// reconstruction). Deterministic simulations make a fork equivalent
-    /// to launching another copy of the same build, so forks can explore
-    /// independently on other threads. Returns `None` when the app keeps
-    /// no shareable launch image (the default).
+    /// to launching another copy of the same build, so the serving
+    /// gateway gives every tenant task its own fork. Returns `None` when
+    /// the app keeps no shareable launch image (the default); the
+    /// gateway refuses requests to such an app.
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
         None
     }
@@ -184,37 +185,12 @@ impl Session {
     /// counters. Deterministic simulations make the fork behaviorally
     /// equivalent to a [`Session::with_instability`] launch of the same
     /// build under `inst`, so forks can run independently — the serving
-    /// gateway pools them per app, each under its tenant's model. `None`
-    /// when the application does not support forking.
+    /// gateway forks one per tenant task, under that tenant's model.
+    /// `None` when the application does not support forking.
     pub fn fork_from_pristine(&self, inst: InstabilityModel) -> Option<Session> {
         let mut s = Session::with_instability(self.app.fork()?, inst);
         s.capture_cfg = self.capture_cfg;
         Some(s)
-    }
-
-    /// Returns the session to a just-launched state under a new
-    /// instability model, so a pooled session can serve its next tenant
-    /// indistinguishably from a fresh launch. This is what makes online
-    /// session reuse trace-sound: every counter the instability model
-    /// keys off (action, query, external-jump clocks) is zeroed, every
-    /// cached capture — the pristine stash included, since it was
-    /// captured under the *previous* tenant's instability — is dropped,
-    /// and the application resets to its launch image.
-    ///
-    /// Returns whether the application attested a pristine launch image
-    /// for the reset ([`GuiApp::pristine_token`]); a caller pooling
-    /// sessions should forfeit the session when it did not, because
-    /// nothing then proves the next tenant starts from launch state.
-    pub fn recycle(&mut self, inst: InstabilityModel) -> bool {
-        self.inst = inst;
-        self.capture_stats = CaptureStats::default();
-        self.query_seq = 0;
-        self.action_seq = 0;
-        self.external_jumps = 0;
-        self.cache.clear();
-        self.restart();
-        self.restart_seq = 0;
-        self.app.pristine_token().is_some()
     }
 
     /// Ignores its argument: [`CapturePool`] is an empty placeholder. It

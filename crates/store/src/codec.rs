@@ -358,8 +358,10 @@ impl<'a> ArtifactReader<'a> {
         if kind != expected_kind {
             return Err(StoreError::WrongKind { expected: expected_kind, found: kind });
         }
-        let n_sections = d.u32()? as usize;
-        let mut sections = Vec::with_capacity(n_sections);
+        // No capacity is reserved from the count: a corrupt one would ask
+        // for gigabytes before the frames below run out.
+        let n_sections = d.u32()?;
+        let mut sections = Vec::new();
         for _ in 0..n_sections {
             let tag = d.u8()?;
             let len = d.u64()? as usize;

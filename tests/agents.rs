@@ -157,7 +157,11 @@ fn gateway_refuses_a_task_for_another_app() {
     );
     let report = gw.serve(requests.clone());
     assert_eq!((report.stats.completed, report.stats.faulted), (2, 1));
-    assert_eq!(report.stats.session_forks, 1, "no session is spent on the refused request");
+    assert_eq!(
+        report.stats.session_forks, report.stats.completed,
+        "no session is spent on the refused request"
+    );
+    assert!(report.outcomes[2].admit_vt > 0.0, "the cap holds the second sibling back");
     let refused = &report.outcomes[1];
     assert!(refused.trace.is_none());
     assert_eq!(

@@ -9,7 +9,10 @@
 //! Clean (fault-free) specs must pass every oracle — the determinism
 //! contract itself (`docs/determinism.md`) — checked over a seeded
 //! corpus: a small smoke here, hundreds of seeds in the release-gated
-//! `#[ignore]` runs.
+//! `#[ignore]` runs. A seeded input fuzz drives random `visit` command
+//! arrays through `Dmi::visit_json` on the small Office models: every
+//! one must return a typed outcome, 501 in the smoke and 10,002 in the
+//! `#[ignore]`d run.
 
 use dmi_core::fuzz::{
     check_cached_capture, check_esc_recovery, check_fleet, check_spec, shrink_ops,
@@ -18,6 +21,7 @@ use dmi_core::fuzz::{
 use dmi_core::ripper::rip;
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung};
 use dmi_gui::Session;
+use dmi_integration_tests::{dmi_models, SplitMix};
 use proptest::prelude::*;
 
 /// Canonical UNG bytes — the representation every oracle pins.
@@ -370,4 +374,142 @@ proptest! {
         let spec = AppSpec::from_raw(&raw);
         prop_assert!(check_spec(&spec).is_none(), "clean spec diverged: {:?}", spec.ops);
     }
+}
+
+// ---------------------------------------------------------------------
+// `visit` input fuzz: any command array is a typed outcome.
+// ---------------------------------------------------------------------
+
+/// Node ids a fuzzed command draws from: functional leaves (the ids a
+/// `visit` executes) and reference nodes (the valid entry references).
+struct FuzzIds {
+    len: usize,
+    leaves: Vec<usize>,
+    refs: Vec<usize>,
+}
+
+impl FuzzIds {
+    fn of(forest: &dmi_core::Forest) -> FuzzIds {
+        let leaves = (0..forest.len()).filter(|&id| forest.is_functional_leaf(id)).collect();
+        FuzzIds { len: forest.len(), leaves, refs: forest.entry_map.keys().copied().collect() }
+    }
+
+    /// One JSON value for an id-like field: mostly a leaf, a reference
+    /// or any node, sometimes an off-by-one, a huge or negative integer,
+    /// or the wrong type.
+    fn value(&self, rng: &mut SplitMix) -> String {
+        let n = self.len;
+        let pick = |ids: &[usize], rng: &mut SplitMix| match ids.len() {
+            0 => n.to_string(),
+            k => ids[rng.below(k)].to_string(),
+        };
+        match rng.below(16) {
+            0..=6 => pick(&self.leaves, rng),
+            7 | 8 => pick(&self.refs, rng),
+            9 | 10 => rng.below(n).to_string(),
+            11 => [n, n + 1, usize::MAX][rng.below(3)].to_string(),
+            12 => [u64::MAX.to_string(), i64::MAX.to_string(), "1e30".into()][rng.below(3)].clone(),
+            13 => ["-1", "-9223372036854775808", "-0"][rng.below(3)].to_string(),
+            _ => ["3.5", "\"7\"", "null", "true", "[]", "{}"][rng.below(6)].to_string(),
+        }
+    }
+
+    /// A JSON list of zero to three id values.
+    fn list(&self, rng: &mut SplitMix) -> String {
+        let ids: Vec<String> = (0..rng.below(4)).map(|_| self.value(rng)).collect();
+        format!("[{}]", ids.join(", "))
+    }
+
+    /// One random `visit` command array: mostly node accesses (with or
+    /// without text, `enforced` and entry references of every shape),
+    /// some shortcuts and queries, unknown keys, non-object items, and
+    /// now and then a document that is not an array or not JSON at all.
+    fn commands(&self, rng: &mut SplitMix) -> String {
+        match rng.below(50) {
+            0 => return "{\"id\": 1}".into(),
+            1 => return "[{\"id\": ".into(),
+            2 => return "[]".into(),
+            _ => {}
+        }
+        let items: Vec<String> = (0..1 + rng.below(4))
+            .map(|_| {
+                let mut fields = Vec::new();
+                match rng.below(20) {
+                    0 => return ["1", "\"click\"", "null", "[[]]", "{}"][rng.below(5)].into(),
+                    1 | 2 => {
+                        let key = ["\"Esc\"", "\"Enter\"", "\"Ctrl+B\"", "\"\"", "42"];
+                        fields.push(format!("\"shortcut_key\": {}", key[rng.below(5)]));
+                    }
+                    3 => {
+                        let ids = if rng.below(2) == 0 { self.list(rng) } else { self.value(rng) };
+                        fields.push(format!("\"further_query\": {ids}"));
+                    }
+                    _ => {
+                        fields.push(format!("\"id\": {}", self.value(rng)));
+                        if rng.below(3) == 0 {
+                            let refs =
+                                if rng.below(2) == 0 { self.list(rng) } else { self.value(rng) };
+                            fields.push(format!("\"entry_ref_id\": {refs}"));
+                        }
+                        if rng.below(5) == 0 {
+                            let text = ["\"\"", "\"hello\"", "\"12\"", "7"][rng.below(4)];
+                            fields.push(format!("\"text\": {text}"));
+                        }
+                        if rng.below(6) == 0 {
+                            let on = ["true", "false", "1"][rng.below(3)];
+                            fields.push(format!("\"enforced\": {on}"));
+                        }
+                    }
+                }
+                if rng.below(10) == 0 {
+                    fields.push("\"bogus\": 0".into());
+                }
+                format!("{{{}}}", fields.join(", "))
+            })
+            .collect();
+        format!("[{}]", items.join(", "))
+    }
+}
+
+/// Drives `inputs` random command arrays through [`dmi_core::Dmi::visit_json`]
+/// on each small Office app's model, restarting the session every 16
+/// inputs. Every input must return a [`dmi_core::VisitOutcome`] (its
+/// error, if any, a typed [`dmi_core::DmiError`]); a panic names the
+/// input that caused it. Returns how many outcomes carried an error.
+fn fuzz_visit_json(inputs: usize, seed: u64) -> usize {
+    let mut rng = SplitMix(seed);
+    let mut errors = 0;
+    for kind in dmi_apps::AppKind::ALL {
+        let dmi = &dmi_models()[kind.name()];
+        let ids = FuzzIds::of(&dmi.forest);
+        let mut session = Session::new(kind.launch_small());
+        for input in 0..inputs / 3 {
+            if input % 16 == 0 {
+                session.restart();
+            }
+            let json = ids.commands(&mut rng);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dmi.visit_json(&mut session, &json)
+            }))
+            .unwrap_or_else(|_| panic!("{kind} input {input}: visit_json panicked on {json}"));
+            errors += usize::from(!outcome.ok());
+        }
+    }
+    errors
+}
+
+/// `visit` fuzz smoke: 501 random command arrays over the three small
+/// Office models, never a panic.
+#[test]
+fn random_visit_commands_return_typed_outcomes() {
+    let errors = fuzz_visit_json(501, 1);
+    assert!(errors > 0 && errors < 501, "both outcomes occur: {errors} errors");
+}
+
+/// The long `visit` fuzz: 10,002 random command arrays.
+#[test]
+#[ignore = "long corpus; run with --release -- --ignored"]
+fn random_visit_commands_return_typed_outcomes_10k() {
+    let errors = fuzz_visit_json(10_002, 2);
+    assert!(errors > 0 && errors < 10_002, "both outcomes occur: {errors} errors");
 }

@@ -236,9 +236,9 @@ fn fleet_rip_ungs_are_byte_identical_to_sequential() {
 /// The serve oracle: every task served through the multi-tenant gateway
 /// must yield a [`dmi_agent::RunTrace`] byte-identical to its
 /// single-session sequential run, at every concurrency level — the
-/// gateway may change scheduling, session provenance (pooled recycle,
-/// pristine fork, donor lend), and latency accounting, but never a
-/// single trace byte.
+/// gateway may change scheduling, session provenance (a fork of the
+/// donor's launch image instead of a launch), and latency accounting,
+/// but never a single trace byte.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn gateway_traces_are_byte_identical_to_sequential_at_all_concurrencies() {
@@ -306,9 +306,9 @@ fn gateway_traces_are_byte_identical_to_sequential_at_all_concurrencies() {
                 o.tenant, o.app
             );
         }
-        assert!(
-            report.stats.session_reuses > 0,
-            "c={concurrency}: pooled recycling must be exercised"
+        assert_eq!(
+            report.stats.session_forks, report.stats.completed,
+            "c={concurrency}: every request runs on its own fresh fork"
         );
     }
 }

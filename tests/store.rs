@@ -8,15 +8,18 @@
 //! rather than a panic — on the codec and through
 //! [`dmi_agent::ServeApp::from_store`] — and prove a store-booted
 //! gateway serves traces byte-identical to a conventionally rip-booted
-//! one.
+//! one. A decode fuzz mutates payload bytes, re-seals the section
+//! checksums and decodes: 500 inputs here, 10,000 in release.
 //!
-//! The `#[ignore]`d oracle is the release-gated acceptance bar:
-//! `load(save(rip))` byte-identity for all three Office apps.
+//! The `#[ignore]`d tests are the release-gated acceptance bar:
+//! `load(save(rip))` byte-identity for all three Office apps, and the
+//! long decode fuzz on the small PowerPoint rip.
 
 use dmi_apps::AppKind;
 use dmi_core::fuzz::{AdversarialApp, AppSpec};
 use dmi_core::RipConfig;
 use dmi_gui::Session;
+use dmi_integration_tests::SplitMix;
 use dmi_store::{Store, StoreError, StoredRip};
 
 /// Canonical UNG bytes — the representation the oracles pin.
@@ -257,4 +260,89 @@ fn stored_rips_round_trip_byte_identically_for_every_office_app() {
         assert_eq!(loaded.pristine, rip.pristine, "{}: pristine signature", kind.name());
     }
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// FNV-1a, the container's section checksum.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The payload byte range and checksum offset of every section of an
+/// artifact (see the framing in `dmi_store`'s codec docs: a 17-byte
+/// header, then per section a tag, a `u64` length, a `u64` checksum and
+/// the payload).
+fn sections(bytes: &[u8]) -> Vec<(std::ops::Range<usize>, usize)> {
+    let count = u32::from_le_bytes(bytes[13..17].try_into().unwrap()) as usize;
+    let mut at = 17;
+    (0..count)
+        .map(|_| {
+            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+            let (sum, start) = (at + 9, at + 17);
+            at = start + len;
+            (start..at, sum)
+        })
+        .collect()
+}
+
+/// Mutates `inputs` copies of `bytes` in one to three payload bytes each
+/// (a bit flip, 0xFF or a random byte), re-seals every section checksum
+/// so the mutation reaches the value decoders, and decodes each. Every
+/// input must decode to a rip or a typed [`StoreError`]; a panic names
+/// the input that caused it.
+fn fuzz_resealed_decode(bytes: &[u8], inputs: usize, seed: u64) -> (usize, usize) {
+    let secs = sections(bytes);
+    let payload: Vec<usize> = secs.iter().flat_map(|(r, _)| r.clone()).collect();
+    assert!(dmi_store::decode_rip(bytes).is_ok(), "the unmutated artifact decodes");
+    let mut rng = SplitMix(seed);
+    let (mut ok, mut refused) = (0, 0);
+    for input in 0..inputs {
+        let mut bad = bytes.to_vec();
+        for _ in 0..1 + rng.below(3) {
+            let at = payload[rng.below(payload.len())];
+            bad[at] = match rng.below(3) {
+                0 => bad[at] ^ (1 << rng.below(8)),
+                1 => 0xFF,
+                _ => rng.next_u64() as u8,
+            };
+        }
+        for (range, sum) in &secs {
+            let seal = fnv(&bad[range.clone()]).to_le_bytes();
+            bad[*sum..*sum + 8].copy_from_slice(&seal);
+        }
+        match std::panic::catch_unwind(|| dmi_store::decode_rip(&bad)) {
+            Ok(Ok(_)) => ok += 1,
+            Ok(Err(_)) => refused += 1,
+            Err(_) => panic!("seed {seed} input {input}: decode_rip panicked"),
+        }
+    }
+    (ok, refused)
+}
+
+/// Decode fuzz smoke: 500 re-sealed mutations of a fuzz app's rip
+/// artifact decode to a rip or a typed error, never a panic.
+#[test]
+fn resealed_payload_mutations_decode_or_fail_typed() {
+    let bytes = dmi_store::encode_rip(&record_fuzz(11, 20));
+    let (ok, refused) = fuzz_resealed_decode(&bytes, 500, 1);
+    assert_eq!(ok + refused, 500);
+    assert!(refused > 0, "mutations reach the value decoders' checks");
+
+    // A corrupt section count in the header runs out of frames; nothing
+    // is reserved for the count itself.
+    let mut bad = bytes.clone();
+    bad[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(dmi_store::decode_rip(&bad), Err(StoreError::Truncated { .. })));
+}
+
+/// The long decode fuzz: 10,000 re-sealed mutations of the small
+/// PowerPoint rip artifact, never a panic.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn resealed_office_rip_mutations_never_panic() {
+    let mut s = Session::new(AppKind::PowerPoint.launch_small());
+    let rip = dmi_store::record_rip("PowerPoint", &mut s, &RipConfig::office("PowerPoint"));
+    let bytes = dmi_store::encode_rip(&rip);
+    let (ok, refused) = fuzz_resealed_decode(&bytes, 10_000, 2);
+    assert_eq!(ok + refused, 10_000);
+    assert!(refused > 0, "mutations reach the value decoders' checks");
 }
