@@ -516,6 +516,12 @@ pub fn build_backstage(tree: &mut UiTree, main: WidgetId) -> WidgetId {
 mod tests {
     use super::*;
 
+    /// The widgets at or below `root`, in arena order.
+    fn subtree(t: &UiTree, root: WidgetId) -> Vec<WidgetId> {
+        let under = |i| std::iter::successors(Some(i), |&c| t.widget(c).parent).any(|c| c == root);
+        t.iter().map(|(i, _)| i).filter(|&i| under(i)).collect()
+    }
+
     #[test]
     fn chrome_has_account_hazard() {
         let mut t = UiTree::new();
@@ -532,14 +538,13 @@ mod tests {
         let tab = add_tab(&mut t, c.ribbon, "Home", true);
         let grp = add_group(&mut t, tab, "Font");
         let m = color_menu(&mut t, grp, "Font Color", "set_font_color", "font");
-        let cells = t
-            .descendants(m)
+        let cells = subtree(&t, m)
             .into_iter()
             .filter(|&i| t.widget(i).control_type == CT::ListItem)
             .count();
         assert_eq!(cells, 70);
         let more =
-            t.descendants(m).into_iter().find(|&i| t.widget(i).name == "More Colors...").unwrap();
+            subtree(&t, m).into_iter().find(|&i| t.widget(i).name == "More Colors...").unwrap();
         assert!(matches!(t.widget(more).on_click, Behavior::CommandAndDismiss(_)));
     }
 
@@ -562,7 +567,7 @@ mod tests {
         let _ = build_chrome(&mut t, "X");
         let (dlg, _body) = dialog(&mut t, "Paragraph");
         let names: Vec<String> =
-            t.descendants(dlg).iter().map(|&i| t.widget(i).name.clone()).collect();
+            subtree(&t, dlg).iter().map(|&i| t.widget(i).name.clone()).collect();
         assert!(names.contains(&"OK".to_string()));
         assert!(names.contains(&"Cancel".to_string()));
     }
@@ -572,7 +577,7 @@ mod tests {
         let mut t = UiTree::new();
         let c = build_chrome(&mut t, "X");
         let f = build_backstage(&mut t, c.main);
-        let fb = t.descendants(f).into_iter().find(|&i| t.widget(i).name == "Feedback").unwrap();
+        let fb = subtree(&t, f).into_iter().find(|&i| t.widget(i).name == "Feedback").unwrap();
         assert!(t.widget(fb).on_click.is_rip_hazard());
     }
 

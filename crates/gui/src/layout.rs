@@ -2,8 +2,8 @@
 //!
 //! The layout is intentionally simple — the paper's claims concern
 //! structure, not pixel aesthetics — but it is *consistent*: hit testing,
-//! coordinate clicks, scrollbar drags, and off-screen computation all agree
-//! with the rectangles produced here.
+//! scrollbar drags, and off-screen computation all agree with the
+//! rectangles placed here.
 //!
 //! Scheme: each open window gets a fixed rectangle (the main window fills
 //! the virtual screen; dialogs cascade). Within a window, shown widgets are
@@ -12,16 +12,19 @@
 //! viewport window determined by `scroll_pos`; the rest are marked
 //! off-screen (they stay in the accessibility tree, like real UIA).
 //!
-//! Rows are computed *per window* ([`compute_window`]) and never cached:
-//! the capture pipeline (`crate::snapshot`) lays out only the windows it
-//! re-walks, whose nodes it visits anyway, and the input paths (hit
-//! testing, drags, wheel) lay out every open window with [`compute`],
-//! since hit testing walks every descendant regardless.
+//! Rows are placed in one walk, [`walk_window`], which visits every shown
+//! widget of one window with its rectangle and is never cached. Three
+//! visitors drive it: the capture pipeline (`crate::snapshot`) builds the
+//! nodes of each window it re-walks, hit testing keeps the deepest row
+//! under the point, and drags read the rectangle of their track or text
+//! surface. The walk is provider-side: the children of a container still
+//! loading (instability late loads) are visited and use up their rows,
+//! and the capture visitor leaves them out of the snapshot, so a late
+//! load never shifts the rows of later siblings.
 
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::Rect;
-use std::collections::HashMap;
 
 /// Virtual screen size.
 pub const SCREEN_W: i32 = 1280;
@@ -33,49 +36,6 @@ pub const ROW_H: i32 = 22;
 pub const DIALOG_W: i32 = 640;
 /// Dialog height.
 pub const DIALOG_H: i32 = 480;
-
-/// The rows of one open window: rectangle and off-screen flag per shown
-/// widget under that window's root (root included). A window's rows
-/// depend only on its stack position (the window rect cascade) and its
-/// own subtree — never on other windows.
-#[derive(Debug, Clone, Default)]
-pub struct WindowLayout {
-    entries: HashMap<WidgetId, (Rect, bool)>,
-}
-
-impl WindowLayout {
-    /// The rect assigned to a widget, if it was laid out in this window.
-    pub fn rect(&self, id: WidgetId) -> Option<Rect> {
-        self.entries.get(&id).map(|(r, _)| *r)
-    }
-
-    /// Whether the widget was laid out here but is off-screen.
-    pub fn offscreen(&self, id: WidgetId) -> bool {
-        self.entries.get(&id).map(|(_, o)| *o).unwrap_or(false)
-    }
-}
-
-/// Layout result: one [`WindowLayout`] per open window, bottom to top.
-///
-/// Widgets belong to exactly one arena root, so the per-window maps are
-/// disjoint and lookups simply probe each window in turn (there are at
-/// most a handful of open windows).
-#[derive(Debug, Clone, Default)]
-pub struct Layout {
-    windows: Vec<WindowLayout>,
-}
-
-impl Layout {
-    /// The rect assigned to a widget, if it was laid out.
-    pub fn rect(&self, id: WidgetId) -> Option<Rect> {
-        self.windows.iter().find_map(|w| w.rect(id))
-    }
-
-    /// Whether the widget was laid out but is off-screen.
-    pub fn offscreen(&self, id: WidgetId) -> bool {
-        self.windows.iter().any(|w| w.offscreen(id))
-    }
-}
 
 /// The window rectangle for the `i`-th open window (0 = main).
 pub fn window_rect(i: usize) -> Rect {
@@ -92,41 +52,35 @@ pub fn window_rect(i: usize) -> Rect {
     }
 }
 
-/// Computes the rows of the window rooted at `root` sitting at stack
-/// position `wi`.
-pub fn compute_window(tree: &UiTree, root: WidgetId, wi: usize) -> WindowLayout {
-    let mut wl = WindowLayout::default();
+/// Visits every shown widget of the window rooted at `root`, which sits
+/// at stack position `wi`, in depth-first pre-order: `visit(id, depth,
+/// rect, offscreen)`, the root at depth 0 with the window rectangle. A
+/// root that is not shown visits nothing.
+pub fn walk_window(
+    tree: &UiTree,
+    root: WidgetId,
+    wi: usize,
+    mut visit: impl FnMut(WidgetId, usize, Rect, bool),
+) {
+    if !tree.is_shown_if_parent_is(root) {
+        return;
+    }
     let wrect = window_rect(wi);
-    wl.entries.insert(root, (wrect, false));
+    visit(root, 0, wrect, false);
     let mut row = 1i32; // row 0 is the window chrome
-    if tree.is_shown(root) {
-        place_children(tree, root, wrect, &mut row, 1, &mut wl, false);
-    }
-    wl
+    place_children(tree, root, wrect, &mut row, 1, false, &mut visit);
 }
 
-/// Computes the layout for every widget shown in an open window.
-pub fn compute(tree: &UiTree) -> Layout {
-    Layout {
-        windows: tree
-            .open_windows()
-            .iter()
-            .enumerate()
-            .map(|(wi, win)| compute_window(tree, win.root, wi))
-            .collect(),
-    }
-}
-
-/// Recursively places the shown children of `parent`, which is shown.
-#[allow(clippy::too_many_arguments)]
+/// Places the shown children of `parent`, which is shown, and their
+/// subtrees.
 fn place_children(
     tree: &UiTree,
     parent: WidgetId,
     wrect: Rect,
     row: &mut i32,
-    depth: i32,
-    layout: &mut WindowLayout,
+    depth: usize,
     forced_off: bool,
+    visit: &mut impl FnMut(WidgetId, usize, Rect, bool),
 ) {
     let pw = tree.widget(parent);
     let kids: Vec<WidgetId> =
@@ -156,13 +110,14 @@ fn place_children(
         } else if off {
             Rect::new(0, 0, 0, 0)
         } else {
+            let d = depth as i32;
             let y = wrect.y + (*row % ((wrect.h / ROW_H).max(1))) * ROW_H;
-            let x = wrect.x + depth * 8;
+            let x = wrect.x + d * 8;
             *row += 1;
-            Rect::new(x, y, (wrect.w - depth * 16).max(40), ROW_H - 2)
+            Rect::new(x, y, (wrect.w - d * 16).max(40), ROW_H - 2)
         };
-        layout.entries.insert(c, (rect, off));
-        place_children(tree, c, wrect, row, depth + 1, layout, off);
+        visit(c, depth, rect, off);
+        place_children(tree, c, wrect, row, depth + 1, off, visit);
     }
 }
 
@@ -180,6 +135,37 @@ mod tests {
     use super::*;
     use crate::widget::{Widget, WidgetBuilder};
     use dmi_uia::ControlType as CT;
+    use std::collections::HashMap;
+
+    /// Every row the walk places in the open windows of `t`: rect and
+    /// off-screen flag per visited widget.
+    fn rows(t: &UiTree) -> HashMap<WidgetId, (Rect, bool)> {
+        let mut rows = HashMap::new();
+        for (wi, win) in t.open_windows().iter().enumerate() {
+            walk_window(t, win.root, wi, |id, _, rect, off| {
+                rows.insert(id, (rect, off));
+            });
+        }
+        rows
+    }
+
+    #[test]
+    fn walk_visits_shown_widgets_in_pre_order_with_depths() {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        let grp = t.add(main, Widget::new("G", CT::Group));
+        let a = t.add(grp, Widget::new("A", CT::Button));
+        let menu = t.add(main, WidgetBuilder::new("M", CT::Menu).popup().build());
+        t.add(menu, Widget::new("H", CT::MenuItem));
+        let b = t.add(main, Widget::new("B", CT::Button));
+        let mut seen = Vec::new();
+        walk_window(&t, main, 0, |id, depth, rect, _| seen.push((id, depth, rect.y)));
+        let rows: Vec<_> = (0..5).map(|r| r * ROW_H).collect();
+        assert_eq!(
+            seen,
+            [(main, 0, 0), (grp, 1, rows[1]), (a, 2, rows[2]), (menu, 1, rows[3]), (b, 1, rows[4])]
+        );
+    }
 
     #[test]
     fn window_rects_cascade() {
@@ -196,10 +182,10 @@ mod tests {
         let a = t.add(main, Widget::new("A", CT::Button));
         let menu = t.add(main, WidgetBuilder::new("M", CT::Menu).popup().build());
         let hidden = t.add(menu, Widget::new("H", CT::MenuItem));
-        let l = compute(&t);
-        assert!(l.rect(a).is_some());
-        assert!(l.rect(hidden).is_none());
-        assert!(l.rect(main).is_some());
+        let l = rows(&t);
+        assert!(l.contains_key(&a));
+        assert!(!l.contains_key(&hidden));
+        assert_eq!(l[&main], (window_rect(0), false));
     }
 
     #[test]
@@ -209,17 +195,17 @@ mod tests {
         let doc = t.add(main, WidgetBuilder::new("Doc", CT::Document).scrollable(3).build());
         let items: Vec<WidgetId> =
             (0..10).map(|i| t.add(doc, Widget::new(format!("P{i}"), CT::Text))).collect();
-        let l = compute(&t);
-        assert!(!l.offscreen(items[0]));
-        assert!(!l.offscreen(items[2]));
-        assert!(l.offscreen(items[5]));
-        assert!(l.offscreen(items[9]));
+        let l = rows(&t);
+        assert!(!l[&items[0]].1);
+        assert!(!l[&items[2]].1);
+        assert!(l[&items[5]].1);
+        assert!(l[&items[9]].1);
 
         // Scroll to the end: last items become visible, first off-screen.
         t.widget_mut(doc).scroll_pos = 100.0;
-        let l = compute(&t);
-        assert!(l.offscreen(items[0]));
-        assert!(!l.offscreen(items[9]));
+        let l = rows(&t);
+        assert!(l[&items[0]].1);
+        assert!(!l[&items[9]].1);
     }
 
     #[test]
@@ -229,8 +215,7 @@ mod tests {
         let doc = t.add(main, WidgetBuilder::new("Doc", CT::Document).scrollable(3).build());
         let sb =
             t.add(main, WidgetBuilder::new("Vertical", CT::ScrollBar).scroll_target(doc).build());
-        let l = compute(&t);
-        let r = l.rect(sb).unwrap();
+        let r = rows(&t)[&sb].0;
         assert_eq!(r.x, SCREEN_W - 18);
         assert_eq!(r.h, SCREEN_H);
         assert!((scrollbar_percent(r, r.y) - 0.0).abs() < 1e-9);
@@ -246,9 +231,9 @@ mod tests {
         let p0 = t.add(doc, Widget::new("P0", CT::Text));
         let p1 = t.add(doc, Widget::new("P1", CT::Text));
         let run = t.add(p1, Widget::new("Run", CT::Text));
-        let l = compute(&t);
-        assert!(!l.offscreen(p0));
-        assert!(l.offscreen(p1));
-        assert!(l.offscreen(run));
+        let l = rows(&t);
+        assert!(!l[&p0].1);
+        assert!(l[&p1].1);
+        assert!(l[&run].1);
     }
 }

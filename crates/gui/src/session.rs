@@ -14,7 +14,7 @@ use crate::layout;
 use crate::snapshot::{self, CaptureCache, CapturePool, CaptureStats};
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
-use dmi_uia::{ControlType, PatternKind, Snapshot, ToggleState};
+use dmi_uia::{ControlType, PatternKind, Rect, Snapshot, ToggleState};
 use std::sync::Arc;
 
 /// Errors surfaced by application command dispatch or input handling.
@@ -377,18 +377,6 @@ impl Session {
         self.run_behavior(id, behavior)
     }
 
-    /// Clicks at screen coordinates (hit-tests the current layout).
-    pub fn click_at(&mut self, x: i32, y: i32) -> Result<(), AppError> {
-        let target = self.hit_test(&layout::compute(self.app.tree()), x, y);
-        match target {
-            Some(id) => self.click(id),
-            None => {
-                self.action_seq += 1;
-                Err(AppError::NotInteractable { reason: format!("nothing at ({x}, {y})") })
-            }
-        }
-    }
-
     /// Drags from one point to another (scrollbar manipulation, text
     /// selection on document surfaces).
     pub fn drag(&mut self, from: (i32, i32), to: (i32, i32)) -> Result<(), AppError> {
@@ -396,8 +384,7 @@ impl Session {
         if self.trapped {
             return Err(AppError::NotInteractable { reason: "UI trapped".into() });
         }
-        let lay = layout::compute(self.app.tree());
-        let Some(hit) = self.hit_test(&lay, from.0, from.1) else {
+        let Some((hit, wi)) = self.hit_test(from.0, from.1) else {
             return Err(AppError::NotInteractable { reason: "drag source empty".into() });
         };
         // Walk up to the nearest draggable ancestor (a drag that starts on
@@ -405,10 +392,7 @@ impl Session {
         let mut src = hit;
         loop {
             let w = self.app.tree().widget(src);
-            if w.text_surface
-                || w.control_type == ControlType::ScrollBar
-                || w.control_type == ControlType::Thumb
-            {
+            if w.text_surface || w.control_type == ControlType::ScrollBar {
                 break;
             }
             match w.parent {
@@ -419,57 +403,43 @@ impl Session {
                 }
             }
         }
-        let w = self.app.tree().widget(src);
-        if w.control_type == ControlType::ScrollBar || w.control_type == ControlType::Thumb {
-            let track = lay.rect(src).unwrap_or_default();
-            let pct = layout::scrollbar_percent(track, to.1);
-            let target = w.scroll_target;
-            if let Some(t) = target {
-                self.app.tree_mut().widget_mut(t).scroll_pos = pct;
-                self.app.tree_mut().widget_mut(src).value = format!("{pct:.0}");
-                return Ok(());
-            }
-            return Err(AppError::NotInteractable { reason: "scrollbar has no target".into() });
+        let t = self.app.tree();
+        let w = t.widget(src);
+        let scrollbar = w.control_type == ControlType::ScrollBar;
+        let scroll_target = w.scroll_target;
+        if !scrollbar && !w.text_surface {
+            return Err(AppError::NotInteractable {
+                reason: format!("'{}' is not draggable", w.name),
+            });
         }
-        if w.text_surface {
-            // Line-range selection by drag: row indices relative to the
-            // surface's own rectangle (self-consistent with how callers
-            // compute drag coordinates from the surface rect).
-            let rect = lay.rect(src).unwrap_or_default();
-            let row_a = ((from.1 - rect.y) / layout::ROW_H).max(0) as usize;
-            let row_b = ((to.1 - rect.y) / layout::ROW_H).max(0) as usize;
-            let (a, b) = if row_a <= row_b { (row_a, row_b) } else { (row_b, row_a) };
-            // Viewport-relative rows: the application resolves them against
-            // its scroll position (absolute selection goes through
-            // `select_lines`).
-            let binding = CommandBinding::with_arg("ui.select_lines_viewport", format!("{a}..{b}"));
-            return self.app.dispatch(src, &binding);
-        }
-        Err(AppError::NotInteractable { reason: format!("'{}' is not draggable", w.name) })
-    }
-
-    /// Scrolls the wheel over a point.
-    pub fn wheel(&mut self, x: i32, y: i32, delta_percent: f64) -> Result<(), AppError> {
-        self.action_seq += 1;
-        let Some(mut cur) = self.hit_test(&layout::compute(self.app.tree()), x, y) else {
-            return Err(AppError::NotInteractable { reason: "nothing under wheel".into() });
-        };
-        // Walk up to the nearest scrollable container.
-        loop {
-            if self.app.tree().widget(cur).scrollable {
-                let w = self.app.tree_mut().widget_mut(cur);
-                w.scroll_pos = (w.scroll_pos + delta_percent).clamp(0.0, 100.0);
-                return Ok(());
+        // The track or surface rect, from the walk of the hit's window
+        // (`src` is the hit or one of its ancestors).
+        let mut rect = Rect::default();
+        layout::walk_window(t, t.open_windows()[wi].root, wi, |id, _, r, _| {
+            if id == src {
+                rect = r;
             }
-            match self.app.tree().widget(cur).parent {
-                Some(p) => cur = p,
-                None => {
-                    return Err(AppError::NotInteractable {
-                        reason: "no scrollable ancestor".into(),
-                    })
-                }
-            }
+        });
+        if scrollbar {
+            let Some(target) = scroll_target else {
+                return Err(AppError::NotInteractable { reason: "scrollbar has no target".into() });
+            };
+            let pct = layout::scrollbar_percent(rect, to.1);
+            self.app.tree_mut().widget_mut(target).scroll_pos = pct;
+            self.app.tree_mut().widget_mut(src).value = format!("{pct:.0}");
+            return Ok(());
         }
+        // Line-range selection by drag: row indices relative to the
+        // surface's own rectangle (self-consistent with how callers
+        // compute drag coordinates from the surface rect).
+        let row_a = ((from.1 - rect.y) / layout::ROW_H).max(0) as usize;
+        let row_b = ((to.1 - rect.y) / layout::ROW_H).max(0) as usize;
+        let (a, b) = if row_a <= row_b { (row_a, row_b) } else { (row_b, row_a) };
+        // Viewport-relative rows: the application resolves them against
+        // its scroll position (absolute selection goes through
+        // `select_lines`).
+        let binding = CommandBinding::with_arg("ui.select_lines_viewport", format!("{a}..{b}"));
+        self.app.dispatch(src, &binding)
     }
 
     // ------------------------------------------------------------------
@@ -820,35 +790,20 @@ impl Session {
         }
     }
 
-    fn hit_test(&self, lay: &layout::Layout, x: i32, y: i32) -> Option<WidgetId> {
-        // Deepest shown widget whose rect contains the point, preferring
-        // widgets in the topmost window.
+    /// The deepest on-screen widget whose rect contains the point, and
+    /// its window's stack position, preferring the topmost window; ties
+    /// go to the later widget in walk order.
+    fn hit_test(&self, x: i32, y: i32) -> Option<(WidgetId, usize)> {
         let t = self.app.tree();
-        for win in t.open_windows().iter().rev() {
+        for (wi, win) in t.open_windows().iter().enumerate().rev() {
             let mut best: Option<(WidgetId, usize)> = None;
-            for id in t.descendants(win.root) {
-                if !t.is_shown(id) || lay.offscreen(id) {
-                    continue;
+            layout::walk_window(t, win.root, wi, |id, depth, rect, offscreen| {
+                if !offscreen && rect.contains(x, y) && best.is_none_or(|(_, bd)| depth >= bd) {
+                    best = Some((id, depth));
                 }
-                if let Some(r) = lay.rect(id) {
-                    if r.contains(x, y) {
-                        let depth = {
-                            let mut d = 0;
-                            let mut cur = id;
-                            while let Some(p) = t.widget(cur).parent {
-                                d += 1;
-                                cur = p;
-                            }
-                            d
-                        };
-                        if best.is_none_or(|(_, bd)| depth >= bd) {
-                            best = Some((id, depth));
-                        }
-                    }
-                }
-            }
+            });
             if let Some((id, _)) = best {
-                return Some(id);
+                return Some((id, wi));
             }
             if t.top_window().modal {
                 // Modal window swallows the click even on a miss.
@@ -1128,26 +1083,6 @@ mod tests {
         s.scroll_to(ids.sbar, 55.0).unwrap();
         assert!((s.app().tree().widget(ids.doc).scroll_pos - 55.0).abs() < 1e-9);
         assert!(s.scroll_to(ids.doc, 120.0).is_err());
-    }
-
-    #[test]
-    fn wheel_scrolls_document() {
-        let (mut s, ids) = session();
-        let snap = s.snapshot();
-        let doc_idx = snap.find_all(|n| n.runtime_id == snapshot::runtime_of(ids.doc))[0];
-        let (cx, cy) = snap.node(doc_idx).props.rect.center();
-        s.wheel(cx, cy, 30.0).unwrap();
-        assert!((s.app().tree().widget(ids.doc).scroll_pos - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn click_at_coordinates_resolves() {
-        let (mut s, ids) = session();
-        let snap = s.snapshot();
-        let idx = snap.find_all(|n| n.runtime_id == snapshot::runtime_of(ids.bump))[0];
-        let (x, y) = snap.node(idx).props.rect.center();
-        s.click_at(x, y).unwrap();
-        assert_eq!(counter(&s), 1);
     }
 
     #[test]

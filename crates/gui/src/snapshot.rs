@@ -3,8 +3,10 @@
 //!
 //! The snapshot is the *client view*: only revealed widgets appear (closed
 //! menus contribute nothing, mirroring lazy UIA providers), instability
-//! perturbations (late loads, name variation) are applied here, and layout
-//! rectangles and off-screen flags come from [`crate::layout`].
+//! perturbations (late loads, name variation) are applied here, and each
+//! window's nodes are built inside its one layout walk
+//! ([`layout::walk_window`]), which places their rectangles and
+//! off-screen flags.
 //!
 //! # Why a cache
 //!
@@ -42,7 +44,7 @@
 //! per query. On a miss, each clean window's node block is copied
 //! wholesale from the best donor capture
 //! ([`Snapshot::append_window_from`]) and only dirty windows are
-//! re-walked, their rows laid out by [`layout::compute_window`]. The new
+//! re-walked, each laid out along with its walk. The new
 //! snapshot builds its own `SnapIndex` from its own nodes on first use,
 //! like any other capture.
 //!
@@ -67,7 +69,7 @@
 //! byte-identical UNGs either way.
 
 use crate::instability::InstabilityModel;
-use crate::layout::{self, WindowLayout};
+use crate::layout;
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, RuntimeId, Snapshot};
@@ -80,14 +82,14 @@ use std::sync::Arc;
 pub fn build(tree: &UiTree, inst: &InstabilityModel, query_seq: u64) -> Snapshot {
     let mut snap = Snapshot::new();
     for (wi, win) in tree.open_windows().iter().enumerate() {
-        let lay = layout::compute_window(tree, win.root, wi);
-        push_window(tree, inst, query_seq, win.root, win.modal, wi, &lay, &mut snap);
+        push_window(tree, inst, query_seq, win.root, win.modal, wi, &mut snap);
     }
     snap
 }
 
-/// Walks one window into `snap`, registering its root in z-order.
-#[allow(clippy::too_many_arguments)]
+/// Walks one window into `snap` and registers its root in z-order. The
+/// children of a container still loading at `query_seq` are left out,
+/// though the layout walk still places their rows.
 fn push_window(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -95,15 +97,44 @@ fn push_window(
     root: WidgetId,
     modal: bool,
     wi: usize,
-    lay: &WindowLayout,
     snap: &mut Snapshot,
 ) {
-    let root_idx = add_subtree(tree, inst, query_seq, root, None, wi, lay, snap);
-    if let Some(r) = root_idx {
+    // `parents[d]`: the snapshot index of the last node visited at depth
+    // `d`, or `None` when its children are absent (left out, or loading).
+    let mut parents: Vec<Option<usize>> = Vec::new();
+    let start = snap.len();
+    layout::walk_window(tree, root, wi, |id, depth, rect, offscreen| {
+        parents.truncate(depth);
+        let parent = match depth.checked_sub(1).map(|d| parents[d]) {
+            Some(None) => {
+                parents.push(None);
+                return;
+            }
+            up => up.flatten(),
+        };
+        let w = tree.widget(id);
+        let mut props = ControlProps::new(inst.live_name(id, &w.name), w.control_type);
+        props.automation_id = w.automation_id.clone();
+        props.class_name = w.class_name.clone();
+        props.help_text = w.help_text.clone();
+        props.patterns = w.patterns;
+        props.enabled = w.enabled;
+        props.value = w.value.clone();
+        props.toggle = w.toggle;
+        props.selected = w.selected;
+        props.expanded = if w.popup { Some(w.expanded) } else { None };
+        props.rect = rect;
+        props.offscreen = offscreen;
+        let idx = snap.push(props, parent, wi);
+        // Snapshot runtime ids must track the widget arena, not insertion order.
+        snap.set_runtime_id(idx, runtime_of(id));
+        parents.push((!tree.children_pending(id, query_seq)).then_some(idx));
+    });
+    if snap.len() > start {
         if modal {
-            snap.push_modal_window_root(r);
+            snap.push_modal_window_root(start);
         } else {
-            snap.push_window_root(r);
+            snap.push_window_root(start);
         }
     }
 }
@@ -312,9 +343,8 @@ pub(crate) fn rebuild(
                 }
             }
             None => {
-                let lay = layout::compute_window(tree, key.root, wi);
                 let start = snap.len();
-                push_window(tree, inst, query_seq, key.root, key.modal, wi, &lay, &mut snap);
+                push_window(tree, inst, query_seq, key.root, key.modal, wi, &mut snap);
                 let end = snap.len();
                 stats.windows_rebuilt += 1;
                 dmi_obs::tally("capture.windows_rebuilt", 1);
@@ -376,47 +406,6 @@ pub fn runtime_of(id: WidgetId) -> RuntimeId {
     RuntimeId(id.0 as u64 + 1)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn add_subtree(
-    tree: &UiTree,
-    inst: &InstabilityModel,
-    query_seq: u64,
-    id: WidgetId,
-    parent: Option<usize>,
-    window: usize,
-    lay: &WindowLayout,
-    snap: &mut Snapshot,
-) -> Option<usize> {
-    // Only the window root and children of added (shown) widgets get here.
-    if !tree.is_shown_if_parent_is(id) {
-        return None;
-    }
-    let w = tree.widget(id);
-    let mut props = ControlProps::new(inst.live_name(id, &w.name), w.control_type);
-    props.automation_id = w.automation_id.clone();
-    props.class_name = w.class_name.clone();
-    props.help_text = w.help_text.clone();
-    props.patterns = w.patterns;
-    props.enabled = w.enabled;
-    props.value = w.value.clone();
-    props.toggle = w.toggle;
-    props.selected = w.selected;
-    props.expanded = if w.popup { Some(w.expanded) } else { None };
-    props.rect = lay.rect(id).unwrap_or_default();
-    props.offscreen = lay.offscreen(id);
-
-    let idx = snap.push(props, parent, window);
-    // Snapshot runtime ids must track the widget arena, not insertion order.
-    snap.set_runtime_id(idx, runtime_of(id));
-
-    if !tree.children_pending(id, query_seq) {
-        for &c in &tree.widget(id).children {
-            add_subtree(tree, inst, query_seq, c, Some(idx), window, lay, snap);
-        }
-    }
-    Some(idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +454,23 @@ mod tests {
         assert!(s4.find_by_name("Blue").is_none());
         let s5 = build(&t, &InstabilityModel::off(), 5);
         assert!(s5.find_by_name("Blue").is_some());
+    }
+
+    #[test]
+    fn late_loading_children_keep_their_rows() {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        let grp = t.add(main, Widget::new("Group", CT::Group));
+        t.add(grp, Widget::new("First", CT::Button));
+        t.add(grp, Widget::new("Second", CT::Button));
+        t.add(main, Widget::new("After", CT::Button));
+        t.set_pending_children(grp, 5);
+        let rect = |s: &Snapshot, name| s.node(s.find_by_name(name).unwrap()).props.rect;
+        let (s4, s5) =
+            (build(&t, &InstabilityModel::off(), 4), build(&t, &InstabilityModel::off(), 5));
+        assert!(s4.find_by_name("First").is_none());
+        assert_eq!(rect(&s4, "After"), rect(&s5, "After"));
+        assert_eq!(rect(&s5, "After").y, 4 * layout::ROW_H);
     }
 
     #[test]

@@ -549,20 +549,6 @@ impl UiTree {
         self.pending_children.get(&id).is_some_and(|&r| query_seq < r)
     }
 
-    /// Depth-first pre-order ids below `root` (inclusive), *structural*
-    /// (ignores visibility).
-    pub fn descendants(&self, root: WidgetId) -> Vec<WidgetId> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(i) = stack.pop() {
-            out.push(i);
-            for &c in self.widget(i).children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
     /// Finds the first widget with the given name (structural search).
     pub fn find_by_name(&self, name: &str) -> Option<WidgetId> {
         self.iter().find(|(_, w)| w.name == name).map(|(i, _)| i)

@@ -1,6 +1,7 @@
 //! The control-identity layer: `ControlKey` stability, indexed resolution
-//! equivalence with the old linear scan, pinned rip capture counts, and
-//! launch-image forks equal to freshly constructed apps.
+//! equivalence with the old linear scan, pinned rip capture counts,
+//! launch-image forks equal to freshly constructed apps, and the layout
+//! pin over seeded input walks.
 
 use dmi_agent::RunConfig;
 use dmi_apps::{
@@ -9,6 +10,7 @@ use dmi_apps::{
 use dmi_core::ripper::{rip, RipConfig};
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig};
 use dmi_gui::{Behavior, CaptureConfig, GuiApp, InstabilityModel, Session, Widget, WidgetId};
+use dmi_integration_tests::{Fnv1a, SplitMix};
 use dmi_llm::{CapabilityProfile, InterfaceMode};
 use dmi_uia::{ControlId, ControlKey, ControlType, PatternKind, Snapshot};
 use std::any::Any;
@@ -550,6 +552,135 @@ fn launch_equals_construction() {
                 drive(&mut built);
                 assert_same(&mut launched, &mut built, &format!("{what}, after the script"));
             }
+        }
+    }
+}
+
+/// One seeded walk of the layout pin, under late loads and name
+/// variation: a snapshot before every step, then an Esc, a restart, a
+/// `scroll_to`, a drag from the centre of a shown row or a click, picked
+/// from what that snapshot shows. Every snapshot's parent, window, name,
+/// type, rect, off-screen and enabled columns and every input result
+/// fold into one FNV-1a digest. Also returns how many snapshots were
+/// taken while a shown container was still loading.
+fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usize) {
+    let mut s =
+        Session::with_instability(launch(kind, small), InstabilityModel::new(seed, 0.3, 0.1));
+    let mut rng = SplitMix(seed);
+    let mut h = Fnv1a::default();
+    let mut loading = 0;
+    for _ in 0..steps {
+        let snap = s.snapshot();
+        for (_, n) in snap.iter() {
+            let p = &n.props;
+            h.write(&n.parent.map_or(u64::MAX, |i| i as u64).to_le_bytes());
+            h.write(&(n.window as u64).to_le_bytes());
+            h.write(p.name.as_bytes());
+            h.write(&[0xff, p.control_type as u8, p.offscreen as u8, p.enabled as u8]);
+            for v in [p.rect.x, p.rect.y, p.rect.w, p.rect.h] {
+                h.write(&v.to_le_bytes());
+            }
+        }
+        let tree = s.app().tree();
+        let q = s.query_count();
+        loading +=
+            tree.iter().any(|(i, _)| tree.children_pending(i, q) && tree.is_shown(i)) as usize;
+        let shown: Vec<WidgetId> = snap.iter().map(|(_, n)| s.widget_of(n.runtime_id)).collect();
+        let result = match rng.below(20) {
+            0 => {
+                s.restart();
+                Ok(())
+            }
+            1 | 2 => s.press("Esc"),
+            3..=5 => {
+                let scrollers: Vec<WidgetId> = shown
+                    .into_iter()
+                    .filter(|&i| {
+                        tree.widget(i).scrollable || tree.widget(i).scroll_target.is_some()
+                    })
+                    .collect();
+                let percent = rng.below(101) as f64;
+                match scrollers.get(rng.below(scrollers.len().max(1))) {
+                    Some(&id) => s.scroll_to(id, percent),
+                    None => Ok(()),
+                }
+            }
+            6..=10 => {
+                let rows: Vec<_> =
+                    snap.iter().map(|(_, n)| n.props.rect).filter(|r| r.w > 0 && r.h > 0).collect();
+                let from = rows[rng.below(rows.len())].center();
+                let to_y = rng.below(dmi_gui::layout::SCREEN_H as usize) as i32;
+                s.drag(from, (from.0, to_y))
+            }
+            pick => {
+                // Most clicks open something, so menus, dialogs and tabs
+                // (and their late loads) come and go.
+                let opens = |b: &Behavior| {
+                    matches!(
+                        b,
+                        Behavior::OpenMenu
+                            | Behavior::SwitchTab
+                            | Behavior::OpenDialog(_)
+                            | Behavior::OpenWindow(_)
+                    )
+                };
+                let targets: Vec<WidgetId> = shown
+                    .into_iter()
+                    .filter(|&i| {
+                        let b = &tree.widget(i).on_click;
+                        !b.is_rip_hazard() && (pick < 15 || opens(b))
+                    })
+                    .collect();
+                match targets.get(rng.below(targets.len().max(1))) {
+                    Some(&id) => s.click(id),
+                    None => Ok(()),
+                }
+            }
+        };
+        h.write(format!("{result:?}").as_bytes());
+    }
+    (h.0, loading)
+}
+
+/// Layout pin: rows, off-screen flags and hit testing are a pure function
+/// of the tree, so seeded walks over the small Office apps must keep
+/// these digests (computed before rows were placed inside the capture
+/// and hit-test walks). The UNG digests carry no rects, so nothing else
+/// pins layout bytes.
+#[test]
+fn small_office_layout_walks_are_pinned() {
+    let pins = [
+        (AppKind::Word, 0x537d_52e7_c0ab_181e),
+        (AppKind::Excel, 0x02d4_92bb_809b_e7c8),
+        (AppKind::PowerPoint, 0xcd02_5e93_1e91_60f2),
+    ];
+    for (kind, want) in pins {
+        let (digest, loading) = layout_walk(kind, true, 1, 300);
+        assert!(loading > 0, "{kind}: the walk must capture a container still loading");
+        assert_eq!(digest, want, "{kind}: layout walk digest {digest:#018x}");
+    }
+}
+
+/// The full-size, 3-seed variant of the layout pin.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn full_office_layout_walks_are_pinned() {
+    let pins = [
+        (AppKind::Word, [0xb183_0a65_76bf_7275, 0xa759_dd85_8b34_2e68, 0x84c5_9b7f_3fd1_fc38]),
+        (AppKind::Excel, [0xf28b_8361_2e2b_0469, 0xd9ec_5dda_3bf5_6f85, 0x8d59_8b74_6dec_2bb2]),
+        (
+            AppKind::PowerPoint,
+            [0xe25d_22dc_4cac_8804, 0x4adb_73c2_0cb3_d0fc, 0xc94e_d359_add9_cd02],
+        ),
+    ];
+    for (kind, wants) in pins {
+        for (seed, want) in (1..).zip(wants) {
+            let (digest, loading) = layout_walk(kind, false, seed, 500);
+            assert!(
+                loading > 0,
+                "{kind} seed {seed}: the walk must capture a container still loading"
+            );
+            assert_eq!(digest, want, "{kind} seed {seed}: layout walk digest {digest:#018x}");
         }
     }
 }

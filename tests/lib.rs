@@ -51,3 +51,28 @@ impl SplitMix {
         (self.next_u64() % n as u64) as usize
     }
 }
+
+/// FNV-1a, fed incrementally: the store's section checksum and the
+/// digest the layout pin folds its walks into.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest.
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    }
+}
+
+/// The FNV-1a digest of one byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.0
+}

@@ -19,7 +19,7 @@ use dmi_apps::AppKind;
 use dmi_core::fuzz::{AdversarialApp, AppSpec};
 use dmi_core::RipConfig;
 use dmi_gui::Session;
-use dmi_integration_tests::SplitMix;
+use dmi_integration_tests::{fnv1a, SplitMix};
 use dmi_store::{Store, StoreError, StoredRip};
 
 /// Canonical UNG bytes — the representation the oracles pin.
@@ -262,11 +262,6 @@ fn stored_rips_round_trip_byte_identically_for_every_office_app() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// FNV-1a, the container's section checksum.
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
 /// The payload byte range and checksum offset of every section of an
 /// artifact (see the framing in `dmi_store`'s codec docs: a 17-byte
 /// header, then per section a tag, a `u64` length, a `u64` checksum and
@@ -306,7 +301,7 @@ fn fuzz_resealed_decode(bytes: &[u8], inputs: usize, seed: u64) -> (usize, usize
             };
         }
         for (range, sum) in &secs {
-            let seal = fnv(&bad[range.clone()]).to_le_bytes();
+            let seal = fnv1a(&bad[range.clone()]).to_le_bytes();
             bad[*sum..*sum + 8].copy_from_slice(&seal);
         }
         match std::panic::catch_unwind(|| dmi_store::decode_rip(&bad)) {
