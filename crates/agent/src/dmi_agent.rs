@@ -14,8 +14,7 @@
 
 use crate::grounding::ground;
 use crate::task::AgentTask;
-use dmi_core::interface::{observe as obs, state};
-use dmi_core::screen::label_screen;
+use dmi_core::interface::{observe as obs, state, Observed};
 use dmi_core::topology::Forest;
 use dmi_core::{tokens, Dmi};
 use dmi_gui::Session;
@@ -117,14 +116,14 @@ fn visit_json(
     serde_json::to_string(&cmds).expect("visit commands serialize")
 }
 
-fn prompt_tokens(session: &mut Session, dmi: &Dmi) -> usize {
-    let snap = session.snapshot();
-    let screen = label_screen(&snap);
-    let passive = obs::get_texts_passive(&snap, &obs::PassiveConfig::default());
+/// The DMI prompt on a fresh capture: system prompt, labeled screen,
+/// core topology and passive `get_texts()` view.
+fn prompt_tokens(session: &mut Session, observed: &mut Observed, dmi: &Dmi) -> usize {
+    observed.capture(session);
     DMI_BASE_PROMPT_TOKENS
-        + tokens::count(&screen.to_prompt_text())
+        + observed.screen_tokens()
         + dmi.core_tokens()
-        + tokens::count(&passive.to_prompt_text())
+        + observed.passive_tokens()
 }
 
 /// The resumable AppAgent loop state: the prepared declarative plan plus
@@ -140,6 +139,7 @@ pub struct DmiState {
     idx: usize,
     queried: bool,
     fallback_used: bool,
+    observed: Observed,
 }
 
 impl DmiState {
@@ -152,6 +152,7 @@ impl DmiState {
             idx: 0,
             queried: false,
             fallback_used: false,
+            observed: Observed::default(),
         }
     }
 
@@ -179,12 +180,19 @@ impl DmiState {
                 fallback_used: self.fallback_used,
             });
         }
+        let observed = &mut self.observed;
         let outcome = match &self.plan[self.idx] {
-            PlanStep::Visit(targets) => {
-                run_visit(session, llm, dmi, targets, &mut self.queried, &mut self.fallback_used)
-            }
+            PlanStep::Visit(targets) => run_visit(
+                session,
+                llm,
+                observed,
+                dmi,
+                targets,
+                &mut self.queried,
+                &mut self.fallback_used,
+            ),
             PlanStep::StateScrollbar { surface, percent } => {
-                run_state(session, llm, dmi, |s, screen| {
+                run_state(session, llm, observed, dmi, |s, screen| {
                     let e = screen
                         .find_by_name(surface)
                         .map(|e| e.label.clone())
@@ -195,7 +203,7 @@ impl DmiState {
                 })
             }
             PlanStep::StateSelectLines { surface, start, end } => {
-                run_state(session, llm, dmi, |s, screen| {
+                run_state(session, llm, observed, dmi, |s, screen| {
                     let e = screen
                         .find_by_name(surface)
                         .map(|e| e.label.clone())
@@ -205,33 +213,43 @@ impl DmiState {
                     Ok(())
                 })
             }
-            PlanStep::StateSelectControls { names } => run_state(session, llm, dmi, |s, screen| {
-                let labels: Option<Vec<String>> =
-                    names.iter().map(|n| screen.find_by_name(n).map(|e| e.label.clone())).collect();
-                let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
-                let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-                state::select_controls(s, screen, &refs)
-                    .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                Ok(())
-            }),
-            PlanStep::StateToggle { name, on } => run_state(session, llm, dmi, |s, screen| {
-                let e = screen
-                    .find_by_name(name)
-                    .map(|e| e.label.clone())
-                    .ok_or(FailureCause::WeakVisualSemantic)?;
-                state::set_toggle_state(s, screen, &e, *on)
-                    .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                Ok(())
-            }),
-            PlanStep::ObserveTexts { names } => run_state(session, llm, dmi, |s, screen| {
-                let labels: Option<Vec<String>> =
-                    names.iter().map(|n| screen.find_by_name(n).map(|e| e.label.clone())).collect();
-                let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
-                let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-                obs::get_texts_active(s, screen, &refs)
-                    .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                Ok(())
-            }),
+            PlanStep::StateSelectControls { names } => {
+                run_state(session, llm, observed, dmi, |s, screen| {
+                    let labels: Option<Vec<String>> = names
+                        .iter()
+                        .map(|n| screen.find_by_name(n).map(|e| e.label.clone()))
+                        .collect();
+                    let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
+                    let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
+                    state::select_controls(s, screen, &refs)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
+                    Ok(())
+                })
+            }
+            PlanStep::StateToggle { name, on } => {
+                run_state(session, llm, observed, dmi, |s, screen| {
+                    let e = screen
+                        .find_by_name(name)
+                        .map(|e| e.label.clone())
+                        .ok_or(FailureCause::WeakVisualSemantic)?;
+                    state::set_toggle_state(s, screen, &e, *on)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
+                    Ok(())
+                })
+            }
+            PlanStep::ObserveTexts { names } => {
+                run_state(session, llm, observed, dmi, |s, screen| {
+                    let labels: Option<Vec<String>> = names
+                        .iter()
+                        .map(|n| screen.find_by_name(n).map(|e| e.label.clone()))
+                        .collect();
+                    let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
+                    let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
+                    obs::get_texts_active(s, screen, &refs)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
+                    Ok(())
+                })
+            }
         };
         if let Err(cause) = outcome {
             return Some(DmiRunResult {
@@ -249,20 +267,21 @@ impl DmiState {
 fn run_state(
     session: &mut Session,
     llm: &mut SimLlm,
+    observed: &mut Observed,
     dmi: &Dmi,
     f: impl FnOnce(&mut Session, &dmi_core::LabeledScreen) -> Result<(), FailureCause>,
 ) -> Result<(), FailureCause> {
-    let prompt = prompt_tokens(session, dmi);
+    let prompt = prompt_tokens(session, observed, dmi);
     llm.record_call(prompt, 30);
-    let snap = session.snapshot();
-    let screen = label_screen(&snap);
-    f(session, &screen)
+    let screen = observed.capture(session);
+    f(session, screen)
 }
 
 /// One (or more, after chunking/noise) `visit` turns.
 fn run_visit(
     session: &mut Session,
     llm: &mut SimLlm,
+    observed: &mut Observed,
     dmi: &Dmi,
     targets: &[VisitTarget],
     queried: &mut bool,
@@ -283,7 +302,7 @@ fn run_visit(
     // fetches the needed branches (§3.3 query on demand).
     if !*queried && resolved.iter().any(|(id, _, _)| !dmi.core_includes(*id as usize)) {
         *queried = true;
-        let prompt = prompt_tokens(session, dmi);
+        let prompt = prompt_tokens(session, observed, dmi);
         llm.record_call(prompt, 16);
         let out = dmi.visit_json(session, r#"[{"further_query": [-1]}]"#);
         debug_assert!(out.ok());
@@ -293,7 +312,7 @@ fn run_visit(
     let chunks: Vec<&[(u64, Vec<u64>, &VisitTarget)]> =
         resolved.chunks(llm.profile.bundle_limit.max(1)).collect();
     for chunk in chunks {
-        let prompt = prompt_tokens(session, dmi);
+        let prompt = prompt_tokens(session, observed, dmi);
         // Imperfect instruction following (§3.4).
         let (nav_noise, omit_entries) = if llm.sample_instruction_noise() {
             if llm.coin() {
@@ -315,7 +334,7 @@ fn run_visit(
         let mut outcome = dmi.visit_json(session, &json);
         if let Some(dmi_core::DmiError::AmbiguousEntry { .. }) = outcome.error {
             // Structured feedback consumed: reissue with entries.
-            let prompt = prompt_tokens(session, dmi);
+            let prompt = prompt_tokens(session, observed, dmi);
             let json = visit_json(chunk, None, false);
             llm.record_call(prompt, tokens::count(&json));
             outcome = dmi.visit_json(session, &json);
@@ -323,13 +342,13 @@ fn run_visit(
         if outcome.error.is_some() {
             // One retry turn on transient UI errors, then the GUI
             // fallback for the failing chunk (§6 fast-path/slow-path).
-            let prompt = prompt_tokens(session, dmi);
+            let prompt = prompt_tokens(session, observed, dmi);
             let json = visit_json(chunk, None, false);
             llm.record_call(prompt, tokens::count(&json));
             let retry = dmi.visit_json(session, &json);
             if retry.error.is_some() {
                 *fallback_used = true;
-                gui_fallback_chunk(session, llm, chunk)?;
+                gui_fallback_chunk(session, llm, observed, chunk)?;
             }
         }
     }
@@ -338,12 +357,10 @@ fn run_visit(
     // controls missing from the topology): GUI fallback.
     if !unresolved.is_empty() {
         *fallback_used = true;
-        let prompt = prompt_tokens(session, dmi);
+        let prompt = prompt_tokens(session, observed, dmi);
         llm.record_call(prompt, 40);
         for t in unresolved {
-            let snap = session.snapshot();
-            let screen = label_screen(&snap);
-            let Some((_, entry)) = ground(&screen, &t.query) else {
+            let Some((_, entry)) = ground(observed.capture(session), &t.query) else {
                 return Err(FailureCause::TopologyInaccuracy);
             };
             let wid = session.widget_of(entry.runtime);
@@ -368,14 +385,13 @@ fn run_visit(
 fn gui_fallback_chunk(
     session: &mut Session,
     llm: &mut SimLlm,
+    observed: &mut Observed,
     chunk: &[(u64, Vec<u64>, &VisitTarget)],
 ) -> Result<(), FailureCause> {
     let prompt = DMI_BASE_PROMPT_TOKENS;
     llm.record_call(prompt, 30);
     for (_, _, t) in chunk {
-        let snap = session.snapshot();
-        let screen = label_screen(&snap);
-        let Some((_, entry)) = ground(&screen, &t.query) else {
+        let Some((_, entry)) = ground(observed.capture(session), &t.query) else {
             return Err(FailureCause::TopologyInaccuracy);
         };
         let wid = session.widget_of(entry.runtime);

@@ -8,7 +8,7 @@
 
 use dmi_core::screen::{LabeledScreen, ScreenEntry};
 use dmi_llm::TargetQuery;
-use dmi_uia::ident::string_similarity;
+use dmi_uia::ident::string_similarity_bounded;
 
 /// Minimum name similarity for a visual match.
 pub const GROUNDING_SIMILARITY: f64 = 0.8;
@@ -25,7 +25,12 @@ pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, 
     let mut best: Option<(usize, f64, bool)> = None; // (idx, score, clickable)
     for (i, e) in screen.entries.iter().enumerate() {
         let clickable = dmi_core::interface::is_clickable(e.control_type);
-        let s = if e.name == q.name { 1.0 } else { string_similarity(&e.name, &q.name) };
+        // Only equal names score 1.0, so the first clickable one cannot
+        // be beaten.
+        if clickable && e.name == q.name {
+            return Some((i, e));
+        }
+        let s = string_similarity_bounded(&e.name, &q.name, GROUNDING_SIMILARITY);
         if s < GROUNDING_SIMILARITY {
             continue;
         }
@@ -40,18 +45,12 @@ pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, 
     best.map(|(i, _, _)| (i, &screen.entries[i]))
 }
 
-/// Whether every query in a batch grounds on the current screen (the
-/// UFO2-as constraint: action sequences may only reference currently
-/// visible controls).
-pub fn all_visible(screen: &LabeledScreen, queries: &[&TargetQuery]) -> bool {
-    queries.iter().all(|q| ground(screen, q).is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dmi_core::label_screen;
     use dmi_gui::Session;
+    use dmi_uia::ident::string_similarity;
 
     fn screen() -> LabeledScreen {
         let mut s = Session::new(dmi_apps::AppKind::Word.launch_small());
@@ -85,9 +84,51 @@ mod tests {
         let sc = screen();
         // Color cells live inside a closed menu: not on screen.
         assert!(ground(&sc, &TargetQuery::under("Blue", "Font Color")).is_none());
-        let q1 = TargetQuery::name("Bold");
-        let q2 = TargetQuery::under("Blue", "Font Color");
-        assert!(!all_visible(&sc, &[&q1, &q2]));
-        assert!(all_visible(&sc, &[&q1]));
+        assert!(ground(&sc, &TargetQuery::name("Bold")).is_some());
+    }
+
+    /// The full scan `ground` replaced: every entry scored with the
+    /// unbounded similarity, exact names at 1.0.
+    fn ground_full_scan(screen: &LabeledScreen, q: &TargetQuery) -> Option<usize> {
+        let mut best: Option<(usize, f64, bool)> = None;
+        for (i, e) in screen.entries.iter().enumerate() {
+            let clickable = dmi_core::interface::is_clickable(e.control_type);
+            let s = if e.name == q.name { 1.0 } else { string_similarity(&e.name, &q.name) };
+            if s < GROUNDING_SIMILARITY {
+                continue;
+            }
+            if best.is_none_or(|(_, bs, bc)| (clickable, s) > (bc, bs)) {
+                best = Some((i, s, clickable));
+            }
+        }
+        best.map(|(i, _, _)| i)
+    }
+
+    #[test]
+    fn early_exit_matches_the_full_scan() {
+        for kind in [dmi_apps::AppKind::Word, dmi_apps::AppKind::Excel] {
+            let mut s = Session::new(kind.launch_small());
+            let sc = label_screen(&s.snapshot());
+            let (mut exact, mut similar) = (0, 0);
+            for e in &sc.entries {
+                let n = &e.name;
+                for name in [n.clone(), format!("{n} "), n.to_lowercase(), format!("{n}…")] {
+                    let q = TargetQuery::name(name);
+                    let got = ground(&sc, &q);
+                    assert_eq!(
+                        got.map(|(i, _)| i),
+                        ground_full_scan(&sc, &q),
+                        "{kind}: query {:?}",
+                        q.name
+                    );
+                    match got {
+                        Some((_, hit)) if hit.name == q.name => exact += 1,
+                        Some(_) => similar += 1,
+                        None => {}
+                    }
+                }
+            }
+            assert!(exact > 0 && similar > 0, "{kind}: {exact} exact, {similar} similar hits");
+        }
     }
 }

@@ -11,11 +11,10 @@
 
 use crate::grounding::ground;
 use crate::task::AgentTask;
-use dmi_core::screen::{label_screen, LabeledScreen};
-use dmi_core::tokens;
+use dmi_core::interface::Observed;
+use dmi_core::screen::LabeledScreen;
 use dmi_gui::Session;
 use dmi_llm::{FailureCause, GuiStep, SimLlm};
-use dmi_uia::Snapshot;
 
 /// Fixed prompt cost of the GUI system prompt (instructions, few-shot).
 pub const GUI_BASE_PROMPT_TOKENS: usize = 900;
@@ -33,12 +32,6 @@ pub struct GuiRunResult {
     pub completed: bool,
 }
 
-fn observe(session: &mut Session) -> (std::sync::Arc<Snapshot>, LabeledScreen) {
-    let snap = session.snapshot();
-    let screen = label_screen(&snap);
-    (snap, screen)
-}
-
 /// The resumable AppAgent loop state: the prepared plan plus the cursor
 /// into it. One [`GuiState::turn`] performs exactly one planning round
 /// trip (plus any recovery round trip inside it) and returns to the
@@ -53,6 +46,7 @@ pub struct GuiState {
     /// Navigation-forest prompt knowledge (§5.5 ablation), fixed at plan
     /// time.
     forest_tokens: usize,
+    observed: Observed,
 }
 
 impl GuiState {
@@ -64,6 +58,7 @@ impl GuiState {
             plan: llm.prepare_plan(&task.plan, &task.mutations).gui,
             cursor: 0,
             forest_tokens,
+            observed: Observed::default(),
         }
     }
 
@@ -86,18 +81,17 @@ impl GuiState {
                 completed: false,
             });
         }
-        let (snap, screen) = observe(session);
+        self.observed.capture(session);
         // The baseline observation carries the full exposed accessibility
         // tree (§5.1), not just the on-screen subset.
-        let prompt = GUI_BASE_PROMPT_TOKENS
-            + tokens::count(&dmi_core::screen::full_tree_prompt_text(&snap))
-            + self.forest_tokens;
+        let prompt = GUI_BASE_PROMPT_TOKENS + self.observed.full_tree_tokens() + self.forest_tokens;
+        let screen = self.observed.screen();
 
         // Plan an action sequence: the maximal prefix of remaining actions
         // whose targets are all currently visible, within the horizon.
         let mut batch = 0usize;
         while self.cursor + batch < self.plan.len() && batch < llm.profile.gui_bundle_limit {
-            if step_groundable(&screen, &self.plan[self.cursor + batch]) {
+            if step_groundable(screen, &self.plan[self.cursor + batch]) {
                 batch += 1;
             } else {
                 break;
@@ -123,7 +117,7 @@ impl GuiState {
         // snapshot (the screen the LLM planned on goes stale mid-batch).
         for _ in 0..batch {
             let step = &self.plan[self.cursor];
-            match execute_step(session, llm, step) {
+            match execute_step(session, llm, &mut self.observed, step) {
                 Exec::Ok => {
                     self.cursor += 1;
                 }
@@ -136,9 +130,9 @@ impl GuiState {
                     // re-orientation round trip (observe the damage), and
                     // retry the same action next turn.
                     let _ = session.press("Esc");
-                    let (snap, _) = observe(session);
+                    self.observed.capture(session);
                     let prompt = GUI_BASE_PROMPT_TOKENS
-                        + tokens::count(&dmi_core::screen::full_tree_prompt_text(&snap))
+                        + self.observed.full_tree_tokens()
                         + self.forest_tokens;
                     llm.record_call(prompt, 20);
                     break;
@@ -178,12 +172,17 @@ enum Exec {
     Failed(FailureCause),
 }
 
-fn execute_step(session: &mut Session, llm: &mut SimLlm, step: &GuiStep) -> Exec {
-    let (_snap, screen) = observe(session);
+fn execute_step(
+    session: &mut Session,
+    llm: &mut SimLlm,
+    observed: &mut Observed,
+    step: &GuiStep,
+) -> Exec {
+    let screen = observed.capture(session);
     match step {
-        GuiStep::Click(q) => click_with_grounding(session, llm, &screen, q, None),
+        GuiStep::Click(q) => click_with_grounding(session, llm, screen, q, None),
         GuiStep::ClickAndType { target, text } => {
-            click_with_grounding(session, llm, &screen, target, Some(text))
+            click_with_grounding(session, llm, screen, target, Some(text))
         }
         GuiStep::Press(k) => match session.press(k) {
             Ok(()) => Exec::Ok,
@@ -191,7 +190,7 @@ fn execute_step(session: &mut Session, llm: &mut SimLlm, step: &GuiStep) -> Exec
         },
         GuiStep::DragScrollbarTo { name, percent } => {
             let q = dmi_llm::TargetQuery::name(name.clone());
-            let Some((_, entry)) = ground(&screen, &q) else {
+            let Some((_, entry)) = ground(screen, &q) else {
                 return Exec::Stale;
             };
             let r = entry.rect;
@@ -218,7 +217,7 @@ fn execute_step(session: &mut Session, llm: &mut SimLlm, step: &GuiStep) -> Exec
         }
         GuiStep::DragSelectLines { surface, start, end } => {
             let q = dmi_llm::TargetQuery::name(surface.clone());
-            let Some((_, entry)) = ground(&screen, &q) else {
+            let Some((_, entry)) = ground(screen, &q) else {
                 return Exec::Stale;
             };
             let r = entry.rect;

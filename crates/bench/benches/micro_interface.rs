@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the online interfaces: command parsing,
-//! path resolution, fuzzy matching, screen labeling, and visit execution.
+//! path resolution, fuzzy matching, screen labeling, prompt pricing, and
+//! visit execution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_core::interface::{control_path, parse_commands};
 use dmi_core::ripper::{rip, RipConfig};
+use dmi_core::screen::full_tree_prompt_text;
 use dmi_core::topology::{build_forest, decycle, Forest, ForestConfig};
-use dmi_core::{label_screen, DescribeConfig, Dmi};
+use dmi_core::{label_screen, tokens, DescribeConfig, Dmi};
 use dmi_gui::Session;
 use dmi_uia::{ControlKey, FuzzyMatcher};
 use std::sync::OnceLock;
@@ -60,6 +62,16 @@ fn bench_label_screen(c: &mut Criterion) {
     });
 }
 
+/// The GUI baseline's per-turn prompt on the full Excel launch: built
+/// and counted, as `interface::Observed` does once per capture.
+fn bench_full_tree_prompt(c: &mut Criterion) {
+    let mut s = Session::new(dmi_apps::AppKind::Excel.launch());
+    let snap = s.snapshot();
+    c.bench_function("observe/full_tree_text", |b| {
+        b.iter(|| std::hint::black_box(tokens::count(&full_tree_prompt_text(&snap))))
+    });
+}
+
 fn bench_visit(c: &mut Criterion) {
     let dmi = Dmi::from_forest(word_forest().clone(), DescribeConfig::default());
     let narrow = dmi
@@ -88,6 +100,7 @@ criterion_group!(
     bench_control_path,
     bench_fuzzy,
     bench_label_screen,
+    bench_full_tree_prompt,
     bench_visit
 );
 criterion_main!(benches);

@@ -97,6 +97,8 @@ pub struct Dmi {
     /// Executor options.
     pub executor: ExecutorConfig,
     core: Description,
+    /// Tokens in `core`, counted once: every DMI prompt carries them.
+    core_tokens: usize,
 }
 
 impl Dmi {
@@ -125,7 +127,7 @@ impl Dmi {
         let (forest, fstats) = build_forest(&g, &config.forest);
         stats.forest = fstats;
         let dmi = Dmi::from_forest(forest, config.describe.clone());
-        stats.core_tokens = dmi.core.tokens();
+        stats.core_tokens = dmi.core_tokens;
         stats.core_controls = dmi.core.included.len();
         stats.full_tokens = describe::full_description(&dmi.forest, &dmi.describe).tokens();
         (dmi, stats)
@@ -134,7 +136,14 @@ impl Dmi {
     /// Wraps an already-built forest.
     pub fn from_forest(forest: Forest, describe_cfg: DescribeConfig) -> Dmi {
         let core = describe::core_description(&forest, &describe_cfg);
-        Dmi { forest, describe: describe_cfg, executor: ExecutorConfig::default(), core }
+        let core_tokens = core.tokens();
+        Dmi {
+            forest,
+            describe: describe_cfg,
+            executor: ExecutorConfig::default(),
+            core,
+            core_tokens,
+        }
     }
 
     /// Serializes the offline model (forest + description options) to
@@ -156,9 +165,9 @@ impl Dmi {
         &self.core.text
     }
 
-    /// Token cost of the core topology.
+    /// Token cost of the core topology, counted when the model was built.
     pub fn core_tokens(&self) -> usize {
-        self.core.tokens()
+        self.core_tokens
     }
 
     /// Whether a node is fully described in the core topology (callers

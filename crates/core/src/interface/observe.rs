@@ -9,11 +9,16 @@
 //!   and saves round trips;
 //! - **active**: when the truncated view is insufficient, the LLM requests
 //!   specific controls by label and receives full content.
+//!
+//! An agent observes through [`Observed`], which derives the labeled
+//! screen and counts the prompts built from it once per capture.
 
 use crate::error::{DmiError, DmiResult};
-use crate::screen::LabeledScreen;
+use crate::screen::{full_tree_prompt_text, label_screen, LabeledScreen};
+use crate::tokens;
 use dmi_gui::Session;
 use dmi_uia::{ControlType, PatternKind, Snapshot};
+use std::sync::Arc;
 
 /// One retrieved text item.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,10 +137,73 @@ pub fn get_texts_active(
         .collect())
 }
 
+/// One observation per capture: the last snapshot an agent took, its
+/// labeled screen, and the token counts of the prompts built from it,
+/// each counted at most once.
+///
+/// [`Observed::capture`] always takes a snapshot, since every capture
+/// advances the session's query clock, which late-load reveals read. It
+/// derives the screen again only when the session returns a different
+/// snapshot `Arc`: the held `Arc` keeps its allocation alive, so an
+/// equal pointer is the same, immutable snapshot.
+#[derive(Debug, Default)]
+pub struct Observed {
+    snap: Option<Arc<Snapshot>>,
+    screen: LabeledScreen,
+    full_tree_tokens: Option<usize>,
+    screen_tokens: Option<usize>,
+    passive_tokens: Option<usize>,
+}
+
+impl Observed {
+    /// Takes a snapshot and returns its labeled screen.
+    pub fn capture(&mut self, session: &mut Session) -> &LabeledScreen {
+        let snap = session.snapshot();
+        if !self.snap.as_ref().is_some_and(|held| Arc::ptr_eq(held, &snap)) {
+            *self =
+                Observed { screen: label_screen(&snap), snap: Some(snap), ..Observed::default() };
+        }
+        &self.screen
+    }
+
+    /// The labeled screen of the last capture.
+    pub fn screen(&self) -> &LabeledScreen {
+        &self.screen
+    }
+
+    fn snap(&self) -> &Snapshot {
+        self.snap.as_deref().expect("an observation follows a capture")
+    }
+
+    /// Tokens in the last capture's full-tree prompt
+    /// ([`crate::screen::full_tree_prompt_text`]).
+    pub fn full_tree_tokens(&mut self) -> usize {
+        let n = self
+            .full_tree_tokens
+            .unwrap_or_else(|| tokens::count(&full_tree_prompt_text(self.snap())));
+        *self.full_tree_tokens.insert(n)
+    }
+
+    /// Tokens in the last capture's labeled-screen prompt
+    /// ([`LabeledScreen::to_prompt_text`]).
+    pub fn screen_tokens(&mut self) -> usize {
+        *self.screen_tokens.get_or_insert_with(|| tokens::count(&self.screen.to_prompt_text()))
+    }
+
+    /// Tokens in the last capture's passive `get_texts()` prompt under
+    /// the default [`PassiveConfig`].
+    pub fn passive_tokens(&mut self) -> usize {
+        let n = self.passive_tokens.unwrap_or_else(|| {
+            let passive = get_texts_passive(self.snap(), &PassiveConfig::default());
+            tokens::count(&passive.to_prompt_text())
+        });
+        *self.passive_tokens.insert(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::screen::label_screen;
     use dmi_apps::AppKind;
     use dmi_gui::GuiApp;
     use std::any::Any;
@@ -201,6 +269,89 @@ mod tests {
         assert!(matches!(err, DmiError::LabelNotFound { .. }));
         let err = get_texts_active(&s, &screen, &["123"]).unwrap_err();
         assert!(matches!(err, DmiError::StaticIdProhibited { .. }));
+    }
+
+    /// The first shown widget whose click behavior `pred` accepts.
+    fn first_shown(
+        s: &Session,
+        pred: impl Fn(&dmi_gui::Behavior) -> bool,
+    ) -> Option<dmi_gui::WidgetId> {
+        let tree = s.app().tree();
+        tree.iter()
+            .map(|(id, _)| id)
+            .find(|&id| tree.is_shown(id) && pred(&tree.widget(id).on_click))
+    }
+
+    /// An observer kept across UI changes serves the count of each prompt
+    /// text built from the current snapshot, never a stale one.
+    #[test]
+    fn observed_counts_equal_counted_prompt_texts() {
+        use crate::tokens::count;
+        use dmi_gui::Behavior;
+
+        let (mut offscreen, mut disabled, mut truncated) = (false, false, false);
+        for kind in AppKind::ALL {
+            let mut s = Session::new(kind.launch_small());
+            let mut observed = Observed::default();
+            let mut before = String::new();
+            for state in ["launch", "menu", "dialog", "cell value"] {
+                match state {
+                    "menu" => {
+                        let menu = first_shown(&s, |b| matches!(b, Behavior::OpenMenu));
+                        s.click(menu.expect("a shown menu")).unwrap();
+                    }
+                    "dialog" => {
+                        let _ = s.press("Esc");
+                        let is_dialog = |b: &Behavior| matches!(b, Behavior::OpenDialog(_));
+                        // Switch ribbon tabs until one shows a dialog opener.
+                        let tree = s.app().tree();
+                        let tabs: Vec<_> = tree
+                            .iter()
+                            .map(|(id, _)| id)
+                            .filter(|&id| {
+                                tree.is_shown(id)
+                                    && matches!(tree.widget(id).on_click, Behavior::SwitchTab)
+                            })
+                            .collect();
+                        let mut tabs = tabs.into_iter();
+                        while first_shown(&s, is_dialog).is_none() {
+                            s.click(tabs.next().expect("a tab with a dialog opener")).unwrap();
+                        }
+                        s.click(first_shown(&s, is_dialog).unwrap()).unwrap();
+                    }
+                    "cell value" => {
+                        let _ = s.press("Esc");
+                        if let Some(app) =
+                            (s.app_mut() as &mut dyn Any).downcast_mut::<dmi_apps::ExcelApp>()
+                        {
+                            let wid = app
+                                .cell_widget(dmi_apps::model::sheet::Addr::parse("B3").unwrap())
+                                .unwrap();
+                            app.tree_mut().widget_mut(wid).value =
+                                "Ünïcode — a long, \"quoted\" value".into();
+                        }
+                    }
+                    _ => {}
+                }
+                let snap = s.snapshot();
+                let full = full_tree_prompt_text(&snap);
+                let screen = label_screen(&snap);
+                let passive = get_texts_passive(&snap, &PassiveConfig::default());
+                let (screen_text, passive_text) =
+                    (screen.to_prompt_text(), passive.to_prompt_text());
+                let at = format!("{kind} at {state}");
+                assert_ne!(full, before, "{at}: the UI changed since the last capture");
+                assert_eq!(observed.capture(&mut s), &screen, "{at}");
+                assert_eq!(observed.full_tree_tokens(), count(&full), "{at}");
+                assert_eq!(observed.screen_tokens(), count(&screen_text), "{at}");
+                assert_eq!(observed.passive_tokens(), count(&passive_text), "{at}");
+                offscreen |= full.contains(" [offscreen]\n");
+                disabled |= screen_text.contains(" [disabled]\n");
+                truncated |= passive_text.contains("…\n");
+                before = full;
+            }
+        }
+        assert!(offscreen && disabled && truncated, "{offscreen} {disabled} {truncated}");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! (§5.1). Alphabetic labels are deliberately distinct from the numeric
 //! ids of the navigation topology; interaction interfaces accept only
 //! labels (§3.5).
+//!
+//! The full-tree and labeled-screen prompts share one line format
+//! (`label: name(type) = 'value' [flag]`). Their token counts are taken
+//! from the built text with [`crate::tokens::count`]; an agent counts
+//! each at most once per capture through `interface::Observed`.
 
 use dmi_uia::{ControlType, PatternSet, Rect, RuntimeId, Snapshot};
 
@@ -60,16 +65,32 @@ pub fn full_tree_prompt_text(snap: &Snapshot) -> String {
     let mut out = String::new();
     for (i, node) in snap.iter() {
         let p = &node.props;
-        out.push_str(&format!(
-            "{}: {}({}){}{}\n",
-            alpha_label(i),
-            p.name,
-            p.control_type.as_str(),
-            if p.value.is_empty() { String::new() } else { format!(" = '{}'", p.value) },
-            if p.offscreen { " [offscreen]" } else { "" },
-        ));
+        let flag = if p.offscreen { " [offscreen]" } else { "" };
+        push_line(&mut out, &alpha_label(i), &p.name, p.control_type, &p.value, flag);
     }
     out
+}
+
+/// Appends one prompt line: `label: name(type)`, then ` = 'value'` for a
+/// non-empty value, then the flag.
+fn push_line(
+    out: &mut String,
+    label: &str,
+    name: &str,
+    control_type: ControlType,
+    value: &str,
+    flag: &str,
+) {
+    for piece in [label, ": ", name, "(", control_type.as_str(), ")"] {
+        out.push_str(piece);
+    }
+    if !value.is_empty() {
+        for piece in [" = '", value, "'"] {
+            out.push_str(piece);
+        }
+    }
+    out.push_str(flag);
+    out.push('\n');
 }
 
 /// Labels every on-screen (not off-screen) control in the snapshot.
@@ -109,14 +130,8 @@ impl LabeledScreen {
     pub fn to_prompt_text(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            out.push_str(&format!(
-                "{}: {}({}){}{}\n",
-                e.label,
-                e.name,
-                e.control_type.as_str(),
-                if e.value.is_empty() { String::new() } else { format!(" = '{}'", e.value) },
-                if e.enabled { "" } else { " [disabled]" },
-            ));
+            let flag = if e.enabled { "" } else { " [disabled]" };
+            push_line(&mut out, &e.label, &e.name, e.control_type, &e.value, flag);
         }
         out
     }
@@ -172,8 +187,15 @@ mod tests {
         d.enabled = false;
         s.push(d, Some(w), 0);
         let text = label_screen(&s).to_prompt_text();
-        assert!(text.contains("= 'A1'"));
-        assert!(text.contains("[disabled]"));
+        assert_eq!(text, "A: W(Window)\nB: Name Box(Edit) = 'A1'\nC: Paste(Button) [disabled]\n");
+        // The full tree flags off-screen controls instead of disabled ones.
+        let mut off = ControlProps::new("Row 9", ControlType::Text);
+        off.offscreen = true;
+        s.push(off, Some(w), 0);
+        assert_eq!(
+            full_tree_prompt_text(&s),
+            "A: W(Window)\nB: Name Box(Edit) = 'A1'\nC: Paste(Button)\nD: Row 9(Text) [offscreen]\n"
+        );
     }
 
     #[test]

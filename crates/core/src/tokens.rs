@@ -6,6 +6,11 @@
 //! `ceil(word_len / 4)` tokens, plus one token per punctuation/structure
 //! character run. This tracks BPE counts closely enough for relative
 //! accounting, which is all the reproduction needs.
+//!
+//! A prompt is counted from its built text. On the agent step path each
+//! count is taken at most once per source: `interface::Observed` counts
+//! the screen, full-tree and passive prompts once per captured snapshot,
+//! and `Dmi` counts its core topology once when the model is built.
 
 /// Approximate token count of a text.
 ///

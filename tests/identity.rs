@@ -1,19 +1,21 @@
 //! The control-identity layer: `ControlKey` stability, indexed resolution
 //! equivalence with the old linear scan, pinned rip capture counts,
-//! launch-image forks equal to freshly constructed apps, and the layout
-//! pin over seeded input walks.
+//! launch-image forks equal to freshly constructed apps, the layout pin
+//! over seeded input walks, and the agent trace pin over the Table 3
+//! grid.
 
 use dmi_agent::RunConfig;
 use dmi_apps::{
     AppKind, ExcelApp, ExcelConfig, PowerPointApp, PowerPointConfig, WordApp, WordConfig,
 };
 use dmi_core::ripper::{rip, RipConfig};
-use dmi_core::{rip_fleet, FleetEntry, ParRipConfig};
+use dmi_core::{rip_fleet, Dmi, DmiBuildConfig, FleetEntry, ParRipConfig};
 use dmi_gui::{Behavior, CaptureConfig, GuiApp, InstabilityModel, Session, Widget, WidgetId};
-use dmi_integration_tests::{Fnv1a, SplitMix};
+use dmi_integration_tests::{fnv1a, Fnv1a, SplitMix};
 use dmi_llm::{CapabilityProfile, InterfaceMode};
 use dmi_uia::{ControlId, ControlKey, ControlType, PatternKind, Snapshot};
 use std::any::Any;
+use std::sync::Arc;
 
 /// The ancestor path computed the pre-index way: walk parents, join names.
 fn walked_path(snap: &Snapshot, idx: usize) -> String {
@@ -248,7 +250,6 @@ fn gateway_traces_are_byte_identical_to_sequential_at_all_concurrencies() {
         run_task, Gateway, GatewayConfig, InterfaceMode, RunConfig, ServeApp, ServeRequest,
     };
     use dmi_integration_tests::dmi_models;
-    use std::sync::Arc;
 
     let models = dmi_models();
     let tasks: Vec<Arc<dmi_agent::AgentTask>> =
@@ -358,7 +359,6 @@ fn esc_recovery_ung_is_byte_identical_to_full_restart_oracle() {
 fn traced_gateway_serve_is_byte_identical_to_untraced() {
     use dmi_agent::{Gateway, GatewayConfig, InterfaceMode, RunConfig, ServeApp, ServeRequest};
     use dmi_integration_tests::dmi_models;
-    use std::sync::Arc;
 
     // Models are ripped outside the observation window: fixture setup is
     // not part of the serve being traced.
@@ -683,4 +683,60 @@ fn full_office_layout_walks_are_pinned() {
             assert_eq!(digest, want, "{kind} seed {seed}: layout walk digest {digest:#018x}");
         }
     }
+}
+
+/// The `agent_grid` trace digest: each run's `RunTrace::identity_bytes`
+/// hashed on its own, and the per-run digests folded in run order —
+/// every Table 3 cell × the 27 suite tasks × `seeds`, each task on the
+/// model of its app.
+fn grid_trace_digest(models: &[Arc<Dmi>], small: bool, seeds: &[u64]) -> (u64, usize) {
+    let tasks = dmi_tasks::all_tasks();
+    let mut h = Fnv1a::default();
+    let mut runs = 0;
+    for (profile, mode) in dmi_bench::table3_rows() {
+        for task in &tasks {
+            let dmi = &models[AppKind::ALL.iter().position(|&k| k == task.app).expect("app")];
+            for &seed in seeds {
+                let mut cfg = RunConfig::evaluation(profile.clone(), mode, seed);
+                cfg.small_apps = small;
+                let trace = dmi_agent::run_task(task, Some(dmi), &cfg);
+                h.write(&fnv1a(trace.identity_bytes().as_bytes()).to_le_bytes());
+                runs += 1;
+            }
+        }
+    }
+    (h.0, runs)
+}
+
+/// Agent trace pin: every Table 3 cell over the suite on the small apps,
+/// under the evaluation instability, must keep the traces (prompt
+/// tokens included) computed before prompt counts were memoized per
+/// capture. The served-vs-sequential oracle runs the same
+/// code on both sides, so only fixed values catch a miscount.
+#[test]
+fn small_office_agent_traces_are_pinned() {
+    let models = dmi_integration_tests::dmi_models();
+    let models: Vec<_> = AppKind::ALL.iter().map(|k| Arc::clone(&models[k.name()])).collect();
+    let (digest, runs) = grid_trace_digest(&models, true, &[1, 2, 3]);
+    assert_eq!(runs, 8 * 27 * 3);
+    assert_eq!(digest, 0xc59a_5ad4_08cc_0423, "small-app grid trace digest {digest:#018x}");
+}
+
+/// The full-size variant of the agent trace pin: the `agent_grid`
+/// benchmark's seed-1 pass (run seeds 4–6) on models built by
+/// `Dmi::build` from full launches. Its digest is the one the benchmark
+/// prints as `digest agent_grid traces`.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn full_office_agent_traces_are_pinned() {
+    let models: Vec<_> = AppKind::ALL
+        .iter()
+        .map(|k| {
+            let mut s = Session::new(k.launch());
+            Arc::new(Dmi::build(&mut s, &DmiBuildConfig::office(k.name())).0)
+        })
+        .collect();
+    let (digest, runs) = grid_trace_digest(&models, false, &[4, 5, 6]);
+    assert_eq!(runs, 8 * 27 * 3);
+    assert_eq!(digest, 0x371c_f1f4_f65e_245d, "full-app grid trace digest {digest:#018x}");
 }
