@@ -114,10 +114,11 @@ pub fn aggregate(traces: &[RunTrace]) -> Aggregate {
 }
 
 /// Figure 5b's normalized core steps: average core calls per mode over the
-/// intersection of `(task, seed)` runs every mode solved.
+/// intersection of `(task, seed)` runs every mode solved, and the number of
+/// runs in that intersection — the sample each average rests on.
 pub fn normalized_core_steps(
     by_mode: &BTreeMap<InterfaceMode, Vec<RunTrace>>,
-) -> BTreeMap<InterfaceMode, f64> {
+) -> (BTreeMap<InterfaceMode, f64>, usize) {
     // Key solved sets by (task, seed).
     let mut solved: Vec<BTreeSet<(String, u64)>> = Vec::new();
     for traces in by_mode.values() {
@@ -144,7 +145,7 @@ pub fn normalized_core_steps(
         };
         out.insert(*mode, avg);
     }
-    out
+    (out, intersection.len())
 }
 
 #[cfg(test)]
@@ -208,10 +209,34 @@ mod tests {
                 tr("b", InterfaceMode::GuiPlusDmi, 0, true, 4),
             ],
         );
-        let n = normalized_core_steps(&by_mode);
+        let (n, runs) = normalized_core_steps(&by_mode);
         // Only task "a" (seed 0) is solved by both; GUI avg = 7, DMI avg = 1.
+        assert_eq!(runs, 1);
         assert!((n[&InterfaceMode::GuiOnly] - 7.0).abs() < 1e-9);
         assert!((n[&InterfaceMode::GuiPlusDmi] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn normalized_steps_count_the_intersection() {
+        let solved = |mode, runs: &[(&str, u64)]| -> Vec<RunTrace> {
+            runs.iter().map(|&(task, seed)| tr(task, mode, seed, true, 5)).collect()
+        };
+        let (gui, forest, dmi) =
+            (InterfaceMode::GuiOnly, InterfaceMode::GuiPlusForest, InterfaceMode::GuiPlusDmi);
+        let disjoint = BTreeMap::from([
+            (gui, solved(gui, &[("a", 1), ("b", 1)])),
+            (dmi, solved(dmi, &[("a", 2)])),
+        ]);
+        let (n, runs) = normalized_core_steps(&disjoint);
+        assert_eq!(runs, 0, "same task at another seed is another run");
+        assert_eq!((n[&gui], n[&dmi]), (0.0, 0.0));
+
+        let overlapping = BTreeMap::from([
+            (gui, solved(gui, &[("a", 1), ("a", 2), ("b", 1), ("c", 3)])),
+            (dmi, solved(dmi, &[("a", 1), ("b", 1), ("c", 3), ("d", 1)])),
+            (forest, solved(forest, &[("a", 1), ("c", 3)])),
+        ]);
+        assert_eq!(normalized_core_steps(&overlapping).1, 2, "(a, 1) and (c, 3)");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Simulated Office-like applications: Word, Excel, PowerPoint.
 //!
-//! These are the substrate substitution for Microsoft Office (see
-//! `DESIGN.md`): feature-rich GUI applications built on `dmi-gui` that
+//! These are the substrate substitution for Microsoft Office (§5.1 of the
+//! paper, `PAPER.md`): feature-rich GUI applications built on `dmi-gui` that
 //! reproduce the structural properties the paper's evaluation depends on —
 //! thousands of controls, navigation depth over ten, popup galleries,
 //! nested modal dialogs, shared dialogs forming merge nodes with

@@ -1,14 +1,88 @@
-//! Experiment harnesses reproducing every table and figure of the paper's
-//! evaluation, plus criterion micro-benchmarks for the DMI pipeline.
+//! The paper's evaluation as checked claims, plus criterion
+//! micro-benchmarks for the DMI pipeline.
 //!
-//! `cargo bench` regenerates the full evaluation; each `exp_*` bench
-//! target prints the rows/series of one paper artifact (see `DESIGN.md`'s
-//! per-experiment index and `EXPERIMENTS.md` for recorded results).
+//! `cargo bench -p dmi-bench --bench claims` runs one [`Evaluation`] on the
+//! full apps and prints every table behind the claims, then the claims
+//! table ([`claims`]). Status on the full apps:
+//!
+//! - Table 1, both examples (one declarative call replaces the GUI chain):
+//!   held.
+//! - Table 3, each cell's SR, steps and time within ±10% of the paper:
+//!   held for 16 of 24. Known misses: GPT-5 (Medium) GUI-only SR (the
+//!   GUI-only baseline runs low, cause unattributed); the steps of GPT-5
+//!   (Medium) Nav.forest and GPT-5 (Minimal) GUI-only and five cells' time
+//!   (unattributed).
+//! - Table 3, GPT-5 (Medium) GUI-only beats Nav.forest: known miss, the
+//!   order is reversed (the low GUI-only baseline). GPT-5-mini Nav.forest
+//!   beats GUI-only: held.
+//! - Fig 5a, step cut 43.5%, time cut 39% and fewer tokens per task: held.
+//!   SR improvement 1.67x: known miss (the low GUI-only baseline).
+//! - Fig 5b, GUI+DMI needs fewer core steps: held for GPT-5 (Medium); known
+//!   misses for GPT-5 (Minimal) and GPT-5-mini, whose three-mode
+//!   intersections (Nav.forest included) hold a single run.
+//! - §5.3, over 61% of successes in one core call: held.
+//! - Fig 6, policy-level share of GUI+DMI and GUI-only failures: held.
+//! - Fig 4, cloning grows exponentially and the forest linearly: held.
+//! - §5.2, raw graphs above 4K controls: known miss (unattributed). Excel
+//!   has the largest core topology: known miss (Excel's nodes are mostly
+//!   grid cells the core prunes). About 15 tokens per control: known miss
+//!   (unattributed).
+//! - §3.4, fuzzy matching absorbs renames and the naive executor degrades
+//!   fastest: held. Retries absorb late loading: known miss (without
+//!   retries the same runs succeed, at more LLM calls).
 
-pub mod experiments;
+pub mod claims;
 pub mod report;
 
-pub use experiments::{
-    build_models, core_setting_by_mode, models, paper_table3, run_cell, table3_rows, AppModel,
-    EvalConfig,
-};
+pub use claims::{table3_rows, Evaluation};
+
+/// Checks below the claims: one Table 3 cell run on its own, and the
+/// grid's rows against the paper's table.
+#[cfg(test)]
+mod experiments {
+    mod tests {
+        use crate::claims::{rip_models, table3_rows};
+        use dmi_agent::{aggregate, run_task, RunConfig, RunTrace};
+        use dmi_llm::{CapabilityProfile, InterfaceMode};
+
+        #[test]
+        fn small_eval_cell_runs() {
+            let models = rip_models(true);
+            let cfg = RunConfig {
+                small_apps: true,
+                ..RunConfig::evaluation(
+                    CapabilityProfile::gpt5_medium(),
+                    InterfaceMode::GuiPlusDmi,
+                    1,
+                )
+            };
+            let traces: Vec<RunTrace> = dmi_tasks::all_tasks()
+                .iter()
+                .map(|task| run_task(task, models.get(task.app.name()).map(|m| &m.dmi), &cfg))
+                .collect();
+            assert_eq!(traces.len(), 27);
+            let agg = aggregate(&traces);
+            assert!(agg.sr > 0.3, "DMI sr too low: {}", agg.sr);
+        }
+
+        #[test]
+        fn table3_grid_matches_paper_rows() {
+            let paper = [
+                ("GPT-5 (Medium)", "GUI-only"),
+                ("GPT-5 (Medium)", "GUI-only+Nav.forest"),
+                ("GPT-5 (Medium)", "GUI+DMI"),
+                ("GPT-5 (Minimal)", "GUI-only"),
+                ("GPT-5 (Minimal)", "GUI+DMI"),
+                ("GPT-5-mini (Medium)", "GUI-only"),
+                ("GPT-5-mini (Medium)", "GUI-only+Nav.forest"),
+                ("GPT-5-mini (Medium)", "GUI+DMI"),
+            ];
+            let rows: Vec<(String, &str)> =
+                table3_rows().iter().map(|(p, m)| (p.label(), m.label())).collect();
+            assert_eq!(rows.len(), paper.len());
+            for ((profile, mode), (paper_profile, paper_mode)) in rows.iter().zip(paper) {
+                assert_eq!((profile.as_str(), *mode), (paper_profile, paper_mode));
+            }
+        }
+    }
+}

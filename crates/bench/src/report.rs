@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment harnesses.
+//! Plain-text table rendering for the claims runner.
 
 /// Renders a simple aligned table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -37,16 +37,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Formats a float to one decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-/// Formats a float to two decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// A section banner for bench output.
 pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
@@ -71,7 +61,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(pct(0.741), "74.1%");
-        assert_eq!(f1(8.157), "8.2");
-        assert_eq!(f2(4.611), "4.61");
     }
 }

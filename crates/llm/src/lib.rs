@@ -1,8 +1,8 @@
 //! Simulated LLM: capability profiles, failure injection, token and
 //! latency accounting.
 //!
-//! This crate is the substrate substitution for GPT-5 / GPT-5-mini (see
-//! `DESIGN.md`). The paper's comparative results derive from *which
+//! This crate is the substrate substitution for GPT-5 / GPT-5-mini (§5.1 of
+//! the paper, `PAPER.md`). The paper's comparative results derive from *which
 //! failure modes each OS interface exposes an LLM to*; the simulator
 //! injects exactly the paper's §5.6 taxonomy at calibrated rates, with all
 //! stochasticity seeded for reproducibility:

@@ -5,7 +5,7 @@
 //! visual grounding weakness, composite-interaction fragility, recovery
 //! ability, instruction-following noise, and the latency model. The three
 //! presets are calibrated so the *relative* results of Table 3 reproduce;
-//! see `EXPERIMENTS.md` for calibration notes.
+//! `cargo bench -p dmi-bench --bench claims` checks them against the paper.
 
 use crate::latency::{LatencyModel, ReasoningEffort};
 

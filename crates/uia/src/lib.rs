@@ -1,7 +1,7 @@
 //! Simulated accessibility framework modelled on Windows UI Automation (UIA).
 //!
-//! This crate is the substrate substitution for Windows UIA described in
-//! `DESIGN.md`. It provides the exact surface that the DMI layer consumes:
+//! This crate is the substrate substitution for Windows UIA, the layer the
+//! paper (`PAPER.md`) builds DMI on. It provides the surface DMI consumes:
 //!
 //! - the full set of 41 UIA [`ControlType`]s and 34 [`PatternKind`]s,
 //! - property bags ([`ControlProps`]) with the same reliability caveats as
