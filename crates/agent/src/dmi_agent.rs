@@ -16,7 +16,7 @@ use crate::grounding::ground;
 use crate::task::AgentTask;
 use dmi_core::interface::{observe as obs, state, Observed};
 use dmi_core::topology::Forest;
-use dmi_core::{tokens, Dmi};
+use dmi_core::{tokens, Dmi, LabeledScreen};
 use dmi_gui::Session;
 use dmi_llm::{FailureCause, PlanStep, SimLlm, TargetQuery, VisitTarget};
 use serde_json::json;
@@ -193,61 +193,32 @@ impl DmiState {
             ),
             PlanStep::StateScrollbar { surface, percent } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    let e = screen
-                        .find_by_name(surface)
-                        .map(|e| e.label.clone())
-                        .ok_or(FailureCause::WeakVisualSemantic)?;
-                    state::set_scrollbar_pos(s, screen, &e, *percent)
-                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                    Ok(())
+                    state::set_scrollbar_pos(s, screen, label_of(screen, surface)?, *percent)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
             PlanStep::StateSelectLines { surface, start, end } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    let e = screen
-                        .find_by_name(surface)
-                        .map(|e| e.label.clone())
-                        .ok_or(FailureCause::WeakVisualSemantic)?;
-                    state::select_lines(s, screen, &e, *start, *end)
-                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                    Ok(())
+                    state::select_lines(s, screen, label_of(screen, surface)?, *start, *end)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
             PlanStep::StateSelectControls { names } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    let labels: Option<Vec<String>> = names
-                        .iter()
-                        .map(|n| screen.find_by_name(n).map(|e| e.label.clone()))
-                        .collect();
-                    let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
-                    let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-                    state::select_controls(s, screen, &refs)
-                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                    Ok(())
+                    state::select_controls(s, screen, &labels_of(screen, names)?)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
             PlanStep::StateToggle { name, on } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    let e = screen
-                        .find_by_name(name)
-                        .map(|e| e.label.clone())
-                        .ok_or(FailureCause::WeakVisualSemantic)?;
-                    state::set_toggle_state(s, screen, &e, *on)
-                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                    Ok(())
+                    state::set_toggle_state(s, screen, label_of(screen, name)?, *on)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
             PlanStep::ObserveTexts { names } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    let labels: Option<Vec<String>> = names
-                        .iter()
-                        .map(|n| screen.find_by_name(n).map(|e| e.label.clone()))
-                        .collect();
-                    let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
-                    let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-                    obs::get_texts_active(s, screen, &refs)
-                        .map_err(|_| FailureCause::TopologyInaccuracy)?;
-                    Ok(())
+                    obs::get_texts_active(s, screen, &labels_of(screen, names)?)
+                        .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
         };
@@ -263,18 +234,32 @@ impl DmiState {
     }
 }
 
+/// The label of the control named `name` on the labeled screen, or
+/// `WeakVisualSemantic` when no such control is on it.
+fn label_of<'s>(screen: &'s LabeledScreen, name: &str) -> Result<&'s str, FailureCause> {
+    screen.find_by_name(name).map(|e| e.label.as_str()).ok_or(FailureCause::WeakVisualSemantic)
+}
+
+/// [`label_of`] for each of `names`.
+fn labels_of<'s>(
+    screen: &'s LabeledScreen,
+    names: &[String],
+) -> Result<Vec<&'s str>, FailureCause> {
+    names.iter().map(|n| label_of(screen, n)).collect()
+}
+
 /// One state/observation declaration turn.
-fn run_state(
+fn run_state<T>(
     session: &mut Session,
     llm: &mut SimLlm,
     observed: &mut Observed,
     dmi: &Dmi,
-    f: impl FnOnce(&mut Session, &dmi_core::LabeledScreen) -> Result<(), FailureCause>,
+    f: impl FnOnce(&mut Session, &LabeledScreen) -> Result<T, FailureCause>,
 ) -> Result<(), FailureCause> {
     let prompt = prompt_tokens(session, observed, dmi);
     llm.record_call(prompt, 30);
     let screen = observed.capture(session);
-    f(session, screen)
+    f(session, screen).map(drop)
 }
 
 /// One (or more, after chunking/noise) `visit` turns.

@@ -8,10 +8,8 @@
 //! dialog shared by several launchers (a merge node).
 
 use crate::model::sheet::{Addr, CondRule, Range, Sheet};
-use crate::office::{self, commands, Chrome, Pristine};
-use dmi_gui::{
-    AppError, Behavior, CommandBinding, GuiApp, UiTree, Widget, WidgetBuilder, WidgetId,
-};
+use crate::office::{self, commands, Chrome, OfficeApp, OfficeModel};
+use dmi_gui::{AppError, Behavior, CommandBinding, UiTree, Widget, WidgetBuilder, WidgetId};
 use dmi_uia::{ControlType as CT, PatternKind};
 use std::sync::Arc;
 
@@ -32,21 +30,13 @@ impl Default for ExcelConfig {
     }
 }
 
-/// The mutable model state captured in the pristine launch image: the
-/// workbook plus every session-scoped scalar `dispatch` can change. Kept
-/// as one struct so `reset` restores from the capture instead of
-/// re-listing constructor defaults.
-#[derive(Debug, Clone)]
-struct ExcelState {
-    sheet: Sheet,
-    active: Addr,
-    color_target: String,
-    cond_threshold: f64,
-    cond_fill: String,
-}
+/// The simulated Excel application: an [`Excel`] model launched as an
+/// [`OfficeApp`].
+pub type ExcelApp = OfficeApp<Excel>;
 
-/// The simulated Excel application.
-pub struct ExcelApp {
+/// The Excel model: widget tree, workbook, session state and handles.
+#[derive(Debug, Clone)]
+pub struct Excel {
     config: ExcelConfig,
     tree: UiTree,
     /// The workbook model.
@@ -62,10 +52,9 @@ pub struct ExcelApp {
     grid: WidgetId,
     name_box: WidgetId,
     formula_bar: WidgetId,
-    /// Cell widget ids by (row, col).
-    cell_widgets: Vec<Vec<WidgetId>>,
-    /// Launch-state image `reset` clones from (no arena reconstruction).
-    pristine: Arc<Pristine<ExcelState>>,
+    /// Cell widget ids by (row, col); fixed at construction, so shared
+    /// by the image and every fork and reset instead of copied.
+    cell_widgets: Arc<Vec<Vec<WidgetId>>>,
 }
 
 impl ExcelApp {
@@ -82,31 +71,24 @@ impl ExcelApp {
         let chrome = office::build_chrome(&mut tree, "Book1 - Excel");
         office::build_backstage(&mut tree, chrome.main);
         let built = build_ui(&mut tree, &chrome, &config, &sheet);
-        let state = ExcelState {
+        OfficeApp::launch(Excel {
+            config,
+            tree,
             sheet,
             active: Addr { row: 0, col: 0 },
             color_target: "fill".into(),
             cond_threshold: 0.0,
             cond_fill: "Red".into(),
-        };
-        let pristine = Pristine::capture(&tree, &state);
-        ExcelApp {
-            config,
-            tree,
-            sheet: state.sheet,
-            active: state.active,
-            color_target: state.color_target,
-            cond_threshold: state.cond_threshold,
-            cond_fill: state.cond_fill,
             chrome,
             grid: built.grid,
             name_box: built.name_box,
             formula_bar: built.formula_bar,
-            cell_widgets: built.cell_widgets,
-            pristine,
-        }
+            cell_widgets: Arc::new(built.cell_widgets),
+        })
     }
+}
 
+impl Excel {
     /// The grid widget.
     pub fn grid(&self) -> WidgetId {
         self.grid
@@ -621,7 +603,7 @@ fn build_ui(tree: &mut UiTree, chrome: &Chrome, config: &ExcelConfig, sheet: &Sh
     Built { grid, name_box, formula_bar, cell_widgets }
 }
 
-impl GuiApp for ExcelApp {
+impl OfficeModel for Excel {
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -808,47 +790,6 @@ impl GuiApp for ExcelApp {
                 Err(AppError::Command { command: other.into(), reason: "unknown command".into() })
             }
         }
-    }
-
-    fn reset(&mut self) {
-        let pristine = Arc::clone(&self.pristine);
-        self.tree.clone_from(pristine.tree());
-        let state = pristine.doc();
-        self.sheet.clone_from(&state.sheet);
-        self.active = state.active;
-        self.color_target.clone_from(&state.color_target);
-        self.cond_threshold = state.cond_threshold;
-        self.cond_fill.clone_from(&state.cond_fill);
-    }
-
-    fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        // A launch-state twin off the shared pristine image: no
-        // `build_ui` re-run; widget handles are stable arena indices.
-        let pristine = Arc::clone(&self.pristine);
-        let state = pristine.doc().clone();
-        Some(Box::new(ExcelApp {
-            config: self.config.clone(),
-            tree: pristine.tree().clone(),
-            sheet: state.sheet,
-            active: state.active,
-            color_target: state.color_target,
-            cond_threshold: state.cond_threshold,
-            cond_fill: state.cond_fill,
-            chrome: self.chrome,
-            grid: self.grid,
-            name_box: self.name_box,
-            formula_bar: self.formula_bar,
-            cell_widgets: self.cell_widgets.clone(),
-            pristine,
-        }))
-    }
-
-    fn pristine_token(&self) -> Option<u64> {
-        // `reset` restores exactly this image, so its address identifies
-        // the post-restart state for the lifetime of the app and of all
-        // of its forks, which share the `Arc` (every `AppKind::launch` of
-        // one launch image among them).
-        Some(Arc::as_ptr(&self.pristine) as u64)
     }
 }
 

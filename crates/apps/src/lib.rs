@@ -80,8 +80,9 @@ impl AppKind {
     ///
     /// Like [`AppKind::launch`], this forks one launch image per app and
     /// size, constructed on first use and kept for the life of the
-    /// process. A fork shares the image's widget arena copy-on-write, so a
-    /// launch costs the document model's clone instead of a widget-tree
+    /// process: the [`office::OfficeApp`]'s `Arc` image of the model. A
+    /// fork shares the image's widget arena copy-on-write, so a launch
+    /// costs the rest of the model's clone instead of a widget-tree
     /// construction, and every launch of one image reports the same
     /// [`dmi_gui::GuiApp::pristine_token`].
     pub fn launch_small(self) -> Box<dyn dmi_gui::GuiApp> {

@@ -1,4 +1,5 @@
-//! Shared Office-style UI scaffolding.
+//! Shared Office-style UI scaffolding, and [`OfficeApp`]: the one launch
+//! image, `reset`, `fork` and pristine token of all three apps.
 //!
 //! All three simulated applications are assembled from the same chrome:
 //! a ribbon (tab strip + groups), popup galleries, color-picker split
@@ -16,40 +17,94 @@
 //! - **rip hazards**: `Account`-style buttons jump to external apps.
 
 use crate::model::color;
-use dmi_gui::{Behavior, CommandBinding, CommitKind, UiTree, Widget, WidgetBuilder, WidgetId};
+use dmi_gui::{
+    AppError, Behavior, CommandBinding, CommitKind, GuiApp, UiTree, Widget, WidgetBuilder, WidgetId,
+};
 use dmi_uia::{ControlType as CT, PatternKind};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// A prebuilt launch-state image of an application: the fully constructed
-/// widget arena plus the document model. `GuiApp::reset` restores from
-/// this with `clone_from` and `GuiApp::fork` clones it, instead of
-/// re-running widget-tree construction. Both share the image's arena
-/// chunks copy-on-write (see [`UiTree`]), so they cost the chunks the live
-/// tree had copied plus the document model. Held behind an [`Arc`] so the
-/// immutable image is shared, never rebuilt, by the app and all its forks.
-#[derive(Debug)]
-pub struct Pristine<D: Clone> {
-    tree: UiTree,
-    doc: D,
+/// The model of one Office app: its widget tree, document, session
+/// scalars and widget handles — everything a launch restores. `Clone` is
+/// the launch: [`OfficeApp`] clones the model it was constructed as.
+pub trait OfficeModel: Clone + Send + Sync + 'static {
+    /// The provider-side control tree.
+    fn tree(&self) -> &UiTree;
+
+    /// Mutable access to the control tree.
+    fn tree_mut(&mut self) -> &mut UiTree;
+
+    /// Executes a semantic command bound to `source`.
+    fn dispatch(&mut self, source: WidgetId, binding: &CommandBinding) -> Result<(), AppError>;
 }
 
-impl<D: Clone> Pristine<D> {
-    /// Captures the launch state. Call once, at the end of construction.
-    pub fn capture(tree: &UiTree, doc: &D) -> Arc<Pristine<D>> {
-        Arc::new(Pristine { tree: tree.clone(), doc: doc.clone() })
+/// A launched Office app: the live model plus the launch image it was
+/// constructed as, shared behind an [`Arc`] by the app and all its forks.
+/// `GuiApp::fork` clones the image and `GuiApp::reset` restores from it,
+/// instead of re-running widget-tree construction. The image's widget
+/// arena is shared copy-on-write (see [`UiTree`]), so both cost the
+/// chunks the live tree had copied plus the rest of the model.
+///
+/// Dereferences to the model, so `WordApp::doc` and the like read through.
+pub struct OfficeApp<M> {
+    live: M,
+    image: Arc<M>,
+}
+
+impl<M: OfficeModel> OfficeApp<M> {
+    /// Launches a freshly constructed model, which becomes the image.
+    pub fn launch(model: M) -> Self {
+        OfficeApp { image: Arc::new(model.clone()), live: model }
+    }
+}
+
+impl<M> Deref for OfficeApp<M> {
+    type Target = M;
+
+    fn deref(&self) -> &M {
+        &self.live
+    }
+}
+
+impl<M> DerefMut for OfficeApp<M> {
+    fn deref_mut(&mut self) -> &mut M {
+        &mut self.live
+    }
+}
+
+impl<M: OfficeModel> GuiApp for OfficeApp<M> {
+    fn tree(&self) -> &UiTree {
+        self.live.tree()
     }
 
-    /// The captured widget arena. Restore with `clone_from`: it shares the
-    /// image's chunks and advances the tree's capture epochs past both
-    /// lineages, so stale cached captures can never validate against the
-    /// restored state.
-    pub fn tree(&self) -> &UiTree {
-        &self.tree
+    fn tree_mut(&mut self) -> &mut UiTree {
+        self.live.tree_mut()
     }
 
-    /// The captured document model.
-    pub fn doc(&self) -> &D {
-        &self.doc
+    fn dispatch(&mut self, source: WidgetId, binding: &CommandBinding) -> Result<(), AppError> {
+        self.live.dispatch(source, binding)
+    }
+
+    fn reset(&mut self) {
+        // The tree restores through `clone_from`: it shares the image's
+        // chunks and advances the capture epochs past both lineages, so
+        // no capture cached before the reset validates after it.
+        let mut tree = std::mem::take(self.live.tree_mut());
+        tree.clone_from(self.image.tree());
+        self.live = M::clone(&self.image);
+        *self.live.tree_mut() = tree;
+    }
+
+    fn fork(&self) -> Option<Box<dyn GuiApp>> {
+        Some(Box::new(OfficeApp { live: M::clone(&self.image), image: Arc::clone(&self.image) }))
+    }
+
+    fn pristine_token(&self) -> Option<u64> {
+        // `reset` restores exactly this image, so its address identifies
+        // the post-restart state for the lifetime of the app and of all
+        // of its forks, which share the `Arc` (every `AppKind::launch` of
+        // one launch image among them).
+        Some(Arc::as_ptr(&self.image) as u64)
     }
 }
 
@@ -520,6 +575,27 @@ mod tests {
     fn subtree(t: &UiTree, root: WidgetId) -> Vec<WidgetId> {
         let under = |i| std::iter::successors(Some(i), |&c| t.widget(c).parent).any(|c| c == root);
         t.iter().map(|(i, _)| i).filter(|&i| under(i)).collect()
+    }
+
+    /// `reset` restores the tree through `UiTree::clone_from`, so every
+    /// epoch advances past both the live tree and the image and no
+    /// capture key recorded before a reset validates after it. A plain
+    /// clone of the image would rewind them, and no capture pin sees that:
+    /// `Session::restart` also empties the capture cache.
+    #[test]
+    fn reset_advances_epochs_past_the_live_tree_and_the_image() {
+        let config = crate::WordConfig { paragraphs: 4, viewport_rows: 2 };
+        let mut app = crate::WordApp::with_config(config);
+        let (main, surface) = (app.chrome().main, app.doc_surface());
+        app.tree_mut().widget_mut(surface).name.push_str(" (edited)");
+        let epochs = |t: &UiTree| [t.state_epoch(), t.window_stamp(main), t.context_epoch()];
+        let (live, image) = (epochs(app.tree()), epochs(app.image.tree()));
+        app.reset();
+        let after = epochs(app.tree());
+        for i in 0..3 {
+            assert!(after[i] > live[i].max(image[i]), "epoch {i}: {after:?} {live:?} {image:?}");
+        }
+        assert_eq!(app.tree().widget(surface).name, app.image.tree().widget(surface).name);
     }
 
     #[test]

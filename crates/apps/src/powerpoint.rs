@@ -9,10 +9,9 @@
 //! UI (rip blocklist candidates).
 
 use crate::model::deck::{Deck, Shape};
-use crate::office::{self, commands, Chrome, Pristine};
-use dmi_gui::{AppError, Behavior, CommandBinding, GuiApp, UiTree, WidgetBuilder, WidgetId};
+use crate::office::{self, commands, Chrome, OfficeApp, OfficeModel};
+use dmi_gui::{AppError, Behavior, CommandBinding, UiTree, WidgetBuilder, WidgetId};
 use dmi_uia::ControlType as CT;
-use std::sync::Arc;
 
 /// Build-time options for the simulated PowerPoint instance.
 #[derive(Debug, Clone)]
@@ -29,8 +28,13 @@ impl Default for PowerPointConfig {
     }
 }
 
-/// The simulated PowerPoint application.
-pub struct PowerPointApp {
+/// The simulated PowerPoint application: a [`PowerPoint`] model launched
+/// as an [`OfficeApp`].
+pub type PowerPointApp = OfficeApp<PowerPoint>;
+
+/// The PowerPoint model: widget tree, deck, session state and handles.
+#[derive(Debug, Clone)]
+pub struct PowerPoint {
     tree: UiTree,
     /// The deck model.
     pub deck: Deck,
@@ -40,22 +44,8 @@ pub struct PowerPointApp {
     canvas: WidgetId,
     notes: WidgetId,
     /// Per-slide shape widgets (canvas children), toggled with the
-    /// current slide.
+    /// current slide; inserting shapes at runtime grows it.
     shape_widgets: Vec<Vec<WidgetId>>,
-    /// Launch-state image `reset` clones from (no arena reconstruction).
-    pristine: Arc<Pristine<PptState>>,
-}
-
-/// The model state captured alongside the widget arena for pristine
-/// resets: the deck, the per-slide shape-widget map (inserting shapes at
-/// runtime grows both), and every session-scoped scalar `dispatch` can
-/// change. Kept as one struct so `reset` restores from the capture
-/// instead of re-listing constructor defaults.
-#[derive(Debug, Clone)]
-struct PptState {
-    deck: Deck,
-    shape_widgets: Vec<Vec<WidgetId>>,
-    color_target: String,
 }
 
 impl PowerPointApp {
@@ -77,25 +67,20 @@ impl PowerPointApp {
         let built = build_ui(&mut tree, &chrome, &config, &deck);
         apply_slide_visibility(&mut tree, &deck, &built.shape_widgets);
         apply_selection_context(&mut tree, &deck);
-        let state = PptState {
-            deck,
-            shape_widgets: built.shape_widgets,
-            color_target: "background".into(),
-        };
-        let pristine = Pristine::capture(&tree, &state);
-        PowerPointApp {
+        OfficeApp::launch(PowerPoint {
             tree,
-            deck: state.deck,
-            color_target: state.color_target,
+            deck,
+            color_target: "background".into(),
             chrome,
             thumbnails: built.thumbnails,
             canvas: built.canvas,
             notes: built.notes,
-            shape_widgets: state.shape_widgets,
-            pristine,
-        }
+            shape_widgets: built.shape_widgets,
+        })
     }
+}
 
+impl PowerPoint {
     /// The slide-thumbnail list widget.
     pub fn thumbnails(&self) -> WidgetId {
         self.thumbnails
@@ -537,7 +522,7 @@ fn build_ui(tree: &mut UiTree, chrome: &Chrome, config: &PowerPointConfig, deck:
     Built { thumbnails, canvas, notes, shape_widgets }
 }
 
-impl GuiApp for PowerPointApp {
+impl OfficeModel for PowerPoint {
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -758,41 +743,6 @@ impl GuiApp for PowerPointApp {
                 Err(AppError::Command { command: other.into(), reason: "unknown command".into() })
             }
         }
-    }
-
-    fn reset(&mut self) {
-        let pristine = Arc::clone(&self.pristine);
-        self.tree.clone_from(pristine.tree());
-        let state = pristine.doc();
-        self.deck.clone_from(&state.deck);
-        self.shape_widgets.clone_from(&state.shape_widgets);
-        self.color_target.clone_from(&state.color_target);
-    }
-
-    fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        // A launch-state twin off the shared pristine image: no
-        // `build_ui` re-run; widget handles are stable arena indices.
-        let pristine = Arc::clone(&self.pristine);
-        let state = pristine.doc().clone();
-        Some(Box::new(PowerPointApp {
-            tree: pristine.tree().clone(),
-            deck: state.deck,
-            color_target: state.color_target,
-            chrome: self.chrome,
-            thumbnails: self.thumbnails,
-            canvas: self.canvas,
-            notes: self.notes,
-            shape_widgets: state.shape_widgets,
-            pristine,
-        }))
-    }
-
-    fn pristine_token(&self) -> Option<u64> {
-        // `reset` restores exactly this image, so its address identifies
-        // the post-restart state for the lifetime of the app and of all
-        // of its forks, which share the `Arc` (every `AppKind::launch` of
-        // one launch image among them).
-        Some(Arc::as_ptr(&self.pristine) as u64)
     }
 }
 

@@ -8,12 +8,9 @@
 //! and a scrollable document surface with off-screen paragraphs.
 
 use crate::model::word_doc::{Alignment, WordDoc};
-use crate::office::{self, commands, Chrome, Pristine};
-use dmi_gui::{
-    AppError, Behavior, CommandBinding, GuiApp, UiTree, Widget, WidgetBuilder, WidgetId,
-};
+use crate::office::{self, commands, Chrome, OfficeApp, OfficeModel};
+use dmi_gui::{AppError, Behavior, CommandBinding, UiTree, Widget, WidgetBuilder, WidgetId};
 use dmi_uia::ControlType as CT;
-use std::sync::Arc;
 
 /// Build-time options for the simulated Word instance.
 #[derive(Debug, Clone)]
@@ -30,21 +27,13 @@ impl Default for WordConfig {
     }
 }
 
-/// The mutable model state captured in the pristine launch image: the
-/// document plus every session-scoped scalar `dispatch` can change. Kept
-/// as one struct so `reset` restores from the capture instead of
-/// re-listing constructor defaults.
-#[derive(Debug, Clone)]
-struct WordState {
-    doc: WordDoc,
-    color_target: String,
-    find_text: String,
-    replace_text: String,
-    find_subscript: bool,
-}
+/// The simulated Word application: a [`Word`] model launched as an
+/// [`OfficeApp`].
+pub type WordApp = OfficeApp<Word>;
 
-/// The simulated Word application.
-pub struct WordApp {
+/// The Word model: widget tree, document, session state and handles.
+#[derive(Debug, Clone)]
+pub struct Word {
     tree: UiTree,
     /// The document model (task verifiers inspect this).
     pub doc: WordDoc,
@@ -59,8 +48,6 @@ pub struct WordApp {
     chrome: Chrome,
     doc_surface: WidgetId,
     find_next_button: WidgetId,
-    /// Launch-state image `reset` clones from (no arena reconstruction).
-    pristine: Arc<Pristine<WordState>>,
 }
 
 impl WordApp {
@@ -76,28 +63,21 @@ impl WordApp {
         let chrome = office::build_chrome(&mut tree, "Document1 - Word");
         office::build_backstage(&mut tree, chrome.main);
         let (doc_surface, find_next_button) = build_ui(&mut tree, &chrome, &config, &doc);
-        let state = WordState {
+        OfficeApp::launch(Word {
+            tree,
             doc,
             color_target: "font".into(),
             find_text: String::new(),
             replace_text: String::new(),
             find_subscript: false,
-        };
-        let pristine = Pristine::capture(&tree, &state);
-        WordApp {
-            tree,
-            doc: state.doc,
-            color_target: state.color_target,
-            find_text: state.find_text,
-            replace_text: state.replace_text,
-            find_subscript: state.find_subscript,
             chrome,
             doc_surface,
             find_next_button,
-            pristine,
-        }
+        })
     }
+}
 
+impl Word {
     /// The document surface widget (a `Document` text surface).
     pub fn doc_surface(&self) -> WidgetId {
         self.doc_surface
@@ -643,7 +623,7 @@ fn build_ui(
     (doc_surface, next_btn)
 }
 
-impl GuiApp for WordApp {
+impl OfficeModel for Word {
     fn tree(&self) -> &UiTree {
         &self.tree
     }
@@ -836,44 +816,6 @@ impl GuiApp for WordApp {
                 Err(AppError::Command { command: other.into(), reason: "unknown command".into() })
             }
         }
-    }
-
-    fn reset(&mut self) {
-        let pristine = Arc::clone(&self.pristine);
-        self.tree.clone_from(pristine.tree());
-        let state = pristine.doc();
-        self.doc.clone_from(&state.doc);
-        self.color_target.clone_from(&state.color_target);
-        self.find_text.clone_from(&state.find_text);
-        self.replace_text.clone_from(&state.replace_text);
-        self.find_subscript = state.find_subscript;
-    }
-
-    fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        // A launch-state twin off the shared pristine image: no
-        // `build_ui` re-run; widget handles are stable arena indices.
-        let pristine = Arc::clone(&self.pristine);
-        let state = pristine.doc().clone();
-        Some(Box::new(WordApp {
-            tree: pristine.tree().clone(),
-            doc: state.doc,
-            color_target: state.color_target,
-            find_text: state.find_text,
-            replace_text: state.replace_text,
-            find_subscript: state.find_subscript,
-            chrome: self.chrome,
-            doc_surface: self.doc_surface,
-            find_next_button: self.find_next_button,
-            pristine,
-        }))
-    }
-
-    fn pristine_token(&self) -> Option<u64> {
-        // `reset` restores exactly this image, so its address identifies
-        // the post-restart state for the lifetime of the app and of all
-        // of its forks, which share the `Arc` (every `AppKind::launch` of
-        // one launch image among them).
-        Some(Arc::as_ptr(&self.pristine) as u64)
     }
 }
 

@@ -1,5 +1,7 @@
 //! The paper's evaluation as checked claims, plus criterion
-//! micro-benchmarks for the DMI pipeline.
+//! micro-benchmarks for the online interfaces (`micro_interface`) and the
+//! snapshot identity index (`micro_snapshot`). The offline layers (rip,
+//! forest, descriptions) are timed by `dmibench` alone.
 //!
 //! `cargo bench -p dmi-bench --bench claims` runs one [`Evaluation`] on the
 //! full apps and prints every table behind the claims, then the claims

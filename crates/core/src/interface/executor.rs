@@ -13,20 +13,21 @@ use crate::topology::{Forest, TopoKind};
 use dmi_gui::Session;
 use dmi_uia::{ControlType, FuzzyMatcher, Snapshot};
 
+/// Maximum windows closed while realigning.
+const MAX_WINDOW_CLOSES: u32 = 4;
+
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Retries per path element (fresh snapshot each) for late loading.
     pub retries: u32,
-    /// Maximum windows closed while realigning.
-    pub max_window_closes: u32,
     /// Fuzzy matcher for live-name variation.
     pub matcher: FuzzyMatcher,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        ExecutorConfig { retries: 2, max_window_closes: 4, matcher: FuzzyMatcher::default() }
+        ExecutorConfig { retries: 2, matcher: FuzzyMatcher::default() }
     }
 }
 
@@ -130,7 +131,7 @@ pub fn access(
         match deepest_visible(&snap, forest, config, &clickables) {
             Some(k) => break k,
             None => {
-                if snap.windows().len() <= 1 || closes >= config.max_window_closes {
+                if snap.windows().len() <= 1 || closes >= MAX_WINDOW_CLOSES {
                     break 0; // Try from the top of the path in the main window.
                 }
                 close_top_window(session, &snap)?;

@@ -1317,7 +1317,7 @@ mod tests {
     // Pristine-image forks and restart-surviving capture reuse
     // ------------------------------------------------------------------
 
-    /// A pristine-image app in the `office::Pristine` mold: reset clones
+    /// A pristine-image app in the `office::OfficeApp` mold: reset clones
     /// one fixed launch image, so it can attest a pristine token and
     /// fork.
     struct ImageApp {

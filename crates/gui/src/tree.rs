@@ -95,7 +95,7 @@ impl Clone for UiTree {
     }
 
     /// Wholesale restore: shares the source's arena chunks, so an
-    /// `office::Pristine` reset costs the chunks this tree had copied,
+    /// `office::OfficeApp` reset costs the chunks this tree had copied,
     /// not the arena size.
     ///
     /// The epochs are NOT copied from the source: a wholesale restore is

@@ -5,6 +5,7 @@
 //! grid.
 
 use dmi_agent::RunConfig;
+use dmi_apps::model::sheet::Addr;
 use dmi_apps::{
     AppKind, ExcelApp, ExcelConfig, PowerPointApp, PowerPointConfig, WordApp, WordConfig,
 };
@@ -465,11 +466,13 @@ fn first_shown(s: &Session, what: &str, pred: impl Fn(&Widget) -> bool) -> Widge
     found.unwrap_or_else(|| panic!("no shown {what}")).0
 }
 
-/// Drives a session through a ribbon-tab click, a menu open, typing into
-/// an edit (opening its window first when it is closed) and a `SetValue`
-/// in the top window. Targets are picked in arena order, so two
-/// launch-identical apps get the same script.
+/// Drives a session through a document edit ([`edit_document`]), a
+/// ribbon-tab click, a menu open, typing into an edit (opening its window
+/// first when it is closed) and a `SetValue` in the top window. Targets
+/// are picked in arena order, so two launch-identical apps get the same
+/// script.
 fn drive(s: &mut Session) {
+    edit_document(s);
     let tab =
         first_shown(s, "unselected tab", |w| w.control_type == ControlType::TabItem && !w.selected);
     s.click(tab).unwrap();
@@ -511,6 +514,24 @@ fn drive(s: &mut Session) {
     s.set_value(field, "42").unwrap();
 }
 
+/// Edits the document model from the launch state: selects two Word
+/// paragraphs, the Excel cell B2, or the second PowerPoint slide.
+fn edit_document(s: &mut Session) {
+    let app = s.app() as &dyn Any;
+    if let Some(word) = app.downcast_ref::<WordApp>() {
+        let surface = word.doc_surface();
+        s.select_lines(surface, 0, 1).unwrap();
+        return;
+    }
+    let target = if let Some(excel) = app.downcast_ref::<ExcelApp>() {
+        excel.cell_widget(Addr { row: 1, col: 1 }).expect("cell B2")
+    } else {
+        let ppt = app.downcast_ref::<PowerPointApp>().expect("an Office app");
+        s.app().tree().widget(ppt.thumbnails()).children[1]
+    };
+    s.click(target).unwrap();
+}
+
 /// Asserts two sessions snapshot the same bytes and carry the same
 /// document.
 fn assert_same(a: &mut Session, b: &mut Session, what: &str) {
@@ -524,7 +545,9 @@ fn assert_same(a: &mut Session, b: &mut Session, what: &str) {
 /// must be indistinguishable from a freshly built app, right after launch
 /// and after the same scripted inputs, under no instability and under the
 /// evaluation model, and a driven launch's edits must never reach the
-/// image.
+/// image. Restart equals construction too: a driven launch restarted
+/// with [`Session::restart`] snapshots and carries the document of a
+/// fresh construction, and keeps its pristine token.
 #[test]
 fn launch_equals_construction() {
     let evaluation =
@@ -547,10 +570,24 @@ fn launch_equals_construction() {
                     *driven.snapshot() != *launched.snapshot(),
                     "{what}: the script must change the UI"
                 );
+                assert_ne!(
+                    document(&driven),
+                    document(&launched),
+                    "{what}: the script must change the document"
+                );
                 assert_same(&mut launched, &mut built, &format!("{what}, at launch"));
                 drive(&mut launched);
                 drive(&mut built);
                 assert_same(&mut launched, &mut built, &format!("{what}, after the script"));
+                let token = driven.app().pristine_token();
+                driven.restart();
+                assert_eq!(
+                    driven.app().pristine_token(),
+                    token,
+                    "{what}: a restart keeps the pristine token"
+                );
+                let mut rebuilt = Session::with_instability(construct(kind, small), inst.clone());
+                assert_same(&mut driven, &mut rebuilt, &format!("{what}, after a restart"));
             }
         }
     }
