@@ -1,5 +1,6 @@
 //! Shared Office-style UI scaffolding, and [`OfficeApp`]: the one launch
-//! image, `reset`, `fork` and pristine token of all three apps.
+//! image, its launch captures, `reset`, `fork` and pristine token of all
+//! three apps.
 //!
 //! All three simulated applications are assembled from the same chrome:
 //! a ribbon (tab strip + groups), popup galleries, color-picker split
@@ -18,7 +19,8 @@
 
 use crate::model::color;
 use dmi_gui::{
-    AppError, Behavior, CommandBinding, CommitKind, GuiApp, UiTree, Widget, WidgetBuilder, WidgetId,
+    AppError, Behavior, CommandBinding, CommitKind, GuiApp, LaunchCaptures, UiTree, Widget,
+    WidgetBuilder, WidgetId,
 };
 use dmi_uia::{ControlType as CT, PatternKind};
 use std::ops::{Deref, DerefMut};
@@ -43,18 +45,28 @@ pub trait OfficeModel: Clone + Send + Sync + 'static {
 /// `GuiApp::fork` clones the image and `GuiApp::reset` restores from it,
 /// instead of re-running widget-tree construction. The image's widget
 /// arena is shared copy-on-write (see [`UiTree`]), so both cost the
-/// chunks the live tree had copied plus the rest of the model.
+/// chunks the live tree had copied plus the rest of the model. Beside the
+/// image sit its launch captures (`GuiApp::launch_captures`), which
+/// therefore live exactly as long as the image.
 ///
 /// Dereferences to the model, so `WordApp::doc` and the like read through.
 pub struct OfficeApp<M> {
     live: M,
-    image: Arc<M>,
+    image: Arc<Image<M>>,
+}
+
+/// The launch image: the model as constructed, and one capture of its
+/// launch state per name-variation model.
+struct Image<M> {
+    model: M,
+    captures: LaunchCaptures,
 }
 
 impl<M: OfficeModel> OfficeApp<M> {
     /// Launches a freshly constructed model, which becomes the image.
     pub fn launch(model: M) -> Self {
-        OfficeApp { image: Arc::new(model.clone()), live: model }
+        let image = Image { model: model.clone(), captures: LaunchCaptures::default() };
+        OfficeApp { image: Arc::new(image), live: model }
     }
 }
 
@@ -90,13 +102,14 @@ impl<M: OfficeModel> GuiApp for OfficeApp<M> {
         // chunks and advances the capture epochs past both lineages, so
         // no capture cached before the reset validates after it.
         let mut tree = std::mem::take(self.live.tree_mut());
-        tree.clone_from(self.image.tree());
-        self.live = M::clone(&self.image);
+        tree.clone_from(self.image.model.tree());
+        self.live = self.image.model.clone();
         *self.live.tree_mut() = tree;
     }
 
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        Some(Box::new(OfficeApp { live: M::clone(&self.image), image: Arc::clone(&self.image) }))
+        let live = self.image.model.clone();
+        Some(Box::new(OfficeApp { live, image: Arc::clone(&self.image) }))
     }
 
     fn pristine_token(&self) -> Option<u64> {
@@ -105,6 +118,10 @@ impl<M: OfficeModel> GuiApp for OfficeApp<M> {
         // of its forks, which share the `Arc` (every `AppKind::launch` of
         // one launch image among them).
         Some(Arc::as_ptr(&self.image) as u64)
+    }
+
+    fn launch_captures(&self) -> Option<(&UiTree, &LaunchCaptures)> {
+        Some((self.image.model.tree(), &self.image.captures))
     }
 }
 
@@ -570,6 +587,8 @@ pub fn build_backstage(tree: &mut UiTree, main: WidgetId) -> WidgetId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmi_gui::{CaptureConfig, CaptureStats, InstabilityModel, Session};
+    use dmi_uia::Snapshot;
 
     /// The widgets at or below `root`, in arena order.
     fn subtree(t: &UiTree, root: WidgetId) -> Vec<WidgetId> {
@@ -589,13 +608,122 @@ mod tests {
         let (main, surface) = (app.chrome().main, app.doc_surface());
         app.tree_mut().widget_mut(surface).name.push_str(" (edited)");
         let epochs = |t: &UiTree| [t.state_epoch(), t.window_stamp(main), t.context_epoch()];
-        let (live, image) = (epochs(app.tree()), epochs(app.image.tree()));
+        let (live, image) = (epochs(app.tree()), epochs(app.image.model.tree()));
         app.reset();
         let after = epochs(app.tree());
         for i in 0..3 {
             assert!(after[i] > live[i].max(image[i]), "epoch {i}: {after:?} {live:?} {image:?}");
         }
-        assert_eq!(app.tree().widget(surface).name, app.image.tree().widget(surface).name);
+        assert_eq!(app.tree().widget(surface).name, app.image.model.tree().widget(surface).name);
+    }
+
+    fn small_word() -> crate::WordApp {
+        crate::WordApp::with_config(crate::WordConfig { paragraphs: 4, viewport_rows: 2 })
+    }
+
+    /// A new session's first capture of `app` under `inst`, checked
+    /// against a full rebuild of a fresh construction, and the session's
+    /// capture counters after it.
+    fn first_capture(
+        app: Box<dyn GuiApp>,
+        inst: &InstabilityModel,
+    ) -> (Arc<Snapshot>, CaptureStats) {
+        let mut s = Session::with_instability(app, inst.clone());
+        let snap = s.snapshot();
+        let mut oracle = Session::with_instability(Box::new(small_word()), inst.clone());
+        oracle.set_capture_config(CaptureConfig::full_rebuild());
+        assert!(*snap == *oracle.snapshot(), "the first capture matches the full rebuild");
+        (snap, s.capture_stats())
+    }
+
+    /// Whether a first capture was served from the launch table.
+    fn hit(stats: CaptureStats) -> bool {
+        stats.full_hits == 1 && stats.windows_rebuilt == 0
+    }
+
+    /// Models that vary no name share one entry, whatever their seed and
+    /// late loads. The table stops at its capacity: a model past it is
+    /// not seeded, so its first captures are counted rebuilds that its
+    /// forks do not share.
+    #[test]
+    fn launch_captures_stop_at_capacity() {
+        let app = small_word();
+        let (off, off_stats) = first_capture(app.fork().unwrap(), &InstabilityModel::off());
+        let zero = InstabilityModel::new(5, 0.5, 0.0);
+        let (same, same_stats) = first_capture(app.fork().unwrap(), &zero);
+        assert!(hit(off_stats) && hit(same_stats), "both first captures hit");
+        assert!(Arc::ptr_eq(&off, &same), "one entry for both");
+        // The shared entry takes one place, so the last three models find
+        // the table full.
+        for seed in 0..LaunchCaptures::CAPACITY + 2 {
+            let inst = InstabilityModel::new(seed as u64, 0.0, 0.5);
+            let (a, a_stats) = first_capture(app.fork().unwrap(), &inst);
+            let (b, b_stats) = first_capture(app.fork().unwrap(), &inst);
+            let kept = seed + 1 < LaunchCaptures::CAPACITY;
+            assert_eq!(hit(a_stats) && hit(b_stats), kept, "model {seed}: hits iff in the table");
+            if !kept {
+                assert!(a_stats.full_hits + b_stats.full_hits == 0, "model {seed}: no hit");
+                assert!(a_stats.windows_rebuilt > 0 && b_stats.windows_rebuilt > 0);
+            }
+            assert_eq!(Arc::ptr_eq(&a, &b), kept, "model {seed}: shared iff in the table");
+        }
+        assert_eq!(app.image.captures.len(), LaunchCaptures::CAPACITY);
+    }
+
+    #[test]
+    fn concurrent_first_uses_of_a_model_build_one_entry() {
+        let app = small_word();
+        let inst = InstabilityModel::new(11, 0.2, 0.3);
+        // Both threads fork first and start their sessions together.
+        let start = std::sync::Barrier::new(2);
+        let snaps: Vec<Arc<Snapshot>> = std::thread::scope(|scope| {
+            let session = || {
+                let fork = app.fork().unwrap();
+                start.wait();
+                first_capture(fork, &inst)
+            };
+            let forks: Vec<_> = (0..2).map(|_| scope.spawn(session)).collect();
+            forks
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .map(|(snap, stats)| {
+                    assert!(hit(stats), "each thread's first capture hits");
+                    snap
+                })
+                .collect()
+        });
+        assert!(Arc::ptr_eq(&snaps[0], &snaps[1]), "both threads got the one entry");
+        assert_eq!(app.image.captures.len(), 1);
+    }
+
+    /// A fork driven before it is wrapped in a session misses the launch
+    /// capture, whether a stamped write or a structural popup open
+    /// drove it.
+    #[test]
+    fn a_driven_app_is_never_served_the_launch_capture() {
+        let app = small_word();
+        let inst = InstabilityModel::off();
+        let (launch, stats) = first_capture(app.fork().unwrap(), &inst);
+        assert!(hit(stats));
+        let surface = app.doc_surface();
+        let menu = app.tree().iter().find(|(_, w)| w.popup).expect("a popup").0;
+        let edits: [fn(&mut UiTree, WidgetId, WidgetId); 2] = [
+            |t, surface, _| t.widget_mut(surface).name.push_str(" (edited)"),
+            |t, _, menu| t.open_popup(menu),
+        ];
+        for edit in edits {
+            let mut driven = app.fork().unwrap();
+            let mut built = small_word();
+            edit(driven.tree_mut(), surface, menu);
+            edit(built.tree_mut(), surface, menu);
+            let mut s = Session::with_instability(driven, inst.clone());
+            let snap = s.snapshot();
+            assert_eq!(s.capture_stats().full_hits, 0, "a driven tree misses");
+            assert!(!Arc::ptr_eq(&snap, &launch));
+            let mut oracle = Session::with_instability(Box::new(built), inst.clone());
+            oracle.set_capture_config(CaptureConfig::full_rebuild());
+            assert!(*snap == *oracle.snapshot(), "the miss matches the full rebuild");
+        }
     }
 
     #[test]

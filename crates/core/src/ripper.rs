@@ -869,7 +869,8 @@ mod tests {
     /// A drift in any of them means the rip clicked, captured or committed
     /// differently, the capture layer served, copied or re-walked a
     /// different set of windows, or decycling and externalization built a
-    /// different forest.
+    /// different forest. Each rip's first capture is a full hit on the
+    /// launch capture its session was seeded with.
     #[test]
     fn small_office_rips_are_pinned() {
         let fnv = |bytes: &[u8]| {
@@ -892,7 +893,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 15,
                 },
-                [8870, 5756, 98, 3075],
+                [8870, 5757, 98, 3074],
             ),
             (
                 AppKind::Excel,
@@ -908,7 +909,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 11,
                 },
-                [3802, 3070, 111, 711],
+                [3802, 3071, 111, 710],
             ),
             (
                 AppKind::PowerPoint,
@@ -924,7 +925,7 @@ mod tests {
                     replay_failures: 52,
                     windows_seen: 9,
                 },
-                [6961, 4406, 376, 2447],
+                [6961, 4407, 376, 2446],
             ),
         ];
         for (kind, digest, model_digest, stats, work) in pins {

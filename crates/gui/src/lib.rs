@@ -29,6 +29,6 @@ pub mod widget;
 pub use behavior::{Behavior, CommandBinding, CommitKind};
 pub use instability::InstabilityModel;
 pub use session::{AppError, CaptureConfig, GuiApp, Session};
-pub use snapshot::{CapturePool, CaptureStats};
+pub use snapshot::{CapturePool, CaptureStats, LaunchCaptures};
 pub use tree::{OpenWindow, UiTree};
 pub use widget::{Widget, WidgetBuilder, WidgetId};

@@ -48,19 +48,43 @@
 //! snapshot builds its own `SnapIndex` from its own nodes on first use,
 //! like any other capture.
 //!
-//! # Restarts
+//! # Launch and restarts
+//!
+//! Every fork of a launch image starts in the same UI state, so an app
+//! that keeps one image also keeps a table of its launch captures
+//! ([`LaunchCaptures`], offered through
+//! [`crate::GuiApp::launch_captures`] and owned by the image, so it lives
+//! exactly as long as the image). Of the instability model only name
+//! variation reaches a launch capture, so the table is keyed by
+//! `(seed, name_variation_prob)`, with one shared entry for every model
+//! that varies no name; late loads never touch a launch state. An entry is
+//! built once, from the image's own tree as a restart leaves it, when a
+//! cached session over one of the image's apps is created — never inside
+//! [`crate::Session::snapshot`], so [`CaptureStats`] never depend on which
+//! session built it. The table holds at most [`LaunchCaptures::CAPACITY`]
+//! models, first come, with no eviction; a session whose model finds the
+//! table full is not seeded and stashes its launch capture at its first
+//! restart, like a session over an app without a table.
+//!
+//! A new session seeds its cache with the entry, as its only recent
+//! capture and as its stash. A fresh fork clones the image tree's window
+//! stamps, so its first capture probes equal to the entry and is served
+//! in O(1) as the shared [`Arc<Snapshot>`], index included, while a tree
+//! that was driven before it was wrapped in a session misses through the
+//! same key rule and only borrows the entry's clean windows.
 //!
 //! An application `reset` may swap its tree wholesale, which breaks stamp
 //! lineage, so a restart empties the MRU list. One capture survives it:
-//! the capture of the pristine launch image, stashed under the app's
+//! the stashed capture of the pristine launch image, kept under the app's
 //! [`crate::GuiApp::pristine_token`]. A restart whose app attests the
 //! stashed token re-keys the stash against the fresh tree and adopts it
 //! as the only MRU entry; from then on ordinary probes serve it (while the
 //! launch state holds) or copy clean windows from it (after the first
-//! click). A restart with no stash for its token records the launch keys
-//! instead, and the first capture after it — always a rebuild, since the
-//! MRU is empty — becomes the stash if it was built under exactly those
-//! keys. The stash is thus only ever served through the same key rule as
+//! click). An app without a launch-capture table starts with no stash: a
+//! restart with no stash for its token records the launch keys instead,
+//! and the first capture after it — always a rebuild, since the MRU is
+//! empty — becomes the stash if it was built under exactly those keys.
+//! Either way the stash is only ever served through the same key rule as
 //! every other capture.
 //!
 //! The eager [`build`] stays as the uncached oracle;
@@ -73,7 +97,7 @@ use crate::layout;
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, RuntimeId, Snapshot};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Builds a snapshot of every open window (eager, uncached).
 ///
@@ -139,6 +163,28 @@ fn push_window(
     }
 }
 
+/// Walks one window into `snap` ([`push_window`]) and records the keys
+/// its node block is valid under.
+fn rebuild_window(
+    tree: &UiTree,
+    inst: &InstabilityModel,
+    query_seq: u64,
+    key: &WindowKey,
+    wi: usize,
+    snap: &mut Snapshot,
+) -> WindowMeta {
+    let start = snap.len();
+    push_window(tree, inst, query_seq, key.root, key.modal, wi, snap);
+    let end = snap.len();
+    WindowMeta {
+        key: key.clone(),
+        start,
+        end,
+        rooted: end > start,
+        next_reveal: tree.next_reveal_under(key.root, query_seq),
+    }
+}
+
 /// The capture key of one open window, read off the live tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WindowKey {
@@ -184,12 +230,13 @@ impl WindowMeta {
 }
 
 /// One cached capture: the shared snapshot plus the keys it was built
-/// under.
+/// under. Both are shared, so a clone (a stash, a seeded launch capture)
+/// copies two pointers.
 #[derive(Debug, Clone)]
 struct CachedCapture {
     snap: Arc<Snapshot>,
     context_epoch: u64,
-    windows: Vec<WindowMeta>,
+    windows: Arc<[WindowMeta]>,
 }
 
 impl CachedCapture {
@@ -237,6 +284,24 @@ impl CaptureCache {
     /// Drops every cached capture, the pristine stash included.
     pub fn clear(&mut self) {
         *self = CaptureCache::default();
+    }
+
+    /// Seeds this cache with the launch capture of `image` under `inst`
+    /// from the image's table, as the only recent capture and as the
+    /// stash under `token`. The entry keeps the image tree's keys, which
+    /// a fresh fork of the image shares. Leaves the cache as it is when
+    /// the table is full without the model's entry.
+    pub(crate) fn seed(
+        &mut self,
+        captures: &LaunchCaptures,
+        image: &UiTree,
+        inst: &InstabilityModel,
+        token: Option<u64>,
+    ) {
+        let Some(launch) = captures.capture(image, inst) else { return };
+        self.stash = token.map(|t| (t, launch.clone()));
+        self.entries = vec![launch];
+        self.launch = None;
     }
 
     /// Empties the MRU list after an application restart to the launch
@@ -343,24 +408,15 @@ pub(crate) fn rebuild(
                 }
             }
             None => {
-                let start = snap.len();
-                push_window(tree, inst, query_seq, key.root, key.modal, wi, &mut snap);
-                let end = snap.len();
                 stats.windows_rebuilt += 1;
                 dmi_obs::tally("capture.windows_rebuilt", 1);
-                WindowMeta {
-                    key: key.clone(),
-                    start,
-                    end,
-                    rooted: end > start,
-                    next_reveal: tree.next_reveal_under(key.root, query_seq),
-                }
+                rebuild_window(tree, inst, query_seq, key, wi, &mut snap)
             }
         };
         metas.push(meta);
     }
 
-    let entry = CachedCapture { snap: Arc::new(snap), context_epoch, windows: metas };
+    let entry = CachedCapture { snap: Arc::new(snap), context_epoch, windows: metas.into() };
     if let Some((token, epoch, launch_keys)) = cache.launch.take() {
         if epoch == context_epoch && launch_keys == keys {
             cache.stash = Some((token, entry.clone()));
@@ -370,6 +426,82 @@ pub(crate) fn rebuild(
     cache.entries.insert(0, entry);
     cache.entries.truncate(MRU_DEPTH);
     snap
+}
+
+/// One launch image's captures of its launch state, one per
+/// name-variation model (see "Launch and restarts" in the module docs).
+/// Filled first come, never evicted, and shared by every session over
+/// the image's apps; thread-safe, since the image and its forks are.
+#[derive(Debug, Default)]
+pub struct LaunchCaptures {
+    /// `(launch key, capture)` pairs in insertion order.
+    table: Mutex<Vec<(LaunchKey, CachedCapture)>>,
+}
+
+/// The part of an [`InstabilityModel`] a launch capture depends on: the
+/// seed and probability of name variation, or `None` for every model
+/// that varies no name.
+type LaunchKey = Option<(u64, u64)>;
+
+impl LaunchCaptures {
+    /// The most models one image keeps a capture for. Measured distinct
+    /// launch keys per image and process: 16 in the benchmark's
+    /// `agent_grid` (the rip's model that varies no name, the grid's 3
+    /// run seeds, then the agent sample's 12), 13 in `build_office3`, 7
+    /// in the claims evaluation and 1 in `serve_mix`. A workload that
+    /// uses more models loses the launch hit only for those that come
+    /// after the table is full.
+    pub const CAPACITY: usize = 16;
+
+    /// Number of models with a capture in the table.
+    pub fn len(&self) -> usize {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// Whether no capture has been built yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The launch capture of `image` under `inst`: the table's entry for
+    /// the model's launch key, built and added on first use while the
+    /// table has room; `None` once it is full without one. The lock is
+    /// held across the build, so concurrent first uses of one key build
+    /// it once; a build that panics pushes nothing, so a poisoned table
+    /// is still whole.
+    fn capture(&self, image: &UiTree, inst: &InstabilityModel) -> Option<CachedCapture> {
+        let key: LaunchKey = (inst.name_variation_prob > 0.0)
+            .then(|| (inst.seed, inst.name_variation_prob.to_bits()));
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, entry)) = table.iter().find(|(k, _)| *k == key) {
+            return Some(entry.clone());
+        }
+        if table.len() == Self::CAPACITY {
+            return None;
+        }
+        let entry = launch_capture(image, inst);
+        table.push((key, entry.clone()));
+        Some(entry)
+    }
+}
+
+/// Builds the capture of the state a restart leaves `image` in (the
+/// app's `reset` restores the image, then `UiTree::reset_ui_state`),
+/// under the image tree's own keys. `reset_ui_state` drops every
+/// late-load schedule, so the build is query-independent. Timed as a
+/// capture `rebuild`, but counted in no session's [`CaptureStats`].
+fn launch_capture(image: &UiTree, inst: &InstabilityModel) -> CachedCapture {
+    let _rebuild_span = dmi_obs::span(dmi_obs::Cat::Capture, "rebuild", 0);
+    dmi_obs::tally("capture.launch_builds", 1);
+    let mut tree = image.clone();
+    tree.reset_ui_state();
+    let mut snap = Snapshot::new();
+    let windows = window_keys(&tree)
+        .iter()
+        .enumerate()
+        .map(|(wi, key)| rebuild_window(&tree, inst, 0, key, wi, &mut snap))
+        .collect();
+    CachedCapture { snap: Arc::new(snap), context_epoch: tree.context_epoch(), windows }
 }
 
 /// An empty placeholder for the retired cross-session capture pool. It

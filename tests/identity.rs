@@ -1,8 +1,8 @@
 //! The control-identity layer: `ControlKey` stability, indexed resolution
 //! equivalence with the old linear scan, pinned rip capture counts,
-//! launch-image forks equal to freshly constructed apps, the layout pin
-//! over seeded input walks, and the agent trace pin over the Table 3
-//! grid.
+//! launch-image forks equal to freshly constructed apps, launch captures
+//! shared by forks and equal to full rebuilds, the layout pin over seeded
+//! input walks, and the agent trace pin over the Table 3 grid.
 
 use dmi_agent::RunConfig;
 use dmi_apps::model::sheet::Addr;
@@ -591,6 +591,88 @@ fn launch_equals_construction() {
             }
         }
     }
+}
+
+/// The models the launch-capture oracle forks under, each with the group
+/// of models sharing its launch key: off, a zero-probability seeded model
+/// as `RunConfig::test` builds (off's key: it varies no name), the
+/// evaluation models at run seeds 1-3, and the seed-1 evaluation model
+/// with other late-load settings (seed 1's key: late loads never touch a
+/// launch state).
+fn launch_models() -> Vec<(InstabilityModel, usize)> {
+    let (profile, mode) = (CapabilityProfile::gpt5_medium(), InterfaceMode::GuiPlusDmi);
+    let evaluation = |seed| RunConfig::evaluation(profile.clone(), mode, seed).instability_model();
+    let mut late = evaluation(1);
+    late.late_load_prob = 0.9;
+    late.late_load_delay = 3;
+    vec![
+        (InstabilityModel::off(), 0),
+        (RunConfig::test(profile.clone(), mode, 1).instability_model(), 0),
+        (evaluation(1), 1),
+        (evaluation(2), 2),
+        (evaluation(3), 3),
+        (late, 1),
+    ]
+}
+
+/// Launch-capture oracle: for every app, on a freshly constructed image
+/// (an empty table), two forks under each model of [`launch_models`]
+/// have a full hit as their first capture, share it (`Arc::ptr_eq`) with
+/// the forks under every model of the same launch key and with no other,
+/// and equal a full-rebuild fork's first capture. After the
+/// [`launch_equals_construction`] drive script and a [`Session::restart`],
+/// the cached fork still agrees with the full-rebuild fork and is back on
+/// the launch capture.
+fn check_launch_captures(small: bool) {
+    let models = launch_models();
+    for kind in AppKind::ALL {
+        let image = construct(kind, small);
+        let fork = || image.fork().expect("Office apps fork");
+        let mut firsts: Vec<Arc<Snapshot>> = Vec::new();
+        for (i, (inst, group)) in models.iter().enumerate() {
+            let what = format!("{kind} (small: {small}), model {i}");
+            let mut oracle = Session::with_instability(fork(), inst.clone());
+            oracle.set_capture_config(CaptureConfig::full_rebuild());
+            let want = oracle.snapshot();
+            let mut forks = [0, 1].map(|_| Session::with_instability(fork(), inst.clone()));
+            let snaps = forks.each_mut().map(|s| s.snapshot());
+            for (s, snap) in forks.iter().zip(&snaps) {
+                assert_eq!(s.capture_stats().full_hits, 1, "{what}: the first capture is a hit");
+                assert!(**snap == *want, "{what}: the launch capture equals a full rebuild");
+            }
+            assert!(Arc::ptr_eq(&snaps[0], &snaps[1]), "{what}: forks share one capture");
+            for ((_, other), prev) in models.iter().zip(&firsts) {
+                assert_eq!(Arc::ptr_eq(prev, &snaps[0]), other == group, "{what}: shared by key");
+            }
+            firsts.push(Arc::clone(&snaps[0]));
+            let [mut s, _] = forks;
+            drive(&mut s);
+            drive(&mut oracle);
+            assert!(*s.snapshot() == *oracle.snapshot(), "{what}: after the script");
+            s.restart();
+            oracle.restart();
+            let back = s.snapshot();
+            assert!(*back == *oracle.snapshot(), "{what}: after a restart");
+            assert!(
+                Arc::ptr_eq(&back, &snaps[0]),
+                "{what}: a restart returns to the launch capture"
+            );
+        }
+        let table = image.launch_captures().expect("Office apps keep launch captures").1;
+        assert_eq!(table.len(), 4, "{kind}: one entry per launch key");
+    }
+}
+
+#[test]
+fn launch_capture_is_shared_and_exact() {
+    check_launch_captures(true);
+}
+
+/// The full-size variant of the launch-capture oracle.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn full_office_launch_capture_is_shared_and_exact() {
+    check_launch_captures(false);
 }
 
 /// One seeded walk of the layout pin, under late loads and name

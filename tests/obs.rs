@@ -1,7 +1,7 @@
 //! Observability integration tests: OFF-path silence through real rips,
 //! traced-vs-untraced UNG byte identity, Chrome-trace export validity,
-//! span nesting, virtual-time determinism, and the stats-vs-tallies
-//! drift cross-checks.
+//! span nesting, virtual-time determinism, the stats-vs-tallies drift
+//! cross-checks, and one launch-capture build per image and model.
 //!
 //! The recorder's enable flag is process-global, so every test that
 //! opens an observation window serializes on one lock — tests can never
@@ -11,7 +11,7 @@
 use dmi_apps::AppKind;
 use dmi_core::ripper::{rip, RipConfig, RipStats};
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipOutcome};
-use dmi_gui::Session;
+use dmi_gui::{InstabilityModel, Session};
 use dmi_obs::{Cat, Clock, Event, Trace};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -47,9 +47,12 @@ fn ung_bytes(outcomes: &[RipOutcome]) -> Vec<String> {
 fn fleet_obs() -> &'static FleetObs {
     static OBS: OnceLock<FleetObs> = OnceLock::new();
     OBS.get_or_init(|| {
+        // The window opens on the rips alone: creating a session may
+        // build its image's launch capture, a capture `rebuild` outside
+        // any rip.
+        let mut entries = office_entries();
         dmi_obs::clear();
         dmi_obs::set_enabled(true);
-        let mut entries = office_entries();
         let out = rip_fleet(&mut entries, &ParRipConfig);
         dmi_obs::set_enabled(false);
         assert_eq!(out.len(), 3);
@@ -296,6 +299,35 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(cs.full_hits, t("capture.full_hits"), "full hits");
     assert_eq!(cs.windows_reused, t("capture.windows_reused"), "windows reused");
     assert_eq!(cs.windows_rebuilt, t("capture.windows_rebuilt"), "windows rebuilt");
+}
+
+/// Launch captures are built once per launch image and name-variation
+/// model, when a session is created, each timed as a capture `rebuild`:
+/// sessions over forks of one fresh image under two models tally exactly
+/// two builds, and every session's first capture is a full hit that
+/// walks no window.
+#[test]
+fn launch_captures_build_once_per_image_and_model() {
+    let _g = guard();
+    let image = AppKind::Word.launch_small_version(1);
+    let models = [InstabilityModel::off(), InstabilityModel::new(7, 0.5, 0.1)];
+    dmi_obs::clear();
+    dmi_obs::set_enabled(true);
+    for i in 0..6 {
+        let fork = image.fork().expect("Office apps fork");
+        let mut s = Session::with_instability(fork, models[i % 2].clone());
+        s.snapshot();
+    }
+    dmi_obs::set_enabled(false);
+    let trace = dmi_obs::drain();
+    let tallies = dmi_obs::tallies();
+    dmi_obs::clear();
+    let t = |k: &str| tallies.get(k).copied().unwrap_or(0);
+    assert_eq!(t("capture.launch_builds"), 2, "one build per model");
+    assert_eq!(trace.count(Some(Cat::Capture), "rebuild"), 2, "each build is a timed rebuild");
+    assert_eq!(t("capture.captures"), 6);
+    assert_eq!(t("capture.full_hits"), 6, "every first capture is a full hit");
+    assert_eq!(t("capture.windows_rebuilt"), 0, "no session walks a window");
 }
 
 /// The fleet-side drift cross-check: the per-entry stats, summed over the
