@@ -83,8 +83,8 @@ impl AppKind {
     /// process: the [`office::OfficeApp`]'s `Arc` image of the model. A
     /// fork shares the image's widget arena copy-on-write, so a launch
     /// costs the rest of the model's clone instead of a widget-tree
-    /// construction, and every launch of one image reports the same
-    /// [`dmi_gui::GuiApp::pristine_token`].
+    /// construction, and every launch of one image offers the image's one
+    /// table of launch captures ([`dmi_gui::GuiApp::launch_captures`]).
     pub fn launch_small(self) -> Box<dyn dmi_gui::GuiApp> {
         static IMAGES: [OnceLock<Image>; 3] = [const { OnceLock::new() }; 3];
         self.fork_image(&IMAGES, || self.construct_small(0))

@@ -1,6 +1,5 @@
 //! Shared Office-style UI scaffolding, and [`OfficeApp`]: the one launch
-//! image, its launch captures, `reset`, `fork` and pristine token of all
-//! three apps.
+//! image, its launch captures, `reset` and `fork` of all three apps.
 //!
 //! All three simulated applications are assembled from the same chrome:
 //! a ribbon (tab strip + groups), popup galleries, color-picker split
@@ -47,7 +46,8 @@ pub trait OfficeModel: Clone + Send + Sync + 'static {
 /// arena is shared copy-on-write (see [`UiTree`]), so both cost the
 /// chunks the live tree had copied plus the rest of the model. Beside the
 /// image sit its launch captures (`GuiApp::launch_captures`), which
-/// therefore live exactly as long as the image.
+/// therefore live exactly as long as the image; `reset` restores exactly
+/// that image, so every restart may adopt them.
 ///
 /// Dereferences to the model, so `WordApp::doc` and the like read through.
 pub struct OfficeApp<M> {
@@ -110,14 +110,6 @@ impl<M: OfficeModel> GuiApp for OfficeApp<M> {
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
         let live = self.image.model.clone();
         Some(Box::new(OfficeApp { live, image: Arc::clone(&self.image) }))
-    }
-
-    fn pristine_token(&self) -> Option<u64> {
-        // `reset` restores exactly this image, so its address identifies
-        // the post-restart state for the lifetime of the app and of all
-        // of its forks, which share the `Arc` (every `AppKind::launch` of
-        // one launch image among them).
-        Some(Arc::as_ptr(&self.image) as u64)
     }
 
     fn launch_captures(&self) -> Option<(&UiTree, &LaunchCaptures)> {

@@ -113,9 +113,4 @@ impl GuiApp for PanickyApp {
         *self = PanickyApp::new(self.items, self.panic_at);
         self.dispatches = dispatches;
     }
-    fn pristine_token(&self) -> Option<u64> {
-        // The launch image really is restored by reset; panicking is a
-        // crash fault, not a pristineness lie.
-        Some(0x9a71_c355_0f2d_4b01 ^ self.items as u64 ^ ((self.panic_at as u64) << 32))
-    }
 }

@@ -19,9 +19,10 @@
 //!   beats GUI-only: held.
 //! - Fig 5a, step cut 43.5%, time cut 39% and fewer tokens per task: held.
 //!   SR improvement 1.67x: known miss (the low GUI-only baseline).
-//! - Fig 5b, GUI+DMI needs fewer core steps: held for GPT-5 (Medium); known
-//!   misses for GPT-5 (Minimal) and GPT-5-mini, whose three-mode
-//!   intersections (Nav.forest included) hold a single run.
+//! - Fig 5b, GUI+DMI needs fewer core steps: held for GPT-5 (Medium) and
+//!   GPT-5 (Minimal), each over the runs solved by every mode the paper
+//!   plots for it. Known miss for GPT-5-mini, whose three-mode
+//!   intersection holds a single run.
 //! - §5.3, over 61% of successes in one core call: held.
 //! - Fig 6, policy-level share of GUI+DMI and GUI-only failures: held.
 //! - Fig 4, cloning grows exponentially and the forest linearly: held.

@@ -2,11 +2,13 @@
 //! [`GuiApp`] trait, with injectable determinism faults.
 
 use dmi_gui::{
-    AppError, Behavior, CommandBinding, CommitKind, GuiApp, UiTree, Widget, WidgetBuilder, WidgetId,
+    AppError, Behavior, CommandBinding, CommitKind, GuiApp, LaunchCaptures, UiTree, Widget,
+    WidgetBuilder, WidgetId,
 };
 use dmi_uia::ControlType as CT;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Maximum scope-stack depth the arena builder honors; deeper push ops
 /// degrade to plain buttons so arbitrary (and arbitrarily shrunk) op
@@ -58,11 +60,11 @@ impl ArenaOp {
 /// clean-spec identity fuzz relies on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Every reset leaks a counter into a widget name while *still
-    /// attesting* the pristine token — the restart adopts the stashed
-    /// launch capture into the MRU cache, re-keyed against the leaked
-    /// tree, and the next probe serves its stale bytes. Caught by the
-    /// cached-vs-rebuild oracle.
+    /// Every reset leaks a counter into a widget name while the app *still
+    /// offers* its launch image's table of launch captures — every restart
+    /// adopts the table's launch capture into the MRU cache, re-keyed
+    /// against the leaked tree, and the next probe serves its stale bytes.
+    /// Caught by the cached-vs-rebuild oracle.
     pub lying_reset: bool,
     /// After this many dispatches, a widget is relabeled WITHOUT bumping
     /// epoch or window stamps — the MRU cache keeps serving the old
@@ -123,16 +125,6 @@ impl AppSpec {
     pub fn with_faults(mut self, faults: FaultPlan) -> AppSpec {
         self.faults = faults;
         self
-    }
-
-    /// An FNV-1a fingerprint of the spec, used as the (possibly lying)
-    /// pristine token.
-    pub fn token(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{:?}", self).bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        h
     }
 }
 
@@ -242,20 +234,23 @@ fn fault_target(t: &UiTree, main: WidgetId) -> Option<WidgetId> {
 
 /// A generated application with optional injected determinism faults —
 /// the fuzz harness's [`GuiApp`]. With an empty [`FaultPlan`] it is a
-/// fully deterministic, forkable, honestly-attesting app.
+/// fully deterministic, forkable app whose launch-capture table is honest.
 pub struct AdversarialApp {
     spec: AppSpec,
     tree: UiTree,
+    /// The launch tree and its launch captures, shared with every fork.
+    image: Arc<(UiTree, LaunchCaptures)>,
     dispatches: u32,
     leak: u32,
     mangles: u32,
 }
 
 impl AdversarialApp {
-    /// Builds the app in its launch state.
+    /// Builds the app in its launch state, which becomes its image.
     pub fn new(spec: AppSpec) -> AdversarialApp {
         let tree = build(&spec, 0);
-        AdversarialApp { spec, tree, dispatches: 0, leak: 0, mangles: 0 }
+        let image = Arc::new((tree.clone(), LaunchCaptures::default()));
+        AdversarialApp { spec, tree, image, dispatches: 0, leak: 0, mangles: 0 }
     }
 
     /// Convenience: a boxed launch-state instance.
@@ -312,13 +307,20 @@ impl GuiApp for AdversarialApp {
     }
 
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
-        Some(Box::new(AdversarialApp::new(self.spec.clone())))
+        Some(Box::new(AdversarialApp {
+            spec: self.spec.clone(),
+            tree: self.image.0.clone(),
+            image: Arc::clone(&self.image),
+            dispatches: 0,
+            leak: 0,
+            mangles: 0,
+        }))
     }
 
-    fn pristine_token(&self) -> Option<u64> {
-        // Attested even under `lying_reset` — that attestation IS the lie
-        // the cached-capture oracle exists to catch.
-        Some(self.spec.token())
+    fn launch_captures(&self) -> Option<(&UiTree, &LaunchCaptures)> {
+        // Offered even under `lying_reset` — that offer IS the lie the
+        // cached-capture oracle exists to catch.
+        Some((&self.image.0, &self.image.1))
     }
 }
 
@@ -342,27 +344,30 @@ mod tests {
 
     #[test]
     fn clean_resets_restore_the_launch_image() {
-        let spec = AppSpec::generate(7, 16);
-        let mut app = AdversarialApp::new(spec.clone());
+        let mut app = AdversarialApp::new(AppSpec::generate(7, 16));
         let before = format!("{:?}", collect_names(app.tree()));
         app.reset();
         app.reset();
         assert_eq!(format!("{:?}", collect_names(app.tree())), before);
-        assert_eq!(app.pristine_token(), Some(spec.token()));
+        let (image, _) = app.launch_captures().expect("the app offers its launch image");
+        assert_eq!(format!("{:?}", collect_names(image)), before);
     }
 
     #[test]
     fn lying_reset_leaks_but_keeps_attesting() {
         let faults = FaultPlan { lying_reset: true, ..FaultPlan::default() };
         let spec = AppSpec::new(vec![ArenaOp::Button(1), ArenaOp::Button(2)]).with_faults(faults);
-        let mut app = AdversarialApp::new(spec.clone());
-        let token = app.pristine_token();
+        let mut app = AdversarialApp::new(spec);
         app.reset();
         assert!(
             collect_names(app.tree()).iter().any(|n| n.contains("#1")),
             "the leak must be visible in the real tree"
         );
-        assert_eq!(app.pristine_token(), token, "the app keeps lying about pristineness");
+        let (image, _) = app.launch_captures().expect("the app keeps offering its launch image");
+        assert!(
+            !collect_names(image).iter().any(|n| n.contains('#')),
+            "the app keeps lying: the image it offers has no leak"
+        );
     }
 
     fn collect_names(t: &UiTree) -> Vec<String> {

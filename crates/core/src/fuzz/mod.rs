@@ -5,15 +5,15 @@
 //! `docs/determinism.md`): a deterministic application plus a fixed
 //! action trace yields byte-identical snapshots, and therefore
 //! byte-identical UNGs, no matter which recovery strategy — Esc or
-//! restart — or which captures the MRU cache served (the pristine stash
-//! included, which a restart adopts into it), and whether the rip ran
-//! alone or in a fleet. This module
+//! restart — or which captures the MRU cache served (the image's launch
+//! capture included, which every restart adopts into it), and whether the
+//! rip ran alone or in a fleet. This module
 //! attacks that contract from the application side:
 //!
 //! - [`gen`] grows random widget arenas ([`AppSpec`] — menus, dialogs,
 //!   tab strips, nested popups) and wraps them in an [`AdversarialApp`]
-//!   whose [`FaultPlan`] can make the app *lie*: attest a pristine token
-//!   its resets don't honor, mutate widgets without bumping the epoch
+//!   whose [`FaultPlan`] can make the app *lie*: offer a launch image its
+//!   resets don't restore, mutate widgets without bumping the epoch
 //!   stamps the capture caches trust, run Esc-time side effects, or
 //!   panic mid-dispatch.
 //! - [`oracle`] runs the differential oracles — fleet vs solo UNG bytes,
@@ -25,8 +25,9 @@
 //!   reproducer while the oracle keeps failing.
 //!
 //! The fault classes are chosen so each one is caught by exactly the
-//! layer that trusts the violated promise: a lying `pristine_token`
-//! makes a restart adopt the stale stash into the MRU cache, which trips
+//! layer that trusts the violated promise: a lying
+//! `GuiApp::launch_captures` makes a restart adopt the image's stale
+//! launch capture into the MRU cache, which trips
 //! the cached-vs-rebuild capture oracle; unstamped relabels trip the
 //! same oracle through ordinary MRU hits; Esc side effects trip the
 //! Esc-vs-restart oracle, and mid-click panics surface as

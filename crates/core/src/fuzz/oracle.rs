@@ -21,7 +21,8 @@ pub enum OracleKind {
     Fleet,
     /// Esc-based state recovery vs full restart-replay.
     EscRecovery,
-    /// Cached captures (MRU, pristine stash included) vs full rebuilds.
+    /// Cached captures (MRU, the adopted launch capture included) vs full
+    /// rebuilds.
     CachedCapture,
 }
 
@@ -58,11 +59,11 @@ fn rip_with(spec: &AppSpec, capture: CaptureConfig, config: &RipConfig) -> Ung {
     rip(&mut s, config).0
 }
 
-/// Cached captures (MRU probes, including the pristine stash a restart
-/// adopts into the MRU) must serve the same bytes a from-scratch rebuild
-/// produces. Catches lying pristine attestations and unstamped relabels
-/// — the two fault classes that desynchronize the cache's trust anchors
-/// from the real tree.
+/// Cached captures (MRU probes, including the image's launch capture a
+/// restart adopts into the MRU) must serve the same bytes a from-scratch
+/// rebuild produces. Catches lying launch-capture tables and unstamped
+/// relabels — the two fault classes that desynchronize the cache's trust
+/// anchors from the real tree.
 pub fn check_cached_capture(spec: &AppSpec) -> Option<Divergence> {
     let cached = rip_with(spec, CaptureConfig::default(), &RipConfig::default());
     let rebuilt = rip_with(spec, CaptureConfig::full_rebuild(), &RipConfig::default());

@@ -31,20 +31,12 @@ pub struct TextItem {
     pub truncated: bool,
 }
 
-/// Options for the passive scan.
-#[derive(Debug, Clone)]
-pub struct PassiveConfig {
-    /// Maximum characters per item in the passive view.
-    pub max_chars: usize,
-    /// Maximum non-empty items included (rest summarized).
-    pub max_items: usize,
-}
+/// Maximum characters per item in the passive view.
+const MAX_CHARS: usize = 16;
 
-impl Default for PassiveConfig {
-    fn default() -> Self {
-        PassiveConfig { max_chars: 16, max_items: 200 }
-    }
-}
+/// Maximum non-empty items in the passive view; the rest are counted as
+/// overflow.
+const MAX_ITEMS: usize = 200;
 
 /// The passive `get_texts()` result forwarded into the prompt.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +45,7 @@ pub struct PassiveTexts {
     pub items: Vec<TextItem>,
     /// Count of empty controls coalesced away.
     pub empty_coalesced: usize,
-    /// Count of non-empty items beyond `max_items`.
+    /// Count of non-empty items beyond the passive view's 200.
     pub overflow: usize,
 }
 
@@ -81,8 +73,9 @@ impl PassiveTexts {
 }
 
 /// Passive mode: scans every `DataItem` in the snapshot (on- or
-/// off-screen — pattern reads do not require visibility).
-pub fn get_texts_passive(snap: &Snapshot, cfg: &PassiveConfig) -> PassiveTexts {
+/// off-screen — pattern reads do not require visibility), keeping the
+/// first 200 non-empty items, each truncated to 16 characters.
+pub fn get_texts_passive(snap: &Snapshot) -> PassiveTexts {
     let mut items = Vec::new();
     let mut empty = 0usize;
     let mut overflow = 0usize;
@@ -95,12 +88,12 @@ pub fn get_texts_passive(snap: &Snapshot, cfg: &PassiveConfig) -> PassiveTexts {
             empty += 1;
             continue;
         }
-        if items.len() >= cfg.max_items {
+        if items.len() >= MAX_ITEMS {
             overflow += 1;
             continue;
         }
-        let truncated = v.chars().count() > cfg.max_chars;
-        let text: String = v.chars().take(cfg.max_chars).collect();
+        let truncated = v.chars().count() > MAX_CHARS;
+        let text: String = v.chars().take(MAX_CHARS).collect();
         items.push(TextItem { name: node.props.name.clone(), text, truncated });
     }
     PassiveTexts { items, empty_coalesced: empty, overflow }
@@ -190,13 +183,11 @@ impl Observed {
         *self.screen_tokens.get_or_insert_with(|| tokens::count(&self.screen.to_prompt_text()))
     }
 
-    /// Tokens in the last capture's passive `get_texts()` prompt under
-    /// the default [`PassiveConfig`].
+    /// Tokens in the last capture's passive `get_texts()` prompt.
     pub fn passive_tokens(&mut self) -> usize {
-        let n = self.passive_tokens.unwrap_or_else(|| {
-            let passive = get_texts_passive(self.snap(), &PassiveConfig::default());
-            tokens::count(&passive.to_prompt_text())
-        });
+        let n = self
+            .passive_tokens
+            .unwrap_or_else(|| tokens::count(&get_texts_passive(self.snap()).to_prompt_text()));
         *self.passive_tokens.insert(n)
     }
 }
@@ -206,13 +197,14 @@ mod tests {
     use super::*;
     use dmi_apps::AppKind;
     use dmi_gui::GuiApp;
+    use dmi_uia::ControlProps;
     use std::any::Any;
 
     #[test]
     fn passive_scan_coalesces_empties() {
         let mut s = Session::new(AppKind::Excel.launch_small());
         let snap = s.snapshot();
-        let p = get_texts_passive(&snap, &PassiveConfig::default());
+        let p = get_texts_passive(&snap);
         // Seeded table: header + 8 data rows over 4 columns.
         assert!(p.items.iter().any(|i| i.name == "A1" && i.text == "Product"));
         assert!(p.empty_coalesced > 20, "blank cells coalesced: {}", p.empty_coalesced);
@@ -232,7 +224,7 @@ mod tests {
                 "a very long cell value that exceeds the cap".into();
         }
         let snap = s.snapshot();
-        let p = get_texts_passive(&snap, &PassiveConfig::default());
+        let p = get_texts_passive(&snap);
         let item = p.items.iter().find(|i| i.name == "A5").unwrap();
         assert!(item.truncated);
         assert_eq!(item.text.chars().count(), 16);
@@ -336,7 +328,7 @@ mod tests {
                 let snap = s.snapshot();
                 let full = full_tree_prompt_text(&snap);
                 let screen = label_screen(&snap);
-                let passive = get_texts_passive(&snap, &PassiveConfig::default());
+                let passive = get_texts_passive(&snap);
                 let (screen_text, passive_text) =
                     (screen.to_prompt_text(), passive.to_prompt_text());
                 let at = format!("{kind} at {state}");
@@ -356,11 +348,17 @@ mod tests {
 
     #[test]
     fn max_items_overflow_is_reported() {
-        let mut s = Session::new(AppKind::Excel.launch_small());
-        let snap = s.snapshot();
-        let p = get_texts_passive(&snap, &PassiveConfig { max_chars: 16, max_items: 3 });
-        assert_eq!(p.items.len(), 3);
-        assert!(p.overflow > 0);
-        assert!(p.to_prompt_text().contains("more items"));
+        let mut snap = Snapshot::new();
+        let root = snap.push(ControlProps::new("Sheet", ControlType::DataGrid), None, 0);
+        snap.push_window_root(root);
+        for i in 0..MAX_ITEMS + 5 {
+            let mut props = ControlProps::new(format!("A{i}"), ControlType::DataItem);
+            props.value = format!("{i}");
+            snap.push(props, Some(root), 0);
+        }
+        let p = get_texts_passive(&snap);
+        assert_eq!(p.items.len(), MAX_ITEMS);
+        assert_eq!(p.overflow, 5);
+        assert!(p.to_prompt_text().ends_with("(5 more items; use get_texts active mode)\n"));
     }
 }

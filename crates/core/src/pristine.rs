@@ -1,7 +1,8 @@
 //! Structural signatures of an application's pristine launch image.
 //!
-//! `GuiApp::pristine_token` attests the launch image within one process
-//! (it is an allocation address), so it cannot survive serialization.
+//! The image's table of launch captures (`GuiApp::launch_captures`)
+//! attests the launch image within one process (it lives beside the
+//! image in memory), so it cannot survive serialization.
 //! [`pristine_signature`] is the cross-process identity instead: per
 //! window block of the freshly restarted base capture, a 128-bit digest
 //! over relative arena position, parentage, control type, name and

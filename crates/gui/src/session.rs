@@ -90,10 +90,10 @@ pub trait GuiApp: std::any::Any + Send {
     fn reset(&mut self);
 
     /// Forks a fresh launch-state instance of this application, sharing
-    /// the immutable pristine launch image (no widget-tree
-    /// reconstruction). Deterministic simulations make a fork equivalent
-    /// to launching another copy of the same build, so the serving
-    /// gateway gives every tenant task its own fork. The fork's tree is a
+    /// the immutable launch image (no widget-tree reconstruction).
+    /// Deterministic simulations make a fork equivalent to launching
+    /// another copy of the same build, so the serving gateway gives every
+    /// tenant task its own fork. The fork's tree is a
     /// clone of the image's, window stamps included, so a session over it
     /// is served the image's launch capture on its first snapshot (see
     /// [`GuiApp::launch_captures`]). Returns `None` when the app keeps no
@@ -103,25 +103,17 @@ pub trait GuiApp: std::any::Any + Send {
         None
     }
 
-    /// An identity token for the pristine launch image [`GuiApp::reset`]
-    /// restores, if — and only if — every reset restores that one fixed
-    /// image bit-for-bit (tree and document). The token keys restart-
-    /// surviving capture reuse: two restarts reporting the same token
-    /// provably reach byte-identical UI states, the state the image's
-    /// launch captures show (see [`GuiApp::launch_captures`]). Apps whose
-    /// reset is partial or stateful must return `None` (the default).
-    fn pristine_token(&self) -> Option<u64> {
-        None
-    }
-
-    /// The launch image's tree and its table of launch captures, for an
-    /// app whose [`GuiApp::reset`] restores that tree and whose
-    /// [`GuiApp::fork`] clones it; the table must live with the image.
-    /// Every new cached session seeds its capture cache from the table
-    /// (see "Launch and restarts" in [`crate::snapshot`]), so a fresh
-    /// fork's first [`Session::snapshot`] is an O(1) hit. `None` (the
-    /// default) leaves a session to stash its launch capture at its
-    /// first restart.
+    /// The launch image's tree and its table of launch captures, if — and
+    /// only if — every [`GuiApp::reset`] restores exactly that image
+    /// bit-for-bit (tree and document); a [`GuiApp::fork`] clones it, and
+    /// the table must live with the image. The table is the one source of
+    /// capture reuse across a restart: every new cached session seeds its
+    /// capture cache from it, so a fresh fork's first
+    /// [`Session::snapshot`] is an O(1) hit, and every
+    /// [`Session::restart`] adopts its entry again (see "Launch and
+    /// restarts" in [`crate::snapshot`]). Apps whose reset is partial or
+    /// stateful must return `None` (the default): their sessions rebuild
+    /// after every restart.
     fn launch_captures(&self) -> Option<(&UiTree, &LaunchCaptures)> {
         None
     }
@@ -155,7 +147,7 @@ pub struct Session {
     inst: InstabilityModel,
     /// Capture pipeline configuration.
     capture_cfg: CaptureConfig,
-    /// Recent captures + the pristine restart stash (see [`CaptureCache`]).
+    /// Recent captures (see [`CaptureCache`]).
     cache: CaptureCache,
     /// Cache-effectiveness counters.
     capture_stats: CaptureStats,
@@ -213,17 +205,14 @@ impl Session {
     /// Seeds the (empty) capture cache of a cached session from the app's
     /// launch-capture table, if it has one.
     fn seed_launch_capture(&mut self) {
-        if !self.capture_cfg.cached {
-            return;
-        }
-        if let Some((image, captures)) = self.app.launch_captures() {
-            self.cache.seed(captures, image, &self.inst, self.app.pristine_token());
+        if self.capture_cfg.cached {
+            self.cache.seed(self.app.launch_captures(), &self.inst);
         }
     }
 
-    /// Forks a fresh worker session off the application's shared pristine
-    /// launch image (see [`GuiApp::fork`]): a launch-state app instance
-    /// under `inst`, the same capture configuration, fresh counters, and
+    /// Forks a fresh worker session off the application's shared launch
+    /// image (see [`GuiApp::fork`]): a launch-state app instance under
+    /// `inst`, the same capture configuration, fresh counters, and
     /// a capture cache seeded as [`Session::with_instability`] seeds it.
     /// Deterministic simulations make the fork behaviorally equivalent to
     /// a [`Session::with_instability`] launch of the same build under
@@ -247,8 +236,8 @@ impl Session {
     }
 
     /// Replaces the capture configuration: drops every cached capture,
-    /// the pristine stash included, then seeds a cached session's cache
-    /// from the app's launch captures as a new session's.
+    /// then seeds a cached session's cache from the app's launch captures
+    /// as a new session's.
     pub fn set_capture_config(&mut self, cfg: CaptureConfig) {
         self.capture_cfg = cfg;
         self.cache.clear();
@@ -308,12 +297,11 @@ impl Session {
     /// [`Arc`] is returned in O(1), identity index included (counted in
     /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt,
     /// copying clean windows from a recent capture and re-walking dirty
-    /// ones. The image's launch capture a new session is seeded with, and
-    /// a pristine launch image captured before a [`Session::restart`], are
-    /// served through the same probe (see [`Session::with_instability`]
-    /// and [`Session::restart`]). See
-    /// [`CaptureConfig::full_rebuild`] for the eager oracle path; every
-    /// path produces the same bytes.
+    /// ones. The image's launch capture, which a new session is seeded
+    /// with and a [`Session::restart`] adopts, is served through the same
+    /// probe (see [`Session::with_instability`] and [`Session::restart`]).
+    /// See [`CaptureConfig::full_rebuild`] for the eager oracle path;
+    /// every path produces the same bytes.
     pub fn snapshot(&mut self) -> Arc<Snapshot> {
         self.query_seq += 1;
         self.capture_stats.captures += 1;
@@ -350,21 +338,19 @@ impl Session {
     /// Counted as a restart, not an input action.
     ///
     /// An application `reset` may swap its tree wholesale (breaking stamp
-    /// lineage), so every recent capture is dropped. When the app attests
-    /// its launch image ([`GuiApp::pristine_token`]) and a capture of that
-    /// image is stashed, the stash is re-keyed against the fresh tree and
-    /// adopted as the only recent capture: the next [`Session::snapshot`]
-    /// serves it in O(1) if the launch state still holds, or copies its
-    /// clean windows. A session seeded with its image's launch capture
-    /// starts with it as the stash; with no stash for the token, the
-    /// first capture after the restart becomes the stash if nothing
-    /// visible changed in between.
+    /// lineage), so every recent capture is dropped. When the app keeps a
+    /// table of launch captures ([`GuiApp::launch_captures`]) and a cached
+    /// session's model has an entry there, the entry is re-keyed against
+    /// the fresh tree and adopted as the only recent capture: the next
+    /// [`Session::snapshot`] serves it in O(1) if the launch state still
+    /// holds, or copies its clean windows.
     pub fn restart(&mut self) {
         self.app.reset();
         self.app.tree_mut().reset_ui_state();
         self.trapped = false;
         self.restart_seq += 1;
-        self.cache.restart(self.app.tree(), self.app.pristine_token(), self.query_seq);
+        let launch = if self.capture_cfg.cached { self.app.launch_captures() } else { None };
+        self.cache.restart(self.app.tree(), launch, &self.inst, self.query_seq);
     }
 
     // ------------------------------------------------------------------
@@ -1364,16 +1350,13 @@ mod tests {
     // Pristine-image forks and restart-surviving capture reuse
     // ------------------------------------------------------------------
 
-    /// A pristine-image app in the `office::OfficeApp` mold: reset clones
-    /// one fixed launch image, so it can attest a pristine token and
-    /// fork. With a table (`image_app(true)`) the image also keeps its
-    /// launch captures, as `OfficeApp` does; without one
-    /// (`image_app(false)`) sessions stash the launch capture lazily at
-    /// their first restart.
+    /// A launch-image app in the `office::OfficeApp` mold: reset clones
+    /// one fixed launch image, so it can fork and offer the image's table
+    /// of launch captures.
     struct ImageApp {
         tree: UiTree,
         counter: u32,
-        pristine: Arc<(UiTree, u32, Option<LaunchCaptures>)>,
+        pristine: Arc<(UiTree, u32, LaunchCaptures)>,
     }
 
     struct ImageIds {
@@ -1382,7 +1365,7 @@ mod tests {
         label: WidgetId,
     }
 
-    fn image_app(tabled: bool) -> (ImageApp, ImageIds) {
+    fn image_app() -> (ImageApp, ImageIds) {
         let mut t = UiTree::new();
         let main = t.add_root(Widget::new("Image", CT::Window));
         let bump = t.add(
@@ -1400,8 +1383,7 @@ mod tests {
         );
         t.add(menu, Widget::new("Item", CT::ListItem));
         let label = t.add(main, Widget::new("Label", CT::Text));
-        let table = tabled.then(LaunchCaptures::default);
-        let pristine = Arc::new((t.clone(), 0, table));
+        let pristine = Arc::new((t.clone(), 0, LaunchCaptures::default()));
         (ImageApp { tree: t, counter: 0, pristine }, ImageIds { bump, menu, label })
     }
 
@@ -1427,19 +1409,16 @@ mod tests {
             let pristine = Arc::clone(&self.pristine);
             Some(Box::new(ImageApp { tree: pristine.0.clone(), counter: pristine.1, pristine }))
         }
-        fn pristine_token(&self) -> Option<u64> {
-            Some(Arc::as_ptr(&self.pristine) as u64)
-        }
         fn launch_captures(&self) -> Option<(&UiTree, &LaunchCaptures)> {
-            self.pristine.2.as_ref().map(|table| (&self.pristine.0, table))
+            Some((&self.pristine.0, &self.pristine.2))
         }
     }
 
     /// An image-app session paired with a full-rebuild oracle session
     /// over an identical app (same widget ids).
-    fn image_pair(tabled: bool) -> (Session, Session, ImageIds) {
-        let (app, ids) = image_app(tabled);
-        let mut oracle = Session::new(Box::new(image_app(tabled).0));
+    fn image_pair() -> (Session, Session, ImageIds) {
+        let (app, ids) = image_app();
+        let mut oracle = Session::new(Box::new(image_app().0));
         oracle.set_capture_config(CaptureConfig::full_rebuild());
         (Session::new(Box::new(app)), oracle, ids)
     }
@@ -1454,116 +1433,102 @@ mod tests {
 
     #[test]
     fn restart_to_unchanged_pristine_image_is_a_snapshot_hit() {
-        for tabled in [true, false] {
-            let (mut s, mut oracle, ids) = image_pair(tabled);
-            s.restart();
-            oracle.restart();
-            // With a table the stash is the seeded launch capture; without
-            // one, the first post-restart capture builds and stashes.
-            let (first, first_hit) = capture_checked(&mut s, &mut oracle);
-            assert_eq!(first_hit, tabled, "tabled: {tabled}");
-            s.click(ids.menu).unwrap();
-            oracle.click(ids.menu).unwrap();
-            assert!(!capture_checked(&mut s, &mut oracle).1);
-            s.restart();
-            oracle.restart();
-            let (again, again_hit) = capture_checked(&mut s, &mut oracle);
-            assert!(again_hit, "restart back to the pristine image is O(1)");
-            assert!(Arc::ptr_eq(&first, &again), "same stashed snapshot");
-        }
+        let (mut s, mut oracle, ids) = image_pair();
+        s.restart();
+        oracle.restart();
+        // The restart adopts the table's launch capture.
+        let (first, first_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(first_hit, "the first capture after a restart is the launch capture");
+        s.click(ids.menu).unwrap();
+        oracle.click(ids.menu).unwrap();
+        assert!(!capture_checked(&mut s, &mut oracle).1);
+        s.restart();
+        oracle.restart();
+        let (again, again_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(again_hit, "restart back to the launch image is O(1)");
+        assert!(Arc::ptr_eq(&first, &again), "same launch capture");
     }
 
     #[test]
-    fn pristine_stash_seeds_partial_rebuilds_after_a_click() {
-        for tabled in [true, false] {
-            let (mut s, mut oracle, ids) = image_pair(tabled);
-            s.restart();
-            oracle.restart();
-            let (stash, _) = capture_checked(&mut s, &mut oracle);
-            // The restart adopts the stash before any capture, so a click
-            // straight after it still finds the stash in the MRU: opening
-            // the popup misses, and collapsing it again returns to the
-            // stash (structural popup keying).
-            for sess in [&mut s, &mut oracle] {
-                sess.restart();
-                sess.click(ids.menu).unwrap();
-            }
-            let (open, open_hit) = capture_checked(&mut s, &mut oracle);
-            assert!(!open_hit);
-            assert!(open.find_by_name("Item").is_some());
-            s.press("Esc").unwrap();
-            oracle.press("Esc").unwrap();
-            let (back, back_hit) = capture_checked(&mut s, &mut oracle);
-            assert!(back_hit, "collapse returns to the adopted stash (tabled: {tabled})");
-            assert!(Arc::ptr_eq(&stash, &back));
+    fn adopted_launch_capture_seeds_partial_rebuilds_after_a_click() {
+        let (mut s, mut oracle, ids) = image_pair();
+        s.restart();
+        oracle.restart();
+        let (launch, _) = capture_checked(&mut s, &mut oracle);
+        // The restart adopts the launch capture before any capture, so a
+        // click straight after it still finds it in the MRU: opening the
+        // popup misses, and collapsing it again returns to the launch
+        // capture (structural popup keying).
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.click(ids.menu).unwrap();
         }
+        let (open, open_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(!open_hit);
+        assert!(open.find_by_name("Item").is_some());
+        s.press("Esc").unwrap();
+        oracle.press("Esc").unwrap();
+        let (back, back_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(back_hit, "collapse returns to the adopted launch capture");
+        assert!(Arc::ptr_eq(&launch, &back));
     }
 
     #[test]
-    fn diverged_first_capture_is_never_stashed() {
-        for tabled in [true, false] {
-            let (mut s, mut oracle, ids) = image_pair(tabled);
-            // The first capture after this restart sees an open popup, not
-            // the launch keys, so it must not become the stash.
-            for sess in [&mut s, &mut oracle] {
-                sess.restart();
-                sess.click(ids.menu).unwrap();
-            }
-            let (diverged, diverged_hit) = capture_checked(&mut s, &mut oracle);
-            assert!(!diverged_hit);
-            for sess in [&mut s, &mut oracle] {
-                sess.restart();
-            }
-            // With a table the launch state is served from the seeded
-            // capture; without one nothing was stashed, so it rebuilds.
-            let (launch, launch_hit) = capture_checked(&mut s, &mut oracle);
-            assert_eq!(launch_hit, tabled, "tabled: {tabled}");
-            assert!(!Arc::ptr_eq(&launch, &diverged));
-            for sess in [&mut s, &mut oracle] {
-                sess.restart();
-            }
-            let (again, again_hit) = capture_checked(&mut s, &mut oracle);
-            assert!(again_hit, "the undiverged launch capture is the stash");
-            assert!(Arc::ptr_eq(&launch, &again));
+    fn diverged_first_capture_is_never_adopted() {
+        let (mut s, mut oracle, ids) = image_pair();
+        // The first capture after this restart sees an open popup, not the
+        // launch keys: it is a rebuild, and no restart adopts it.
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.click(ids.menu).unwrap();
         }
+        let (diverged, diverged_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(!diverged_hit);
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+        }
+        let (launch, launch_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(launch_hit, "the restart adopts the table's launch capture");
+        assert!(!Arc::ptr_eq(&launch, &diverged));
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+        }
+        let (again, again_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(again_hit, "every restart adopts the same launch capture");
+        assert!(Arc::ptr_eq(&launch, &again));
     }
 
     #[test]
-    fn adopted_stash_misses_on_any_divergence() {
-        for tabled in [true, false] {
-            let (mut s, mut oracle, ids) = image_pair(tabled);
-            s.restart();
-            oracle.restart();
-            let _stash = capture_checked(&mut s, &mut oracle);
-            // An input action with no visible effect keeps every key: the
-            // adopted stash is still exact.
-            for sess in [&mut s, &mut oracle] {
-                sess.restart();
-                sess.click(ids.bump).unwrap();
-            }
-            assert!(capture_checked(&mut s, &mut oracle).1);
-            // Direct tree mutation (no input action): the main-window
-            // stamp moves, so the adopted stash no longer matches.
-            for sess in [&mut s, &mut oracle] {
-                sess.restart();
-                sess.app_mut().tree_mut().widget_mut(ids.label).name.push('!');
-            }
-            let (diverged, diverged_hit) = capture_checked(&mut s, &mut oracle);
-            assert!(!diverged_hit);
-            assert!(diverged.find_by_name("Label!").is_some());
-            // The oracle configuration never serves the stash.
-            s.set_capture_config(CaptureConfig::full_rebuild());
-            s.restart();
-            s.restart();
-            assert!(!capture(&mut s).1);
+    fn adopted_launch_capture_misses_on_any_divergence() {
+        let (mut s, mut oracle, ids) = image_pair();
+        // An input action with no visible effect keeps every key: the
+        // adopted launch capture is still exact.
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.click(ids.bump).unwrap();
         }
+        assert!(capture_checked(&mut s, &mut oracle).1);
+        // Direct tree mutation (no input action): the main-window stamp
+        // moves, so the adopted launch capture no longer matches.
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            sess.app_mut().tree_mut().widget_mut(ids.label).name.push('!');
+        }
+        let (diverged, diverged_hit) = capture_checked(&mut s, &mut oracle);
+        assert!(!diverged_hit);
+        assert!(diverged.find_by_name("Label!").is_some());
+        // The oracle configuration never serves the launch capture.
+        s.set_capture_config(CaptureConfig::full_rebuild());
+        s.restart();
+        s.restart();
+        assert!(!capture(&mut s).1);
     }
 
     #[test]
     fn launch_capture_is_shared_by_fresh_forks_only() {
-        let (app, ids) = image_app(true);
+        let (app, ids) = image_app();
         let donor = Session::new(Box::new(app));
-        let mut oracle = Session::new(Box::new(image_app(true).0));
+        let mut oracle = Session::new(Box::new(image_app().0));
         oracle.set_capture_config(CaptureConfig::full_rebuild());
         let inst = InstabilityModel::off();
         let mut a = donor.fork_from_pristine(inst.clone()).expect("image app forks");
@@ -1594,9 +1559,9 @@ mod tests {
     #[test]
     fn launch_capture_is_the_state_a_restart_leaves() {
         let open_image = || {
-            let (mut app, ids) = image_app(true);
+            let (mut app, ids) = image_app();
             app.tree.open_popup(ids.menu);
-            app.pristine = Arc::new((app.tree.clone(), 0, Some(LaunchCaptures::default())));
+            app.pristine = Arc::new((app.tree.clone(), 0, LaunchCaptures::default()));
             app
         };
         let mut s = Session::new(Box::new(open_image()));
@@ -1612,7 +1577,7 @@ mod tests {
 
     #[test]
     fn fork_from_pristine_is_an_independent_launch_state_session() {
-        let (app, ids) = image_app(true);
+        let (app, ids) = image_app();
         let mut s = Session::new(Box::new(app));
         s.click(ids.bump).unwrap();
         s.click(ids.menu).unwrap();
@@ -1621,8 +1586,9 @@ mod tests {
         assert_eq!((fork.app() as &dyn Any).downcast_ref::<ImageApp>().unwrap().counter, 0);
         assert_eq!(fork.popup_depth(), 0);
         assert_eq!(fork.action_count(), 0);
-        // Same pristine token: fork restarts share the parent's identity.
-        assert_eq!(fork.app().pristine_token(), s.app().pristine_token());
+        // Same launch image: fork restarts adopt the parent's launch captures.
+        let table = |s: &Session| s.app().launch_captures().map(|(_, t)| t as *const _);
+        assert_eq!(table(&fork), table(&s));
         // Mutating the fork leaves the parent untouched (and vice versa).
         fork.click(ids.bump).unwrap();
         fork.click(ids.bump).unwrap();
@@ -1631,7 +1597,7 @@ mod tests {
         assert_eq!(s.popup_depth(), 1, "parent popup state untouched by the fork");
         // Forks produce byte-identical snapshots to a fresh launch.
         fork.restart();
-        let mut fresh = Session::new(Box::new(image_app(true).0));
+        let mut fresh = Session::new(Box::new(image_app().0));
         fresh.restart();
         assert_eq!(*fork.snapshot(), *fresh.snapshot());
         // Sessions (and their forks) are Send: workers move them across
@@ -1642,11 +1608,11 @@ mod tests {
 
     #[test]
     fn fork_from_pristine_runs_under_the_given_instability() {
-        let (app, ids) = image_app(true);
+        let (app, ids) = image_app();
         let donor = Session::new(Box::new(app));
         let inst = InstabilityModel::new(5, 1.0, 0.0);
         let mut fork = donor.fork_from_pristine(inst.clone()).expect("image app forks");
-        let mut fresh = Session::with_instability(Box::new(image_app(true).0), inst);
+        let mut fresh = Session::with_instability(Box::new(image_app().0), inst);
         fork.click(ids.menu).unwrap();
         fresh.click(ids.menu).unwrap();
         let lag = fork.snapshot();
@@ -1688,11 +1654,11 @@ mod tests {
     #[test]
     fn partial_reset_apps_never_serve_pristine_hits() {
         // TestApp's reset is partial (tree values persist), so it
-        // correctly attests no pristine token and restarts always rebuild.
+        // correctly offers no launch captures and restarts always rebuild.
         let (mut s, _) = session();
         let mut oracle = Session::new(Box::new(build().0));
         oracle.set_capture_config(CaptureConfig::full_rebuild());
-        assert_eq!(s.app().pristine_token(), None);
+        assert!(s.app().launch_captures().is_none());
         assert!(s.fork_from_pristine(InstabilityModel::off()).is_none());
         s.restart();
         oracle.restart();

@@ -63,29 +63,23 @@
 //! [`crate::Session::snapshot`], so [`CaptureStats`] never depend on which
 //! session built it. The table holds at most [`LaunchCaptures::CAPACITY`]
 //! models, first come, with no eviction; a session whose model finds the
-//! table full is not seeded and stashes its launch capture at its first
-//! restart, like a session over an app without a table.
+//! table full is neither seeded nor served the entry after a restart.
 //!
-//! A new session seeds its cache with the entry, as its only recent
-//! capture and as its stash. A fresh fork clones the image tree's window
-//! stamps, so its first capture probes equal to the entry and is served
-//! in O(1) as the shared [`Arc<Snapshot>`], index included, while a tree
-//! that was driven before it was wrapped in a session misses through the
-//! same key rule and only borrows the entry's clean windows.
+//! A new session seeds its cache with the entry as its only recent
+//! capture. A fresh fork clones the image tree's window stamps, so its
+//! first capture probes equal to the entry and is served in O(1) as the
+//! shared [`Arc<Snapshot>`], index included, while a tree that was driven
+//! before it was wrapped in a session misses through the same key rule
+//! and only borrows the entry's clean windows.
 //!
 //! An application `reset` may swap its tree wholesale, which breaks stamp
-//! lineage, so a restart empties the MRU list. One capture survives it:
-//! the stashed capture of the pristine launch image, kept under the app's
-//! [`crate::GuiApp::pristine_token`]. A restart whose app attests the
-//! stashed token re-keys the stash against the fresh tree and adopts it
-//! as the only MRU entry; from then on ordinary probes serve it (while the
-//! launch state holds) or copy clean windows from it (after the first
-//! click). An app without a launch-capture table starts with no stash: a
-//! restart with no stash for its token records the launch keys instead,
-//! and the first capture after it — always a rebuild, since the MRU is
-//! empty — becomes the stash if it was built under exactly those keys.
-//! Either way the stash is only ever served through the same key rule as
-//! every other capture.
+//! lineage, so a restart empties the MRU list. The image's table is the
+//! one source of a capture that survives it: an app offers a table only
+//! if every `reset` restores exactly that image, so a restart re-keys the
+//! table's entry for the session's model against the fresh tree and
+//! adopts it as the only MRU entry. From then on ordinary probes serve it
+//! (while the launch state holds) or copy clean windows from it (after
+//! the first click), through the same key rule as every other capture.
 //!
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
@@ -230,8 +224,8 @@ impl WindowMeta {
 }
 
 /// One cached capture: the shared snapshot plus the keys it was built
-/// under. Both are shared, so a clone (a stash, a seeded launch capture)
-/// copies two pointers.
+/// under. Both are shared, so a clone (a seeded launch capture) copies
+/// two pointers.
 #[derive(Debug, Clone)]
 struct CachedCapture {
     snap: Arc<Snapshot>,
@@ -253,17 +247,11 @@ impl CachedCapture {
 /// 1 measured about 3x slower on full-app rips).
 const MRU_DEPTH: usize = 4;
 
-/// MRU cache of recent captures plus the restart-surviving capture of the
-/// pristine launch image (see the module docs). Owned by `Session`.
+/// MRU cache of recent captures (see the module docs). Owned by
+/// `Session`.
 #[derive(Debug, Default)]
 pub struct CaptureCache {
     entries: Vec<CachedCapture>,
-    /// The pristine launch image's capture, under its pristine token.
-    stash: Option<(u64, CachedCapture)>,
-    /// Left by a restart that found no stash for its pristine token: the
-    /// token, the context epoch and the window keys at launch. The next
-    /// rebuild consumes it.
-    launch: Option<(u64, u64, Vec<WindowKey>)>,
 }
 
 /// Counters for capture-cache effectiveness (see `Session::capture_stats`).
@@ -281,44 +269,44 @@ pub struct CaptureStats {
 }
 
 impl CaptureCache {
-    /// Drops every cached capture, the pristine stash included.
+    /// Drops every cached capture.
     pub fn clear(&mut self) {
-        *self = CaptureCache::default();
+        self.entries.clear();
     }
 
-    /// Seeds this cache with the launch capture of `image` under `inst`
-    /// from the image's table, as the only recent capture and as the
-    /// stash under `token`. The entry keeps the image tree's keys, which
-    /// a fresh fork of the image shares. Leaves the cache as it is when
-    /// the table is full without the model's entry.
+    /// Seeds this cache with the launch capture under `inst` from
+    /// `launch`, an image and its table ([`crate::GuiApp::launch_captures`]),
+    /// as the only recent capture. The entry keeps the image tree's keys,
+    /// which a fresh fork of the image shares. Leaves the cache as it is
+    /// when there is no table, or it is full without the model's entry.
     pub(crate) fn seed(
         &mut self,
-        captures: &LaunchCaptures,
-        image: &UiTree,
+        launch: Option<(&UiTree, &LaunchCaptures)>,
         inst: &InstabilityModel,
-        token: Option<u64>,
     ) {
-        let Some(launch) = captures.capture(image, inst) else { return };
-        self.stash = token.map(|t| (t, launch.clone()));
-        self.entries = vec![launch];
-        self.launch = None;
+        if let Some(entry) = launch.and_then(|(image, captures)| captures.capture(image, inst)) {
+            self.entries = vec![entry];
+        }
     }
 
-    /// Empties the MRU list after an application restart to the launch
-    /// image attested by `token` ([`crate::GuiApp::pristine_token`]), then
-    /// adopts the stash re-keyed against the fresh tree when it holds that
-    /// image, or records the launch keys for the next rebuild to stash.
-    pub(crate) fn restart(&mut self, tree: &UiTree, token: Option<u64>, query_seq: u64) {
+    /// Empties the MRU list after an application restart, then adopts the
+    /// launch capture under `inst` from `launch` (see [`CaptureCache::seed`])
+    /// re-keyed against the fresh tree, when the table holds one and the
+    /// tree opens the same windows.
+    pub(crate) fn restart(
+        &mut self,
+        tree: &UiTree,
+        launch: Option<(&UiTree, &LaunchCaptures)>,
+        inst: &InstabilityModel,
+        query_seq: u64,
+    ) {
         self.entries.clear();
-        self.launch = None;
-        let Some(token) = token else { return };
-        let (keys, context_epoch) = (window_keys(tree), tree.context_epoch());
-        let Some((_, stash)) = self.stash.as_ref().filter(|(t, _)| *t == token) else {
-            self.launch = Some((token, context_epoch, keys));
+        let Some(entry) = launch.and_then(|(image, captures)| captures.capture(image, inst)) else {
             return;
         };
-        let same_windows = stash.windows.len() == keys.len()
-            && stash
+        let keys = window_keys(tree);
+        let same_windows = entry.windows.len() == keys.len()
+            && entry
                 .windows
                 .iter()
                 .zip(&keys)
@@ -326,7 +314,7 @@ impl CaptureCache {
         if !same_windows {
             return;
         }
-        let windows = stash
+        let windows = entry
             .windows
             .iter()
             .zip(keys)
@@ -336,7 +324,8 @@ impl CaptureCache {
                 ..m.clone()
             })
             .collect();
-        self.entries.push(CachedCapture { snap: Arc::clone(&stash.snap), context_epoch, windows });
+        let context_epoch = tree.context_epoch();
+        self.entries.push(CachedCapture { snap: entry.snap, context_epoch, windows });
     }
 }
 
@@ -365,8 +354,7 @@ pub(crate) fn probe(
 
 /// Builds the capture for the current tree state after [`probe`] missed:
 /// clean windows are copied from the best donor capture, dirty windows
-/// are re-walked. Consumes the launch record of the preceding restart,
-/// stashing the capture when it was built under exactly the launch keys.
+/// are re-walked.
 pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -416,13 +404,8 @@ pub(crate) fn rebuild(
         metas.push(meta);
     }
 
-    let entry = CachedCapture { snap: Arc::new(snap), context_epoch, windows: metas.into() };
-    if let Some((token, epoch, launch_keys)) = cache.launch.take() {
-        if epoch == context_epoch && launch_keys == keys {
-            cache.stash = Some((token, entry.clone()));
-        }
-    }
-    let snap = Arc::clone(&entry.snap);
+    let snap = Arc::new(snap);
+    let entry = CachedCapture { snap: Arc::clone(&snap), context_epoch, windows: metas.into() };
     cache.entries.insert(0, entry);
     cache.entries.truncate(MRU_DEPTH);
     snap

@@ -16,11 +16,12 @@
 //!   artifact embeds the app's pristine-state window signature
 //!   ([`dmi_core::pristine_signature`]), and warm paths refuse stores
 //!   whose signature does not match the live app
-//!   ([`StoreError::PristineMismatch`]). The in-process
-//!   `pristine_token` cannot serve here — it is an `Arc` address and
-//!   therefore process-local. Within one process it is shared by every
-//!   launch of one launch image (`AppKind::launch` forks a per-process
-//!   image), so it names a build and size there, not an instance.
+//!   ([`StoreError::PristineMismatch`]). The in-process anchor, the
+//!   image's table of launch captures (`GuiApp::launch_captures`),
+//!   cannot serve here — it lives beside the image in one process's
+//!   memory. Within one process it is shared by every launch of one
+//!   launch image (`AppKind::launch` forks a per-process image), so it
+//!   names a build and size there, not an instance.
 //!
 //! See `docs/persistence.md` for the format layout and compatibility
 //! rules.

@@ -6,7 +6,7 @@
 //! cargo run -p dmi-examples --bin spreadsheet_audit
 //! ```
 
-use dmi_core::interface::observe::{get_texts_active, get_texts_passive, PassiveConfig};
+use dmi_core::interface::observe::{get_texts_active, get_texts_passive};
 use dmi_core::{label_screen, Dmi, DmiBuildConfig};
 use dmi_gui::Session;
 use std::any::Any;
@@ -17,7 +17,7 @@ fn main() {
     // Passive perception: every DataItem read through Value/TextPattern,
     // empties coalesced — this text rides along in each prompt.
     let snap = s.snapshot();
-    let passive = get_texts_passive(&snap, &PassiveConfig::default());
+    let passive = get_texts_passive(&snap);
     println!(
         "passive get_texts ({} items, {} empty coalesced):",
         passive.items.len(),

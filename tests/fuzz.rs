@@ -20,9 +20,10 @@ use dmi_core::fuzz::{
 };
 use dmi_core::ripper::rip;
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung};
-use dmi_gui::Session;
+use dmi_gui::{CaptureConfig, GuiApp, Session};
 use dmi_integration_tests::{dmi_models, SplitMix};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Canonical UNG bytes — the representation every oracle pins.
 fn bytes(g: &Ung) -> String {
@@ -71,9 +72,9 @@ fn noisy(seed: u64, trigger: &[ArenaOp]) -> Vec<ArenaOp> {
 // Per-fault-class: the oracle flags it, the reproducer shrinks.
 // ---------------------------------------------------------------------
 
-/// Every reset leaks state while the app keeps attesting its pristine
-/// token: each restart adopts the stashed launch capture into the MRU
-/// cache, which then serves stale bytes, caught against full rebuilds.
+/// Every reset leaks state while the app keeps offering its launch
+/// image's table: each restart adopts the table's launch capture into the
+/// MRU cache, which then serves stale bytes, caught against full rebuilds.
 #[test]
 fn fault_lying_reset_flagged_and_shrunk() {
     let faults = FaultPlan { lying_reset: true, ..FaultPlan::default() };
@@ -124,6 +125,40 @@ fn fault_worker_panic_flagged_and_shrunk() {
     let base = AppSpec { ops: noisy(55, &[ArenaOp::Button(7)]), faults };
     let min = assert_shrinks(&base, |s| check_fleet(std::slice::from_ref(s)).is_some(), |_| true);
     assert_eq!(min.len(), 1, "one dispatching control suffices to trigger the panic");
+}
+
+/// An adversarial app's forks share its launch image's table: every
+/// fork's first capture is a full hit on the one launch capture, equal to
+/// a full rebuild's. Under `lying_reset` the first restart already adopts
+/// that capture over the leaked tree and serves its stale bytes.
+#[test]
+fn adversarial_forks_share_one_exact_launch_capture() {
+    let ops = vec![ArenaOp::Button(1), ArenaOp::Menu(2), ArenaOp::Item(3), ArenaOp::Pop];
+    let spec = AppSpec::new(ops);
+    let app = AdversarialApp::new(spec.clone());
+    let first = |cfg: CaptureConfig| {
+        let mut s = Session::new(app.fork().expect("adversarial apps fork"));
+        s.set_capture_config(cfg);
+        (s.snapshot(), s.capture_stats().full_hits)
+    };
+    let (a, a_hits) = first(CaptureConfig::default());
+    let (b, b_hits) = first(CaptureConfig::default());
+    assert_eq!((a_hits, b_hits), (1, 1), "each fork's first capture is a full hit");
+    assert!(Arc::ptr_eq(&a, &b), "forks share one launch capture");
+    let (eager, eager_hits) = first(CaptureConfig::full_rebuild());
+    assert_eq!(eager_hits, 0);
+    assert!(*a == *eager, "the launch capture equals a full rebuild");
+
+    let lying = spec.with_faults(FaultPlan { lying_reset: true, ..FaultPlan::default() });
+    let mut cached = Session::new(AdversarialApp::launch(lying.clone()));
+    let mut eager = Session::new(AdversarialApp::launch(lying));
+    eager.set_capture_config(CaptureConfig::full_rebuild());
+    cached.restart();
+    eager.restart();
+    let (stale, leaked) = (cached.snapshot(), eager.snapshot());
+    assert_eq!(cached.capture_stats().full_hits, 1, "the first restart adopts the capture");
+    assert!(leaked.find_by_name("Button 1 #1").is_some(), "the reset leaked");
+    assert!(*stale != *leaked, "the adopted capture serves stale bytes");
 }
 
 // ---------------------------------------------------------------------

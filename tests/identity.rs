@@ -11,7 +11,9 @@ use dmi_apps::{
 };
 use dmi_core::ripper::{rip, RipConfig};
 use dmi_core::{rip_fleet, Dmi, DmiBuildConfig, FleetEntry, ParRipConfig};
-use dmi_gui::{Behavior, CaptureConfig, GuiApp, InstabilityModel, Session, Widget, WidgetId};
+use dmi_gui::{
+    Behavior, CaptureConfig, GuiApp, InstabilityModel, LaunchCaptures, Session, Widget, WidgetId,
+};
 use dmi_integration_tests::{fnv1a, Fnv1a, SplitMix};
 use dmi_llm::{CapabilityProfile, InterfaceMode};
 use dmi_uia::{ControlId, ControlKey, ControlType, PatternKind, Snapshot};
@@ -539,6 +541,12 @@ fn assert_same(a: &mut Session, b: &mut Session, what: &str) {
     assert_eq!(document(a), document(b), "{what}: documents differ");
 }
 
+/// The address of the launch-capture table a session's app offers, which
+/// identifies its launch image.
+fn launch_table(s: &Session) -> Option<*const LaunchCaptures> {
+    s.app().launch_captures().map(|(_, table)| table as *const _)
+}
+
 /// Launch equals construction: `AppKind::launch`/`launch_small` fork one
 /// process-wide image per app and size, which both sides of the served vs
 /// sequential oracle share. This oracle keeps it independent: a launch
@@ -547,7 +555,7 @@ fn assert_same(a: &mut Session, b: &mut Session, what: &str) {
 /// evaluation model, and a driven launch's edits must never reach the
 /// image. Restart equals construction too: a driven launch restarted
 /// with [`Session::restart`] snapshots and carries the document of a
-/// fresh construction, and keeps its pristine token.
+/// fresh construction, and keeps its launch image.
 #[test]
 fn launch_equals_construction() {
     let evaluation =
@@ -562,9 +570,9 @@ fn launch_equals_construction() {
                 let mut launched = Session::with_instability(launch(kind, small), inst.clone());
                 let mut built = Session::with_instability(construct(kind, small), inst.clone());
                 assert_eq!(
-                    launched.app().pristine_token(),
-                    driven.app().pristine_token(),
-                    "{what}: launches of one image share its pristine token"
+                    launch_table(&launched),
+                    launch_table(&driven),
+                    "{what}: launches of one image share its launch captures"
                 );
                 assert!(
                     *driven.snapshot() != *launched.snapshot(),
@@ -579,12 +587,12 @@ fn launch_equals_construction() {
                 drive(&mut launched);
                 drive(&mut built);
                 assert_same(&mut launched, &mut built, &format!("{what}, after the script"));
-                let token = driven.app().pristine_token();
+                let table = launch_table(&driven);
                 driven.restart();
                 assert_eq!(
-                    driven.app().pristine_token(),
-                    token,
-                    "{what}: a restart keeps the pristine token"
+                    launch_table(&driven),
+                    table,
+                    "{what}: a restart keeps the launch image"
                 );
                 let mut rebuilt = Session::with_instability(construct(kind, small), inst.clone());
                 assert_same(&mut driven, &mut rebuilt, &format!("{what}, after a restart"));
