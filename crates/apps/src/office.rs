@@ -63,8 +63,12 @@ struct Image<M> {
 }
 
 impl<M: OfficeModel> OfficeApp<M> {
-    /// Launches a freshly constructed model, which becomes the image.
-    pub fn launch(model: M) -> Self {
+    /// Launches a freshly constructed model, which becomes the image. The
+    /// construction's stamp history is dropped first
+    /// ([`UiTree::refloor_stamps`]): no capture of it exists yet, and
+    /// every fork clones the image's stamps.
+    pub fn launch(mut model: M) -> Self {
+        model.tree_mut().refloor_stamps();
         let image = Image { model: model.clone(), captures: LaunchCaptures::default() };
         OfficeApp { image: Arc::new(image), live: model }
     }
@@ -711,10 +715,36 @@ mod tests {
             let mut s = Session::with_instability(driven, inst.clone());
             let snap = s.snapshot();
             assert_eq!(s.capture_stats().full_hits, 0, "a driven tree misses");
+            assert!(s.capture_stats().blocks_reused > 0, "and copies the entry's clean blocks");
             assert!(!Arc::ptr_eq(&snap, &launch));
             let mut oracle = Session::with_instability(Box::new(built), inst.clone());
             oracle.set_capture_config(CaptureConfig::full_rebuild());
             assert!(*snap == *oracle.snapshot(), "the miss matches the full rebuild");
+        }
+    }
+
+    /// A restart adopts the launch capture with its block records, re-keyed
+    /// against the fresh tree: the first write after it re-walks only the
+    /// written block.
+    #[test]
+    fn a_restart_adopts_the_launch_capture_with_its_blocks() {
+        let app = small_word();
+        let inst = InstabilityModel::off();
+        let surface = app.doc_surface();
+        let mut s = Session::with_instability(app.fork().unwrap(), inst.clone());
+        let mut oracle = Session::with_instability(app.fork().unwrap(), inst);
+        oracle.set_capture_config(CaptureConfig::full_rebuild());
+        let blocks = app.tree().widget(app.chrome().main).children.len() as u64;
+        for round in 0..2 {
+            for session in [&mut s, &mut oracle] {
+                session.restart();
+                session.app_mut().tree_mut().widget_mut(surface).name.push_str(" (edited)");
+            }
+            let before = s.capture_stats();
+            assert!(*s.snapshot() == *oracle.snapshot(), "round {round}: matches the oracle");
+            let after = s.capture_stats();
+            assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 1, "round {round}");
+            assert_eq!(after.blocks_reused - before.blocks_reused, blocks - 1, "round {round}");
         }
     }
 

@@ -5,7 +5,7 @@ use dmi_gui::{
     AppError, Behavior, CommandBinding, CommitKind, GuiApp, LaunchCaptures, UiTree, Widget,
     WidgetBuilder, WidgetId,
 };
-use dmi_uia::ControlType as CT;
+use dmi_uia::{ControlType as CT, ToggleState};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -22,7 +22,10 @@ const MAX_DEPTH: usize = 4;
 /// ([`super::shrink_ops`]) buildable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaOp {
-    /// A command button (`Button {k}`) under the current scope.
+    /// A command button (`Button {k}`) under the current scope. Clicking
+    /// it flips its own toggle state: a stamped, snapshot-visible write
+    /// confined to the button's block, so cached captures copy the rest
+    /// of its window.
     Button(u16),
     /// A dismiss-on-pick list item (`Item {k}`) under the current scope.
     Item(u16),
@@ -272,10 +275,17 @@ impl GuiApp for AdversarialApp {
         &mut self.tree
     }
 
-    fn dispatch(&mut self, _src: WidgetId, _b: &CommandBinding) -> Result<(), AppError> {
+    fn dispatch(&mut self, src: WidgetId, b: &CommandBinding) -> Result<(), AppError> {
         self.dispatches += 1;
         if self.spec.faults.panic_on_click == Some(self.dispatches) {
             panic!("injected fault: dispatch #{} dies mid-click", self.dispatches);
+        }
+        if b.command.starts_with("cmd-") {
+            let w = self.tree.widget_mut(src);
+            w.toggle = Some(match w.toggle {
+                Some(ToggleState::On) => ToggleState::Off,
+                _ => ToggleState::On,
+            });
         }
         if let Some(n) = self.spec.faults.unstamped_relabel_after {
             if self.dispatches == n {

@@ -868,9 +868,10 @@ mod tests {
     /// [`RipStats`] field and the capture work (`Session::capture_stats`).
     /// A drift in any of them means the rip clicked, captured or committed
     /// differently, the capture layer served, copied or re-walked a
-    /// different set of windows, or decycling and externalization built a
-    /// different forest. Each rip's first capture is a full hit on the
-    /// launch capture its session was seeded with.
+    /// different set of windows or copied different blocks inside them, or
+    /// decycling and externalization built a different forest. Each rip's
+    /// first capture is a full hit on the launch capture its session was
+    /// seeded with.
     #[test]
     fn small_office_rips_are_pinned() {
         let fnv = |bytes: &[u8]| {
@@ -893,7 +894,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 15,
                 },
-                [8870, 5757, 98, 3074],
+                [8870, 5757, 98, 3074, 18150, 241_992],
             ),
             (
                 AppKind::Excel,
@@ -909,7 +910,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 11,
                 },
-                [3802, 3071, 111, 710],
+                [3802, 3071, 111, 710, 3883, 32_140],
             ),
             (
                 AppKind::PowerPoint,
@@ -925,7 +926,7 @@ mod tests {
                     replay_failures: 52,
                     windows_seen: 9,
                 },
-                [6961, 4407, 376, 2446],
+                [6961, 4407, 376, 2446, 15857, 174_803],
             ),
         ];
         for (kind, digest, model_digest, stats, work) in pins {
@@ -936,8 +937,16 @@ mod tests {
             let model = crate::Dmi::from_ung(g.clone(), &cfg).0.to_json();
             assert_eq!(fnv(model.as_bytes()), model_digest, "{kind}: offline model digest");
             assert_eq!(*st, stats, "{kind}: rip stats");
-            let got = [cs.captures, cs.full_hits, cs.windows_reused, cs.windows_rebuilt];
-            assert_eq!(got, work, "{kind}: captures, full hits, windows reused, windows rebuilt");
+            let got = [
+                cs.captures,
+                cs.full_hits,
+                cs.windows_reused,
+                cs.windows_rebuilt,
+                cs.blocks_reused,
+                cs.nodes_walked,
+            ];
+            let what = "captures, full hits, windows reused/rebuilt, blocks reused, nodes walked";
+            assert_eq!(got, work, "{kind}: {what}");
         }
     }
 

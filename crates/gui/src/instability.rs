@@ -11,9 +11,9 @@
 //! function of `(seed, widget)` — identical across rebuilds of the same
 //! state, so cached bytes stay exact — and late loads, the one effect
 //! keyed on the *query* clock rather than tree state, are resolved into
-//! each window's capture key at build time (`UiTree::next_reveal_under`):
-//! a cached window is never served at or past the query sequence where a
-//! pending subtree would have appeared.
+//! each window's and block's capture key at build time
+//! (`UiTree::reveals_under`): cached nodes are never served at or past
+//! the query sequence where a pending subtree would have appeared.
 
 use crate::widget::WidgetId;
 

@@ -15,12 +15,14 @@
 //! Rows are placed in one walk, [`walk_window`], which visits every shown
 //! widget of one window with its rectangle and is never cached. Three
 //! visitors drive it: the capture pipeline (`crate::snapshot`) builds the
-//! nodes of each window it re-walks, hit testing keeps the deepest row
-//! under the point, and drags read the rectangle of their track or text
-//! surface. The walk is provider-side: the children of a container still
-//! loading (instability late loads) are visited and use up their rows,
-//! and the capture visitor leaves them out of the snapshot, so a late
-//! load never shifts the rows of later siblings.
+//! nodes of each window it re-walks, skipping the subtrees it copies from
+//! an earlier capture ([`Step::SkipTo`]), hit testing keeps the deepest
+//! row under the point, and drags read the rectangle of their track or
+//! text surface; those two visit every widget. The walk is provider-side:
+//! the children of a container still loading (instability late loads)
+//! are visited and use up their rows, and the capture visitor leaves them
+//! out of the snapshot, so a late load never shifts the rows of later
+//! siblings.
 
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
@@ -52,23 +54,61 @@ pub fn window_rect(i: usize) -> Rect {
     }
 }
 
+/// The rows a window of stack position `wi` shows: row `r` of the walk
+/// lies at row `r % window_rows(wi)` of the window, so the row counter
+/// at a widget fixes every rectangle of its subtree only modulo this.
+pub fn window_rows(wi: usize) -> i32 {
+    (window_rect(wi).h / ROW_H).max(1)
+}
+
+/// One widget the walk places.
+#[derive(Debug, Clone, Copy)]
+pub struct Placed {
+    /// The widget.
+    pub id: WidgetId,
+    /// Its depth below the window root (0 for the root).
+    pub depth: usize,
+    /// Its rectangle.
+    pub rect: Rect,
+    /// Whether it lies outside its scroll viewport.
+    pub offscreen: bool,
+    /// The row counter before the widget's own row was placed.
+    pub row: i32,
+}
+
+/// What the walk does after a visit.
+#[derive(Debug, Clone, Copy)]
+pub enum Step {
+    /// Visit the widget's shown children.
+    Descend,
+    /// Visit none of the widget's descendants and resume with the row
+    /// counter at the given value: the visitor knows the rows the
+    /// subtree takes (the capture copying a block from an earlier walk).
+    SkipTo(i32),
+}
+
 /// Visits every shown widget of the window rooted at `root`, which sits
-/// at stack position `wi`, in depth-first pre-order: `visit(id, depth,
-/// rect, offscreen)`, the root at depth 0 with the window rectangle. A
+/// at stack position `wi`, in depth-first pre-order, the root at depth 0
+/// with the window rectangle. The visitor may skip a widget's subtree
+/// ([`Step::SkipTo`]). Returns the row counter after the last widget. A
 /// root that is not shown visits nothing.
 pub fn walk_window(
     tree: &UiTree,
     root: WidgetId,
     wi: usize,
-    mut visit: impl FnMut(WidgetId, usize, Rect, bool),
-) {
+    mut visit: impl FnMut(Placed) -> Step,
+) -> i32 {
     if !tree.is_shown_if_parent_is(root) {
-        return;
+        return 0;
     }
     let wrect = window_rect(wi);
-    visit(root, 0, wrect, false);
     let mut row = 1i32; // row 0 is the window chrome
+    let placed = Placed { id: root, depth: 0, rect: wrect, offscreen: false, row };
+    if let Step::SkipTo(end) = visit(placed) {
+        return end;
+    }
     place_children(tree, root, wrect, &mut row, 1, false, &mut visit);
+    row
 }
 
 /// Places the shown children of `parent`, which is shown, and their
@@ -80,23 +120,25 @@ fn place_children(
     row: &mut i32,
     depth: usize,
     forced_off: bool,
-    visit: &mut impl FnMut(WidgetId, usize, Rect, bool),
+    visit: &mut impl FnMut(Placed) -> Step,
 ) {
     let pw = tree.widget(parent);
-    let kids: Vec<WidgetId> =
-        pw.children.iter().copied().filter(|&c| tree.is_shown_if_parent_is(c)).collect();
+    let shown = |c: &&WidgetId| tree.is_shown_if_parent_is(**c);
 
     // Viewport window for scrollable containers.
-    let viewport: Option<(usize, usize)> = if pw.scrollable && !kids.is_empty() {
-        let rows = pw.viewport_rows.min(kids.len());
-        let max_start = kids.len() - rows;
-        let start = ((pw.scroll_pos / 100.0) * max_start as f64).round() as usize;
-        Some((start.min(max_start), rows))
+    let viewport: Option<(usize, usize)> = if pw.scrollable {
+        let kids = pw.children.iter().filter(shown).count();
+        (kids > 0).then(|| {
+            let rows = pw.viewport_rows.min(kids);
+            let max_start = kids - rows;
+            let start = ((pw.scroll_pos / 100.0) * max_start as f64).round() as usize;
+            (start.min(max_start), rows)
+        })
     } else {
         None
     };
 
-    for (i, &c) in kids.iter().enumerate() {
+    for (i, &c) in pw.children.iter().filter(shown).enumerate() {
         let cw = tree.widget(c);
         let in_viewport = match viewport {
             Some((start, rows)) => i >= start && i < start + rows,
@@ -104,6 +146,7 @@ fn place_children(
         };
         let off = forced_off || !in_viewport;
 
+        let at = *row;
         let rect = if cw.control_type == dmi_uia::ControlType::ScrollBar {
             // Scrollbars hug the right edge of their window, full height.
             Rect::new(wrect.x + wrect.w - 18, wrect.y, 18, wrect.h)
@@ -116,8 +159,10 @@ fn place_children(
             *row += 1;
             Rect::new(x, y, (wrect.w - d * 16).max(40), ROW_H - 2)
         };
-        visit(c, depth, rect, off);
-        place_children(tree, c, wrect, row, depth + 1, off, visit);
+        match visit(Placed { id: c, depth, rect, offscreen: off, row: at }) {
+            Step::Descend => place_children(tree, c, wrect, row, depth + 1, off, visit),
+            Step::SkipTo(end) => *row = end,
+        }
     }
 }
 
@@ -142,8 +187,9 @@ mod tests {
     fn rows(t: &UiTree) -> HashMap<WidgetId, (Rect, bool)> {
         let mut rows = HashMap::new();
         for (wi, win) in t.open_windows().iter().enumerate() {
-            walk_window(t, win.root, wi, |id, _, rect, off| {
-                rows.insert(id, (rect, off));
+            walk_window(t, win.root, wi, |p| {
+                rows.insert(p.id, (p.rect, p.offscreen));
+                Step::Descend
             });
         }
         rows
@@ -159,12 +205,39 @@ mod tests {
         t.add(menu, Widget::new("H", CT::MenuItem));
         let b = t.add(main, Widget::new("B", CT::Button));
         let mut seen = Vec::new();
-        walk_window(&t, main, 0, |id, depth, rect, _| seen.push((id, depth, rect.y)));
+        walk_window(&t, main, 0, |p| {
+            seen.push((p.id, p.depth, p.rect.y));
+            Step::Descend
+        });
         let rows: Vec<_> = (0..5).map(|r| r * ROW_H).collect();
         assert_eq!(
             seen,
             [(main, 0, 0), (grp, 1, rows[1]), (a, 2, rows[2]), (menu, 1, rows[3]), (b, 1, rows[4])]
         );
+    }
+
+    #[test]
+    fn a_skipped_subtree_advances_the_rows_it_takes() {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        let grp = t.add(main, Widget::new("G", CT::Group));
+        t.add(grp, Widget::new("A", CT::Button));
+        t.add(grp, Widget::new("B", CT::Button));
+        let after = t.add(main, Widget::new("After", CT::Button));
+        let full = rows(&t);
+        let mut skipped = HashMap::new();
+        let end = walk_window(&t, main, 0, |p| {
+            skipped.insert(p.id, (p.rect, p.offscreen));
+            if p.id == grp {
+                Step::SkipTo(p.row + 3)
+            } else {
+                Step::Descend
+            }
+        });
+        assert_eq!(skipped.len(), 3, "the group's children are not visited");
+        assert_eq!(skipped[&after], full[&after]);
+        assert_eq!(end, 5);
+        assert_eq!(window_rows(0), SCREEN_H / ROW_H);
     }
 
     #[test]

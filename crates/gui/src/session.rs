@@ -94,7 +94,7 @@ pub trait GuiApp: std::any::Any + Send {
     /// Deterministic simulations make a fork equivalent to launching
     /// another copy of the same build, so the serving gateway gives every
     /// tenant task its own fork. The fork's tree is a
-    /// clone of the image's, window stamps included, so a session over it
+    /// clone of the image's, stamps included, so a session over it
     /// is served the image's launch capture on its first snapshot (see
     /// [`GuiApp::launch_captures`]). Returns `None` when the app keeps no
     /// shareable launch image (the default); the gateway refuses requests
@@ -297,9 +297,11 @@ impl Session {
     /// [`Arc`] is returned in O(1), identity index included (counted in
     /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt,
     /// copying clean windows from a recent capture and re-walking dirty
-    /// ones. The image's launch capture, which a new session is seeded
-    /// with and a [`Session::restart`] adopts, is served through the same
-    /// probe (see [`Session::with_instability`] and [`Session::restart`]).
+    /// ones, inside which each clean block (a child of the window root
+    /// with its descendants) is copied too. The image's launch capture,
+    /// which a new session is seeded with and a [`Session::restart`]
+    /// adopts, is served through the same probe (see
+    /// [`Session::with_instability`] and [`Session::restart`]).
     /// See [`CaptureConfig::full_rebuild`] for the eager oracle path;
     /// every path produces the same bytes.
     pub fn snapshot(&mut self) -> Arc<Snapshot> {
@@ -343,7 +345,7 @@ impl Session {
     /// session's model has an entry there, the entry is re-keyed against
     /// the fresh tree and adopted as the only recent capture: the next
     /// [`Session::snapshot`] serves it in O(1) if the launch state still
-    /// holds, or copies its clean windows.
+    /// holds, or copies its clean windows and blocks.
     pub fn restart(&mut self) {
         self.app.reset();
         self.app.tree_mut().reset_ui_state();
@@ -448,10 +450,11 @@ impl Session {
         // The track or surface rect, from the walk of the hit's window
         // (`src` is the hit or one of its ancestors).
         let mut rect = Rect::default();
-        layout::walk_window(t, t.open_windows()[wi].root, wi, |id, _, r, _| {
-            if id == src {
-                rect = r;
+        layout::walk_window(t, t.open_windows()[wi].root, wi, |p| {
+            if p.id == src {
+                rect = p.rect;
             }
+            layout::Step::Descend
         });
         if scrollbar {
             let Some(target) = scroll_target else {
@@ -830,10 +833,12 @@ impl Session {
         let t = self.app.tree();
         for (wi, win) in t.open_windows().iter().enumerate().rev() {
             let mut best: Option<(WidgetId, usize)> = None;
-            layout::walk_window(t, win.root, wi, |id, depth, rect, offscreen| {
-                if !offscreen && rect.contains(x, y) && best.is_none_or(|(_, bd)| depth >= bd) {
-                    best = Some((id, depth));
+            layout::walk_window(t, win.root, wi, |p| {
+                if !p.offscreen && p.rect.contains(x, y) && best.is_none_or(|(_, bd)| p.depth >= bd)
+                {
+                    best = Some((p.id, p.depth));
                 }
+                layout::Step::Descend
             });
             if let Some((id, _)) = best {
                 return Some((id, wi));
@@ -1273,6 +1278,35 @@ mod tests {
         let _snap = s.snapshot();
         let after = s.capture_stats();
         assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 1, "main re-walked");
+    }
+
+    #[test]
+    fn a_drag_re_walks_only_the_blocks_it_stamps() {
+        // Name variation on: copied blocks keep the varied names.
+        let inst = InstabilityModel::new(3, 0.0, 0.5);
+        let (app, ids) = build();
+        let (app2, _) = build();
+        let mut s = Session::with_instability(Box::new(app), inst.clone());
+        let mut oracle = Session::with_instability(Box::new(app2), inst);
+        oracle.set_capture_config(CaptureConfig::full_rebuild());
+        let base = s.snapshot();
+        assert_eq!(*base, *oracle.snapshot());
+        let track =
+            base.node(base.find_all(|n| n.props.control_type == CT::ScrollBar)[0]).props.rect;
+        let (x, y) = track.center();
+        let before = s.capture_stats();
+        for session in [&mut s, &mut oracle] {
+            session.drag((x, y), (x, track.y + track.h)).unwrap();
+        }
+        let snap = s.snapshot();
+        assert_eq!(*snap, *oracle.snapshot(), "the partly copied capture matches the oracle");
+        let after = s.capture_stats();
+        assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 1);
+        assert_eq!(after.blocks_reused - before.blocks_reused, 4, "buttons and menus copied");
+        let walked = 1 + (1 + 12) + 1; // the root, the document, the scrollbar
+        assert_eq!(after.nodes_walked - before.nodes_walked, walked);
+        assert_eq!(s.app().tree().widget(ids.doc).scroll_pos, 100.0);
+        assert_eq!(snap.node(snap.find_by_name("Vertical").unwrap()).props.value, "100");
     }
 
     #[test]

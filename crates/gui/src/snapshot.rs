@@ -20,8 +20,9 @@
 //!
 //! # How validity is decided
 //!
-//! One rule decides whether a capture can be reused: its per-window keys
-//! plus two global components.
+//! One rule decides whether captured nodes can be reused: their keys plus
+//! two global components. It is applied at two grains, the window and the
+//! *block* — a child of a window root with all its descendants.
 //!
 //! - **per window** (`WindowKey`): the arena root, its modality and
 //!   stack position, the root's [`UiTree::window_stamp`] (bumped by every
@@ -29,24 +30,39 @@
 //!   under the root (popup expansion is keyed *structurally* instead of
 //!   stamped, so a transient open+close compares equal again — the same
 //!   reasoning as Esc recovery);
+//! - **per block** (`BlockKey`, within the window at the same stack
+//!   position): the block root, its [`UiTree::block_stamp`] (every
+//!   mutation that stamps a window also stamps the block it lands in),
+//!   the open popups inside the block, and where the layout walk enters
+//!   the block — the row counter at its root modulo the window's rows
+//!   ([`layout::window_rows`]), which fixes every rectangle in the block,
+//!   and whether the root's viewport leaves it off-screen. Nothing else
+//!   reaches a block's nodes: rows above it shift it only through the
+//!   row counter, and the window root only through the viewport flag;
 //! - **globally**: [`UiTree::context_epoch`] (contexts gate `visible_when`
 //!   widgets in any window) and the query clock's position relative to
-//!   each window's *next reveal* — the earliest pending-children schedule
-//!   still hidden at build time ([`UiTree::next_reveal_under`]). Late-load
-//!   instability is thereby resolved into the key at build time: a cached
-//!   window is served only while an eager rebuild would produce the same
-//!   bytes, and the reveal query itself always misses and rebuilds.
+//!   the *next reveal* of each window or block — the earliest
+//!   pending-children schedule inside it still hidden at build time
+//!   (`UiTree::reveals_under`). Late-load instability is thereby
+//!   resolved into the key at build time: cached nodes are served only
+//!   while an eager rebuild would produce the same bytes, and the reveal
+//!   query itself always re-walks the block that reveals.
 //!
 //! [`CaptureCache`] keeps a short MRU list of past captures. A capture
-//! whose every component matches is returned in O(1) as the same
+//! whose every window key matches is returned in O(1) as the same
 //! [`Arc<Snapshot>`] — including its already-materialized `SnapIndex`
 //! (cached ancestor paths and key multimap), which the eager path rebuilt
-//! per query. On a miss, each clean window's node block is copied
-//! wholesale from the best donor capture
-//! ([`Snapshot::append_window_from`]) and only dirty windows are
-//! re-walked, each laid out along with its walk. The new
-//! snapshot builds its own `SnapIndex` from its own nodes on first use,
-//! like any other capture.
+//! per query. On a miss, each clean window's nodes are copied wholesale
+//! from the best donor capture ([`Snapshot::append_subtree_from`]) and
+//! only dirty windows are re-walked, each laid out along with its walk.
+//! When the walk of a dirty window reaches a block root that a donor holds
+//! under an equal block key, it copies the block's nodes through the same
+//! routine and skips the subtree ([`layout::Step::SkipTo`]), advancing the
+//! row counter by the rows the donor recorded for the block, so later
+//! blocks get the rects an eager walk gives them. A click in the ribbon
+//! thereby re-walks the ribbon, not the grid beside it. The new snapshot
+//! builds its own `SnapIndex` from its own nodes on first use, like any
+//! other capture; copied nodes share their property bags with the donor.
 //!
 //! # Launch and restarts
 //!
@@ -66,20 +82,22 @@
 //! table full is neither seeded nor served the entry after a restart.
 //!
 //! A new session seeds its cache with the entry as its only recent
-//! capture. A fresh fork clones the image tree's window stamps, so its
-//! first capture probes equal to the entry and is served in O(1) as the
-//! shared [`Arc<Snapshot>`], index included, while a tree that was driven
-//! before it was wrapped in a session misses through the same key rule
-//! and only borrows the entry's clean windows.
+//! capture. A fresh fork clones the image tree's window and block stamps,
+//! so its first capture probes equal to the entry and is served in O(1)
+//! as the shared [`Arc<Snapshot>`], index included, while a tree that was
+//! driven before it was wrapped in a session misses through the same key
+//! rule and only borrows the entry's clean windows and blocks. The
+//! entry's block records are built with it, once per table entry.
 //!
 //! An application `reset` may swap its tree wholesale, which breaks stamp
 //! lineage, so a restart empties the MRU list. The image's table is the
 //! one source of a capture that survives it: an app offers a table only
 //! if every `reset` restores exactly that image, so a restart re-keys the
-//! table's entry for the session's model against the fresh tree and
-//! adopts it as the only MRU entry. From then on ordinary probes serve it
-//! (while the launch state holds) or copy clean windows from it (after
-//! the first click), through the same key rule as every other capture.
+//! table's entry for the session's model — its window and block keys —
+//! against the fresh tree and adopts it as the only MRU entry. From then
+//! on ordinary probes serve it (while the launch state holds) or copy
+//! clean windows and blocks from it (after the first click), through the
+//! same key rule as every other capture.
 //!
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
@@ -87,8 +105,8 @@
 //! byte-identical UNGs either way.
 
 use crate::instability::InstabilityModel;
-use crate::layout;
-use crate::tree::UiTree;
+use crate::layout::{self, Placed, Step};
+use crate::tree::{OpenWindow, UiTree};
 use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, RuntimeId, Snapshot};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -100,38 +118,49 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub fn build(tree: &UiTree, inst: &InstabilityModel, query_seq: u64) -> Snapshot {
     let mut snap = Snapshot::new();
     for (wi, win) in tree.open_windows().iter().enumerate() {
-        push_window(tree, inst, query_seq, win.root, win.modal, wi, &mut snap);
+        push_window(tree, inst, query_seq, *win, wi, &mut snap, None);
     }
     snap
 }
 
 /// Walks one window into `snap` and registers its root in z-order. The
 /// children of a container still loading at `query_seq` are left out,
-/// though the layout walk still places their rows.
+/// though the layout walk still places their rows. With `blocks`, a
+/// block that a donor holds under an equal key is copied instead of
+/// walked, and every block of the window is recorded
+/// ([`BlockWalk`]). Returns the number of widgets the walk visited.
 fn push_window(
     tree: &UiTree,
     inst: &InstabilityModel,
     query_seq: u64,
-    root: WidgetId,
-    modal: bool,
+    win: OpenWindow,
     wi: usize,
     snap: &mut Snapshot,
-) {
+    mut blocks: Option<&mut BlockWalk>,
+) -> u64 {
     // `parents[d]`: the snapshot index of the last node visited at depth
     // `d`, or `None` when its children are absent (left out, or loading).
     let mut parents: Vec<Option<usize>> = Vec::new();
+    let mut walked = 0;
     let start = snap.len();
-    layout::walk_window(tree, root, wi, |id, depth, rect, offscreen| {
-        parents.truncate(depth);
-        let parent = match depth.checked_sub(1).map(|d| parents[d]) {
+    let end_row = layout::walk_window(tree, win.root, wi, |p| {
+        parents.truncate(p.depth);
+        let up = p.depth.checked_sub(1).map(|d| parents[d]);
+        if let (1, Some(b), Some(Some(up))) = (p.depth, blocks.as_deref_mut(), up) {
+            if let Some(end_row) = b.enter(tree, p, snap, up) {
+                return Step::SkipTo(end_row);
+            }
+        }
+        walked += 1;
+        let parent = match up {
             Some(None) => {
                 parents.push(None);
-                return;
+                return Step::Descend;
             }
             up => up.flatten(),
         };
-        let w = tree.widget(id);
-        let mut props = ControlProps::new(inst.live_name(id, &w.name), w.control_type);
+        let w = tree.widget(p.id);
+        let mut props = ControlProps::new(inst.live_name(p.id, &w.name), w.control_type);
         props.automation_id = w.automation_id.clone();
         props.class_name = w.class_name.clone();
         props.help_text = w.help_text.clone();
@@ -141,24 +170,30 @@ fn push_window(
         props.toggle = w.toggle;
         props.selected = w.selected;
         props.expanded = if w.popup { Some(w.expanded) } else { None };
-        props.rect = rect;
-        props.offscreen = offscreen;
+        props.rect = p.rect;
+        props.offscreen = p.offscreen;
         let idx = snap.push(props, parent, wi);
         // Snapshot runtime ids must track the widget arena, not insertion order.
-        snap.set_runtime_id(idx, runtime_of(id));
-        parents.push((!tree.children_pending(id, query_seq)).then_some(idx));
+        snap.set_runtime_id(idx, runtime_of(p.id));
+        parents.push((!tree.children_pending(p.id, query_seq)).then_some(idx));
+        Step::Descend
     });
+    if let Some(b) = blocks {
+        b.close(snap.len(), end_row);
+    }
     if snap.len() > start {
-        if modal {
+        if win.modal {
             snap.push_modal_window_root(start);
         } else {
             snap.push_window_root(start);
         }
     }
+    walked
 }
 
-/// Walks one window into `snap` ([`push_window`]) and records the keys
-/// its node block is valid under.
+/// Walks one window into `snap` ([`push_window`]), copying each block a
+/// donor holds, and records the keys its nodes are valid under. Returns
+/// the record, the widgets walked and the blocks copied.
 fn rebuild_window(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -166,17 +201,22 @@ fn rebuild_window(
     key: &WindowKey,
     wi: usize,
     snap: &mut Snapshot,
-) -> WindowMeta {
+    donors: &Donors,
+) -> (WindowMeta, u64, u64) {
     let start = snap.len();
-    push_window(tree, inst, query_seq, key.root, key.modal, wi, snap);
+    let win = OpenWindow { root: key.root, modal: key.modal };
+    let mut blocks = BlockWalk::new(tree, key.root, wi, query_seq, start, donors);
+    let walked = push_window(tree, inst, query_seq, win, wi, snap, Some(&mut blocks));
     let end = snap.len();
-    WindowMeta {
+    let meta = WindowMeta {
         key: key.clone(),
         start,
         end,
         rooted: end > start,
-        next_reveal: tree.next_reveal_under(key.root, query_seq),
-    }
+        next_reveal: blocks.scan.window_reveal(),
+        blocks: blocks.blocks.into(),
+    };
+    (meta, walked, blocks.reused)
 }
 
 /// The capture key of one open window, read off the live tree.
@@ -215,11 +255,200 @@ struct WindowMeta {
     /// this root reveals a subtree hidden at build time (`u64::MAX` when
     /// none): the cached bytes are valid strictly before it.
     next_reveal: u64,
+    /// The window's blocks in walk order (none when the root's children
+    /// were left out); shared, since copying a whole window keeps them.
+    blocks: Arc<[BlockMeta]>,
 }
 
 impl WindowMeta {
     fn valid_for(&self, key: &WindowKey, query_seq: u64) -> bool {
         self.key == *key && query_seq < self.next_reveal
+    }
+}
+
+/// The capture key of one block: a shown child of a window root and its
+/// descendants, keyed within the window at the same stack position.
+/// Everything a block's nodes depend on is here, in the context epoch,
+/// or in the query clock: the block's own widgets (stamped), the popups
+/// open inside it, and where the walk enters it — its row counter, which
+/// fixes every rectangle of the block modulo the window's rows, and
+/// whether the root's viewport leaves the block off-screen.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BlockKey {
+    root: WidgetId,
+    stamp: u64,
+    popups: Vec<WidgetId>,
+    /// The row counter at the block root modulo [`layout::window_rows`].
+    phase: i32,
+    offscreen: bool,
+}
+
+/// Per-block record of a cached window.
+#[derive(Debug, Clone)]
+struct BlockMeta {
+    key: BlockKey,
+    /// Node range `[start, end)` of the block, relative to its window's
+    /// first node.
+    start: usize,
+    end: usize,
+    /// Rows the block takes in the layout walk, its root's included.
+    rows: i32,
+    /// First query sequence at which a pending-children schedule inside
+    /// the block reveals a subtree hidden at build time (`u64::MAX` when
+    /// none).
+    next_reveal: u64,
+}
+
+/// What the block keys of one window read off the live tree besides
+/// their stamps.
+struct WindowScan {
+    /// `(block, popup)` for every open popup inside a block of the
+    /// window, in chain order.
+    popups: Vec<(WidgetId, WidgetId)>,
+    /// `(block, ready)` for every pending-children schedule under the
+    /// root that reveals after the query (`None`: the root's own).
+    reveals: Vec<(Option<WidgetId>, u64)>,
+}
+
+impl WindowScan {
+    fn new(tree: &UiTree, root: WidgetId, query_seq: u64) -> WindowScan {
+        let popups = tree
+            .open_popups()
+            .iter()
+            .filter_map(|&p| match tree.root_and_block_of(p) {
+                (r, Some(block)) if r == root => Some((block, p)),
+                _ => None,
+            })
+            .collect();
+        WindowScan { popups, reveals: tree.reveals_under(root, query_seq).collect() }
+    }
+
+    /// The open popups inside `block`, in chain order.
+    fn popups_in(&self, block: WidgetId) -> Vec<WidgetId> {
+        self.popups.iter().filter(|&&(b, _)| b == block).map(|&(_, p)| p).collect()
+    }
+
+    /// The next reveal inside `block`.
+    fn block_reveal(&self, block: WidgetId) -> u64 {
+        let inside = self.reveals.iter().filter(|&&(b, _)| b == Some(block));
+        inside.map(|&(_, ready)| ready).min().unwrap_or(u64::MAX)
+    }
+
+    /// The next reveal anywhere in the window.
+    fn window_reveal(&self) -> u64 {
+        self.reveals.iter().map(|&(_, ready)| ready).min().unwrap_or(u64::MAX)
+    }
+
+    /// The key of the block whose root the walk placed at `p` in the
+    /// window at stack position `wi`.
+    fn key(&self, tree: &UiTree, p: Placed, wi: usize) -> BlockKey {
+        BlockKey {
+            root: p.id,
+            stamp: tree.block_stamp(p.id),
+            popups: self.popups_in(p.id),
+            phase: p.row % layout::window_rows(wi),
+            offscreen: p.offscreen,
+        }
+    }
+}
+
+/// The recent captures a rebuild may copy from: those taken under the
+/// current context epoch.
+struct Donors<'a> {
+    entries: &'a [CachedCapture],
+    context_epoch: u64,
+}
+
+impl<'a> Donors<'a> {
+    /// Each donor's window at stack position `wi`, most recent first.
+    fn windows(&self, wi: usize) -> impl Iterator<Item = (&'a Snapshot, &'a WindowMeta)> + '_ {
+        self.entries
+            .iter()
+            .filter(|e| e.context_epoch == self.context_epoch)
+            .filter_map(move |e| Some((&*e.snap, e.windows.get(wi)?)))
+    }
+
+    /// A donor's block at stack position `wi` valid under `key`: its
+    /// snapshot, its window's first node and its record.
+    fn block(
+        &self,
+        wi: usize,
+        key: &BlockKey,
+        query_seq: u64,
+    ) -> Option<(&'a Snapshot, usize, &'a BlockMeta)> {
+        self.windows(wi).find_map(|(snap, m)| {
+            let b = m.blocks.iter().find(|b| b.key == *key && query_seq < b.next_reveal)?;
+            Some((snap, m.start, b))
+        })
+    }
+}
+
+/// The block bookkeeping of one window's cached walk: the donors its
+/// blocks may be copied from, and the record of every block so far.
+struct BlockWalk<'a> {
+    donors: &'a Donors<'a>,
+    scan: WindowScan,
+    /// The window's stack position.
+    wi: usize,
+    query_seq: u64,
+    /// The window's first node in the snapshot.
+    start: usize,
+    blocks: Vec<BlockMeta>,
+    /// The block being walked: its key, first node (relative to the
+    /// window's) and the row counter at its root.
+    open: Option<(BlockKey, usize, i32)>,
+    reused: u64,
+}
+
+impl<'a> BlockWalk<'a> {
+    /// Starts the bookkeeping of the window rooted at `root`, at stack
+    /// position `wi`, whose nodes start at snapshot index `start`.
+    fn new(
+        tree: &UiTree,
+        root: WidgetId,
+        wi: usize,
+        query_seq: u64,
+        start: usize,
+        donors: &'a Donors<'a>,
+    ) -> Self {
+        let scan = WindowScan::new(tree, root, query_seq);
+        BlockWalk { donors, scan, wi, query_seq, start, blocks: Vec::new(), open: None, reused: 0 }
+    }
+
+    /// The walk placed a block root at `p`, under the window's root node
+    /// `up`. Closes the block before it; then copies the block from a
+    /// donor that holds it, returning the row counter after it, or opens
+    /// it for walking and returns `None`.
+    fn enter(&mut self, tree: &UiTree, p: Placed, snap: &mut Snapshot, up: usize) -> Option<i32> {
+        self.close(snap.len(), p.row);
+        let key = self.scan.key(tree, p, self.wi);
+        let at = snap.len() - self.start;
+        let Some((src, src_start, b)) = self.donors.block(self.wi, &key, self.query_seq) else {
+            self.open = Some((key, at, p.row));
+            return None;
+        };
+        let (from, to) = (src_start + b.start, src_start + b.end);
+        snap.append_subtree_from(src, from, to, Some(up), self.wi);
+        let end = at + (b.end - b.start);
+        self.blocks.push(BlockMeta {
+            key,
+            start: at,
+            end,
+            rows: b.rows,
+            next_reveal: b.next_reveal,
+        });
+        self.reused += 1;
+        Some(p.row + b.rows)
+    }
+
+    /// Records the block being walked, if any, as ending before snapshot
+    /// index `end` with the row counter at `row`.
+    fn close(&mut self, end: usize, row: i32) {
+        if let Some((key, start, row0)) = self.open.take() {
+            let next_reveal = self.scan.block_reveal(key.root);
+            let end = end - self.start;
+            self.blocks.push(BlockMeta { key, start, end, rows: row - row0, next_reveal });
+        }
     }
 }
 
@@ -261,11 +490,19 @@ pub struct CaptureStats {
     pub captures: u64,
     /// Captures served in O(1) as a shared `Arc` to a previous build.
     pub full_hits: u64,
-    /// Windows whose node block was copied from a donor capture during a
-    /// partial rebuild.
+    /// Windows whose node block was copied whole from a donor capture
+    /// during a partial rebuild.
     pub windows_reused: u64,
-    /// Windows re-walked from the widget tree.
+    /// Windows at least partly walked from the widget tree: every window
+    /// of a rebuild not copied whole, though the walk may have copied
+    /// some of its blocks (counted in `blocks_reused`).
     pub windows_rebuilt: u64,
+    /// Blocks (a window root's child with its descendants) copied from a
+    /// donor capture inside a walked window.
+    pub blocks_reused: u64,
+    /// Widgets the layout walks of rebuilt windows visited: the capture's
+    /// work, copied blocks excluded.
+    pub nodes_walked: u64,
 }
 
 impl CaptureCache {
@@ -291,8 +528,8 @@ impl CaptureCache {
 
     /// Empties the MRU list after an application restart, then adopts the
     /// launch capture under `inst` from `launch` (see [`CaptureCache::seed`])
-    /// re-keyed against the fresh tree, when the table holds one and the
-    /// tree opens the same windows.
+    /// with its window and block keys re-read off the fresh tree, when the
+    /// table holds one and the tree opens the same windows.
     pub(crate) fn restart(
         &mut self,
         tree: &UiTree,
@@ -318,10 +555,23 @@ impl CaptureCache {
             .windows
             .iter()
             .zip(keys)
-            .map(|(m, key)| WindowMeta {
-                next_reveal: tree.next_reveal_under(key.root, query_seq),
-                key,
-                ..m.clone()
+            .map(|(m, key)| {
+                let scan = WindowScan::new(tree, key.root, query_seq);
+                let blocks = m.blocks.iter().map(|b| BlockMeta {
+                    key: BlockKey {
+                        stamp: tree.block_stamp(b.key.root),
+                        popups: scan.popups_in(b.key.root),
+                        ..b.key.clone()
+                    },
+                    next_reveal: scan.block_reveal(b.key.root),
+                    ..b.clone()
+                });
+                WindowMeta {
+                    next_reveal: scan.window_reveal(),
+                    blocks: blocks.collect(),
+                    key,
+                    ..m.clone()
+                }
             })
             .collect();
         let context_epoch = tree.context_epoch();
@@ -353,8 +603,8 @@ pub(crate) fn probe(
 }
 
 /// Builds the capture for the current tree state after [`probe`] missed:
-/// clean windows are copied from the best donor capture, dirty windows
-/// are re-walked.
+/// clean windows are copied whole from the best donor capture, dirty
+/// windows are re-walked, copying each clean block a donor holds.
 pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -364,19 +614,14 @@ pub(crate) fn rebuild(
     stats: &mut CaptureStats,
 ) -> Arc<Snapshot> {
     let context_epoch = tree.context_epoch();
+    let donors = Donors { entries: &cache.entries, context_epoch };
     let mut snap = Snapshot::new();
     let mut metas = Vec::with_capacity(keys.len());
     for (wi, key) in keys.iter().enumerate() {
-        let donor = cache.entries.iter().find_map(|e| {
-            if e.context_epoch != context_epoch {
-                return None;
-            }
-            let m = e.windows.get(wi)?;
-            m.valid_for(key, query_seq).then_some((&e.snap, m))
-        });
+        let donor = donors.windows(wi).find(|(_, m)| m.valid_for(key, query_seq));
         let meta = match donor {
             Some((donor_snap, m)) => {
-                let start = snap.append_window_from(donor_snap, m.start, m.end, wi);
+                let start = snap.append_subtree_from(donor_snap, m.start, m.end, None, wi);
                 let end = snap.len();
                 if m.rooted {
                     if key.modal {
@@ -387,18 +632,18 @@ pub(crate) fn rebuild(
                 }
                 stats.windows_reused += 1;
                 dmi_obs::tally("capture.windows_reused", 1);
-                WindowMeta {
-                    key: key.clone(),
-                    start,
-                    end,
-                    rooted: m.rooted,
-                    next_reveal: m.next_reveal,
-                }
+                WindowMeta { key: key.clone(), start, end, ..m.clone() }
             }
             None => {
+                let (meta, walked, reused) =
+                    rebuild_window(tree, inst, query_seq, key, wi, &mut snap, &donors);
                 stats.windows_rebuilt += 1;
+                stats.nodes_walked += walked;
+                stats.blocks_reused += reused;
                 dmi_obs::tally("capture.windows_rebuilt", 1);
-                rebuild_window(tree, inst, query_seq, key, wi, &mut snap)
+                dmi_obs::tally("capture.nodes_walked", walked);
+                dmi_obs::tally("capture.blocks_reused", reused);
+                meta
             }
         };
         metas.push(meta);
@@ -479,10 +724,11 @@ fn launch_capture(image: &UiTree, inst: &InstabilityModel) -> CachedCapture {
     let mut tree = image.clone();
     tree.reset_ui_state();
     let mut snap = Snapshot::new();
+    let donors = Donors { entries: &[], context_epoch: tree.context_epoch() };
     let windows = window_keys(&tree)
         .iter()
         .enumerate()
-        .map(|(wi, key)| rebuild_window(&tree, inst, 0, key, wi, &mut snap))
+        .map(|(wi, key)| rebuild_window(&tree, inst, 0, key, wi, &mut snap, &donors).0)
         .collect();
     CachedCapture { snap: Arc::new(snap), context_epoch: tree.context_epoch(), windows }
 }
@@ -601,6 +847,145 @@ mod tests {
         assert!(snap_names
             .iter()
             .any(|n| n != "Colors" && n.starts_with("Colors") || n == "Colors*"));
+    }
+
+    /// A main window of three blocks: a ribbon with a popup menu of two
+    /// items, a grid of 3 rows x 4 cells, and a status bar.
+    fn blocks() -> (UiTree, [WidgetId; 4]) {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        let ribbon = t.add(main, Widget::new("Ribbon", CT::Group));
+        let menu = t.add(ribbon, WidgetBuilder::new("Colors", CT::SplitButton).popup().build());
+        t.add(menu, Widget::new("Blue", CT::ListItem));
+        t.add(menu, Widget::new("Red", CT::ListItem));
+        let grid = t.add(main, Widget::new("Grid", CT::Table));
+        for r in 0..3 {
+            let row = t.add(grid, Widget::new(format!("Row {r}"), CT::DataItem));
+            for c in 0..4 {
+                t.add(row, Widget::new(format!("R{r}C{c}"), CT::DataItem));
+            }
+        }
+        let status = t.add(main, Widget::new("Status", CT::StatusBar));
+        t.add(status, Widget::new("Ready", CT::Text));
+        (t, [main, menu, grid, status])
+    }
+
+    /// Captures `t` at `query_seq` through `cache`, the way a cached
+    /// session does, without comparing it to the eager build.
+    fn cached(
+        t: &UiTree,
+        query_seq: u64,
+        cache: &mut CaptureCache,
+        stats: &mut CaptureStats,
+    ) -> Arc<Snapshot> {
+        let inst = InstabilityModel::off();
+        probe(t, query_seq, cache)
+            .unwrap_or_else(|keys| rebuild(t, &inst, query_seq, keys, cache, stats))
+    }
+
+    /// [`cached`], asserted byte-identical to the eager build.
+    fn capture(
+        t: &UiTree,
+        query_seq: u64,
+        cache: &mut CaptureCache,
+        stats: &mut CaptureStats,
+    ) -> Arc<Snapshot> {
+        let snap = cached(t, query_seq, cache, stats);
+        assert_eq!(*snap, build(t, &InstabilityModel::off(), query_seq), "query {query_seq}");
+        snap
+    }
+
+    fn rect_of(s: &Snapshot, name: &str) -> dmi_uia::Rect {
+        s.node(s.find_by_name(name).unwrap()).props.rect
+    }
+
+    #[test]
+    fn stamped_mutation_in_one_block_copies_its_siblings() {
+        let (mut t, [_, _, grid, _]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        capture(&t, 1, &mut cache, &mut stats);
+        let all = t.len() as u64 - 2; // the closed menu's items are not shown
+        assert_eq!((stats.windows_rebuilt, stats.blocks_reused, stats.nodes_walked), (1, 0, all));
+        // A cell write stamps the grid's block only: the ribbon and the
+        // status bar are copied, the root and the grid walked.
+        let cell = t.find_by_name("R1C2").unwrap();
+        t.widget_mut(cell).value = "42".into();
+        let snap = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(snap.node(snap.find_by_name("R1C2").unwrap()).props.value, "42");
+        let grid_nodes = 1 + 3 * 5;
+        assert_eq!(stats.windows_rebuilt, 2);
+        assert_eq!(stats.blocks_reused, 2, "ribbon and status bar copied");
+        assert_eq!(stats.nodes_walked, all + 1 + grid_nodes, "root and grid walked");
+        // A grid write again: the previous capture's sibling blocks serve.
+        t.widget_mut(grid).help_text = "cells".into();
+        capture(&t, 3, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 4);
+        // A root write re-walks the root alone: every block is clean.
+        let root = t.main_root();
+        t.widget_mut(root).help_text = "main".into();
+        capture(&t, 4, &mut cache, &mut stats);
+        assert_eq!((stats.blocks_reused, stats.nodes_walked), (7, all + 2 * (1 + grid_nodes) + 1));
+    }
+
+    #[test]
+    fn a_popup_in_an_earlier_block_shifts_the_later_blocks() {
+        let (mut t, [_, menu, _, status]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        let base = capture(&t, 1, &mut cache, &mut stats);
+        // Opening the menu adds two rows to the ribbon's block: the grid
+        // and the status bar start two rows later and must not be served
+        // at their old rects.
+        t.open_popup(menu);
+        let open = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 0, "every block's key moved");
+        assert_eq!(rect_of(&open, "R0C0").y, rect_of(&base, "R0C0").y + 2 * layout::ROW_H);
+        assert_eq!(rect_of(&open, "Ready").y, rect_of(&base, "Ready").y + 2 * layout::ROW_H);
+        // Closing it returns to the base capture whole.
+        t.collapse_popup(menu);
+        assert!(Arc::ptr_eq(&capture(&t, 3, &mut cache, &mut stats), &base));
+        // A write in the last block leaves the earlier ones in place.
+        t.widget_mut(status).value = "Busy".into();
+        capture(&t, 4, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 2, "ribbon and grid copied");
+    }
+
+    #[test]
+    fn a_late_load_inside_a_copied_block_reveals_at_its_query() {
+        let (mut t, [_, menu, grid, _]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        t.open_popup(menu);
+        t.set_pending_children(menu, 4);
+        let lag = capture(&t, 1, &mut cache, &mut stats);
+        assert!(lag.find_by_name("Blue").is_none());
+        // A grid write before the reveal copies the ribbon, still loading.
+        t.widget_mut(grid).help_text = "cells".into();
+        let copied = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 2);
+        assert!(copied.find_by_name("Blue").is_none());
+        assert!(Arc::ptr_eq(&capture(&t, 3, &mut cache, &mut stats), &copied));
+        // The reveal query re-walks the ribbon alone, items included.
+        let revealed = capture(&t, 4, &mut cache, &mut stats);
+        assert!(revealed.find_by_name("Blue").is_some());
+        assert_eq!(stats.blocks_reused, 4, "grid and status bar copied at the reveal");
+    }
+
+    #[test]
+    fn an_unstamped_relabel_in_a_clean_block_serves_stale_bytes() {
+        // The blast radius of a provider that lies to its stamps: a block
+        // copied after an unstamped relabel keeps the old name, and only
+        // the eager oracle tells.
+        let (mut t, [_, _, grid, status]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        capture(&t, 1, &mut cache, &mut stats);
+        let ready = t.widget(status).children[0];
+        t.relabel_unstamped(ready, "Stale");
+        t.widget_mut(grid).help_text = "cells".into();
+        let snap = cached(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 2);
+        assert!(snap.find_by_name("Ready").is_some(), "the copied block keeps the old name");
+        let oracle = build(&t, &InstabilityModel::off(), 2);
+        assert!(oracle.find_by_name("Stale").is_some());
+        assert_ne!(*snap, oracle, "the oracle flags the stale block");
     }
 
     #[test]

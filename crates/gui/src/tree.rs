@@ -59,20 +59,23 @@ pub struct UiTree {
     /// whether pressing Esc can reach a launch-equivalent state or a full
     /// restart is required (§4.1 state restoration).
     state_epoch: u64,
-    /// Monotonic clock issuing per-window mutation stamps (see
+    /// Monotonic clock issuing mutation stamps (see
     /// [`UiTree::window_stamp`]). Shared across roots so stamps are
     /// totally ordered within one tree lineage.
     view_clock: u64,
-    /// Stamp of the last *snapshot-visible* mutation per arena root:
-    /// widget property writes, arena growth, tab/item selection, and
-    /// pending-children schedules under that root. Popup expansion and
-    /// the window stack are deliberately NOT stamped — they are keyed
-    /// structurally (open-popup chain, open-window stack) by the capture
-    /// cache, so transient open+close sequences return to a cache hit.
-    window_stamps: BTreeMap<WidgetId, u64>,
-    /// Floor value reported for roots with no stamp on record. Advanced
-    /// past every issued stamp on `clone_from` (a wholesale restore), so
-    /// capture keys recorded before a reset can never validate after it.
+    /// Stamp of the last *snapshot-visible* mutation per arena root and
+    /// per block (a root's child with its descendants; see
+    /// [`UiTree::block_stamp`]): widget property writes, arena growth,
+    /// tab/item selection, and pending-children schedules under it. Popup
+    /// expansion and the window stack are deliberately NOT stamped — they
+    /// are keyed structurally (open-popup chain, open-window stack) by the
+    /// capture cache, so transient open+close sequences return to a cache
+    /// hit.
+    stamps: BTreeMap<WidgetId, u64>,
+    /// Floor value reported for roots and blocks with no stamp on record.
+    /// Advanced past every issued stamp on `clone_from` (a wholesale
+    /// restore) and `refloor_stamps`, so capture keys recorded before
+    /// either can never validate after it.
     stamp_floor: u64,
     /// Bumped whenever the active-context set changes. Contexts gate
     /// `visible_when` widgets in *any* window, so this is a global key
@@ -89,7 +92,7 @@ impl Clone for UiTree {
             open_popups: self.open_popups.clone(),
             contexts: self.contexts.clone(),
             pending_children: self.pending_children.clone(),
-            window_stamps: self.window_stamps.clone(),
+            stamps: self.stamps.clone(),
             ..*self
         }
     }
@@ -116,7 +119,7 @@ impl Clone for UiTree {
             pending_children,
             state_epoch,
             view_clock,
-            window_stamps: _, // Superseded: every stamp re-floors below.
+            stamps: _, // Superseded: every stamp re-floors below.
             stamp_floor: _,
             context_epoch,
         } = src;
@@ -135,9 +138,8 @@ impl Clone for UiTree {
             self.pending_children = pending_children.clone();
         }
         self.state_epoch = self.state_epoch.max(*state_epoch) + 1;
-        self.view_clock = self.view_clock.max(*view_clock) + 1;
-        self.stamp_floor = self.view_clock;
-        self.window_stamps.clear();
+        self.view_clock = self.view_clock.max(*view_clock);
+        self.refloor_stamps();
         self.context_epoch = self.context_epoch.max(*context_epoch) + 1;
     }
 }
@@ -148,13 +150,27 @@ impl UiTree {
         UiTree::default()
     }
 
-    /// Stamps the window (arena root) containing `id` with a fresh view
-    /// tick: any snapshot or layout of that window cached against an
-    /// earlier stamp is stale.
+    /// Stamps the window (arena root) containing `id`, and the block
+    /// containing it unless `id` is the root, with a fresh view tick: any
+    /// capture of that window or block cached against an earlier stamp
+    /// is stale.
     fn stamp(&mut self, id: WidgetId) {
-        let root = self.root_of(id);
+        let (root, block) = self.root_and_block_of(id);
         self.view_clock += 1;
-        self.window_stamps.insert(root, self.view_clock);
+        self.stamps.insert(root, self.view_clock);
+        if let Some(block) = block {
+            self.stamps.insert(block, self.view_clock);
+        }
+    }
+
+    /// Drops the stamp history: every window and block reads one fresh
+    /// floor past every stamp issued, as after a wholesale restore, so no
+    /// capture keyed before validates after. A launch image does this
+    /// once, so its forks clone an empty stamp table.
+    pub fn refloor_stamps(&mut self) {
+        self.view_clock += 1;
+        self.stamp_floor = self.view_clock;
+        self.stamps.clear();
     }
 
     /// Copy-on-write access to one arena slot: the slot's chunk is copied
@@ -165,9 +181,11 @@ impl UiTree {
     }
 
     /// Writes a widget's `selected` flag, copying nothing when the flag
-    /// already holds `on`.
+    /// already holds `on`. A write stamps the widget: a sibling of the
+    /// selected widget may lie in another block.
     fn set_selected(&mut self, id: WidgetId, on: bool) {
         if self.widget(id).selected != on {
+            self.stamp(id);
             self.slot_mut(id).selected = on;
         }
     }
@@ -272,8 +290,22 @@ impl UiTree {
     /// open+close sequences compare equal again. Two equal readings (with
     /// equal popup chains and context epoch) prove the window's snapshot
     /// subtree and layout rows are byte-identical.
+    ///
+    /// Every mutation that stamps a window also stamps the block it lands
+    /// in ([`UiTree::block_stamp`]), unless it lands on the root itself.
     pub fn window_stamp(&self, root: WidgetId) -> u64 {
-        self.window_stamps.get(&root).copied().unwrap_or(self.stamp_floor)
+        self.stamps.get(&root).copied().unwrap_or(self.stamp_floor)
+    }
+
+    /// The stamp of the last snapshot-visible mutation inside the block
+    /// rooted at `block`, a child of a window root: the same ticks as
+    /// [`UiTree::window_stamp`], recorded on the block each one lands in.
+    /// Two equal readings (with equal popups inside the block, context
+    /// epoch, row counter at the block root modulo the window's rows, and
+    /// off-screen flag of the block root) prove the block's snapshot nodes
+    /// are byte-identical, wherever the window around it changed.
+    pub fn block_stamp(&self, block: WidgetId) -> u64 {
+        self.stamps.get(&block).copied().unwrap_or(self.stamp_floor)
     }
 
     /// The active-context epoch: bumped whenever the context set changes
@@ -290,18 +322,24 @@ impl UiTree {
         self.open_popups.iter().copied().filter(|&p| self.root_of(p) == root).collect()
     }
 
-    /// The earliest query sequence at which a pending-children schedule
-    /// under `root` will reveal a subtree that is hidden at `query_seq`
-    /// (`u64::MAX` when none is outstanding). A snapshot of this window
-    /// built at `query_seq` stays observably identical to an eager rebuild
-    /// for every query strictly before the returned value.
-    pub fn next_reveal_under(&self, root: WidgetId, query_seq: u64) -> u64 {
-        self.pending_children
-            .iter()
-            .filter(|&(&id, &ready)| ready > query_seq && self.root_of(id) == root)
-            .map(|(_, &ready)| ready)
-            .min()
-            .unwrap_or(u64::MAX)
+    /// The pending-children schedules under `root` that reveal a subtree
+    /// hidden at `query_seq`, as `(block, ready)`: the block holding the
+    /// loading container (`None` for the root itself) and the query
+    /// sequence at which its children appear. Nodes of a window or block
+    /// captured at `query_seq` stay observably identical to an eager
+    /// rebuild for every query strictly before the earliest `ready` inside
+    /// it.
+    pub(crate) fn reveals_under(
+        &self,
+        root: WidgetId,
+        query_seq: u64,
+    ) -> impl Iterator<Item = (Option<WidgetId>, u64)> + '_ {
+        self.pending_children.iter().filter(move |&(_, &ready)| ready > query_seq).filter_map(
+            move |(&id, &ready)| {
+                let (r, block) = self.root_and_block_of(id);
+                (r == root).then_some((block, ready))
+            },
+        )
     }
 
     /// Iterates over all widgets with ids.
@@ -451,11 +489,20 @@ impl UiTree {
 
     /// The arena root above `id`.
     pub fn root_of(&self, id: WidgetId) -> WidgetId {
-        let mut cur = id;
+        self.root_and_block_of(id).0
+    }
+
+    /// The arena root above `id` and the block `id` lies in: its ancestor
+    /// (or itself) that is a child of the root, `None` when `id` is the
+    /// root. A block is the unit of capture reuse inside a window (see
+    /// [`UiTree::block_stamp`]).
+    pub fn root_and_block_of(&self, id: WidgetId) -> (WidgetId, Option<WidgetId>) {
+        let (mut cur, mut block) = (id, None);
         while let Some(p) = self.widget(cur).parent {
+            block = Some(cur);
             cur = p;
         }
-        cur
+        (cur, block)
     }
 
     /// The open-window root containing `id`, if its root is open.
@@ -572,15 +619,10 @@ impl UiTree {
             self.contexts.clear();
             self.context_epoch += 1;
         }
-        if !self.pending_children.is_empty() {
-            // Dropping a schedule re-reveals hidden subtrees: stamp every
-            // window that had one outstanding.
-            let roots: Vec<WidgetId> =
-                self.pending_children.keys().map(|&id| self.root_of(id)).collect();
-            self.pending_children.clear();
-            for root in roots {
-                self.stamp(root);
-            }
+        // Dropping a schedule re-reveals hidden subtrees: stamp every
+        // window and block that had one outstanding.
+        for id in std::mem::take(&mut self.pending_children).into_keys() {
+            self.stamp(id);
         }
     }
 }
@@ -765,6 +807,48 @@ mod tests {
     }
 
     #[test]
+    fn block_stamps_track_visible_mutations_per_block() {
+        let (mut t, main, tabs, home, insert) = tree();
+        let status = t.add(main, Widget::new("Status", CT::StatusBar));
+        let ready = t.add(status, Widget::new("Ready", CT::Text));
+        assert_eq!(t.root_and_block_of(ready), (main, Some(status)));
+        assert_eq!(t.root_and_block_of(tabs), (main, Some(tabs)));
+        assert_eq!(t.root_and_block_of(main), (main, None));
+        let (w0, r0, s0) = (t.window_stamp(main), t.block_stamp(tabs), t.block_stamp(status));
+        // A write stamps its window and its block, not the sibling block.
+        t.widget_mut(ready).value = "Busy".into();
+        assert!(t.window_stamp(main) > w0 && t.block_stamp(status) > s0);
+        assert_eq!(t.block_stamp(tabs), r0, "the ribbon's block is clean");
+        // A write to the root stamps the window alone.
+        let (w1, s1) = (t.window_stamp(main), t.block_stamp(status));
+        t.widget_mut(main).help_text = "main".into();
+        assert!(t.window_stamp(main) > w1);
+        assert_eq!((t.block_stamp(tabs), t.block_stamp(status)), (r0, s1));
+        // Selecting a tab stamps its block.
+        t.select_tab(insert);
+        assert!(t.block_stamp(tabs) > r0);
+        assert_eq!(t.block_stamp(status), s1);
+        // Tabs that are themselves blocks: each deselected one is stamped.
+        let t1 = t.add(main, WidgetBuilder::new("T1", CT::TabItem).selected().build());
+        let t2 = t.add(main, Widget::new("T2", CT::TabItem));
+        let before = t.block_stamp(t1);
+        t.select_tab(t2);
+        assert!(t.block_stamp(t1) > before, "the deselected tab's block is stamped");
+        // A restore re-floors every block stamp past both trees.
+        let image = t.clone();
+        t.widget_mut(home).enabled = false;
+        let dirty = t.block_stamp(tabs);
+        t.clone_from(&image);
+        assert!(t.block_stamp(tabs) > dirty.max(image.block_stamp(tabs)));
+        assert!(t.block_stamp(status) > image.block_stamp(status));
+        // Dropping a late-load schedule stamps the block that held it.
+        t.set_pending_children(status, 9);
+        let pending = t.block_stamp(status);
+        t.reset_ui_state();
+        assert!(t.block_stamp(status) > pending);
+    }
+
+    #[test]
     fn context_epoch_moves_only_on_actual_changes() {
         let (mut t, ..) = tree();
         let c0 = t.context_epoch();
@@ -842,9 +926,10 @@ mod tests {
         let dlg = t.add_root(Widget::new("Dialog", CT::Window));
         let menu = t.add(main, WidgetBuilder::new("Colors", CT::SplitButton).popup().build());
         t.set_pending_children(menu, 7);
-        assert_eq!(t.next_reveal_under(main, 3), 7);
-        assert_eq!(t.next_reveal_under(main, 7), u64::MAX, "already revealed");
-        assert_eq!(t.next_reveal_under(dlg, 3), u64::MAX, "other windows unaffected");
+        let reveals = |root, q| t.reveals_under(root, q).collect::<Vec<_>>();
+        assert_eq!(reveals(main, 3), [(Some(menu), 7)]);
+        assert_eq!(reveals(main, 7), [], "already revealed");
+        assert_eq!(reveals(dlg, 3), [], "other windows unaffected");
     }
 
     #[test]

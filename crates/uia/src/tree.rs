@@ -8,15 +8,17 @@
 
 use crate::index::SnapIndex;
 use crate::{ControlId, ControlKey, ControlProps, RuntimeId};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One control in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Snapshot-unique runtime id.
     pub runtime_id: RuntimeId,
-    /// Property bag.
-    pub props: ControlProps,
+    /// Property bag, shared by the copies of this node that incremental
+    /// providers carry into later snapshots
+    /// ([`Snapshot::append_subtree_from`]).
+    pub props: Arc<ControlProps>,
     /// Index of the parent node in the arena, `None` for roots.
     pub parent: Option<usize>,
     /// Indices of child nodes, in z/document order.
@@ -61,6 +63,7 @@ impl Snapshot {
         self.index.take();
         let idx = self.nodes.len();
         let runtime_id = RuntimeId(idx as u64 + 1);
+        let props = Arc::new(props);
         self.nodes.push(Node { runtime_id, props, parent, children: Vec::new(), window });
         if let Some(p) = parent {
             self.nodes[p].children.push(idx);
@@ -68,40 +71,47 @@ impl Snapshot {
         idx
     }
 
-    /// Appends a copy of the node range `start..end` from another snapshot,
-    /// remapping parent/child indices and retagging the nodes with the
-    /// given top-level `window` ordinal. Returns the arena index of the
-    /// first copied node (the subtree root when the range is one window's
-    /// contiguous DFS block).
+    /// Appends a copy of the node range `start..end` from another snapshot
+    /// under `parent` (`None` for a window root), remapping parent/child
+    /// indices and retagging the nodes with the given top-level `window`
+    /// ordinal. Returns the arena index of the first copied node.
     ///
     /// Providers that rebuild snapshots incrementally use this to carry an
-    /// unchanged window's subtree — rectangles, runtime ids, and all —
-    /// from the previous capture instead of re-walking the widget tree.
-    /// The range must be self-contained: every in-range node's parent is
-    /// either in range or `None`, as is the case for the contiguous block
-    /// a window's DFS emits.
-    pub fn append_window_from(
+    /// unchanged subtree — a whole window or one of its blocks, with
+    /// rectangles, runtime ids, and all — from an earlier capture instead
+    /// of re-walking the widget tree. The range must be one subtree's
+    /// contiguous DFS block: the first node is its root, and every other
+    /// node's parent lies in range.
+    pub fn append_subtree_from(
         &mut self,
         src: &Snapshot,
         start: usize,
         end: usize,
+        parent: Option<usize>,
         window: usize,
     ) -> usize {
         self.index.take();
         let base = self.nodes.len();
+        self.nodes.reserve(end - start);
         for i in start..end {
             let n = &src.nodes[i];
-            debug_assert!(
-                n.parent.is_none_or(|p| (start..end).contains(&p)),
-                "copied window range must be self-contained"
-            );
+            let up = if i == start {
+                parent
+            } else {
+                let p = n.parent.expect("a copied subtree has one root");
+                debug_assert!((start..end).contains(&p), "copied subtree must be self-contained");
+                Some(p - start + base)
+            };
             self.nodes.push(Node {
                 runtime_id: n.runtime_id,
-                props: n.props.clone(),
-                parent: n.parent.map(|p| p - start + base),
+                props: Arc::clone(&n.props),
+                parent: up,
                 children: n.children.iter().map(|&c| c - start + base).collect(),
                 window,
             });
+        }
+        if let Some(p) = parent.filter(|_| end > start) {
+            self.nodes[p].children.push(base);
         }
         base
     }
@@ -286,6 +296,23 @@ mod tests {
         let s = sample();
         assert_eq!(s.find_by_name("Bold"), Some(3));
         assert_eq!(s.find_all(|n| n.props.control_type == ControlType::Group), vec![2]);
+    }
+
+    #[test]
+    fn subtree_copy_relinks_under_the_given_parent() {
+        let src = sample();
+        let mut s = Snapshot::new();
+        let w = s.push(ControlProps::new("Other", ControlType::Window), None, 1);
+        s.push(ControlProps::new("First", ControlType::Button), Some(w), 1);
+        let tab = s.append_subtree_from(&src, 1, 4, Some(w), 1);
+        assert_eq!(tab, 2);
+        assert_eq!(s.node(w).children, vec![1, 2]);
+        assert_eq!(s.node(tab).parent, Some(w));
+        assert_eq!(s.node(3).children, vec![4]);
+        assert_eq!(s.node(4).parent, Some(3));
+        assert!(s.iter().all(|(_, n)| n.window == 1));
+        assert_eq!(s.node(4).props, src.node(3).props);
+        assert_eq!(s.ancestor_path(4), "Other/Home/Font");
     }
 
     #[test]

@@ -70,5 +70,13 @@ fn main() {
     for (name, v) in &tallies {
         println!("  {name:<28} {v}");
     }
+    let tally = |name: &str| tallies.get(name).copied().unwrap_or(0);
+    println!(
+        "capture work: {} windows walked (at least partly), {} blocks copied inside them, \
+         {} widgets walked\n",
+        tally("capture.windows_rebuilt"),
+        tally("capture.blocks_reused"),
+        tally("capture.nodes_walked")
+    );
     println!("{}", trace.text_summary());
 }

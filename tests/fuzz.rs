@@ -108,10 +108,13 @@ fn fault_esc_side_effect_flagged_and_shrunk() {
     // so the mangle survives to the captures. Clicking the dialog's
     // cancel button runs the side effect *during* the click; the mangle
     // counter then differs between Esc recovery (accumulates) and
-    // restart-replay (reset each time), and the bytes follow.
-    let trigger = [ArenaOp::Button(9), ArenaOp::Dialog(0), ArenaOp::Button(1)];
+    // restart-replay (reset each time), and the bytes follow. The other
+    // controls are list items: a command button's click is a stamped
+    // write, after which the ripper restarts rather than trust Esc, and
+    // every restart clears the mangle.
+    let trigger = [ArenaOp::Button(9), ArenaOp::Dialog(0), ArenaOp::Item(1)];
     let mut ops = trigger.to_vec();
-    ops.extend((10..24).map(ArenaOp::Button));
+    ops.extend((10..24).map(ArenaOp::Item));
     let base = AppSpec { ops, faults };
     assert_shrinks(&base, |s| check_esc_recovery(s).is_some(), |_| true);
 }
@@ -159,6 +162,67 @@ fn adversarial_forks_share_one_exact_launch_capture() {
     assert_eq!(cached.capture_stats().full_hits, 1, "the first restart adopts the capture");
     assert!(leaked.find_by_name("Button 1 #1").is_some(), "the reset leaked");
     assert!(*stale != *leaked, "the adopted capture serves stale bytes");
+}
+
+/// A command button's click flips its own toggle, a stamped write inside
+/// the button's block: a cached session copies the window's other
+/// blocks, and every capture equals a full rebuild's, toggles included.
+#[test]
+fn stamped_commands_copy_the_other_blocks() {
+    let spec = AppSpec::new((0..6).map(ArenaOp::Button).collect());
+    let (cached, eager) = walk_cached_and_eager(&spec, 7, 24);
+    let stats = cached.capture_stats();
+    assert!(stats.blocks_reused >= 5, "every click copies the other buttons: {stats:?}");
+    let toggled = |s: &Session| {
+        let t = s.app().tree();
+        t.widget(t.main_root()).children.iter().filter(|&&b| t.widget(b).toggle.is_some()).count()
+    };
+    assert!(toggled(&cached) > 0 && toggled(&cached) == toggled(&eager));
+}
+
+/// Drives a cached and a full-rebuild session over `spec` through the
+/// same `steps` random inputs — clicks on shown controls, Esc presses,
+/// restarts — and asserts every capture byte-identical between them.
+fn walk_cached_and_eager(spec: &AppSpec, seed: u64, steps: usize) -> (Session, Session) {
+    let mut cached = Session::new(AdversarialApp::launch(spec.clone()));
+    let mut eager = Session::new(AdversarialApp::launch(spec.clone()));
+    eager.set_capture_config(CaptureConfig::full_rebuild());
+    let mut rng = SplitMix(seed);
+    for step in 0..steps {
+        let snap = cached.snapshot();
+        assert!(*snap == *eager.snapshot(), "seed {seed} step {step}: {spec:?}");
+        match rng.below(8) {
+            0 => {
+                cached.restart();
+                eager.restart();
+            }
+            1 => {
+                let _ = (cached.press("Esc"), eager.press("Esc"));
+            }
+            _ => {
+                let idx = rng.below(snap.len());
+                let id = cached.widget_of(snap.node(idx).runtime_id);
+                assert_eq!(cached.click(id).is_ok(), eager.click(id).is_ok());
+            }
+        }
+    }
+    (cached, eager)
+}
+
+/// Release-gated: random input walks over a seeded clean corpus, whose
+/// command clicks are stamped writes, keep every cached capture (block
+/// copies included) byte-identical to a full rebuild's, and the cached
+/// rips equal the full-rebuild rips.
+#[test]
+#[ignore = "long corpus; run with --release -- --ignored"]
+fn clean_specs_copy_blocks_exactly_100_seeds() {
+    let mut reused = 0;
+    for seed in 3000..3100u64 {
+        let spec = AppSpec::generate(seed, 20);
+        reused += walk_cached_and_eager(&spec, seed, 64).0.capture_stats().blocks_reused;
+        assert_eq!(check_cached_capture(&spec), None, "clean spec from seed {seed} diverged");
+    }
+    assert!(reused > 0, "the walks copy blocks");
 }
 
 // ---------------------------------------------------------------------

@@ -299,6 +299,8 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(cs.full_hits, t("capture.full_hits"), "full hits");
     assert_eq!(cs.windows_reused, t("capture.windows_reused"), "windows reused");
     assert_eq!(cs.windows_rebuilt, t("capture.windows_rebuilt"), "windows rebuilt");
+    assert_eq!(cs.blocks_reused, t("capture.blocks_reused"), "blocks reused");
+    assert_eq!(cs.nodes_walked, t("capture.nodes_walked"), "nodes walked");
 }
 
 /// Launch captures are built once per launch image and name-variation
@@ -328,6 +330,7 @@ fn launch_captures_build_once_per_image_and_model() {
     assert_eq!(t("capture.captures"), 6);
     assert_eq!(t("capture.full_hits"), 6, "every first capture is a full hit");
     assert_eq!(t("capture.windows_rebuilt"), 0, "no session walks a window");
+    assert_eq!(t("capture.nodes_walked"), 0, "nor a widget");
 }
 
 /// The fleet-side drift cross-check: the per-entry stats, summed over the
