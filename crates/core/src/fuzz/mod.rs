@@ -17,7 +17,8 @@
 //!   stamps the capture caches trust, run Esc-time side effects, or
 //!   panic mid-dispatch.
 //! - [`oracle`] runs the differential oracles — fleet vs solo UNG bytes,
-//!   Esc recovery vs full restart, cached vs full-rebuild captures — and
+//!   Esc recovery vs full restart, cached vs full-rebuild captures (rip
+//!   UNGs, and every snapshot of a lockstep input walk) — and
 //!   reports the first [`Divergence`], naming the window and control
 //!   where the bytes first disagree (or the contained
 //!   [`crate::error::RipError`] of a failed fleet entry).
@@ -63,6 +64,7 @@ pub fn silence_injected_panics() {
 
 pub use gen::{AdversarialApp, AppSpec, ArenaOp, FaultPlan};
 pub use oracle::{
-    check_cached_capture, check_esc_recovery, check_fleet, check_spec, Divergence, OracleKind,
+    check_cached_capture, check_esc_recovery, check_fleet, check_spec, walk_cached_and_eager,
+    Divergence, OracleKind,
 };
 pub use shrink::shrink_ops;

@@ -7,12 +7,20 @@
 //! engines themselves pin). On mismatch it walks the graphs for the
 //! first node whose identity differs and reports a [`Divergence`]
 //! naming the window and control where the bytes first disagree.
+//!
+//! The UNG carries no rectangle, off-screen flag, toggle or value, so the
+//! capture-cache axis also compares snapshots: [`walk_cached_and_eager`]
+//! drives a cached and a full-rebuild session in lockstep through seeded
+//! inputs and byte-compares every capture.
 
 use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
 use crate::ripper::{rip, RipConfig};
 use crate::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_gui::{CaptureConfig, Session};
+use dmi_uia::Snapshot;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Which differential axis an oracle exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +30,8 @@ pub enum OracleKind {
     /// Esc-based state recovery vs full restart-replay.
     EscRecovery,
     /// Cached captures (MRU, the adopted launch capture included) vs full
-    /// rebuilds.
+    /// rebuilds, compared as rip UNGs and as the snapshots of an input
+    /// walk.
     CachedCapture,
 }
 
@@ -59,15 +68,101 @@ fn rip_with(spec: &AppSpec, capture: CaptureConfig, config: &RipConfig) -> Ung {
     rip(&mut s, config).0
 }
 
+/// The seed of the input walk [`check_cached_capture`] runs.
+const WALK_SEED: u64 = 1;
+/// The inputs that walk takes.
+const WALK_STEPS: usize = 64;
+
 /// Cached captures (MRU probes, including the image's launch capture a
 /// restart adopts into the MRU) must serve the same bytes a from-scratch
-/// rebuild produces. Catches lying launch-capture tables and unstamped
-/// relabels — the two fault classes that desynchronize the cache's trust
-/// anchors from the real tree.
+/// rebuild produces: the same rip UNG, and the same snapshot at every
+/// step of a seeded input walk ([`walk_cached_and_eager`]), rects,
+/// toggles and values included. Catches lying launch-capture tables and
+/// unstamped relabels — the two fault classes that desynchronize the
+/// cache's trust anchors from the real tree — and block copies served
+/// under a key that misses what their bytes depend on.
 pub fn check_cached_capture(spec: &AppSpec) -> Option<Divergence> {
     let cached = rip_with(spec, CaptureConfig::default(), &RipConfig::default());
     let rebuilt = rip_with(spec, CaptureConfig::full_rebuild(), &RipConfig::default());
     diff_graphs(OracleKind::CachedCapture, &cached, &rebuilt)
+        .or_else(|| walk_cached_and_eager(spec, WALK_SEED, WALK_STEPS).err())
+}
+
+/// Drives a cached and a full-rebuild session over fresh launches of
+/// `spec` through the same `steps` seeded inputs — clicks on shown
+/// controls, Esc presses, restarts — and byte-compares their captures
+/// before every step. Returns both sessions, or the first step whose
+/// captures (or click results) differ.
+pub fn walk_cached_and_eager(
+    spec: &AppSpec,
+    seed: u64,
+    steps: usize,
+) -> Result<(Session, Session), Divergence> {
+    let mut cached = Session::new(AdversarialApp::launch(spec.clone()));
+    let mut eager = Session::new(AdversarialApp::launch(spec.clone()));
+    eager.set_capture_config(CaptureConfig::full_rebuild());
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for step in 0..steps {
+        let snap = cached.snapshot();
+        let oracle = eager.snapshot();
+        if *snap != *oracle {
+            return Err(diff_captures(step, &snap, &oracle));
+        }
+        match rng.gen_range(0..8u32) {
+            0 => {
+                cached.restart();
+                eager.restart();
+            }
+            1 => {
+                let _ = (cached.press("Esc"), eager.press("Esc"));
+            }
+            _ => {
+                let idx = rng.gen_range(0..snap.len());
+                let id = cached.widget_of(snap.node(idx).runtime_id);
+                let (a, b) = (cached.click(id), eager.click(id));
+                if a.is_ok() != b.is_ok() {
+                    return Err(Divergence {
+                        oracle: OracleKind::CachedCapture,
+                        window: window_of(&snap, idx),
+                        control: snap.node(idx).props.name.clone(),
+                        detail: format!("step {step}: the clicks returned {a:?} vs {b:?}"),
+                    });
+                }
+            }
+        }
+    }
+    Ok((cached, eager))
+}
+
+/// The name of the window that holds node `idx` of `snap`.
+fn window_of(snap: &Snapshot, idx: usize) -> String {
+    let root = snap.windows().get(snap.node(idx).window);
+    root.map_or_else(|| String::from("(no window)"), |&r| snap.node(r).props.name.clone())
+}
+
+/// Names the first node at which a cached capture and a full rebuild's
+/// differ, or summarizes their structure when every shared node agrees.
+fn diff_captures(step: usize, cached: &Snapshot, rebuilt: &Snapshot) -> Divergence {
+    let shared = cached.len().min(rebuilt.len());
+    let (window, control, detail) = match (0..shared).find(|&i| cached.node(i) != rebuilt.node(i)) {
+        Some(i) => (
+            window_of(cached, i),
+            cached.node(i).props.name.clone(),
+            format!("step {step}: node {i}: {:?} vs {:?}", cached.node(i), rebuilt.node(i)),
+        ),
+        None => (
+            String::from("(structure)"),
+            String::from("(structure)"),
+            format!(
+                "step {step}: {} nodes in {} windows vs {} nodes in {} windows",
+                cached.len(),
+                cached.windows().len(),
+                rebuilt.len(),
+                rebuilt.windows().len()
+            ),
+        ),
+    };
+    Divergence { oracle: OracleKind::CachedCapture, window, control, detail }
 }
 
 /// Esc-based recovery must land in the same state a full restart-replay
@@ -175,7 +270,7 @@ fn diff_graphs(oracle: OracleKind, a: &Ung, b: &Ung) -> Option<Divergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::gen::ArenaOp;
+    use crate::fuzz::gen::{ArenaOp, FaultPlan};
 
     #[test]
     fn clean_specs_pass_every_oracle() {
@@ -204,5 +299,18 @@ mod tests {
             d.control.contains("Button 2") || d.detail.contains("Button 2"),
             "expected the renamed button to be named, got: {d}"
         );
+    }
+
+    /// The walk names the step and window of the first capture that
+    /// differs: under a reset that leaks state, the first restart's
+    /// adopted launch capture is stale.
+    #[test]
+    fn the_walk_names_the_first_stale_capture() {
+        let spec = AppSpec::new(vec![ArenaOp::Button(1), ArenaOp::Menu(2), ArenaOp::Item(3)]);
+        assert!(walk_cached_and_eager(&spec, 5, 32).is_ok(), "a clean spec walks clean");
+        let lying = spec.with_faults(FaultPlan { lying_reset: true, ..FaultPlan::default() });
+        let Err(d) = walk_cached_and_eager(&lying, 5, 32) else { panic!("the leak is flagged") };
+        assert_eq!((d.oracle, d.window.as_str()), (OracleKind::CachedCapture, "Fuzz"));
+        assert!(d.detail.starts_with("step "), "{d}");
     }
 }

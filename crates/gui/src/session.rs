@@ -295,10 +295,10 @@ impl Session {
     /// capture — same per-window mutation stamps, popup chain, window
     /// stack, contexts, and no late-load reveal crossing — the same
     /// [`Arc`] is returned in O(1), identity index included (counted in
-    /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt,
-    /// copying clean windows from a recent capture and re-walking dirty
-    /// ones, inside which each clean block (a child of the window root
-    /// with its descendants) is copied too. The image's launch capture,
+    /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt:
+    /// every window is walked, and each clean block (a child of the
+    /// window root with its descendants) is copied from a recent capture
+    /// instead of walked. The image's launch capture,
     /// which a new session is seeded with and a [`Session::restart`]
     /// adopts, is served through the same probe (see
     /// [`Session::with_instability`] and [`Session::restart`]).
@@ -345,7 +345,7 @@ impl Session {
     /// session's model has an entry there, the entry is re-keyed against
     /// the fresh tree and adopted as the only recent capture: the next
     /// [`Session::snapshot`] serves it in O(1) if the launch state still
-    /// holds, or copies its clean windows and blocks.
+    /// holds, or copies its clean blocks.
     pub fn restart(&mut self) {
         self.app.reset();
         self.app.tree_mut().reset_ui_state();
@@ -1267,8 +1267,9 @@ mod tests {
         let (snap, snap_hit) = capture(&mut s);
         assert!(!snap_hit);
         let after = s.capture_stats();
-        assert_eq!(after.windows_reused - before.windows_reused, 1, "main window copied");
-        assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 1, "dialog re-walked");
+        assert_eq!(after.windows_rebuilt - before.windows_rebuilt, 2, "both roots walked");
+        assert_eq!(after.blocks_reused - before.blocks_reused, 7, "main's 6 blocks and OK copied");
+        assert_eq!(after.nodes_walked - before.nodes_walked, 3, "the roots and the edit walked");
         let edit = snap.find_by_name("Name").unwrap();
         assert_eq!(snap.node(edit).props.value, "Quarterly");
         // And the main window write invalidates only the main window.
@@ -1656,12 +1657,12 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Copied windows
+    // Copied blocks
     // ------------------------------------------------------------------
 
-    /// A partial rebuild copies the clean main window's node block from
-    /// the donor capture; every copied node keeps its identity, and the
-    /// new snapshot's own index resolves it.
+    /// A partial rebuild walks the clean main window's root and copies
+    /// every one of its blocks from the donor capture; every copied node
+    /// keeps its identity, and the new snapshot's own index resolves it.
     #[test]
     fn partial_rebuild_keeps_clean_window_identities() {
         let (mut s, ids) = session();
@@ -1672,7 +1673,9 @@ mod tests {
         s.set_value(ids.dlg_edit, "Quarterly").unwrap();
         let (second, second_hit) = capture(&mut s);
         assert!(!second_hit);
-        assert_eq!(s.capture_stats().windows_reused - before.windows_reused, 1);
+        let after = s.capture_stats();
+        assert_eq!(after.blocks_reused - before.blocks_reused, 7, "main's 6 blocks and OK copied");
+        assert_eq!(after.nodes_walked - before.nodes_walked, 3, "the roots and the edit walked");
         let main_end = second.windows()[1];
         assert_eq!(main_end, first.windows()[1]);
         for i in 0..main_end {

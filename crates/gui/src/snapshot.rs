@@ -21,7 +21,8 @@
 //! # How validity is decided
 //!
 //! One rule decides whether captured nodes can be reused: their keys plus
-//! two global components. It is applied at two grains, the window and the
+//! two global components. A whole capture is served again when every
+//! window's key matches; on a miss, nodes are copied at one grain, the
 //! *block* — a child of a window root with all its descendants.
 //!
 //! - **per window** (`WindowKey`): the arena root, its modality and
@@ -52,15 +53,15 @@
 //! whose every window key matches is returned in O(1) as the same
 //! [`Arc<Snapshot>`] — including its already-materialized `SnapIndex`
 //! (cached ancestor paths and key multimap), which the eager path rebuilt
-//! per query. On a miss, each clean window's nodes are copied wholesale
-//! from the best donor capture ([`Snapshot::append_subtree_from`]) and
-//! only dirty windows are re-walked, each laid out along with its walk.
-//! When the walk of a dirty window reaches a block root that a donor holds
-//! under an equal block key, it copies the block's nodes through the same
-//! routine and skips the subtree ([`layout::Step::SkipTo`]), advancing the
-//! row counter by the rows the donor recorded for the block, so later
-//! blocks get the rects an eager walk gives them. A click in the ribbon
-//! thereby re-walks the ribbon, not the grid beside it. The new snapshot
+//! per query. On a miss, every window is walked and laid out, root first.
+//! When the walk reaches a block root that a recent capture holds under
+//! an equal block key, it copies the block's nodes
+//! ([`Snapshot::append_subtree_from`]) and skips the subtree
+//! ([`layout::Step::SkipTo`]), advancing the row counter by the rows the
+//! donor recorded for the block, so later blocks get the rects an eager
+//! walk gives them. A click in the ribbon thereby re-walks the ribbon,
+//! not the grid beside it, and a window none of whose blocks changed
+//! costs its root and one donor search per block. The new snapshot
 //! builds its own `SnapIndex` from its own nodes on first use, like any
 //! other capture; copied nodes share their property bags with the donor.
 //!
@@ -86,8 +87,8 @@
 //! so its first capture probes equal to the entry and is served in O(1)
 //! as the shared [`Arc<Snapshot>`], index included, while a tree that was
 //! driven before it was wrapped in a session misses through the same key
-//! rule and only borrows the entry's clean windows and blocks. The
-//! entry's block records are built with it, once per table entry.
+//! rule and only borrows the entry's clean blocks. The entry's block
+//! records are built with it, once per table entry.
 //!
 //! An application `reset` may swap its tree wholesale, which breaks stamp
 //! lineage, so a restart empties the MRU list. The image's table is the
@@ -96,8 +97,8 @@
 //! table's entry for the session's model — its window and block keys —
 //! against the fresh tree and adopts it as the only MRU entry. From then
 //! on ordinary probes serve it (while the launch state holds) or copy
-//! clean windows and blocks from it (after the first click), through the
-//! same key rule as every other capture.
+//! clean blocks from it (after the first click), through the same key
+//! rule as every other capture.
 //!
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
@@ -191,9 +192,9 @@ fn push_window(
     walked
 }
 
-/// Walks one window into `snap` ([`push_window`]), copying each block a
-/// donor holds, and records the keys its nodes are valid under. Returns
-/// the record, the widgets walked and the blocks copied.
+/// Walks one window into `snap` ([`push_window`]), copying each block
+/// one of the `donors` holds, and records the keys its nodes are valid
+/// under. Returns the record, the widgets walked and the blocks copied.
 fn rebuild_window(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -201,18 +202,13 @@ fn rebuild_window(
     key: &WindowKey,
     wi: usize,
     snap: &mut Snapshot,
-    donors: &Donors,
+    donors: &[CachedCapture],
 ) -> (WindowMeta, u64, u64) {
-    let start = snap.len();
     let win = OpenWindow { root: key.root, modal: key.modal };
-    let mut blocks = BlockWalk::new(tree, key.root, wi, query_seq, start, donors);
+    let mut blocks = BlockWalk::new(tree, key.root, wi, query_seq, donors);
     let walked = push_window(tree, inst, query_seq, win, wi, snap, Some(&mut blocks));
-    let end = snap.len();
     let meta = WindowMeta {
         key: key.clone(),
-        start,
-        end,
-        rooted: end > start,
         next_reveal: blocks.scan.window_reveal(),
         blocks: blocks.blocks.into(),
     };
@@ -242,28 +238,16 @@ fn window_keys(tree: &UiTree) -> Vec<WindowKey> {
 }
 
 /// Per-window record of a cached capture.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct WindowMeta {
     key: WindowKey,
-    /// Node range `[start, end)` this window occupies in the snapshot
-    /// arena (`start == end` when the window root was hidden).
-    start: usize,
-    end: usize,
-    /// Whether a window root was registered for this range.
-    rooted: bool,
     /// First query sequence at which a pending-children schedule under
     /// this root reveals a subtree hidden at build time (`u64::MAX` when
     /// none): the cached bytes are valid strictly before it.
     next_reveal: u64,
     /// The window's blocks in walk order (none when the root's children
-    /// were left out); shared, since copying a whole window keeps them.
-    blocks: Arc<[BlockMeta]>,
-}
-
-impl WindowMeta {
-    fn valid_for(&self, key: &WindowKey, query_seq: u64) -> bool {
-        self.key == *key && query_seq < self.next_reveal
-    }
+    /// were left out).
+    blocks: Box<[BlockMeta]>,
 }
 
 /// The capture key of one block: a shown child of a window root and its
@@ -287,8 +271,7 @@ struct BlockKey {
 #[derive(Debug, Clone)]
 struct BlockMeta {
     key: BlockKey,
-    /// Node range `[start, end)` of the block, relative to its window's
-    /// first node.
+    /// Node range `[start, end)` of the block in its snapshot.
     start: usize,
     end: usize,
     /// Rows the block takes in the layout walk, its root's included.
@@ -352,67 +335,43 @@ impl WindowScan {
     }
 }
 
-/// The recent captures a rebuild may copy from: those taken under the
-/// current context epoch.
-struct Donors<'a> {
-    entries: &'a [CachedCapture],
-    context_epoch: u64,
-}
-
-impl<'a> Donors<'a> {
-    /// Each donor's window at stack position `wi`, most recent first.
-    fn windows(&self, wi: usize) -> impl Iterator<Item = (&'a Snapshot, &'a WindowMeta)> + '_ {
-        self.entries
-            .iter()
-            .filter(|e| e.context_epoch == self.context_epoch)
-            .filter_map(move |e| Some((&*e.snap, e.windows.get(wi)?)))
-    }
-
-    /// A donor's block at stack position `wi` valid under `key`: its
-    /// snapshot, its window's first node and its record.
-    fn block(
-        &self,
-        wi: usize,
-        key: &BlockKey,
-        query_seq: u64,
-    ) -> Option<(&'a Snapshot, usize, &'a BlockMeta)> {
-        self.windows(wi).find_map(|(snap, m)| {
-            let b = m.blocks.iter().find(|b| b.key == *key && query_seq < b.next_reveal)?;
-            Some((snap, m.start, b))
-        })
-    }
-}
-
-/// The block bookkeeping of one window's cached walk: the donors its
-/// blocks may be copied from, and the record of every block so far.
+/// The block bookkeeping of one window's cached walk: the donor blocks
+/// it may copy, and the record of every block so far.
 struct BlockWalk<'a> {
-    donors: &'a Donors<'a>,
+    /// Each recent capture taken under the current context epoch, most
+    /// recent first: its snapshot and its blocks at the window's stack
+    /// position.
+    donors: Vec<(&'a Snapshot, &'a [BlockMeta])>,
     scan: WindowScan,
     /// The window's stack position.
     wi: usize,
     query_seq: u64,
-    /// The window's first node in the snapshot.
-    start: usize,
     blocks: Vec<BlockMeta>,
-    /// The block being walked: its key, first node (relative to the
-    /// window's) and the row counter at its root.
+    /// The block being walked: its key, first node and the row counter
+    /// at its root.
     open: Option<(BlockKey, usize, i32)>,
     reused: u64,
 }
 
 impl<'a> BlockWalk<'a> {
     /// Starts the bookkeeping of the window rooted at `root`, at stack
-    /// position `wi`, whose nodes start at snapshot index `start`.
+    /// position `wi`, that may copy blocks from the recent captures
+    /// `donors`.
     fn new(
         tree: &UiTree,
         root: WidgetId,
         wi: usize,
         query_seq: u64,
-        start: usize,
-        donors: &'a Donors<'a>,
+        donors: &'a [CachedCapture],
     ) -> Self {
+        let context_epoch = tree.context_epoch();
+        let donors = donors
+            .iter()
+            .filter(|e| e.context_epoch == context_epoch)
+            .filter_map(|e| Some((&*e.snap, &*e.windows.get(wi)?.blocks)))
+            .collect();
         let scan = WindowScan::new(tree, root, query_seq);
-        BlockWalk { donors, scan, wi, query_seq, start, blocks: Vec::new(), open: None, reused: 0 }
+        BlockWalk { donors, scan, wi, query_seq, blocks: Vec::new(), open: None, reused: 0 }
     }
 
     /// The walk placed a block root at `p`, under the window's root node
@@ -422,21 +381,17 @@ impl<'a> BlockWalk<'a> {
     fn enter(&mut self, tree: &UiTree, p: Placed, snap: &mut Snapshot, up: usize) -> Option<i32> {
         self.close(snap.len(), p.row);
         let key = self.scan.key(tree, p, self.wi);
-        let at = snap.len() - self.start;
-        let Some((src, src_start, b)) = self.donors.block(self.wi, &key, self.query_seq) else {
-            self.open = Some((key, at, p.row));
+        let donor = self.donors.iter().find_map(|&(src, blocks)| {
+            let b = blocks.iter().find(|b| b.key == key && self.query_seq < b.next_reveal)?;
+            Some((src, b))
+        });
+        let Some((src, b)) = donor else {
+            self.open = Some((key, snap.len(), p.row));
             return None;
         };
-        let (from, to) = (src_start + b.start, src_start + b.end);
-        snap.append_subtree_from(src, from, to, Some(up), self.wi);
-        let end = at + (b.end - b.start);
-        self.blocks.push(BlockMeta {
-            key,
-            start: at,
-            end,
-            rows: b.rows,
-            next_reveal: b.next_reveal,
-        });
+        let start = snap.append_subtree_from(src, b.start, b.end, up, self.wi);
+        let end = snap.len();
+        self.blocks.push(BlockMeta { key, start, end, rows: b.rows, next_reveal: b.next_reveal });
         self.reused += 1;
         Some(p.row + b.rows)
     }
@@ -446,7 +401,6 @@ impl<'a> BlockWalk<'a> {
     fn close(&mut self, end: usize, row: i32) {
         if let Some((key, start, row0)) = self.open.take() {
             let next_reveal = self.scan.block_reveal(key.root);
-            let end = end - self.start;
             self.blocks.push(BlockMeta { key, start, end, rows: row - row0, next_reveal });
         }
     }
@@ -466,7 +420,7 @@ impl CachedCapture {
     fn matches(&self, keys: &[WindowKey], context_epoch: u64, query_seq: u64) -> bool {
         self.context_epoch == context_epoch
             && self.windows.len() == keys.len()
-            && self.windows.iter().zip(keys).all(|(m, k)| m.valid_for(k, query_seq))
+            && self.windows.iter().zip(keys).all(|(m, k)| m.key == *k && query_seq < m.next_reveal)
     }
 }
 
@@ -490,12 +444,9 @@ pub struct CaptureStats {
     pub captures: u64,
     /// Captures served in O(1) as a shared `Arc` to a previous build.
     pub full_hits: u64,
-    /// Windows whose node block was copied whole from a donor capture
-    /// during a partial rebuild.
-    pub windows_reused: u64,
-    /// Windows at least partly walked from the widget tree: every window
-    /// of a rebuild not copied whole, though the walk may have copied
-    /// some of its blocks (counted in `blocks_reused`).
+    /// Windows walked from the widget tree: every window of a capture
+    /// that missed, though the walk may have copied some or all of its
+    /// blocks (counted in `blocks_reused`).
     pub windows_rebuilt: u64,
     /// Blocks (a window root's child with its descendants) copied from a
     /// donor capture inside a walked window.
@@ -566,12 +517,7 @@ impl CaptureCache {
                     next_reveal: scan.block_reveal(b.key.root),
                     ..b.clone()
                 });
-                WindowMeta {
-                    next_reveal: scan.window_reveal(),
-                    blocks: blocks.collect(),
-                    key,
-                    ..m.clone()
-                }
+                WindowMeta { key, next_reveal: scan.window_reveal(), blocks: blocks.collect() }
             })
             .collect();
         let context_epoch = tree.context_epoch();
@@ -603,8 +549,8 @@ pub(crate) fn probe(
 }
 
 /// Builds the capture for the current tree state after [`probe`] missed:
-/// clean windows are copied whole from the best donor capture, dirty
-/// windows are re-walked, copying each clean block a donor holds.
+/// every window is walked, copying each clean block a recent capture
+/// holds.
 pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -613,44 +559,23 @@ pub(crate) fn rebuild(
     cache: &mut CaptureCache,
     stats: &mut CaptureStats,
 ) -> Arc<Snapshot> {
-    let context_epoch = tree.context_epoch();
-    let donors = Donors { entries: &cache.entries, context_epoch };
     let mut snap = Snapshot::new();
-    let mut metas = Vec::with_capacity(keys.len());
+    let mut windows = Vec::with_capacity(keys.len());
     for (wi, key) in keys.iter().enumerate() {
-        let donor = donors.windows(wi).find(|(_, m)| m.valid_for(key, query_seq));
-        let meta = match donor {
-            Some((donor_snap, m)) => {
-                let start = snap.append_subtree_from(donor_snap, m.start, m.end, None, wi);
-                let end = snap.len();
-                if m.rooted {
-                    if key.modal {
-                        snap.push_modal_window_root(start);
-                    } else {
-                        snap.push_window_root(start);
-                    }
-                }
-                stats.windows_reused += 1;
-                dmi_obs::tally("capture.windows_reused", 1);
-                WindowMeta { key: key.clone(), start, end, ..m.clone() }
-            }
-            None => {
-                let (meta, walked, reused) =
-                    rebuild_window(tree, inst, query_seq, key, wi, &mut snap, &donors);
-                stats.windows_rebuilt += 1;
-                stats.nodes_walked += walked;
-                stats.blocks_reused += reused;
-                dmi_obs::tally("capture.windows_rebuilt", 1);
-                dmi_obs::tally("capture.nodes_walked", walked);
-                dmi_obs::tally("capture.blocks_reused", reused);
-                meta
-            }
-        };
-        metas.push(meta);
+        let (meta, walked, reused) =
+            rebuild_window(tree, inst, query_seq, key, wi, &mut snap, &cache.entries);
+        stats.windows_rebuilt += 1;
+        stats.nodes_walked += walked;
+        stats.blocks_reused += reused;
+        dmi_obs::tally("capture.windows_rebuilt", 1);
+        dmi_obs::tally("capture.nodes_walked", walked);
+        dmi_obs::tally("capture.blocks_reused", reused);
+        windows.push(meta);
     }
 
     let snap = Arc::new(snap);
-    let entry = CachedCapture { snap: Arc::clone(&snap), context_epoch, windows: metas.into() };
+    let context_epoch = tree.context_epoch();
+    let entry = CachedCapture { snap: Arc::clone(&snap), context_epoch, windows: windows.into() };
     cache.entries.insert(0, entry);
     cache.entries.truncate(MRU_DEPTH);
     snap
@@ -724,11 +649,10 @@ fn launch_capture(image: &UiTree, inst: &InstabilityModel) -> CachedCapture {
     let mut tree = image.clone();
     tree.reset_ui_state();
     let mut snap = Snapshot::new();
-    let donors = Donors { entries: &[], context_epoch: tree.context_epoch() };
     let windows = window_keys(&tree)
         .iter()
         .enumerate()
-        .map(|(wi, key)| rebuild_window(&tree, inst, 0, key, wi, &mut snap, &donors).0)
+        .map(|(wi, key)| rebuild_window(&tree, inst, 0, key, wi, &mut snap, &[]).0)
         .collect();
     CachedCapture { snap: Arc::new(snap), context_epoch: tree.context_epoch(), windows }
 }
@@ -986,6 +910,31 @@ mod tests {
         let oracle = build(&t, &InstabilityModel::off(), 2);
         assert!(oracle.find_by_name("Stale").is_some());
         assert_ne!(*snap, oracle, "the oracle flags the stale block");
+    }
+
+    #[test]
+    fn a_dirty_dialog_over_a_clean_main_window_copies_its_blocks() {
+        let (mut t, [main, ..]) = blocks();
+        let dlg = t.add_root(Widget::new("Format Cells", CT::Window));
+        let edit = t.add(dlg, Widget::new("Name", CT::Edit));
+        t.open_window(dlg, true);
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        let base = capture(&t, 1, &mut cache, &mut stats);
+        // A write in the dialog walks the main window's root and copies
+        // its three blocks, then walks the whole dialog.
+        let before = stats;
+        t.widget_mut(edit).value = "Quarterly".into();
+        let snap = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.windows_rebuilt - before.windows_rebuilt, 2, "every window walked");
+        assert_eq!(stats.blocks_reused - before.blocks_reused, 3, "every main block copied");
+        assert_eq!(stats.nodes_walked - before.nodes_walked, 1 + 2, "main root and dialog walked");
+        assert_eq!(snap.node(snap.find_by_name("Name").unwrap()).props.value, "Quarterly");
+        // The main window keeps its nodes, runtime ids included.
+        let main_end = snap.windows()[1];
+        assert_eq!(snap.node(0).runtime_id, runtime_of(main));
+        for i in 0..main_end {
+            assert_eq!(snap.node(i), base.node(i), "node {i}");
+        }
     }
 
     #[test]

@@ -72,24 +72,25 @@ impl Snapshot {
     }
 
     /// Appends a copy of the node range `start..end` from another snapshot
-    /// under `parent` (`None` for a window root), remapping parent/child
-    /// indices and retagging the nodes with the given top-level `window`
-    /// ordinal. Returns the arena index of the first copied node.
+    /// as the last child of `parent`, remapping parent/child indices and
+    /// retagging the nodes with the given top-level `window` ordinal.
+    /// Returns the arena index of the first copied node.
     ///
     /// Providers that rebuild snapshots incrementally use this to carry an
-    /// unchanged subtree — a whole window or one of its blocks, with
-    /// rectangles, runtime ids, and all — from an earlier capture instead
-    /// of re-walking the widget tree. The range must be one subtree's
-    /// contiguous DFS block: the first node is its root, and every other
-    /// node's parent lies in range.
+    /// unchanged subtree — one block of a window, with rectangles, runtime
+    /// ids, and all — from an earlier capture instead of re-walking the
+    /// widget tree. The range must be one subtree's contiguous, non-empty
+    /// DFS block: the first node is its root, and every other node's
+    /// parent lies in range.
     pub fn append_subtree_from(
         &mut self,
         src: &Snapshot,
         start: usize,
         end: usize,
-        parent: Option<usize>,
+        parent: usize,
         window: usize,
     ) -> usize {
+        debug_assert!(start < end, "a copied subtree has a root");
         self.index.take();
         let base = self.nodes.len();
         self.nodes.reserve(end - start);
@@ -100,19 +101,17 @@ impl Snapshot {
             } else {
                 let p = n.parent.expect("a copied subtree has one root");
                 debug_assert!((start..end).contains(&p), "copied subtree must be self-contained");
-                Some(p - start + base)
+                p - start + base
             };
             self.nodes.push(Node {
                 runtime_id: n.runtime_id,
                 props: Arc::clone(&n.props),
-                parent: up,
+                parent: Some(up),
                 children: n.children.iter().map(|&c| c - start + base).collect(),
                 window,
             });
         }
-        if let Some(p) = parent.filter(|_| end > start) {
-            self.nodes[p].children.push(base);
-        }
+        self.nodes[parent].children.push(base);
         base
     }
 
@@ -304,7 +303,7 @@ mod tests {
         let mut s = Snapshot::new();
         let w = s.push(ControlProps::new("Other", ControlType::Window), None, 1);
         s.push(ControlProps::new("First", ControlType::Button), Some(w), 1);
-        let tab = s.append_subtree_from(&src, 1, 4, Some(w), 1);
+        let tab = s.append_subtree_from(&src, 1, 4, w, 1);
         assert_eq!(tab, 2);
         assert_eq!(s.node(w).children, vec![1, 2]);
         assert_eq!(s.node(tab).parent, Some(w));

@@ -72,7 +72,7 @@ fn main() {
     }
     let tally = |name: &str| tallies.get(name).copied().unwrap_or(0);
     println!(
-        "capture work: {} windows walked (at least partly), {} blocks copied inside them, \
+        "capture work: {} windows walked (every window of a miss), {} blocks copied inside them, \
          {} widgets walked\n",
         tally("capture.windows_rebuilt"),
         tally("capture.blocks_reused"),

@@ -16,7 +16,7 @@
 
 use dmi_core::fuzz::{
     check_cached_capture, check_esc_recovery, check_fleet, check_spec, shrink_ops,
-    silence_injected_panics, AdversarialApp, AppSpec, ArenaOp, FaultPlan,
+    silence_injected_panics, walk_cached_and_eager, AdversarialApp, AppSpec, ArenaOp, FaultPlan,
 };
 use dmi_core::ripper::rip;
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung};
@@ -170,7 +170,7 @@ fn adversarial_forks_share_one_exact_launch_capture() {
 #[test]
 fn stamped_commands_copy_the_other_blocks() {
     let spec = AppSpec::new((0..6).map(ArenaOp::Button).collect());
-    let (cached, eager) = walk_cached_and_eager(&spec, 7, 24);
+    let (cached, eager) = walk_cached_and_eager(&spec, 7, 24).expect("captures equal");
     let stats = cached.capture_stats();
     assert!(stats.blocks_reused >= 5, "every click copies the other buttons: {stats:?}");
     let toggled = |s: &Session| {
@@ -178,35 +178,6 @@ fn stamped_commands_copy_the_other_blocks() {
         t.widget(t.main_root()).children.iter().filter(|&&b| t.widget(b).toggle.is_some()).count()
     };
     assert!(toggled(&cached) > 0 && toggled(&cached) == toggled(&eager));
-}
-
-/// Drives a cached and a full-rebuild session over `spec` through the
-/// same `steps` random inputs — clicks on shown controls, Esc presses,
-/// restarts — and asserts every capture byte-identical between them.
-fn walk_cached_and_eager(spec: &AppSpec, seed: u64, steps: usize) -> (Session, Session) {
-    let mut cached = Session::new(AdversarialApp::launch(spec.clone()));
-    let mut eager = Session::new(AdversarialApp::launch(spec.clone()));
-    eager.set_capture_config(CaptureConfig::full_rebuild());
-    let mut rng = SplitMix(seed);
-    for step in 0..steps {
-        let snap = cached.snapshot();
-        assert!(*snap == *eager.snapshot(), "seed {seed} step {step}: {spec:?}");
-        match rng.below(8) {
-            0 => {
-                cached.restart();
-                eager.restart();
-            }
-            1 => {
-                let _ = (cached.press("Esc"), eager.press("Esc"));
-            }
-            _ => {
-                let idx = rng.below(snap.len());
-                let id = cached.widget_of(snap.node(idx).runtime_id);
-                assert_eq!(cached.click(id).is_ok(), eager.click(id).is_ok());
-            }
-        }
-    }
-    (cached, eager)
 }
 
 /// Release-gated: random input walks over a seeded clean corpus, whose
@@ -219,7 +190,9 @@ fn clean_specs_copy_blocks_exactly_100_seeds() {
     let mut reused = 0;
     for seed in 3000..3100u64 {
         let spec = AppSpec::generate(seed, 20);
-        reused += walk_cached_and_eager(&spec, seed, 64).0.capture_stats().blocks_reused;
+        let (cached, _) = walk_cached_and_eager(&spec, seed, 64)
+            .unwrap_or_else(|d| panic!("clean spec from seed {seed}: {d}"));
+        reused += cached.capture_stats().blocks_reused;
         assert_eq!(check_cached_capture(&spec), None, "clean spec from seed {seed} diverged");
     }
     assert!(reused > 0, "the walks copy blocks");

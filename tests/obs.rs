@@ -297,7 +297,6 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(stats.windows_seen, t("rip.windows_seen"), "windows seen");
     assert_eq!(cs.captures, t("capture.captures"), "captures");
     assert_eq!(cs.full_hits, t("capture.full_hits"), "full hits");
-    assert_eq!(cs.windows_reused, t("capture.windows_reused"), "windows reused");
     assert_eq!(cs.windows_rebuilt, t("capture.windows_rebuilt"), "windows rebuilt");
     assert_eq!(cs.blocks_reused, t("capture.blocks_reused"), "blocks reused");
     assert_eq!(cs.nodes_walked, t("capture.nodes_walked"), "nodes walked");
