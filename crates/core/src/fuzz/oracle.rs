@@ -11,7 +11,9 @@
 //! The UNG carries no rectangle, off-screen flag, toggle or value, so the
 //! capture-cache axis also compares snapshots: [`walk_cached_and_eager`]
 //! drives a cached and a full-rebuild session in lockstep through seeded
-//! inputs and byte-compares every capture.
+//! inputs and byte-compares every capture, then compares its identity
+//! index (key and ancestor path per node), which a cached capture may copy
+//! per block lineage instead of computing.
 
 use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
@@ -91,8 +93,8 @@ pub fn check_cached_capture(spec: &AppSpec) -> Option<Divergence> {
 /// Drives a cached and a full-rebuild session over fresh launches of
 /// `spec` through the same `steps` seeded inputs — clicks on shown
 /// controls, Esc presses, restarts — and byte-compares their captures
-/// before every step. Returns both sessions, or the first step whose
-/// captures (or click results) differ.
+/// before every step, identity indexes included. Returns both sessions,
+/// or the first step whose captures, indexes or click results differ.
 pub fn walk_cached_and_eager(
     spec: &AppSpec,
     seed: u64,
@@ -107,6 +109,9 @@ pub fn walk_cached_and_eager(
         let oracle = eager.snapshot();
         if *snap != *oracle {
             return Err(diff_captures(step, &snap, &oracle));
+        }
+        if let Some(d) = diff_indexes(step, &snap, &oracle) {
+            return Err(d);
         }
         match rng.gen_range(0..8u32) {
             0 => {
@@ -163,6 +168,27 @@ fn diff_captures(step: usize, cached: &Snapshot, rebuilt: &Snapshot) -> Divergen
         ),
     };
     Divergence { oracle: OracleKind::CachedCapture, window, control, detail }
+}
+
+/// Names the first node whose identity key or ancestor path differs
+/// between the indexes of two byte-identical captures: a cached capture's
+/// index copies the columns of blocks whose lineage holds them, the full
+/// rebuild's computes every node.
+fn diff_indexes(step: usize, cached: &Snapshot, rebuilt: &Snapshot) -> Option<Divergence> {
+    let (a, b) = (cached.index(), rebuilt.index());
+    let i = (0..cached.len()).find(|&i| a.key(i) != b.key(i) || a.path(i) != b.path(i))?;
+    Some(Divergence {
+        oracle: OracleKind::CachedCapture,
+        window: window_of(cached, i),
+        control: cached.node(i).props.name.clone(),
+        detail: format!(
+            "step {step}: node {i}: index path '{}' ({:?}) vs '{}' ({:?})",
+            a.path(i),
+            a.key(i),
+            b.path(i),
+            b.key(i)
+        ),
+    })
 }
 
 /// Esc-based recovery must land in the same state a full restart-replay

@@ -35,7 +35,7 @@
 use crate::error::RipError;
 use crate::graph::{Ung, UngNode, UngNodeId};
 use dmi_gui::Session;
-use dmi_uia::{ControlId, ControlIdSet, ControlKey, ControlProps, ControlType, Snapshot};
+use dmi_uia::{Block, ControlId, ControlIdSet, ControlKey, ControlProps, ControlType, Snapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -497,31 +497,59 @@ impl Ripper<'_> {
 ///
 /// The "present before?" test runs against the pre-snapshot's identity
 /// index: each post node's [`ControlKey`] probes the pre key-multimap and
-/// collision-confirms component-wise. Depends only on the two snapshots.
+/// collision-confirms component-wise. A post block that shares its
+/// identity [`dmi_uia::Lineage`] with a pre block is skipped unprobed
+/// when both blocks are available and their roots' ancestor paths (the
+/// window root's display name) are equal: each of its nodes then has an
+/// available pre twin of equal identity. The pre key-multimap is built
+/// only if some node is still probed. Depends only on the two snapshots
+/// and their block records; snapshots without records are probed whole.
 fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<usize> {
     let pre_ix = pre.index();
     let post_ix = post.index();
-    // One probe per post node follows: amortize the multimap.
-    pre_ix.key_multimap();
+    let twinned = |b: &&Block| {
+        post.is_available(b.start)
+            && pre.blocks().iter().any(|a| {
+                a.lineage.same(&b.lineage)
+                    && pre.is_available(a.start)
+                    && pre_ix.path(a.start) == post_ix.path(b.start)
+            })
+    };
+    let mut skips = post.blocks().iter().filter(twinned).peekable();
+    let (mut probed, mut skipped) = (0, 0);
     let mut fresh = Vec::new();
-    for (idx, node) in post.iter() {
-        if !post.is_available(idx) {
+    let mut idx = 0;
+    while idx < post.len() {
+        if let Some(b) = skips.next_if(|b| b.start == idx) {
+            skipped += (b.end - b.start) as u64;
+            idx = b.end;
             continue;
         }
-        let key = post_ix.key(idx);
-        // Identical control available before the click? (Identity is
-        // compared component-wise: primary id, type, cached path.)
-        let existed_before = pre_ix.candidates(key).any(|i| {
-            let pn = &pre.node(i).props;
-            pre.is_available(i)
-                && pn.control_type == node.props.control_type
-                && pn.primary_id() == node.props.primary_id()
-                && pre_ix.path(i) == post_ix.path(idx)
-        });
-        if !existed_before {
-            fresh.push(idx);
+        if post.is_available(idx) {
+            if probed == 0 {
+                // Probes follow: amortize the multimap.
+                pre_ix.key_multimap();
+            }
+            probed += 1;
+            let props = &post.node(idx).props;
+            let key = post_ix.key(idx);
+            // Identical control available before the click? (Identity is
+            // compared component-wise: primary id, type, cached path.)
+            let existed_before = pre_ix.candidates(key).any(|i| {
+                let pn = &pre.node(i).props;
+                pre.is_available(i)
+                    && pn.control_type == props.control_type
+                    && pn.primary_id() == props.primary_id()
+                    && pre_ix.path(i) == post_ix.path(idx)
+            });
+            if !existed_before {
+                fresh.push(idx);
+            }
         }
+        idx += 1;
     }
+    dmi_obs::tally("rip.diff_probed", probed);
+    dmi_obs::tally("rip.diff_skipped", skipped);
     fresh
 }
 
@@ -860,6 +888,50 @@ mod tests {
             fast.restarts
         );
         assert!(fast.restarts < slow.restarts, "menu/dialog siblings still recover via Esc");
+    }
+
+    /// The ranges of `post`'s blocks that share their lineage with a
+    /// block of `pre`.
+    fn shared_blocks(pre: &Snapshot, post: &Snapshot) -> Vec<(usize, usize)> {
+        let shared = |b: &&Block| pre.blocks().iter().any(|a| a.lineage.same(&b.lineage));
+        post.blocks().iter().filter(shared).map(|b| (b.start, b.end)).collect()
+    }
+
+    /// The §3.2 back-edge case: a main window under a modal dialog in
+    /// `pre`, served unchanged in `post` once the dialog closes, shares
+    /// its block lineages with `pre`, yet every one of its nodes is fresh
+    /// because none was available before the click.
+    #[test]
+    fn a_main_window_freed_from_a_modal_stays_fresh() {
+        let mut s = Session::new(Box::new(MiniApp::new(MiniShape::WithDialogTabs)));
+        let base = s.snapshot();
+        let open = base.find_by_name("Open Box").unwrap();
+        assert!(s.click(s.widget_of(base.node(open).runtime_id)).is_ok());
+        let pre = s.snapshot();
+        assert_eq!(pre.windows().len(), 2, "the dialog is open");
+        let shut = pre.find_by_name("Shut").unwrap();
+        assert!(s.click(s.widget_of(pre.node(shut).runtime_id)).is_ok());
+        let post = s.snapshot();
+        assert_eq!(post.windows().len(), 1, "the dialog closed");
+        assert_eq!(shared_blocks(&pre, &post).len(), post.blocks().len(), "every block shared");
+        assert!(!post.blocks().is_empty());
+        let every: Vec<usize> = (0..post.len()).collect();
+        assert_eq!(diff_fresh(&pre, &post), every, "the freed window is fresh");
+        assert_eq!(diff_fresh(&post, &post), Vec::<usize>::new());
+    }
+
+    /// A renamed window root moves every ancestor path below it, so a
+    /// block copied under its lineage is still probed, and found fresh.
+    #[test]
+    fn a_renamed_window_root_is_not_skipped() {
+        let mut s = Session::new(Box::new(MiniApp::new(MiniShape::MenuOnly)));
+        let pre = s.snapshot();
+        let root = s.app().tree().main_root();
+        s.app_mut().tree_mut().widget_mut(root).name = "Renamed".into();
+        let post = s.snapshot();
+        assert_eq!(shared_blocks(&pre, &post).len(), post.blocks().len(), "every block copied");
+        let every: Vec<usize> = (0..post.len()).collect();
+        assert_eq!(diff_fresh(&pre, &post), every, "every path moved");
     }
 
     /// Regression pin for the three small Office rips: the FNV-1a digest

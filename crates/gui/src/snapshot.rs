@@ -61,9 +61,30 @@
 //! donor recorded for the block, so later blocks get the rects an eager
 //! walk gives them. A click in the ribbon thereby re-walks the ribbon,
 //! not the grid beside it, and a window none of whose blocks changed
-//! costs its root and one donor search per block. The new snapshot
-//! builds its own `SnapIndex` from its own nodes on first use, like any
-//! other capture; copied nodes share their property bags with the donor.
+//! costs its root and one donor search per block. Copied nodes share
+//! their property bags with the donor.
+//!
+//! # Identity lineages
+//!
+//! A block's *identity key* is its `BlockKey` without `phase` and
+//! `offscreen`, which only place rectangles: the block root, its stamp and
+//! the popups open inside it. Under one context epoch and before the next
+//! reveal, two blocks with equal identity keys carry equal names, control
+//! types and primary ids in equal order, so every block of a cached
+//! capture is recorded in its snapshot ([`Snapshot::record_block`]) with
+//! an identity [`Lineage`] that it shares only with such blocks. A copied
+//! block keeps its donor's lineage ([`Snapshot::append_subtree_from`]); a
+//! walked block adopts the lineage of a donor block with an equal identity
+//! key that is valid at the query (its rows moved, say, because a popup
+//! opened above it), and otherwise gets a fresh one. The snapshot's
+//! `SnapIndex` copies the key and path columns a lineage holds under an
+//! equal root path and computes only the other nodes, and the ripper's
+//! diff skips a block whose lineage an available block of the pre-click
+//! capture shares. The eager [`build`] records no block, so a
+//! full-rebuild session computes every column and probes every node. A
+//! provider that changes a name without a stamp breaks the promise: the
+//! bytes of a re-walked block are fresh, but its index is stale, which the
+//! index axis of the cached-vs-eager walk oracle flags.
 //!
 //! # Launch and restarts
 //!
@@ -88,14 +109,15 @@
 //! as the shared [`Arc<Snapshot>`], index included, while a tree that was
 //! driven before it was wrapped in a session misses through the same key
 //! rule and only borrows the entry's clean blocks. The entry's block
-//! records are built with it, once per table entry.
+//! records and lineages are built with it, once per table entry.
 //!
 //! An application `reset` may swap its tree wholesale, which breaks stamp
 //! lineage, so a restart empties the MRU list. The image's table is the
 //! one source of a capture that survives it: an app offers a table only
 //! if every `reset` restores exactly that image, so a restart re-keys the
 //! table's entry for the session's model — its window and block keys —
-//! against the fresh tree and adopts it as the only MRU entry. From then
+//! against the fresh tree and adopts it, with its snapshot and so its
+//! block lineages unchanged, as the only MRU entry. From then
 //! on ordinary probes serve it (while the launch state holds) or copy
 //! clean blocks from it (after the first click), through the same key
 //! rule as every other capture.
@@ -109,7 +131,7 @@ use crate::instability::InstabilityModel;
 use crate::layout::{self, Placed, Step};
 use crate::tree::{OpenWindow, UiTree};
 use crate::widget::WidgetId;
-use dmi_uia::{ControlProps, RuntimeId, Snapshot};
+use dmi_uia::{ControlProps, Lineage, RuntimeId, Snapshot};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Builds a snapshot of every open window (eager, uncached).
@@ -180,7 +202,7 @@ fn push_window(
         Step::Descend
     });
     if let Some(b) = blocks {
-        b.close(snap.len(), end_row);
+        b.close(snap, end_row);
     }
     if snap.len() > start {
         if win.modal {
@@ -194,7 +216,8 @@ fn push_window(
 
 /// Walks one window into `snap` ([`push_window`]), copying each block
 /// one of the `donors` holds, and records the keys its nodes are valid
-/// under. Returns the record, the widgets walked and the blocks copied.
+/// under. Returns the record, the widgets walked and the blocks copied;
+/// tallies the walked blocks that adopted a donor's lineage.
 fn rebuild_window(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -207,6 +230,7 @@ fn rebuild_window(
     let win = OpenWindow { root: key.root, modal: key.modal };
     let mut blocks = BlockWalk::new(tree, key.root, wi, query_seq, donors);
     let walked = push_window(tree, inst, query_seq, win, wi, snap, Some(&mut blocks));
+    dmi_obs::tally("capture.idents_shared", blocks.shared);
     let meta = WindowMeta {
         key: key.clone(),
         next_reveal: blocks.scan.window_reveal(),
@@ -265,6 +289,16 @@ struct BlockKey {
     /// The row counter at the block root modulo [`layout::window_rows`].
     phase: i32,
     offscreen: bool,
+}
+
+impl BlockKey {
+    /// Whether the two keys agree on the block's *identity key* — the key
+    /// without `phase` and `offscreen`, which only place rectangles — so
+    /// that, under one context epoch and before the next reveal, the two
+    /// blocks carry equal names, types and primary ids in equal order.
+    fn same_identity(&self, other: &BlockKey) -> bool {
+        (self.root, self.stamp, &self.popups) == (other.root, other.stamp, &other.popups)
+    }
 }
 
 /// Per-block record of a cached window.
@@ -347,10 +381,12 @@ struct BlockWalk<'a> {
     wi: usize,
     query_seq: u64,
     blocks: Vec<BlockMeta>,
-    /// The block being walked: its key, first node and the row counter
-    /// at its root.
-    open: Option<(BlockKey, usize, i32)>,
+    /// The block being walked: its key, first node, the row counter at
+    /// its root, and its lineage.
+    open: Option<(BlockKey, usize, i32, Lineage)>,
     reused: u64,
+    /// Walked blocks that adopted a donor block's lineage.
+    shared: u64,
 }
 
 impl<'a> BlockWalk<'a> {
@@ -371,22 +407,41 @@ impl<'a> BlockWalk<'a> {
             .filter_map(|e| Some((&*e.snap, &*e.windows.get(wi)?.blocks)))
             .collect();
         let scan = WindowScan::new(tree, root, query_seq);
-        BlockWalk { donors, scan, wi, query_seq, blocks: Vec::new(), open: None, reused: 0 }
+        BlockWalk {
+            donors,
+            scan,
+            wi,
+            query_seq,
+            blocks: Vec::new(),
+            open: None,
+            reused: 0,
+            shared: 0,
+        }
+    }
+
+    /// The first donor block, most recent capture first, that is valid at
+    /// the query and whose key satisfies `pred`, with its snapshot.
+    fn donor(&self, pred: impl Fn(&BlockKey) -> bool) -> Option<(&'a Snapshot, &'a BlockMeta)> {
+        self.donors.iter().find_map(|&(src, blocks)| {
+            let b = blocks.iter().find(|b| pred(&b.key) && self.query_seq < b.next_reveal)?;
+            Some((src, b))
+        })
     }
 
     /// The walk placed a block root at `p`, under the window's root node
     /// `up`. Closes the block before it; then copies the block from a
     /// donor that holds it, returning the row counter after it, or opens
-    /// it for walking and returns `None`.
+    /// it for walking and returns `None`. A walked block adopts the
+    /// lineage of a donor block with an equal identity key, or mints one.
     fn enter(&mut self, tree: &UiTree, p: Placed, snap: &mut Snapshot, up: usize) -> Option<i32> {
-        self.close(snap.len(), p.row);
+        self.close(snap, p.row);
         let key = self.scan.key(tree, p, self.wi);
-        let donor = self.donors.iter().find_map(|&(src, blocks)| {
-            let b = blocks.iter().find(|b| b.key == key && self.query_seq < b.next_reveal)?;
-            Some((src, b))
-        });
-        let Some((src, b)) = donor else {
-            self.open = Some((key, snap.len(), p.row));
+        let Some((src, b)) = self.donor(|k| *k == key) else {
+            let adopted = self
+                .donor(|k| k.same_identity(&key))
+                .and_then(|(src, b)| Some(src.block_at(b.start)?.lineage.clone()));
+            self.shared += u64::from(adopted.is_some());
+            self.open = Some((key, snap.len(), p.row, adopted.unwrap_or_default()));
             return None;
         };
         let start = snap.append_subtree_from(src, b.start, b.end, up, self.wi);
@@ -396,10 +451,12 @@ impl<'a> BlockWalk<'a> {
         Some(p.row + b.rows)
     }
 
-    /// Records the block being walked, if any, as ending before snapshot
-    /// index `end` with the row counter at `row`.
-    fn close(&mut self, end: usize, row: i32) {
-        if let Some((key, start, row0)) = self.open.take() {
+    /// Records the block being walked, if any, as ending at the end of
+    /// `snap` with the row counter at `row`.
+    fn close(&mut self, snap: &mut Snapshot, row: i32) {
+        if let Some((key, start, row0, lineage)) = self.open.take() {
+            let end = snap.len();
+            snap.record_block(start, end, lineage);
             let next_reveal = self.scan.block_reveal(key.root);
             self.blocks.push(BlockMeta { key, start, end, rows: row - row0, next_reveal });
         }
@@ -480,7 +537,8 @@ impl CaptureCache {
     /// Empties the MRU list after an application restart, then adopts the
     /// launch capture under `inst` from `launch` (see [`CaptureCache::seed`])
     /// with its window and block keys re-read off the fresh tree, when the
-    /// table holds one and the tree opens the same windows.
+    /// table holds one and the tree opens the same windows. The snapshot,
+    /// and with it every block's lineage, is the table's own.
     pub(crate) fn restart(
         &mut self,
         tree: &UiTree,
@@ -910,6 +968,107 @@ mod tests {
         let oracle = build(&t, &InstabilityModel::off(), 2);
         assert!(oracle.find_by_name("Stale").is_some());
         assert_ne!(*snap, oracle, "the oracle flags the stale block");
+    }
+
+    /// The lineage of the block whose root is named `name`.
+    fn lineage_of(s: &Snapshot, name: &str) -> Lineage {
+        s.block_at(s.find_by_name(name).unwrap()).expect("a recorded block").lineage.clone()
+    }
+
+    /// Asserts that the identity index of the capture `snap` of `t` at
+    /// `query_seq` equals the index of the eager build, computed whole.
+    fn assert_index_fresh(snap: &Snapshot, t: &UiTree, query_seq: u64) {
+        let eager = build(t, &InstabilityModel::off(), query_seq);
+        assert!(eager.blocks().is_empty(), "the eager build records no block");
+        let (a, b) = (snap.index(), eager.index());
+        for i in 0..eager.len() {
+            assert_eq!((a.key(i), a.path(i)), (b.key(i), b.path(i)), "node {i}");
+        }
+    }
+
+    /// Whether node `name` has its ancestor path in one allocation in the
+    /// indexes of `a` and `b`: copied from one lineage, not computed twice.
+    fn path_shared(a: &Snapshot, b: &Snapshot, name: &str) -> bool {
+        let (i, j) = (a.find_by_name(name).unwrap(), b.find_by_name(name).unwrap());
+        std::ptr::eq(a.index().path(i).as_ptr(), b.index().path(j).as_ptr())
+    }
+
+    #[test]
+    fn a_popup_that_shifts_later_blocks_rewalks_them_under_their_lineage() {
+        let (mut t, [_, menu, _, _]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        let base = capture(&t, 1, &mut cache, &mut stats);
+        base.index();
+        // The popup stamps the ribbon and moves the later blocks' rows:
+        // all three are walked, the grid and the status bar under the
+        // lineage of their base blocks, so the index copies their columns.
+        t.open_popup(menu);
+        let open = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 0, "every block walked");
+        assert!(!lineage_of(&open, "Ribbon").same(&lineage_of(&base, "Ribbon")));
+        for name in ["Grid", "Status"] {
+            assert!(lineage_of(&open, name).same(&lineage_of(&base, name)), "{name}");
+        }
+        assert_index_fresh(&open, &t, 2);
+        assert!(path_shared(&open, &base, "R2C3") && path_shared(&open, &base, "Ready"));
+        assert!(!path_shared(&open, &base, "Colors"), "the ribbon's columns are computed");
+    }
+
+    #[test]
+    fn a_stamped_write_mints_a_fresh_lineage() {
+        let (mut t, _) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        let base = capture(&t, 1, &mut cache, &mut stats);
+        base.index();
+        let cell = t.find_by_name("R1C2").unwrap();
+        t.widget_mut(cell).value = "42".into();
+        let snap = capture(&t, 2, &mut cache, &mut stats);
+        assert!(!lineage_of(&snap, "Grid").same(&lineage_of(&base, "Grid")), "the grid is new");
+        for name in ["Ribbon", "Status"] {
+            assert!(lineage_of(&snap, name).same(&lineage_of(&base, name)), "{name} copied");
+        }
+        assert_index_fresh(&snap, &t, 2);
+        assert!(!path_shared(&snap, &base, "R0C0") && path_shared(&snap, &base, "Ready"));
+    }
+
+    #[test]
+    fn a_window_root_rename_recomputes_the_copied_columns() {
+        let (mut t, [main, ..]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        let base = capture(&t, 1, &mut cache, &mut stats);
+        base.index();
+        // The rename stamps the root alone: every block is copied under
+        // its lineage, but under a new root path, so the index computes
+        // their columns again — and the diff's root-path check fails too.
+        t.widget_mut(main).name = "Renamed".into();
+        let snap = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 3);
+        assert!(lineage_of(&snap, "Grid").same(&lineage_of(&base, "Grid")));
+        assert_index_fresh(&snap, &t, 2);
+        let grid = snap.find_by_name("Grid").unwrap();
+        assert_eq!(snap.index().path(snap.find_by_name("R0C0").unwrap()), "Renamed/Grid/Row 0");
+        assert_ne!(snap.index().path(grid), base.index().path(grid), "root paths differ");
+        assert!(!path_shared(&snap, &base, "Ready"));
+    }
+
+    #[test]
+    fn an_unstamped_relabel_in_a_rewalked_block_serves_a_stale_index() {
+        // The index's blast radius of a provider that lies to its stamps:
+        // a block re-walked under an adopted lineage after an unstamped
+        // relabel has fresh bytes but copies the old identity columns,
+        // and only the index oracle tells.
+        let (mut t, [_, menu, _, status]) = blocks();
+        let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
+        capture(&t, 1, &mut cache, &mut stats).index();
+        let ready = t.widget(status).children[0];
+        t.relabel_unstamped(ready, "Stale");
+        t.open_popup(menu);
+        let snap = capture(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 0, "the status bar is re-walked");
+        let oracle = build(&t, &InstabilityModel::off(), 2);
+        let stale = snap.find_by_name("Stale").expect("the walk reads the new name");
+        assert_ne!(snap.index().key(stale), oracle.index().key(stale), "the oracle flags it");
+        assert_eq!(snap.resolve(&oracle.control_id(stale)), None, "the new identity misses");
     }
 
     #[test]

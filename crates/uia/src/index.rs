@@ -11,8 +11,8 @@
 //! [`SnapIndex`] computes control identity **once per snapshot** in a
 //! single O(n) arena pass:
 //!
-//! - the ancestor path of each node (shared via `Arc<str>` — all siblings
-//!   point at one allocation),
+//! - the ancestor path of each node, as an entry in a table of the
+//!   snapshot's distinct paths (all siblings share one `Arc<str>` entry),
 //! - a 64-bit [`ControlKey`] fingerprint per node.
 //!
 //! One keyed table, a `ControlKey -> arena indices` multimap, is derived
@@ -43,6 +43,22 @@
 //!
 //! The index is built lazily on first use (snapshots are immutable once
 //! built; any later mutation through `&mut` accessors invalidates it).
+//!
+//! # Columns shared per block identity
+//!
+//! A provider that builds snapshots incrementally records each block it
+//! emits — a contiguous subtree range — with a [`Lineage`], an identity
+//! token that two blocks share only when their nodes carry equal control
+//! types, primary ids and ancestor names (see [`Snapshot::record_block`]).
+//! A block's paths and keys then depend only on its lineage and its *root
+//! path*, the ancestor path of the block's root. The lineage lazily holds
+//! the columns of the first index built over one of its blocks, with the
+//! root path they were computed under; [`SnapIndex::build`] copies them
+//! for every later block of that lineage under an equal root path and
+//! computes only the other nodes. A copy costs a `u32` and a `u64` per
+//! node and one `Arc` clone per distinct path in the block. The result
+//! equals a from-scratch build whenever the provider keeps the lineage
+//! promise; a snapshot with no recorded blocks is computed whole.
 
 use crate::ident::{ControlKey, KeyMap};
 use crate::{ControlId, Snapshot};
@@ -113,12 +129,48 @@ impl Iterator for Candidates<'_> {
     }
 }
 
+/// The identity lineage of a snapshot block (see "Columns shared per
+/// block identity" in the module docs): a token that blocks share only
+/// when their identity columns are equal under equal root paths, and the
+/// columns of the first index built over one of them. Cloning shares the
+/// lineage; [`Lineage::default`] mints a fresh one.
+#[derive(Debug, Clone, Default)]
+pub struct Lineage(Arc<OnceLock<BlockColumns>>);
+
+/// The identity columns of one lineage's blocks, with their paths in a
+/// block-local table whose entry 0 is the root path they were computed
+/// under (the block root's own path).
+#[derive(Debug)]
+struct BlockColumns {
+    table: Box<[Arc<str>]>,
+    path_ix: Box<[u32]>,
+    keys: Box<[ControlKey]>,
+}
+
+impl Lineage {
+    /// Whether `self` and `other` are the same lineage (pointer equality).
+    pub fn same(&self, other: &Lineage) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The held columns of a `len`-node block whose root path is
+    /// `root_path`, if they were computed under that root path.
+    fn columns(&self, root_path: &str, len: usize) -> Option<&BlockColumns> {
+        self.0.get().filter(|c| c.keys.len() == len && *c.table[0] == *root_path)
+    }
+}
+
+/// Marks a node whose children's path has no table entry yet.
+const NO_ENTRY: u32 = u32::MAX;
+
 /// Per-snapshot identity index. Core columns are built in one O(n) pass by
 /// [`SnapIndex::build`]; the key multimap derives lazily from them.
 #[derive(Debug, Default, Clone)]
 pub struct SnapIndex {
-    /// Ancestor path per node; siblings share one `Arc`.
-    paths: Vec<Arc<str>>,
+    /// The distinct ancestor paths; entry 0 is the roots' empty path.
+    table: Vec<Arc<str>>,
+    /// Per node: its ancestor path's entry in `table`.
+    path_ix: Vec<u32>,
     /// Identity fingerprint per node.
     keys: Vec<ControlKey>,
     /// Fingerprint -> arena indices; built on first batch probe.
@@ -126,55 +178,109 @@ pub struct SnapIndex {
 }
 
 impl SnapIndex {
-    /// Builds the core identity columns in one pass over the arena.
+    /// Builds the core identity columns in one pass over the arena,
+    /// copying the columns of each recorded block whose lineage holds them
+    /// under the block's root path, and leaving its own computed columns
+    /// with every lineage that holds none yet.
     ///
     /// Relies on the arena invariant that parents precede children
     /// (guaranteed by [`Snapshot::push`]).
     pub fn build(snap: &Snapshot) -> SnapIndex {
         let n = snap.len();
-        let mut paths: Vec<Arc<str>> = Vec::with_capacity(n);
-        let mut keys: Vec<ControlKey> = Vec::with_capacity(n);
-        // The path each node's *children* inherit, built at most once per
-        // parent and shared by all of its children.
-        let mut child_paths: Vec<Option<Arc<str>>> = vec![None; n];
-        let empty: Arc<str> = Arc::from("");
+        let mut ix = SnapIndex {
+            table: vec![Arc::from("")],
+            path_ix: Vec::with_capacity(n),
+            keys: Vec::with_capacity(n),
+            by_key: OnceLock::new(),
+        };
+        // The table entry of the path each node's *children* inherit,
+        // added at most once per parent and shared by all of its children.
+        let mut child_ix = vec![NO_ENTRY; n];
+        let mut blocks = snap.blocks().iter().peekable();
 
-        for (idx, node) in snap.iter() {
-            let path = match node.parent {
-                None => empty.clone(),
-                Some(p) => {
-                    debug_assert!(p < idx, "arena parents precede children");
-                    child_paths[p]
-                        .get_or_insert_with(|| {
-                            let pp: &str = &paths[p];
-                            let pname = display_name(&snap.node(p).props.name);
-                            if pp.is_empty() {
-                                Arc::from(pname)
-                            } else {
-                                let mut s = String::with_capacity(pp.len() + 1 + pname.len());
-                                s.push_str(pp);
-                                s.push('/');
-                                s.push_str(pname);
-                                Arc::from(s.as_str())
-                            }
-                        })
-                        .clone()
+        let mut idx = 0;
+        while idx < n {
+            // A block starting here, with its root path's entry.
+            let block =
+                blocks.next_if(|b| b.start == idx).map(|b| (b, ix.entry(snap, idx, &mut child_ix)));
+            let end = block.map_or(idx + 1, |(b, _)| b.end);
+            if let Some((b, root)) = block {
+                if let Some(cols) = b.lineage.columns(&ix.table[root as usize], end - idx) {
+                    // Local entry 0 is the root path; entry k > 0 lands at
+                    // `base + k`.
+                    let base = ix.table.len() as u32 - 1;
+                    ix.table.extend_from_slice(&cols.table[1..]);
+                    let local = cols.path_ix.iter().map(|&k| if k == 0 { root } else { base + k });
+                    ix.path_ix.extend(local);
+                    ix.keys.extend_from_slice(&cols.keys);
+                    idx = end;
+                    continue;
                 }
-            };
-            keys.push(ControlKey::of_parts(
-                node.props.primary_id(),
-                node.props.control_type,
-                &path,
-            ));
-            paths.push(path);
+            }
+            let first = ix.table.len() as u32;
+            for i in idx..end {
+                let e = ix.entry(snap, i, &mut child_ix);
+                let props = &snap.node(i).props;
+                let path = &ix.table[e as usize];
+                ix.keys.push(ControlKey::of_parts(props.primary_id(), props.control_type, path));
+                ix.path_ix.push(e);
+            }
+            if let Some((b, root)) = block {
+                b.lineage.0.get_or_init(|| ix.block_columns(idx..end, root, first));
+            }
+            idx = end;
         }
+        ix
+    }
 
-        SnapIndex { paths, keys, by_key: OnceLock::new() }
+    /// The table entry of node `idx`'s ancestor path, given the entries of
+    /// every node before it: the roots' is 0, every other node shares its
+    /// parent's `child_ix` entry, added on first use.
+    fn entry(&mut self, snap: &Snapshot, idx: usize, child_ix: &mut [u32]) -> u32 {
+        let Some(p) = snap.node(idx).parent else {
+            return 0;
+        };
+        debug_assert!(p < idx, "arena parents precede children");
+        if child_ix[p] == NO_ENTRY {
+            let pp: &str = &self.table[self.path_ix[p] as usize];
+            let pname = display_name(&snap.node(p).props.name);
+            let path: Arc<str> = if pp.is_empty() {
+                Arc::from(pname)
+            } else {
+                let mut s = String::with_capacity(pp.len() + 1 + pname.len());
+                s.push_str(pp);
+                s.push('/');
+                s.push_str(pname);
+                Arc::from(s.as_str())
+            };
+            child_ix[p] = self.table.len() as u32;
+            self.table.push(path);
+        }
+        child_ix[p]
+    }
+
+    /// The columns of the block computed over `range`, whose root path is
+    /// entry `root` and whose other paths are the entries from `first` on.
+    fn block_columns(&self, range: std::ops::Range<usize>, root: u32, first: u32) -> BlockColumns {
+        let local = |e: u32| {
+            debug_assert!(e == root || e >= first, "a block's paths are its own");
+            if e == root {
+                0
+            } else {
+                e - first + 1
+            }
+        };
+        let own = &self.table[first as usize..];
+        BlockColumns {
+            table: std::iter::once(&self.table[root as usize]).chain(own).cloned().collect(),
+            path_ix: self.path_ix[range.clone()].iter().map(|&e| local(e)).collect(),
+            keys: self.keys[range].into(),
+        }
     }
 
     /// The cached ancestor path of a node (root-first, slash-delimited).
     pub fn path(&self, idx: usize) -> &str {
-        &self.paths[idx]
+        &self.table[self.path_ix[idx] as usize]
     }
 
     /// The identity fingerprint of a node.
@@ -217,7 +323,7 @@ impl SnapIndex {
         let props = &snap.node(idx).props;
         props.control_type == id.control_type
             && props.primary_id() == id.primary
-            && *self.paths[idx] == *id.ancestor_path
+            && self.path(idx) == id.ancestor_path
     }
 
     /// Resolves an identifier to the first exactly matching arena index
@@ -233,7 +339,7 @@ impl SnapIndex {
         ControlId {
             primary: props.primary_id().to_string(),
             control_type: props.control_type,
-            ancestor_path: self.paths[idx].to_string(),
+            ancestor_path: self.path(idx).to_string(),
         }
     }
 }
@@ -292,7 +398,7 @@ mod tests {
     fn sibling_paths_share_one_allocation() {
         let s = sample();
         let ix = SnapIndex::build(&s);
-        assert!(Arc::ptr_eq(&ix.paths[3], &ix.paths[4]));
+        assert!(std::ptr::eq(ix.path(3).as_ptr(), ix.path(4).as_ptr()));
     }
 
     #[test]
@@ -310,6 +416,41 @@ mod tests {
             let id = ix.control_id(&s, i);
             assert_eq!(ix.resolve(&s, &id), Some(i));
         }
+    }
+
+    /// A window named `root` holding one block — a group and its two
+    /// buttons — recorded under `lineage` when one is given.
+    fn one_block(root: &str, lineage: Option<&Lineage>) -> Snapshot {
+        let mut s = Snapshot::new();
+        let w = s.push(ControlProps::new(root, ControlType::Window), None, 0);
+        s.push_window_root(w);
+        let grp = s.push(ControlProps::new("Font", ControlType::Group), Some(w), 0);
+        s.push(ControlProps::new("Bold", ControlType::Button), Some(grp), 0);
+        s.push(ControlProps::new("", ControlType::Button), Some(grp), 0);
+        if let Some(l) = lineage {
+            s.record_block(grp, s.len(), l.clone());
+        }
+        s
+    }
+
+    #[test]
+    fn a_lineage_serves_its_columns_under_an_equal_root_path() {
+        let lineage = Lineage::default();
+        let first = one_block("Main", Some(&lineage));
+        let again = one_block("Main", Some(&lineage));
+        let renamed = one_block("Other", Some(&lineage));
+        for (snap, root) in [(&first, "Main"), (&again, "Main"), (&renamed, "Other")] {
+            let (ix, whole) = (snap.index(), SnapIndex::build(&one_block(root, None)));
+            for (i, _) in snap.iter() {
+                assert_eq!((ix.key(i), ix.path(i)), (whole.key(i), whole.path(i)), "{root}: {i}");
+            }
+        }
+        let same_alloc = |a: &Snapshot, b: &Snapshot, i| {
+            std::ptr::eq(a.index().path(i).as_ptr(), b.index().path(i).as_ptr())
+        };
+        assert!(same_alloc(&first, &again, 3), "copied from the lineage");
+        assert!(!same_alloc(&first, &renamed, 3), "recomputed under another root path");
+        assert!(!same_alloc(&first, &one_block("Main", Some(&Lineage::default())), 3));
     }
 
     #[test]

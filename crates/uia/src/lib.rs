@@ -9,8 +9,9 @@
 //! - immutable accessibility-tree snapshots ([`Snapshot`], [`Node`]),
 //! - XPath-like control identifiers ([`ControlId`]) with fuzzy matching,
 //!   resolved through a per-snapshot identity index ([`SnapIndex`],
-//!   [`ControlKey`]) that one O(n) pass builds from the snapshot's own
-//!   nodes, plus one lazily built key table — see the [`index`] module
+//!   [`ControlKey`]) that one O(n) pass builds, copying the columns of
+//!   provider-recorded blocks whose identity [`Lineage`] already holds
+//!   them, plus one lazily built key table — see the [`index`] module
 //!   for the hash+confirm design.
 //!
 //! Applications (see `dmi-gui` / `dmi-apps`) produce snapshots; the DMI
@@ -38,7 +39,7 @@ pub mod tree;
 pub use control_type::ControlType;
 pub use error::{UiaError, UiaResult};
 pub use ident::{ControlId, ControlIdSet, ControlKey, FuzzyMatcher, KeyMap, MatchScore};
-pub use index::SnapIndex;
+pub use index::{Lineage, SnapIndex};
 pub use pattern::{PatternKind, PatternSet};
 pub use props::{ControlProps, Rect, RuntimeId, ToggleState};
-pub use tree::{Node, Snapshot};
+pub use tree::{Block, Node, Snapshot};

@@ -6,7 +6,7 @@
 //! the GUI ripper both operate exclusively on snapshots, which mirrors how
 //! real accessibility clients are decoupled from the provider process.
 
-use crate::index::SnapIndex;
+use crate::index::{Lineage, SnapIndex};
 use crate::{ControlId, ControlKey, ControlProps, RuntimeId};
 use std::sync::{Arc, OnceLock};
 
@@ -27,6 +27,19 @@ pub struct Node {
     pub window: usize,
 }
 
+/// A block of a snapshot recorded by its provider: one subtree's
+/// contiguous node range and its identity [`Lineage`]
+/// ([`Snapshot::record_block`]).
+#[derive(Debug, Clone)]
+pub struct Block {
+    /// First node of the range: the subtree's root.
+    pub start: usize,
+    /// One past the last node of the range.
+    pub end: usize,
+    /// The block's identity lineage.
+    pub lineage: Lineage,
+}
+
 /// An immutable snapshot of the accessibility tree for a desktop.
 ///
 /// Node index 0.. are arena indices; `windows` lists the arena index of each
@@ -38,12 +51,15 @@ pub struct Snapshot {
     windows: Vec<usize>,
     /// Modality flag per entry of `windows`.
     modal: Vec<bool>,
+    /// Blocks recorded by an incremental provider, in arena order; never
+    /// compared.
+    blocks: Vec<Block>,
     /// Lazily built identity index (see [`SnapIndex`]); invalidated by any
     /// mutation, never compared.
     index: OnceLock<SnapIndex>,
 }
 
-// Equality ignores the derived identity cache.
+// Equality ignores the block records and the derived identity cache.
 impl PartialEq for Snapshot {
     fn eq(&self, other: &Snapshot) -> bool {
         self.nodes == other.nodes && self.windows == other.windows && self.modal == other.modal
@@ -81,7 +97,10 @@ impl Snapshot {
     /// ids, and all — from an earlier capture instead of re-walking the
     /// widget tree. The range must be one subtree's contiguous, non-empty
     /// DFS block: the first node is its root, and every other node's
-    /// parent lies in range.
+    /// parent lies in range. When the range is a block `src` recorded,
+    /// the copy is recorded as a block of the same [`Lineage`], so the
+    /// identity index copies its columns instead of computing them
+    /// ([`SnapIndex::build`]).
     pub fn append_subtree_from(
         &mut self,
         src: &Snapshot,
@@ -112,7 +131,34 @@ impl Snapshot {
             });
         }
         self.nodes[parent].children.push(base);
+        if let Some(b) = src.block_at(start).filter(|b| b.end == end) {
+            self.record_block(base, self.nodes.len(), b.lineage.clone());
+        }
         base
+    }
+
+    /// Records the node range `start..end` — one subtree's contiguous DFS
+    /// block, after every block recorded so far — as a block of
+    /// `lineage`. A provider may give two blocks one lineage only when
+    /// their nodes, in order, carry equal control types, primary ids and
+    /// names: then their identity columns are equal wherever their roots'
+    /// ancestor paths are (see [`SnapIndex`]). Not part of equality.
+    pub fn record_block(&mut self, start: usize, end: usize, lineage: Lineage) {
+        debug_assert!(start < end && end <= self.nodes.len(), "a block is a non-empty range");
+        debug_assert!(self.blocks.last().is_none_or(|b| b.end <= start), "blocks in arena order");
+        self.index.take();
+        self.blocks.push(Block { start, end, lineage });
+    }
+
+    /// The recorded blocks, in arena order.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The recorded block whose range starts at `start`, if any.
+    pub fn block_at(&self, start: usize) -> Option<&Block> {
+        let i = self.blocks.binary_search_by_key(&start, |b| b.start).ok()?;
+        Some(&self.blocks[i])
     }
 
     /// Registers a node as a top-level window root (z-order append).
@@ -312,6 +358,27 @@ mod tests {
         assert!(s.iter().all(|(_, n)| n.window == 1));
         assert_eq!(s.node(4).props, src.node(3).props);
         assert_eq!(s.ancestor_path(4), "Other/Home/Font");
+    }
+
+    #[test]
+    fn a_copied_block_keeps_its_lineage() {
+        let mut src = sample();
+        let lineage = Lineage::default();
+        src.record_block(1, 4, lineage.clone());
+        let mut s = Snapshot::new();
+        let w = s.push(ControlProps::new("Other", ControlType::Window), None, 0);
+        s.append_subtree_from(&src, 1, 4, w, 0);
+        assert_eq!(s.blocks().len(), 1);
+        assert_eq!((s.blocks()[0].start, s.blocks()[0].end), (1, 4));
+        assert!(s.blocks()[0].lineage.same(&lineage));
+        assert!(s.block_at(1).is_some() && s.block_at(2).is_none());
+        // A range that is not a recorded block is copied unrecorded.
+        s.append_subtree_from(&src, 2, 4, w, 0);
+        assert_eq!(s.blocks().len(), 1);
+        // Records are not part of equality.
+        let mut plain = s.clone();
+        plain.blocks.clear();
+        assert_eq!(plain, s);
     }
 
     #[test]

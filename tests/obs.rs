@@ -1,7 +1,8 @@
 //! Observability integration tests: OFF-path silence through real rips,
 //! traced-vs-untraced UNG byte identity, Chrome-trace export validity,
 //! span nesting, virtual-time determinism, the stats-vs-tallies drift
-//! cross-checks, and one launch-capture build per image and model.
+//! cross-checks, one launch-capture build per image and model, and the
+//! pinned identity-lineage work of the small fleet rip.
 //!
 //! The recorder's enable flag is process-global, so every test that
 //! opens an observation window serializes on one lock — tests can never
@@ -348,6 +349,21 @@ fn fleet_stats_match_obs_tallies() {
     assert_eq!(sum(|s| s.restarts), t("rip.restarts"), "restarts");
     assert_eq!(sum(|s| s.esc_recoveries), t("rip.esc_recoveries"), "esc recoveries");
     assert_eq!(sum(|s| s.blocklisted), t("rip.blocklisted"), "blocklist hits");
+}
+
+/// The exact work of the identity lineages on the small 3-app fleet rip:
+/// post nodes the rip diffs probed against the pre index, post nodes they
+/// skipped inside a block sharing an available pre block's lineage, and
+/// walked blocks that adopted a donor block's lineage. A drift means the
+/// capture layer shared identities differently or the diff's skip rule
+/// changed; the byte oracles cannot see either.
+#[test]
+fn small_fleet_lineage_work_is_pinned() {
+    let _g = guard();
+    let obs = fleet_obs();
+    let t = |k: &str| obs.tallies.get(k).copied().unwrap_or(0);
+    let got = [t("rip.diff_probed"), t("rip.diff_skipped"), t("capture.idents_shared")];
+    assert_eq!(got, [148_507, 227_022, 2_714], "diff probes, diff skips, identities shared");
 }
 
 /// The serve-side drift cross-check: the gateway's outcome counters and
