@@ -15,6 +15,7 @@
 use crate::grounding::ground;
 use crate::task::AgentTask;
 use dmi_core::interface::{observe as obs, state, Observed};
+use dmi_core::screen::alpha_label;
 use dmi_core::topology::Forest;
 use dmi_core::{tokens, Dmi, LabeledScreen};
 use dmi_gui::Session;
@@ -193,13 +194,13 @@ impl DmiState {
             ),
             PlanStep::StateScrollbar { surface, percent } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    state::set_scrollbar_pos(s, screen, label_of(screen, surface)?, *percent)
+                    state::set_scrollbar_pos(s, screen, &label_of(screen, surface)?, *percent)
                         .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
             PlanStep::StateSelectLines { surface, start, end } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    state::select_lines(s, screen, label_of(screen, surface)?, *start, *end)
+                    state::select_lines(s, screen, &label_of(screen, surface)?, *start, *end)
                         .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
@@ -211,7 +212,7 @@ impl DmiState {
             }
             PlanStep::StateToggle { name, on } => {
                 run_state(session, llm, observed, dmi, |s, screen| {
-                    state::set_toggle_state(s, screen, label_of(screen, name)?, *on)
+                    state::set_toggle_state(s, screen, &label_of(screen, name)?, *on)
                         .map_err(|_| FailureCause::TopologyInaccuracy)
                 })
             }
@@ -236,15 +237,12 @@ impl DmiState {
 
 /// The label of the control named `name` on the labeled screen, or
 /// `WeakVisualSemantic` when no such control is on it.
-fn label_of<'s>(screen: &'s LabeledScreen, name: &str) -> Result<&'s str, FailureCause> {
-    screen.find_by_name(name).map(|e| e.label.as_str()).ok_or(FailureCause::WeakVisualSemantic)
+fn label_of(screen: &LabeledScreen, name: &str) -> Result<String, FailureCause> {
+    screen.find_by_name(name).map(alpha_label).ok_or(FailureCause::WeakVisualSemantic)
 }
 
 /// [`label_of`] for each of `names`.
-fn labels_of<'s>(
-    screen: &'s LabeledScreen,
-    names: &[String],
-) -> Result<Vec<&'s str>, FailureCause> {
+fn labels_of(screen: &LabeledScreen, names: &[String]) -> Result<Vec<String>, FailureCause> {
     names.iter().map(|n| label_of(screen, n)).collect()
 }
 
@@ -348,7 +346,7 @@ fn run_visit(
             let Some((_, entry)) = ground(observed.capture(session), &t.query) else {
                 return Err(FailureCause::TopologyInaccuracy);
             };
-            let wid = session.widget_of(entry.runtime);
+            let wid = session.widget_of(entry.runtime_id);
             if session.click(wid).is_err() {
                 return Err(FailureCause::TopologyInaccuracy);
             }
@@ -379,7 +377,7 @@ fn gui_fallback_chunk(
         let Some((_, entry)) = ground(observed.capture(session), &t.query) else {
             return Err(FailureCause::TopologyInaccuracy);
         };
-        let wid = session.widget_of(entry.runtime);
+        let wid = session.widget_of(entry.runtime_id);
         if session.click(wid).is_err() {
             return Err(FailureCause::TopologyInaccuracy);
         }

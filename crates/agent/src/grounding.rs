@@ -6,31 +6,31 @@
 //! models as a per-action grounding-error rate plus name-similarity-based
 //! matching (tolerant of live-name variation, unlike exact string match).
 
-use dmi_core::screen::{LabeledScreen, ScreenEntry};
+use dmi_core::screen::LabeledScreen;
 use dmi_llm::TargetQuery;
-use dmi_uia::ident::string_similarity_bounded;
+use dmi_uia::{ident::string_similarity_bounded, Node};
 
 /// Minimum name similarity for a visual match.
 pub const GROUNDING_SIMILARITY: f64 = 0.8;
 
-/// Finds the on-screen entry for a query, by name similarity.
+/// Finds the on-screen control for a query, by name similarity.
 ///
-/// Returns the index into `screen.entries`. Prefers exact matches, then
-/// the highest-similarity entry above the threshold. Disabled controls
-/// still ground (clicking them fails, realistically).
-pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, &'a ScreenEntry)> {
+/// Returns its position on the screen and its node. Prefers exact
+/// matches, then the highest-similarity control above the threshold.
+/// Disabled controls still ground (clicking them fails, realistically).
+pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, &'a Node)> {
     // A user looking for something to click prefers interactive elements
     // over same-named containers (ribbon groups often share their
     // dialog-launcher's name).
     let mut best: Option<(usize, f64, bool)> = None; // (idx, score, clickable)
-    for (i, e) in screen.entries.iter().enumerate() {
-        let clickable = dmi_core::interface::is_clickable(e.control_type);
+    for (i, n) in screen.nodes().enumerate() {
+        let clickable = dmi_core::interface::is_clickable(n.props.control_type);
         // Only equal names score 1.0, so the first clickable one cannot
         // be beaten.
-        if clickable && e.name == q.name {
-            return Some((i, e));
+        if clickable && n.props.name == q.name {
+            return Some((i, n));
         }
-        let s = string_similarity_bounded(&e.name, &q.name, GROUNDING_SIMILARITY);
+        let s = string_similarity_bounded(&n.props.name, &q.name, GROUNDING_SIMILARITY);
         if s < GROUNDING_SIMILARITY {
             continue;
         }
@@ -42,12 +42,13 @@ pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, 
             best = Some((i, s, clickable));
         }
     }
-    best.map(|(i, _, _)| (i, &screen.entries[i]))
+    best.map(|(i, _, _)| (i, screen.node(i)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmi_core::interface::is_clickable;
     use dmi_core::label_screen;
     use dmi_gui::Session;
     use dmi_uia::ident::string_similarity;
@@ -61,16 +62,16 @@ mod tests {
     #[test]
     fn exact_name_grounds() {
         let sc = screen();
-        let (_, e) = ground(&sc, &TargetQuery::name("Bold")).unwrap();
-        assert_eq!(e.name, "Bold");
+        let (_, n) = ground(&sc, &TargetQuery::name("Bold")).unwrap();
+        assert_eq!(n.props.name, "Bold");
     }
 
     #[test]
     fn similar_name_grounds() {
         let sc = screen();
         // A trailing-space or ellipsis variant still grounds.
-        let (_, e) = ground(&sc, &TargetQuery::name("Font Color ")).unwrap();
-        assert!(e.name.starts_with("Font Color"));
+        let (_, n) = ground(&sc, &TargetQuery::name("Font Color ")).unwrap();
+        assert!(n.props.name.starts_with("Font Color"));
     }
 
     #[test]
@@ -87,13 +88,13 @@ mod tests {
         assert!(ground(&sc, &TargetQuery::name("Bold")).is_some());
     }
 
-    /// The full scan `ground` replaced: every entry scored with the
+    /// The full scan `ground` replaced: every control scored with the
     /// unbounded similarity, exact names at 1.0.
     fn ground_full_scan(screen: &LabeledScreen, q: &TargetQuery) -> Option<usize> {
         let mut best: Option<(usize, f64, bool)> = None;
-        for (i, e) in screen.entries.iter().enumerate() {
-            let clickable = dmi_core::interface::is_clickable(e.control_type);
-            let s = if e.name == q.name { 1.0 } else { string_similarity(&e.name, &q.name) };
+        for (i, n) in screen.nodes().enumerate() {
+            let (name, clickable) = (&n.props.name, is_clickable(n.props.control_type));
+            let s = if *name == q.name { 1.0 } else { string_similarity(name, &q.name) };
             if s < GROUNDING_SIMILARITY {
                 continue;
             }
@@ -110,8 +111,8 @@ mod tests {
             let mut s = Session::new(kind.launch_small());
             let sc = label_screen(&s.snapshot());
             let (mut exact, mut similar) = (0, 0);
-            for e in &sc.entries {
-                let n = &e.name;
+            for node in sc.nodes() {
+                let n = &node.props.name;
                 for name in [n.clone(), format!("{n} "), n.to_lowercase(), format!("{n}…")] {
                     let q = TargetQuery::name(name);
                     let got = ground(&sc, &q);
@@ -122,7 +123,7 @@ mod tests {
                         q.name
                     );
                     match got {
-                        Some((_, hit)) if hit.name == q.name => exact += 1,
+                        Some((_, hit)) if hit.props.name == q.name => exact += 1,
                         Some(_) => similar += 1,
                         None => {}
                     }

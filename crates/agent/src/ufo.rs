@@ -193,7 +193,7 @@ fn execute_step(
             let Some((_, entry)) = ground(screen, &q) else {
                 return Exec::Stale;
             };
-            let r = entry.rect;
+            let r = entry.props.rect;
             let pct = if llm.sample_composite_error() {
                 // Misjudged drop point: off by a visually plausible margin.
                 let off = if llm.coin() { 30.0 } else { -30.0 };
@@ -220,7 +220,7 @@ fn execute_step(
             let Some((_, entry)) = ground(screen, &q) else {
                 return Exec::Stale;
             };
-            let r = entry.rect;
+            let r = entry.props.rect;
             let (mut s, mut e) = (*start, *end);
             if llm.sample_composite_error() {
                 // Off-by-one row on either end (precise coordinates are
@@ -268,12 +268,11 @@ fn click_with_grounding(
     };
     let target_idx = if llm.sample_grounding_error() {
         // Visual mis-grounding: a different visible control is clicked.
-        llm.wrong_index(screen.entries.len(), idx)
+        llm.wrong_index(screen.len(), idx)
     } else {
         idx
     };
-    let entry = &screen.entries[target_idx];
-    let wid = session.widget_of(entry.runtime);
+    let wid = session.widget_of(screen.node(target_idx).runtime_id);
     let click = session.click(wid);
     if target_idx != idx {
         // Wrong control was activated; can the model tell?

@@ -13,16 +13,21 @@
 //! drives a cached and a full-rebuild session in lockstep through seeded
 //! inputs and byte-compares every capture, then compares its identity
 //! index (key and ancestor path per node), which a cached capture may copy
-//! per block lineage instead of computing.
+//! per block lineage instead of computing. Across every click it also
+//! compares the rip's diff (the post nodes it calls fresh): the cached
+//! side skips blocks whose lineage an available pre block shares, the
+//! full-rebuild side records no block and probes every node. The UNG
+//! cannot see a diff that over-skips nodes it already holds.
 
 use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
-use crate::ripper::{rip, RipConfig};
+use crate::ripper::{diff_fresh, rip, RipConfig};
 use crate::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::Snapshot;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Which differential axis an oracle exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +98,9 @@ pub fn check_cached_capture(spec: &AppSpec) -> Option<Divergence> {
 /// Drives a cached and a full-rebuild session over fresh launches of
 /// `spec` through the same `steps` seeded inputs — clicks on shown
 /// controls, Esc presses, restarts — and byte-compares their captures
-/// before every step, identity indexes included. Returns both sessions,
-/// or the first step whose captures, indexes or click results differ.
+/// before every step and after the last, identity indexes included, and
+/// the rip diff across every click. Returns both sessions, or the first
+/// step whose captures, indexes, click results or diffs differ.
 pub fn walk_cached_and_eager(
     spec: &AppSpec,
     seed: u64,
@@ -104,7 +110,9 @@ pub fn walk_cached_and_eager(
     let mut eager = Session::new(AdversarialApp::launch(spec.clone()));
     eager.set_capture_config(CaptureConfig::full_rebuild());
     let mut rng = SmallRng::seed_from_u64(seed);
-    for step in 0..steps {
+    // The captures before the last step's click, if it clicked.
+    let mut clicked: Option<(Arc<Snapshot>, Arc<Snapshot>)> = None;
+    for step in 0..=steps {
         let snap = cached.snapshot();
         let oracle = eager.snapshot();
         if *snap != *oracle {
@@ -112,6 +120,14 @@ pub fn walk_cached_and_eager(
         }
         if let Some(d) = diff_indexes(step, &snap, &oracle) {
             return Err(d);
+        }
+        if let Some((pre, pre_oracle)) = clicked.take() {
+            if let Some(d) = diff_diffs(step - 1, [&pre, &snap], [&pre_oracle, &oracle]) {
+                return Err(d);
+            }
+        }
+        if step == steps {
+            break;
         }
         match rng.gen_range(0..8u32) {
             0 => {
@@ -133,6 +149,7 @@ pub fn walk_cached_and_eager(
                         detail: format!("step {step}: the clicks returned {a:?} vs {b:?}"),
                     });
                 }
+                clicked = Some((snap, oracle));
             }
         }
     }
@@ -187,6 +204,31 @@ fn diff_indexes(step: usize, cached: &Snapshot, rebuilt: &Snapshot) -> Option<Di
             a.key(i),
             b.path(i),
             b.key(i)
+        ),
+    })
+}
+
+/// Names the first post node that only one of two rip diffs across the
+/// click at `step` calls fresh: the cached session's `[pre, post]`, whose
+/// block records let it skip shared lineages, and the full rebuild's,
+/// which probes every node.
+fn diff_diffs(
+    step: usize,
+    [pre, post]: [&Snapshot; 2],
+    [pre_oracle, post_oracle]: [&Snapshot; 2],
+) -> Option<Divergence> {
+    let (a, b) = (diff_fresh(pre, post), diff_fresh(pre_oracle, post_oracle));
+    let only_one = |i: &&usize| a.binary_search(i).is_ok() != b.binary_search(i).is_ok();
+    let &i = a.iter().chain(&b).filter(only_one).min()?;
+    Some(Divergence {
+        oracle: OracleKind::CachedCapture,
+        window: window_of(post, i),
+        control: post.node(i).props.name.clone(),
+        detail: format!(
+            "step {step}: node {i} fresh in the {} diff only ({} vs {} fresh nodes)",
+            if a.binary_search(&i).is_ok() { "cached" } else { "full-rebuild" },
+            a.len(),
+            b.len()
         ),
     })
 }

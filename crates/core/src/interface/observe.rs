@@ -10,10 +10,10 @@
 //! - **active**: when the truncated view is insufficient, the LLM requests
 //!   specific controls by label and receives full content.
 //!
-//! An agent observes through [`Observed`], which derives the labeled
+//! An agent observes through [`Observed`], which labels each capture's
 //! screen and counts the prompts built from it once per capture.
 
-use crate::error::{DmiError, DmiResult};
+use crate::error::DmiResult;
 use crate::screen::{full_tree_prompt_text, label_screen, LabeledScreen};
 use crate::tokens;
 use dmi_gui::Session;
@@ -104,45 +104,33 @@ pub fn get_texts_passive(snap: &Snapshot) -> PassiveTexts {
 pub fn get_texts_active(
     session: &Session,
     screen: &LabeledScreen,
-    labels: &[&str],
+    labels: &[impl AsRef<str>],
 ) -> DmiResult<Vec<TextItem>> {
-    let mut resolved = Vec::with_capacity(labels.len());
-    for l in labels {
-        if l.chars().all(|c| c.is_ascii_digit()) && !l.is_empty() {
-            return Err(DmiError::StaticIdProhibited { label: l.to_string() });
-        }
-        let e =
-            screen.resolve(l).ok_or_else(|| DmiError::LabelNotFound { label: l.to_string() })?;
-        if !e.patterns.supports(PatternKind::Value) && !e.patterns.supports(PatternKind::Text) {
-            return Err(DmiError::PatternUnsupported {
-                name: e.name.clone(),
-                pattern: "TextPattern".into(),
-            });
-        }
-        resolved.push(e);
-    }
-    Ok(resolved
+    let nodes = labels
+        .iter()
+        .map(|l| screen.resolve_supporting(l.as_ref(), &[PatternKind::Text, PatternKind::Value]))
+        .collect::<DmiResult<Vec<_>>>()?;
+    Ok(nodes
         .into_iter()
-        .map(|e| {
-            let wid = session.widget_of(e.runtime);
-            TextItem { name: e.name.clone(), text: session.get_text(wid), truncated: false }
+        .map(|n| {
+            let text = session.get_text(session.widget_of(n.runtime_id));
+            TextItem { name: n.props.name.clone(), text, truncated: false }
         })
         .collect())
 }
 
-/// One observation per capture: the last snapshot an agent took, its
-/// labeled screen, and the token counts of the prompts built from it,
-/// each counted at most once.
+/// One observation per capture: the labeled screen of the last snapshot
+/// an agent took, which holds that snapshot's `Arc`, and the token
+/// counts of the prompts built from it, each counted at most once.
 ///
 /// [`Observed::capture`] always takes a snapshot, since every capture
 /// advances the session's query clock, which late-load reveals read. It
-/// derives the screen again only when the session returns a different
-/// snapshot `Arc`: the held `Arc` keeps its allocation alive, so an
+/// labels the screen again only when the session returns a different
+/// snapshot `Arc`: the screen's `Arc` keeps its allocation alive, so an
 /// equal pointer is the same, immutable snapshot.
 #[derive(Debug, Default)]
 pub struct Observed {
-    snap: Option<Arc<Snapshot>>,
-    screen: LabeledScreen,
+    screen: Option<LabeledScreen>,
     full_tree_tokens: Option<usize>,
     screen_tokens: Option<usize>,
     passive_tokens: Option<usize>,
@@ -152,20 +140,15 @@ impl Observed {
     /// Takes a snapshot and returns its labeled screen.
     pub fn capture(&mut self, session: &mut Session) -> &LabeledScreen {
         let snap = session.snapshot();
-        if !self.snap.as_ref().is_some_and(|held| Arc::ptr_eq(held, &snap)) {
-            *self =
-                Observed { screen: label_screen(&snap), snap: Some(snap), ..Observed::default() };
+        if !self.screen.as_ref().is_some_and(|held| Arc::ptr_eq(held.snapshot(), &snap)) {
+            *self = Observed { screen: Some(label_screen(&snap)), ..Observed::default() };
         }
-        &self.screen
+        self.screen()
     }
 
-    /// The labeled screen of the last capture.
+    /// The labeled screen of the last capture. Panics before the first.
     pub fn screen(&self) -> &LabeledScreen {
-        &self.screen
-    }
-
-    fn snap(&self) -> &Snapshot {
-        self.snap.as_deref().expect("an observation follows a capture")
+        self.screen.as_ref().expect("an observation follows a capture")
     }
 
     /// Tokens in the last capture's full-tree prompt
@@ -173,21 +156,23 @@ impl Observed {
     pub fn full_tree_tokens(&mut self) -> usize {
         let n = self
             .full_tree_tokens
-            .unwrap_or_else(|| tokens::count(&full_tree_prompt_text(self.snap())));
+            .unwrap_or_else(|| tokens::count(&full_tree_prompt_text(self.screen().snapshot())));
         *self.full_tree_tokens.insert(n)
     }
 
     /// Tokens in the last capture's labeled-screen prompt
     /// ([`LabeledScreen::to_prompt_text`]).
     pub fn screen_tokens(&mut self) -> usize {
-        *self.screen_tokens.get_or_insert_with(|| tokens::count(&self.screen.to_prompt_text()))
+        let n =
+            self.screen_tokens.unwrap_or_else(|| tokens::count(&self.screen().to_prompt_text()));
+        *self.screen_tokens.insert(n)
     }
 
     /// Tokens in the last capture's passive `get_texts()` prompt.
     pub fn passive_tokens(&mut self) -> usize {
-        let n = self
-            .passive_tokens
-            .unwrap_or_else(|| tokens::count(&get_texts_passive(self.snap()).to_prompt_text()));
+        let n = self.passive_tokens.unwrap_or_else(|| {
+            tokens::count(&get_texts_passive(self.screen().snapshot()).to_prompt_text())
+        });
         *self.passive_tokens.insert(n)
     }
 }
@@ -195,6 +180,8 @@ impl Observed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DmiError;
+    use crate::screen::alpha_label;
     use dmi_apps::AppKind;
     use dmi_gui::GuiApp;
     use dmi_uia::ControlProps;
@@ -241,7 +228,7 @@ mod tests {
         }
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let label = screen.find_by_name("A5").unwrap().label.clone();
+        let label = alpha_label(screen.find_by_name("A5").unwrap());
         let items = get_texts_active(&s, &screen, &[&label]).unwrap();
         assert_eq!(items[0].text, "full untruncated content here");
         assert!(!items[0].truncated);
@@ -256,8 +243,8 @@ mod tests {
         };
         let (s, snap) = s_snap;
         let screen = label_screen(&snap);
-        let good = screen.find_by_name("A1").unwrap().label.clone();
-        let err = get_texts_active(&s, &screen, &[&good, "NOPE"]).unwrap_err();
+        let good = alpha_label(screen.find_by_name("A1").unwrap());
+        let err = get_texts_active(&s, &screen, &[good.as_str(), "NOPE"]).unwrap_err();
         assert!(matches!(err, DmiError::LabelNotFound { .. }));
         let err = get_texts_active(&s, &screen, &["123"]).unwrap_err();
         assert!(matches!(err, DmiError::StaticIdProhibited { .. }));

@@ -2,14 +2,16 @@
 //!
 //! These interfaces operate on controls addressed by their *on-screen
 //! label* — static topology ids are explicitly prohibited to keep access
-//! and complex interaction separated (§3.5). Execution is conservative:
-//! if any addressed control lacks the required pattern, nothing is
-//! executed (§4.4). On success a structured status is returned.
+//! and complex interaction separated (§3.5). Each declaration resolves
+//! each label once, through [`LabeledScreen::resolve_supporting`], to the
+//! snapshot node it names. Execution is conservative: if any addressed
+//! control lacks the required pattern, nothing is executed (§4.4). On
+//! success a structured status is returned.
 
 use crate::error::{DmiError, DmiResult};
 use crate::screen::LabeledScreen;
 use dmi_gui::Session;
-use dmi_uia::{PatternKind, RuntimeId};
+use dmi_uia::PatternKind;
 
 /// Structured status returned by state declarations (§4.4).
 #[derive(Debug, Clone, PartialEq)]
@@ -18,30 +20,15 @@ pub struct StateReport {
     pub status: String,
 }
 
-fn resolve(screen: &LabeledScreen, label: &str) -> DmiResult<RuntimeId> {
-    if label.chars().all(|c| c.is_ascii_digit()) && !label.is_empty() {
-        return Err(DmiError::StaticIdProhibited { label: label.to_string() });
-    }
-    screen
-        .resolve(label)
-        .map(|e| e.runtime)
-        .ok_or_else(|| DmiError::LabelNotFound { label: label.to_string() })
-}
-
-fn require_pattern(
+/// The widget behind `label`'s control, which must support `pattern`.
+fn widget(
+    session: &Session,
     screen: &LabeledScreen,
     label: &str,
     pattern: PatternKind,
-) -> DmiResult<RuntimeId> {
-    let rt = resolve(screen, label)?;
-    let entry = screen.entries.iter().find(|e| e.runtime == rt).expect("resolved entry");
-    if !entry.patterns.supports(pattern) {
-        return Err(DmiError::PatternUnsupported {
-            name: entry.name.clone(),
-            pattern: pattern.as_str().to_string(),
-        });
-    }
-    Ok(rt)
+) -> DmiResult<dmi_gui::WidgetId> {
+    let node = screen.resolve_supporting(label, &[pattern])?;
+    Ok(session.widget_of(node.runtime_id))
 }
 
 /// `set_scrollbar_pos(y_percent)` on a scrollbar or scrollable container
@@ -52,24 +39,15 @@ pub fn set_scrollbar_pos(
     label: &str,
     y_percent: f64,
 ) -> DmiResult<StateReport> {
-    let rt = resolve(screen, label)?;
-    let entry = screen.entries.iter().find(|e| e.runtime == rt).expect("resolved entry");
-    if !entry.patterns.supports(PatternKind::Scroll)
-        && !entry.patterns.supports(PatternKind::RangeValue)
-    {
-        return Err(DmiError::PatternUnsupported {
-            name: entry.name.clone(),
-            pattern: "ScrollPattern".into(),
-        });
-    }
+    let node = screen.resolve_supporting(label, &[PatternKind::Scroll, PatternKind::RangeValue])?;
     if !(0.0..=100.0).contains(&y_percent) {
         return Err(DmiError::InvalidArgument {
             message: format!("scroll percent {y_percent} outside 0..=100"),
         });
     }
-    let wid = session.widget_of(rt);
+    let wid = session.widget_of(node.runtime_id);
     session.scroll_to(wid, y_percent).map_err(DmiError::from)?;
-    Ok(StateReport { status: format!("scrollbar '{}' at {y_percent:.0}%", entry.name) })
+    Ok(StateReport { status: format!("scrollbar '{}' at {y_percent:.0}%", node.props.name) })
 }
 
 /// `select_lines(start, end)` on a text surface (TextPattern).
@@ -80,8 +58,7 @@ pub fn select_lines(
     start: usize,
     end: usize,
 ) -> DmiResult<StateReport> {
-    let rt = require_pattern(screen, label, PatternKind::Text)?;
-    let wid = session.widget_of(rt);
+    let wid = widget(session, screen, label, PatternKind::Text)?;
     session.select_lines(wid, start, end).map_err(DmiError::from)?;
     Ok(StateReport { status: format!("lines {start}..={end} selected") })
 }
@@ -94,8 +71,7 @@ pub fn select_paragraphs(
     start: usize,
     end: usize,
 ) -> DmiResult<StateReport> {
-    let rt = require_pattern(screen, label, PatternKind::Text)?;
-    let wid = session.widget_of(rt);
+    let wid = widget(session, screen, label, PatternKind::Text)?;
     session.select_paragraphs(wid, start, end).map_err(DmiError::from)?;
     Ok(StateReport { status: format!("paragraphs {start}..={end} selected") })
 }
@@ -107,17 +83,16 @@ pub fn select_paragraphs(
 pub fn select_controls(
     session: &mut Session,
     screen: &LabeledScreen,
-    labels: &[&str],
+    labels: &[impl AsRef<str>],
 ) -> DmiResult<StateReport> {
     if labels.is_empty() {
         return Err(DmiError::InvalidArgument { message: "no labels given".into() });
     }
-    let mut targets = Vec::with_capacity(labels.len());
-    for l in labels {
-        targets.push(require_pattern(screen, l, PatternKind::SelectionItem)?);
-    }
-    for (i, rt) in targets.iter().enumerate() {
-        let wid = session.widget_of(*rt);
+    let targets = labels
+        .iter()
+        .map(|l| widget(session, screen, l.as_ref(), PatternKind::SelectionItem))
+        .collect::<DmiResult<Vec<_>>>()?;
+    for (i, &wid) in targets.iter().enumerate() {
         session.select(wid, i > 0).map_err(DmiError::from)?;
     }
     Ok(StateReport { status: format!("{} control(s) selected", targets.len()) })
@@ -130,8 +105,7 @@ pub fn set_toggle_state(
     label: &str,
     on: bool,
 ) -> DmiResult<StateReport> {
-    let rt = require_pattern(screen, label, PatternKind::Toggle)?;
-    let wid = session.widget_of(rt);
+    let wid = widget(session, screen, label, PatternKind::Toggle)?;
     session.set_toggle(wid, on).map_err(DmiError::from)?;
     Ok(StateReport { status: format!("toggle set {}", if on { "on" } else { "off" }) })
 }
@@ -143,8 +117,7 @@ pub fn set_expanded(
     label: &str,
     expanded: bool,
 ) -> DmiResult<StateReport> {
-    let rt = require_pattern(screen, label, PatternKind::ExpandCollapse)?;
-    let wid = session.widget_of(rt);
+    let wid = widget(session, screen, label, PatternKind::ExpandCollapse)?;
     session.set_expanded(wid, expanded).map_err(DmiError::from)?;
     Ok(StateReport { status: (if expanded { "expanded" } else { "collapsed" }).to_string() })
 }
@@ -157,8 +130,7 @@ pub fn set_texts(
     label: &str,
     text: &str,
 ) -> DmiResult<StateReport> {
-    let rt = require_pattern(screen, label, PatternKind::Value)?;
-    let wid = session.widget_of(rt);
+    let wid = widget(session, screen, label, PatternKind::Value)?;
     session.set_value(wid, text).map_err(DmiError::from)?;
     Ok(StateReport { status: format!("text set ({} chars)", text.len()) })
 }
@@ -166,7 +138,7 @@ pub fn set_texts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::screen::label_screen;
+    use crate::screen::{alpha_label, label_screen};
     use dmi_apps::AppKind;
     use std::any::Any;
 
@@ -188,7 +160,7 @@ mod tests {
         let mut s = word_session();
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let sb = screen.find_by_name("Vertical Scroll Bar").unwrap().label.clone();
+        let sb = alpha_label(screen.find_by_name("Vertical Scroll Bar").unwrap());
         let r = set_scrollbar_pos(&mut s, &screen, &sb, 100.0).unwrap();
         assert!(r.status.contains("100"));
         // The document scrolled: the last paragraph is now on screen.
@@ -202,7 +174,7 @@ mod tests {
         let mut s = word_session();
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let doc = screen.find_by_name("Document").unwrap().label.clone();
+        let doc = alpha_label(screen.find_by_name("Document").unwrap());
         select_lines(&mut s, &screen, &doc, 3, 5).unwrap();
         let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
         let sel = w.doc.selection.unwrap();
@@ -214,10 +186,10 @@ mod tests {
         let mut s = Session::new(AppKind::PowerPoint.launch_small());
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let s1 = screen.find_by_name("Slide 1").unwrap().label.clone();
+        let s1 = alpha_label(screen.find_by_name("Slide 1").unwrap());
         // "Bold" is a Button without SelectionItem: whole call must fail
         // without selecting Slide 1.
-        let bold = screen.find_by_name("Bold").unwrap().label.clone();
+        let bold = alpha_label(screen.find_by_name("Bold").unwrap());
         let err = select_controls(&mut s, &screen, &[&s1, &bold]).unwrap_err();
         assert!(matches!(err, DmiError::PatternUnsupported { .. }));
         // Single valid selection works.
@@ -233,7 +205,7 @@ mod tests {
         s.select_lines(surf, 0, 0).unwrap();
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let bold = screen.find_by_name("Bold").unwrap().label.clone();
+        let bold = alpha_label(screen.find_by_name("Bold").unwrap());
         set_toggle_state(&mut s, &screen, &bold, true).unwrap();
         set_toggle_state(&mut s, &screen, &bold, true).unwrap();
         let w = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
@@ -254,7 +226,7 @@ mod tests {
         let mut s = Session::new(AppKind::Excel.launch_small());
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let nb = screen.find_by_name("Name Box").unwrap().label.clone();
+        let nb = alpha_label(screen.find_by_name("Name Box").unwrap());
         set_texts(&mut s, &screen, &nb, "D4").unwrap();
         let excel = (s.app() as &dyn Any).downcast_ref::<dmi_apps::ExcelApp>().unwrap();
         let nb_id = excel.name_box();

@@ -504,7 +504,7 @@ impl Ripper<'_> {
 /// available pre twin of equal identity. The pre key-multimap is built
 /// only if some node is still probed. Depends only on the two snapshots
 /// and their block records; snapshots without records are probed whole.
-fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<usize> {
+pub(crate) fn diff_fresh(pre: &Snapshot, post: &Snapshot) -> Vec<usize> {
     let pre_ix = pre.index();
     let post_ix = post.index();
     let twinned = |b: &&Block| {

@@ -7,54 +7,63 @@
 //! ids of the navigation topology; interaction interfaces accept only
 //! labels (§3.5).
 //!
+//! A label is a position: the `n`th on-screen node of one snapshot, in
+//! document order, carries [`alpha_label`]`(n)`, and [`label_index`]
+//! reads the position back. A [`LabeledScreen`] is therefore a view, the
+//! snapshot `Arc` plus the indices of its on-screen nodes. Readers borrow
+//! each control's [`Node`] from the snapshot, and no label or control
+//! text is stored.
+//!
 //! The full-tree and labeled-screen prompts share one line format
 //! (`label: name(type) = 'value' [flag]`). Their token counts are taken
 //! from the built text with [`crate::tokens::count`]; an agent counts
 //! each at most once per capture through `interface::Observed`.
 
-use dmi_uia::{ControlType, PatternSet, Rect, RuntimeId, Snapshot};
+use crate::error::{DmiError, DmiResult};
+use dmi_uia::{ControlProps, Node, PatternKind, Snapshot};
+use std::sync::Arc;
 
-/// One labeled on-screen control.
+/// The labeled view of one snapshot: its on-screen nodes in document
+/// order, the node at position `n` labeled [`alpha_label`]`(n)`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScreenEntry {
-    /// Alphabetic label ("A", "B", ..., "AA", ...).
-    pub label: String,
-    /// Runtime id in the snapshot.
-    pub runtime: RuntimeId,
-    /// Control name.
-    pub name: String,
-    /// Control type.
-    pub control_type: ControlType,
-    /// Value (edits, cells).
-    pub value: String,
-    /// Supported patterns.
-    pub patterns: PatternSet,
-    /// Whether the control is enabled.
-    pub enabled: bool,
-    /// Bounding rectangle (for coordinate-based imperative input).
-    pub rect: Rect,
-}
-
-/// The labeled view of one snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabeledScreen {
-    /// Labeled entries in document order.
-    pub entries: Vec<ScreenEntry>,
+    snap: Arc<Snapshot>,
+    /// Arena indices of the on-screen nodes, in document order.
+    on_screen: Vec<usize>,
 }
 
-/// Converts an index to an alphabetic label (0 -> "A", 25 -> "Z",
+/// Converts a position to an alphabetic label (0 -> "A", 25 -> "Z",
 /// 26 -> "AA").
-pub fn alpha_label(mut i: usize) -> String {
+pub fn alpha_label(i: usize) -> String {
     let mut s = String::new();
+    push_label(&mut s, i);
+    s
+}
+
+/// Appends [`alpha_label`]`(i)` to `out`.
+fn push_label(out: &mut String, mut i: usize) {
+    let start = out.len();
     loop {
-        s.insert(0, (b'A' + (i % 26) as u8) as char);
+        out.insert(start, (b'A' + (i % 26) as u8) as char);
         i /= 26;
         if i == 0 {
             break;
         }
         i -= 1;
     }
-    s
+}
+
+/// The position a label names, the inverse of [`alpha_label`]: `None`
+/// unless `label` is a non-empty run of ASCII capitals whose position
+/// fits a `usize`.
+pub fn label_index(label: &str) -> Option<usize> {
+    let n = label.bytes().try_fold(0usize, |n, b| {
+        if !b.is_ascii_uppercase() {
+            return None;
+        }
+        n.checked_mul(26)?.checked_add(usize::from(b - b'A') + 1)
+    })?;
+    n.checked_sub(1)
 }
 
 /// Renders the *full* exposed accessibility tree as prompt text — the
@@ -64,28 +73,21 @@ pub fn alpha_label(mut i: usize) -> String {
 pub fn full_tree_prompt_text(snap: &Snapshot) -> String {
     let mut out = String::new();
     for (i, node) in snap.iter() {
-        let p = &node.props;
-        let flag = if p.offscreen { " [offscreen]" } else { "" };
-        push_line(&mut out, &alpha_label(i), &p.name, p.control_type, &p.value, flag);
+        let flag = if node.props.offscreen { " [offscreen]" } else { "" };
+        push_line(&mut out, i, &node.props, flag);
     }
     out
 }
 
 /// Appends one prompt line: `label: name(type)`, then ` = 'value'` for a
 /// non-empty value, then the flag.
-fn push_line(
-    out: &mut String,
-    label: &str,
-    name: &str,
-    control_type: ControlType,
-    value: &str,
-    flag: &str,
-) {
-    for piece in [label, ": ", name, "(", control_type.as_str(), ")"] {
+fn push_line(out: &mut String, pos: usize, p: &ControlProps, flag: &str) {
+    push_label(out, pos);
+    for piece in [": ", &p.name, "(", p.control_type.as_str(), ")"] {
         out.push_str(piece);
     }
-    if !value.is_empty() {
-        for piece in [" = '", value, "'"] {
+    if !p.value.is_empty() {
+        for piece in [" = '", &p.value, "'"] {
             out.push_str(piece);
         }
     }
@@ -94,63 +96,84 @@ fn push_line(
 }
 
 /// Labels every on-screen (not off-screen) control in the snapshot.
-pub fn label_screen(snap: &Snapshot) -> LabeledScreen {
-    let mut entries = Vec::new();
-    for (_, node) in snap.iter() {
-        if node.props.offscreen {
-            continue;
-        }
-        let label = alpha_label(entries.len());
-        entries.push(ScreenEntry {
-            label,
-            runtime: node.runtime_id,
-            name: node.props.name.clone(),
-            control_type: node.props.control_type,
-            value: node.props.value.clone(),
-            patterns: node.props.patterns,
-            enabled: node.props.enabled,
-            rect: node.props.rect,
-        });
-    }
-    LabeledScreen { entries }
+pub fn label_screen(snap: &Arc<Snapshot>) -> LabeledScreen {
+    LabeledScreen { snap: Arc::clone(snap), on_screen: snap.find_all(|n| !n.props.offscreen) }
 }
 
 impl LabeledScreen {
-    /// Resolves a label to the control's runtime id.
-    pub fn resolve(&self, label: &str) -> Option<&ScreenEntry> {
-        self.entries.iter().find(|e| e.label == label)
+    /// The snapshot this screen labels.
+    pub fn snapshot(&self) -> &Arc<Snapshot> {
+        &self.snap
     }
 
-    /// Finds the first entry with the given name.
-    pub fn find_by_name(&self, name: &str) -> Option<&ScreenEntry> {
-        self.entries.iter().find(|e| e.name == name)
+    /// The labeled control at position `pos` (the one labeled
+    /// [`alpha_label`]`(pos)`). Panics if `pos >= self.len()`.
+    pub fn node(&self, pos: usize) -> &Node {
+        self.snap.node(self.on_screen[pos])
+    }
+
+    /// The labeled controls in label order.
+    pub fn nodes(&self) -> impl Iterator<Item = &Node> + '_ {
+        self.on_screen.iter().map(|&i| self.snap.node(i))
+    }
+
+    /// Resolves a label from outside the program (an LLM's call) to its
+    /// control: a digits-only label is a static topology id, which
+    /// interaction interfaces refuse (§3.5), and any other label must name
+    /// a position on this screen.
+    pub fn resolve(&self, label: &str) -> DmiResult<&Node> {
+        if !label.is_empty() && label.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(DmiError::StaticIdProhibited { label: label.to_string() });
+        }
+        label_index(label)
+            .filter(|&pos| pos < self.len())
+            .map(|pos| self.node(pos))
+            .ok_or_else(|| DmiError::LabelNotFound { label: label.to_string() })
+    }
+
+    /// [`Self::resolve`], then requires the control to support at least
+    /// one of `patterns`; the error names the first.
+    pub fn resolve_supporting(&self, label: &str, patterns: &[PatternKind]) -> DmiResult<&Node> {
+        let node = self.resolve(label)?;
+        if !patterns.iter().any(|&p| node.props.patterns.supports(p)) {
+            return Err(DmiError::PatternUnsupported {
+                name: node.props.name.clone(),
+                pattern: patterns[0].as_str().to_string(),
+            });
+        }
+        Ok(node)
+    }
+
+    /// The position of the first labeled control with the given name.
+    pub fn find_by_name(&self, name: &str) -> Option<usize> {
+        self.nodes().position(|n| n.props.name == name)
     }
 
     /// Renders the labeled controls as prompt text (one line each).
     pub fn to_prompt_text(&self) -> String {
         let mut out = String::new();
-        for e in &self.entries {
-            let flag = if e.enabled { "" } else { " [disabled]" };
-            push_line(&mut out, &e.label, &e.name, e.control_type, &e.value, flag);
+        for (pos, node) in self.nodes().enumerate() {
+            let flag = if node.props.enabled { "" } else { " [disabled]" };
+            push_line(&mut out, pos, &node.props, flag);
         }
         out
     }
 
     /// Number of labeled controls.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.on_screen.len()
     }
 
     /// Whether the screen has no labeled controls.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.on_screen.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmi_uia::ControlProps;
+    use dmi_uia::ControlType;
 
     #[test]
     fn alpha_labels_roll_over() {
@@ -159,6 +182,22 @@ mod tests {
         assert_eq!(alpha_label(26), "AA");
         assert_eq!(alpha_label(27), "AB");
         assert_eq!(alpha_label(26 * 27 + 25), "AAZ");
+    }
+
+    /// Labels come from the LLM: every label of one to three letters reads
+    /// back to its position, and anything else is no position at all.
+    #[test]
+    fn label_index_inverts_alpha_label() {
+        let three_letters = 26 + 26 * 26 + 26 * 26 * 26;
+        assert_eq!(three_letters, 18_278);
+        for i in 0..three_letters {
+            assert_eq!(label_index(&alpha_label(i)), Some(i), "{}", alpha_label(i));
+        }
+        assert_eq!(alpha_label(three_letters), "AAAA");
+        let overflow = "Z".repeat(20);
+        for bad in ["", "a", "A1", "7", "Ä", "ÄA", " A", overflow.as_str()] {
+            assert_eq!(label_index(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -170,7 +209,7 @@ mod tests {
         let mut hidden = ControlProps::new("Hidden", ControlType::Button);
         hidden.offscreen = true;
         s.push(hidden, Some(w), 0);
-        let screen = label_screen(&s);
+        let screen = label_screen(&Arc::new(s));
         assert_eq!(screen.len(), 2); // window + visible button
         assert!(screen.find_by_name("Hidden").is_none());
     }
@@ -186,7 +225,7 @@ mod tests {
         let mut d = ControlProps::new("Paste", ControlType::Button);
         d.enabled = false;
         s.push(d, Some(w), 0);
-        let text = label_screen(&s).to_prompt_text();
+        let text = label_screen(&Arc::new(s.clone())).to_prompt_text();
         assert_eq!(text, "A: W(Window)\nB: Name Box(Edit) = 'A1'\nC: Paste(Button) [disabled]\n");
         // The full tree flags off-screen controls instead of disabled ones.
         let mut off = ControlProps::new("Row 9", ControlType::Text);
@@ -203,10 +242,17 @@ mod tests {
         let mut s = Snapshot::new();
         let w = s.push(ControlProps::new("W", ControlType::Window), None, 0);
         s.push_window_root(w);
+        let mut hidden = ControlProps::new("Hidden", ControlType::Button);
+        hidden.offscreen = true;
+        s.push(hidden, Some(w), 0);
         s.push(ControlProps::new("B", ControlType::Button), Some(w), 0);
-        let screen = label_screen(&s);
-        let entry = screen.find_by_name("B").unwrap();
-        assert_eq!(screen.resolve(&entry.label).unwrap().name, "B");
-        assert!(screen.resolve("ZZZ").is_none());
+        let screen = label_screen(&Arc::new(s));
+        // The hidden button takes no position: "B" is the second label.
+        let pos = screen.find_by_name("B").unwrap();
+        assert_eq!(alpha_label(pos), "B");
+        assert_eq!(screen.resolve(&alpha_label(pos)).unwrap().props.name, "B");
+        assert!(matches!(screen.resolve("C"), Err(DmiError::LabelNotFound { .. })));
+        assert!(matches!(screen.resolve("ZZZ"), Err(DmiError::LabelNotFound { .. })));
+        assert!(matches!(screen.resolve("12"), Err(DmiError::StaticIdProhibited { .. })));
     }
 }

@@ -7,6 +7,7 @@
 //! ```
 
 use dmi_core::interface::observe::{get_texts_active, get_texts_passive};
+use dmi_core::screen::alpha_label;
 use dmi_core::{label_screen, Dmi, DmiBuildConfig};
 use dmi_gui::Session;
 use std::any::Any;
@@ -27,12 +28,9 @@ fn main() {
 
     // Active mode: full content of specific cells by on-screen label.
     let screen = label_screen(&snap);
-    let labels: Vec<String> = ["D2", "D3", "D4"]
-        .iter()
-        .filter_map(|n| screen.find_by_name(n).map(|e| e.label.clone()))
-        .collect();
-    let refs: Vec<&str> = labels.iter().map(|l| l.as_str()).collect();
-    let items = get_texts_active(&s, &screen, &refs).expect("cells readable");
+    let labels: Vec<String> =
+        ["D2", "D3", "D4"].iter().filter_map(|n| screen.find_by_name(n).map(alpha_label)).collect();
+    let items = get_texts_active(&s, &screen, &labels).expect("cells readable");
     println!("active get_texts:");
     for it in &items {
         println!("  {} = {}", it.name, it.text);

@@ -1,7 +1,10 @@
 //! Robustness integration: UI instability (late loading, name variation),
 //! dynamic renames, trap/external hazards, and the GUI fallback.
 
-use dmi_core::{label_screen, Dmi, DmiBuildConfig};
+use dmi_core::interface::observe::get_texts_active;
+use dmi_core::interface::state;
+use dmi_core::screen::alpha_label;
+use dmi_core::{label_screen, Dmi, DmiBuildConfig, DmiError};
 use dmi_gui::{InstabilityModel, Session};
 use std::any::Any;
 
@@ -99,12 +102,28 @@ fn screen_labels_follow_live_names() {
     let mut s = unstable_word(5, 0.0, 1.0);
     let snap = s.snapshot();
     let screen = label_screen(&snap);
-    // The provider-side names are unperturbed; screen labels expose the
-    // varied ones, so label-based interfaces keep working regardless.
-    assert!(!screen.is_empty());
-    for e in &screen.entries {
-        assert!(!e.label.is_empty());
+    // The provider-side names are unperturbed; the screen shows the
+    // varied live names, and the label found by a live name resolves to
+    // the control that shows it, so label-based interfaces keep working.
+    let tree = s.app().tree();
+    let (mut varied, mut owned) = (0, 0);
+    for (pos, node) in screen.nodes().enumerate() {
+        let live = &node.props.name;
+        if *live == tree.widget(s.widget_of(node.runtime_id)).name {
+            continue;
+        }
+        varied += 1;
+        // A variation may repeat an earlier control's name; the first
+        // control showing a name owns its label.
+        let found = screen.find_by_name(live).expect("a shown name is found");
+        assert!(found <= pos && screen.node(found).props.name == *live, "{live:?}");
+        if found == pos {
+            owned += 1;
+            let hit = screen.resolve(&alpha_label(pos)).expect("the found label resolves");
+            assert_eq!(hit.runtime_id, node.runtime_id, "{live:?}");
+        }
     }
+    assert!(varied > 0 && owned > 0, "{varied} varied names, {owned} owning their label");
 }
 
 #[test]
@@ -191,4 +210,28 @@ fn enforced_access_clicks_navigation_nodes() {
     let tree = s.app().tree();
     let tab = tree.find_by_name("Design").unwrap();
     assert!(tree.widget(tab).selected, "Design tab selected via enforced access");
+}
+
+/// Labels come from the LLM, from outside the program: empty, lowercase,
+/// mixed, digit-only, non-ASCII, overflowing and past-the-end labels get a
+/// typed error from an observation and a state declaration, never a
+/// panic, and nothing is executed.
+#[test]
+fn malformed_labels_get_typed_errors() {
+    let mut s = Session::new(dmi_apps::AppKind::Excel.launch_small());
+    let snap = s.snapshot();
+    let screen = label_screen(&snap);
+    let (overflow, past_end) = ("Z".repeat(20), alpha_label(screen.len()));
+    for bad in ["", "a", "A1", "7", "Ä", &overflow, &past_end] {
+        let typed = |e: &DmiError| match e {
+            DmiError::StaticIdProhibited { label } => bad == "7" && label == bad,
+            DmiError::LabelNotFound { label } => bad != "7" && label == bad,
+            _ => false,
+        };
+        let read = get_texts_active(&s, &screen, &[bad]).unwrap_err();
+        assert!(typed(&read), "get_texts_active({bad:?}): {read:?}");
+        let set = state::set_texts(&mut s, &screen, bad, "D4").unwrap_err();
+        assert!(typed(&set), "set_texts({bad:?}): {set:?}");
+    }
+    assert_eq!(*s.snapshot(), *snap, "no declaration executed");
 }
