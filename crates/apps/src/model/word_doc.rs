@@ -1,5 +1,7 @@
 //! The Word-like document model.
 
+use std::sync::Arc;
+
 /// Paragraph alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Alignment {
@@ -9,19 +11,21 @@ pub enum Alignment {
     Justify,
 }
 
-/// Character/paragraph formatting state.
+/// Character/paragraph formatting state. Its names are shared strings,
+/// so copying a document (a fork or a reset of a launch image) bumps
+/// their reference counts instead of allocating them again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParaFormat {
-    pub font: String,
+    pub font: Arc<str>,
     pub size: f64,
     pub bold: bool,
     pub italic: bool,
     pub underline: bool,
     pub subscript: bool,
     pub superscript: bool,
-    pub color: String,
-    pub highlight: Option<String>,
-    pub style: String,
+    pub color: Arc<str>,
+    pub highlight: Option<Arc<str>>,
+    pub style: Arc<str>,
     pub alignment: Alignment,
     pub line_spacing: f64,
 }

@@ -11,6 +11,7 @@ use crate::model::word_doc::{Alignment, WordDoc};
 use crate::office::{self, commands, Chrome, OfficeApp, OfficeModel};
 use dmi_gui::{AppError, Behavior, CommandBinding, UiTree, Widget, WidgetBuilder, WidgetId};
 use dmi_uia::ControlType as CT;
+use std::sync::Arc;
 
 /// Build-time options for the simulated Word instance.
 #[derive(Debug, Clone)]
@@ -91,11 +92,13 @@ impl Word {
     fn apply_color(&mut self, target: &str, color: &str) -> Result<(), AppError> {
         match target {
             "font" => {
-                self.doc.format_selection(|f| f.color = color.to_string());
+                let color: Arc<str> = color.into();
+                self.doc.format_selection(|f| f.color = Arc::clone(&color));
                 Ok(())
             }
             "highlight" => {
-                self.doc.format_selection(|f| f.highlight = Some(color.to_string()));
+                let color: Arc<str> = color.into();
+                self.doc.format_selection(|f| f.highlight = Some(Arc::clone(&color)));
                 Ok(())
             }
             "underline" => {
@@ -104,7 +107,8 @@ impl Word {
                 Ok(())
             }
             "shading" => {
-                self.doc.format_selection(|f| f.highlight = Some(color.to_string()));
+                let color: Arc<str> = color.into();
+                self.doc.format_selection(|f| f.highlight = Some(Arc::clone(&color)));
                 Ok(())
             }
             "page" => {
@@ -654,8 +658,8 @@ impl OfficeModel for Word {
                 Ok(())
             }
             "set_font" => {
-                let font = arg.unwrap_or_default().to_string();
-                self.doc.format_selection(|f| f.font = font.clone());
+                let font: Arc<str> = arg.unwrap_or_default().into();
+                self.doc.format_selection(|f| f.font = Arc::clone(&font));
                 Ok(())
             }
             "set_font_size" => {
@@ -683,8 +687,8 @@ impl OfficeModel for Word {
                 self.apply_color(&target, arg.unwrap_or_default())
             }
             "apply_style" => {
-                let style = arg.unwrap_or("Normal").trim_end_matches(" (linked)").to_string();
-                self.doc.format_selection(|f| f.style = style.clone());
+                let style: Arc<str> = arg.unwrap_or("Normal").trim_end_matches(" (linked)").into();
+                self.doc.format_selection(|f| f.style = Arc::clone(&style));
                 Ok(())
             }
             "set_alignment" | "set_alignment_dialog" => {
@@ -883,7 +887,7 @@ mod tests {
             .expect("a Blue cell is visible");
         let wid = s.widget_of(snap.node(blue).runtime_id);
         s.click(wid).unwrap();
-        assert_eq!(word(&s).doc.paragraphs[0].format.color, "Blue");
+        assert_eq!(&*word(&s).doc.paragraphs[0].format.color, "Blue");
     }
 
     #[test]
@@ -907,7 +911,7 @@ mod tests {
         click_by_name(&mut s, "Custom 3");
         let d = &word(&s).doc;
         assert_eq!(d.page.background.as_deref(), Some("Custom 3"));
-        assert_eq!(d.paragraphs[0].format.color, "Black", "font untouched");
+        assert_eq!(&*d.paragraphs[0].format.color, "Black", "font untouched");
     }
 
     #[test]
@@ -1063,7 +1067,7 @@ mod extra_tests {
         s.select_lines(surf, 0, 0).unwrap();
         click_visible(&mut s, "Styles");
         click_visible(&mut s, "Heading 1");
-        assert_eq!(word(&s).doc.paragraphs[0].format.style, "Heading 1");
+        assert_eq!(&*word(&s).doc.paragraphs[0].format.style, "Heading 1");
     }
 
     #[test]

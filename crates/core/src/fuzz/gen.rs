@@ -23,9 +23,9 @@ const MAX_DEPTH: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaOp {
     /// A command button (`Button {k}`) under the current scope. Clicking
-    /// it flips its own toggle state: a stamped, snapshot-visible write
-    /// confined to the button's block, so cached captures copy the rest
-    /// of its window.
+    /// it flips its own toggle state and shows it as its value (`on` or
+    /// `off`): a stamped, snapshot-visible write confined to the button's
+    /// block, so cached captures copy the rest of its window.
     Button(u16),
     /// A dismiss-on-pick list item (`Item {k}`) under the current scope.
     Item(u16),
@@ -282,10 +282,9 @@ impl GuiApp for AdversarialApp {
         }
         if b.command.starts_with("cmd-") {
             let w = self.tree.widget_mut(src);
-            w.toggle = Some(match w.toggle {
-                Some(ToggleState::On) => ToggleState::Off,
-                _ => ToggleState::On,
-            });
+            let on = w.toggle != Some(ToggleState::On);
+            w.toggle = Some(if on { ToggleState::On } else { ToggleState::Off });
+            w.value = String::from(if on { "on" } else { "off" });
         }
         if let Some(n) = self.spec.faults.unstamped_relabel_after {
             if self.dispatches == n {

@@ -17,11 +17,18 @@
 //! compares the rip's diff (the post nodes it calls fresh): the cached
 //! side skips blocks whose lineage an available pre block shares, the
 //! full-rebuild side records no block and probes every node. The UNG
-//! cannot see a diff that over-skips nodes it already holds.
+//! cannot see a diff that over-skips nodes it already holds. Last, it
+//! compares the cached session's prompt token counts, which
+//! `interface::Observed` sums per line with each block's name/type terms
+//! held by its lineage, with `tokens::count` of the full rebuild's prompt
+//! texts.
 
 use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
+use crate::interface::Observed;
 use crate::ripper::{diff_fresh, rip, RipConfig};
+use crate::screen::{full_tree_prompt_text, label_screen};
+use crate::tokens;
 use crate::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::Snapshot;
@@ -98,9 +105,10 @@ pub fn check_cached_capture(spec: &AppSpec) -> Option<Divergence> {
 /// Drives a cached and a full-rebuild session over fresh launches of
 /// `spec` through the same `steps` seeded inputs — clicks on shown
 /// controls, Esc presses, restarts — and byte-compares their captures
-/// before every step and after the last, identity indexes included, and
-/// the rip diff across every click. Returns both sessions, or the first
-/// step whose captures, indexes, click results or diffs differ.
+/// before every step and after the last, identity indexes and prompt
+/// token counts included, and the rip diff across every click. Returns
+/// both sessions, or the first step whose captures, indexes, token
+/// counts, click results or diffs differ.
 pub fn walk_cached_and_eager(
     spec: &AppSpec,
     seed: u64,
@@ -110,15 +118,19 @@ pub fn walk_cached_and_eager(
     let mut eager = Session::new(AdversarialApp::launch(spec.clone()));
     eager.set_capture_config(CaptureConfig::full_rebuild());
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut observed = Observed::default();
     // The captures before the last step's click, if it clicked.
     let mut clicked: Option<(Arc<Snapshot>, Arc<Snapshot>)> = None;
     for step in 0..=steps {
-        let snap = cached.snapshot();
+        let snap = Arc::clone(observed.capture(&mut cached).snapshot());
         let oracle = eager.snapshot();
         if *snap != *oracle {
             return Err(diff_captures(step, &snap, &oracle));
         }
         if let Some(d) = diff_indexes(step, &snap, &oracle) {
+            return Err(d);
+        }
+        if let Some(d) = diff_tokens(step, &mut observed, &oracle) {
             return Err(d);
         }
         if let Some((pre, pre_oracle)) = clicked.take() {
@@ -204,6 +216,30 @@ fn diff_indexes(step: usize, cached: &Snapshot, rebuilt: &Snapshot) -> Option<Di
             a.key(i),
             b.path(i),
             b.key(i)
+        ),
+    })
+}
+
+/// Compares the prompt token counts `observed` holds for the cached
+/// session's last capture, summed per line with the name/type terms of
+/// each block taken from its lineage, with `tokens::count` of the prompt
+/// texts of `rebuilt`, the full rebuild's byte-identical capture.
+fn diff_tokens(
+    step: usize,
+    observed: &mut Observed,
+    rebuilt: &Arc<Snapshot>,
+) -> Option<Divergence> {
+    let full = (observed.full_tree_tokens(), tokens::count(&full_tree_prompt_text(rebuilt)));
+    let screen = (observed.screen_tokens(), tokens::count(&label_screen(rebuilt).to_prompt_text()));
+    let (prompt, (a, b)) =
+        [("full-tree", full), ("screen", screen)].into_iter().find(|(_, (a, b))| a != b)?;
+    Some(Divergence {
+        oracle: OracleKind::CachedCapture,
+        window: String::from("(prompt)"),
+        control: format!("({prompt} prompt)"),
+        detail: format!(
+            "step {step}: {a} {prompt} prompt tokens summed per line vs {b} counted from the \
+             full rebuild's text"
         ),
     })
 }
@@ -367,6 +403,53 @@ mod tests {
             d.control.contains("Button 2") || d.detail.contains("Button 2"),
             "expected the renamed button to be named, got: {d}"
         );
+    }
+
+    /// The lineage contract is shared by every column a lineage holds: an
+    /// unstamped relabel inside a block re-walked under an adopted lineage
+    /// leaves a stale full-tree count exactly as it leaves a stale index
+    /// (`dmi_gui`'s
+    /// `an_unstamped_relabel_in_a_rewalked_block_serves_a_stale_index`),
+    /// and the walk's token axis flags it.
+    #[test]
+    fn an_unstamped_relabel_in_a_rewalked_block_leaves_a_stale_count() {
+        // Two blocks of the main window: a menu with one item, a button.
+        let spec = AppSpec::new(vec![
+            ArenaOp::Menu(1),
+            ArenaOp::Item(1),
+            ArenaOp::Pop,
+            ArenaOp::Button(2),
+        ]);
+        let mut cached = Session::new(AdversarialApp::launch(spec.clone()));
+        let mut eager = Session::new(AdversarialApp::launch(spec));
+        eager.set_capture_config(CaptureConfig::full_rebuild());
+        let mut observed = Observed::default();
+        observed.capture(&mut cached).snapshot().index();
+        let base = eager.snapshot();
+        assert_eq!(diff_tokens(0, &mut observed, &base), None, "an honest capture counts exact");
+        for s in [&mut cached, &mut eager] {
+            let t = s.app_mut().tree_mut();
+            let (button, menu) =
+                (t.find_by_name("Button 2").unwrap(), t.find_by_name("Menu 1").unwrap());
+            t.relabel_unstamped(button, "A stale button label");
+            // The popup stamps the menu's block and moves the later
+            // block's rows: the button is re-walked under its lineage.
+            t.open_popup(menu);
+        }
+        let snap = Arc::clone(observed.capture(&mut cached).snapshot());
+        let oracle = eager.snapshot();
+        assert_eq!(*snap, *oracle, "the re-walked block reads the new name");
+        assert!(diff_indexes(1, &snap, &oracle).is_some(), "a stale index");
+        let stale = observed.full_tree_tokens();
+        let counted = tokens::count(&full_tree_prompt_text(&oracle));
+        let relabel = tokens::count("A stale button label") - tokens::count("Button 2");
+        assert_eq!(counted - stale, relabel, "the old name's term is summed");
+        let d = diff_tokens(1, &mut observed, &oracle).expect("the token axis flags it");
+        assert_eq!(
+            (d.oracle, d.control.as_str()),
+            (OracleKind::CachedCapture, "(full-tree prompt)")
+        );
+        assert!(d.detail.starts_with("step 1: "), "{d}");
     }
 
     /// The walk names the step and window of the first capture that

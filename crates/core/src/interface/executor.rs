@@ -306,7 +306,7 @@ mod tests {
             .id as u64;
         access(&mut s, &forest, &ExecutorConfig::default(), blue, &[], None).unwrap();
         let word = (s.app() as &dyn Any).downcast_ref::<dmi_apps::WordApp>().unwrap();
-        assert_eq!(word.doc.paragraphs[0].format.color, "Blue");
+        assert_eq!(&*word.doc.paragraphs[0].format.color, "Blue");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   specific controls by label and receives full content.
 //!
 //! An agent observes through [`Observed`], which labels each capture's
-//! screen and counts the prompts built from it once per capture.
+//! screen and counts the prompts of it once per capture: the full-tree
+//! and screen prompts summed per line, the passive prompt from its text.
 
 use crate::error::DmiResult;
-use crate::screen::{full_tree_prompt_text, label_screen, LabeledScreen};
+use crate::screen::{full_tree_prompt_tokens, label_screen, LabeledScreen};
 use crate::tokens;
 use dmi_gui::Session;
 use dmi_uia::{ControlType, PatternKind, Snapshot};
@@ -121,7 +122,7 @@ pub fn get_texts_active(
 
 /// One observation per capture: the labeled screen of the last snapshot
 /// an agent took, which holds that snapshot's `Arc`, and the token
-/// counts of the prompts built from it, each counted at most once.
+/// counts of the prompts of it, each counted at most once.
 ///
 /// [`Observed::capture`] always takes a snapshot, since every capture
 /// advances the session's query clock, which late-load reveals read. It
@@ -152,19 +153,20 @@ impl Observed {
     }
 
     /// Tokens in the last capture's full-tree prompt
-    /// ([`crate::screen::full_tree_prompt_text`]).
+    /// ([`crate::screen::full_tree_prompt_text`]), summed per line
+    /// ([`full_tree_prompt_tokens`]).
     pub fn full_tree_tokens(&mut self) -> usize {
         let n = self
             .full_tree_tokens
-            .unwrap_or_else(|| tokens::count(&full_tree_prompt_text(self.screen().snapshot())));
+            .unwrap_or_else(|| full_tree_prompt_tokens(self.screen().snapshot()));
         *self.full_tree_tokens.insert(n)
     }
 
     /// Tokens in the last capture's labeled-screen prompt
-    /// ([`LabeledScreen::to_prompt_text`]).
+    /// ([`LabeledScreen::to_prompt_text`]), summed per line
+    /// ([`LabeledScreen::prompt_tokens`]).
     pub fn screen_tokens(&mut self) -> usize {
-        let n =
-            self.screen_tokens.unwrap_or_else(|| tokens::count(&self.screen().to_prompt_text()));
+        let n = self.screen_tokens.unwrap_or_else(|| self.screen().prompt_tokens());
         *self.screen_tokens.insert(n)
     }
 
@@ -181,7 +183,7 @@ impl Observed {
 mod tests {
     use super::*;
     use crate::error::DmiError;
-    use crate::screen::alpha_label;
+    use crate::screen::{alpha_label, full_tree_prompt_text};
     use dmi_apps::AppKind;
     use dmi_gui::GuiApp;
     use dmi_uia::ControlProps;

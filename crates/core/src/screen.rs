@@ -15,13 +15,32 @@
 //! text is stored.
 //!
 //! The full-tree and labeled-screen prompts share one line format
-//! (`label: name(type) = 'value' [flag]`). Their token counts are taken
-//! from the built text with [`crate::tokens::count`]; an agent counts
-//! each at most once per capture through `interface::Observed`.
+//! (`label: name(type) = 'value' [flag]`). [`crate::tokens::count`]
+//! starts every line clean (the space after the label's colon and each
+//! line's `'\n'` end all runs, and the value and flag pieces start with a
+//! space), so a prompt's count is the sum over its lines of four terms:
+//! the label's (constant for every label length, so the labels of a
+//! prompt sum in closed form, [`label_tokens_below`]), the name and type's
+//! (`count("name(type)")`, which does not split further, since a name
+//! ending in punctuation joins the `(` run), the value's and the flag's.
+//! [`full_tree_prompt_tokens`] and [`LabeledScreen::prompt_tokens`] sum
+//! them without building the text, and take the name/type term of a node
+//! in a recorded block from its block's identity lineage
+//! ([`dmi_uia::Lineage::node_terms`]), so each lineage's terms are
+//! counted once, whichever capture first counts one of its blocks. The
+//! count of the built text stays the specification they are tested
+//! against; an agent takes each count at most once per capture through
+//! `interface::Observed`.
 
 use crate::error::{DmiError, DmiResult};
+use crate::tokens;
 use dmi_uia::{ControlProps, Node, PatternKind, Snapshot};
 use std::sync::Arc;
+
+/// The flag of an off-screen line of the full-tree prompt.
+const OFFSCREEN: &str = " [offscreen]";
+/// The flag of a disabled line of the labeled-screen prompt.
+const DISABLED: &str = " [disabled]";
 
 /// The labeled view of one snapshot: its on-screen nodes in document
 /// order, the node at position `n` labeled [`alpha_label`]`(n)`.
@@ -53,6 +72,20 @@ fn push_label(out: &mut String, mut i: usize) {
     }
 }
 
+/// The summed tokens of the labels of positions `0..n`, each with its
+/// `": "`: a label of `k` capital letters counts `ceil(k / 4)`, plus one
+/// for the colon, and the labels of `k` letters are the `26^k` positions
+/// after those of fewer, so the sum takes one product per label length.
+pub fn label_tokens_below(n: usize) -> usize {
+    let (mut total, mut first, mut width, mut letters) = (0, 0usize, 26usize, 1usize);
+    while first < n {
+        let end = first.saturating_add(width).min(n);
+        total += (end - first) * (letters.div_ceil(4) + 1);
+        (first, width, letters) = (end, width.saturating_mul(26), letters + 1);
+    }
+    total
+}
+
 /// The position a label names, the inverse of [`alpha_label`]: `None`
 /// unless `label` is a non-empty run of ASCII capitals whose position
 /// fits a `usize`.
@@ -73,10 +106,82 @@ pub fn label_index(label: &str) -> Option<usize> {
 pub fn full_tree_prompt_text(snap: &Snapshot) -> String {
     let mut out = String::new();
     for (i, node) in snap.iter() {
-        let flag = if node.props.offscreen { " [offscreen]" } else { "" };
+        let flag = if node.props.offscreen { OFFSCREEN } else { "" };
         push_line(&mut out, i, &node.props, flag);
     }
     out
+}
+
+/// `tokens::count(&full_tree_prompt_text(snap))`, summed per line (see
+/// the module docs).
+pub fn full_tree_prompt_tokens(snap: &Snapshot) -> usize {
+    label_tokens_below(snap.len()) + body_tokens(snap, 0..snap.len(), |p| p.offscreen, OFFSCREEN)
+}
+
+/// The summed body tokens — everything after the label's `": "` — of the
+/// prompt lines of nodes `indices` of `snap`, ascending, where the lines
+/// of the nodes `flagged` accepts end in `flag`. A node in a recorded
+/// block takes its name/type term from the block's lineage, which
+/// computes it for the whole block on the first count that needs it.
+/// Tallies the nodes whose term a lineage held (`observe.tokens_reused`)
+/// and the nodes whose term this count computed
+/// (`observe.tokens_computed`).
+fn body_tokens(
+    snap: &Snapshot,
+    indices: impl Iterator<Item = usize>,
+    flagged: impl Fn(&ControlProps) -> bool,
+    flag: &str,
+) -> usize {
+    let flag_tokens = tokens::count(flag);
+    let mut blocks = snap.blocks().iter().peekable();
+    // The block holding the last node: its first node, its end, its
+    // lineage's terms and whether this count computed them.
+    let mut block: Option<(usize, usize, Option<&[u32]>, bool)> = None;
+    let (mut total, mut reused, mut computed) = (0, 0, 0);
+    for i in indices {
+        if block.is_none_or(|(_, end, ..)| i >= end) {
+            while blocks.next_if(|b| b.end <= i).is_some() {}
+            block = blocks.peek().filter(|b| b.start <= i).map(|b| {
+                let mut fresh = false;
+                let terms = b.lineage.node_terms(b.end - b.start, || {
+                    fresh = true;
+                    let props = (b.start..b.end).map(|j| &snap.node(j).props);
+                    props.map(|p| name_type_tokens(p) as u32).collect()
+                });
+                (b.start, b.end, terms, fresh)
+            });
+        }
+        let p = &snap.node(i).props;
+        total += match block {
+            Some((start, _, Some(terms), fresh)) => {
+                if fresh {
+                    computed += 1;
+                } else {
+                    reused += 1;
+                }
+                terms[i - start] as usize
+            }
+            _ => {
+                computed += 1;
+                name_type_tokens(p)
+            }
+        };
+        if !p.value.is_empty() {
+            total += tokens::count_chars(" = '".chars().chain(p.value.chars()).chain(['\'']));
+        }
+        if flagged(p) {
+            total += flag_tokens;
+        }
+    }
+    dmi_obs::tally("observe.tokens_reused", reused);
+    dmi_obs::tally("observe.tokens_computed", computed);
+    total
+}
+
+/// Tokens of a prompt line's `name(type)`.
+fn name_type_tokens(p: &ControlProps) -> usize {
+    let ty = p.control_type.as_str().chars().chain([')']);
+    tokens::count_chars(p.name.chars().chain(['(']).chain(ty))
 }
 
 /// Appends one prompt line: `label: name(type)`, then ` = 'value'` for a
@@ -153,10 +258,18 @@ impl LabeledScreen {
     pub fn to_prompt_text(&self) -> String {
         let mut out = String::new();
         for (pos, node) in self.nodes().enumerate() {
-            let flag = if node.props.enabled { "" } else { " [disabled]" };
+            let flag = if node.props.enabled { "" } else { DISABLED };
             push_line(&mut out, pos, &node.props, flag);
         }
         out
+    }
+
+    /// `tokens::count(&self.to_prompt_text())`, summed per line (see the
+    /// module docs).
+    pub fn prompt_tokens(&self) -> usize {
+        let on_screen = self.on_screen.iter().copied();
+        label_tokens_below(self.len())
+            + body_tokens(&self.snap, on_screen, |p| !p.enabled, DISABLED)
     }
 
     /// Number of labeled controls.

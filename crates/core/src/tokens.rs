@@ -7,10 +7,18 @@
 //! character run. This tracks BPE counts closely enough for relative
 //! accounting, which is all the reproduction needs.
 //!
-//! A prompt is counted from its built text. On the agent step path each
-//! count is taken at most once per source: `interface::Observed` counts
-//! the screen, full-tree and passive prompts once per captured snapshot,
-//! and `Dmi` counts its core topology once when the model is built.
+//! [`count`] is additive across whitespace: a whitespace character ends
+//! every word and punctuation run, so the count of a text split just
+//! before or after one is the sum of its parts' counts. A prompt whose
+//! lines each start clean is therefore counted as a sum of per-line
+//! terms: `screen::full_tree_prompt_tokens` and
+//! `LabeledScreen::prompt_tokens` sum the label, name/type, value and
+//! flag terms of each line without building the text, and keep each
+//! block's name/type terms in its identity lineage, computed once per
+//! lineage. `count` over the built text stays their specification. On
+//! the agent step path `interface::Observed` takes each prompt's count at
+//! most once per captured snapshot, and `Dmi` counts its core topology
+//! once when the model is built.
 
 /// Approximate token count of a text.
 ///
@@ -25,10 +33,23 @@
 /// assert_eq!(count(&long), 10);
 /// ```
 pub fn count(text: &str) -> usize {
+    count_chars(text.chars())
+}
+
+/// [`count`] of the text `chars` spells, for a text never built as one
+/// string.
+///
+/// ```
+/// use dmi_core::tokens::{count, count_chars};
+///
+/// let line = "Bold".chars().chain(['(']).chain("Button)".chars());
+/// assert_eq!(count_chars(line), count("Bold(Button)"));
+/// ```
+pub fn count_chars(chars: impl IntoIterator<Item = char>) -> usize {
     let mut tokens = 0usize;
     let mut word_len = 0usize;
     let mut punct_run = false;
-    for ch in text.chars() {
+    for ch in chars {
         if ch.is_alphanumeric() {
             word_len += 1;
             punct_run = false;

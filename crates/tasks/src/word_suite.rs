@@ -51,7 +51,8 @@ pub fn tasks() -> Vec<AgentTask> {
             setup: None,
             verify: |s| {
                 let d = &word(s).doc;
-                d.paragraphs[0].format.color == "Blue" && d.paragraphs[1].format.color == "Black"
+                &*d.paragraphs[0].format.color == "Blue"
+                    && &*d.paragraphs[1].format.color == "Black"
             },
             plan: TaskPlan {
                 dmi: vec![

@@ -59,6 +59,11 @@
 //! node and one `Arc` clone per distinct path in the block. The result
 //! equals a from-scratch build whenever the provider keeps the lineage
 //! promise; a snapshot with no recorded blocks is computed whole.
+//!
+//! The same promise carries one more column a client defines: per-node
+//! `u32` terms of the promised fields, filled once per lineage by a rule
+//! the client passes in ([`Lineage::node_terms`]; the prompt token counts
+//! of `dmi-core` keep each line's name and type tokens there).
 
 use crate::ident::{ControlKey, KeyMap};
 use crate::{ControlId, Snapshot};
@@ -131,11 +136,21 @@ impl Iterator for Candidates<'_> {
 
 /// The identity lineage of a snapshot block (see "Columns shared per
 /// block identity" in the module docs): a token that blocks share only
-/// when their identity columns are equal under equal root paths, and the
-/// columns of the first index built over one of them. Cloning shares the
-/// lineage; [`Lineage::default`] mints a fresh one.
+/// when their nodes carry equal control types, primary ids and names in
+/// order. It holds, each filled by the first block that needs it, the
+/// identity columns of the first index built over one of its blocks and
+/// the per-node terms a caller derives from those promised fields
+/// ([`Lineage::node_terms`]). Cloning shares the lineage;
+/// [`Lineage::default`] mints a fresh one.
 #[derive(Debug, Clone, Default)]
-pub struct Lineage(Arc<OnceLock<BlockColumns>>);
+pub struct Lineage(Arc<LineageMemo>);
+
+/// What one lineage holds for all of its blocks, in one allocation.
+#[derive(Debug, Default)]
+struct LineageMemo {
+    columns: OnceLock<BlockColumns>,
+    terms: OnceLock<Box<[u32]>>,
+}
 
 /// The identity columns of one lineage's blocks, with their paths in a
 /// block-local table whose entry 0 is the root path they were computed
@@ -156,7 +171,19 @@ impl Lineage {
     /// The held columns of a `len`-node block whose root path is
     /// `root_path`, if they were computed under that root path.
     fn columns(&self, root_path: &str, len: usize) -> Option<&BlockColumns> {
-        self.0.get().filter(|c| c.keys.len() == len && *c.table[0] == *root_path)
+        self.0.columns.get().filter(|c| c.keys.len() == len && *c.table[0] == *root_path)
+    }
+
+    /// The per-node terms of a `len`-node block of this lineage: the held
+    /// ones, or else `compute`'s for this block, which the lineage keeps
+    /// for every later block. A term may depend only on what the lineage
+    /// promises equal — a node's control type, primary id and name — so
+    /// every caller passes one rule. `None` when the held terms cover
+    /// another length, as [`SnapIndex::build`] refuses columns: the
+    /// caller computes the block itself.
+    pub fn node_terms(&self, len: usize, compute: impl FnOnce() -> Vec<u32>) -> Option<&[u32]> {
+        let terms = self.0.terms.get_or_init(|| compute().into_boxed_slice());
+        (terms.len() == len).then_some(&**terms)
     }
 }
 
@@ -226,7 +253,7 @@ impl SnapIndex {
                 ix.path_ix.push(e);
             }
             if let Some((b, root)) = block {
-                b.lineage.0.get_or_init(|| ix.block_columns(idx..end, root, first));
+                b.lineage.0.columns.get_or_init(|| ix.block_columns(idx..end, root, first));
             }
             idx = end;
         }
@@ -451,6 +478,25 @@ mod tests {
         assert!(same_alloc(&first, &again, 3), "copied from the lineage");
         assert!(!same_alloc(&first, &renamed, 3), "recomputed under another root path");
         assert!(!same_alloc(&first, &one_block("Main", Some(&Lineage::default())), 3));
+    }
+
+    #[test]
+    fn a_lineage_computes_its_node_terms_once_per_length() {
+        let lineage = Lineage::default();
+        let mut calls = 0;
+        let mut terms = |len: usize| {
+            lineage
+                .node_terms(len, || {
+                    calls += 1;
+                    vec![7; len]
+                })
+                .map(<[u32]>::to_vec)
+        };
+        assert_eq!(terms(3), Some(vec![7; 3]), "computed");
+        assert_eq!(terms(3), Some(vec![7; 3]), "held");
+        assert_eq!(terms(2), None, "another length is not served");
+        assert_eq!(calls, 1);
+        assert_eq!(Lineage::default().node_terms(2, || vec![1, 2]), Some(&[1, 2][..]));
     }
 
     #[test]

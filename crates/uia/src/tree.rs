@@ -142,7 +142,9 @@ impl Snapshot {
     /// `lineage`. A provider may give two blocks one lineage only when
     /// their nodes, in order, carry equal control types, primary ids and
     /// names: then their identity columns are equal wherever their roots'
-    /// ancestor paths are (see [`SnapIndex`]). Not part of equality.
+    /// ancestor paths are (see [`SnapIndex`]), and so are the per-node
+    /// terms a client keeps in the lineage ([`Lineage::node_terms`]). Not
+    /// part of equality.
     pub fn record_block(&mut self, start: usize, end: usize, lineage: Lineage) {
         debug_assert!(start < end && end <= self.nodes.len(), "a block is a non-empty range");
         debug_assert!(self.blocks.last().is_none_or(|b| b.end <= start), "blocks in arena order");

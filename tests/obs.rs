@@ -1,8 +1,9 @@
 //! Observability integration tests: OFF-path silence through real rips,
 //! traced-vs-untraced UNG byte identity, Chrome-trace export validity,
 //! span nesting, virtual-time determinism, the stats-vs-tallies drift
-//! cross-checks, one launch-capture build per image and model, and the
-//! pinned identity-lineage work of the small fleet rip.
+//! cross-checks, one launch-capture build per image and model, the
+//! pinned identity-lineage work of the small fleet rip and the pinned
+//! prompt-token work of a small-app agent pass.
 //!
 //! The recorder's enable flag is process-global, so every test that
 //! opens an observation window serializes on one lock — tests can never
@@ -364,6 +365,35 @@ fn small_fleet_lineage_work_is_pinned() {
     let t = |k: &str| obs.tallies.get(k).copied().unwrap_or(0);
     let got = [t("rip.diff_probed"), t("rip.diff_skipped"), t("capture.idents_shared")];
     assert_eq!(got, [148_507, 227_022, 2_714], "diff probes, diff skips, identities shared");
+}
+
+/// The prompt-token work of one small-app Table 3 pass (every cell over
+/// the suite at one run seed, under the evaluation instability): the
+/// nodes whose name/type term a block lineage held, and the nodes whose
+/// term a count computed. The run seed is used by no other test in this
+/// binary, so its name-variation model gets launch captures of its own,
+/// with fresh lineages, whatever ran before.
+#[test]
+fn small_agent_token_work_is_pinned() {
+    use dmi_agent::RunConfig;
+    let _g = guard();
+    let models = dmi_integration_tests::dmi_models();
+    let tasks = dmi_tasks::all_tasks();
+    dmi_obs::clear();
+    dmi_obs::set_enabled(true);
+    for (profile, mode) in dmi_bench::table3_rows() {
+        for task in &tasks {
+            let mut cfg = RunConfig::evaluation(profile.clone(), mode, 41);
+            cfg.small_apps = true;
+            dmi_agent::run_task(task, Some(&models[task.app.name()]), &cfg);
+        }
+    }
+    dmi_obs::set_enabled(false);
+    let tallies = dmi_obs::tallies();
+    dmi_obs::clear();
+    let t = |k: &str| tallies.get(k).copied().unwrap_or(0);
+    let got = [t("observe.tokens_reused"), t("observe.tokens_computed")];
+    assert_eq!(got, [39_828, 6_314], "name/type terms reused, computed");
 }
 
 /// The serve-side drift cross-check: the gateway's outcome counters and
