@@ -8,7 +8,7 @@
 
 use dmi_core::screen::LabeledScreen;
 use dmi_llm::TargetQuery;
-use dmi_uia::{ident::string_similarity_bounded, Node};
+use dmi_uia::{ident::SimilarityQuery, Node};
 
 /// Minimum name similarity for a visual match.
 pub const GROUNDING_SIMILARITY: f64 = 0.8;
@@ -18,7 +18,10 @@ pub const GROUNDING_SIMILARITY: f64 = 0.8;
 /// Returns its position on the screen and its node. Prefers exact
 /// matches, then the highest-similarity control above the threshold.
 /// Disabled controls still ground (clicking them fails, realistically).
+/// The query's name is folded once per scan (tallied as `ground.scans`).
 pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, &'a Node)> {
+    dmi_obs::tally("ground.scans", 1);
+    let query = SimilarityQuery::new(&q.name);
     // A user looking for something to click prefers interactive elements
     // over same-named containers (ribbon groups often share their
     // dialog-launcher's name).
@@ -30,7 +33,7 @@ pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, 
         if clickable && n.props.name == q.name {
             return Some((i, n));
         }
-        let s = string_similarity_bounded(&n.props.name, &q.name, GROUNDING_SIMILARITY);
+        let s = query.similarity_bounded(&n.props.name, GROUNDING_SIMILARITY);
         if s < GROUNDING_SIMILARITY {
             continue;
         }

@@ -12,6 +12,12 @@
 //! truncated. A depth-limited **core topology** excludes large enumerations
 //! and manually identified nodes; `further_query` expands pruned branches
 //! or fetches the complete forest on demand.
+//!
+//! Every function here renders afresh. A built [`crate::Dmi`] renders its
+//! core once and its full description at most once (its
+//! `further_query(&[-1])` answers share that text); targeted branch
+//! queries render on each call. Full renders are tallied as
+//! `describe.full_renders`.
 
 use crate::topology::{Forest, TopoKind};
 use serde::Serialize;
@@ -185,6 +191,7 @@ impl Description {
 
 /// Renders the complete forest (main tree + shared subtrees + entry map).
 pub fn full_description(forest: &Forest, cfg: &DescribeConfig) -> Description {
+    dmi_obs::tally("describe.full_renders", 1);
     render(forest, cfg, None)
 }
 
@@ -216,7 +223,8 @@ fn render(forest: &Forest, cfg: &DescribeConfig, limit: Option<usize>) -> Descri
 
 /// Expands the branches beneath the given node ids (targeted
 /// `further_query` mode (a)); `-1` anywhere requests the complete forest
-/// (mode (b)).
+/// (mode (b)). Any other id that names no node (negative or out of range)
+/// gets a `#branch {id}: unknown id` line.
 pub fn further_query(forest: &Forest, cfg: &DescribeConfig, ids: &[i64]) -> Description {
     if ids.contains(&-1) {
         return full_description(forest, cfg);
@@ -225,13 +233,10 @@ pub fn further_query(forest: &Forest, cfg: &DescribeConfig, ids: &[i64]) -> Desc
     let mut text = String::new();
     let mut included = HashSet::new();
     for &id in ids {
-        let Ok(idx) = usize::try_from(id) else {
-            continue;
-        };
-        if idx >= forest.nodes.len() {
+        let Some(idx) = usize::try_from(id).ok().filter(|&i| i < forest.nodes.len()) else {
             text.push_str(&format!("#branch {id}: unknown id\n"));
             continue;
-        }
+        };
         text.push_str(&format!("#branch {id}\n"));
         write_node(forest, idx, 0, cfg, &shared_names, None, &mut included, &mut text);
         text.push('\n');
@@ -340,6 +345,19 @@ mod tests {
         // -1 fetches everything.
         let all = further_query(&f, &cfg, &[-1]);
         assert_eq!(all.included.len(), f.len());
+    }
+
+    #[test]
+    fn further_query_reports_unknown_ids() {
+        let f = forest_fixture();
+        let cfg = DescribeConfig::default();
+        let d = further_query(&f, &cfg, &[-5, f.len() as i64]);
+        assert_eq!(d.text, format!("#branch -5: unknown id\n#branch {}: unknown id\n", f.len()));
+        assert!(d.included.is_empty());
+        let home = f.nodes.iter().find(|n| n.name == "Home").unwrap().id;
+        let mixed = further_query(&f, &cfg, &[-2, home as i64]);
+        assert!(mixed.text.starts_with("#branch -2: unknown id\n#branch "));
+        assert!(mixed.text.contains("Home(TabItem)"));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::interface::{executor, visit, ExecutorConfig, FilteredCommand, VisitCo
 use crate::ripper::{self, RipConfig, RipStats};
 use crate::topology::{build_forest, decycle, DecycleStats, Forest, ForestConfig, ForestStats};
 use dmi_gui::Session;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration for the full offline pipeline.
 #[derive(Debug, Clone, Default)]
@@ -77,7 +78,7 @@ pub struct VisitOutcome {
     /// First error (aborts remaining commands).
     pub error: Option<DmiError>,
     /// Response to a `further_query` command.
-    pub query_result: Option<String>,
+    pub query_result: Option<Arc<str>>,
 }
 
 impl VisitOutcome {
@@ -99,6 +100,9 @@ pub struct Dmi {
     core: Description,
     /// Tokens in `core`, counted once: every DMI prompt carries them.
     core_tokens: usize,
+    /// The full forest description, rendered at most once per model and
+    /// shared by every `further_query` that asks for it (clones share it).
+    full: OnceLock<Arc<str>>,
 }
 
 impl Dmi {
@@ -129,11 +133,12 @@ impl Dmi {
         let dmi = Dmi::from_forest(forest, config.describe.clone());
         stats.core_tokens = dmi.core_tokens;
         stats.core_controls = dmi.core.included.len();
-        stats.full_tokens = describe::full_description(&dmi.forest, &dmi.describe).tokens();
+        stats.full_tokens = crate::tokens::count(&dmi.full_text());
         (dmi, stats)
     }
 
-    /// Wraps an already-built forest.
+    /// Wraps an already-built forest. The full description is rendered
+    /// later, by the first call that needs it.
     pub fn from_forest(forest: Forest, describe_cfg: DescribeConfig) -> Dmi {
         let core = describe::core_description(&forest, &describe_cfg);
         let core_tokens = core.tokens();
@@ -143,6 +148,7 @@ impl Dmi {
             executor: ExecutorConfig::default(),
             core,
             core_tokens,
+            full: OnceLock::new(),
         }
     }
 
@@ -176,9 +182,26 @@ impl Dmi {
         self.core.included.contains(&id)
     }
 
-    /// Handles a `further_query` request.
-    pub fn further_query(&self, ids: &[i64]) -> String {
-        describe::further_query(&self.forest, &self.describe, ids).text
+    /// The complete forest description (`further_query` mode (b)),
+    /// rendered on first use and then shared.
+    fn full_text(&self) -> Arc<str> {
+        let full = self
+            .full
+            .get_or_init(|| describe::full_description(&self.forest, &self.describe).text.into());
+        Arc::clone(full)
+    }
+
+    /// Handles a `further_query` request (§3.3). An id list holding `-1`
+    /// asks for the complete forest: every such answer is the same shared
+    /// text, rendered at most once per model (by [`Dmi::from_ung`], which
+    /// counts its tokens, or else by the first such query) and kept by
+    /// clones of the model. Any other list expands the named branches,
+    /// rendered afresh on each call (see [`describe::further_query`]).
+    pub fn further_query(&self, ids: &[i64]) -> Arc<str> {
+        if ids.contains(&-1) {
+            return self.full_text();
+        }
+        describe::further_query(&self.forest, &self.describe, ids).text.into()
     }
 
     /// Executes a `visit` call given raw JSON from the LLM.
@@ -213,6 +236,7 @@ impl Dmi {
                     session.press(keys).map(|()| format!("pressed {keys}")).map_err(DmiError::from)
                 }
                 VisitCommand::FurtherQuery { ids } => {
+                    dmi_obs::tally("visit.further_queries", 1);
                     outcome.query_result = Some(self.further_query(ids));
                     Ok(format!("queried {ids:?}"))
                 }
@@ -308,6 +332,21 @@ mod tests {
         let q = out.query_result.unwrap();
         assert!(q.contains("#main-tree"));
         assert!(crate::tokens::count(&q) >= dmi.core_tokens());
+        // The full text is rendered once and shared: by a second query,
+        // by a clone of the model, and by a list that also names a branch.
+        let again = dmi.visit_json(&mut s, r#"[{"further_query": [-1]}]"#).query_result.unwrap();
+        assert!(Arc::ptr_eq(&q, &again));
+        assert!(Arc::ptr_eq(&q, &dmi.clone().further_query(&[-1])));
+        assert_eq!(*q, describe::full_description(&dmi.forest, &dmi.describe).text);
+        let home = dmi.forest.nodes.iter().find(|n| n.name == "Home").unwrap().id;
+        assert!(Arc::ptr_eq(&q, &dmi.further_query(&[home as i64, -1])));
+        // `from_ung` counts the very text the queries share.
+        let (built, stats) = Dmi::from_ung(
+            crate::testutil::small_rip(AppKind::Word).0.clone(),
+            &DmiBuildConfig::office("Word"),
+        );
+        assert_eq!(stats.full_tokens, crate::tokens::count(&built.further_query(&[-1])));
+        assert!(Arc::ptr_eq(&built.further_query(&[-1]), &built.further_query(&[-1])));
     }
 
     #[test]

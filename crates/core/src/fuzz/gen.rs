@@ -25,7 +25,9 @@ pub enum ArenaOp {
     /// A command button (`Button {k}`) under the current scope. Clicking
     /// it flips its own toggle state and shows it as its value (`on` or
     /// `off`): a stamped, snapshot-visible write confined to the button's
-    /// block, so cached captures copy the rest of its window.
+    /// block, so cached captures copy the rest of its window. A button
+    /// whose `k` is 5 mod 6 is built disabled, so generated arenas carry
+    /// a disabled control (and its prompt flag) without another op kind.
     Button(u16),
     /// A dismiss-on-pick list item (`Item {k}`) under the current scope.
     Item(u16),
@@ -221,12 +223,12 @@ fn build(spec: &AppSpec, leak: u32) -> UiTree {
 }
 
 fn add_button(t: &mut UiTree, parent: WidgetId, k: u16) {
-    t.add(
-        parent,
-        WidgetBuilder::new(format!("Button {k}"), CT::Button)
-            .on_click(Behavior::Command(CommandBinding::new(format!("cmd-{k}"))))
-            .build(),
-    );
+    let mut b = WidgetBuilder::new(format!("Button {k}"), CT::Button)
+        .on_click(Behavior::Command(CommandBinding::new(format!("cmd-{k}"))));
+    if k % 6 == 5 {
+        b = b.disabled();
+    }
+    t.add(parent, b.build());
 }
 
 /// The widget faults mutate: the main window's first child (`None` for

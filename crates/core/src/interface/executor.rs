@@ -204,8 +204,7 @@ fn deepest_visible(
 ) -> Option<usize> {
     let top = snap.top_window()?;
     for (k, &node_id) in clickables.iter().enumerate().rev() {
-        let n = &forest.nodes[node_id];
-        if config.matcher.best_match(snap, n.key, &n.control, Some(top), true).is_some() {
+        if match_visible(snap, forest, config, node_id, top).is_some() {
             return Some(k);
         }
     }
@@ -219,8 +218,22 @@ fn resolve_in(
     node_id: usize,
 ) -> Option<usize> {
     let top = snap.top_window()?;
+    match_visible(snap, forest, config, node_id, top)
+}
+
+/// Matches a forest node among the visible controls under `top`, tallying
+/// which matcher pass answered (`visit.exact` or `visit.fuzzy`).
+fn match_visible(
+    snap: &Snapshot,
+    forest: &Forest,
+    config: &ExecutorConfig,
+    node_id: usize,
+    top: usize,
+) -> Option<usize> {
     let n = &forest.nodes[node_id];
-    config.matcher.best_match(snap, n.key, &n.control, Some(top), true).map(|m| m.index)
+    let m = config.matcher.best_match(snap, n.key, &n.control, Some(top), true)?;
+    dmi_obs::tally(if m.exact { "visit.exact" } else { "visit.fuzzy" }, 1);
+    Some(m.index)
 }
 
 /// Closes the topmost window with the OK > Close > Cancel priority,

@@ -182,6 +182,8 @@ pub struct MatchScore {
     pub index: usize,
     /// Similarity in `[0, 1]`; `1.0` is an exact match.
     pub score: f64,
+    /// Whether the keyed exact pass answered (`false`: the fuzzy pass).
+    pub exact: bool,
 }
 
 /// Fuzzy control matcher combining control type, ancestor hierarchy, and
@@ -239,64 +241,77 @@ impl FuzzyMatcher {
                     continue;
                 }
             }
-            return Some(MatchScore { index: i, score: 1.0 });
+            return Some(MatchScore { index: i, score: 1.0, exact: true });
         }
-        // Fuzzy pass.
+        // Fuzzy pass: the target's name is folded once for every candidate.
         let candidates: Vec<usize> = match scope {
             Some(root) => snap.descendants(root),
             None => (0..snap.len()).collect(),
         };
+        let query = SimilarityQuery::new(&target.primary);
         let mut best: Option<MatchScore> = None;
         let mut floor = self.threshold;
         for i in candidates {
             if skip_offscreen && snap.node(i).props.offscreen {
                 continue;
             }
-            let s = self.score_bounded(snap, i, target, floor);
+            let s = self.score_bounded(snap, i, target, &query, floor);
             if s >= self.threshold && best.is_none_or(|b| s > b.score) {
-                best = Some(MatchScore { index: i, score: s });
+                best = Some(MatchScore { index: i, score: s, exact: false });
                 floor = floor.max(s);
             }
         }
         best
     }
 
-    /// Scores one candidate node against a target identifier. May return
-    /// early with an underestimate once the candidate provably cannot reach
-    /// `floor`
-    /// (cheap components are computed first; the name similarity is then
-    /// bounded before any edit-distance work).
-    fn score_bounded(&self, snap: &Snapshot, idx: usize, target: &ControlId, floor: f64) -> f64 {
+    /// Scores one candidate node against a target identifier whose name is
+    /// prepared as `query`. May return early with a score below `floor`
+    /// once the candidate provably cannot reach it: the type is bounded
+    /// first (with the path counted as a perfect match), then the path,
+    /// and the name similarity is bounded before any edit-distance work.
+    fn score_bounded(
+        &self,
+        snap: &Snapshot,
+        idx: usize,
+        target: &ControlId,
+        query: &SimilarityQuery<'_>,
+        floor: f64,
+    ) -> f64 {
         let n: &Node = snap.node(idx);
         let type_w = (1.0 - self.name_weight) * 0.5;
         let path_w = (1.0 - self.name_weight) * 0.5;
+        // The name score needed to reach `floor` over the other terms, a
+        // hair low so rounding in the weighted sum below cannot let a
+        // pruned candidate beat one that was scored; above 1.0 is hopeless.
+        let name_floor = |fixed: f64| (floor - fixed) / self.name_weight - 1e-9;
 
         let type_score = if n.props.control_type == target.control_type { 1.0 } else { 0.0 };
+        let fixed_bound = type_w * type_score + path_w;
+        if name_floor(fixed_bound) > 1.0 {
+            return fixed_bound;
+        }
         let path_score = path_similarity(snap.index().path(idx), &target.ancestor_path);
         let fixed = type_w * type_score + path_w * path_score;
-        // The name score needed to reach `floor`; above 1.0 is hopeless.
-        let name_floor = (floor - fixed) / self.name_weight;
+        let name_floor = name_floor(fixed);
         if name_floor > 1.0 {
             return fixed;
         }
 
         let a = n.props.primary_id();
-        let mut name_score = string_similarity_bounded(a, &target.primary, name_floor);
+        let mut name_score = query.similarity_bounded(a, name_floor);
         if a != n.props.name {
-            name_score = name_score.max(string_similarity_bounded(
-                &n.props.name,
-                &target.primary,
-                name_floor,
-            ));
+            // Only a better name score matters, so it bounds the second.
+            let alt = query.similarity_bounded(&n.props.name, name_floor.max(name_score));
+            name_score = name_score.max(alt);
         }
         self.name_weight * name_score + fixed
     }
 }
 
-/// Reusable per-thread buffers for similarity computations: lowercased
+/// Reusable per-thread buffers for similarity computations: folded
 /// character vectors and the two Levenshtein DP rows. Fuzzy matching
 /// scores hundreds of candidates per resolve; without this every call
-/// paid four heap allocations.
+/// paid heap allocations.
 struct SimScratch {
     al: Vec<char>,
     bl: Vec<char>,
@@ -322,47 +337,94 @@ pub fn string_similarity(a: &str, b: &str) -> f64 {
     string_similarity_bounded(a, b, 0.0)
 }
 
-/// Like [`string_similarity`], but may return `0.0` early when a cheap
-/// length-difference bound proves the similarity cannot reach `floor`
-/// (the edit distance between strings is at least their length
-/// difference). Exact whenever the true similarity is `>= floor`, so
-/// thresholded callers can reject candidates for ~nothing.
+/// Like [`string_similarity`], but may return early with a value below
+/// `floor` once a cheap bound proves the similarity cannot reach it.
+/// Exact whenever the true similarity is `>= floor`, so thresholded
+/// callers can reject candidates for ~nothing. A thin call through
+/// [`SimilarityQuery`]; callers scoring many candidates against one
+/// string prepare the query once instead.
 pub fn string_similarity_bounded(a: &str, b: &str, floor: f64) -> f64 {
-    if a == b {
-        return 1.0;
+    SimilarityQuery::new(b).similarity_bounded(a, floor)
+}
+
+/// One side of [`string_similarity`], case-folded once and then scored
+/// against any number of candidates.
+///
+/// The similarity is symmetric: equal strings score `1.0`, strings equal
+/// after folding `0.97`, an empty side against a non-empty one `0.0`.
+/// Otherwise `base = 1 - d / max_len` over the folded characters, with
+/// `d` their Levenshtein distance; when one folded string is a prefix of
+/// the other ("Go To" vs "Go To…", "Next" vs "Next Page") the score is
+/// `min(base + 0.25, 0.95)`, else `base`.
+#[derive(Debug, Clone)]
+pub struct SimilarityQuery<'q> {
+    raw: &'q str,
+    folded: Vec<char>,
+}
+
+impl<'q> SimilarityQuery<'q> {
+    /// Folds `raw` once.
+    pub fn new(raw: &'q str) -> SimilarityQuery<'q> {
+        SimilarityQuery { raw, folded: raw.chars().flat_map(char::to_lowercase).collect() }
     }
-    SIM_SCRATCH.with(|scratch| {
-        let s = &mut *scratch.borrow_mut();
-        s.al.clear();
-        s.al.extend(a.chars().flat_map(char::to_lowercase));
-        s.bl.clear();
-        s.bl.extend(b.chars().flat_map(char::to_lowercase));
-        if s.al == s.bl {
-            return 0.97;
+
+    /// The similarity of `candidate` to the query, bounded like
+    /// [`string_similarity_bounded`]: exact whenever it is `>= floor`,
+    /// otherwise some value below `floor`.
+    ///
+    /// Bounds come before work. For a prefix pair the distance is the
+    /// length difference, so its score needs no DP. Any other pair scores
+    /// at most `1 - |la - lb| / max_len` (the distance is at least the
+    /// length difference) and is dropped when that misses `floor`. An
+    /// ASCII candidate folds to one char per byte, so it is bounded, and
+    /// prefix-checked, before it is folded.
+    pub fn similarity_bounded(&self, candidate: &str, floor: f64) -> f64 {
+        if candidate == self.raw {
+            return 1.0;
         }
-        if s.al.is_empty() || s.bl.is_empty() {
-            return 0.0;
-        }
-        let (la, lb) = (s.al.len(), s.bl.len());
-        let max_len = la.max(lb);
-        // d >= |la - lb|, so base <= base_bound; the prefix bonus can add
-        // at most 0.25 (capped at 0.95).
-        let base_bound = 1.0 - la.abs_diff(lb) as f64 / max_len as f64;
-        let upper = base_bound.max((base_bound + 0.25).min(0.95));
-        if upper < floor {
-            return 0.0;
-        }
-        // Prefix containment: "Go To" vs "Go To…" or "Next" renamed
-        // "Next Page".
-        let prefix = s.al.starts_with(&s.bl) || s.bl.starts_with(&s.al);
-        let d = lev_chars(&s.al, &s.bl, &mut s.prev, &mut s.cur);
-        let base = 1.0 - d as f64 / max_len as f64;
-        if prefix {
-            (base + 0.25).min(0.95)
-        } else {
-            base
-        }
-    })
+        SIM_SCRATCH.with(|scratch| {
+            let s = &mut *scratch.borrow_mut();
+            let q = &self.folded[..];
+            let ascii = candidate.is_ascii();
+            let (la, common) = if ascii {
+                let folded = candidate.bytes().map(|b| char::from(b.to_ascii_lowercase()));
+                (candidate.len(), common_prefix(folded, q))
+            } else {
+                s.al.clear();
+                s.al.extend(candidate.chars().flat_map(char::to_lowercase));
+                (s.al.len(), common_prefix(s.al.iter().copied(), q))
+            };
+            let lb = q.len();
+            // Only the empty string folds to nothing, and two empty
+            // strings are equal.
+            if la == 0 || lb == 0 {
+                return 0.0;
+            }
+            let max_len = la.max(lb);
+            let base_bound = 1.0 - la.abs_diff(lb) as f64 / max_len as f64;
+            if common == la.min(lb) {
+                if la == lb {
+                    return 0.97;
+                }
+                // Prefix: the distance is exactly the length difference.
+                return (base_bound + 0.25).min(0.95);
+            }
+            if base_bound < floor {
+                return 0.0;
+            }
+            if ascii {
+                s.al.clear();
+                s.al.extend(candidate.bytes().map(|b| char::from(b.to_ascii_lowercase())));
+            }
+            let d = lev_chars(&s.al, q, &mut s.prev, &mut s.cur);
+            1.0 - d as f64 / max_len as f64
+        })
+    }
+}
+
+/// Length of the common prefix of a folded candidate and a folded query.
+fn common_prefix(candidate: impl Iterator<Item = char>, q: &[char]) -> usize {
+    candidate.zip(q).take_while(|(c, qc)| c == *qc).count()
 }
 
 /// Similarity of two slash-delimited ancestor paths: fraction of matching

@@ -372,7 +372,10 @@ fn small_fleet_lineage_work_is_pinned() {
 /// nodes whose name/type term a block lineage held, and the nodes whose
 /// term a count computed. The run seed is used by no other test in this
 /// binary, so its name-variation model gets launch captures of its own,
-/// with fresh lineages, whatever ran before.
+/// with fresh lineages, whatever ran before. Beside them, the pass's
+/// agent-path lookups: executor resolves answered by the key lookup or
+/// by the fuzzy pass, `further_query` calls, grounding scans, and no
+/// full-description render at all.
 #[test]
 fn small_agent_token_work_is_pinned() {
     use dmi_agent::RunConfig;
@@ -394,6 +397,11 @@ fn small_agent_token_work_is_pinned() {
     let t = |k: &str| tallies.get(k).copied().unwrap_or(0);
     let got = [t("observe.tokens_reused"), t("observe.tokens_computed")];
     assert_eq!(got, [39_828, 6_314], "name/type terms reused, computed");
+    let got = [t("visit.exact"), t("visit.fuzzy"), t("visit.further_queries"), t("ground.scans")];
+    assert_eq!(got, [290, 5, 4, 859], "exact and fuzzy resolves, full queries, grounding scans");
+    // Every model came from `Dmi::build`, which renders its full
+    // description once; the pass's queries all share that text.
+    assert_eq!(t("describe.full_renders"), 0, "full renders during the pass");
 }
 
 /// The serve-side drift cross-check: the gateway's outcome counters and

@@ -7,8 +7,10 @@ use dmi_core::screen::{
 };
 use dmi_core::tokens;
 use dmi_core::topology::{build_forest, decycle, is_acyclic, ForestConfig};
-use dmi_uia::ident::{levenshtein, path_similarity, string_similarity};
-use dmi_uia::{ControlId, ControlProps, ControlType, Lineage, Snapshot};
+use dmi_uia::ident::{
+    levenshtein, path_similarity, string_similarity, string_similarity_bounded, SimilarityQuery,
+};
+use dmi_uia::{ControlId, ControlKey, ControlProps, ControlType, FuzzyMatcher, Lineage, Snapshot};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -218,6 +220,169 @@ proptest! {
         let b = g.add_node(node);
         prop_assert_eq!(a, b);
         prop_assert_eq!(g.node_count(), 2);
+    }
+}
+
+/// The similarity the bounded matchers must agree with, written plainly:
+/// both strings folded, the full two-row edit-distance DP, the prefix
+/// rule, and no bound of any kind.
+fn reference_similarity(a: &str, b: &str) -> f64 {
+    if a == b {
+        return 1.0;
+    }
+    let al: Vec<char> = a.chars().flat_map(char::to_lowercase).collect();
+    let bl: Vec<char> = b.chars().flat_map(char::to_lowercase).collect();
+    if al == bl {
+        return 0.97;
+    }
+    if al.is_empty() || bl.is_empty() {
+        return 0.0;
+    }
+    let mut prev: Vec<usize> = (0..=bl.len()).collect();
+    for (i, ac) in al.iter().enumerate() {
+        let mut cur = vec![i + 1; bl.len() + 1];
+        for (j, bc) in bl.iter().enumerate() {
+            cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + usize::from(ac != bc));
+        }
+        prev = cur;
+    }
+    let base = 1.0 - prev[bl.len()] as f64 / al.len().max(bl.len()) as f64;
+    if al.starts_with(&bl) || bl.starts_with(&al) {
+        (base + 0.25).min(0.95)
+    } else {
+        base
+    }
+}
+
+/// Floors the bounded similarity is checked at: none, the matchers' own
+/// thresholds, and floors no pair (or only an equal pair) reaches.
+const SIMILARITY_FLOORS: [f64; 6] = [0.0, 0.55, 0.8, 0.95, 1.0, 1.2];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The bounded similarity against the plain reference: where the
+    /// reference reaches the floor the bounded value equals it exactly,
+    /// and elsewhere it stays below the floor. The two strings share a
+    /// stem (one side possibly lowercased) so prefix pairs, case-only
+    /// differences and near misses are common; the alphabet mixes ASCII
+    /// case, spaces, digits, `…`, `É`, `ß` and `İ` (which lowercases to
+    /// two chars).
+    #[test]
+    fn bounded_similarity_equals_the_reference_at_the_floor(
+        stem in "[aAbB 1É…ßİ]{0,6}",
+        tail_a in "[aAbB 1É…ßİ]{0,4}",
+        tail_b in "[aAbB 1É…ßİ]{0,4}",
+        shape in 0u8..8,
+    ) {
+        let stem_b = if shape & 1 != 0 { stem.to_lowercase() } else { stem.clone() };
+        let tail_b = if shape & 2 != 0 { tail_b } else { String::new() };
+        let (mut a, mut b) = (format!("{stem}{tail_a}"), format!("{stem_b}{tail_b}"));
+        if shape & 4 != 0 {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let want = reference_similarity(&a, &b);
+        prop_assert_eq!(string_similarity(&a, &b), want);
+        let query = SimilarityQuery::new(&b);
+        for floor in SIMILARITY_FLOORS {
+            let got = string_similarity_bounded(&a, &b, floor);
+            prop_assert_eq!(query.similarity_bounded(&a, floor), got);
+            if want >= floor {
+                prop_assert_eq!(got, want);
+            } else {
+                prop_assert!(got < floor, "{a:?} vs {b:?} at {floor}: {got} for {want}");
+            }
+        }
+    }
+}
+
+/// The full scan `FuzzyMatcher::best_match` replaced: the first exact
+/// identifier in arena order, else every candidate scored with the
+/// unbounded similarity and the first highest score at or above the
+/// threshold.
+fn best_match_full_scan(
+    m: &FuzzyMatcher,
+    snap: &Snapshot,
+    ids: &[ControlId],
+    target: &ControlId,
+    scope: Option<usize>,
+    skip_offscreen: bool,
+) -> Option<(usize, f64, bool)> {
+    let allowed = |i: usize| {
+        !(skip_offscreen && snap.node(i).props.offscreen)
+            && scope.is_none_or(|r| snap.is_in_subtree(i, r))
+    };
+    if let Some(i) = (0..snap.len()).find(|&i| allowed(i) && ids[i] == *target) {
+        return Some((i, 1.0, true));
+    }
+    let candidates = match scope {
+        Some(root) => snap.descendants(root),
+        None => (0..snap.len()).collect(),
+    };
+    let (type_w, path_w) = ((1.0 - m.name_weight) * 0.5, (1.0 - m.name_weight) * 0.5);
+    let mut best: Option<(usize, f64, bool)> = None;
+    for i in candidates.into_iter().filter(|&i| allowed(i)) {
+        let props = &snap.node(i).props;
+        let name = string_similarity(props.primary_id(), &target.primary)
+            .max(string_similarity(&props.name, &target.primary));
+        let type_score = if props.control_type == target.control_type { 1.0 } else { 0.0 };
+        let path = path_similarity(snap.index().path(i), &target.ancestor_path);
+        let s = m.name_weight * name + (type_w * type_score + path_w * path);
+        if s >= m.threshold && best.is_none_or(|(_, bs, _)| s > bs) {
+            best = Some((i, s, false));
+        }
+    }
+    best
+}
+
+/// `best_match` (keyed exact pass, then the fuzzy pass over one prepared
+/// query with its type, path and name bounds) picks what the full scan
+/// picks, with the same score, on the small Office apps' launch
+/// snapshots: for targets whose name is exact, lowercased, padded with a
+/// space, ellipsized or truncated, of their own or another control type,
+/// scoped to the top window or not, and with off-screen controls skipped
+/// or not.
+#[test]
+fn best_match_equals_the_full_scan() {
+    let m = FuzzyMatcher::default();
+    for kind in dmi_apps::AppKind::ALL {
+        let snap = dmi_gui::Session::new(kind.launch_small()).snapshot();
+        let top = snap.top_window();
+        let ids: Vec<ControlId> = (0..snap.len()).map(|i| ControlId::of(&snap, i)).collect();
+        let (mut exact, mut fuzzy, mut none) = (0, 0, 0);
+        let step = (snap.len() / 16).max(1);
+        for i in (0..snap.len()).step_by(step) {
+            let id = &ids[i];
+            let p = &id.primary;
+            let cut: String = p.chars().take((p.chars().count() * 2 / 3).max(1)).collect();
+            let other = match id.control_type {
+                ControlType::Button => ControlType::MenuItem,
+                _ => ControlType::Button,
+            };
+            let primaries = [p.clone(), p.to_lowercase(), format!("{p} "), format!("{p}…"), cut];
+            for (primary, control_type) in primaries
+                .into_iter()
+                .flat_map(|primary| [(primary.clone(), id.control_type), (primary, other)])
+            {
+                let target = ControlId { primary, control_type, ..id.clone() };
+                let key = ControlKey::of_id(&target);
+                for (scope, skip_offscreen) in
+                    [(None, false), (None, true), (top, false), (top, true)]
+                {
+                    let got = m.best_match(&snap, key, &target, scope, skip_offscreen);
+                    let got = got.map(|g| (g.index, g.score, g.exact));
+                    let want =
+                        best_match_full_scan(&m, &snap, &ids, &target, scope, skip_offscreen);
+                    assert_eq!(got, want, "{kind}: {target} in {scope:?}, skip {skip_offscreen}");
+                    match got {
+                        Some((_, _, true)) => exact += 1,
+                        Some(_) => fuzzy += 1,
+                        None => none += 1,
+                    }
+                }
+            }
+        }
+        assert!(exact > 0 && fuzzy > 0 && none > 0, "{kind}: {exact} / {fuzzy} / {none}");
     }
 }
 
