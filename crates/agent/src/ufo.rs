@@ -193,7 +193,7 @@ fn execute_step(
             let Some((_, entry)) = ground(screen, &q) else {
                 return Exec::Stale;
             };
-            let r = entry.props.rect;
+            let r = entry.rect;
             let pct = if llm.sample_composite_error() {
                 // Misjudged drop point: off by a visually plausible margin.
                 let off = if llm.coin() { 30.0 } else { -30.0 };
@@ -220,7 +220,7 @@ fn execute_step(
             let Some((_, entry)) = ground(screen, &q) else {
                 return Exec::Stale;
             };
-            let r = entry.props.rect;
+            let r = entry.rect;
             let (mut s, mut e) = (*start, *end);
             if llm.sample_composite_error() {
                 // Off-by-one row on either end (precise coordinates are

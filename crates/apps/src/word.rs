@@ -1005,7 +1005,7 @@ mod tests {
         // Viewport rows 0..1 now map to paragraphs 6..7 (10 - 4 = 6 start).
         let snap = s.snapshot();
         let doc_idx = snap.find_by_name("Document").unwrap();
-        let r = snap.node(doc_idx).props.rect;
+        let r = snap.node(doc_idx).rect;
         s.drag((r.x + 5, r.y + 2), (r.x + 5, r.y + 2 + dmi_gui::layout::ROW_H)).unwrap();
         let sel = word(&s).doc.selection.unwrap();
         assert_eq!((sel.start, sel.end), (6, 7));

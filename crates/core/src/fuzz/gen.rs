@@ -15,6 +15,13 @@ use std::sync::Arc;
 /// sequences always build a rippable UI.
 const MAX_DEPTH: usize = 4;
 
+/// Rows of the scrolled log ([`ArenaOp::Pop`]).
+const LOG_ROWS: usize = 36;
+/// Rows of the log its viewport shows: with the log's group and document
+/// rows, the log alone fills the main window's 36 rows, so a popup that
+/// opens or closes above it moves a block that wraps the window.
+const LOG_VIEW: usize = 34;
+
 /// One arena-growing instruction. The builder keeps a scope stack
 /// (current parent widget); push ops open a scope, [`ArenaOp::Pop`]
 /// closes one. Every sequence of ops is valid — out-of-place ops degrade
@@ -41,7 +48,10 @@ pub enum ArenaOp {
     /// A tab item (`Tab {k}`); pushes its scope. The first tab of each
     /// window starts selected.
     Tab(u16),
-    /// Closes the innermost open scope (no-op at the main window).
+    /// Closes the innermost open scope. At the main window, which has no
+    /// scope to close, it closes nothing; an arena with such a pop ends
+    /// its main window with a scrolled log (a block with a scroll bar,
+    /// off-screen rows and as many rows as the window shows).
     Pop,
 }
 
@@ -142,6 +152,7 @@ fn build(spec: &AppSpec, leak: u32) -> UiTree {
     // (parent to add under, root window of that scope)
     let mut stack: Vec<(WidgetId, WidgetId)> = vec![(main, main)];
     let mut tabbed: Vec<WidgetId> = Vec::new(); // windows with a selected tab
+    let mut logged = false;
     for op in &spec.ops {
         let (parent, root) = *stack.last().expect("the main scope is never popped");
         match *op {
@@ -209,9 +220,14 @@ fn build(spec: &AppSpec, leak: u32) -> UiTree {
             ArenaOp::Pop => {
                 if stack.len() > 1 {
                     stack.pop();
+                } else {
+                    logged = true;
                 }
             }
         }
+    }
+    if logged {
+        add_log(&mut t, main);
     }
     if let Some(target) = fault_target(&t, main) {
         if leak > 0 {
@@ -229,6 +245,23 @@ fn add_button(t: &mut UiTree, parent: WidgetId, k: u16) {
         b = b.disabled();
     }
     t.add(parent, b.build());
+}
+
+/// Ends the main window with a scrolled log, one block of the window: a
+/// group holding a document of [`LOG_ROWS`] text rows, whose viewport
+/// leaves the last rows off-screen, and a scroll bar that drives it. It
+/// gives the fuzz sweeps a scroll bar, off-screen rows and a wrapped
+/// window, moved whenever a popup of the main window opens or closes,
+/// without another op kind: every raw sequence decodes to the ops it
+/// always did.
+fn add_log(t: &mut UiTree, main: WidgetId) {
+    let log = t.add(main, Widget::new("Log", CT::Group));
+    let rows = WidgetBuilder::new("Log Rows", CT::Document).scrollable(LOG_VIEW).build();
+    let doc = t.add(log, rows);
+    for r in 0..LOG_ROWS {
+        t.add(doc, Widget::new(format!("Row {r}"), CT::Text));
+    }
+    t.add(log, WidgetBuilder::new("Log Scroll", CT::ScrollBar).scroll_target(doc).build());
 }
 
 /// The widget faults mutate: the main window's first child (`None` for
@@ -351,6 +384,30 @@ mod tests {
             popped.ops.retain(|op| *op != ArenaOp::Pop);
             let _ = AdversarialApp::new(popped);
         }
+    }
+
+    #[test]
+    fn a_pop_at_the_main_scope_ends_the_window_with_a_scrolled_log() {
+        let main_children = |ops: Vec<ArenaOp>| {
+            let app = AdversarialApp::new(AppSpec::new(ops));
+            let t = app.tree();
+            t.widget(t.main_root())
+                .children
+                .iter()
+                .map(|&c| t.widget(c).name.clone())
+                .collect::<Vec<_>>()
+        };
+        let popped = vec![ArenaOp::Menu(1), ArenaOp::Item(2), ArenaOp::Pop, ArenaOp::Button(3)];
+        assert_eq!(main_children(popped), ["Menu 1", "Button 3"], "no scope-less pop, no log");
+        let ops =
+            vec![ArenaOp::Pop, ArenaOp::Menu(1), ArenaOp::Item(2), ArenaOp::Pop, ArenaOp::Pop];
+        assert_eq!(main_children(ops.clone()), ["Menu 1", "Log"], "one log, at the end");
+        let mut s = dmi_gui::Session::new(AdversarialApp::launch(AppSpec::new(ops)));
+        let snap = s.snapshot();
+        let rows = |off: bool| snap.iter().filter(|(_, n)| n.props.offscreen == off).count();
+        assert_eq!(rows(true), LOG_ROWS - LOG_VIEW, "the viewport leaves rows off-screen");
+        assert!(rows(false) > dmi_gui::layout::window_rows(0) as usize, "the rows wrap the window");
+        assert!(snap.find_by_name("Log Scroll").is_some());
     }
 
     #[test]

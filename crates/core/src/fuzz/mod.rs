@@ -11,7 +11,7 @@
 //! attacks that contract from the application side:
 //!
 //! - [`gen`] grows random widget arenas ([`AppSpec`] — menus, dialogs,
-//!   tab strips, nested popups) and wraps them in an [`AdversarialApp`]
+//!   tab strips, nested popups, a scrolled log) and wraps them in an [`AdversarialApp`]
 //!   whose [`FaultPlan`] can make the app *lie*: offer a launch image its
 //!   resets don't restore, mutate widgets without bumping the epoch
 //!   stamps the capture caches trust, run Esc-time side effects, or

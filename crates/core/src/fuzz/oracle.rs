@@ -405,15 +405,18 @@ mod tests {
         );
     }
 
-    /// The lineage contract is shared by every column a lineage holds: an
-    /// unstamped relabel inside a block re-walked under an adopted lineage
-    /// leaves a stale full-tree count exactly as it leaves a stale index
+    /// A block carries its lineage only by being copied: an unstamped
+    /// relabel inside a block that a popup moves leaves the copy, at its
+    /// new rows, with the old name, and its index and full-tree count
+    /// agree with those stale bytes, not with the full rebuild
     /// (`dmi_gui`'s
-    /// `an_unstamped_relabel_in_a_rewalked_block_serves_a_stale_index`),
-    /// and the walk's token axis flags it.
+    /// `an_unstamped_relabel_in_a_shifted_block_serves_stale_bytes`). The
+    /// walk's byte axis flags it first; the index and token axes would
+    /// too.
     #[test]
-    fn an_unstamped_relabel_in_a_rewalked_block_leaves_a_stale_count() {
-        // Two blocks of the main window: a menu with one item, a button.
+    fn an_unstamped_relabel_in_a_shifted_block_leaves_a_stale_capture() {
+        // Two blocks of the main window before its log: a menu with one
+        // item, a button.
         let spec = AppSpec::new(vec![
             ArenaOp::Menu(1),
             ArenaOp::Item(1),
@@ -432,24 +435,23 @@ mod tests {
             let (button, menu) =
                 (t.find_by_name("Button 2").unwrap(), t.find_by_name("Menu 1").unwrap());
             t.relabel_unstamped(button, "A stale button label");
-            // The popup stamps the menu's block and moves the later
-            // block's rows: the button is re-walked under its lineage.
+            // The popup opens in the menu's block and moves the later
+            // blocks' rows: the button's block is copied a row down.
             t.open_popup(menu);
         }
         let snap = Arc::clone(observed.capture(&mut cached).snapshot());
         let oracle = eager.snapshot();
-        assert_eq!(*snap, *oracle, "the re-walked block reads the new name");
-        assert!(diff_indexes(1, &snap, &oracle).is_some(), "a stale index");
+        let d = diff_captures(1, &snap, &oracle);
+        assert_eq!((d.oracle, d.window.as_str()), (OracleKind::CachedCapture, "Fuzz"));
+        assert_eq!(d.control, "Button 2", "the copy keeps the old name");
+        assert!(d.detail.starts_with("step 1: "), "{d}");
+        assert!(diff_indexes(1, &snap, &oracle).is_some(), "a stale identity");
         let stale = observed.full_tree_tokens();
+        assert_eq!(stale, tokens::count(&full_tree_prompt_text(&snap)), "the copy's own count");
         let counted = tokens::count(&full_tree_prompt_text(&oracle));
         let relabel = tokens::count("A stale button label") - tokens::count("Button 2");
         assert_eq!(counted - stale, relabel, "the old name's term is summed");
-        let d = diff_tokens(1, &mut observed, &oracle).expect("the token axis flags it");
-        assert_eq!(
-            (d.oracle, d.control.as_str()),
-            (OracleKind::CachedCapture, "(full-tree prompt)")
-        );
-        assert!(d.detail.starts_with("step 1: "), "{d}");
+        assert!(diff_tokens(1, &mut observed, &oracle).is_some(), "the token axis flags it");
     }
 
     /// The walk names the step and window of the first capture that

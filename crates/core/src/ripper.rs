@@ -966,7 +966,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 15,
                 },
-                [8870, 5757, 3172, 18680, 242_090],
+                [8870, 5757, 3172, 18_866, 241_280],
             ),
             (
                 AppKind::Excel,
@@ -982,7 +982,7 @@ mod tests {
                     replay_failures: 1,
                     windows_seen: 11,
                 },
-                [3802, 3071, 821, 4766, 32_251],
+                [3802, 3071, 821, 5334, 20_315],
             ),
             (
                 AppKind::PowerPoint,
@@ -998,7 +998,7 @@ mod tests {
                     replay_failures: 52,
                     windows_seen: 9,
                 },
-                [6961, 4407, 2822, 18683, 175_179],
+                [6961, 4407, 2822, 20_643, 170_920],
             ),
         ];
         for (kind, digest, model_digest, stats, work) in pins {

@@ -22,7 +22,8 @@
 //! the children of a container still loading (instability late loads)
 //! are visited and use up their rows, and the capture visitor leaves them
 //! out of the snapshot, so a late load never shifts the rows of later
-//! siblings.
+//! siblings. A subtree the capture copies from a walk that entered it at
+//! another row is moved by [`shift_rect`], with the walk's own row rule.
 
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
@@ -154,16 +155,40 @@ fn place_children(
             Rect::new(0, 0, 0, 0)
         } else {
             let d = depth as i32;
-            let y = wrect.y + (*row % ((wrect.h / ROW_H).max(1))) * ROW_H;
-            let x = wrect.x + d * 8;
             *row += 1;
-            Rect::new(x, y, (wrect.w - d * 16).max(40), ROW_H - 2)
+            Rect::new(wrect.x + d * 8, row_y(wrect, at), (wrect.w - d * 16).max(40), ROW_H - 2)
         };
         match visit(Placed { id: c, depth, rect, offscreen: off, row: at }) {
             Step::Descend => place_children(tree, c, wrect, row, depth + 1, off, visit),
             Step::SkipTo(end) => *row = end,
         }
     }
+}
+
+/// The y of the row that the row counter `row` reaches in the window
+/// `wrect`: rows wrap modulo the rows the window shows.
+fn row_y(wrect: Rect, row: i32) -> i32 {
+    wrect.y + row.rem_euclid((wrect.h / ROW_H).max(1)) * ROW_H
+}
+
+/// Where the walk of the window at stack position `wi` places a widget of
+/// control type `ty`, off-screen flag `offscreen` and rectangle `rect`
+/// when it reaches the widget `shift` rows later (earlier, if negative),
+/// as it does every widget of a block whose root moved by `shift` rows: a
+/// row moves by the shift modulo [`window_rows`], while scroll bars and
+/// off-screen widgets keep their rectangles, which no row places.
+pub fn shift_rect(
+    wi: usize,
+    ty: dmi_uia::ControlType,
+    offscreen: bool,
+    rect: Rect,
+    shift: i32,
+) -> Rect {
+    if ty == dmi_uia::ControlType::ScrollBar || offscreen {
+        return rect;
+    }
+    let wrect = window_rect(wi);
+    Rect { y: row_y(wrect, (rect.y - wrect.y) / ROW_H + shift), ..rect }
 }
 
 /// Converts a y-coordinate on a scrollbar track to a scroll percentage.
@@ -238,6 +263,54 @@ mod tests {
         assert_eq!(skipped[&after], full[&after]);
         assert_eq!(end, 5);
         assert_eq!(window_rows(0), SCREEN_H / ROW_H);
+    }
+
+    #[test]
+    fn shifting_a_walk_equals_walking_from_the_shifted_row() {
+        // A lead menu, then a block taller than any window: a scroll bar
+        // and a viewport whose last rows are off-screen, one with a child.
+        for lead in [3, 40] {
+            let mut t = UiTree::new();
+            let main = t.add_root(Widget::new("Main", CT::Window));
+            let menu = t.add(main, WidgetBuilder::new("Lead", CT::Menu).popup().build());
+            for i in 0..lead {
+                t.add(menu, Widget::new(format!("L{i}"), CT::MenuItem));
+            }
+            let block = t.add(main, Widget::new("Block", CT::Group));
+            let doc = t.add(block, WidgetBuilder::new("Doc", CT::Document).scrollable(40).build());
+            t.add(block, WidgetBuilder::new("Bar", CT::ScrollBar).scroll_target(doc).build());
+            let rows: Vec<WidgetId> =
+                (0..44).map(|i| t.add(doc, Widget::new(format!("P{i}"), CT::Text))).collect();
+            t.add(rows[43], Widget::new("Run", CT::Text));
+            for wi in [0, 1] {
+                let walk = |t: &UiTree| {
+                    let mut placed = HashMap::new();
+                    walk_window(t, main, wi, |p| {
+                        if t.root_and_block_of(p.id).1 == Some(block) {
+                            placed.insert(p.id, (t.widget(p.id).control_type, p.offscreen, p.rect));
+                        }
+                        Step::Descend
+                    });
+                    placed
+                };
+                let closed = walk(&t);
+                t.open_popup(menu);
+                let open = walk(&t);
+                t.collapse_popup(menu);
+                assert_eq!(closed.len(), 1 + 1 + 1 + 44 + 1);
+                assert!(closed.values().any(|&(ty, _, _)| ty == CT::ScrollBar));
+                assert_eq!(closed.values().filter(|&&(_, off, _)| off).count(), 5);
+                let moved = |from: &HashMap<WidgetId, (CT, bool, Rect)>, shift: i32| {
+                    let mut to = from.clone();
+                    for (ty, off, rect) in to.values_mut() {
+                        *rect = shift_rect(wi, *ty, *off, *rect, shift);
+                    }
+                    to
+                };
+                assert_eq!(moved(&closed, lead), open, "lead {lead}, window {wi}");
+                assert_eq!(moved(&open, -lead), closed, "lead -{lead}, window {wi}");
+            }
+        }
     }
 
     #[test]

@@ -1109,7 +1109,7 @@ mod tests {
         let (mut s, ids) = session();
         let snap = s.snapshot();
         let sb_idx = snap.find_by_name("Vertical").unwrap();
-        let r = snap.node(sb_idx).props.rect;
+        let r = snap.node(sb_idx).rect;
         s.drag(r.center(), (r.center().0, r.y + (r.h as f64 * 0.8) as i32)).unwrap();
         let pos = s.app().tree().widget(ids.doc).scroll_pos;
         assert!((pos - 80.0).abs() < 2.0, "scroll pos {pos}");
@@ -1292,8 +1292,7 @@ mod tests {
         oracle.set_capture_config(CaptureConfig::full_rebuild());
         let base = s.snapshot();
         assert_eq!(*base, *oracle.snapshot());
-        let track =
-            base.node(base.find_all(|n| n.props.control_type == CT::ScrollBar)[0]).props.rect;
+        let track = base.node(base.find_all(|n| n.props.control_type == CT::ScrollBar)[0]).rect;
         let (x, y) = track.center();
         let before = s.capture_stats();
         for session in [&mut s, &mut oracle] {

@@ -34,12 +34,10 @@
 //! - **per block** (`BlockKey`, within the window at the same stack
 //!   position): the block root, its [`UiTree::block_stamp`] (every
 //!   mutation that stamps a window also stamps the block it lands in),
-//!   the open popups inside the block, and where the layout walk enters
-//!   the block — the row counter at its root modulo the window's rows
-//!   ([`layout::window_rows`]), which fixes every rectangle in the block,
-//!   and whether the root's viewport leaves it off-screen. Nothing else
-//!   reaches a block's nodes: rows above it shift it only through the
-//!   row counter, and the window root only through the viewport flag;
+//!   the open popups inside the block, and whether the root's viewport
+//!   leaves it off-screen. Nothing else reaches a block's nodes but
+//!   their rectangles: rows above the block only move it, and the window
+//!   root reaches it only through the viewport flag;
 //! - **globally**: [`UiTree::context_epoch`] (contexts gate `visible_when`
 //!   widgets in any window) and the query clock's position relative to
 //!   the *next reveal* of each window or block — the earliest
@@ -59,32 +57,32 @@
 //! ([`Snapshot::append_subtree_from`]) and skips the subtree
 //! ([`layout::Step::SkipTo`]), advancing the row counter by the rows the
 //! donor recorded for the block, so later blocks get the rects an eager
-//! walk gives them. A click in the ribbon thereby re-walks the ribbon,
-//! not the grid beside it, and a window none of whose blocks changed
-//! costs its root and one donor search per block. Copied nodes share
-//! their property bags with the donor.
+//! walk gives them. Rectangles are placement, not properties: when the
+//! walk enters the block at another row than the donor's walk did (a
+//! popup above it opened or closed), the copy is moved by the row shift
+//! with the walk's own rule ([`layout::shift_rect`]), which leaves scroll
+//! bars and off-screen nodes where they are. A click in the ribbon
+//! thereby re-walks the ribbon, not the grid below it, and a window none
+//! of whose blocks changed costs its root and one donor search per block.
+//! Copied nodes share their property bags with the donor.
 //!
 //! # Identity lineages
 //!
-//! A block's *identity key* is its `BlockKey` without `phase` and
-//! `offscreen`, which only place rectangles: the block root, its stamp and
-//! the popups open inside it. Under one context epoch and before the next
-//! reveal, two blocks with equal identity keys carry equal names, control
-//! types and primary ids in equal order, so every block of a cached
-//! capture is recorded in its snapshot ([`Snapshot::record_block`]) with
-//! an identity [`Lineage`] that it shares only with such blocks. A copied
-//! block keeps its donor's lineage ([`Snapshot::append_subtree_from`]); a
-//! walked block adopts the lineage of a donor block with an equal identity
-//! key that is valid at the query (its rows moved, say, because a popup
-//! opened above it), and otherwise gets a fresh one. The snapshot's
-//! `SnapIndex` copies the key and path columns a lineage holds under an
-//! equal root path and computes only the other nodes, and the ripper's
-//! diff skips a block whose lineage an available block of the pre-click
-//! capture shares. The eager [`build`] records no block, so a
-//! full-rebuild session computes every column and probes every node. A
-//! provider that changes a name without a stamp breaks the promise: the
-//! bytes of a re-walked block are fresh, but its index is stale, which the
-//! index axis of the cached-vs-eager walk oracle flags.
+//! Every block of a cached capture is recorded in its snapshot
+//! ([`Snapshot::record_block`]) with an identity [`Lineage`]. A block gets
+//! one in one of two ways: a walked block mints a fresh one, and a copied
+//! block keeps its donor's ([`Snapshot::append_subtree_from`]). Blocks
+//! that share a lineage thereby hold the same nodes, copied under an
+//! equal block key, so they carry equal names, control types and primary
+//! ids in equal order. The snapshot's `SnapIndex` copies the key and path
+//! columns a lineage holds under an equal root path and computes only the
+//! other nodes, and the ripper's diff skips a block whose lineage an
+//! available block of the pre-click capture shares. The eager [`build`]
+//! records no block, so a full-rebuild session computes every column and
+//! probes every node. A provider that changes a name without a stamp
+//! breaks the key's promise: a copied block keeps the old name, with the
+//! index and token terms of its lineage, and the byte axis of the
+//! cached-vs-eager walk oracle flags it.
 //!
 //! # Launch and restarts
 //!
@@ -193,11 +191,11 @@ fn push_window(
         props.toggle = w.toggle;
         props.selected = w.selected;
         props.expanded = if w.popup { Some(w.expanded) } else { None };
-        props.rect = p.rect;
         props.offscreen = p.offscreen;
         let idx = snap.push(props, parent, wi);
         // Snapshot runtime ids must track the widget arena, not insertion order.
         snap.set_runtime_id(idx, runtime_of(p.id));
+        snap.set_rect(idx, p.rect);
         parents.push((!tree.children_pending(p.id, query_seq)).then_some(idx));
         Step::Descend
     });
@@ -216,8 +214,7 @@ fn push_window(
 
 /// Walks one window into `snap` ([`push_window`]), copying each block
 /// one of the `donors` holds, and records the keys its nodes are valid
-/// under. Returns the record, the widgets walked and the blocks copied;
-/// tallies the walked blocks that adopted a donor's lineage.
+/// under. Returns the record, the widgets walked and the blocks copied.
 fn rebuild_window(
     tree: &UiTree,
     inst: &InstabilityModel,
@@ -230,7 +227,6 @@ fn rebuild_window(
     let win = OpenWindow { root: key.root, modal: key.modal };
     let mut blocks = BlockWalk::new(tree, key.root, wi, query_seq, donors);
     let walked = push_window(tree, inst, query_seq, win, wi, snap, Some(&mut blocks));
-    dmi_obs::tally("capture.idents_shared", blocks.shared);
     let meta = WindowMeta {
         key: key.clone(),
         next_reveal: blocks.scan.window_reveal(),
@@ -276,29 +272,18 @@ struct WindowMeta {
 
 /// The capture key of one block: a shown child of a window root and its
 /// descendants, keyed within the window at the same stack position.
-/// Everything a block's nodes depend on is here, in the context epoch,
-/// or in the query clock: the block's own widgets (stamped), the popups
-/// open inside it, and where the walk enters it — its row counter, which
-/// fixes every rectangle of the block modulo the window's rows, and
-/// whether the root's viewport leaves the block off-screen.
+/// Everything a block's nodes depend on but their rectangles is here, in
+/// the context epoch, or in the query clock: the block's own widgets
+/// (stamped), the popups open inside it, and whether the root's viewport
+/// leaves the block off-screen. Where the walk enters the block only
+/// places it: a copy entered at another row is moved
+/// ([`layout::shift_rect`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BlockKey {
     root: WidgetId,
     stamp: u64,
     popups: Vec<WidgetId>,
-    /// The row counter at the block root modulo [`layout::window_rows`].
-    phase: i32,
     offscreen: bool,
-}
-
-impl BlockKey {
-    /// Whether the two keys agree on the block's *identity key* — the key
-    /// without `phase` and `offscreen`, which only place rectangles — so
-    /// that, under one context epoch and before the next reveal, the two
-    /// blocks carry equal names, types and primary ids in equal order.
-    fn same_identity(&self, other: &BlockKey) -> bool {
-        (self.root, self.stamp, &self.popups) == (other.root, other.stamp, &other.popups)
-    }
 }
 
 /// Per-block record of a cached window.
@@ -308,6 +293,8 @@ struct BlockMeta {
     /// Node range `[start, end)` of the block in its snapshot.
     start: usize,
     end: usize,
+    /// The row counter at the block root, which places its rectangles.
+    row: i32,
     /// Rows the block takes in the layout walk, its root's included.
     rows: i32,
     /// First query sequence at which a pending-children schedule inside
@@ -356,14 +343,12 @@ impl WindowScan {
         self.reveals.iter().map(|&(_, ready)| ready).min().unwrap_or(u64::MAX)
     }
 
-    /// The key of the block whose root the walk placed at `p` in the
-    /// window at stack position `wi`.
-    fn key(&self, tree: &UiTree, p: Placed, wi: usize) -> BlockKey {
+    /// The key of the block whose root the walk placed at `p`.
+    fn key(&self, tree: &UiTree, p: Placed) -> BlockKey {
         BlockKey {
             root: p.id,
             stamp: tree.block_stamp(p.id),
             popups: self.popups_in(p.id),
-            phase: p.row % layout::window_rows(wi),
             offscreen: p.offscreen,
         }
     }
@@ -381,12 +366,10 @@ struct BlockWalk<'a> {
     wi: usize,
     query_seq: u64,
     blocks: Vec<BlockMeta>,
-    /// The block being walked: its key, first node, the row counter at
-    /// its root, and its lineage.
-    open: Option<(BlockKey, usize, i32, Lineage)>,
+    /// The block being walked: its key, first node, and the row counter
+    /// at its root.
+    open: Option<(BlockKey, usize, i32)>,
     reused: u64,
-    /// Walked blocks that adopted a donor block's lineage.
-    shared: u64,
 }
 
 impl<'a> BlockWalk<'a> {
@@ -407,46 +390,40 @@ impl<'a> BlockWalk<'a> {
             .filter_map(|e| Some((&*e.snap, &*e.windows.get(wi)?.blocks)))
             .collect();
         let scan = WindowScan::new(tree, root, query_seq);
-        BlockWalk {
-            donors,
-            scan,
-            wi,
-            query_seq,
-            blocks: Vec::new(),
-            open: None,
-            reused: 0,
-            shared: 0,
-        }
+        BlockWalk { donors, scan, wi, query_seq, blocks: Vec::new(), open: None, reused: 0 }
     }
 
     /// The first donor block, most recent capture first, that is valid at
-    /// the query and whose key satisfies `pred`, with its snapshot.
-    fn donor(&self, pred: impl Fn(&BlockKey) -> bool) -> Option<(&'a Snapshot, &'a BlockMeta)> {
+    /// the query under `key`, with its snapshot.
+    fn donor(&self, key: &BlockKey) -> Option<(&'a Snapshot, &'a BlockMeta)> {
         self.donors.iter().find_map(|&(src, blocks)| {
-            let b = blocks.iter().find(|b| pred(&b.key) && self.query_seq < b.next_reveal)?;
+            let b = blocks.iter().find(|b| b.key == *key && self.query_seq < b.next_reveal)?;
             Some((src, b))
         })
     }
 
     /// The walk placed a block root at `p`, under the window's root node
     /// `up`. Closes the block before it; then copies the block from a
-    /// donor that holds it, returning the row counter after it, or opens
-    /// it for walking and returns `None`. A walked block adopts the
-    /// lineage of a donor block with an equal identity key, or mints one.
+    /// donor that holds it, moved to the root's row, and returns the row
+    /// counter after it, or opens it for walking under a fresh lineage
+    /// and returns `None`.
     fn enter(&mut self, tree: &UiTree, p: Placed, snap: &mut Snapshot, up: usize) -> Option<i32> {
         self.close(snap, p.row);
-        let key = self.scan.key(tree, p, self.wi);
-        let Some((src, b)) = self.donor(|k| *k == key) else {
-            let adopted = self
-                .donor(|k| k.same_identity(&key))
-                .and_then(|(src, b)| Some(src.block_at(b.start)?.lineage.clone()));
-            self.shared += u64::from(adopted.is_some());
-            self.open = Some((key, snap.len(), p.row, adopted.unwrap_or_default()));
+        let key = self.scan.key(tree, p);
+        let Some((src, b)) = self.donor(&key) else {
+            self.open = Some((key, snap.len(), p.row));
             return None;
         };
         let start = snap.append_subtree_from(src, b.start, b.end, up, self.wi);
         let end = snap.len();
-        self.blocks.push(BlockMeta { key, start, end, rows: b.rows, next_reveal: b.next_reveal });
+        let shift = p.row - b.row;
+        for i in (start..end).filter(|_| shift != 0) {
+            let n = snap.node(i);
+            let (ty, off) = (n.props.control_type, n.props.offscreen);
+            snap.set_rect(i, layout::shift_rect(self.wi, ty, off, n.rect, shift));
+        }
+        let next_reveal = b.next_reveal;
+        self.blocks.push(BlockMeta { key, start, end, row: p.row, rows: b.rows, next_reveal });
         self.reused += 1;
         Some(p.row + b.rows)
     }
@@ -454,11 +431,11 @@ impl<'a> BlockWalk<'a> {
     /// Records the block being walked, if any, as ending at the end of
     /// `snap` with the row counter at `row`.
     fn close(&mut self, snap: &mut Snapshot, row: i32) {
-        if let Some((key, start, row0, lineage)) = self.open.take() {
+        if let Some((key, start, row0)) = self.open.take() {
             let end = snap.len();
-            snap.record_block(start, end, lineage);
-            let next_reveal = self.scan.block_reveal(key.root);
-            self.blocks.push(BlockMeta { key, start, end, rows: row - row0, next_reveal });
+            snap.record_block(start, end, Lineage::default());
+            let (rows, next_reveal) = (row - row0, self.scan.block_reveal(key.root));
+            self.blocks.push(BlockMeta { key, start, end, row: row0, rows, next_reveal });
         }
     }
 }
@@ -808,7 +785,7 @@ mod tests {
         t.add(grp, Widget::new("Second", CT::Button));
         t.add(main, Widget::new("After", CT::Button));
         t.set_pending_children(grp, 5);
-        let rect = |s: &Snapshot, name| s.node(s.find_by_name(name).unwrap()).props.rect;
+        let rect = |s: &Snapshot, name| s.node(s.find_by_name(name).unwrap()).rect;
         let (s4, s5) =
             (build(&t, &InstabilityModel::off(), 4), build(&t, &InstabilityModel::off(), 5));
         assert!(s4.find_by_name("First").is_none());
@@ -878,7 +855,7 @@ mod tests {
     }
 
     fn rect_of(s: &Snapshot, name: &str) -> dmi_uia::Rect {
-        s.node(s.find_by_name(name).unwrap()).props.rect
+        s.node(s.find_by_name(name).unwrap()).rect
     }
 
     #[test]
@@ -915,20 +892,28 @@ mod tests {
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
         let base = capture(&t, 1, &mut cache, &mut stats);
         // Opening the menu adds two rows to the ribbon's block: the grid
-        // and the status bar start two rows later and must not be served
-        // at their old rects.
+        // and the status bar start two rows later, so they are copied and
+        // moved two rows down, where the eager build places them.
         t.open_popup(menu);
         let open = capture(&t, 2, &mut cache, &mut stats);
-        assert_eq!(stats.blocks_reused, 0, "every block's key moved");
+        assert_eq!(stats.blocks_reused, 2, "the grid and the status bar copied");
         assert_eq!(rect_of(&open, "R0C0").y, rect_of(&base, "R0C0").y + 2 * layout::ROW_H);
         assert_eq!(rect_of(&open, "Ready").y, rect_of(&base, "Ready").y + 2 * layout::ROW_H);
         // Closing it returns to the base capture whole.
         t.collapse_popup(menu);
         assert!(Arc::ptr_eq(&capture(&t, 3, &mut cache, &mut stats), &base));
-        // A write in the last block leaves the earlier ones in place.
+        // A write in the last block with the menu open leaves the earlier
+        // ones in place; closing the menu then moves the most recent
+        // grid and status bar two rows up.
+        t.open_popup(menu);
+        assert!(Arc::ptr_eq(&capture(&t, 4, &mut cache, &mut stats), &open));
         t.widget_mut(status).value = "Busy".into();
-        capture(&t, 4, &mut cache, &mut stats);
-        assert_eq!(stats.blocks_reused, 2, "ribbon and grid copied");
+        capture(&t, 5, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 4, "ribbon and grid copied");
+        t.collapse_popup(menu);
+        let closed = capture(&t, 6, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 7, "every block copied");
+        assert_eq!(rect_of(&closed, "Ready"), rect_of(&base, "Ready"));
     }
 
     #[test]
@@ -994,17 +979,18 @@ mod tests {
     }
 
     #[test]
-    fn a_popup_that_shifts_later_blocks_rewalks_them_under_their_lineage() {
+    fn a_popup_that_shifts_later_blocks_copies_them_under_their_lineage() {
         let (mut t, [_, menu, _, _]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
         let base = capture(&t, 1, &mut cache, &mut stats);
         base.index();
-        // The popup stamps the ribbon and moves the later blocks' rows:
-        // all three are walked, the grid and the status bar under the
-        // lineage of their base blocks, so the index copies their columns.
+        // The popup opens inside the ribbon and moves the later blocks'
+        // rows: the ribbon is walked under a fresh lineage, the grid and
+        // the status bar are copied at their new rows under the lineage
+        // of their base blocks, so the index copies their columns.
         t.open_popup(menu);
         let open = capture(&t, 2, &mut cache, &mut stats);
-        assert_eq!(stats.blocks_reused, 0, "every block walked");
+        assert_eq!(stats.blocks_reused, 2, "the grid and the status bar copied");
         assert!(!lineage_of(&open, "Ribbon").same(&lineage_of(&base, "Ribbon")));
         for name in ["Grid", "Status"] {
             assert!(lineage_of(&open, name).same(&lineage_of(&base, name)), "{name}");
@@ -1052,22 +1038,30 @@ mod tests {
     }
 
     #[test]
-    fn an_unstamped_relabel_in_a_rewalked_block_serves_a_stale_index() {
-        // The index's blast radius of a provider that lies to its stamps:
-        // a block re-walked under an adopted lineage after an unstamped
-        // relabel has fresh bytes but copies the old identity columns,
-        // and only the index oracle tells.
+    fn an_unstamped_relabel_in_a_shifted_block_serves_stale_bytes() {
+        // A provider that lies to its stamps, where a block moves: the
+        // status bar, copied two rows down after an unstamped relabel,
+        // keeps the old name with its donor's lineage, and so its old
+        // identity; only the eager oracle tells, wherever the copy lands.
         let (mut t, [_, menu, _, status]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        capture(&t, 1, &mut cache, &mut stats).index();
+        let base = cached(&t, 1, &mut cache, &mut stats);
+        base.index();
         let ready = t.widget(status).children[0];
         t.relabel_unstamped(ready, "Stale");
         t.open_popup(menu);
-        let snap = capture(&t, 2, &mut cache, &mut stats);
-        assert_eq!(stats.blocks_reused, 0, "the status bar is re-walked");
+        let snap = cached(&t, 2, &mut cache, &mut stats);
+        assert_eq!(stats.blocks_reused, 2, "the grid and the status bar are copied");
+        assert!(lineage_of(&snap, "Status").same(&lineage_of(&base, "Status")));
         let oracle = build(&t, &InstabilityModel::off(), 2);
-        let stale = snap.find_by_name("Stale").expect("the walk reads the new name");
-        assert_ne!(snap.index().key(stale), oracle.index().key(stale), "the oracle flags it");
+        let stale = oracle.find_by_name("Stale").expect("the eager build reads the new name");
+        assert_eq!(snap.find_by_name("Ready"), Some(stale), "the copy keeps the old name");
+        assert_eq!(
+            snap.node(stale).rect,
+            oracle.node(stale).rect,
+            "placed as the oracle places it"
+        );
+        assert_ne!(*snap, oracle, "the oracle flags the stale block");
         assert_eq!(snap.resolve(&oracle.control_id(stale)), None, "the new identity misses");
     }
 

@@ -100,8 +100,6 @@ pub struct ControlProps {
     pub selected: bool,
     /// Expanded state when the ExpandCollapse pattern exists.
     pub expanded: Option<bool>,
-    /// Bounding rectangle in virtual screen coordinates.
-    pub rect: Rect,
     /// Keyboard-focusable.
     pub focusable: bool,
 }
@@ -131,7 +129,6 @@ impl ControlProps {
             toggle: None,
             selected: false,
             expanded: None,
-            rect: Rect::default(),
             focusable: true,
         }
     }

@@ -7,7 +7,7 @@
 //! real accessibility clients are decoupled from the provider process.
 
 use crate::index::{Lineage, SnapIndex};
-use crate::{ControlId, ControlKey, ControlProps, RuntimeId};
+use crate::{ControlId, ControlKey, ControlProps, Rect, RuntimeId};
 use std::sync::{Arc, OnceLock};
 
 /// One control in a snapshot.
@@ -19,6 +19,11 @@ pub struct Node {
     /// providers carry into later snapshots
     /// ([`Snapshot::append_subtree_from`]).
     pub props: Arc<ControlProps>,
+    /// Bounding rectangle in virtual screen coordinates: the snapshot's
+    /// placement of the node, not one of its properties, so a provider
+    /// that copies the node into a later snapshot may move it
+    /// ([`Snapshot::set_rect`]).
+    pub rect: Rect,
     /// Index of the parent node in the arena, `None` for roots.
     pub parent: Option<usize>,
     /// Indices of child nodes, in z/document order.
@@ -80,7 +85,8 @@ impl Snapshot {
         let idx = self.nodes.len();
         let runtime_id = RuntimeId(idx as u64 + 1);
         let props = Arc::new(props);
-        self.nodes.push(Node { runtime_id, props, parent, children: Vec::new(), window });
+        let rect = Rect::default();
+        self.nodes.push(Node { runtime_id, props, rect, parent, children: Vec::new(), window });
         if let Some(p) = parent {
             self.nodes[p].children.push(idx);
         }
@@ -93,11 +99,13 @@ impl Snapshot {
     /// Returns the arena index of the first copied node.
     ///
     /// Providers that rebuild snapshots incrementally use this to carry an
-    /// unchanged subtree — one block of a window, with rectangles, runtime
-    /// ids, and all — from an earlier capture instead of re-walking the
-    /// widget tree. The range must be one subtree's contiguous, non-empty
-    /// DFS block: the first node is its root, and every other node's
-    /// parent lies in range. When the range is a block `src` recorded,
+    /// unchanged subtree — one block of a window, with runtime ids,
+    /// property bags and rectangles — from an earlier capture instead of
+    /// re-walking the widget tree; a provider that lays the block out
+    /// elsewhere moves the copied rectangles after the copy
+    /// ([`Snapshot::set_rect`]). The range must be one subtree's
+    /// contiguous, non-empty DFS block: the first node is its root, and
+    /// every other node's parent lies in range. When the range is a block `src` recorded,
     /// the copy is recorded as a block of the same [`Lineage`], so the
     /// identity index copies its columns instead of computing them
     /// ([`SnapIndex::build`]).
@@ -125,6 +133,7 @@ impl Snapshot {
             self.nodes.push(Node {
                 runtime_id: n.runtime_id,
                 props: Arc::clone(&n.props),
+                rect: n.rect,
                 parent: Some(up),
                 children: n.children.iter().map(|&c| c - start + base).collect(),
                 window,
@@ -200,6 +209,12 @@ impl Snapshot {
     pub fn set_runtime_id(&mut self, idx: usize, rt: RuntimeId) {
         self.index.take();
         self.nodes[idx].runtime_id = rt;
+    }
+
+    /// Places a node at `rect` (providers set it after `push`, and move
+    /// copied nodes with it).
+    pub fn set_rect(&mut self, idx: usize, rect: Rect) {
+        self.nodes[idx].rect = rect;
     }
 
     /// The snapshot's identity index, built on first use (O(n)) and O(1)
@@ -311,9 +326,8 @@ mod tests {
         s.push_window_root(w);
         let tab = s.push(ControlProps::new("Home", ControlType::TabItem), Some(w), 0);
         let grp = s.push(ControlProps::new("Font", ControlType::Group), Some(tab), 0);
-        let mut bold = ControlProps::new("Bold", ControlType::Button);
-        bold.rect = Rect::new(10, 10, 20, 20);
-        s.push(bold, Some(grp), 0);
+        let bold = s.push(ControlProps::new("Bold", ControlType::Button), Some(grp), 0);
+        s.set_rect(bold, Rect::new(10, 10, 20, 20));
         s
     }
 
@@ -359,6 +373,7 @@ mod tests {
         assert_eq!(s.node(4).parent, Some(3));
         assert!(s.iter().all(|(_, n)| n.window == 1));
         assert_eq!(s.node(4).props, src.node(3).props);
+        assert_eq!(s.node(4).rect, Rect::new(10, 10, 20, 20));
         assert_eq!(s.ancestor_path(4), "Other/Home/Font");
     }
 

@@ -2,8 +2,9 @@
 //! equivalence with the old linear scan, pinned rip capture counts,
 //! launch-image forks equal to freshly constructed apps, launch captures
 //! shared by forks and equal to full rebuilds, the layout pin over seeded
-//! input walks, the agent trace pin over the Table 3 grid, and the share
-//! of the full Excel rip's diff work that identity lineages skip.
+//! input walks, the agent trace pin over the Table 3 grid, the share of
+//! the full Excel rip's diff work that identity lineages skip, and the
+//! widgets that rip walks.
 
 use dmi_agent::RunConfig;
 use dmi_apps::model::sheet::Addr;
@@ -395,6 +396,21 @@ fn full_excel_rip_diffs_skip_shared_blocks() {
     );
 }
 
+/// The payoff of copying a clean block at any row: the full Excel rip
+/// walks at most 50,000 widgets. Its sheet grid sits below the ribbon's
+/// popups, so while the row a block starts at was part of its key, every
+/// popup that moved the grid had it walked again: 317,389 widgets per
+/// rip.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn full_excel_rip_copies_moved_blocks() {
+    let _g = rip_guard();
+    let mut s = Session::new(AppKind::Excel.launch());
+    rip(&mut s, &RipConfig::office("Excel"));
+    let walked = s.capture_stats().nodes_walked;
+    assert!(walked <= 50_000, "{walked} widgets walked");
+}
+
 /// The observability non-interference oracle for the serve path: the
 /// c=64 gateway mix served with tracing enabled must yield per-request
 /// run traces byte-identical to the untraced serve.
@@ -746,7 +762,7 @@ fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usi
             h.write(&(n.window as u64).to_le_bytes());
             h.write(p.name.as_bytes());
             h.write(&[0xff, p.control_type as u8, p.offscreen as u8, p.enabled as u8]);
-            for v in [p.rect.x, p.rect.y, p.rect.w, p.rect.h] {
+            for v in [n.rect.x, n.rect.y, n.rect.w, n.rect.h] {
                 h.write(&v.to_le_bytes());
             }
         }
@@ -776,7 +792,7 @@ fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usi
             }
             6..=10 => {
                 let rows: Vec<_> =
-                    snap.iter().map(|(_, n)| n.props.rect).filter(|r| r.w > 0 && r.h > 0).collect();
+                    snap.iter().map(|(_, n)| n.rect).filter(|r| r.w > 0 && r.h > 0).collect();
                 let from = rows[rng.below(rows.len())].center();
                 let to_y = rng.below(dmi_gui::layout::SCREEN_H as usize) as i32;
                 s.drag(from, (from.0, to_y))

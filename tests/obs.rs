@@ -353,18 +353,18 @@ fn fleet_stats_match_obs_tallies() {
 }
 
 /// The exact work of the identity lineages on the small 3-app fleet rip:
-/// post nodes the rip diffs probed against the pre index, post nodes they
-/// skipped inside a block sharing an available pre block's lineage, and
-/// walked blocks that adopted a donor block's lineage. A drift means the
-/// capture layer shared identities differently or the diff's skip rule
-/// changed; the byte oracles cannot see either.
+/// post nodes the rip diffs probed against the pre index, and post nodes
+/// they skipped inside a block sharing an available pre block's lineage
+/// (a copied block's). A drift means the capture layer copied blocks
+/// under other lineages or the diff's skip rule changed; the byte oracles
+/// cannot see either.
 #[test]
 fn small_fleet_lineage_work_is_pinned() {
     let _g = guard();
     let obs = fleet_obs();
     let t = |k: &str| obs.tallies.get(k).copied().unwrap_or(0);
-    let got = [t("rip.diff_probed"), t("rip.diff_skipped"), t("capture.idents_shared")];
-    assert_eq!(got, [148_507, 227_022, 2_714], "diff probes, diff skips, identities shared");
+    let got = [t("rip.diff_probed"), t("rip.diff_skipped")];
+    assert_eq!(got, [148_507, 227_022], "diff probes, diff skips");
 }
 
 /// The prompt-token work of one small-app Table 3 pass (every cell over
