@@ -25,13 +25,13 @@
 
 use super::gen::{AdversarialApp, AppSpec};
 use crate::graph::Ung;
-use crate::interface::Observed;
+use crate::interface::{is_clickable, Observed};
 use crate::ripper::{diff_fresh, rip, RipConfig};
 use crate::screen::{full_tree_prompt_text, label_screen};
 use crate::tokens;
 use crate::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_gui::{CaptureConfig, Session};
-use dmi_uia::Snapshot;
+use dmi_uia::{ControlType, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -150,7 +150,7 @@ pub fn walk_cached_and_eager(
                 let _ = (cached.press("Esc"), eager.press("Esc"));
             }
             _ => {
-                let idx = rng.gen_range(0..snap.len());
+                let idx = click_target(&snap, &mut rng);
                 let id = cached.widget_of(snap.node(idx).runtime_id);
                 let (a, b) = (cached.click(id), eager.click(id));
                 if a.is_ok() != b.is_ok() {
@@ -166,6 +166,21 @@ pub fn walk_cached_and_eager(
         }
     }
     Ok((cached, eager))
+}
+
+/// A node of `snap` for the walk to click, drawn among the shown nodes a
+/// click acts on (the clickable control types and scroll bars), so inert
+/// rows do not use up the walk's steps; among all nodes when none is.
+fn click_target(snap: &Snapshot, rng: &mut SmallRng) -> usize {
+    let acts = |&i: &usize| {
+        let p = &snap.node(i).props;
+        !p.offscreen && (is_clickable(p.control_type) || p.control_type == ControlType::ScrollBar)
+    };
+    let targets: Vec<usize> = (0..snap.len()).filter(acts).collect();
+    match targets.len() {
+        0 => rng.gen_range(0..snap.len()),
+        n => targets[rng.gen_range(0..n)],
+    }
 }
 
 /// The name of the window that holds node `idx` of `snap`.

@@ -243,7 +243,6 @@ fn close_top_window(session: &mut Session, snap: &Snapshot) -> DmiResult<()> {
         for name in ["OK", "Close", "Cancel"] {
             if let Some(idx) = snap
                 .descendants(top)
-                .into_iter()
                 .find(|&i| snap.node(i).props.name == name && snap.node(i).props.enabled)
             {
                 let wid = session.widget_of(snap.node(idx).runtime_id);

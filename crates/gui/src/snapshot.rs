@@ -53,8 +53,10 @@
 //! (cached ancestor paths and key multimap), which the eager path rebuilt
 //! per query. On a miss, every window is walked and laid out, root first.
 //! When the walk reaches a block root that a recent capture holds under
-//! an equal block key, it copies the block's nodes
-//! ([`Snapshot::append_subtree_from`]) and skips the subtree
+//! an equal block key, it copies the block's nodes — the donor's subtree
+//! at the block root, one range of its pre-order arena, copied with one
+//! reservation and no allocation per node
+//! ([`Snapshot::append_subtree_from`]) — and skips the subtree
 //! ([`layout::Step::SkipTo`]), advancing the row counter by the rows the
 //! donor recorded for the block, so later blocks get the rects an eager
 //! walk gives them. Rectangles are placement, not properties: when the
@@ -290,9 +292,9 @@ struct BlockKey {
 #[derive(Debug, Clone)]
 struct BlockMeta {
     key: BlockKey,
-    /// Node range `[start, end)` of the block in its snapshot.
+    /// The block root's node in its snapshot; the block is its subtree
+    /// ([`Snapshot::descendants`]).
     start: usize,
-    end: usize,
     /// The row counter at the block root, which places its rectangles.
     row: i32,
     /// Rows the block takes in the layout walk, its root's included.
@@ -414,16 +416,15 @@ impl<'a> BlockWalk<'a> {
             self.open = Some((key, snap.len(), p.row));
             return None;
         };
-        let start = snap.append_subtree_from(src, b.start, b.end, up, self.wi);
-        let end = snap.len();
+        let start = snap.append_subtree_from(src, b.start, up, self.wi);
         let shift = p.row - b.row;
-        for i in (start..end).filter(|_| shift != 0) {
+        for i in (start..snap.len()).filter(|_| shift != 0) {
             let n = snap.node(i);
             let (ty, off) = (n.props.control_type, n.props.offscreen);
             snap.set_rect(i, layout::shift_rect(self.wi, ty, off, n.rect, shift));
         }
         let next_reveal = b.next_reveal;
-        self.blocks.push(BlockMeta { key, start, end, row: p.row, rows: b.rows, next_reveal });
+        self.blocks.push(BlockMeta { key, start, row: p.row, rows: b.rows, next_reveal });
         self.reused += 1;
         Some(p.row + b.rows)
     }
@@ -432,10 +433,9 @@ impl<'a> BlockWalk<'a> {
     /// `snap` with the row counter at `row`.
     fn close(&mut self, snap: &mut Snapshot, row: i32) {
         if let Some((key, start, row0)) = self.open.take() {
-            let end = snap.len();
-            snap.record_block(start, end, Lineage::default());
+            snap.record_block(start, snap.len(), Lineage::default());
             let (rows, next_reveal) = (row - row0, self.scan.block_reveal(key.root));
-            self.blocks.push(BlockMeta { key, start, end, row: row0, rows, next_reveal });
+            self.blocks.push(BlockMeta { key, start, row: row0, rows, next_reveal });
         }
     }
 }

@@ -244,10 +244,7 @@ impl FuzzyMatcher {
             return Some(MatchScore { index: i, score: 1.0, exact: true });
         }
         // Fuzzy pass: the target's name is folded once for every candidate.
-        let candidates: Vec<usize> = match scope {
-            Some(root) => snap.descendants(root),
-            None => (0..snap.len()).collect(),
-        };
+        let candidates = scope.map_or(0..snap.len(), |root| snap.descendants(root));
         let query = SimilarityQuery::new(&target.primary);
         let mut best: Option<MatchScore> = None;
         let mut floor = self.threshold;

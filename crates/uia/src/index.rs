@@ -210,8 +210,9 @@ impl SnapIndex {
     /// under the block's root path, and leaving its own computed columns
     /// with every lineage that holds none yet.
     ///
-    /// Relies on the arena invariant that parents precede children
-    /// (guaranteed by [`Snapshot::push`]).
+    /// Relies on the arena's pre-order, in which parents precede children
+    /// and a recorded block is its root's subtree (asserted by
+    /// [`Snapshot::push`] and [`Snapshot::record_block`]).
     pub fn build(snap: &Snapshot) -> SnapIndex {
         let n = snap.len();
         let mut ix = SnapIndex {

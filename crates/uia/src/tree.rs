@@ -1,13 +1,15 @@
 //! Immutable accessibility-tree snapshots.
 //!
 //! A [`Snapshot`] is what a UIA client sees when it walks the tree at one
-//! instant: an arena of [`Node`]s with parent/child links. Applications
+//! instant: an arena of [`Node`]s in pre-order, each linked to its parent,
+//! so a subtree is one contiguous range of the arena. Applications
 //! produce a fresh snapshot after every input event; the DMI executor and
 //! the GUI ripper both operate exclusively on snapshots, which mirrors how
 //! real accessibility clients are decoupled from the provider process.
 
 use crate::index::{Lineage, SnapIndex};
 use crate::{ControlId, ControlKey, ControlProps, Rect, RuntimeId};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One control in a snapshot.
@@ -24,10 +26,9 @@ pub struct Node {
     /// that copies the node into a later snapshot may move it
     /// ([`Snapshot::set_rect`]).
     pub rect: Rect,
-    /// Index of the parent node in the arena, `None` for roots.
+    /// Index of the parent node in the arena, `None` for roots. A node's
+    /// children are the later nodes that name it, in z/document order.
     pub parent: Option<usize>,
-    /// Indices of child nodes, in z/document order.
-    pub children: Vec<usize>,
     /// Index of the top-level window this node belongs to.
     pub window: usize,
 }
@@ -49,7 +50,9 @@ pub struct Block {
 ///
 /// Node index 0.. are arena indices; `windows` lists the arena index of each
 /// top-level window root in z-order (last = topmost), mirroring UIA's
-/// desktop children.
+/// desktop children. The arena is in pre-order ([`Snapshot::push`]), so
+/// parents precede children and a subtree is a range
+/// ([`Snapshot::descendants`]).
 #[derive(Debug, Default, Clone)]
 pub struct Snapshot {
     nodes: Vec<Node>,
@@ -77,77 +80,64 @@ impl Snapshot {
         Snapshot::default()
     }
 
-    /// Adds a node and returns its arena index.
+    /// Adds a node as the last child of `parent` and returns its arena
+    /// index.
     ///
-    /// `parent` must be an index previously returned by `push`.
+    /// Keeps the arena in pre-order: `parent` must be the last node pushed
+    /// or one of its ancestors.
     pub fn push(&mut self, props: ControlProps, parent: Option<usize>, window: usize) -> usize {
-        self.index.take();
         let idx = self.nodes.len();
+        debug_assert!(
+            parent.is_none_or(|p| idx > 0 && self.is_in_subtree(idx - 1, p)),
+            "pre-order"
+        );
+        self.index.take();
         let runtime_id = RuntimeId(idx as u64 + 1);
         let props = Arc::new(props);
         let rect = Rect::default();
-        self.nodes.push(Node { runtime_id, props, rect, parent, children: Vec::new(), window });
-        if let Some(p) = parent {
-            self.nodes[p].children.push(idx);
-        }
+        self.nodes.push(Node { runtime_id, props, rect, parent, window });
         idx
     }
 
-    /// Appends a copy of the node range `start..end` from another snapshot
-    /// as the last child of `parent`, remapping parent/child indices and
+    /// Appends a copy of the subtree rooted at `root` in another snapshot
+    /// as the last child of `parent`, remapping parent indices and
     /// retagging the nodes with the given top-level `window` ordinal.
-    /// Returns the arena index of the first copied node.
+    /// Returns the arena index of the copied root.
     ///
     /// Providers that rebuild snapshots incrementally use this to carry an
     /// unchanged subtree — one block of a window, with runtime ids,
     /// property bags and rectangles — from an earlier capture instead of
     /// re-walking the widget tree; a provider that lays the block out
     /// elsewhere moves the copied rectangles after the copy
-    /// ([`Snapshot::set_rect`]). The range must be one subtree's
-    /// contiguous, non-empty DFS block: the first node is its root, and
-    /// every other node's parent lies in range. When the range is a block `src` recorded,
-    /// the copy is recorded as a block of the same [`Lineage`], so the
-    /// identity index copies its columns instead of computing them
-    /// ([`SnapIndex::build`]).
+    /// ([`Snapshot::set_rect`]). The subtree is one arena range
+    /// ([`Snapshot::descendants`]), copied with one reservation. When
+    /// `src` recorded a block at `root`, the copy is recorded as a block
+    /// of the same [`Lineage`], so the identity index copies its columns
+    /// instead of computing them ([`SnapIndex::build`]).
     pub fn append_subtree_from(
         &mut self,
         src: &Snapshot,
-        start: usize,
-        end: usize,
+        root: usize,
         parent: usize,
         window: usize,
     ) -> usize {
-        debug_assert!(start < end, "a copied subtree has a root");
-        self.index.take();
         let base = self.nodes.len();
-        self.nodes.reserve(end - start);
-        for i in start..end {
-            let n = &src.nodes[i];
-            let up = if i == start {
-                parent
-            } else {
-                let p = n.parent.expect("a copied subtree has one root");
-                debug_assert!((start..end).contains(&p), "copied subtree must be self-contained");
-                p - start + base
-            };
-            self.nodes.push(Node {
-                runtime_id: n.runtime_id,
-                props: Arc::clone(&n.props),
-                rect: n.rect,
-                parent: Some(up),
-                children: n.children.iter().map(|&c| c - start + base).collect(),
-                window,
-            });
-        }
-        self.nodes[parent].children.push(base);
-        if let Some(b) = src.block_at(start).filter(|b| b.end == end) {
+        debug_assert!(base > 0 && self.is_in_subtree(base - 1, parent), "copies are in pre-order");
+        self.index.take();
+        self.nodes.extend(src.nodes[src.descendants(root)].iter().map(|n| Node {
+            parent: Some(n.parent.filter(|&p| p >= root).map_or(parent, |p| p - root + base)),
+            window,
+            ..n.clone()
+        }));
+        if let Some(b) = src.block_at(root) {
             self.record_block(base, self.nodes.len(), b.lineage.clone());
         }
         base
     }
 
-    /// Records the node range `start..end` — one subtree's contiguous DFS
-    /// block, after every block recorded so far — as a block of
+    /// Records the node range `start..end` — one subtree's arena range
+    /// ([`Snapshot::descendants`]), after every block recorded so far — as
+    /// a block of
     /// `lineage`. A provider may give two blocks one lineage only when
     /// their nodes, in order, carry equal control types, primary ids and
     /// names: then their identity columns are equal wherever their roots'
@@ -155,7 +145,7 @@ impl Snapshot {
     /// terms a client keeps in the lineage ([`Lineage::node_terms`]). Not
     /// part of equality.
     pub fn record_block(&mut self, start: usize, end: usize, lineage: Lineage) {
-        debug_assert!(start < end && end <= self.nodes.len(), "a block is a non-empty range");
+        debug_assert!(start < end && self.descendants(start).end == end, "a block is a subtree");
         debug_assert!(self.blocks.last().is_none_or(|b| b.end <= start), "blocks in arena order");
         self.index.take();
         self.blocks.push(Block { start, end, lineage });
@@ -241,14 +231,7 @@ impl Snapshot {
 
     /// Whether `idx` lies in the subtree rooted at `root` (inclusive).
     pub fn is_in_subtree(&self, idx: usize, root: usize) -> bool {
-        let mut cur = Some(idx);
-        while let Some(i) = cur {
-            if i == root {
-                return true;
-            }
-            cur = self.nodes[i].parent;
-        }
-        false
+        std::iter::successors(Some(idx), |&i| self.nodes[i].parent).any(|i| i == root)
     }
 
     /// Number of nodes in the snapshot.
@@ -281,18 +264,12 @@ impl Snapshot {
         self.nodes.iter().enumerate()
     }
 
-    /// Depth-first pre-order traversal below `root` (inclusive).
-    pub fn descendants(&self, root: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(i) = stack.pop() {
-            out.push(i);
-            // Push children reversed so traversal is document-order.
-            for &c in self.nodes[i].children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+    /// The subtree rooted at `root` (inclusive) in depth-first pre-order:
+    /// the arena range from `root` up to the first later node whose parent
+    /// precedes `root`.
+    pub fn descendants(&self, root: usize) -> Range<usize> {
+        let len = self.nodes.len();
+        root..(root + 1..len).find(|&j| self.nodes[j].parent < Some(root)).unwrap_or(len)
     }
 
     /// Slash-delimited ancestor path of names, root-first (§4.1).
@@ -335,14 +312,16 @@ mod tests {
     fn push_links_parent_and_children() {
         let s = sample();
         assert_eq!(s.len(), 4);
-        assert_eq!(s.node(0).children, vec![1]);
+        assert_eq!(s.node(1).parent, Some(0));
         assert_eq!(s.node(3).parent, Some(2));
     }
 
     #[test]
     fn descendants_pre_order() {
         let s = sample();
-        assert_eq!(s.descendants(0), vec![0, 1, 2, 3]);
+        assert_eq!(s.descendants(0), 0..4);
+        assert_eq!(s.descendants(2), 2..4);
+        assert_eq!(s.descendants(3), 3..4);
     }
 
     #[test]
@@ -365,12 +344,12 @@ mod tests {
         let mut s = Snapshot::new();
         let w = s.push(ControlProps::new("Other", ControlType::Window), None, 1);
         s.push(ControlProps::new("First", ControlType::Button), Some(w), 1);
-        let tab = s.append_subtree_from(&src, 1, 4, w, 1);
+        let tab = s.append_subtree_from(&src, 1, w, 1);
         assert_eq!(tab, 2);
-        assert_eq!(s.node(w).children, vec![1, 2]);
         assert_eq!(s.node(tab).parent, Some(w));
-        assert_eq!(s.node(3).children, vec![4]);
+        assert_eq!(s.node(3).parent, Some(tab));
         assert_eq!(s.node(4).parent, Some(3));
+        assert_eq!((s.descendants(w), s.descendants(tab)), (0..5, 2..5));
         assert!(s.iter().all(|(_, n)| n.window == 1));
         assert_eq!(s.node(4).props, src.node(3).props);
         assert_eq!(s.node(4).rect, Rect::new(10, 10, 20, 20));
@@ -384,13 +363,13 @@ mod tests {
         src.record_block(1, 4, lineage.clone());
         let mut s = Snapshot::new();
         let w = s.push(ControlProps::new("Other", ControlType::Window), None, 0);
-        s.append_subtree_from(&src, 1, 4, w, 0);
+        s.append_subtree_from(&src, 1, w, 0);
         assert_eq!(s.blocks().len(), 1);
         assert_eq!((s.blocks()[0].start, s.blocks()[0].end), (1, 4));
         assert!(s.blocks()[0].lineage.same(&lineage));
         assert!(s.block_at(1).is_some() && s.block_at(2).is_none());
-        // A range that is not a recorded block is copied unrecorded.
-        s.append_subtree_from(&src, 2, 4, w, 0);
+        // A subtree that is not a recorded block is copied unrecorded.
+        s.append_subtree_from(&src, 2, w, 0);
         assert_eq!(s.blocks().len(), 1);
         // Records are not part of equality.
         let mut plain = s.clone();

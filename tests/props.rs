@@ -10,7 +10,10 @@ use dmi_core::topology::{build_forest, decycle, is_acyclic, ForestConfig};
 use dmi_uia::ident::{
     levenshtein, path_similarity, string_similarity, string_similarity_bounded, SimilarityQuery,
 };
-use dmi_uia::{ControlId, ControlKey, ControlProps, ControlType, FuzzyMatcher, Lineage, Snapshot};
+use dmi_uia::{
+    ControlId, ControlKey, ControlProps, ControlType, FuzzyMatcher, Lineage, Rect, RuntimeId,
+    Snapshot,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -315,13 +318,10 @@ fn best_match_full_scan(
     if let Some(i) = (0..snap.len()).find(|&i| allowed(i) && ids[i] == *target) {
         return Some((i, 1.0, true));
     }
-    let candidates = match scope {
-        Some(root) => snap.descendants(root),
-        None => (0..snap.len()).collect(),
-    };
+    let candidates = scope.map_or(0..snap.len(), |root| snap.descendants(root));
     let (type_w, path_w) = ((1.0 - m.name_weight) * 0.5, (1.0 - m.name_weight) * 0.5);
     let mut best: Option<(usize, f64, bool)> = None;
-    for i in candidates.into_iter().filter(|&i| allowed(i)) {
+    for i in candidates.filter(|&i| allowed(i)) {
         let props = &snap.node(i).props;
         let name = string_similarity(props.primary_id(), &target.primary)
             .max(string_similarity(&props.name, &target.primary));
@@ -415,4 +415,130 @@ fn label_tokens_match_counted_labels_at_every_length_boundary() {
     }
     assert_eq!((alpha_label(475_254), counted(475_254)), (String::from("AAAAA"), 3));
     assert_eq!(label_tokens_below(475_255), 2 * 475_254 + 3);
+}
+
+/// The last node of `s` and its ancestors, nearest first: the nodes a
+/// pre-order push may hang under.
+fn open_chain(s: &Snapshot) -> Vec<usize> {
+    std::iter::successors(s.len().checked_sub(1), |&i| s.node(i).parent).collect()
+}
+
+/// Pushes a new window root, tagged with its window ordinal.
+fn push_window(s: &mut Snapshot) -> usize {
+    let wi = s.windows().len();
+    let w = s.push(ControlProps::new(format!("Window {wi}"), ControlType::Window), None, wi);
+    s.push_window_root(w);
+    w
+}
+
+/// A random pre-order snapshot: op `(0, _, _)` pushes a window root, any
+/// other `(ty, up, mark)` a control under the `up`-th node of the open
+/// chain (modulo its length). Runtime ids and rects are scattered, and
+/// every node whose mark is a multiple of three roots a recorded block
+/// unless an earlier block holds it.
+fn pre_order_snapshot(ops: &[(u8, u8, u8)]) -> Snapshot {
+    let mut s = Snapshot::new();
+    let mut marked = Vec::new();
+    for (i, &(ty, up, mark)) in ops.iter().enumerate() {
+        let chain = open_chain(&s);
+        let idx = if ty == 0 || chain.is_empty() {
+            push_window(&mut s)
+        } else {
+            let mut p = ControlProps::new(format!("N{}", i % 7), LINE_TYPES[ty as usize % 6]);
+            p.value = format!("{mark}");
+            let parent = chain[up as usize % chain.len()];
+            s.push(p, Some(parent), s.node(parent).window)
+        };
+        s.set_runtime_id(idx, RuntimeId(1000 + 7 * i as u64));
+        s.set_rect(idx, Rect::new(i as i32, up as i32, 10, 10));
+        if mark % 3 == 0 {
+            marked.push(idx);
+        }
+    }
+    let mut end = 0;
+    for root in marked.into_iter().filter(|&r| r > 0) {
+        if root >= end {
+            end = s.descendants(root).end;
+            s.record_block(root, end, Lineage::default());
+        }
+    }
+    s
+}
+
+/// The deleted `Snapshot::descendants`, kept as the reference: a stack
+/// DFS over child lists, here rebuilt from the parent links.
+fn descendants_by_dfs(s: &Snapshot, root: usize) -> Vec<usize> {
+    let mut children = vec![Vec::new(); s.len()];
+    for (i, n) in s.iter() {
+        if let Some(p) = n.parent {
+            children[p].push(i);
+        }
+    }
+    let (mut out, mut stack) = (Vec::new(), vec![root]);
+    while let Some(i) = stack.pop() {
+        out.push(i);
+        stack.extend(children[i].iter().rev());
+    }
+    out
+}
+
+/// Every subtree range equals the reference DFS, and membership in it is
+/// `is_in_subtree`.
+fn assert_subtrees_are_ranges(s: &Snapshot) {
+    for i in 0..s.len() {
+        let range = s.descendants(i);
+        assert_eq!(range.clone().collect::<Vec<_>>(), descendants_by_dfs(s, i), "subtree of {i}");
+        for j in 0..s.len() {
+            assert_eq!(s.is_in_subtree(j, i), range.contains(&j), "{j} under {i}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Pushes and copies equal their eager builds: subtrees of a random
+    /// pre-order snapshot (several windows, recorded blocks) copied into
+    /// another snapshot with `append_subtree_from` equal the same nodes
+    /// pushed one by one, with shared property bags, and carry a lineage
+    /// exactly when their source recorded a block at the copied root. In
+    /// both snapshots every `descendants` range equals a stack DFS over
+    /// the parent links.
+    #[test]
+    fn subtree_copies_equal_their_pushes(
+        ops in proptest::collection::vec((0u8..7, 0u8..8, 0u8..9), 1..40),
+        copies in proptest::collection::vec((0u8..64, 0u8..8, 0u8..5), 1..12),
+    ) {
+        let src = pre_order_snapshot(&ops);
+        assert_subtrees_are_ranges(&src);
+        let (mut copy, mut eager) = (Snapshot::new(), Snapshot::new());
+        for &(pick, up, new_window) in &copies {
+            if copy.is_empty() || new_window == 0 {
+                push_window(&mut copy);
+                push_window(&mut eager);
+            }
+            // Hang the copy outside every recorded block, so each block
+            // stays its root's subtree.
+            let in_block = |p: usize| copy.blocks().iter().any(|b| (b.start..b.end).contains(&p));
+            let chain: Vec<usize> = open_chain(&copy).into_iter().filter(|&p| !in_block(p)).collect();
+            let parent = chain[up as usize % chain.len()];
+            let window = copy.node(parent).window;
+            let root = pick as usize % src.len();
+            let base = copy.append_subtree_from(&src, root, parent, window);
+            for i in src.descendants(root) {
+                let n = src.node(i);
+                let up = if i == root { parent } else { n.parent.unwrap() - root + base };
+                let j = eager.push((*n.props).clone(), Some(up), window);
+                eager.set_runtime_id(j, n.runtime_id);
+                eager.set_rect(j, n.rect);
+                prop_assert!(Arc::ptr_eq(&copy.node(j).props, &n.props), "bag of {i} shared");
+            }
+            match (copy.block_at(base), src.block_at(root)) {
+                (Some(c), Some(b)) => prop_assert!(c.lineage.same(&b.lineage)),
+                (c, b) => prop_assert_eq!(c.is_some(), b.is_some()),
+            }
+        }
+        prop_assert!(copy == eager, "copies equal their pushes");
+        assert_subtrees_are_ranges(&copy);
+    }
 }
