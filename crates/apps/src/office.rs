@@ -41,13 +41,14 @@ pub trait OfficeModel: Clone + Send + Sync + 'static {
 
 /// A launched Office app: the live model plus the launch image it was
 /// constructed as, shared behind an [`Arc`] by the app and all its forks.
-/// `GuiApp::fork` clones the image and `GuiApp::reset` restores from it,
-/// instead of re-running widget-tree construction. The image's widget
-/// arena is shared copy-on-write (see [`UiTree`]), so both cost the
-/// chunks the live tree had copied plus the rest of the model. Beside the
-/// image sit its launch captures (`GuiApp::launch_captures`), which
-/// therefore live exactly as long as the image; `reset` restores exactly
-/// that image, so every restart may adopt them.
+/// `GuiApp::fork` clones the image and `GuiApp::reset` is the same clone
+/// in place, instead of re-running widget-tree construction. The image's
+/// widget arena is shared copy-on-write (see [`UiTree`]), so both cost
+/// the chunks the live tree had copied plus the rest of the model. Beside
+/// the image sit its launch captures (`GuiApp::launch_captures`), which
+/// therefore live exactly as long as the image; `reset` leaves the app
+/// equal to that image, stamps included, so a restarted session is
+/// served them as a fresh fork's is.
 ///
 /// Dereferences to the model, so `WordApp::doc` and the like read through.
 pub struct OfficeApp<M> {
@@ -63,12 +64,9 @@ struct Image<M> {
 }
 
 impl<M: OfficeModel> OfficeApp<M> {
-    /// Launches a freshly constructed model, which becomes the image. The
-    /// construction's stamp history is dropped first
-    /// ([`UiTree::refloor_stamps`]): no capture of it exists yet, and
-    /// every fork clones the image's stamps.
-    pub fn launch(mut model: M) -> Self {
-        model.tree_mut().refloor_stamps();
+    /// Launches a freshly constructed model, which becomes the image:
+    /// every fork and every reset clones it, stamps included.
+    pub fn launch(model: M) -> Self {
         let image = Image { model: model.clone(), captures: LaunchCaptures::default() };
         OfficeApp { image: Arc::new(image), live: model }
     }
@@ -102,13 +100,7 @@ impl<M: OfficeModel> GuiApp for OfficeApp<M> {
     }
 
     fn reset(&mut self) {
-        // The tree restores through `clone_from`: it shares the image's
-        // chunks and advances the capture epochs past both lineages, so
-        // no capture cached before the reset validates after it.
-        let mut tree = std::mem::take(self.live.tree_mut());
-        tree.clone_from(self.image.model.tree());
         self.live = self.image.model.clone();
-        *self.live.tree_mut() = tree;
     }
 
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
@@ -592,25 +584,39 @@ mod tests {
         t.iter().map(|(i, _)| i).filter(|&i| under(i)).collect()
     }
 
-    /// `reset` restores the tree through `UiTree::clone_from`, so every
-    /// epoch advances past both the live tree and the image and no
-    /// capture key recorded before a reset validates after it. A plain
-    /// clone of the image would rewind them, and no capture pin sees that:
-    /// `Session::restart` also empties the capture cache.
+    /// `reset` is `fork` in place: a driven app, once reset, carries a
+    /// fresh fork's epochs and every window and block stamp, and a
+    /// restarted cached session's first capture is the launch capture a
+    /// fresh fork's session is served.
     #[test]
-    fn reset_advances_epochs_past_the_live_tree_and_the_image() {
-        let config = crate::WordConfig { paragraphs: 4, viewport_rows: 2 };
-        let mut app = crate::WordApp::with_config(config);
-        let (main, surface) = (app.chrome().main, app.doc_surface());
-        app.tree_mut().widget_mut(surface).name.push_str(" (edited)");
-        let epochs = |t: &UiTree| [t.state_epoch(), t.window_stamp(main), t.context_epoch()];
-        let (live, image) = (epochs(app.tree()), epochs(app.image.model.tree()));
-        app.reset();
-        let after = epochs(app.tree());
-        for i in 0..3 {
-            assert!(after[i] > live[i].max(image[i]), "epoch {i}: {after:?} {live:?} {image:?}");
+    fn reset_is_a_fork() {
+        let app = small_word();
+        let surface = app.doc_surface();
+        let menu = app.tree().iter().find(|(_, w)| w.popup).expect("a popup").0;
+        let mut driven = app.fork().unwrap();
+        let t = driven.tree_mut();
+        t.widget_mut(surface).name.push_str(" (edited)");
+        t.open_popup(menu);
+        t.set_context("image-selected", true);
+        driven.reset();
+        let fresh = app.fork().unwrap();
+        let (a, b) = (driven.tree(), fresh.tree());
+        assert_eq!(a.state_epoch(), b.state_epoch());
+        assert_eq!(a.context_epoch(), b.context_epoch());
+        for (id, _) in b.iter() {
+            assert_eq!(a.window_stamp(id), b.window_stamp(id), "window {id:?}");
+            assert_eq!(a.block_stamp(id), b.block_stamp(id), "block {id:?}");
         }
-        assert_eq!(app.tree().widget(surface).name, app.image.model.tree().widget(surface).name);
+        assert_eq!(a.widget(surface).name, b.widget(surface).name);
+        assert!(a.open_popups().is_empty() && !a.context_active("image-selected"));
+
+        let inst = InstabilityModel::new(11, 0.2, 0.3);
+        let mut s = Session::with_instability(app.fork().unwrap(), inst.clone());
+        s.app_mut().tree_mut().widget_mut(surface).name.push_str(" (edited)");
+        s.snapshot();
+        s.restart();
+        let (launch, _) = first_capture(app.fork().unwrap(), &inst);
+        assert!(Arc::ptr_eq(&s.snapshot(), &launch), "the restart is served the launch capture");
     }
 
     fn small_word() -> crate::WordApp {
@@ -723,9 +729,9 @@ mod tests {
         }
     }
 
-    /// A restart adopts the launch capture with its block records, re-keyed
-    /// against the fresh tree: the first write after it re-walks only the
-    /// written block.
+    /// A restart seeds the cache with the launch capture and its block
+    /// records, whose keys the restarted tree carries: the first write
+    /// after it re-walks only the written block.
     #[test]
     fn a_restart_adopts_the_launch_capture_with_its_blocks() {
         let app = small_word();

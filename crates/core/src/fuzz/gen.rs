@@ -76,10 +76,11 @@ impl ArenaOp {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Every reset leaks a counter into a widget name while the app *still
-    /// offers* its launch image's table of launch captures — every restart
-    /// adopts the table's launch capture into the MRU cache, re-keyed
-    /// against the leaked tree, and the next probe serves its stale bytes.
-    /// Caught by the cached-vs-rebuild oracle.
+    /// offers* its launch image's table of launch captures. The leak is
+    /// unstamped, so the rebuilt tree carries the image's stamps: every
+    /// restart seeds the MRU cache with the table's launch capture, its
+    /// keys match the leaked tree's, and the next probe serves its stale
+    /// bytes. Caught by the cached-vs-rebuild oracle.
     pub lying_reset: bool,
     /// After this many dispatches, a widget is relabeled WITHOUT bumping
     /// epoch or window stamps — the MRU cache keeps serving the old

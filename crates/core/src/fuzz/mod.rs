@@ -6,7 +6,7 @@
 //! action trace yields byte-identical snapshots, and therefore
 //! byte-identical UNGs, no matter which recovery strategy — Esc or
 //! restart — or which captures the MRU cache served (the image's launch
-//! capture included, which every restart adopts into it), and whether the
+//! capture included, which every restart seeds it with), and whether the
 //! rip ran alone or in a fleet. This module
 //! attacks that contract from the application side:
 //!
@@ -27,8 +27,9 @@
 //!
 //! The fault classes are chosen so each one is caught by exactly the
 //! layer that trusts the violated promise: a lying
-//! `GuiApp::launch_captures` makes a restart adopt the image's stale
-//! launch capture into the MRU cache, which trips
+//! `GuiApp::launch_captures` makes a restart seed the MRU cache with the
+//! image's stale launch capture (the leaked tree carries the image's
+//! stamps, so the capture's keys match it), which trips
 //! the cached-vs-rebuild capture oracle; unstamped relabels trip the
 //! same oracle through ordinary MRU hits; Esc side effects trip the
 //! Esc-vs-restart oracle, and mid-click panics surface as

@@ -43,7 +43,7 @@ pub enum OracleKind {
     Fleet,
     /// Esc-based state recovery vs full restart-replay.
     EscRecovery,
-    /// Cached captures (MRU, the adopted launch capture included) vs full
+    /// Cached captures (MRU, the seeded launch capture included) vs full
     /// rebuilds, compared as rip UNGs and as the snapshots of an input
     /// walk.
     CachedCapture,
@@ -88,7 +88,7 @@ const WALK_SEED: u64 = 1;
 const WALK_STEPS: usize = 64;
 
 /// Cached captures (MRU probes, including the image's launch capture a
-/// restart adopts into the MRU) must serve the same bytes a from-scratch
+/// restart seeds the MRU with) must serve the same bytes a from-scratch
 /// rebuild produces: the same rip UNG, and the same snapshot at every
 /// step of a seeded input walk ([`walk_cached_and_eager`]), rects,
 /// toggles and values included. Catches lying launch-capture tables and
@@ -471,7 +471,7 @@ mod tests {
 
     /// The walk names the step and window of the first capture that
     /// differs: under a reset that leaks state, the first restart's
-    /// adopted launch capture is stale.
+    /// seeded launch capture is stale.
     #[test]
     fn the_walk_names_the_first_stale_capture() {
         let spec = AppSpec::new(vec![ArenaOp::Button(1), ArenaOp::Menu(2), ArenaOp::Item(3)]);

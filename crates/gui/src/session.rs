@@ -104,16 +104,16 @@ pub trait GuiApp: std::any::Any + Send {
     }
 
     /// The launch image's tree and its table of launch captures, if — and
-    /// only if — every [`GuiApp::reset`] restores exactly that image
-    /// bit-for-bit (tree and document); a [`GuiApp::fork`] clones it, and
-    /// the table must live with the image. The table is the one source of
-    /// capture reuse across a restart: every new cached session seeds its
-    /// capture cache from it, so a fresh fork's first
-    /// [`Session::snapshot`] is an O(1) hit, and every
-    /// [`Session::restart`] adopts its entry again (see "Launch and
-    /// restarts" in [`crate::snapshot`]). Apps whose reset is partial or
-    /// stateful must return `None` (the default): their sessions rebuild
-    /// after every restart.
+    /// only if — every [`GuiApp::reset`] leaves the app equal to that
+    /// image (tree and document), the tree's stamps and epochs included:
+    /// a reset is then a [`GuiApp::fork`] in place, and the table must
+    /// live with the image. The table is the one source of capture reuse
+    /// across a restart: a new cached session and every
+    /// [`Session::restart`] seed the capture cache from it alike, so the
+    /// first [`Session::snapshot`] of a fresh fork or a restarted app is
+    /// an O(1) hit (see "Launch and restarts" in [`crate::snapshot`]).
+    /// Apps whose reset is partial or stateful must return `None` (the
+    /// default): their sessions rebuild after every restart.
     fn launch_captures(&self) -> Option<(&UiTree, &LaunchCaptures)> {
         None
     }
@@ -299,8 +299,8 @@ impl Session {
     /// every window is walked, and each clean block (a child of the
     /// window root with its descendants) is copied from a recent capture
     /// instead of walked. The image's launch capture,
-    /// which a new session is seeded with and a [`Session::restart`]
-    /// adopts, is served through the same probe (see
+    /// which a new session and a [`Session::restart`] are seeded with, is
+    /// served through the same probe (see
     /// [`Session::with_instability`] and [`Session::restart`]).
     /// See [`CaptureConfig::full_rebuild`] for the eager oracle path;
     /// every path produces the same bytes.
@@ -339,20 +339,21 @@ impl Session {
     /// the ripper does between exploration branches when recovery fails.
     /// Counted as a restart, not an input action.
     ///
-    /// An application `reset` may swap its tree wholesale (breaking stamp
-    /// lineage), so every recent capture is dropped. When the app keeps a
-    /// table of launch captures ([`GuiApp::launch_captures`]) and a cached
-    /// session's model has an entry there, the entry is re-keyed against
-    /// the fresh tree and adopted as the only recent capture: the next
-    /// [`Session::snapshot`] serves it in O(1) if the launch state still
-    /// holds, or copies its clean blocks.
+    /// The reset rewinds the tree's stamps and epochs to its launch
+    /// state's, so a capture taken before the restart could match a
+    /// different state after it: every recent capture is dropped. The
+    /// cache is then seeded as a new session's
+    /// ([`Session::with_instability`]): an app whose reset is a fork in
+    /// place ([`GuiApp::launch_captures`]) leaves its tree with the launch
+    /// capture's keys, so the next [`Session::snapshot`] serves it in O(1)
+    /// if the launch state still holds, or copies its clean blocks.
     pub fn restart(&mut self) {
         self.app.reset();
         self.app.tree_mut().reset_ui_state();
         self.trapped = false;
         self.restart_seq += 1;
-        let launch = if self.capture_cfg.cached { self.app.launch_captures() } else { None };
-        self.cache.restart(self.app.tree(), launch, &self.inst, self.query_seq);
+        self.cache.clear();
+        self.seed_launch_capture();
     }
 
     // ------------------------------------------------------------------
@@ -361,9 +362,12 @@ impl Session {
 
     /// The tree's persistent-mutation epoch (see [`UiTree::state_epoch`]).
     /// Recovery planners record it at a known-base state; an unchanged
-    /// reading later proves no widget property, arena, selection, focus,
-    /// or context change happened in between, so collapsing transient
-    /// windows and popups with Esc restores that base exactly.
+    /// reading later, with no [`Session::restart`] in between, proves no
+    /// widget property, arena, selection, focus, or context change
+    /// happened, so collapsing transient windows and popups with Esc
+    /// restores that base exactly. A restart rewinds the epoch to the
+    /// launch state's, so a planner records its base again after each
+    /// one (the ripper's `base_epoch`).
     pub fn ui_state_epoch(&self) -> u64 {
         self.app.tree().state_epoch()
     }
@@ -1435,9 +1439,8 @@ mod tests {
             Ok(())
         }
         fn reset(&mut self) {
-            let pristine = Arc::clone(&self.pristine);
-            self.tree.clone_from(&pristine.0);
-            self.counter = pristine.1;
+            self.tree = self.pristine.0.clone();
+            self.counter = self.pristine.1;
         }
         fn fork(&self) -> Option<Box<dyn GuiApp>> {
             let pristine = Arc::clone(&self.pristine);
@@ -1556,6 +1559,36 @@ mod tests {
         s.restart();
         s.restart();
         assert!(!capture(&mut s).1);
+    }
+
+    /// A restart rewinds the tree's stamps to the image's, so a write
+    /// before it and a different write after it to the same block read
+    /// the same tick. Only emptying the MRU at the restart keeps the
+    /// capture of the first write from being served for the second.
+    #[test]
+    fn a_write_after_a_restart_is_never_served_the_capture_of_one_before() {
+        let (mut s, mut oracle, ids) = image_pair();
+        let main = s.app().tree().main_root();
+        let write = |sess: &mut Session, name: &str| {
+            sess.app_mut().tree_mut().widget_mut(ids.label).name = name.into();
+        };
+        for sess in [&mut s, &mut oracle] {
+            write(sess, "Before");
+        }
+        let ticks = |s: &Session| {
+            (s.app().tree().window_stamp(main), s.app().tree().block_stamp(ids.label))
+        };
+        let before = ticks(&s);
+        let (first, _) = capture_checked(&mut s, &mut oracle);
+        assert!(first.find_by_name("Before").is_some());
+        for sess in [&mut s, &mut oracle] {
+            sess.restart();
+            write(sess, "After");
+        }
+        assert_eq!(ticks(&s), before, "the restart rewound the clock: the same tick again");
+        let (after, hit) = capture_checked(&mut s, &mut oracle);
+        assert!(!hit, "the capture of the write before the restart is gone");
+        assert!(after.find_by_name("After").is_some() && after.find_by_name("Before").is_none());
     }
 
     #[test]

@@ -111,16 +111,17 @@
 //! rule and only borrows the entry's clean blocks. The entry's block
 //! records and lineages are built with it, once per table entry.
 //!
-//! An application `reset` may swap its tree wholesale, which breaks stamp
-//! lineage, so a restart empties the MRU list. The image's table is the
-//! one source of a capture that survives it: an app offers a table only
-//! if every `reset` restores exactly that image, so a restart re-keys the
-//! table's entry for the session's model — its window and block keys —
-//! against the fresh tree and adopts it, with its snapshot and so its
-//! block lineages unchanged, as the only MRU entry. From then
-//! on ordinary probes serve it (while the launch state holds) or copy
-//! clean blocks from it (after the first click), through the same key
-//! rule as every other capture.
+//! A restart is a fork in place. An app offers a table only if its
+//! `reset` leaves the tree equal to the image, stamps and epochs
+//! included, so a restarted tree carries the entry's keys as a fresh
+//! fork does: a restart empties the MRU list and seeds it with the entry
+//! exactly as a new session does. From then on ordinary probes serve it
+//! (while the launch state holds) or copy clean blocks from it (after
+//! the first click), through the same key rule as every other capture.
+//! Emptying the list is what keeps that rule sound across a restart: the
+//! restored tree's stamps rewind to the image's, so a write before the
+//! restart and a different write after it can read the same tick, and a
+//! capture taken before the restart would otherwise be served after it.
 //!
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
@@ -280,7 +281,7 @@ struct WindowMeta {
 /// leaves the block off-screen. Where the walk enters the block only
 /// places it: a copy entered at another row is moved
 /// ([`layout::shift_rect`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct BlockKey {
     root: WidgetId,
     stamp: u64,
@@ -289,7 +290,7 @@ struct BlockKey {
 }
 
 /// Per-block record of a cached window.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BlockMeta {
     key: BlockKey,
     /// The block root's node in its snapshot; the block is its subtree
@@ -498,65 +499,18 @@ impl CaptureCache {
 
     /// Seeds this cache with the launch capture under `inst` from
     /// `launch`, an image and its table ([`crate::GuiApp::launch_captures`]),
-    /// as the only recent capture. The entry keeps the image tree's keys,
-    /// which a fresh fork of the image shares. Leaves the cache as it is
-    /// when there is no table, or it is full without the model's entry.
+    /// as the most recent capture; callers seed an empty cache. The entry
+    /// keeps the image tree's keys, which a fresh fork of the image and a
+    /// restarted tree share. Leaves the cache as it is when there is no
+    /// table, or it is full without the model's entry.
     pub(crate) fn seed(
         &mut self,
         launch: Option<(&UiTree, &LaunchCaptures)>,
         inst: &InstabilityModel,
     ) {
         if let Some(entry) = launch.and_then(|(image, captures)| captures.capture(image, inst)) {
-            self.entries = vec![entry];
+            self.entries.insert(0, entry);
         }
-    }
-
-    /// Empties the MRU list after an application restart, then adopts the
-    /// launch capture under `inst` from `launch` (see [`CaptureCache::seed`])
-    /// with its window and block keys re-read off the fresh tree, when the
-    /// table holds one and the tree opens the same windows. The snapshot,
-    /// and with it every block's lineage, is the table's own.
-    pub(crate) fn restart(
-        &mut self,
-        tree: &UiTree,
-        launch: Option<(&UiTree, &LaunchCaptures)>,
-        inst: &InstabilityModel,
-        query_seq: u64,
-    ) {
-        self.entries.clear();
-        let Some(entry) = launch.and_then(|(image, captures)| captures.capture(image, inst)) else {
-            return;
-        };
-        let keys = window_keys(tree);
-        let same_windows = entry.windows.len() == keys.len()
-            && entry
-                .windows
-                .iter()
-                .zip(&keys)
-                .all(|(m, k)| (m.key.root, m.key.modal) == (k.root, k.modal));
-        if !same_windows {
-            return;
-        }
-        let windows = entry
-            .windows
-            .iter()
-            .zip(keys)
-            .map(|(m, key)| {
-                let scan = WindowScan::new(tree, key.root, query_seq);
-                let blocks = m.blocks.iter().map(|b| BlockMeta {
-                    key: BlockKey {
-                        stamp: tree.block_stamp(b.key.root),
-                        popups: scan.popups_in(b.key.root),
-                        ..b.key.clone()
-                    },
-                    next_reveal: scan.block_reveal(b.key.root),
-                    ..b.clone()
-                });
-                WindowMeta { key, next_reveal: scan.window_reveal(), blocks: blocks.collect() }
-            })
-            .collect();
-        let context_epoch = tree.context_epoch();
-        self.entries.push(CachedCapture { snap: entry.snap, context_epoch, windows });
     }
 }
 

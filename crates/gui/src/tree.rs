@@ -10,8 +10,9 @@
 //!
 //! The arena is copy-on-write: widgets live in fixed-size chunks behind
 //! [`Arc`]s, a clone shares every chunk, and the first write to a shared
-//! chunk copies only that chunk. Forking a launch image, restoring one,
-//! and dropping a tree therefore cost the chunks touched, not the arena.
+//! chunk copies only that chunk. Forking a launch image, restoring one
+//! (a restart is a fork in place), and dropping a tree therefore cost
+//! the chunks touched, not the arena.
 
 use crate::widget::{Widget, WidgetId};
 use dmi_uia::ControlType;
@@ -32,7 +33,11 @@ pub struct OpenWindow {
 }
 
 /// The provider-side control tree and its runtime UI state.
-#[derive(Debug, Default)]
+///
+/// A clone shares every arena chunk and copies the rest, epochs and
+/// stamps included: it is the same state as its source, and continues
+/// its clocks from the same readings.
+#[derive(Debug, Default, Clone)]
 pub struct UiTree {
     /// The widget arena: `CHUNK`-sized chunks, every one full but the
     /// last, shared copy-on-write between clones.
@@ -50,18 +55,20 @@ pub struct UiTree {
     /// Widgets whose children are still "loading": hidden from snapshots
     /// until the given query sequence number (instability injection).
     pending_children: BTreeMap<WidgetId, u64>,
-    /// Monotonic counter of *persistent* state mutations: widget property
-    /// writes, arena growth, selection, focus, and context changes — the
-    /// state a freshly launched application would not have. Deliberately
+    /// Counter of *persistent* state mutations: widget property writes,
+    /// arena growth, selection, focus, and context changes — the state a
+    /// freshly launched application would not have. Deliberately
     /// NOT bumped by window/popup open/close (transient UI, undone by Esc)
     /// or tab selection (self-healing: selecting a tab deselects its
     /// siblings). The ripper's recovery planner compares epochs to decide
     /// whether pressing Esc can reach a launch-equivalent state or a full
-    /// restart is required (§4.1 state restoration).
+    /// restart is required (§4.1 state restoration). Monotonic between
+    /// restarts: a restored tree reads its image's epoch again.
     state_epoch: u64,
-    /// Monotonic clock issuing mutation stamps (see
-    /// [`UiTree::window_stamp`]). Shared across roots so stamps are
-    /// totally ordered within one tree lineage.
+    /// Clock issuing mutation stamps (see [`UiTree::window_stamp`]).
+    /// Shared across roots so stamps are totally ordered within one tree
+    /// lineage; a clone continues it, so two clones of one image issue
+    /// the same ticks.
     view_clock: u64,
     /// Stamp of the last *snapshot-visible* mutation per arena root and
     /// per block (a root's child with its descendants; see
@@ -72,76 +79,10 @@ pub struct UiTree {
     /// capture cache, so transient open+close sequences return to a cache
     /// hit.
     stamps: BTreeMap<WidgetId, u64>,
-    /// Floor value reported for roots and blocks with no stamp on record.
-    /// Advanced past every issued stamp on `clone_from` (a wholesale
-    /// restore) and `refloor_stamps`, so capture keys recorded before
-    /// either can never validate after it.
-    stamp_floor: u64,
     /// Bumped whenever the active-context set changes. Contexts gate
     /// `visible_when` widgets in *any* window, so this is a global key
     /// component rather than a per-root stamp.
     context_epoch: u64,
-}
-
-impl Clone for UiTree {
-    /// Shares every arena chunk; the remaining fields are copied.
-    fn clone(&self) -> UiTree {
-        UiTree {
-            widgets: self.widgets.clone(),
-            open_windows: self.open_windows.clone(),
-            open_popups: self.open_popups.clone(),
-            contexts: self.contexts.clone(),
-            pending_children: self.pending_children.clone(),
-            stamps: self.stamps.clone(),
-            ..*self
-        }
-    }
-
-    /// Wholesale restore: shares the source's arena chunks, so an
-    /// `office::OfficeApp` reset costs the chunks this tree had copied,
-    /// not the arena size.
-    ///
-    /// The epochs are NOT copied from the source: a wholesale restore is
-    /// one big mutation, so every counter advances monotonically past both
-    /// trees. Capture keys recorded against the old state (or against the
-    /// pristine image's own counters) can therefore never validate against
-    /// the restored tree.
-    // The source is destructured exhaustively so adding a field without
-    // deciding its restore semantics is a compile error.
-    fn clone_from(&mut self, src: &UiTree) {
-        let UiTree {
-            widgets,
-            main_root,
-            open_windows,
-            open_popups,
-            focus,
-            contexts,
-            pending_children,
-            state_epoch,
-            view_clock,
-            stamps: _, // Superseded: every stamp re-floors below.
-            stamp_floor: _,
-            context_epoch,
-        } = src;
-        self.widgets.clone_from(widgets);
-        self.main_root = *main_root;
-        self.open_windows.clone_from(open_windows);
-        self.open_popups.clone_from(open_popups);
-        self.focus = *focus;
-        // Equality pre-checks: these maps are almost always identical to
-        // the pristine image, and the compare is allocation-free where a
-        // blind clone is not.
-        if self.contexts != *contexts {
-            self.contexts = contexts.clone();
-        }
-        if self.pending_children != *pending_children {
-            self.pending_children = pending_children.clone();
-        }
-        self.state_epoch = self.state_epoch.max(*state_epoch) + 1;
-        self.view_clock = self.view_clock.max(*view_clock);
-        self.refloor_stamps();
-        self.context_epoch = self.context_epoch.max(*context_epoch) + 1;
-    }
 }
 
 impl UiTree {
@@ -161,16 +102,6 @@ impl UiTree {
         if let Some(block) = block {
             self.stamps.insert(block, self.view_clock);
         }
-    }
-
-    /// Drops the stamp history: every window and block reads one fresh
-    /// floor past every stamp issued, as after a wholesale restore, so no
-    /// capture keyed before validates after. A launch image does this
-    /// once, so its forks clone an empty stamp table.
-    pub fn refloor_stamps(&mut self) {
-        self.view_clock += 1;
-        self.stamp_floor = self.view_clock;
-        self.stamps.clear();
     }
 
     /// Copy-on-write access to one arena slot: the slot's chunk is copied
@@ -274,11 +205,14 @@ impl UiTree {
         self.slot_mut(id).name = name.into();
     }
 
-    /// The persistent-mutation epoch. Two equal readings bracket a span in
-    /// which no widget property, arena, selection, focus, or context
-    /// changed — transient window/popup state and tab selection excluded —
-    /// so pressing Esc back to the base window provably restores a
-    /// launch-equivalent UI.
+    /// The persistent-mutation epoch. Two equal readings with no restart
+    /// between them bracket a span in which no widget property, arena,
+    /// selection, focus, or context changed — transient window/popup
+    /// state and tab selection excluded — so pressing Esc back to the base
+    /// window provably restores a launch-equivalent UI. The epoch only
+    /// grows between restarts, but a restart restores the image's tree and
+    /// so its epoch: a reading taken before a restart proves nothing after
+    /// it (the ripper records its base epoch after each restart).
     pub fn state_epoch(&self) -> u64 {
         self.state_epoch
     }
@@ -288,24 +222,29 @@ impl UiTree {
     /// pending-children schedules). Popup expansion and the window stack
     /// move no stamp — capture caches key them structurally, so transient
     /// open+close sequences compare equal again. Two equal readings (with
-    /// equal popup chains and context epoch) prove the window's snapshot
-    /// subtree and layout rows are byte-identical.
+    /// equal popup chains and context epoch) and no restart between them
+    /// prove the window's snapshot subtree and layout rows are
+    /// byte-identical. A restart rewinds every stamp to the image's, so a
+    /// write before it and another write after it can read the same tick
+    /// (which is why a restart empties the capture cache). A root or block
+    /// never stamped reads 0.
     ///
     /// Every mutation that stamps a window also stamps the block it lands
     /// in ([`UiTree::block_stamp`]), unless it lands on the root itself.
     pub fn window_stamp(&self, root: WidgetId) -> u64 {
-        self.stamps.get(&root).copied().unwrap_or(self.stamp_floor)
+        self.stamps.get(&root).copied().unwrap_or(0)
     }
 
     /// The stamp of the last snapshot-visible mutation inside the block
     /// rooted at `block`, a child of a window root: the same ticks as
     /// [`UiTree::window_stamp`], recorded on the block each one lands in.
     /// Two equal readings (with equal popups inside the block, context
-    /// epoch, row counter at the block root modulo the window's rows, and
-    /// off-screen flag of the block root) prove the block's snapshot nodes
-    /// are byte-identical, wherever the window around it changed.
+    /// epoch and off-screen flag of the block root, and no restart between
+    /// them) prove the block's snapshot nodes are byte-identical up to
+    /// their placement, wherever the window around it changed: the rows
+    /// above the block only move it (`layout::shift_rect`).
     pub fn block_stamp(&self, block: WidgetId) -> u64 {
-        self.stamps.get(&block).copied().unwrap_or(self.stamp_floor)
+        self.stamps.get(&block).copied().unwrap_or(0)
     }
 
     /// The active-context epoch: bumped whenever the context set changes
@@ -808,7 +747,7 @@ mod tests {
 
     #[test]
     fn block_stamps_track_visible_mutations_per_block() {
-        let (mut t, main, tabs, home, insert) = tree();
+        let (mut t, main, tabs, _, insert) = tree();
         let status = t.add(main, Widget::new("Status", CT::StatusBar));
         let ready = t.add(status, Widget::new("Ready", CT::Text));
         assert_eq!(t.root_and_block_of(ready), (main, Some(status)));
@@ -834,13 +773,6 @@ mod tests {
         let before = t.block_stamp(t1);
         t.select_tab(t2);
         assert!(t.block_stamp(t1) > before, "the deselected tab's block is stamped");
-        // A restore re-floors every block stamp past both trees.
-        let image = t.clone();
-        t.widget_mut(home).enabled = false;
-        let dirty = t.block_stamp(tabs);
-        t.clone_from(&image);
-        assert!(t.block_stamp(tabs) > dirty.max(image.block_stamp(tabs)));
-        assert!(t.block_stamp(status) > image.block_stamp(status));
         // Dropping a late-load schedule stamps the block that held it.
         t.set_pending_children(status, 9);
         let pending = t.block_stamp(status);
@@ -862,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_shares_chunks_and_advances_epochs() {
+    fn clones_share_chunks_copy_on_write() {
         let (mut t, main, ..) = tree();
         let label = t.add(main, Widget::new("A label with a long name", CT::Text));
         let pristine = t.clone();
@@ -870,8 +802,7 @@ mod tests {
         t.widget_mut(label).name.push_str(" (edited)");
         t.widget_mut(label).enabled = false;
         assert_eq!(pristine.widget(label).name, "A label with a long name", "clone is isolated");
-        let (e0, s0, c0) = (t.state_epoch(), t.window_stamp(main), t.context_epoch());
-        t.clone_from(&pristine);
+        t = pristine.clone();
         assert_eq!(t.widget(label).name, "A label with a long name");
         assert!(t.widget(label).enabled);
         // Copy-on-write both ways: a write through either tree after the
@@ -882,11 +813,6 @@ mod tests {
         image.widget_mut(label).value.push_str("image side");
         assert_eq!(t.widget(label).value, "restored side");
         assert_eq!(pristine.widget(label).value, "");
-        // Every epoch advanced past both trees: no capture key recorded
-        // before the restore can validate after it.
-        assert!(t.state_epoch() > e0.max(pristine.state_epoch()));
-        assert!(t.window_stamp(main) > s0);
-        assert!(t.context_epoch() > c0.max(pristine.context_epoch()));
     }
 
     #[test]

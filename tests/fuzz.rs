@@ -73,8 +73,8 @@ fn noisy(seed: u64, trigger: &[ArenaOp]) -> Vec<ArenaOp> {
 // ---------------------------------------------------------------------
 
 /// Every reset leaks state while the app keeps offering its launch
-/// image's table: each restart adopts the table's launch capture into the
-/// MRU cache, which then serves stale bytes, caught against full rebuilds.
+/// image's table: each restart seeds the MRU cache with the table's launch
+/// capture, which then serves stale bytes, caught against full rebuilds.
 #[test]
 fn fault_lying_reset_flagged_and_shrunk() {
     let faults = FaultPlan { lying_reset: true, ..FaultPlan::default() };
@@ -132,8 +132,9 @@ fn fault_worker_panic_flagged_and_shrunk() {
 
 /// An adversarial app's forks share its launch image's table: every
 /// fork's first capture is a full hit on the one launch capture, equal to
-/// a full rebuild's. Under `lying_reset` the first restart already adopts
-/// that capture over the leaked tree and serves its stale bytes.
+/// a full rebuild's. Under `lying_reset` the first restart is already
+/// seeded with that capture over the leaked tree and serves its stale
+/// bytes.
 #[test]
 fn adversarial_forks_share_one_exact_launch_capture() {
     let ops = vec![ArenaOp::Button(1), ArenaOp::Menu(2), ArenaOp::Item(3), ArenaOp::Pop];
