@@ -30,7 +30,7 @@ use crate::ripper::{diff_fresh, rip, RipConfig};
 use crate::screen::{full_tree_prompt_text, label_screen};
 use crate::tokens;
 use crate::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
-use dmi_gui::{CaptureConfig, Session};
+use dmi_gui::{CaptureConfig, InstabilityModel, Session};
 use dmi_uia::{ControlType, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -82,7 +82,8 @@ fn rip_with(spec: &AppSpec, capture: CaptureConfig, config: &RipConfig) -> Ung {
     rip(&mut s, config).0
 }
 
-/// The seed of the input walk [`check_cached_capture`] runs.
+/// The seed of the input walks [`check_cached_capture`] runs, and of the
+/// late loads of its second walk.
 const WALK_SEED: u64 = 1;
 /// The inputs that walk takes.
 const WALK_STEPS: usize = 64;
@@ -91,31 +92,37 @@ const WALK_STEPS: usize = 64;
 /// restart seeds the MRU with) must serve the same bytes a from-scratch
 /// rebuild produces: the same rip UNG, and the same snapshot at every
 /// step of a seeded input walk ([`walk_cached_and_eager`]), rects,
-/// toggles and values included. Catches lying launch-capture tables and
-/// unstamped relabels — the two fault classes that desynchronize the
-/// cache's trust anchors from the real tree — and block copies served
-/// under a key that misses what their bytes depend on.
+/// toggles and values included, once without instability and once under
+/// late loads only (half of all opened containers load a query late).
+/// Catches lying launch-capture tables and unstamped relabels — the two
+/// fault classes that desynchronize the cache's trust anchors from the
+/// real tree — block copies served under a key that misses what their
+/// bytes depend on, and late-load reveals that do not stamp what they
+/// show.
 pub fn check_cached_capture(spec: &AppSpec) -> Option<Divergence> {
     let cached = rip_with(spec, CaptureConfig::default(), &RipConfig::default());
     let rebuilt = rip_with(spec, CaptureConfig::full_rebuild(), &RipConfig::default());
+    let walk = |inst: InstabilityModel| walk_cached_and_eager(spec, &inst, WALK_SEED, WALK_STEPS);
     diff_graphs(OracleKind::CachedCapture, &cached, &rebuilt)
-        .or_else(|| walk_cached_and_eager(spec, WALK_SEED, WALK_STEPS).err())
+        .or_else(|| walk(InstabilityModel::off()).err())
+        .or_else(|| walk(InstabilityModel::new(WALK_SEED, 0.5, 0.0)).err())
 }
 
 /// Drives a cached and a full-rebuild session over fresh launches of
-/// `spec` through the same `steps` seeded inputs — clicks on shown
-/// controls, Esc presses, restarts — and byte-compares their captures
-/// before every step and after the last, identity indexes and prompt
-/// token counts included, and the rip diff across every click. Returns
-/// both sessions, or the first step whose captures, indexes, token
-/// counts, click results or diffs differ.
+/// `spec`, both under `inst`, through the same `steps` seeded inputs —
+/// clicks on shown controls, Esc presses, restarts — and byte-compares
+/// their captures before every step and after the last, identity indexes
+/// and prompt token counts included, and the rip diff across every
+/// click. Returns both sessions, or the first step whose captures,
+/// indexes, token counts, click results or diffs differ.
 pub fn walk_cached_and_eager(
     spec: &AppSpec,
+    inst: &InstabilityModel,
     seed: u64,
     steps: usize,
 ) -> Result<(Session, Session), Divergence> {
-    let mut cached = Session::new(AdversarialApp::launch(spec.clone()));
-    let mut eager = Session::new(AdversarialApp::launch(spec.clone()));
+    let launch = || Session::with_instability(AdversarialApp::launch(spec.clone()), inst.clone());
+    let (mut cached, mut eager) = (launch(), launch());
     eager.set_capture_config(CaptureConfig::full_rebuild());
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut observed = Observed::default();
@@ -475,9 +482,12 @@ mod tests {
     #[test]
     fn the_walk_names_the_first_stale_capture() {
         let spec = AppSpec::new(vec![ArenaOp::Button(1), ArenaOp::Menu(2), ArenaOp::Item(3)]);
-        assert!(walk_cached_and_eager(&spec, 5, 32).is_ok(), "a clean spec walks clean");
+        let off = InstabilityModel::off();
+        assert!(walk_cached_and_eager(&spec, &off, 5, 32).is_ok(), "a clean spec walks clean");
         let lying = spec.with_faults(FaultPlan { lying_reset: true, ..FaultPlan::default() });
-        let Err(d) = walk_cached_and_eager(&lying, 5, 32) else { panic!("the leak is flagged") };
+        let Err(d) = walk_cached_and_eager(&lying, &off, 5, 32) else {
+            panic!("the leak is flagged")
+        };
         assert_eq!((d.oracle, d.window.as_str()), (OracleKind::CachedCapture, "Fuzz"));
         assert!(d.detail.starts_with("step "), "{d}");
     }

@@ -7,13 +7,16 @@
 //! both, so robustness paths are exercised reproducibly.
 //!
 //! Both perturbations compose with the epoch-cached capture pipeline
-//! (`crate::snapshot`) without weakening it: name variation is a pure
-//! function of `(seed, widget)` — identical across rebuilds of the same
-//! state, so cached bytes stay exact — and late loads, the one effect
-//! keyed on the *query* clock rather than tree state, are resolved into
-//! each window's and block's capture key at build time
-//! (`UiTree::reveals_under`): cached nodes are never served at or past
-//! the query sequence where a pending subtree would have appeared.
+//! (`crate::snapshot`), which keys captures on tree state alone, without
+//! weakening it: name variation is a pure function of `(seed, widget)` —
+//! identical across rebuilds of the same state, so cached bytes stay
+//! exact — and a late load is two stamped tree writes. The input that
+//! opens a container schedules its children
+//! (`UiTree::set_pending_children`), and the session's first query at or
+//! past the schedule reveals them (`UiTree::reveal_loaded`), stamping the
+//! container's window and block before the capture; so no capture taken
+//! while the children were hidden is served once they appear, and the
+//! capture pipeline never reads the query clock.
 
 use crate::widget::WidgetId;
 

@@ -75,7 +75,10 @@ pub trait GuiApp: std::any::Any + Send {
     /// The provider-side control tree.
     fn tree(&self) -> &UiTree;
 
-    /// Mutable access to the control tree.
+    /// Mutable access to the control tree. A plain accessor, with no
+    /// side effect of its own: every [`Session::snapshot`] reveals late
+    /// loads through it, and cached and full-rebuild sessions must see
+    /// the same tree.
     fn tree_mut(&mut self) -> &mut UiTree;
 
     /// Executes a semantic command bound to `source`.
@@ -151,7 +154,8 @@ pub struct Session {
     cache: CaptureCache,
     /// Cache-effectiveness counters.
     capture_stats: CaptureStats,
-    /// Snapshot counter (late-load clocks compare against this).
+    /// Snapshot counter: late-load schedules are due at a reading of it
+    /// (`UiTree::reveal_loaded`).
     query_seq: u64,
     /// Input action counter.
     action_seq: u64,
@@ -291,9 +295,12 @@ impl Session {
 
     /// Takes an accessibility snapshot (increments the query clock).
     ///
-    /// The snapshot is shared: while the UI is unchanged since a recent
-    /// capture — same per-window mutation stamps, popup chain, window
-    /// stack, contexts, and no late-load reveal crossing — the same
+    /// The query first reveals every late-loading container due at it
+    /// (`UiTree::reveal_loaded`), a stamped tree write, so cached and
+    /// full-rebuild sessions see the same tree; nothing after it reads
+    /// the clock. The snapshot is shared: while the UI is unchanged since
+    /// a recent capture — same per-window mutation stamps (reveals
+    /// included), popup chain, window stack and contexts — the same
     /// [`Arc`] is returned in O(1), identity index included (counted in
     /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt:
     /// every window is walked, and each clean block (a child of the
@@ -306,12 +313,13 @@ impl Session {
     /// every path produces the same bytes.
     pub fn snapshot(&mut self) -> Arc<Snapshot> {
         self.query_seq += 1;
+        self.app.tree_mut().reveal_loaded(self.query_seq);
         self.capture_stats.captures += 1;
         dmi_obs::tally("capture.captures", 1);
         if !self.capture_cfg.cached {
-            return Arc::new(snapshot::build(self.app.tree(), &self.inst, self.query_seq));
+            return Arc::new(snapshot::build(self.app.tree(), &self.inst));
         }
-        let keys = match snapshot::probe(self.app.tree(), self.query_seq, &mut self.cache) {
+        let keys = match snapshot::probe(self.app.tree(), &mut self.cache) {
             Ok(snap) => {
                 self.capture_stats.full_hits += 1;
                 dmi_obs::tally("capture.full_hits", 1);
@@ -323,7 +331,6 @@ impl Session {
         snapshot::rebuild(
             self.app.tree(),
             &self.inst,
-            self.query_seq,
             keys,
             &mut self.cache,
             &mut self.capture_stats,

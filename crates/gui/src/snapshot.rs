@@ -21,7 +21,7 @@
 //! # How validity is decided
 //!
 //! One rule decides whether captured nodes can be reused: their keys plus
-//! two global components. A whole capture is served again when every
+//! one global component. A whole capture is served again when every
 //! window's key matches; on a miss, nodes are copied at one grain, the
 //! *block* — a child of a window root with all its descendants.
 //!
@@ -39,13 +39,16 @@
 //!   their rectangles: rows above the block only move it, and the window
 //!   root reaches it only through the viewport flag;
 //! - **globally**: [`UiTree::context_epoch`] (contexts gate `visible_when`
-//!   widgets in any window) and the query clock's position relative to
-//!   the *next reveal* of each window or block — the earliest
-//!   pending-children schedule inside it still hidden at build time
-//!   (`UiTree::reveals_under`). Late-load instability is thereby
-//!   resolved into the key at build time: cached nodes are served only
-//!   while an eager rebuild would produce the same bytes, and the reveal
-//!   query itself always re-walks the block that reveals.
+//!   widgets in any window).
+//!
+//! Late loads need no key of their own, and nothing here reads the query
+//! clock: a reveal is a stamped write. Before each capture the session
+//! calls `UiTree::reveal_loaded`, which drops every pending-children
+//! schedule due at that query and stamps the loading container's window
+//! and block, so no capture taken while the children were hidden matches
+//! from the reveal on, and the reveal query re-walks the block that
+//! reveals. A capture reads only whether a container is still loading
+//! ([`UiTree::is_loading`]).
 //!
 //! [`CaptureCache`] keeps a short MRU list of past captures. A capture
 //! whose every window key matches is returned in O(1) as the same
@@ -135,28 +138,26 @@ use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, Lineage, RuntimeId, Snapshot};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Builds a snapshot of every open window (eager, uncached).
-///
-/// `query_seq` is the monotonically increasing snapshot counter maintained
-/// by the session; late-loading subtrees compare against it.
-pub fn build(tree: &UiTree, inst: &InstabilityModel, query_seq: u64) -> Snapshot {
+/// Builds a snapshot of every open window (eager, uncached). The children
+/// of a container still loading are left out: the session reveals the
+/// due ones first (`UiTree::reveal_loaded`).
+pub fn build(tree: &UiTree, inst: &InstabilityModel) -> Snapshot {
     let mut snap = Snapshot::new();
     for (wi, win) in tree.open_windows().iter().enumerate() {
-        push_window(tree, inst, query_seq, *win, wi, &mut snap, None);
+        push_window(tree, inst, *win, wi, &mut snap, None);
     }
     snap
 }
 
 /// Walks one window into `snap` and registers its root in z-order. The
-/// children of a container still loading at `query_seq` are left out,
-/// though the layout walk still places their rows. With `blocks`, a
-/// block that a donor holds under an equal key is copied instead of
-/// walked, and every block of the window is recorded
-/// ([`BlockWalk`]). Returns the number of widgets the walk visited.
+/// children of a container still loading are left out, though the layout
+/// walk still places their rows. With `blocks`, a block that a donor
+/// holds under an equal key is copied instead of walked, and every block
+/// of the window is recorded ([`BlockWalk`]). Returns the number of
+/// widgets the walk visited.
 fn push_window(
     tree: &UiTree,
     inst: &InstabilityModel,
-    query_seq: u64,
     win: OpenWindow,
     wi: usize,
     snap: &mut Snapshot,
@@ -199,7 +200,7 @@ fn push_window(
         // Snapshot runtime ids must track the widget arena, not insertion order.
         snap.set_runtime_id(idx, runtime_of(p.id));
         snap.set_rect(idx, p.rect);
-        parents.push((!tree.children_pending(p.id, query_seq)).then_some(idx));
+        parents.push((!tree.is_loading(p.id)).then_some(idx));
         Step::Descend
     });
     if let Some(b) = blocks {
@@ -221,20 +222,15 @@ fn push_window(
 fn rebuild_window(
     tree: &UiTree,
     inst: &InstabilityModel,
-    query_seq: u64,
     key: &WindowKey,
     wi: usize,
     snap: &mut Snapshot,
     donors: &[CachedCapture],
 ) -> (WindowMeta, u64, u64) {
     let win = OpenWindow { root: key.root, modal: key.modal };
-    let mut blocks = BlockWalk::new(tree, key.root, wi, query_seq, donors);
-    let walked = push_window(tree, inst, query_seq, win, wi, snap, Some(&mut blocks));
-    let meta = WindowMeta {
-        key: key.clone(),
-        next_reveal: blocks.scan.window_reveal(),
-        blocks: blocks.blocks.into(),
-    };
+    let mut blocks = BlockWalk::new(tree, key.root, wi, donors);
+    let walked = push_window(tree, inst, win, wi, snap, Some(&mut blocks));
+    let meta = WindowMeta { key: key.clone(), blocks: blocks.blocks.into() };
     (meta, walked, blocks.reused)
 }
 
@@ -264,10 +260,6 @@ fn window_keys(tree: &UiTree) -> Vec<WindowKey> {
 #[derive(Debug)]
 struct WindowMeta {
     key: WindowKey,
-    /// First query sequence at which a pending-children schedule under
-    /// this root reveals a subtree hidden at build time (`u64::MAX` when
-    /// none): the cached bytes are valid strictly before it.
-    next_reveal: u64,
     /// The window's blocks in walk order (none when the root's children
     /// were left out).
     blocks: Box<[BlockMeta]>,
@@ -275,11 +267,11 @@ struct WindowMeta {
 
 /// The capture key of one block: a shown child of a window root and its
 /// descendants, keyed within the window at the same stack position.
-/// Everything a block's nodes depend on but their rectangles is here, in
-/// the context epoch, or in the query clock: the block's own widgets
-/// (stamped), the popups open inside it, and whether the root's viewport
-/// leaves the block off-screen. Where the walk enters the block only
-/// places it: a copy entered at another row is moved
+/// Everything a block's nodes depend on but their rectangles is here or
+/// in the context epoch: the block's own widgets (stamped, late-load
+/// reveals included), the popups open inside it, and whether the root's
+/// viewport leaves the block off-screen. Where the walk enters the block
+/// only places it: a copy entered at another row is moved
 /// ([`layout::shift_rect`]).
 #[derive(Debug, PartialEq, Eq)]
 struct BlockKey {
@@ -300,61 +292,6 @@ struct BlockMeta {
     row: i32,
     /// Rows the block takes in the layout walk, its root's included.
     rows: i32,
-    /// First query sequence at which a pending-children schedule inside
-    /// the block reveals a subtree hidden at build time (`u64::MAX` when
-    /// none).
-    next_reveal: u64,
-}
-
-/// What the block keys of one window read off the live tree besides
-/// their stamps.
-struct WindowScan {
-    /// `(block, popup)` for every open popup inside a block of the
-    /// window, in chain order.
-    popups: Vec<(WidgetId, WidgetId)>,
-    /// `(block, ready)` for every pending-children schedule under the
-    /// root that reveals after the query (`None`: the root's own).
-    reveals: Vec<(Option<WidgetId>, u64)>,
-}
-
-impl WindowScan {
-    fn new(tree: &UiTree, root: WidgetId, query_seq: u64) -> WindowScan {
-        let popups = tree
-            .open_popups()
-            .iter()
-            .filter_map(|&p| match tree.root_and_block_of(p) {
-                (r, Some(block)) if r == root => Some((block, p)),
-                _ => None,
-            })
-            .collect();
-        WindowScan { popups, reveals: tree.reveals_under(root, query_seq).collect() }
-    }
-
-    /// The open popups inside `block`, in chain order.
-    fn popups_in(&self, block: WidgetId) -> Vec<WidgetId> {
-        self.popups.iter().filter(|&&(b, _)| b == block).map(|&(_, p)| p).collect()
-    }
-
-    /// The next reveal inside `block`.
-    fn block_reveal(&self, block: WidgetId) -> u64 {
-        let inside = self.reveals.iter().filter(|&&(b, _)| b == Some(block));
-        inside.map(|&(_, ready)| ready).min().unwrap_or(u64::MAX)
-    }
-
-    /// The next reveal anywhere in the window.
-    fn window_reveal(&self) -> u64 {
-        self.reveals.iter().map(|&(_, ready)| ready).min().unwrap_or(u64::MAX)
-    }
-
-    /// The key of the block whose root the walk placed at `p`.
-    fn key(&self, tree: &UiTree, p: Placed) -> BlockKey {
-        BlockKey {
-            root: p.id,
-            stamp: tree.block_stamp(p.id),
-            popups: self.popups_in(p.id),
-            offscreen: p.offscreen,
-        }
-    }
 }
 
 /// The block bookkeeping of one window's cached walk: the donor blocks
@@ -364,10 +301,11 @@ struct BlockWalk<'a> {
     /// recent first: its snapshot and its blocks at the window's stack
     /// position.
     donors: Vec<(&'a Snapshot, &'a [BlockMeta])>,
-    scan: WindowScan,
+    /// `(block, popup)` for every open popup inside a block of the
+    /// window, in chain order.
+    popups: Vec<(WidgetId, WidgetId)>,
     /// The window's stack position.
     wi: usize,
-    query_seq: u64,
     blocks: Vec<BlockMeta>,
     /// The block being walked: its key, first node, and the row counter
     /// at its root.
@@ -379,30 +317,40 @@ impl<'a> BlockWalk<'a> {
     /// Starts the bookkeeping of the window rooted at `root`, at stack
     /// position `wi`, that may copy blocks from the recent captures
     /// `donors`.
-    fn new(
-        tree: &UiTree,
-        root: WidgetId,
-        wi: usize,
-        query_seq: u64,
-        donors: &'a [CachedCapture],
-    ) -> Self {
+    fn new(tree: &UiTree, root: WidgetId, wi: usize, donors: &'a [CachedCapture]) -> Self {
         let context_epoch = tree.context_epoch();
         let donors = donors
             .iter()
             .filter(|e| e.context_epoch == context_epoch)
             .filter_map(|e| Some((&*e.snap, &*e.windows.get(wi)?.blocks)))
             .collect();
-        let scan = WindowScan::new(tree, root, query_seq);
-        BlockWalk { donors, scan, wi, query_seq, blocks: Vec::new(), open: None, reused: 0 }
+        let popups = tree
+            .open_popups()
+            .iter()
+            .filter_map(|&p| match tree.root_and_block_of(p) {
+                (r, Some(block)) if r == root => Some((block, p)),
+                _ => None,
+            })
+            .collect();
+        BlockWalk { donors, popups, wi, blocks: Vec::new(), open: None, reused: 0 }
     }
 
-    /// The first donor block, most recent capture first, that is valid at
-    /// the query under `key`, with its snapshot.
+    /// The key of the block whose root the walk placed at `p`.
+    fn key(&self, tree: &UiTree, p: Placed) -> BlockKey {
+        BlockKey {
+            root: p.id,
+            stamp: tree.block_stamp(p.id),
+            popups: self.popups.iter().filter(|&&(b, _)| b == p.id).map(|&(_, q)| q).collect(),
+            offscreen: p.offscreen,
+        }
+    }
+
+    /// The first donor block, most recent capture first, held under
+    /// `key`, with its snapshot.
     fn donor(&self, key: &BlockKey) -> Option<(&'a Snapshot, &'a BlockMeta)> {
-        self.donors.iter().find_map(|&(src, blocks)| {
-            let b = blocks.iter().find(|b| b.key == *key && self.query_seq < b.next_reveal)?;
-            Some((src, b))
-        })
+        self.donors
+            .iter()
+            .find_map(|&(src, blocks)| Some((src, blocks.iter().find(|b| b.key == *key)?)))
     }
 
     /// The walk placed a block root at `p`, under the window's root node
@@ -412,7 +360,7 @@ impl<'a> BlockWalk<'a> {
     /// and returns `None`.
     fn enter(&mut self, tree: &UiTree, p: Placed, snap: &mut Snapshot, up: usize) -> Option<i32> {
         self.close(snap, p.row);
-        let key = self.scan.key(tree, p);
+        let key = self.key(tree, p);
         let Some((src, b)) = self.donor(&key) else {
             self.open = Some((key, snap.len(), p.row));
             return None;
@@ -424,8 +372,7 @@ impl<'a> BlockWalk<'a> {
             let (ty, off) = (n.props.control_type, n.props.offscreen);
             snap.set_rect(i, layout::shift_rect(self.wi, ty, off, n.rect, shift));
         }
-        let next_reveal = b.next_reveal;
-        self.blocks.push(BlockMeta { key, start, row: p.row, rows: b.rows, next_reveal });
+        self.blocks.push(BlockMeta { key, start, row: p.row, rows: b.rows });
         self.reused += 1;
         Some(p.row + b.rows)
     }
@@ -435,8 +382,7 @@ impl<'a> BlockWalk<'a> {
     fn close(&mut self, snap: &mut Snapshot, row: i32) {
         if let Some((key, start, row0)) = self.open.take() {
             snap.record_block(start, snap.len(), Lineage::default());
-            let (rows, next_reveal) = (row - row0, self.scan.block_reveal(key.root));
-            self.blocks.push(BlockMeta { key, start, row: row0, rows, next_reveal });
+            self.blocks.push(BlockMeta { key, start, row: row0, rows: row - row0 });
         }
     }
 }
@@ -452,10 +398,8 @@ struct CachedCapture {
 }
 
 impl CachedCapture {
-    fn matches(&self, keys: &[WindowKey], context_epoch: u64, query_seq: u64) -> bool {
-        self.context_epoch == context_epoch
-            && self.windows.len() == keys.len()
-            && self.windows.iter().zip(keys).all(|(m, k)| m.key == *k && query_seq < m.next_reveal)
+    fn matches(&self, keys: &[WindowKey], context_epoch: u64) -> bool {
+        self.context_epoch == context_epoch && self.windows.iter().map(|m| &m.key).eq(keys)
     }
 }
 
@@ -519,7 +463,6 @@ impl CaptureCache {
 /// can pass them to [`rebuild`] without recomputing them.
 pub(crate) fn probe(
     tree: &UiTree,
-    query_seq: u64,
     cache: &mut CaptureCache,
 ) -> Result<Arc<Snapshot>, Vec<WindowKey>> {
     let context_epoch = tree.context_epoch();
@@ -527,8 +470,7 @@ pub(crate) fn probe(
 
     // O(1) path: any recent capture whose every key component matches is
     // byte-identical to what an eager rebuild would produce.
-    if let Some(pos) = cache.entries.iter().position(|e| e.matches(&keys, context_epoch, query_seq))
-    {
+    if let Some(pos) = cache.entries.iter().position(|e| e.matches(&keys, context_epoch)) {
         let entry = cache.entries.remove(pos);
         let snap = Arc::clone(&entry.snap);
         cache.entries.insert(0, entry);
@@ -543,7 +485,6 @@ pub(crate) fn probe(
 pub(crate) fn rebuild(
     tree: &UiTree,
     inst: &InstabilityModel,
-    query_seq: u64,
     keys: Vec<WindowKey>,
     cache: &mut CaptureCache,
     stats: &mut CaptureStats,
@@ -551,8 +492,7 @@ pub(crate) fn rebuild(
     let mut snap = Snapshot::new();
     let mut windows = Vec::with_capacity(keys.len());
     for (wi, key) in keys.iter().enumerate() {
-        let (meta, walked, reused) =
-            rebuild_window(tree, inst, query_seq, key, wi, &mut snap, &cache.entries);
+        let (meta, walked, reused) = rebuild_window(tree, inst, key, wi, &mut snap, &cache.entries);
         stats.windows_rebuilt += 1;
         stats.nodes_walked += walked;
         stats.blocks_reused += reused;
@@ -630,8 +570,8 @@ impl LaunchCaptures {
 /// Builds the capture of the state a restart leaves `image` in (the
 /// app's `reset` restores the image, then `UiTree::reset_ui_state`),
 /// under the image tree's own keys. `reset_ui_state` drops every
-/// late-load schedule, so the build is query-independent. Timed as a
-/// capture `rebuild`, but counted in no session's [`CaptureStats`].
+/// late-load schedule, so no container in it is still loading. Timed as
+/// a capture `rebuild`, but counted in no session's [`CaptureStats`].
 fn launch_capture(image: &UiTree, inst: &InstabilityModel) -> CachedCapture {
     let _rebuild_span = dmi_obs::span(dmi_obs::Cat::Capture, "rebuild", 0);
     dmi_obs::tally("capture.launch_builds", 1);
@@ -641,7 +581,7 @@ fn launch_capture(image: &UiTree, inst: &InstabilityModel) -> CachedCapture {
     let windows = window_keys(&tree)
         .iter()
         .enumerate()
-        .map(|(wi, key)| rebuild_window(&tree, inst, 0, key, wi, &mut snap, &[]).0)
+        .map(|(wi, key)| rebuild_window(&tree, inst, key, wi, &mut snap, &[]).0)
         .collect();
     CachedCapture { snap: Arc::new(snap), context_epoch: tree.context_epoch(), windows }
 }
@@ -697,7 +637,7 @@ mod tests {
     #[test]
     fn closed_menus_contribute_nothing() {
         let (t, _, _, _) = tree();
-        let s = build(&t, &InstabilityModel::off(), 0);
+        let s = build(&t, &InstabilityModel::off());
         assert!(s.find_by_name("Colors").is_some());
         assert!(s.find_by_name("Blue").is_none());
     }
@@ -706,7 +646,7 @@ mod tests {
     fn open_menus_reveal_children() {
         let (mut t, _, menu, _) = tree();
         t.open_popup(menu);
-        let s = build(&t, &InstabilityModel::off(), 0);
+        let s = build(&t, &InstabilityModel::off());
         assert!(s.find_by_name("Blue").is_some());
     }
 
@@ -714,7 +654,7 @@ mod tests {
     fn runtime_ids_track_widget_ids() {
         let (mut t, _, menu, item) = tree();
         t.open_popup(menu);
-        let s = build(&t, &InstabilityModel::off(), 0);
+        let s = build(&t, &InstabilityModel::off());
         let idx = s.find_by_name("Blue").unwrap();
         assert_eq!(widget_of(s.node(idx).runtime_id), item);
     }
@@ -724,9 +664,11 @@ mod tests {
         let (mut t, _, menu, _) = tree();
         t.open_popup(menu);
         t.set_pending_children(menu, 5);
-        let s4 = build(&t, &InstabilityModel::off(), 4);
+        t.reveal_loaded(4);
+        let s4 = build(&t, &InstabilityModel::off());
         assert!(s4.find_by_name("Blue").is_none());
-        let s5 = build(&t, &InstabilityModel::off(), 5);
+        t.reveal_loaded(5);
+        let s5 = build(&t, &InstabilityModel::off());
         assert!(s5.find_by_name("Blue").is_some());
     }
 
@@ -740,8 +682,10 @@ mod tests {
         t.add(main, Widget::new("After", CT::Button));
         t.set_pending_children(grp, 5);
         let rect = |s: &Snapshot, name| s.node(s.find_by_name(name).unwrap()).rect;
-        let (s4, s5) =
-            (build(&t, &InstabilityModel::off(), 4), build(&t, &InstabilityModel::off(), 5));
+        t.reveal_loaded(4);
+        let s4 = build(&t, &InstabilityModel::off());
+        t.reveal_loaded(5);
+        let s5 = build(&t, &InstabilityModel::off());
         assert!(s4.find_by_name("First").is_none());
         assert_eq!(rect(&s4, "After"), rect(&s5, "After"));
         assert_eq!(rect(&s5, "After").y, 4 * layout::ROW_H);
@@ -752,7 +696,7 @@ mod tests {
         let (mut t, _, menu, _) = tree();
         t.open_popup(menu);
         let inst = InstabilityModel::new(3, 0.0, 1.0);
-        let s = build(&t, &inst, 0);
+        let s = build(&t, &inst);
         // The provider-side name is unchanged.
         assert_eq!(t.widget(menu).name, "Colors");
         // The snapshot name is the varied one.
@@ -783,28 +727,17 @@ mod tests {
         (t, [main, menu, grid, status])
     }
 
-    /// Captures `t` at `query_seq` through `cache`, the way a cached
-    /// session does, without comparing it to the eager build.
-    fn cached(
-        t: &UiTree,
-        query_seq: u64,
-        cache: &mut CaptureCache,
-        stats: &mut CaptureStats,
-    ) -> Arc<Snapshot> {
+    /// Captures `t` through `cache`, the way a cached session does,
+    /// without comparing it to the eager build.
+    fn cached(t: &UiTree, cache: &mut CaptureCache, stats: &mut CaptureStats) -> Arc<Snapshot> {
         let inst = InstabilityModel::off();
-        probe(t, query_seq, cache)
-            .unwrap_or_else(|keys| rebuild(t, &inst, query_seq, keys, cache, stats))
+        probe(t, cache).unwrap_or_else(|keys| rebuild(t, &inst, keys, cache, stats))
     }
 
     /// [`cached`], asserted byte-identical to the eager build.
-    fn capture(
-        t: &UiTree,
-        query_seq: u64,
-        cache: &mut CaptureCache,
-        stats: &mut CaptureStats,
-    ) -> Arc<Snapshot> {
-        let snap = cached(t, query_seq, cache, stats);
-        assert_eq!(*snap, build(t, &InstabilityModel::off(), query_seq), "query {query_seq}");
+    fn capture(t: &UiTree, cache: &mut CaptureCache, stats: &mut CaptureStats) -> Arc<Snapshot> {
+        let snap = cached(t, cache, stats);
+        assert_eq!(*snap, build(t, &InstabilityModel::off()));
         snap
     }
 
@@ -816,14 +749,14 @@ mod tests {
     fn stamped_mutation_in_one_block_copies_its_siblings() {
         let (mut t, [_, _, grid, _]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        capture(&t, 1, &mut cache, &mut stats);
+        capture(&t, &mut cache, &mut stats);
         let all = t.len() as u64 - 2; // the closed menu's items are not shown
         assert_eq!((stats.windows_rebuilt, stats.blocks_reused, stats.nodes_walked), (1, 0, all));
         // A cell write stamps the grid's block only: the ribbon and the
         // status bar are copied, the root and the grid walked.
         let cell = t.find_by_name("R1C2").unwrap();
         t.widget_mut(cell).value = "42".into();
-        let snap = capture(&t, 2, &mut cache, &mut stats);
+        let snap = capture(&t, &mut cache, &mut stats);
         assert_eq!(snap.node(snap.find_by_name("R1C2").unwrap()).props.value, "42");
         let grid_nodes = 1 + 3 * 5;
         assert_eq!(stats.windows_rebuilt, 2);
@@ -831,12 +764,12 @@ mod tests {
         assert_eq!(stats.nodes_walked, all + 1 + grid_nodes, "root and grid walked");
         // A grid write again: the previous capture's sibling blocks serve.
         t.widget_mut(grid).help_text = "cells".into();
-        capture(&t, 3, &mut cache, &mut stats);
+        capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 4);
         // A root write re-walks the root alone: every block is clean.
         let root = t.main_root();
         t.widget_mut(root).help_text = "main".into();
-        capture(&t, 4, &mut cache, &mut stats);
+        capture(&t, &mut cache, &mut stats);
         assert_eq!((stats.blocks_reused, stats.nodes_walked), (7, all + 2 * (1 + grid_nodes) + 1));
     }
 
@@ -844,28 +777,28 @@ mod tests {
     fn a_popup_in_an_earlier_block_shifts_the_later_blocks() {
         let (mut t, [_, menu, _, status]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        let base = capture(&t, 1, &mut cache, &mut stats);
+        let base = capture(&t, &mut cache, &mut stats);
         // Opening the menu adds two rows to the ribbon's block: the grid
         // and the status bar start two rows later, so they are copied and
         // moved two rows down, where the eager build places them.
         t.open_popup(menu);
-        let open = capture(&t, 2, &mut cache, &mut stats);
+        let open = capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 2, "the grid and the status bar copied");
         assert_eq!(rect_of(&open, "R0C0").y, rect_of(&base, "R0C0").y + 2 * layout::ROW_H);
         assert_eq!(rect_of(&open, "Ready").y, rect_of(&base, "Ready").y + 2 * layout::ROW_H);
         // Closing it returns to the base capture whole.
         t.collapse_popup(menu);
-        assert!(Arc::ptr_eq(&capture(&t, 3, &mut cache, &mut stats), &base));
+        assert!(Arc::ptr_eq(&capture(&t, &mut cache, &mut stats), &base));
         // A write in the last block with the menu open leaves the earlier
         // ones in place; closing the menu then moves the most recent
         // grid and status bar two rows up.
         t.open_popup(menu);
-        assert!(Arc::ptr_eq(&capture(&t, 4, &mut cache, &mut stats), &open));
+        assert!(Arc::ptr_eq(&capture(&t, &mut cache, &mut stats), &open));
         t.widget_mut(status).value = "Busy".into();
-        capture(&t, 5, &mut cache, &mut stats);
+        capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 4, "ribbon and grid copied");
         t.collapse_popup(menu);
-        let closed = capture(&t, 6, &mut cache, &mut stats);
+        let closed = capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 7, "every block copied");
         assert_eq!(rect_of(&closed, "Ready"), rect_of(&base, "Ready"));
     }
@@ -876,16 +809,23 @@ mod tests {
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
         t.open_popup(menu);
         t.set_pending_children(menu, 4);
-        let lag = capture(&t, 1, &mut cache, &mut stats);
+        // Each query reveals what is due before it captures, as a session
+        // does.
+        t.reveal_loaded(1);
+        let lag = capture(&t, &mut cache, &mut stats);
         assert!(lag.find_by_name("Blue").is_none());
         // A grid write before the reveal copies the ribbon, still loading.
         t.widget_mut(grid).help_text = "cells".into();
-        let copied = capture(&t, 2, &mut cache, &mut stats);
+        t.reveal_loaded(2);
+        let copied = capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 2);
         assert!(copied.find_by_name("Blue").is_none());
-        assert!(Arc::ptr_eq(&capture(&t, 3, &mut cache, &mut stats), &copied));
-        // The reveal query re-walks the ribbon alone, items included.
-        let revealed = capture(&t, 4, &mut cache, &mut stats);
+        t.reveal_loaded(3);
+        assert!(Arc::ptr_eq(&capture(&t, &mut cache, &mut stats), &copied));
+        // The reveal stamps the ribbon: its query re-walks the ribbon
+        // alone, items included.
+        t.reveal_loaded(4);
+        let revealed = capture(&t, &mut cache, &mut stats);
         assert!(revealed.find_by_name("Blue").is_some());
         assert_eq!(stats.blocks_reused, 4, "grid and status bar copied at the reveal");
     }
@@ -897,14 +837,14 @@ mod tests {
         // the eager oracle tells.
         let (mut t, [_, _, grid, status]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        capture(&t, 1, &mut cache, &mut stats);
+        capture(&t, &mut cache, &mut stats);
         let ready = t.widget(status).children[0];
         t.relabel_unstamped(ready, "Stale");
         t.widget_mut(grid).help_text = "cells".into();
-        let snap = cached(&t, 2, &mut cache, &mut stats);
+        let snap = cached(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 2);
         assert!(snap.find_by_name("Ready").is_some(), "the copied block keeps the old name");
-        let oracle = build(&t, &InstabilityModel::off(), 2);
+        let oracle = build(&t, &InstabilityModel::off());
         assert!(oracle.find_by_name("Stale").is_some());
         assert_ne!(*snap, oracle, "the oracle flags the stale block");
     }
@@ -914,10 +854,10 @@ mod tests {
         s.block_at(s.find_by_name(name).unwrap()).expect("a recorded block").lineage.clone()
     }
 
-    /// Asserts that the identity index of the capture `snap` of `t` at
-    /// `query_seq` equals the index of the eager build, computed whole.
-    fn assert_index_fresh(snap: &Snapshot, t: &UiTree, query_seq: u64) {
-        let eager = build(t, &InstabilityModel::off(), query_seq);
+    /// Asserts that the identity index of the capture `snap` of `t` equals
+    /// the index of the eager build, computed whole.
+    fn assert_index_fresh(snap: &Snapshot, t: &UiTree) {
+        let eager = build(t, &InstabilityModel::off());
         assert!(eager.blocks().is_empty(), "the eager build records no block");
         let (a, b) = (snap.index(), eager.index());
         for i in 0..eager.len() {
@@ -936,20 +876,20 @@ mod tests {
     fn a_popup_that_shifts_later_blocks_copies_them_under_their_lineage() {
         let (mut t, [_, menu, _, _]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        let base = capture(&t, 1, &mut cache, &mut stats);
+        let base = capture(&t, &mut cache, &mut stats);
         base.index();
         // The popup opens inside the ribbon and moves the later blocks'
         // rows: the ribbon is walked under a fresh lineage, the grid and
         // the status bar are copied at their new rows under the lineage
         // of their base blocks, so the index copies their columns.
         t.open_popup(menu);
-        let open = capture(&t, 2, &mut cache, &mut stats);
+        let open = capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 2, "the grid and the status bar copied");
         assert!(!lineage_of(&open, "Ribbon").same(&lineage_of(&base, "Ribbon")));
         for name in ["Grid", "Status"] {
             assert!(lineage_of(&open, name).same(&lineage_of(&base, name)), "{name}");
         }
-        assert_index_fresh(&open, &t, 2);
+        assert_index_fresh(&open, &t);
         assert!(path_shared(&open, &base, "R2C3") && path_shared(&open, &base, "Ready"));
         assert!(!path_shared(&open, &base, "Colors"), "the ribbon's columns are computed");
     }
@@ -958,16 +898,16 @@ mod tests {
     fn a_stamped_write_mints_a_fresh_lineage() {
         let (mut t, _) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        let base = capture(&t, 1, &mut cache, &mut stats);
+        let base = capture(&t, &mut cache, &mut stats);
         base.index();
         let cell = t.find_by_name("R1C2").unwrap();
         t.widget_mut(cell).value = "42".into();
-        let snap = capture(&t, 2, &mut cache, &mut stats);
+        let snap = capture(&t, &mut cache, &mut stats);
         assert!(!lineage_of(&snap, "Grid").same(&lineage_of(&base, "Grid")), "the grid is new");
         for name in ["Ribbon", "Status"] {
             assert!(lineage_of(&snap, name).same(&lineage_of(&base, name)), "{name} copied");
         }
-        assert_index_fresh(&snap, &t, 2);
+        assert_index_fresh(&snap, &t);
         assert!(!path_shared(&snap, &base, "R0C0") && path_shared(&snap, &base, "Ready"));
     }
 
@@ -975,16 +915,16 @@ mod tests {
     fn a_window_root_rename_recomputes_the_copied_columns() {
         let (mut t, [main, ..]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        let base = capture(&t, 1, &mut cache, &mut stats);
+        let base = capture(&t, &mut cache, &mut stats);
         base.index();
         // The rename stamps the root alone: every block is copied under
         // its lineage, but under a new root path, so the index computes
         // their columns again — and the diff's root-path check fails too.
         t.widget_mut(main).name = "Renamed".into();
-        let snap = capture(&t, 2, &mut cache, &mut stats);
+        let snap = capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 3);
         assert!(lineage_of(&snap, "Grid").same(&lineage_of(&base, "Grid")));
-        assert_index_fresh(&snap, &t, 2);
+        assert_index_fresh(&snap, &t);
         let grid = snap.find_by_name("Grid").unwrap();
         assert_eq!(snap.index().path(snap.find_by_name("R0C0").unwrap()), "Renamed/Grid/Row 0");
         assert_ne!(snap.index().path(grid), base.index().path(grid), "root paths differ");
@@ -999,15 +939,15 @@ mod tests {
         // identity; only the eager oracle tells, wherever the copy lands.
         let (mut t, [_, menu, _, status]) = blocks();
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        let base = cached(&t, 1, &mut cache, &mut stats);
+        let base = cached(&t, &mut cache, &mut stats);
         base.index();
         let ready = t.widget(status).children[0];
         t.relabel_unstamped(ready, "Stale");
         t.open_popup(menu);
-        let snap = cached(&t, 2, &mut cache, &mut stats);
+        let snap = cached(&t, &mut cache, &mut stats);
         assert_eq!(stats.blocks_reused, 2, "the grid and the status bar are copied");
         assert!(lineage_of(&snap, "Status").same(&lineage_of(&base, "Status")));
-        let oracle = build(&t, &InstabilityModel::off(), 2);
+        let oracle = build(&t, &InstabilityModel::off());
         let stale = oracle.find_by_name("Stale").expect("the eager build reads the new name");
         assert_eq!(snap.find_by_name("Ready"), Some(stale), "the copy keeps the old name");
         assert_eq!(
@@ -1026,12 +966,12 @@ mod tests {
         let edit = t.add(dlg, Widget::new("Name", CT::Edit));
         t.open_window(dlg, true);
         let (mut cache, mut stats) = (CaptureCache::default(), CaptureStats::default());
-        let base = capture(&t, 1, &mut cache, &mut stats);
+        let base = capture(&t, &mut cache, &mut stats);
         // A write in the dialog walks the main window's root and copies
         // its three blocks, then walks the whole dialog.
         let before = stats;
         t.widget_mut(edit).value = "Quarterly".into();
-        let snap = capture(&t, 2, &mut cache, &mut stats);
+        let snap = capture(&t, &mut cache, &mut stats);
         assert_eq!(stats.windows_rebuilt - before.windows_rebuilt, 2, "every window walked");
         assert_eq!(stats.blocks_reused - before.blocks_reused, 3, "every main block copied");
         assert_eq!(stats.nodes_walked - before.nodes_walked, 1 + 2, "main root and dialog walked");
@@ -1050,7 +990,7 @@ mod tests {
         let dlg = t.add_root(Widget::new("Format Cells", CT::Window));
         t.add(dlg, Widget::new("OK", CT::Button));
         t.open_window(dlg, true);
-        let s = build(&t, &InstabilityModel::off(), 0);
+        let s = build(&t, &InstabilityModel::off());
         assert_eq!(s.windows().len(), 2);
         let top = s.top_window().unwrap();
         assert_eq!(s.node(top).props.name, "Format Cells");

@@ -52,8 +52,10 @@ pub struct UiTree {
     focus: Option<WidgetId>,
     /// Active UI contexts gating `visible_when` widgets.
     contexts: BTreeSet<String>,
-    /// Widgets whose children are still "loading": hidden from snapshots
-    /// until the given query sequence number (instability injection).
+    /// Widgets whose children are still "loading" (instability
+    /// injection), each with the query sequence number at which
+    /// `UiTree::reveal_loaded` shows them: hidden from captures until
+    /// then. Setting and dropping a schedule are both stamped writes.
     pending_children: BTreeMap<WidgetId, u64>,
     /// Counter of *persistent* state mutations: widget property writes,
     /// arena growth, selection, focus, and context changes — the state a
@@ -73,11 +75,11 @@ pub struct UiTree {
     /// Stamp of the last *snapshot-visible* mutation per arena root and
     /// per block (a root's child with its descendants; see
     /// [`UiTree::block_stamp`]): widget property writes, arena growth,
-    /// tab/item selection, and pending-children schedules under it. Popup
-    /// expansion and the window stack are deliberately NOT stamped — they
-    /// are keyed structurally (open-popup chain, open-window stack) by the
-    /// capture cache, so transient open+close sequences return to a cache
-    /// hit.
+    /// tab/item selection, and pending-children schedules and reveals
+    /// under it. Popup expansion and the window stack are deliberately
+    /// NOT stamped — they are keyed structurally (open-popup chain,
+    /// open-window stack) by the capture cache, so transient open+close
+    /// sequences return to a cache hit.
     stamps: BTreeMap<WidgetId, u64>,
     /// Bumped whenever the active-context set changes. Contexts gate
     /// `visible_when` widgets in *any* window, so this is a global key
@@ -219,15 +221,15 @@ impl UiTree {
 
     /// The stamp of the last snapshot-visible mutation inside the window
     /// rooted at `root` (widget writes, arena growth, tab/item selection,
-    /// pending-children schedules). Popup expansion and the window stack
-    /// move no stamp — capture caches key them structurally, so transient
-    /// open+close sequences compare equal again. Two equal readings (with
-    /// equal popup chains and context epoch) and no restart between them
-    /// prove the window's snapshot subtree and layout rows are
-    /// byte-identical. A restart rewinds every stamp to the image's, so a
-    /// write before it and another write after it can read the same tick
-    /// (which is why a restart empties the capture cache). A root or block
-    /// never stamped reads 0.
+    /// pending-children schedules and reveals). Popup expansion and the
+    /// window stack move no stamp — capture caches key them structurally,
+    /// so transient open+close sequences compare equal again. Two equal
+    /// readings (with equal popup chains and context epoch) and no restart
+    /// between them prove the window's snapshot subtree and layout rows
+    /// are byte-identical. A restart rewinds every stamp to the image's,
+    /// so a write before it and another write after it can read the same
+    /// tick (which is why a restart empties the capture cache). A root or
+    /// block never stamped reads 0.
     ///
     /// Every mutation that stamps a window also stamps the block it lands
     /// in ([`UiTree::block_stamp`]), unless it lands on the root itself.
@@ -259,26 +261,6 @@ impl UiTree {
     /// [`UiTree::collapse_popup`].
     pub fn popups_under(&self, root: WidgetId) -> Vec<WidgetId> {
         self.open_popups.iter().copied().filter(|&p| self.root_of(p) == root).collect()
-    }
-
-    /// The pending-children schedules under `root` that reveal a subtree
-    /// hidden at `query_seq`, as `(block, ready)`: the block holding the
-    /// loading container (`None` for the root itself) and the query
-    /// sequence at which its children appear. Nodes of a window or block
-    /// captured at `query_seq` stay observably identical to an eager
-    /// rebuild for every query strictly before the earliest `ready` inside
-    /// it.
-    pub(crate) fn reveals_under(
-        &self,
-        root: WidgetId,
-        query_seq: u64,
-    ) -> impl Iterator<Item = (Option<WidgetId>, u64)> + '_ {
-        self.pending_children.iter().filter(move |&(_, &ready)| ready > query_seq).filter_map(
-            move |(&id, &ready)| {
-                let (r, block) = self.root_and_block_of(id);
-                (r == root).then_some((block, ready))
-            },
-        )
     }
 
     /// Iterates over all widgets with ids.
@@ -523,16 +505,40 @@ impl UiTree {
         self.set_selected(id, true);
     }
 
-    /// Marks a container's children as still loading until `ready_query`.
+    /// Marks a container's children as still loading until query
+    /// `ready_query`: the capture leaves them out until
+    /// `UiTree::reveal_loaded` reaches that query. A schedule is a
+    /// stamped write (a persistent one too: the launch state has none).
     pub fn set_pending_children(&mut self, id: WidgetId, ready_query: u64) {
         self.state_epoch += 1;
         self.stamp(id);
         self.pending_children.insert(id, ready_query);
     }
 
-    /// Whether a container's children are hidden at query `query_seq`.
-    pub fn children_pending(&self, id: WidgetId, query_seq: u64) -> bool {
-        self.pending_children.get(&id).is_some_and(|&r| query_seq < r)
+    /// Reveals every container whose children finish loading by query
+    /// `query_seq`: drops its schedule and stamps its window and block,
+    /// so the reveal is a snapshot-visible write like any other and no
+    /// capture taken while the children were hidden matches after it.
+    /// Moves no state epoch: a reveal only shows children already there,
+    /// so Esc recovery sees nothing new. The session calls it once per
+    /// query, before the capture.
+    pub(crate) fn reveal_loaded(&mut self, query_seq: u64) {
+        let ready: Vec<WidgetId> = self
+            .pending_children
+            .iter()
+            .filter(|&(_, &r)| r <= query_seq)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in ready {
+            self.pending_children.remove(&id);
+            self.stamp(id);
+        }
+    }
+
+    /// Whether a container's children are still loading (hidden from
+    /// captures until a reveal).
+    pub fn is_loading(&self, id: WidgetId) -> bool {
+        self.pending_children.contains_key(&id)
     }
 
     /// Finds the first widget with the given name (structural search).
@@ -678,8 +684,10 @@ mod tests {
     fn pending_children_window() {
         let (mut t, main, ..) = tree();
         t.set_pending_children(main, 5);
-        assert!(t.children_pending(main, 4));
-        assert!(!t.children_pending(main, 5));
+        t.reveal_loaded(4);
+        assert!(t.is_loading(main));
+        t.reveal_loaded(5);
+        assert!(!t.is_loading(main));
     }
 
     #[test]
@@ -847,15 +855,29 @@ mod tests {
     }
 
     #[test]
-    fn next_reveal_under_scopes_to_the_owning_root() {
-        let (mut t, main, ..) = tree();
+    fn a_reveal_stamps_the_loading_block_and_its_window_only() {
+        let (mut t, main, tabs, ..) = tree();
         let dlg = t.add_root(Widget::new("Dialog", CT::Window));
         let menu = t.add(main, WidgetBuilder::new("Colors", CT::SplitButton).popup().build());
         t.set_pending_children(menu, 7);
-        let reveals = |root, q| t.reveals_under(root, q).collect::<Vec<_>>();
-        assert_eq!(reveals(main, 3), [(Some(menu), 7)]);
-        assert_eq!(reveals(main, 7), [], "already revealed");
-        assert_eq!(reveals(dlg, 3), [], "other windows unaffected");
+        let stamps = |t: &UiTree| {
+            [t.window_stamp(main), t.block_stamp(menu), t.block_stamp(tabs), t.window_stamp(dlg)]
+        };
+        let (before, epoch) = (stamps(&t), t.state_epoch());
+        // Before its query the reveal moves nothing.
+        t.reveal_loaded(6);
+        assert!(t.is_loading(menu));
+        assert_eq!(stamps(&t), before);
+        // At it: the menu's block and window are stamped, nothing else.
+        t.reveal_loaded(7);
+        assert!(!t.is_loading(menu));
+        let [w, m, r, d] = stamps(&t);
+        assert!(w > before[0] && m > before[1], "the loading block and its window");
+        assert_eq!((r, d), (before[2], before[3]), "other blocks and windows unaffected");
+        assert_eq!(t.state_epoch(), epoch, "a reveal is no persistent mutation");
+        // A revealed schedule is gone: a later call moves nothing.
+        t.reveal_loaded(8);
+        assert_eq!(stamps(&t), [w, m, r, d]);
     }
 
     #[test]

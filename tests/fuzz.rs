@@ -20,7 +20,7 @@ use dmi_core::fuzz::{
 };
 use dmi_core::ripper::rip;
 use dmi_core::{rip_fleet, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung};
-use dmi_gui::{CaptureConfig, GuiApp, Session};
+use dmi_gui::{CaptureConfig, GuiApp, InstabilityModel, Session};
 use dmi_integration_tests::{dmi_models, SplitMix};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -171,7 +171,8 @@ fn adversarial_forks_share_one_exact_launch_capture() {
 #[test]
 fn stamped_commands_copy_the_other_blocks() {
     let spec = AppSpec::new((0..6).map(ArenaOp::Button).collect());
-    let (cached, eager) = walk_cached_and_eager(&spec, 7, 24).expect("captures equal");
+    let (cached, eager) =
+        walk_cached_and_eager(&spec, &InstabilityModel::off(), 7, 24).expect("captures equal");
     let stats = cached.capture_stats();
     assert!(stats.blocks_reused >= 5, "every click copies the other buttons: {stats:?}");
     let toggled = |s: &Session| {
@@ -191,7 +192,7 @@ fn clean_specs_copy_blocks_exactly_100_seeds() {
     let mut reused = 0;
     for seed in 3000..3100u64 {
         let spec = AppSpec::generate(seed, 20);
-        let (cached, _) = walk_cached_and_eager(&spec, seed, 64)
+        let (cached, _) = walk_cached_and_eager(&spec, &InstabilityModel::off(), seed, 64)
             .unwrap_or_else(|d| panic!("clean spec from seed {seed}: {d}"));
         reused += cached.capture_stats().blocks_reused;
         assert_eq!(check_cached_capture(&spec), None, "clean spec from seed {seed} diverged");

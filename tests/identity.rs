@@ -747,8 +747,10 @@ fn full_office_launch_capture_is_shared_and_exact() {
 /// from what that snapshot shows. Every snapshot's parent, window, name,
 /// type, rect, off-screen and enabled columns and every input result
 /// fold into one FNV-1a digest. Also returns how many snapshots were
-/// taken while a shown container was still loading.
-fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usize) {
+/// taken while a shown container was still loading, and the session's
+/// capture work: captures, full hits, windows walked, blocks reused and
+/// nodes walked.
+fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usize, [u64; 5]) {
     let mut s =
         Session::with_instability(launch(kind, small), InstabilityModel::new(seed, 0.3, 0.1));
     let mut rng = SplitMix(seed);
@@ -767,9 +769,7 @@ fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usi
             }
         }
         let tree = s.app().tree();
-        let q = s.query_count();
-        loading +=
-            tree.iter().any(|(i, _)| tree.children_pending(i, q) && tree.is_shown(i)) as usize;
+        loading += tree.iter().any(|(i, _)| tree.is_loading(i) && tree.is_shown(i)) as usize;
         let shown: Vec<WidgetId> = snap.iter().map(|(_, n)| s.widget_of(n.runtime_id)).collect();
         let result = match rng.below(20) {
             0 => {
@@ -824,25 +824,36 @@ fn layout_walk(kind: AppKind, small: bool, seed: u64, steps: usize) -> (u64, usi
         };
         h.write(format!("{result:?}").as_bytes());
     }
-    (h.0, loading)
+    let cs = s.capture_stats();
+    (
+        h.0,
+        loading,
+        [cs.captures, cs.full_hits, cs.windows_rebuilt, cs.blocks_reused, cs.nodes_walked],
+    )
 }
+
+/// The capture-work fields [`layout_walk`] returns, for assertion messages.
+const CAPTURE_WORK: &str = "captures, full hits, windows walked, blocks reused, nodes walked";
 
 /// Layout pin: rows, off-screen flags and hit testing are a pure function
 /// of the tree, so seeded walks over the small Office apps must keep
 /// these digests (computed before rows were placed inside the capture
 /// and hit-test walks). The UNG digests carry no rects, so nothing else
-/// pins layout bytes.
+/// pins layout bytes. The walks' capture work is pinned too: they are
+/// the only pinned captures under late loads, whose reveals stamp the
+/// blocks that load.
 #[test]
 fn small_office_layout_walks_are_pinned() {
     let pins = [
-        (AppKind::Word, 0x537d_52e7_c0ab_181e),
-        (AppKind::Excel, 0x02d4_92bb_809b_e7c8),
-        (AppKind::PowerPoint, 0xcd02_5e93_1e91_60f2),
+        (AppKind::Word, 0x537d_52e7_c0ab_181e, [300, 158, 165, 903, 5511]),
+        (AppKind::Excel, 0x02d4_92bb_809b_e7c8, [300, 129, 177, 1200, 10_382]),
+        (AppKind::PowerPoint, 0xcd02_5e93_1e91_60f2, [300, 148, 154, 1210, 3556]),
     ];
-    for (kind, want) in pins {
-        let (digest, loading) = layout_walk(kind, true, 1, 300);
+    for (kind, want, work) in pins {
+        let (digest, loading, got) = layout_walk(kind, true, 1, 300);
         assert!(loading > 0, "{kind}: the walk must capture a container still loading");
         assert_eq!(digest, want, "{kind}: layout walk digest {digest:#018x}");
+        assert_eq!(got, work, "{kind}: {CAPTURE_WORK}");
     }
 }
 
@@ -851,21 +862,40 @@ fn small_office_layout_walks_are_pinned() {
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn full_office_layout_walks_are_pinned() {
     let pins = [
-        (AppKind::Word, [0xb183_0a65_76bf_7275, 0xa759_dd85_8b34_2e68, 0x84c5_9b7f_3fd1_fc38]),
-        (AppKind::Excel, [0xf28b_8361_2e2b_0469, 0xd9ec_5dda_3bf5_6f85, 0x8d59_8b74_6dec_2bb2]),
+        (
+            AppKind::Word,
+            [
+                (0xb183_0a65_76bf_7275, [500, 275, 265, 1432, 18_013]),
+                (0xa759_dd85_8b34_2e68, [500, 291, 246, 1338, 14_041]),
+                (0x84c5_9b7f_3fd1_fc38, [500, 277, 262, 1412, 15_705]),
+            ],
+        ),
+        (
+            AppKind::Excel,
+            [
+                (0xf28b_8361_2e2b_0469, [500, 196, 308, 2121, 267_654]),
+                (0xd9ec_5dda_3bf5_6f85, [500, 188, 338, 2238, 238_807]),
+                (0x8d59_8b74_6dec_2bb2, [500, 195, 316, 2147, 222_635]),
+            ],
+        ),
         (
             AppKind::PowerPoint,
-            [0xe25d_22dc_4cac_8804, 0x4adb_73c2_0cb3_d0fc, 0xc94e_d359_add9_cd02],
+            [
+                (0xe25d_22dc_4cac_8804, [500, 219, 285, 2179, 8419]),
+                (0x4adb_73c2_0cb3_d0fc, [500, 207, 302, 2314, 9983]),
+                (0xc94e_d359_add9_cd02, [500, 219, 281, 2197, 9467]),
+            ],
         ),
     ];
     for (kind, wants) in pins {
-        for (seed, want) in (1..).zip(wants) {
-            let (digest, loading) = layout_walk(kind, false, seed, 500);
+        for (seed, (want, work)) in (1..).zip(wants) {
+            let (digest, loading, got) = layout_walk(kind, false, seed, 500);
             assert!(
                 loading > 0,
                 "{kind} seed {seed}: the walk must capture a container still loading"
             );
             assert_eq!(digest, want, "{kind} seed {seed}: layout walk digest {digest:#018x}");
+            assert_eq!(got, work, "{kind} seed {seed}: {CAPTURE_WORK}");
         }
     }
 }
