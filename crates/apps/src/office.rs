@@ -181,16 +181,15 @@ pub fn add_tab(tree: &mut UiTree, ribbon: WidgetId, name: &str, selected: bool) 
     tree.add(ribbon, b.build())
 }
 
-/// Adds a context tab shown only while `ctx` is active.
-pub fn add_context_tab(tree: &mut UiTree, ribbon: WidgetId, name: &str, ctx: &str) -> WidgetId {
-    tree.add(
-        ribbon,
-        WidgetBuilder::new(name, CT::TabItem)
-            .automation_id(format!("Tab{}", name.replace(' ', "")))
-            .on_click(Behavior::SwitchTab)
-            .visible_when(ctx)
-            .build(),
-    )
+/// Adds a context tab, hidden until the application writes its
+/// `visible` flag.
+pub fn add_context_tab(tree: &mut UiTree, ribbon: WidgetId, name: &str) -> WidgetId {
+    let mut tab = WidgetBuilder::new(name, CT::TabItem)
+        .automation_id(format!("Tab{}", name.replace(' ', "")))
+        .on_click(Behavior::SwitchTab)
+        .build();
+    tab.visible = false;
+    tree.add(ribbon, tab)
 }
 
 /// Adds a ribbon group under a tab.
@@ -597,18 +596,16 @@ mod tests {
         let t = driven.tree_mut();
         t.widget_mut(surface).name.push_str(" (edited)");
         t.open_popup(menu);
-        t.set_context("image-selected", true);
         driven.reset();
         let fresh = app.fork().unwrap();
         let (a, b) = (driven.tree(), fresh.tree());
         assert_eq!(a.state_epoch(), b.state_epoch());
-        assert_eq!(a.context_epoch(), b.context_epoch());
         for (id, _) in b.iter() {
             assert_eq!(a.window_stamp(id), b.window_stamp(id), "window {id:?}");
             assert_eq!(a.block_stamp(id), b.block_stamp(id), "block {id:?}");
         }
         assert_eq!(a.widget(surface).name, b.widget(surface).name);
-        assert!(a.open_popups().is_empty() && !a.context_active("image-selected"));
+        assert!(a.open_popups().is_empty());
 
         let inst = InstabilityModel::new(11, 0.2, 0.3);
         let mut s = Session::with_instability(app.fork().unwrap(), inst.clone());

@@ -4,7 +4,8 @@
 //! background blue on all slides" through Design → Format Background →
 //! Solid fill → Fill Color → Blue → Apply to All), the context-dependent
 //! "Picture Format" tab that appears only while an image is selected
-//! (§4.1 context-aware exploration), slide thumbnails whose selection
+//! (§4.1 context-aware exploration; the model shows and hides the tab by
+//! writing its `visible` flag), slide thumbnails whose selection
 //! reveals per-slide shapes, and presentation-mode controls that trap the
 //! UI (rip blocklist candidates).
 
@@ -43,6 +44,8 @@ pub struct PowerPoint {
     thumbnails: WidgetId,
     canvas: WidgetId,
     notes: WidgetId,
+    /// The Picture Format tab, shown only while an image is selected.
+    picture_format: WidgetId,
     /// Per-slide shape widgets (canvas children), toggled with the
     /// current slide; inserting shapes at runtime grows it.
     shape_widgets: Vec<Vec<WidgetId>>,
@@ -66,7 +69,7 @@ impl PowerPointApp {
         office::build_backstage(&mut tree, chrome.main);
         let built = build_ui(&mut tree, &chrome, &config, &deck);
         apply_slide_visibility(&mut tree, &deck, &built.shape_widgets);
-        apply_selection_context(&mut tree, &deck);
+        apply_selection_context(&mut tree, &deck, built.picture_format);
         OfficeApp::launch(PowerPoint {
             tree,
             deck,
@@ -75,6 +78,7 @@ impl PowerPointApp {
             thumbnails: built.thumbnails,
             canvas: built.canvas,
             notes: built.notes,
+            picture_format: built.picture_format,
             shape_widgets: built.shape_widgets,
         })
     }
@@ -102,14 +106,14 @@ impl PowerPoint {
     }
 
     /// Toggles canvas shape visibility so only the current slide's shapes
-    /// show, and syncs selection contexts.
+    /// show, and syncs the Picture Format tab with the selection.
     fn show_current_slide(&mut self) {
         apply_slide_visibility(&mut self.tree, &self.deck, &self.shape_widgets);
         self.sync_selection_context();
     }
 
     fn sync_selection_context(&mut self) {
-        apply_selection_context(&mut self.tree, &self.deck);
+        apply_selection_context(&mut self.tree, &self.deck, self.picture_format);
     }
 }
 
@@ -122,15 +126,14 @@ fn apply_slide_visibility(tree: &mut UiTree, deck: &Deck, shape_widgets: &[Vec<W
     }
 }
 
-/// Syncs the image/text selection contexts with the deck's selection.
-fn apply_selection_context(tree: &mut UiTree, deck: &Deck) {
-    let (img, txt) = match deck.selected() {
-        Some(s) if s.kind == "image" => (true, false),
-        Some(_) => (false, true),
-        None => (false, false),
-    };
-    tree.set_context("image-selected", img);
-    tree.set_context("text-selected", txt);
+/// Shows the Picture Format tab exactly while an image is selected. The
+/// write happens only when the flag changes, so an unchanged selection
+/// moves no stamp and no state epoch.
+fn apply_selection_context(tree: &mut UiTree, deck: &Deck, tab: WidgetId) {
+    let img = deck.selected().is_some_and(|s| s.kind == "image");
+    if tree.widget(tab).visible != img {
+        tree.widget_mut(tab).visible = img;
+    }
 }
 
 impl Default for PowerPointApp {
@@ -143,6 +146,7 @@ struct Built {
     thumbnails: WidgetId,
     canvas: WidgetId,
     notes: WidgetId,
+    picture_format: WidgetId,
     shape_widgets: Vec<Vec<WidgetId>>,
 }
 
@@ -450,7 +454,7 @@ fn build_ui(tree: &mut UiTree, chrome: &Chrome, config: &PowerPointConfig, deck:
     office::checkbox(tree, show_grp, "Show Notes", "show_notes");
 
     // ---------------- Picture Format context tab ----------------
-    let pic_tab = office::add_context_tab(tree, chrome.ribbon, "Picture Format", "image-selected");
+    let pic_tab = office::add_context_tab(tree, chrome.ribbon, "Picture Format");
     let ps = office::add_group(tree, pic_tab, "Picture Styles");
     let pstyles: Vec<String> = (0..28).map(|i| format!("Picture Style {i}")).collect();
     office::gallery(tree, ps, "Picture Quick Styles", &pstyles, "apply_picture_style");
@@ -519,7 +523,7 @@ fn build_ui(tree: &mut UiTree, chrome: &Chrome, config: &PowerPointConfig, deck:
             .build(),
     );
 
-    Built { thumbnails, canvas, notes, shape_widgets }
+    Built { thumbnails, canvas, notes, picture_format: pic_tab, shape_widgets }
 }
 
 impl OfficeModel for PowerPoint {
@@ -749,7 +753,7 @@ impl OfficeModel for PowerPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmi_gui::Session;
+    use dmi_gui::{CaptureConfig, Session};
     use std::any::Any;
 
     fn session() -> Session {
@@ -817,6 +821,31 @@ mod tests {
         click_by_name(&mut s, "Slide 2");
         click_by_name(&mut s, "image 2");
         assert!(s.app().tree().is_shown(tab), "context tab appears when image selected");
+    }
+
+    /// Showing and hiding Picture Format is a stamped write of the ribbon
+    /// block: in lockstep with a full-rebuild session, every cached
+    /// capture is byte-equal, shows the tab exactly while the image is
+    /// selected, and copies the blocks the selection change left clean.
+    #[test]
+    fn a_selection_change_copies_the_blocks_it_leaves_clean() {
+        let mut cached = session();
+        let mut full = session();
+        full.set_capture_config(CaptureConfig::full_rebuild());
+        for s in [&mut cached, &mut full] {
+            click_by_name(s, "Slide 2");
+            s.snapshot();
+        }
+        for (shape, image_selected) in [("image 2", true), ("title 1", false), ("image 2", true)] {
+            let reused = cached.capture_stats().blocks_reused;
+            click_by_name(&mut cached, shape);
+            click_by_name(&mut full, shape);
+            let snap = cached.snapshot();
+            assert!(*snap == *full.snapshot(), "{shape}: the capture equals the full rebuild");
+            let shown = snap.find_by_name("Picture Format").is_some();
+            assert_eq!(shown, image_selected, "{shape}: Picture Format shown");
+            assert!(cached.capture_stats().blocks_reused > reused, "{shape}: no block copied");
+        }
     }
 
     #[test]

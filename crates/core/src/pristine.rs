@@ -26,23 +26,6 @@ pub struct WindowSig {
     pub root_name: String,
 }
 
-/// Contiguous `[start, end)` arena ranges of a snapshot's window blocks,
-/// in window order. Defensive: a leading orphan block (nodes before the
-/// first registered window root — a hidden-root degenerate shape) is kept
-/// so every node belongs to exactly one block.
-fn block_ranges(snap: &Snapshot) -> Vec<(usize, usize)> {
-    let ws = snap.windows();
-    let mut ranges = Vec::with_capacity(ws.len() + 1);
-    if ws.first().copied().unwrap_or(snap.len()) > 0 {
-        ranges.push((0, ws.first().copied().unwrap_or(snap.len())));
-    }
-    for (i, &start) in ws.iter().enumerate() {
-        let end = ws.get(i + 1).copied().unwrap_or(snap.len());
-        ranges.push((start, end));
-    }
-    ranges
-}
-
 /// Per-window signatures of a snapshot (see [`WindowSig`]). Block digests
 /// use *relative* indices so equal window contents digest equal wherever
 /// the block sits in the arena.
@@ -61,11 +44,13 @@ fn window_sigs(snap: &Snapshot) -> Vec<WindowSig> {
         }
     }
     let ws = snap.windows();
-    let orphan = ws.first().copied().unwrap_or(snap.len()) > 0;
-    block_ranges(snap)
-        .into_iter()
+    // Every capture walks a window's root first and registers it at the
+    // window's first node, so the first window starts the arena.
+    debug_assert!(ws.first().map_or(snap.is_empty(), |&s| s == 0), "a node before every window");
+    ws.iter()
         .enumerate()
-        .map(|(bi, (start, end))| {
+        .map(|(wi, &start)| {
+            let end = ws.get(wi + 1).copied().unwrap_or(snap.len());
             let mut h: [u64; 2] = [0xcbf2_9ce4_8422_2325, 0x9E55_79B9_7F4A_7C15];
             eat(&mut h, &((end - start) as u64).to_le_bytes());
             for idx in start..end {
@@ -83,12 +68,10 @@ fn window_sigs(snap: &Snapshot) -> Vec<WindowSig> {
                 eat(&mut h, b"\x1f");
                 eat(&mut h, p.automation_id.as_bytes());
             }
-            let rooted = !orphan || bi > 0;
-            let wi = if orphan { bi.wrapping_sub(1) } else { bi };
             WindowSig {
                 digest: h,
-                modal: rooted && snap.window_is_modal(wi),
-                root_name: if rooted { snap.node(start).props.name.clone() } else { String::new() },
+                modal: snap.window_is_modal(wi),
+                root_name: snap.node(start).props.name.clone(),
             }
         })
         .collect()

@@ -998,7 +998,7 @@ mod tests {
                     replay_failures: 52,
                     windows_seen: 9,
                 },
-                [6961, 4407, 2822, 20_643, 170_920],
+                [6961, 4407, 2822, 21_487, 168_493],
             ),
         ];
         for (kind, digest, model_digest, stats, work) in pins {

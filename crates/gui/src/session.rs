@@ -299,9 +299,9 @@ impl Session {
     /// (`UiTree::reveal_loaded`), a stamped tree write, so cached and
     /// full-rebuild sessions see the same tree; nothing after it reads
     /// the clock. The snapshot is shared: while the UI is unchanged since
-    /// a recent capture — same per-window mutation stamps (reveals
-    /// included), popup chain, window stack and contexts — the same
-    /// [`Arc`] is returned in O(1), identity index included (counted in
+    /// a recent capture — same per-window mutation stamps (reveals and
+    /// visibility writes included), popup chain and window stack — the
+    /// same [`Arc`] is returned in O(1), identity index included (counted in
     /// [`CaptureStats::full_hits`]). Otherwise the capture is rebuilt:
     /// every window is walked, and each clean block (a child of the
     /// window root with its descendants) is copied from a recent capture
@@ -370,9 +370,9 @@ impl Session {
     /// The tree's persistent-mutation epoch (see [`UiTree::state_epoch`]).
     /// Recovery planners record it at a known-base state; an unchanged
     /// reading later, with no [`Session::restart`] in between, proves no
-    /// widget property, arena, selection, focus, or context change
-    /// happened, so collapsing transient windows and popups with Esc
-    /// restores that base exactly. A restart rewinds the epoch to the
+    /// widget property, arena, selection, or focus change happened, so
+    /// collapsing transient windows and popups with Esc restores that
+    /// base exactly. A restart rewinds the epoch to the
     /// launch state's, so a planner records its base again after each
     /// one (the ripper's `base_epoch`).
     pub fn ui_state_epoch(&self) -> u64 {

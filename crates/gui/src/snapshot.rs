@@ -1,4 +1,4 @@
-//! The cached capture pipeline: epoch-keyed [`dmi_uia::Snapshot`]s built
+//! The cached capture pipeline: stamp-keyed [`dmi_uia::Snapshot`]s built
 //! from a live [`UiTree`] and shared behind [`Arc`]s.
 //!
 //! The snapshot is the *client view*: only revealed widgets appear (closed
@@ -20,10 +20,11 @@
 //!
 //! # How validity is decided
 //!
-//! One rule decides whether captured nodes can be reused: their keys plus
-//! one global component. A whole capture is served again when every
-//! window's key matches; on a miss, nodes are copied at one grain, the
-//! *block* — a child of a window root with all its descendants.
+//! One rule decides whether captured nodes can be reused: their keys,
+//! per window and per block, with no global part. A whole capture is
+//! served again when every window's key matches; on a miss, nodes are
+//! copied at one grain, the *block* — a child of a window root with all
+//! its descendants.
 //!
 //! - **per window** (`WindowKey`): the arena root, its modality and
 //!   stack position, the root's [`UiTree::window_stamp`] (bumped by every
@@ -37,9 +38,11 @@
 //!   the open popups inside the block, and whether the root's viewport
 //!   leaves it off-screen. Nothing else reaches a block's nodes but
 //!   their rectangles: rows above the block only move it, and the window
-//!   root reaches it only through the viewport flag;
-//! - **globally**: [`UiTree::context_epoch`] (contexts gate `visible_when`
-//!   widgets in any window).
+//!   root reaches it only through the viewport flag.
+//!
+//! Showing or hiding a widget is a stamped write of its `visible` flag,
+//! so a contextual control (PowerPoint's Picture Format tab) re-walks
+//! only the block that holds it.
 //!
 //! Late loads need no key of their own, and nothing here reads the query
 //! clock: a reveal is a stamped write. Before each capture the session
@@ -187,7 +190,6 @@ fn push_window(
         let w = tree.widget(p.id);
         let mut props = ControlProps::new(inst.live_name(p.id, &w.name), w.control_type);
         props.automation_id = w.automation_id.clone();
-        props.class_name = w.class_name.clone();
         props.help_text = w.help_text.clone();
         props.patterns = w.patterns;
         props.enabled = w.enabled;
@@ -267,8 +269,8 @@ struct WindowMeta {
 
 /// The capture key of one block: a shown child of a window root and its
 /// descendants, keyed within the window at the same stack position.
-/// Everything a block's nodes depend on but their rectangles is here or
-/// in the context epoch: the block's own widgets (stamped, late-load
+/// Everything a block's nodes depend on but their rectangles is here:
+/// the block's own widgets (stamped, visibility writes and late-load
 /// reveals included), the popups open inside it, and whether the root's
 /// viewport leaves the block off-screen. Where the walk enters the block
 /// only places it: a copy entered at another row is moved
@@ -297,9 +299,8 @@ struct BlockMeta {
 /// The block bookkeeping of one window's cached walk: the donor blocks
 /// it may copy, and the record of every block so far.
 struct BlockWalk<'a> {
-    /// Each recent capture taken under the current context epoch, most
-    /// recent first: its snapshot and its blocks at the window's stack
-    /// position.
+    /// Each recent capture, most recent first: its snapshot and its
+    /// blocks at the window's stack position.
     donors: Vec<(&'a Snapshot, &'a [BlockMeta])>,
     /// `(block, popup)` for every open popup inside a block of the
     /// window, in chain order.
@@ -318,12 +319,8 @@ impl<'a> BlockWalk<'a> {
     /// position `wi`, that may copy blocks from the recent captures
     /// `donors`.
     fn new(tree: &UiTree, root: WidgetId, wi: usize, donors: &'a [CachedCapture]) -> Self {
-        let context_epoch = tree.context_epoch();
-        let donors = donors
-            .iter()
-            .filter(|e| e.context_epoch == context_epoch)
-            .filter_map(|e| Some((&*e.snap, &*e.windows.get(wi)?.blocks)))
-            .collect();
+        let donors =
+            donors.iter().filter_map(|e| Some((&*e.snap, &*e.windows.get(wi)?.blocks))).collect();
         let popups = tree
             .open_popups()
             .iter()
@@ -393,13 +390,12 @@ impl<'a> BlockWalk<'a> {
 #[derive(Debug, Clone)]
 struct CachedCapture {
     snap: Arc<Snapshot>,
-    context_epoch: u64,
     windows: Arc<[WindowMeta]>,
 }
 
 impl CachedCapture {
-    fn matches(&self, keys: &[WindowKey], context_epoch: u64) -> bool {
-        self.context_epoch == context_epoch && self.windows.iter().map(|m| &m.key).eq(keys)
+    fn matches(&self, keys: &[WindowKey]) -> bool {
+        self.windows.iter().map(|m| &m.key).eq(keys)
     }
 }
 
@@ -465,12 +461,11 @@ pub(crate) fn probe(
     tree: &UiTree,
     cache: &mut CaptureCache,
 ) -> Result<Arc<Snapshot>, Vec<WindowKey>> {
-    let context_epoch = tree.context_epoch();
     let keys = window_keys(tree);
 
     // O(1) path: any recent capture whose every key component matches is
     // byte-identical to what an eager rebuild would produce.
-    if let Some(pos) = cache.entries.iter().position(|e| e.matches(&keys, context_epoch)) {
+    if let Some(pos) = cache.entries.iter().position(|e| e.matches(&keys)) {
         let entry = cache.entries.remove(pos);
         let snap = Arc::clone(&entry.snap);
         cache.entries.insert(0, entry);
@@ -503,8 +498,7 @@ pub(crate) fn rebuild(
     }
 
     let snap = Arc::new(snap);
-    let context_epoch = tree.context_epoch();
-    let entry = CachedCapture { snap: Arc::clone(&snap), context_epoch, windows: windows.into() };
+    let entry = CachedCapture { snap: Arc::clone(&snap), windows: windows.into() };
     cache.entries.insert(0, entry);
     cache.entries.truncate(MRU_DEPTH);
     snap
@@ -583,7 +577,7 @@ fn launch_capture(image: &UiTree, inst: &InstabilityModel) -> CachedCapture {
         .enumerate()
         .map(|(wi, key)| rebuild_window(&tree, inst, key, wi, &mut snap, &[]).0)
         .collect();
-    CachedCapture { snap: Arc::new(snap), context_epoch: tree.context_epoch(), windows }
+    CachedCapture { snap: Arc::new(snap), windows }
 }
 
 /// An empty placeholder for the retired cross-session capture pool. It

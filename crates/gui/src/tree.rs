@@ -3,7 +3,9 @@
 //! A [`UiTree`] is an arena of widgets plus the runtime UI state the
 //! toolkit manages: the open-window stack (main window, dialogs, child
 //! windows), the open-popup chain (menus, dropdowns), keyboard focus,
-//! and active UI contexts (e.g. "image-selected").
+//! and late-loading containers. A contextual control (PowerPoint's
+//! Picture Format tab) is an ordinary widget whose `visible` flag its
+//! application writes.
 //!
 //! Widgets are never removed from the arena — hidden instead — so
 //! [`WidgetId`]s are stable for the lifetime of the application instance.
@@ -16,7 +18,7 @@
 
 use crate::widget::{Widget, WidgetId};
 use dmi_uia::ControlType;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Widgets per arena chunk (a power of two, so indexing is a shift and a
@@ -50,15 +52,13 @@ pub struct UiTree {
     open_popups: Vec<WidgetId>,
     /// Keyboard focus.
     focus: Option<WidgetId>,
-    /// Active UI contexts gating `visible_when` widgets.
-    contexts: BTreeSet<String>,
     /// Widgets whose children are still "loading" (instability
     /// injection), each with the query sequence number at which
     /// `UiTree::reveal_loaded` shows them: hidden from captures until
     /// then. Setting and dropping a schedule are both stamped writes.
     pending_children: BTreeMap<WidgetId, u64>,
     /// Counter of *persistent* state mutations: widget property writes,
-    /// arena growth, selection, focus, and context changes — the state a
+    /// arena growth, selection and focus changes — the state a
     /// freshly launched application would not have. Deliberately
     /// NOT bumped by window/popup open/close (transient UI, undone by Esc)
     /// or tab selection (self-healing: selecting a tab deselects its
@@ -81,10 +81,6 @@ pub struct UiTree {
     /// open-window stack) by the capture cache, so transient open+close
     /// sequences return to a cache hit.
     stamps: BTreeMap<WidgetId, u64>,
-    /// Bumped whenever the active-context set changes. Contexts gate
-    /// `visible_when` widgets in *any* window, so this is a global key
-    /// component rather than a per-root stamp.
-    context_epoch: u64,
 }
 
 impl UiTree {
@@ -209,7 +205,7 @@ impl UiTree {
 
     /// The persistent-mutation epoch. Two equal readings with no restart
     /// between them bracket a span in which no widget property, arena,
-    /// selection, focus, or context changed — transient window/popup
+    /// selection, or focus changed — transient window/popup
     /// state and tab selection excluded — so pressing Esc back to the base
     /// window provably restores a launch-equivalent UI. The epoch only
     /// grows between restarts, but a restart restores the image's tree and
@@ -224,7 +220,7 @@ impl UiTree {
     /// pending-children schedules and reveals). Popup expansion and the
     /// window stack move no stamp — capture caches key them structurally,
     /// so transient open+close sequences compare equal again. Two equal
-    /// readings (with equal popup chains and context epoch) and no restart
+    /// readings (with equal popup chains) and no restart
     /// between them prove the window's snapshot subtree and layout rows
     /// are byte-identical. A restart rewinds every stamp to the image's,
     /// so a write before it and another write after it can read the same
@@ -240,19 +236,13 @@ impl UiTree {
     /// The stamp of the last snapshot-visible mutation inside the block
     /// rooted at `block`, a child of a window root: the same ticks as
     /// [`UiTree::window_stamp`], recorded on the block each one lands in.
-    /// Two equal readings (with equal popups inside the block, context
-    /// epoch and off-screen flag of the block root, and no restart between
-    /// them) prove the block's snapshot nodes are byte-identical up to
+    /// Two equal readings (with equal popups inside the block and
+    /// off-screen flag of the block root, and no restart between them)
+    /// prove the block's snapshot nodes are byte-identical up to
     /// their placement, wherever the window around it changed: the rows
     /// above the block only move it (`layout::shift_rect`).
     pub fn block_stamp(&self, block: WidgetId) -> u64 {
         self.stamps.get(&block).copied().unwrap_or(0)
-    }
-
-    /// The active-context epoch: bumped whenever the context set changes
-    /// (contexts gate `visible_when` widgets in any window).
-    pub fn context_epoch(&self) -> u64 {
-        self.context_epoch
     }
 
     /// The open popups whose subtrees live under `root`, in chain order.
@@ -303,21 +293,6 @@ impl UiTree {
             self.state_epoch += 1;
         }
         self.focus = id;
-    }
-
-    /// Activates or deactivates a UI context (e.g. `"image-selected"`).
-    pub fn set_context(&mut self, ctx: &str, on: bool) {
-        let changed =
-            if on { self.contexts.insert(ctx.to_string()) } else { self.contexts.remove(ctx) };
-        if changed {
-            self.state_epoch += 1;
-            self.context_epoch += 1;
-        }
-    }
-
-    /// Whether a context is active.
-    pub fn context_active(&self, ctx: &str) -> bool {
-        self.contexts.contains(ctx)
     }
 
     /// Whether the window rooted at `root` is open.
@@ -433,8 +408,8 @@ impl UiTree {
     }
 
     /// Whether a widget is currently revealed (its window open, every
-    /// popup ancestor expanded, every tab ancestor selected, context
-    /// conditions met, and static visibility on).
+    /// popup ancestor expanded, every tab ancestor selected, and its own
+    /// and every ancestor's `visible` flag on).
     pub fn is_shown(&self, id: WidgetId) -> bool {
         let mut cur = Some(id);
         while let Some(c) = cur {
@@ -454,11 +429,6 @@ impl UiTree {
         let w = self.widget(id);
         if !w.visible {
             return false;
-        }
-        if let Some(ctx) = &w.visible_when {
-            if !self.contexts.contains(ctx) {
-                return false;
-            }
         }
         match w.parent {
             None => self.is_window_open(id),
@@ -552,7 +522,7 @@ impl UiTree {
     }
 
     /// Restores the runtime UI state to "freshly launched": only the main
-    /// window open, no popups, no focus, contexts cleared. Widget state
+    /// window open, no popups, no focus, no late loads. Widget state
     /// (values, toggles) is left to the application's own reset.
     pub fn reset_ui_state(&mut self) {
         self.close_all_popups();
@@ -560,10 +530,6 @@ impl UiTree {
             self.open_windows.pop();
         }
         self.focus = None;
-        if !self.contexts.is_empty() {
-            self.contexts.clear();
-            self.context_epoch += 1;
-        }
         // Dropping a schedule re-reveals hidden subtrees: stamp every
         // window and block that had one outstanding.
         for id in std::mem::take(&mut self.pending_children).into_keys() {
@@ -653,22 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn context_gated_visibility() {
-        let (mut t, main, ..) = tree();
-        let pic = t.add(
-            main,
-            WidgetBuilder::new("Picture Format", CT::TabItem)
-                .visible_when("image-selected")
-                .build(),
-        );
-        assert!(!t.is_shown(pic));
-        t.set_context("image-selected", true);
-        assert!(t.is_shown(pic));
-        t.set_context("image-selected", false);
-        assert!(!t.is_shown(pic));
-    }
-
-    #[test]
     fn window_root_of_walks_up() {
         let (mut t, main, _, home, _) = tree();
         let bold = t.add(home, Widget::new("Bold", CT::Button));
@@ -695,10 +645,8 @@ mod tests {
         let (mut t, ..) = tree();
         let dlg = t.add_root(Widget::new("Dialog", CT::Window));
         t.open_window(dlg, true);
-        t.set_context("image-selected", true);
         t.reset_ui_state();
         assert_eq!(t.open_windows().len(), 1);
-        assert!(!t.context_active("image-selected"));
     }
 
     #[test]
@@ -719,12 +667,6 @@ mod tests {
         // Persistent mutations do.
         t.widget_mut(home).enabled = false;
         assert!(t.state_epoch() > epoch, "widget writes move the epoch");
-        let epoch = t.state_epoch();
-        t.set_context("image-selected", true);
-        assert!(t.state_epoch() > epoch, "context changes move the epoch");
-        let epoch = t.state_epoch();
-        t.set_context("image-selected", true); // Already active: no change.
-        assert_eq!(t.state_epoch(), epoch);
     }
 
     #[test]
@@ -786,19 +728,6 @@ mod tests {
         let pending = t.block_stamp(status);
         t.reset_ui_state();
         assert!(t.block_stamp(status) > pending);
-    }
-
-    #[test]
-    fn context_epoch_moves_only_on_actual_changes() {
-        let (mut t, ..) = tree();
-        let c0 = t.context_epoch();
-        t.set_context("image-selected", true);
-        assert!(t.context_epoch() > c0);
-        let c1 = t.context_epoch();
-        t.set_context("image-selected", true); // Already active.
-        assert_eq!(t.context_epoch(), c1);
-        t.set_context("image-selected", false);
-        assert!(t.context_epoch() > c1);
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub struct Widget {
     pub automation_id: String,
     /// Control type.
     pub control_type: ControlType,
-    /// Provider class name.
-    pub class_name: String,
     /// Help text / full description.
     pub help_text: String,
     /// Patterns the control supports.
@@ -40,13 +38,11 @@ pub struct Widget {
     pub children: Vec<WidgetId>,
     /// Whether the control is enabled.
     pub enabled: bool,
-    /// Static visibility flag (context-conditional widgets toggle this
-    /// through `visible_when`).
+    /// Visibility flag: a hidden widget and its subtree are left out of
+    /// every capture. Applications write it like any other property
+    /// (PowerPoint's Picture Format tab shows only while an image is
+    /// selected).
     pub visible: bool,
-    /// Context key; when set, the widget is shown only while that context
-    /// is active on the tree (e.g. `"image-selected"` for PowerPoint's
-    /// Picture Format tab).
-    pub visible_when: Option<String>,
     /// Whether children are revealed only while `expanded` (popup
     /// containers: menus, split buttons, combo boxes).
     pub popup: bool,
@@ -83,7 +79,6 @@ impl Widget {
             name: name.into(),
             automation_id: String::new(),
             control_type,
-            class_name: String::new(),
             help_text: String::new(),
             patterns: PatternSet::defaults_for(control_type),
             on_click: Behavior::None,
@@ -91,7 +86,6 @@ impl Widget {
             children: Vec::new(),
             enabled: true,
             visible: true,
-            visible_when: None,
             popup: false,
             expanded: false,
             selected: false,
@@ -156,12 +150,6 @@ impl WidgetBuilder {
         self
     }
 
-    /// Sets the class name.
-    pub fn class(mut self, c: impl Into<String>) -> Self {
-        self.w.class_name = c.into();
-        self
-    }
-
     /// Sets the click behavior.
     pub fn on_click(mut self, b: Behavior) -> Self {
         self.w.on_click = b;
@@ -178,12 +166,6 @@ impl WidgetBuilder {
     /// Marks the widget disabled.
     pub fn disabled(mut self) -> Self {
         self.w.enabled = false;
-        self
-    }
-
-    /// Makes visibility conditional on an active context key.
-    pub fn visible_when(mut self, ctx: impl Into<String>) -> Self {
-        self.w.visible_when = Some(ctx.into());
         self
     }
 

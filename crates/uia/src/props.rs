@@ -82,8 +82,6 @@ pub struct ControlProps {
     pub name: String,
     /// Control type.
     pub control_type: ControlType,
-    /// Provider class name (e.g. `"NetUIRibbonButton"`).
-    pub class_name: String,
     /// UIA `HelpText` / full description; often empty.
     pub help_text: String,
     /// Supported control patterns.
@@ -100,8 +98,6 @@ pub struct ControlProps {
     pub selected: bool,
     /// Expanded state when the ExpandCollapse pattern exists.
     pub expanded: Option<bool>,
-    /// Keyboard-focusable.
-    pub focusable: bool,
 }
 
 // `ControlProps::default` needs a default control type; Custom matches
@@ -120,7 +116,6 @@ impl ControlProps {
             automation_id: String::new(),
             name: name.into(),
             control_type,
-            class_name: String::new(),
             help_text: String::new(),
             patterns: PatternSet::defaults_for(control_type),
             enabled: true,
@@ -129,7 +124,6 @@ impl ControlProps {
             toggle: None,
             selected: false,
             expanded: None,
-            focusable: true,
         }
     }
 

@@ -881,9 +881,9 @@ fn full_office_layout_walks_are_pinned() {
         (
             AppKind::PowerPoint,
             [
-                (0xe25d_22dc_4cac_8804, [500, 219, 285, 2179, 8419]),
-                (0x4adb_73c2_0cb3_d0fc, [500, 207, 302, 2314, 9983]),
-                (0xc94e_d359_add9_cd02, [500, 219, 281, 2197, 9467]),
+                (0xe25d_22dc_4cac_8804, [500, 219, 285, 2218, 8169]),
+                (0x4adb_73c2_0cb3_d0fc, [500, 207, 302, 2328, 9910]),
+                (0xc94e_d359_add9_cd02, [500, 219, 281, 2213, 9349]),
             ],
         ),
     ];

@@ -364,7 +364,7 @@ fn small_fleet_lineage_work_is_pinned() {
     let obs = fleet_obs();
     let t = |k: &str| obs.tallies.get(k).copied().unwrap_or(0);
     let got = [t("rip.diff_probed"), t("rip.diff_skipped")];
-    assert_eq!(got, [148_507, 227_022], "diff probes, diff skips");
+    assert_eq!(got, [148_460, 227_069], "diff probes, diff skips");
 }
 
 /// The prompt-token work of one small-app Table 3 pass (every cell over
@@ -396,7 +396,7 @@ fn small_agent_token_work_is_pinned() {
     dmi_obs::clear();
     let t = |k: &str| tallies.get(k).copied().unwrap_or(0);
     let got = [t("observe.tokens_reused"), t("observe.tokens_computed")];
-    assert_eq!(got, [39_828, 6_314], "name/type terms reused, computed");
+    assert_eq!(got, [40_436, 5_706], "name/type terms reused, computed");
     let got = [t("visit.exact"), t("visit.fuzzy"), t("visit.further_queries"), t("ground.scans")];
     assert_eq!(got, [290, 5, 4, 859], "exact and fuzzy resolves, full queries, grounding scans");
     // Every model came from `Dmi::build`, which renders its full
